@@ -36,7 +36,6 @@ win).  All keys are optional except `seed`.  Schema, with defaults:
       "sweep":     {"levels": [], "sigma": [], "dropout": [], "prune": []},
       "seed":      null,               # REQUIRED, int
       "outdir":    "out",
-      "workers":   1,                  # per-image evaluation threads
       "json":      false,              # emit JSON next to each CSV
       "dump":      0                   # PGM dumps per eval condition
     }
@@ -44,8 +43,7 @@ win).  All keys are optional except `seed`.  Schema, with defaults:
 Null training fields resolve to the per-network defaults recorded in
 TRAIN_RECIPES.  Every emitted report row carries the hash of the
 effective configuration and the seed, and a re-run with the same
-configuration reproduces every output file byte for byte regardless of
-worker count.
+configuration reproduces every output file byte for byte.
 """
 
 from __future__ import annotations
@@ -55,8 +53,8 @@ import copy
 import hashlib
 import json
 import os
+import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -97,7 +95,6 @@ DEFAULT_CONFIG = {
     "sweep": {"levels": [], "sigma": [], "dropout": [], "prune": []},
     "seed": None,
     "outdir": "out",
-    "workers": 1,
     "json": False,
     "dump": 0,
 }
@@ -143,7 +140,7 @@ def merge_config(args) -> dict:
     flag_map = {
         "data": "data_path", "dataset": "dataset", "noise": "noises",
         "net": "net", "seed": "seed", "outdir": "outdir",
-        "workers": "workers", "eval_limit": "eval_limit",
+        "eval_limit": "eval_limit",
         "checkpoint": "checkpoint", "filter": "filters",
         "members": "members", "classifier": "classifier", "mode": "mode",
         "phase": "phase", "budget": "budget", "dropout": "dropout",
@@ -156,8 +153,7 @@ def merge_config(args) -> dict:
     if getattr(args, "emit_json", False):
         config["json"] = True
     if getattr(args, "levels", None) is not None:
-        config["device"]["levels"] = (
-            None if args.levels == "ideal" else int(args.levels))
+        config["device"]["levels"] = _parse_number(args.levels, "levels")
     if getattr(args, "sigma", None) is not None:
         config["device"]["variation_sigma"] = args.sigma
     train_flags = {"lr": "learning_rate", "epochs": "epochs", "batch": "batch",
@@ -173,20 +169,44 @@ def merge_config(args) -> dict:
                       "dropout_grid": "dropout", "prune_grid": "prune"}.items():
         value = getattr(args, attr, None)
         if value is not None:
-            parse = (lambda t: None if t == "ideal" else int(t)) \
-                if key == "levels" else float
-            config["sweep"][key] = [parse(t) for t in value.split(",")]
+            config["sweep"][key] = [_parse_number(t, key)
+                                    for t in value.split(",")]
     if config["data_path"] is None:
         config["data_path"] = os.environ.get("MEMDENOISE_DATA")
     if config["seed"] is None:
         raise CliError("seed is required (--seed or config key 'seed')")
     config["seed"] = int(config["seed"])
+    _check_devices(config)
     return config
+
+
+def _parse_number(text, key):
+    """A levels value (integer or 'ideal') or another grid value (float)."""
+    try:
+        if key == "levels":
+            return None if text == "ideal" else int(text)
+        return float(text)
+    except ValueError:
+        raise CliError(f"bad {key} value {text!r}")
+
+
+def _check_devices(config):
+    """Reject device settings no DeviceModel accepts (NaN, inf, 2.5 levels)."""
+    grids = config["sweep"]
+    settings = ([config["device"]] + [{"levels": L} for L in grids["levels"]]
+                + [{"variation_sigma": s} for s in grids["sigma"]])
+    try:
+        for setting in settings:
+            DeviceModel(**setting)
+    except (TypeError, ValueError) as e:
+        raise CliError(f"bad device setting: {e}")
+    if not all(0.0 <= f < 1.0 for f in grids["dropout"] + grids["prune"]):
+        raise CliError("dropout/prune fractions must lie in [0, 1)")
 
 
 # Plumbing keys that cannot influence report values; everything else
 # participates in the provenance hash stamped on each row.
-_UNHASHED = {"data_path", "outdir", "workers", "json", "dump"}
+_UNHASHED = {"data_path", "outdir", "json", "dump"}
 
 
 def config_hash(config) -> str:
@@ -233,7 +253,11 @@ def load_net(path):
     if magic not in _NET_KINDS:
         raise CliError(f"{path}: not a recognized checkpoint")
     kind, cls = _NET_KINDS[magic]
-    return kind, cls.load(path)
+    try:
+        return kind, cls.load(path)
+    except (OSError, ValueError, KeyError, struct.error) as e:
+        # JSON and unicode decode errors are ValueErrors too
+        raise CliError(f"{path}: corrupt {kind} checkpoint: {e}")
 
 
 def resolved_train_config(config, noise_text=None) -> TrainConfig:
@@ -244,9 +268,8 @@ def resolved_train_config(config, noise_text=None) -> TrainConfig:
     if net == "dense" and noise_text in DENSE_RATE_OVERRIDES:
         recipe["learning_rate"] = DENSE_RATE_OVERRIDES[noise_text]
     tr = config["train"]
-    device = DeviceModel(levels=config["device"]["levels"],
-                         variation_sigma=config["device"]["variation_sigma"])
     try:
+        device = DeviceModel(**config["device"])
         return TrainConfig(
             train_noise=None if noise_text is None else parse_spec(noise_text),
             learning_rate=(recipe["learning_rate"]
@@ -272,41 +295,6 @@ def _write(path, text, written):
     with open(path, "w") as f:
         f.write(text)
     written.append(path)
-
-
-def _score_stack(reference, test, workers):
-    """Per-image SSIM and MSE, chunk-parallel, order independent of workers."""
-    n = reference.shape[0]
-    ssims, mses = np.empty(n), np.empty(n)
-
-    def run(lo, hi):
-        for i in range(lo, hi):
-            ssims[i] = metrics.ssim(reference[i], test[i])
-            mses[i] = metrics.mse(reference[i], test[i])
-
-    workers = max(1, int(workers))
-    if workers == 1 or n < 2 * workers:
-        run(0, n)
-    else:
-        step = -(-n // workers)
-        bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(lambda b: run(*b), bounds))
-    return ssims, mses
-
-
-def score_report(reference, test, noise, method, workers=1):
-    """QualityReport over a stack; equals metrics.evaluate_pairs exactly."""
-    reference = np.asarray(reference, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if reference.shape != test.shape:
-        raise CliError(f"shape mismatch {reference.shape} vs {test.shape}")
-    ssims, mses = _score_stack(reference, test, workers)
-    mean_mse = float(np.mean(mses))
-    p = None if mean_mse == 0.0 else float(10.0 * np.log10(1.0 / mean_mse))
-    return metrics.QualityReport(noise=noise, method=method,
-                                 ssim=float(np.mean(ssims)), mse=mean_mse,
-                                 psnr=p, n_images=reference.shape[0])
 
 
 def _quality_csv(rows, stamp):
@@ -419,13 +407,12 @@ def cmd_eval(config):
         else:
             noisy = corrupt_dataset(data.images, spec, config["seed"])
             text = spec.text()
-        rows.append(score_report(data.images, noisy, text, "noisy",
-                                 config["workers"]))
+        rows.append(metrics.evaluate_pairs(data.images, noisy, text, "noisy"))
         outputs = [("noisy", noisy)]
         for method, forward in pipelines:
             denoised = forward(noisy)
-            rows.append(score_report(data.images, denoised, text, method,
-                                     config["workers"]))
+            rows.append(metrics.evaluate_pairs(data.images, denoised, text,
+                                               method))
             outputs.append((method, denoised))
         for i in range(min(config["dump"], len(data.images))):
             base = os.path.join(dump_root, _safe(text))
@@ -472,8 +459,8 @@ def cmd_sweep(config):
         noisy = np.clip(
             corrupt_dataset(data.images, spec, config["seed"]), 0.0, 1.0)
         for param, value, variant in variants:
-            report = score_report(data.images, variant.forward_stack(noisy),
-                                  spec.text(), "dense", config["workers"])
+            report = metrics.evaluate_pairs(
+                data.images, variant.forward_stack(noisy), spec.text(), "dense")
             rows.append({"param": param, "value": value,
                          "row": json.loads(report.to_json())})
             lines.append(f"{param},{value},{report.csv_row()},{stamp}")
@@ -569,17 +556,7 @@ def cmd_classify(config):
 
 
 def cmd_fuse(config):
-    config = dict(config, net="fusion")
-    data = load_dataset(config, "train")
-    written = []
-    net = _train_fusion(config, data, written)
-    stamp = f"{config_hash(config)},{config['seed']}"
-    log = ["net,noise,epoch,rmse,config,seed"]
-    for epoch, rmse in enumerate(net.rmse_log, 1):
-        log.append(f"fusion,,{epoch},{rmse:.8g},{stamp}")
-    _write(os.path.join(config["outdir"], "train_log.csv"),
-           "\n".join(log) + "\n", written)
-    return written
+    return cmd_train(dict(config, net="fusion"))
 
 
 _COMMANDS = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep,
@@ -595,7 +572,6 @@ def build_parser():
                         help="corruption spec, repeatable (e.g. gaussian:0.1)")
     common.add_argument("--seed", type=int)
     common.add_argument("--outdir")
-    common.add_argument("--workers", type=int)
     common.add_argument("--eval-limit", dest="eval_limit", type=int)
     common.add_argument("--json", dest="emit_json", action="store_true",
                         help="emit JSON reports next to CSV")

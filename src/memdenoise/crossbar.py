@@ -207,6 +207,10 @@ def tiled_from_bytes(blob, path="<bytes>"):
     if version != _VERSION:
         raise ValueError("%s: unsupported version %d" % (path, version))
     n = rows * cols
+    size = head_size + 16 * n + _ceil_div(n, 8) + _ceil_div(rows, 8)
+    if len(blob) != size:
+        raise ValueError("%s: crossbar container holds %d bytes, expected %d"
+                         % (path, len(blob), size))
     off = head_size
     g_pos = np.frombuffer(blob[off:off + 8 * n], dtype="<f8").reshape(rows, cols)
     off += 8 * n

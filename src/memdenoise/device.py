@@ -8,6 +8,8 @@ variation (additive Gaussian with std sigma relative to the full window,
 drawn once per programming event and frozen afterwards).
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +33,13 @@ class DeviceModel:
     g_max: float = 1.0
 
     def __post_init__(self):
-        if self.g_min >= self.g_max:
+        if not self.g_min < self.g_max:
             raise ValueError("g_min must be below g_max")
-        if self.levels is not None and self.levels < 2:
-            raise ValueError("levels must be >= 2 (or None for ideal)")
-        if self.variation_sigma < 0:
-            raise ValueError("variation_sigma must be >= 0")
+        if self.levels is not None and not (
+                isinstance(self.levels, numbers.Integral) and self.levels >= 2):
+            raise ValueError("levels must be an integer >= 2 (or None for ideal)")
+        if not 0 <= self.variation_sigma < math.inf:
+            raise ValueError("variation_sigma must be finite and >= 0")
 
     @property
     def ideal(self):

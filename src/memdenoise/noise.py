@@ -21,6 +21,7 @@ default_rng([seed, image_index]), so corrupting a dataset is order
 independent and parallelizes without changing results.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,21 +51,21 @@ class NoiseSpec:
         if self.kind not in KINDS:
             raise ValueError("unknown noise kind %r" % (self.kind,))
         if self.kind == "gaussian":
-            if self.variance is None or self.variance < 0:
-                raise ValueError("gaussian needs variance >= 0")
+            if self.variance is None or not 0 <= self.variance < math.inf:
+                raise ValueError("gaussian needs a finite variance >= 0")
         elif self.kind == "sp":
             if self.density is None or not 0.0 <= self.density <= 1.0:
                 raise ValueError("sp needs density in [0, 1]")
         elif self.kind == "poisson":
             if self.peak is None:
                 object.__setattr__(self, "peak", DEFAULT_POISSON_PEAK)
-            if self.peak < 1:
-                raise ValueError("poisson needs peak >= 1")
+            if not 1 <= self.peak < math.inf:
+                raise ValueError("poisson needs a finite peak >= 1")
         elif self.kind == "speckle":
             if self.variance is None:
                 object.__setattr__(self, "variance", DEFAULT_SPECKLE_VAR)
-            if self.variance < 0:
-                raise ValueError("speckle needs variance >= 0")
+            if not 0 <= self.variance < math.inf:
+                raise ValueError("speckle needs a finite variance >= 0")
 
     def text(self):
         """Canonical textual form, e.g. 'gaussian:0.1'."""

@@ -7,6 +7,7 @@ certify is exactly what the command line produces.
 """
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,19 @@ MEMBER_SEED = 7
 FUSION_SEED = 11
 CLASSIFIER_SEED = 0
 EVAL_SEED = 100
+
+
+def write_idx_images(path, images):
+    n, h, w = images.shape
+    with open(path, "wb") as f:
+        f.write(struct.pack(">IIII", 0x00000803, n, h, w))
+        f.write(images.tobytes())
+
+
+def write_idx_labels(path, labels):
+    with open(path, "wb") as f:
+        f.write(struct.pack(">II", 0x00000801, len(labels)))
+        f.write(labels.tobytes())
 
 
 @pytest.fixture(scope="session")

@@ -134,11 +134,17 @@ class TestDispatch:
             apply_filter(img, FilterSpec("tv", tv_weight=0.1)),
             tv_denoise(img, 0.1, 50))
 
-    def test_filter_stack_is_per_image(self, rng):
-        imgs = rng.random((4, 10, 10))
-        spec = FilterSpec("median", window=3)
+    @pytest.mark.parametrize("channels", [None, 3], ids=["gray", "rgb"])
+    @pytest.mark.parametrize("text", ["median:3", "median:5", "gauss:0.8",
+                                      "tv:0.1"])
+    def test_filter_stack_is_per_image(self, rng, text, channels):
+        # 70 gray planes (or 210 RGB ones) span several filter chunks.
+        shape = (70, 10, 12) if channels is None else (70, 10, 12, channels)
+        imgs = rng.random(shape)
+        spec = parse_filter(text)
         out = filter_stack(imgs, spec)
-        for i in range(4):
+        assert out.shape == imgs.shape and out.flags.c_contiguous
+        for i in range(len(imgs)):
             np.testing.assert_array_equal(out[i], apply_filter(imgs[i], spec))
 
     def test_rgb_planes_filtered_independently(self, rng):

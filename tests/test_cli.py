@@ -8,11 +8,11 @@ checked at the byte level on the emitted files.
 import json
 import os
 import shutil
-import struct
 
 import numpy as np
 import pytest
 
+from conftest import write_idx_images, write_idx_labels
 from memdenoise.cli import (
     DEFAULT_CONFIG,
     DENSE_RATE_OVERRIDES,
@@ -25,21 +25,10 @@ from memdenoise.cli import (
     merge_config,
     resolved_train_config,
 )
+from memdenoise.baselines import FilterSpec
+from memdenoise.device import DeviceModel
 from memdenoise.nets.fusion import FusionDenoiser
-from memdenoise.noise import STANDARD_NOISES
-
-
-def write_idx_images(path, images):
-    n, h, w = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", 0x00000803, n, h, w))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", 0x00000801, len(labels)))
-        f.write(labels.tobytes())
+from memdenoise.noise import STANDARD_NOISES, parse_spec
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +144,6 @@ class TestConfigHash:
     def test_plumbing_keys_do_not_change_hash(self):
         base = parse_to_config(["eval", "--seed", "1"])
         for argv in (["eval", "--seed", "1", "--outdir", "elsewhere"],
-                     ["eval", "--seed", "1", "--workers", "8"],
                      ["eval", "--seed", "1", "--json"],
                      ["eval", "--seed", "1", "--data", "/other"]):
             assert config_hash(parse_to_config(argv)) == config_hash(base)
@@ -268,6 +256,48 @@ class TestExitCodes:
         assert main(["eval", "--data", corpus, "--seed", "1",
                      "--filter", "sobel:3", "--outdir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("keep", ["half", "all-but-one-byte"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_truncated_checkpoint_returns_two(self, corpus, dense_ckpt, capsys,
+                                              tmp_path, command, keep):
+        blob = open(dense_ckpt, "rb").read()
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(blob[:len(blob) // 2 if keep == "half" else -1])
+        assert main([command, "--data", corpus, "--seed", "1",
+                     "--noise", "gaussian:0.1", "--checkpoint", str(cut),
+                     "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cut) in err
+
+
+@pytest.mark.parametrize("build,argv,cause", [
+    (lambda: parse_spec("gaussian:nan"),
+     ["eval", "--noise", "gaussian:nan"], "variance"),
+    (lambda: parse_spec("speckle:inf"),
+     ["eval", "--noise", "speckle:inf"], "variance"),
+    (lambda: parse_spec("poisson:inf"),
+     ["eval", "--noise", "poisson:inf"], "peak"),
+    (lambda: DeviceModel(variation_sigma=float("nan")),
+     ["eval", "--sigma", "nan"], "variation_sigma"),
+    (lambda: DeviceModel(variation_sigma=float("nan")),
+     ["sweep", "--sigma-grid", "0.1,nan"], "variation_sigma"),
+    (lambda: DeviceModel(levels=2.5), ["eval", "--levels", "2.5"], "levels"),
+    (lambda: FilterSpec("gauss", sigma=float("inf")),
+     ["eval", "--filter", "gauss:inf"], "sigma"),
+    (lambda: FilterSpec("tv", tv_weight=float("inf")),
+     ["eval", "--filter", "tv:inf"], "tv_weight"),
+], ids=["gaussian-nan", "speckle-inf", "poisson-inf", "sigma-nan",
+        "sigma-grid-nan", "levels-2.5", "gauss-inf", "tv-inf"])
+def test_non_finite_parameters_rejected(corpus, dense_ckpt, capsys, tmp_path,
+                                        build, argv, cause):
+    with pytest.raises(ValueError, match=cause):
+        build()
+    rc = main(argv + ["--data", corpus, "--seed", "1", "--checkpoint",
+                      dense_ckpt, "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err
+
 
 class TestCostCommand:
     def test_dense_sequential_table(self, capsys):
@@ -375,18 +405,16 @@ class TestEvalCommand:
         assert methods == ["noisy", "dense", "median:3"] * 2
         assert lines[4].startswith("none,noisy,1,0,-,24,")
 
-    def test_rerun_and_worker_count_are_byte_identical(self, corpus,
-                                                       dense_ckpt, tmp_path):
+    def test_reruns_are_byte_identical(self, corpus, dense_ckpt, tmp_path):
         first = str(tmp_path / "a")
         second = str(tmp_path / "b")
-        threaded = str(tmp_path / "c")
+        with_json = str(tmp_path / "c")
         assert main(eval_args(corpus, dense_ckpt, first)) == 0
         assert main(eval_args(corpus, dense_ckpt, second)) == 0
-        assert main(eval_args(corpus, dense_ckpt, threaded,
-                              ["--workers", "3"])) == 0
+        assert main(eval_args(corpus, dense_ckpt, with_json, ["--json"])) == 0
         reference = open(os.path.join(first, "eval.csv"), "rb").read()
         assert open(os.path.join(second, "eval.csv"), "rb").read() == reference
-        assert open(os.path.join(threaded, "eval.csv"), "rb").read() == reference
+        assert open(os.path.join(with_json, "eval.csv"), "rb").read() == reference
 
     def test_json_payload_matches_csv_stamp(self, corpus, dense_ckpt, tmp_path):
         out = str(tmp_path)

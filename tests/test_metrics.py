@@ -5,10 +5,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memdenoise.metrics import (CSV_HEADER, QualityReport, evaluate_pairs,
-                                mse, psnr, ssim)
+from memdenoise.metrics import (CSV_HEADER, SSIM_WINDOW, QualityReport,
+                                evaluate_pairs, mse, psnr, ssim)
 
-skimage_metrics = pytest.importorskip("skimage.metrics")
+
+def brute_force_ssim(a, b, k=SSIM_WINDOW):
+    """Wang et al. (2004) SSIM, one explicit k x k window at a time.
+
+    Uniform window, sample (n - 1) variances and covariance, C1 =
+    (0.01 L)^2 and C2 = (0.03 L)^2 with L = 1, averaged over every valid
+    window position; RGB averages the per-channel scores.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim == 3:
+        return float(np.mean([brute_force_ssim(a[:, :, c], b[:, :, c], k)
+                              for c in range(a.shape[2])]))
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    scores = []
+    for i in range(a.shape[0] - k + 1):
+        for j in range(a.shape[1] - k + 1):
+            x = a[i:i + k, j:j + k].ravel()
+            y = b[i:i + k, j:j + k].ravel()
+            mx, my = x.mean(), y.mean()
+            vx = ((x - mx) ** 2).sum() / (x.size - 1)
+            vy = ((y - my) ** 2).sum() / (y.size - 1)
+            cxy = ((x - mx) * (y - my)).sum() / (x.size - 1)
+            scores.append((2 * mx * my + c1) * (2 * cxy + c2)
+                          / ((mx * mx + my * my + c1) * (vx + vy + c2)))
+    return float(np.mean(scores))
+
+
+def oracle_pairs():
+    """Reference/test image pairs the oracle is checked on, by name."""
+    gen = np.random.default_rng(21)
+    a = gen.random((28, 28))
+    noisy = np.clip(a + gen.normal(0, 0.2, a.shape), 0, 1)
+    rgb = gen.random((12, 15, 3))
+    flat = np.full((10, 13), 0.37)
+    saturated = (gen.random((16, 16)) > 0.5).astype(np.float64)
+    return [
+        pytest.param(a, noisy, id="random"),
+        pytest.param(a, gen.random((28, 28)), id="random-vs-random"),
+        pytest.param(rgb, np.clip(rgb + gen.normal(0, 0.1, rgb.shape), 0, 1),
+                     id="rgb"),
+        pytest.param(flat, flat.copy(), id="constant"),
+        pytest.param(flat, np.full((10, 13), 0.9), id="constant-vs-other"),
+        pytest.param(saturated, 1.0 - saturated, id="saturated"),
+        pytest.param(saturated, np.clip(
+            saturated + gen.normal(0, 0.3, saturated.shape), 0, 1),
+            id="saturated-vs-noisy"),
+        pytest.param(np.ones((9, 9)), np.ones((9, 9)), id="all-ones"),
+    ]
 
 
 class TestMse:
@@ -49,7 +97,15 @@ class TestPsnr:
 
 
 class TestSsim:
+    @pytest.mark.parametrize("a,b", oracle_pairs())
+    def test_matches_brute_force_oracle(self, a, b):
+        want = brute_force_ssim(a, b)
+        assert ssim(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+        rep = evaluate_pairs(np.stack([a, a]), np.stack([b, b]))
+        assert rep.ssim == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_matches_reference_implementation(self, rng):
+        skimage_metrics = pytest.importorskip("skimage.metrics")
         for _ in range(8):
             a = rng.random((28, 28))
             b = np.clip(a + rng.normal(0, 0.2, a.shape), 0, 1)
@@ -86,6 +142,20 @@ class TestSsim:
 
 
 class TestEvaluatePairs:
+    @pytest.mark.parametrize("shape", [(5, 28, 28), (4, 12, 12, 3),
+                                       (6, 9, 13), (3, 10, 8, 1),
+                                       (300, 8, 8), (130, 8, 9, 3)])
+    def test_equals_per_image_loop_exactly(self, rng, shape):
+        # The last two stacks span several scoring chunks.
+        ref = rng.random(shape)
+        test = np.clip(ref + rng.normal(0, 0.2, shape), 0, 1)
+        rep = evaluate_pairs(ref, test)
+        n = shape[0]
+        assert rep.ssim == float(np.mean([ssim(ref[i], test[i])
+                                          for i in range(n)]))
+        assert rep.mse == float(np.mean([mse(ref[i], test[i])
+                                         for i in range(n)]))
+
     def test_aggregates_match_per_image_scores(self, rng):
         ref = rng.random((5, 28, 28))
         test = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0, 1)
