@@ -102,6 +102,10 @@ class Classifier:
         h, w = header["shape"]
         p, hid = h * w, header["hidden"]
         off = 12 + n
+        size = off + 8 * (p * hid + hid + hid * 10 + 10)
+        if len(blob) != size:
+            raise ValueError(f"{path}: classifier checkpoint holds "
+                             f"{len(blob)} bytes, expected {size}")
 
         def take(count, shape):
             nonlocal off

@@ -515,8 +515,10 @@ def cmd_classify(config):
     if config["classifier"] is not None:
         try:
             clf = Classifier.load(config["classifier"])
-        except (OSError, ValueError) as e:
-            raise CliError(f"bad classifier checkpoint: {e}")
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            # JSON and unicode decode errors are ValueErrors too
+            raise CliError(f"{config['classifier']}: corrupt classifier "
+                           f"checkpoint: {e}")
     else:
         train_split = load_dataset(config, "train")
         clf = train_classifier(

@@ -3,9 +3,11 @@
 A real matrix W with |w| <= 1 is programmed onto pairs of memristors,
 g_pos carrying w >= 0 and g_neg carrying -w for w < 0 (the unused device
 of each pair stays at ground, so at most one side of a pair is nonzero).
-The array is partitioned into 256x64 tiles; analog readout accumulates
-per-tile partial sums in a fixed tile order so results are bit
-reproducible no matter how callers parallelize.
+The array is partitioned into 256x64 tiles. A readout sums the partial
+products of the 256-row blocks in row-block order, so every output's sum
+has one fixed order and results are bit reproducible no matter how
+callers batch their rows. The 64-column tiles of a row block produce
+independent outputs, so one product per row block reads them all.
 
 Signed inputs (intermediate CNN activations) are handled by two-phase
 input splitting: the positive and negative parts are applied in separate
@@ -119,14 +121,19 @@ def program(weights, dev, rng=None):
 
 
 def _blocked_product(x, w, rows, cols):
-    # Fixed tile order: row blocks outer, column blocks inner. Partial sums
-    # land in the output in that order, independent of caller parallelism.
+    # Row blocks in fixed order: each output adds its per-block partial
+    # sums in that order. Column tiles only split outputs, which are
+    # independent, so one product per row block reads all the tiles. A
+    # partial last tile is read again on its own: BLAS takes other
+    # kernels for narrow products, so its bits come from that read.
     y = np.zeros(x.shape[:-1] + (cols,), dtype=np.float64)
+    last = cols - cols % TILE_COLS
     for r0 in range(0, rows, TILE_ROWS):
-        r1 = min(r0 + TILE_ROWS, rows)
-        for c0 in range(0, cols, TILE_COLS):
-            c1 = min(c0 + TILE_COLS, cols)
-            y[..., c0:c1] += x[..., r0:r1] @ w[r0:r1, c0:c1]
+        xb, wb = x[..., r0:r0 + TILE_ROWS], w[r0:r0 + TILE_ROWS]
+        part = xb @ wb
+        if 0 < last < cols:
+            part[..., last:] = xb @ wb[:, last:]
+        y += part
     return y
 
 
@@ -143,10 +150,15 @@ def matvec(m, x):
 
 
 def matmul(m, xs):
-    """Batched matvec: xs has shape (n, rows), result (n, cols)."""
+    """Batched matvec: xs has shape (n, rows), result (n, cols).
+
+    A stack (..., n, rows) reads each (n, rows) batch on its own, giving
+    each the bits it would get alone; result (..., n, cols).
+    """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != m.rows:
-        raise ValueError("batch shape %r, expected (n, %d)" % (xs.shape, m.rows))
+    if xs.ndim < 2 or xs.shape[-1] != m.rows:
+        raise ValueError("batch shape %r, expected (..., n, %d)"
+                         % (xs.shape, m.rows))
     return _apply(m, xs)
 
 

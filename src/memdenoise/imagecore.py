@@ -180,22 +180,6 @@ def load_cifar10(path, split):
     return Dataset(images, np.concatenate(labels).astype(np.int64), split)
 
 
-def planes(img):
-    """View an image as a list of 2-D planes (1 for grayscale, 3 for RGB)."""
-    if img.ndim == 2:
-        return [img]
-    if img.ndim == 3 and img.shape[2] in (1, 3):
-        return [img[:, :, c] for c in range(img.shape[2])]
-    raise ValueError("bad image shape %r" % (img.shape,))
-
-
-def from_planes(planes_list, like):
-    """Reassemble planes() output into the shape of `like`."""
-    if like.ndim == 2:
-        return planes_list[0]
-    return np.stack(planes_list, axis=2)
-
-
 def write_image(img, path):
     """Dump an image as binary PGM (grayscale) or PPM (RGB), maxval 255.
 

@@ -9,11 +9,19 @@ per-layer power-of-two gain so conductances stay inside [-1, 1]. Every
 activation entering a crossbar is non-negative here (input pixels, ReLU
 outputs), so single-phase readout suffices.
 
+Inference reads a stack a chunk of planes at a time. Each layer unfolds
+the whole chunk at once and reads it as a stack of per-plane patch
+matrices, so every plane gets the bits it would get alone.
+
 Training is plain SGD on the mean squared error of the pre-clamp output,
 with gradients derived by hand: the pool routes its gradient to the
 argmax position, the upsample sums over its 2x2 fan-out, and kernel
 gradients accumulate over all patch positions. A central finite
-difference oracle validates them in the test suite.
+difference oracle validates them in the test suite. A minibatch runs
+forward and backward as one (B, h, w) stack, one window unfold per layer
+input. The kernel-gradient products stay one per sample, and the trainer
+adds losses and gradients in sample order, so the batched trainer gives
+the bits of the per-sample one.
 """
 
 import json
@@ -22,10 +30,23 @@ import numpy as np
 
 from .. import crossbar
 from ..device import DeviceModel
-from .common import (TrainConfig, TrainingDivergence, corrupt_plane,
-                     plane_samples, pow2_scale)
+from .common import (TrainConfig, TrainingDivergence, chunk_planes,
+                     corrupt_plane, plane_samples, pow2_scale,
+                     stack_from_planes)
 
 _MAGIC = b"MXCNN1__"
+
+
+def _windows(x, k):
+    # (..., h, w) -> (..., h, w, k, k) view of the zero-padded windows
+    pad = k // 2
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)])
+    return np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(-2, -1))
+
+
+def _patches(x, k):
+    # (..., h, w) -> contiguous (..., h, w, k*k) patch of every pixel
+    return _windows(x, k).reshape(x.shape + (k * k,))
 
 
 def conv_same(x, kern):
@@ -35,47 +56,38 @@ def conv_same(x, kern):
     axes via an unfolded patch matrix.
     """
     k = kern.shape[0]
-    pad = k // 2
-    lead = x.shape[:-2]
-    h, w = x.shape[-2:]
-    xp = np.pad(x, [(0, 0)] * len(lead) + [(pad, pad), (pad, pad)])
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(-2, -1))
-    return win.reshape(lead + (h, w, k * k)) @ kern.reshape(k * k)
+    return _patches(x, k) @ kern.reshape(k * k)
 
 
 def unfold(x, k=3):
-    """im2col: (h, w) -> (h*w, k*k) zero-padded same-size patch matrix."""
-    pad = k // 2
-    xp = np.pad(x, pad)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k))
-    return win.reshape(x.shape[0] * x.shape[1], k * k)
+    """im2col: (..., h, w) -> (..., h*w, k*k) zero-padded same-size patches."""
+    *lead, h, w = x.shape
+    return _patches(x, k).reshape(*lead, h * w, k * k)
 
 
 def unfold_stack(x, k=3):
-    """im2col over channels: (c, h, w) -> (h*w, c*k*k), channel-major."""
-    c, h, w = x.shape
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    return win.transpose(1, 2, 0, 3, 4).reshape(h * w, c * k * k)
+    """im2col over channels: (..., c, h, w) -> (..., h*w, c*k*k), channel-major."""
+    *lead, c, h, w = x.shape
+    win = np.moveaxis(_windows(x, k), -5, -3)
+    return win.reshape(*lead, h * w, c * k * k)
 
 
 def _maxpool(a):
-    # (c, h, w) -> pooled (c, h/2, w/2) plus flat argmax in each 2x2 cell
-    c, h, w = a.shape
-    cells = a.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
-    cells = cells.reshape(c, h // 2, w // 2, 4)
-    idx = np.argmax(cells, axis=3)
-    out = np.take_along_axis(cells, idx[..., None], axis=3)[..., 0]
+    # (..., h, w) -> pooled (..., h/2, w/2) plus flat argmax in each 2x2 cell
+    *lead, h, w = a.shape
+    cells = a.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
+    cells = cells.reshape(*lead, h // 2, w // 2, 4)
+    idx = np.argmax(cells, axis=-1)
+    out = np.take_along_axis(cells, idx[..., None], axis=-1)[..., 0]
     return out, idx
 
 
 def _maxpool_back(g, idx, shape):
-    c, h, w = shape
-    cells = np.zeros((c, h // 2, w // 2, 4))
-    np.put_along_axis(cells, idx[..., None], g[..., None], axis=3)
-    return cells.reshape(c, h // 2, w // 2, 2, 2).transpose(
-        0, 1, 3, 2, 4).reshape(c, h, w)
+    *lead, h, w = shape
+    cells = np.zeros(g.shape + (4,))
+    np.put_along_axis(cells, idx[..., None], g[..., None], axis=-1)
+    return cells.reshape(*lead, h // 2, w // 2, 2, 2).swapaxes(
+        -3, -2).reshape(shape)
 
 
 def _upsample(y):
@@ -83,8 +95,8 @@ def _upsample(y):
 
 
 def _upsample_back(g):
-    h, w = g.shape
-    return g.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3))
+    *lead, h, w = g.shape
+    return g.reshape(*lead, h // 2, 2, w // 2, 2).sum(axis=(-3, -1))
 
 
 class CnnDenoiser:
@@ -122,44 +134,51 @@ class CnnDenoiser:
         return (self.m1.devices_per_polarity + self.m3.devices_per_polarity
                 + self.m2.devices_per_polarity)
 
-    def _forward_linear(self, plane):
-        # crossbar route: every convolution is a patch-matrix readout
-        h, w = plane.shape
-        x = np.clip(plane, 0.0, 1.0)
-        a1 = crossbar.matmul(self.m1, unfold(x, self.ksize)) * self.s1
-        a1 = np.maximum(a1, 0.0).T.reshape(self.kernels, h, w)
-        p, _ = _maxpool(a1)
-        y3 = crossbar.matmul(self.m3, unfold_stack(p, self.ksize)) * self.s3
-        a3 = np.maximum(y3[:, 0], 0.0).reshape(h // 2, w // 2)
-        y2 = crossbar.matmul(self.m2, unfold(a3, self.ksize)) * self.s2
-        return _upsample(y2[:, 0].reshape(h // 2, w // 2))
+    def _forward_linear(self, x):
+        # crossbar route: every convolution is a patch-matrix readout. The
+        # chunk's (b, h, w) planes are read as a stack of b patch matrices,
+        # so each plane gets the bits it would get alone: with rows
+        # concatenated, BLAS kernels group rows across plane boundaries
+        # whenever a plane's row count is not a multiple of their unroll.
+        b, h, w = x.shape
+        k = self.ksize
+        x = np.clip(x, 0.0, 1.0)
+        a1 = crossbar.matmul(self.m1, unfold(x, k)) * self.s1
+        a1 = np.maximum(a1, 0.0).reshape(b, h, w, self.kernels)
+        p, _ = _maxpool(a1.transpose(0, 3, 1, 2))
+        y3 = crossbar.matmul(self.m3, unfold_stack(p, k)) * self.s3
+        a3 = np.maximum(y3, 0.0).reshape(b, h // 2, w // 2)
+        y2 = crossbar.matmul(self.m2, unfold(a3, k)) * self.s2
+        return _upsample(y2.reshape(b, h // 2, w // 2))
 
     def forward(self, img):
         """Denoise one image (shape preserving; odd sizes reflect-padded)."""
-        img = np.asarray(img, dtype=np.float64)
-        if img.ndim == 3:
-            out = np.empty_like(img)
-            for c in range(img.shape[2]):
-                out[:, :, c] = self.forward(img[:, :, c])
-            return out
-        h, w = img.shape
-        ph, pw = h % 2, w % 2
-        if ph or pw:
-            img = np.pad(img, ((0, ph), (0, pw)), mode="reflect")
-        y = self._forward_linear(img)
-        return np.clip(y[:h, :w], 0.0, 1.0)
+        return self.forward_stack(np.asarray(img)[None])[0]
 
     def forward_stack(self, images):
-        out = np.empty_like(np.asarray(images, dtype=np.float64))
-        for i in range(len(images)):
-            out[i] = self.forward(images[i])
-        return out
+        """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
+
+        Planes run through the crossbars a chunk at a time, so the patch
+        matrices stay a few tens of MB however long the stack is.
+        """
+        images = np.asarray(images, dtype=np.float64)
+        flat, (h, w) = plane_samples(images)
+        planes = flat.reshape(-1, h, w)
+        out = np.empty_like(planes)
+        step = chunk_planes(h * w)
+        for lo in range(0, len(planes), step):
+            x = planes[lo:lo + step]
+            if h % 2 or w % 2:
+                x = np.pad(x, ((0, 0), (0, h % 2), (0, w % 2)), mode="reflect")
+            y = self._forward_linear(x)
+            out[lo:lo + step] = np.clip(y[:, :h, :w], 0.0, 1.0)
+        return stack_from_planes(out, images)
 
     def forward_direct(self, img):
         """Reference route: direct sliding-window convolutions, no crossbar."""
         x = np.clip(np.asarray(img, dtype=np.float64), 0.0, 1.0)
-        out, _ = _float_forward(x, self.k1, self.k3, self.k2)
-        return np.clip(out, 0.0, 1.0)
+        out, _ = _float_forward(x[None], self.k1, self.k3, self.k2)
+        return np.clip(out[0], 0.0, 1.0)
 
     def save(self, path):
         header = {
@@ -204,50 +223,75 @@ class CnnDenoiser:
 
 
 def _float_forward(x, k1, k3, k2):
-    """Float forward pass returning the pre-clamp output and a cache."""
-    kn = k1.shape[0]
-    y1 = np.stack([conv_same(x, k1[k]) for k in range(kn)])
-    a1 = np.maximum(y1, 0.0)
-    p, idx = _maxpool(a1)
-    y3 = np.zeros(p.shape[1:])
+    """Float forward pass of a (B, h, w) stack: pre-clamp output and cache.
+
+    Each layer's input is unfolded once into a patch array shared by all
+    its kernels (and kept for the kernel gradients); every product is a
+    per-plane (w, k*k) @ (k*k,) product, the one a lone sample runs.
+    """
+    kn, ks = k1.shape[0], k1.shape[1]
+    px = _patches(x, ks)
+    y1 = np.stack([px @ k1[k].reshape(-1) for k in range(kn)], axis=1)
+    p, idx = _maxpool(np.maximum(y1, 0.0))
+    pp = _patches(p, ks)
+    y3 = np.zeros(x.shape[:1] + p.shape[2:])
     for k in range(kn):
-        y3 += conv_same(p[k], k3[k])
-    a3 = np.maximum(y3, 0.0)
-    y2 = conv_same(a3, k2)
-    out = _upsample(y2)
-    return out, (x, y1, a1, p, idx, y3, a3, y2)
+        y3 += pp[:, k] @ k3[k].reshape(-1)
+    pa3 = _patches(np.maximum(y3, 0.0), ks)
+    out = _upsample(pa3 @ k2.reshape(-1))
+    return out, (px, y1, idx, pp, y3, pa3)
+
+
+def _kernel_grads(patches, g):
+    # Per-sample kernel gradients, one (k*k, P) @ (P,) product each, so
+    # every sample's sum runs as it would alone:
+    # (B, h, w, k*k) patches, (B, h, w) gradient planes -> (B, k*k)
+    kk = patches.shape[-1]
+    return np.stack([patches[b].reshape(-1, kk).T @ g[b].reshape(-1)
+                     for b in range(len(g))])
 
 
 def _float_backward(g_out, cache, k1, k3, k2):
-    """Gradients of the summed loss wrt all three kernel tensors."""
-    x, y1, a1, p, idx, y3, a3, y2 = cache
-    kn = k1.shape[0]
-    ks = k2.shape[0]
+    """Per-sample gradients of each sample's loss wrt the kernel tensors.
+
+    Returns (B, K, k, k), (B, K, k, k) and (B, k, k) arrays.
+    """
+    px, y1, idx, pp, y3, pa3 = cache
+    kn, ks = k1.shape[0], k1.shape[1]
     g_y2 = _upsample_back(g_out)
-    g_k2 = (unfold(a3, ks).T @ g_y2.reshape(-1)).reshape(ks, ks)
-    g_a3 = conv_same(g_y2, k2[::-1, ::-1])
-    g_y3 = g_a3 * (y3 > 0)
-    g_k3 = np.empty_like(k3)
-    g_p = np.empty_like(p)
-    for k in range(kn):
-        g_k3[k] = (unfold(p[k], ks).T @ g_y3.reshape(-1)).reshape(ks, ks)
-        g_p[k] = conv_same(g_y3, k3[k][::-1, ::-1])
-    g_a1 = _maxpool_back(g_p, idx, a1.shape)
-    g_y1 = g_a1 * (y1 > 0)
-    g_k1 = np.empty_like(k1)
-    patches = unfold(x, ks)
-    for k in range(kn):
-        g_k1[k] = (patches.T @ g_y1[k].reshape(-1)).reshape(ks, ks)
-    return g_k1, g_k3, g_k2
+    g_k2 = _kernel_grads(pa3, g_y2)
+    g_y3 = conv_same(g_y2, k2[::-1, ::-1]) * (y3 > 0)
+    g_k3 = np.stack([_kernel_grads(pp[:, k], g_y3) for k in range(kn)], axis=1)
+    pg = _patches(g_y3, ks)
+    g_p = np.stack([pg @ k3[k][::-1, ::-1].reshape(-1) for k in range(kn)],
+                   axis=1)
+    g_y1 = _maxpool_back(g_p, idx, y1.shape) * (y1 > 0)
+    g_k1 = np.stack([_kernel_grads(px, g_y1[:, k]) for k in range(kn)], axis=1)
+    return (g_k1.reshape((-1,) + k1.shape),
+            g_k3.reshape((-1,) + k3.shape), g_k2.reshape((-1,) + k2.shape))
 
 
 def cnn_loss_and_grads(x, target, k1, k3, k2):
-    """Mean squared pre-clamp error and its kernel gradients, one sample."""
+    """Mean squared pre-clamp error and its kernel gradients.
+
+    x and target are one (h, w) plane, giving a float loss and gradients
+    shaped like the kernels, or a (B, h, w) stack, giving B losses and
+    gradients with a leading sample axis. Each sample's numbers are the
+    bits it would get alone.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    single = x.ndim == 2
+    if single:
+        x, target = x[None], target[None]
     out, cache = _float_forward(x, k1, k3, k2)
     err = out - target
-    loss = float(np.mean(err * err))
-    g_out = 2.0 * err / err.size
-    return loss, _float_backward(g_out, cache, k1, k3, k2)
+    loss = np.mean(err * err, axis=(1, 2))
+    g_out = 2.0 * err / (err.shape[1] * err.shape[2])
+    grads = _float_backward(g_out, cache, k1, k3, k2)
+    if single:
+        return float(loss[0]), tuple(g[0] for g in grads)
+    return loss, grads
 
 
 def cnn_train(cfg: TrainConfig, data, kernels=8, ksize=3):
@@ -275,28 +319,28 @@ def cnn_train(cfg: TrainConfig, data, kernels=8, ksize=3):
         eta = cfg.learning_rate / np.sqrt(epoch)
         perm = shuffle_rng.permutation(n)
         sq_sum = 0.0
-        count = 0
         for start in range(0, n, cfg.batch):
             idx = perm[start:start + cfg.batch]
+            noisy = np.stack([
+                corrupt_plane(clean[i], shape, cfg.train_noise,
+                              [cfg.seed, epoch, int(i)]) for i in idx])
+            loss, (d1, d3, d2) = cnn_loss_and_grads(
+                noisy.reshape(-1, *shape), clean[idx].reshape(-1, *shape),
+                k1, k3, k2)
+            # Sums run in sample order: that order fixes the trained bits.
             g1 = np.zeros_like(k1)
             g3 = np.zeros_like(k3)
             g2 = np.zeros_like(k2)
-            for i in idx:
-                noisy = corrupt_plane(
-                    clean[i], shape, cfg.train_noise,
-                    [cfg.seed, epoch, int(i)]).reshape(shape)
-                loss, (d1, d3, d2) = cnn_loss_and_grads(
-                    noisy, clean[i].reshape(shape), k1, k3, k2)
-                sq_sum += loss
-                count += 1
-                g1 += d1
-                g3 += d3
-                g2 += d2
+            for b in range(len(idx)):
+                sq_sum += loss[b]
+                g1 += d1[b]
+                g3 += d3[b]
+                g2 += d2[b]
             if eta != 0.0:
                 k1 -= (eta / len(idx)) * g1
                 k3 -= (eta / len(idx)) * g3
                 k2 -= (eta / len(idx)) * g2
-        rmse = float(np.sqrt(sq_sum / count))
+        rmse = float(np.sqrt(sq_sum / n))
         rmse_log.append(rmse)
         if rmse > 2.0 * rmse_log[0]:
             raise TrainingDivergence(epoch, rmse, rmse_log[0], rmse_log)

@@ -82,6 +82,23 @@ def plane_samples(images):
     return images.transpose(0, 3, 1, 2).reshape(n * c, h * w), (h, w)
 
 
+def stack_from_planes(out, images):
+    """Inverse of plane_samples: (n_planes, ...) back to the layout of images."""
+    if images.ndim == 3:
+        return out.reshape(images.shape)
+    n, h, w, c = images.shape
+    return out.reshape(n, c, h, w).transpose(0, 2, 3, 1)
+
+
+def chunk_planes(plane_pixels):
+    """Planes per inference chunk: just over 2**17 pixels in all.
+
+    Patch matrices built over a chunk stay a few tens of MB however long
+    the stack is.
+    """
+    return 131072 // plane_pixels + 1
+
+
 def corrupt_plane(flat, shape, spec, seed_seq, clip_input=True):
     """Corrupt one flattened plane with its own substream.
 

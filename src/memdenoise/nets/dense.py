@@ -23,7 +23,7 @@ from .. import crossbar
 from ..device import DeviceModel
 from ..noise import NoiseSpec, parse_spec
 from .common import (TrainConfig, TrainingDivergence, corrupt_plane,
-                     plane_samples, pow2_scale)
+                     plane_samples, pow2_scale, stack_from_planes)
 
 _MAGIC = b"MXDENSE1"
 
@@ -71,16 +71,10 @@ class DenseDenoiser:
         tiled = crossbar.apply_sparsity(
             self.tiled, dropout_frac, prune_frac,
             np.random.default_rng([seed, 0x5A]))
-        net = DenseDenoiser.__new__(DenseDenoiser)
-        net.weights = self.weights
-        net.scale = self.scale
-        net.shape = self.shape
-        net.train_noise = self.train_noise
-        net.rmse_log = list(self.rmse_log)
-        net.device = self.device
-        net.program_seed = self.program_seed
-        net.tiled = tiled
-        return net
+        return DenseDenoiser(self.weights, self.scale, self.shape, tiled=tiled,
+                             train_noise=self.train_noise,
+                             rmse_log=self.rmse_log, device=self.device,
+                             program_seed=self.program_seed)
 
     def forward_flat(self, flat):
         """Denoise a batch of flattened planes, (n, P) -> (n, P)."""
@@ -107,11 +101,7 @@ class DenseDenoiser:
         """Denoise a stack of images in one batched readout."""
         images = np.asarray(images, dtype=np.float64)
         flat, _ = plane_samples(images)
-        out = self.forward_flat(flat)
-        if images.ndim == 3:
-            return out.reshape(images.shape)
-        n, h, w, c = images.shape
-        return out.reshape(n, c, h, w).transpose(0, 2, 3, 1)
+        return stack_from_planes(self.forward_flat(flat), images)
 
     def to_bytes(self) -> bytes:
         header = {

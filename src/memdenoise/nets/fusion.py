@@ -5,6 +5,13 @@ setting.  An input of unknown corruption runs through every member, the
 member outputs are stacked into planes, and a single trained
 depth x k x k kernel collapses the stack back to one image.  Only that
 kernel is trainable here; members stay frozen.
+
+Training reads each member once per minibatch and unfolds the whole
+minibatch at once; the kernel update adds its per-sample terms in sample
+order.  The member readouts stay one per minibatch and are not merged
+into larger ones: a 1-row readout takes another BLAS path than a
+multi-row one, so merging would change the bits of batch-1 runs and of
+1-sample tail batches.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ import numpy as np
 from .. import crossbar
 from ..device import DeviceModel
 from ..noise import NoiseSpec, corrupt, parse_spec
-from .common import TrainConfig, TrainingDivergence, plane_samples, pow2_scale
+from .common import (TrainConfig, TrainingDivergence, chunk_planes,
+                     plane_samples, pow2_scale, stack_from_planes)
 from .cnn import conv_same, unfold_stack
 from .dense import DenseDenoiser
 
@@ -66,53 +74,35 @@ class FusionDenoiser:
         """Stack of member outputs for one plane, (members, h, w)."""
         return np.stack([m.forward(img) for m in self.members])
 
-    def _fuse(self, planes):
-        # Member outputs sit in [0, 1], so the fusion readout runs in a
-        # single non-negative input phase.
-        patches = unfold_stack(planes, self.fusion_size)
-        y = crossbar.matmul(self.tiled, patches)[:, 0] * self.scale
-        return np.clip(y.reshape(self.shape), 0.0, 1.0)
-
     def forward(self, img):
         """Denoise one image; channels are independent planes."""
-        img = np.asarray(img, dtype=np.float64)
-        if img.shape[:2] != self.shape:
-            raise ValueError(f"image {img.shape}, members expect {self.shape}")
-        if img.ndim == 2:
-            return self._fuse(self.member_planes(img))
-        out = np.empty_like(img)
-        for c in range(img.shape[2]):
-            out[:, :, c] = self._fuse(self.member_planes(img[:, :, c]))
-        return out
+        return self.forward_stack(np.asarray(img)[None])[0]
 
     def forward_stack(self, images):
-        """Denoise a stack with batched member readouts.
+        """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
 
-        The crossbar readout is row independent, so concatenating patch
-        rows across planes changes nothing but throughput; outputs agree
-        with per-image forward() to floating point rounding (batched
-        matrix products may differ from single-row ones in the last ulp).
+        Each member reads the whole stack in one batched readout. The
+        fusion readout runs a chunk of planes at a time over one patch
+        matrix; its rows are independent, so chunking changes only the
+        memory held. Member outputs sit in [0, 1], so the fusion readout
+        runs in a single non-negative input phase.
         """
         images = np.asarray(images, dtype=np.float64)
-        flat, _ = plane_samples(images)
+        if images.shape[1:3] != self.shape:
+            raise ValueError(
+                f"images {images.shape}, members expect {self.shape}")
+        flat, (h, w) = plane_samples(images)
         member_out = np.stack(
             [m.forward_flat(flat) for m in self.members], axis=1)
-        h, w = self.shape
-        k, m = self.fusion_size, len(self.members)
-        out = np.empty((flat.shape[0], h * w))
-        # Chunked so the patch matrix stays modest for large stacks.
-        step = max(1, 131072 // (h * w) + 1)
-        for lo in range(0, flat.shape[0], step):
-            planes = member_out[lo:lo + step]
-            patches = np.concatenate(
-                [unfold_stack(planes[i].reshape(m, h, w), k)
-                 for i in range(planes.shape[0])])
+        planes = member_out.reshape(len(flat), len(self.members), h, w)
+        out = np.empty((len(flat), h * w))
+        step = chunk_planes(h * w)
+        for lo in range(0, len(flat), step):
+            patches = unfold_stack(planes[lo:lo + step], self.fusion_size)
+            patches = patches.reshape(-1, patches.shape[-1])
             y = crossbar.matmul(self.tiled, patches)[:, 0] * self.scale
             out[lo:lo + step] = np.clip(y, 0.0, 1.0).reshape(-1, h * w)
-        if images.ndim == 4:
-            n, h, w, c = images.shape
-            return out.reshape(n, c, h, w).transpose(0, 2, 3, 1)
-        return out.reshape(images.shape)
+        return stack_from_planes(out, images)
 
     def forward_direct(self, img):
         """Float reference path: explicit sliding-window fusion."""
@@ -237,16 +227,16 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3, noises=None):
                     inputs[row] = np.clip(
                         corrupt(clean[i].reshape(shape), spec, sample_rng),
                         0.0, 1.0).reshape(-1)
-            # One batched readout per member; the kernel update stays
-            # per sample since patches differ image by image.
-            planes_all = np.stack([m.forward_flat(inputs) for m in members], axis=1)
+            # One batched readout per member and one unfold per minibatch.
+            # The kernel update stays per sample, in sample order.
+            planes = np.stack([m.forward_flat(inputs) for m in members], axis=1)
+            patches = unfold_stack(
+                planes.reshape(len(idx), len(members), *shape), size)
             grad = np.zeros_like(kflat)
             for row, i in enumerate(idx):
-                planes = planes_all[row].reshape(len(members), *shape)
-                patches = unfold_stack(planes, size)
-                err = clean[i] - patches @ kflat
+                err = clean[i] - patches[row] @ kflat
                 sq_sum += float(err @ err)
-                grad += patches.T @ err / p
+                grad += patches[row].T @ err / p
             if eta != 0.0:
                 kflat += (eta / len(idx)) * grad
         rmse = float(np.sqrt(sq_sum / (n * p)))

@@ -479,6 +479,42 @@ class TestSweepCommand:
 
 
 class TestClassifyCommand:
+    @pytest.fixture(scope="class")
+    def classifier_ckpt(self, corpus, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("clf"))
+        assert main(["classify", "--data", corpus, "--seed", "5",
+                     "--outdir", out]) == 0
+        return os.path.join(out, "classifier.bin")
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing-byte",
+                                        "trailing-16", "missing-hidden"])
+    def test_damaged_classifier_returns_two(self, corpus, classifier_ckpt,
+                                            capsys, tmp_path, damage):
+        blob = open(classifier_ckpt, "rb").read()
+        if damage == "truncated":
+            blob = blob[:-8]
+        elif damage == "trailing-byte":
+            blob += b"\x00"
+        elif damage == "trailing-16":
+            blob += bytes(16)
+        else:
+            n = int.from_bytes(blob[8:12], "little")
+            header = json.loads(blob[12:12 + n])
+            del header["hidden"]
+            hdr = json.dumps(header, sort_keys=True).encode()
+            blob = blob[:8] + len(hdr).to_bytes(4, "little") + hdr \
+                + blob[12 + n:]
+        bad = tmp_path / "clf.bin"
+        bad.write_bytes(blob)
+        assert main(["classify", "--data", corpus, "--seed", "5",
+                     "--classifier", str(bad), "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        if damage == "missing-hidden":
+            assert "hidden" in err
+        else:
+            assert "bytes, expected" in err
+
     def test_row_structure_and_artifacts(self, corpus, dense_ckpt, tmp_path):
         out = str(tmp_path)
         assert main(["classify", "--data", corpus, "--seed", "5",

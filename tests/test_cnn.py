@@ -4,7 +4,8 @@ import pytest
 from memdenoise.device import DeviceModel
 from memdenoise.nets.cnn import (CnnDenoiser, cnn_loss_and_grads, cnn_train,
                                  conv_same, unfold, unfold_stack)
-from memdenoise.nets.common import TrainConfig, TrainingDivergence
+from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
+                                    corrupt_plane, plane_samples)
 from memdenoise.noise import parse_spec
 
 
@@ -27,6 +28,45 @@ def make_cnn(rng, kernels=3, ksize=3):
     k2 = rng.normal(0, 0.02, (ksize, ksize))
     k2[ksize // 2, ksize // 2] += 1.0
     return CnnDenoiser(k1, k3, k2)
+
+
+def per_sample_cnn_train(cfg, data, kernels=8, ksize=3):
+    """Reference trainer: one single-plane cnn_loss_and_grads per sample,
+    sums in sample order; returns (k1, k3, k2, rmse_log)."""
+    clean, shape = plane_samples(data.images)
+    if cfg.limit is not None:
+        clean = clean[:cfg.limit]
+    n = clean.shape[0]
+    rng = np.random.default_rng([cfg.seed, 0x31])
+    k1 = rng.normal(0.0, 0.3, size=(kernels, ksize, ksize))
+    k3 = (1.0 / (kernels * ksize * ksize)
+          + rng.normal(0.0, 0.02, size=(kernels, ksize, ksize)))
+    k2 = rng.normal(0.0, 0.02, size=(ksize, ksize))
+    k2[ksize // 2, ksize // 2] += 1.0
+    shuffle_rng = np.random.default_rng([cfg.seed, 0x5F])
+    rmse_log = []
+    for epoch in range(1, cfg.epochs + 1):
+        eta = cfg.learning_rate / np.sqrt(epoch)
+        perm = shuffle_rng.permutation(n)
+        sq_sum = 0.0
+        for start in range(0, n, cfg.batch):
+            idx = perm[start:start + cfg.batch]
+            g1, g3, g2 = np.zeros_like(k1), np.zeros_like(k3), np.zeros_like(k2)
+            for i in idx:
+                noisy = corrupt_plane(clean[i], shape, cfg.train_noise,
+                                      [cfg.seed, epoch, int(i)]).reshape(shape)
+                loss, (d1, d3, d2) = cnn_loss_and_grads(
+                    noisy, clean[i].reshape(shape), k1, k3, k2)
+                sq_sum += loss
+                g1 += d1
+                g3 += d3
+                g2 += d2
+            if eta != 0.0:
+                k1 -= (eta / len(idx)) * g1
+                k3 -= (eta / len(idx)) * g3
+                k2 -= (eta / len(idx)) * g2
+        rmse_log.append(float(np.sqrt(sq_sum / n)))
+    return k1, k3, k2, rmse_log
 
 
 class TestConvPrimitives:
@@ -58,6 +98,17 @@ class TestConvPrimitives:
         y = unfold(x, 3) @ kern.reshape(-1)
         np.testing.assert_allclose(y.reshape(6, 6), direct_conv(x, kern),
                                    atol=1e-12)
+
+    def test_unfold_keeps_leading_axes(self, rng):
+        x = rng.random((3, 2, 5, 4))
+        rows = unfold(x, 3)
+        assert rows.shape == (3, 2, 20, 9)
+        rows_stack = unfold_stack(x, 3)
+        assert rows_stack.shape == (3, 20, 18)
+        for i in range(3):
+            np.testing.assert_array_equal(rows_stack[i], unfold_stack(x[i], 3))
+            for j in range(2):
+                np.testing.assert_array_equal(rows[i, j], unfold(x[i, j], 3))
 
     def test_unfold_stack_is_channel_major(self, rng):
         x = rng.random((2, 4, 4))
@@ -102,6 +153,28 @@ class TestForward:
         out = net.forward_stack(imgs)
         for i in range(3):
             np.testing.assert_array_equal(out[i], net.forward(imgs[i]))
+
+    @pytest.mark.parametrize("shape", [(340, 28, 28), (2300, 9, 13),
+                                       (400, 27, 27), (60, 28, 28, 3),
+                                       (7, 5, 7, 3)],
+                             ids=["28x28", "odd-9x13", "odd-27x27", "rgb",
+                                  "odd-rgb"])
+    @pytest.mark.parametrize("device", [DeviceModel(),
+                                        DeviceModel(levels=16,
+                                                    variation_sigma=0.05)],
+                             ids=["ideal", "16-levels"])
+    def test_forward_stack_bits_equal_per_image_forward(self, rng, shape,
+                                                        device):
+        # The first two stacks span three inference chunks, the RGB one
+        # two; chunked readouts must give each image its lone bits.
+        net = make_cnn(rng, kernels=8)
+        net = CnnDenoiser(net.k1, net.k3, net.k2, device=device,
+                          program_seed=4)
+        imgs = rng.random(shape)
+        out = net.forward_stack(imgs)
+        assert out.shape == imgs.shape
+        for i in range(len(imgs)):
+            assert np.array_equal(out[i], net.forward(imgs[i]))
 
     def test_device_pairs_counts_all_stages(self, rng):
         net = make_cnn(rng, kernels=8, ksize=3)
@@ -153,10 +226,36 @@ class TestGradients:
 
 
 class TestTraining:
-    def make_dataset(self, rng, n=12):
+    def make_dataset(self, rng, n=12, shape=(8, 8)):
         from memdenoise.imagecore import Dataset
-        return Dataset(rng.random((n, 8, 8)), np.zeros(n, dtype=np.int64),
+        return Dataset(rng.random((n,) + shape), np.zeros(n, dtype=np.int64),
                        "train")
+
+    @pytest.mark.parametrize("batch,n", [(1, 6), (4, 8), (4, 10)],
+                             ids=["batch-1", "batch-4", "ragged-tail"])
+    def test_minibatch_bits_equal_per_sample_training(self, rng, batch, n):
+        ds = self.make_dataset(rng, n=n, shape=(12, 10))
+        cfg = TrainConfig(parse_spec("gaussian:0.1"), learning_rate=0.1,
+                          epochs=2, batch=batch, seed=3)
+        net = cnn_train(cfg, ds, kernels=3)
+        k1, k3, k2, rmse_log = per_sample_cnn_train(cfg, ds, kernels=3)
+        assert np.array_equal(net.k1, k1)
+        assert np.array_equal(net.k3, k3)
+        assert np.array_equal(net.k2, k2)
+        assert net.rmse_log == rmse_log
+
+    def test_stacked_loss_and_grads_equal_single_samples(self, rng):
+        k1 = rng.normal(0, 0.3, (2, 3, 3))
+        k3 = 1.0 / 18 + rng.normal(0, 0.05, (2, 3, 3))
+        k2 = rng.normal(0, 0.1, (3, 3))
+        x, target = rng.random((5, 8, 6)), rng.random((5, 8, 6))
+        loss, grads = cnn_loss_and_grads(x, target, k1, k3, k2)
+        assert loss.shape == (5,)
+        for b in range(5):
+            one, one_grads = cnn_loss_and_grads(x[b], target[b], k1, k3, k2)
+            assert loss[b] == one
+            for g, g_one in zip(grads, one_grads):
+                assert np.array_equal(g[b], g_one)
 
     def test_loss_log_and_determinism(self, rng):
         ds = self.make_dataset(rng)

@@ -16,6 +16,27 @@ def block_count(extent, block):
     return len(range(0, extent, block))
 
 
+def two_loop_product(x, w):
+    """The per-tile product: row blocks outer, 64-column tiles inner."""
+    rows, cols = w.shape
+    y = np.zeros(x.shape[:-1] + (cols,))
+    for r0 in range(0, rows, TILE_ROWS):
+        for c0 in range(0, cols, TILE_COLS):
+            y[..., c0:c0 + TILE_COLS] += (
+                x[..., r0:r0 + TILE_ROWS]
+                @ w[r0:r0 + TILE_ROWS, c0:c0 + TILE_COLS])
+    return y
+
+
+def two_loop_readout(m, x):
+    """Readout oracle over the per-tile product, two phases if signed."""
+    w = m.effective_weights()
+    if x.min() < 0.0:
+        return (two_loop_product(np.maximum(x, 0.0), w)
+                - two_loop_product(np.maximum(-x, 0.0), w))
+    return two_loop_product(x, w)
+
+
 class TestTileGrid:
     def test_dense_mnist_shape(self):
         assert tile_grid(784, 784) == (4, 13)
@@ -100,6 +121,24 @@ class TestReadout:
         m = program(w, DeviceModel())
         x = rng.uniform(0.0, 1.0, size=300)
         assert np.max(np.abs(matvec(m, x) - x @ w)) < 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 785])
+    @pytest.mark.parametrize("cols", [1, 63, 64, 65, 784])
+    def test_readout_bits_equal_two_loop_tiling(self, rng, rows, cols):
+        # One product per row block must give the very bits of the
+        # per-tile product it replaced: every output still adds its
+        # row-block partial sums in the same order.
+        w = rng.uniform(-1.0, 1.0, size=(rows, cols))
+        plain = program(w, DeviceModel())
+        masked = apply_sparsity(plain, 0.1, 0.1, np.random.default_rng(rows))
+        for m in (plain, masked):
+            for n in (1, 2, 8, 300):
+                for low in (0.0, -1.0):  # -1 exercises the two-phase read
+                    xs = rng.uniform(low, 1.0, size=(n, rows))
+                    assert np.array_equal(matmul(m, xs),
+                                          two_loop_readout(m, xs))
+                    assert np.array_equal(matvec(m, xs[0]),
+                                          two_loop_readout(m, xs[0]))
 
     def test_batched_matches_dense_multiply(self, rng):
         w = rng.uniform(-1.0, 1.0, size=(300, 100))

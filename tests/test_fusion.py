@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from memdenoise import crossbar
+from memdenoise.device import DeviceModel
 from memdenoise.imagecore import Dataset
-from memdenoise.nets.common import TrainConfig
+from memdenoise.nets.cnn import unfold_stack
+from memdenoise.nets.common import (TrainConfig, chunk_planes, plane_samples,
+                                    pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init, fusion_train
-from memdenoise.noise import parse_spec
+from memdenoise.noise import corrupt, parse_spec
 
 
 def member_bank(rng, h=8, w=8, count=3):
@@ -19,6 +23,58 @@ def member_bank(rng, h=8, w=8, count=3):
                           batch=4, seed=3)
         nets.append(dense_train(cfg, ds))
     return nets, ds
+
+
+def per_sample_fusion_train(cfg, members, data, size=3):
+    """Reference trainer: one patch matrix and update term per sample.
+
+    Member readouts stay one per minibatch, as in the trainer: a 1-row
+    readout takes another BLAS path than a multi-row one, so only the
+    minibatch grouping fixes the member outputs' bits.
+    """
+    specs = [parse_spec(m.train_noise) for m in members]
+    clean, shape = plane_samples(data.images)
+    if cfg.limit is not None:
+        clean = clean[:cfg.limit]
+    n, p = clean.shape
+    kflat = fusion_init(len(members), size, cfg.init).reshape(-1)
+    rng = np.random.default_rng([cfg.seed, 0x5F])
+    rmse_log = []
+    for epoch in range(1, cfg.epochs + 1):
+        eta = cfg.learning_rate / np.sqrt(epoch)
+        perm = rng.permutation(n)
+        sq_sum = 0.0
+        for start in range(0, n, cfg.batch):
+            idx = perm[start:start + cfg.batch]
+            inputs = np.empty((len(idx), p))
+            for row, i in enumerate(idx):
+                sample_rng = np.random.default_rng([cfg.seed, epoch, int(i)])
+                if sample_rng.random() < cfg.clean_fraction:
+                    inputs[row] = clean[i]
+                else:
+                    spec = specs[sample_rng.integers(len(specs))]
+                    inputs[row] = np.clip(
+                        corrupt(clean[i].reshape(shape), spec, sample_rng),
+                        0.0, 1.0).reshape(-1)
+            planes_all = np.stack([m.forward_flat(inputs) for m in members],
+                                  axis=1)
+            grad = np.zeros_like(kflat)
+            for row, i in enumerate(idx):
+                patches = unfold_stack(
+                    planes_all[row].reshape(len(members), *shape), size)
+                err = clean[i] - patches @ kflat
+                sq_sum += float(err @ err)
+                grad += patches.T @ err / p
+            if eta != 0.0:
+                kflat += (eta / len(idx)) * grad
+        rmse_log.append(float(np.sqrt(sq_sum / (n * p))))
+        if cfg.device_in_loop and not cfg.device.ideal:
+            s = pow2_scale(np.abs(kflat).max())
+            tiled = crossbar.program(
+                kflat.reshape(-1, 1) / s, cfg.device,
+                np.random.default_rng([cfg.seed, 0x71, epoch]))
+            kflat = (s * tiled.effective_weights()).reshape(-1)
+    return kflat.reshape(len(members), size, size), rmse_log
 
 
 class TestConstruction:
@@ -103,6 +159,25 @@ class TestForward:
         assert out.shape == (2, 8, 8, 3)
         np.testing.assert_allclose(out[0], fused.forward(imgs[0]), atol=1e-12)
 
+    def test_forward_stack_bits_equal_per_plane_unfold(self, rng):
+        # 4500 planes of 8x8 span three inference chunks; each chunk's one
+        # unfold must equal the per-plane patch matrices stacked up.
+        nets, _ = member_bank(rng)
+        fused = FusionDenoiser(nets, rng.normal(0, 0.2, (3, 3, 3)))
+        imgs = rng.random((1500, 8, 8, 3))
+        flat, _ = plane_samples(imgs)
+        member_out = np.stack([m.forward_flat(flat) for m in nets], axis=1)
+        want = []
+        step = chunk_planes(64)
+        for lo in range(0, len(flat), step):
+            patches = np.concatenate(
+                [unfold_stack(planes.reshape(3, 8, 8), 3)
+                 for planes in member_out[lo:lo + step]])
+            want.append(crossbar.matmul(fused.tiled, patches)[:, 0])
+        want = np.clip(np.concatenate(want) * fused.scale, 0.0, 1.0)
+        want = want.reshape(1500, 3, 8, 8).transpose(0, 2, 3, 1)
+        assert np.array_equal(fused.forward_stack(imgs), want)
+
     def test_shape_mismatch_rejected(self, rng):
         nets, _ = member_bank(rng)
         fused = FusionDenoiser(nets, fusion_init(3))
@@ -118,6 +193,21 @@ class TestForward:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("batch,limit,device_in_loop", [
+        (1, 8, False), (4, 8, False), (4, 10, False), (4, 10, True)],
+        ids=["batch-1", "batch-4", "ragged-tail", "device-in-loop"])
+    def test_minibatch_unfold_bits_equal_per_sample(self, rng, batch, limit,
+                                                    device_in_loop):
+        nets, ds = member_bank(rng)
+        cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.1,
+                          epochs=2, batch=batch, seed=4, limit=limit,
+                          device=DeviceModel(levels=16, variation_sigma=0.05),
+                          device_in_loop=device_in_loop)
+        fused = fusion_train(cfg, nets, ds)
+        kernel, rmse_log = per_sample_fusion_train(cfg, nets, ds)
+        assert np.array_equal(fused.kernel, kernel)
+        assert fused.rmse_log == rmse_log
+
     def test_least_squares_oracle_on_synthetic_mix(self, rng):
         # With k=1 kernels the fusion layer is plain linear regression on
         # member outputs; the closed-form LS solution bounds what the

@@ -6,8 +6,8 @@ import pytest
 
 from memdenoise.imagecore import (BadMagicError, CountMismatchError, Dataset,
                                   DatasetError, TruncatedFileError,
-                                  from_planes, load_cifar10, load_mnist,
-                                  planes, read_image, write_image)
+                                  load_cifar10, load_mnist, read_image,
+                                  write_image)
 
 
 def idx_images(arrays):
@@ -136,27 +136,6 @@ class TestDataset:
     def test_image_shape(self, mnist_dir):
         ds = load_mnist(str(mnist_dir[0]), "test")
         assert ds.image_shape == (28, 28, 1)
-
-
-class TestPlanes:
-    def test_grayscale_single_plane(self):
-        img = np.zeros((4, 5))
-        ps = planes(img)
-        assert len(ps) == 1 and ps[0] is img
-
-    def test_rgb_three_planes(self, rng):
-        img = rng.random((4, 5, 3))
-        ps = planes(img)
-        assert len(ps) == 3
-        np.testing.assert_array_equal(from_planes(ps, img), img)
-
-    def test_round_trip_grayscale(self, rng):
-        img = rng.random((4, 5))
-        assert from_planes(planes(img), img) is img
-
-    def test_bad_shape(self):
-        with pytest.raises(ValueError):
-            planes(np.zeros((4, 5, 2)))
 
 
 class TestPortableImages:
