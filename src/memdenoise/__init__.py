@@ -7,8 +7,7 @@ hardware cost estimation, and a downstream classification harness.
 
 from .device import IDEAL, DeviceModel, apply_variation, quantize
 from .crossbar import (TILE_COLS, TILE_ROWS, TiledMatrix, apply_sparsity,
-                       load_tiled, matmul, matvec, program, save_tiled,
-                       tile_grid)
+                       matmul, matvec, program, tile_grid)
 from .imagecore import (Dataset, DatasetError, load_cifar10, load_mnist,
                         read_image, write_image)
 from .noise import NoiseSpec, STANDARD_NOISES, corrupt, corrupt_dataset, parse_spec
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "IDEAL", "DeviceModel", "quantize", "apply_variation",
     "TILE_ROWS", "TILE_COLS", "TiledMatrix", "tile_grid", "program",
-    "matvec", "matmul", "apply_sparsity", "save_tiled", "load_tiled",
+    "matvec", "matmul", "apply_sparsity",
     "Dataset", "DatasetError", "load_mnist", "load_cifar10",
     "read_image", "write_image",
     "NoiseSpec", "STANDARD_NOISES", "parse_spec", "corrupt", "corrupt_dataset",

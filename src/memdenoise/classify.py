@@ -9,15 +9,13 @@ meaning, not its absolute strength.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ckpt
 from .nets.common import TrainConfig, TrainingDivergence, plane_samples
 from .noise import NoiseSpec, corrupt_dataset
-
-_MAGIC = b"MXCLF1__"
 
 ACCURACY_CSV_HEADER = "noise,condition,accuracy,n"
 
@@ -58,6 +56,13 @@ class Classifier:
         self.b2 = np.asarray(b2, dtype=np.float64)
         self.shape = tuple(shape)
         self.loss_log = list(loss_log)
+        p, hidden = self.w1.shape
+        if (p != self.shape[0] * self.shape[1] or self.b1.shape != (hidden,)
+                or self.w2.shape != (hidden, 10) or self.b2.shape != (10,)):
+            raise ValueError(
+                "layers %r, %r, %r, %r do not fit %r planes" % (
+                    self.w1.shape, self.b1.shape, self.w2.shape,
+                    self.b2.shape, self.shape))
         for a in (self.w1, self.b1, self.w2, self.b2):
             a.setflags(write=False)
 
@@ -81,41 +86,19 @@ class Classifier:
         return float(np.mean(self.predict(images) == np.asarray(labels)))
 
     def save(self, path):
-        header = {"kind": "classifier", "shape": list(self.shape),
-                  "hidden": int(self.w1.shape[1]), "loss_log": self.loss_log}
-        hdr = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as f:
-            f.write(_MAGIC)
-            f.write(len(hdr).to_bytes(4, "little"))
-            f.write(hdr)
-            for a in (self.w1, self.b1, self.w2, self.b2):
-                f.write(a.tobytes())
+        ckpt.save(path, "classifier",
+                  {"shape": list(self.shape), "loss_log": self.loss_log},
+                  {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2})
+
+    @classmethod
+    def from_state(cls, meta, arrays):
+        """A classifier from its checkpoint metadata and layers."""
+        return cls(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],
+                   meta["shape"], loss_log=meta["loss_log"])
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as f:
-            blob = f.read()
-        if blob[:8] != _MAGIC:
-            raise ValueError(f"{path}: not a classifier checkpoint")
-        n = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12:12 + n])
-        h, w = header["shape"]
-        p, hid = h * w, header["hidden"]
-        off = 12 + n
-        size = off + 8 * (p * hid + hid + hid * 10 + 10)
-        if len(blob) != size:
-            raise ValueError(f"{path}: classifier checkpoint holds "
-                             f"{len(blob)} bytes, expected {size}")
-
-        def take(count, shape):
-            nonlocal off
-            a = np.frombuffer(blob[off:off + 8 * count], dtype="<f8")
-            off += 8 * count
-            return a.reshape(shape).copy()
-
-        return cls(take(p * hid, (p, hid)), take(hid, (hid,)),
-                   take(hid * 10, (hid, 10)), take(10, (10,)),
-                   (h, w), loss_log=header["loss_log"])
+        return ckpt.load(path, {"classifier": cls.from_state})[1]
 
 
 def _softmax(z):

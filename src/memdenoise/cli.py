@@ -53,12 +53,11 @@ import copy
 import hashlib
 import json
 import os
-import struct
 import sys
 
 import numpy as np
 
-from . import baselines, hwcost, metrics
+from . import baselines, ckpt, hwcost, metrics
 from .classify import ACCURACY_CSV_HEADER, Classifier, evaluate, train_classifier
 from .device import DeviceModel
 from .imagecore import DatasetError, load_cifar10, load_mnist, write_image
@@ -238,26 +237,24 @@ def parse_noises(config):
         raise CliError(str(e))
 
 
-_NET_KINDS = {b"MXDENSE1": ("dense", DenseDenoiser),
-              b"MXCNN1__": ("cnn", CnnDenoiser),
-              b"MXFUSE1_": ("fusion", FusionDenoiser)}
+_NET_KINDS = {"dense": DenseDenoiser.from_state,
+              "cnn": CnnDenoiser.from_state,
+              "fusion": FusionDenoiser.from_state}
+
+
+def _read_checkpoint(load, path, *args):
+    """load(path, *args), I/O and format faults as CliErrors naming path once."""
+    try:
+        return load(path, *args)
+    except OSError as e:
+        raise CliError(f"cannot read checkpoint: {e}")
+    except ValueError as e:
+        raise CliError(str(e))
 
 
 def load_net(path):
-    """Load any denoiser checkpoint, dispatching on its magic bytes."""
-    try:
-        with open(path, "rb") as f:
-            magic = f.read(8)
-    except OSError as e:
-        raise CliError(f"cannot read checkpoint: {e}")
-    if magic not in _NET_KINDS:
-        raise CliError(f"{path}: not a recognized checkpoint")
-    kind, cls = _NET_KINDS[magic]
-    try:
-        return kind, cls.load(path)
-    except (OSError, ValueError, KeyError, struct.error) as e:
-        # JSON and unicode decode errors are ValueErrors too
-        raise CliError(f"{path}: corrupt {kind} checkpoint: {e}")
+    """(kind, net) of any denoiser checkpoint, dispatching on its kind."""
+    return _read_checkpoint(ckpt.load, path, _NET_KINDS)
 
 
 def resolved_train_config(config, noise_text=None) -> TrainConfig:
@@ -430,6 +427,20 @@ def cmd_eval(config):
     return written
 
 
+def _sweep_variants(net, grids, seed):
+    """(param, value, net) of every sweep point, each built when asked for."""
+    yield "ideal", "", net
+    for L in grids["levels"]:
+        yield "levels", L, net.reprogram(DeviceModel(levels=L), seed=seed)
+    for s in grids["sigma"]:
+        yield "sigma", s, net.reprogram(DeviceModel(variation_sigma=s),
+                                        seed=seed)
+    for f in grids["dropout"]:
+        yield "dropout", f, net.with_sparsity(f, 0.0, seed=seed)
+    for f in grids["prune"]:
+        yield "prune", f, net.with_sparsity(0.0, f, seed=seed)
+
+
 def cmd_sweep(config):
     if config["checkpoint"] is None:
         raise CliError("sweep requires --checkpoint (a dense net)")
@@ -440,27 +451,23 @@ def cmd_sweep(config):
     if not specs:
         raise CliError("sweep requires a real noise spec")
     data = load_dataset(config, "test").subset(config["eval_limit"])
-    grids = config["sweep"]
-    variants = [("ideal", "", net)]
-    variants += [("levels", L, net.reprogram(DeviceModel(levels=L),
-                                             seed=config["seed"]))
-                 for L in grids["levels"]]
-    variants += [("sigma", s, net.reprogram(DeviceModel(variation_sigma=s),
-                                            seed=config["seed"]))
-                 for s in grids["sigma"]]
-    variants += [("dropout", f, net.with_sparsity(f, 0.0, seed=config["seed"]))
-                 for f in grids["dropout"]]
-    variants += [("prune", f, net.with_sparsity(0.0, f, seed=config["seed"]))
-                 for f in grids["prune"]]
+    noisy = [(spec.text(), np.clip(
+        corrupt_dataset(data.images, spec, config["seed"]), 0.0, 1.0))
+        for spec in specs]
+    # One variant programmed at a time, scored on every noise, then
+    # released; rows are emitted noise-major.
+    reports = [[] for _ in specs]
+    for param, value, variant in _sweep_variants(net, config["sweep"],
+                                                 config["seed"]):
+        for per_noise, (text, stack) in zip(reports, noisy):
+            per_noise.append((param, value, metrics.evaluate_pairs(
+                data.images, variant.forward_stack(stack), text, "dense")))
+        del variant
     stamp = f"{config_hash(config)},{config['seed']}"
-    lines = ["param,value,"+ metrics.CSV_HEADER + ",config,seed"]
+    lines = ["param,value," + metrics.CSV_HEADER + ",config,seed"]
     rows = []
-    for spec in specs:
-        noisy = np.clip(
-            corrupt_dataset(data.images, spec, config["seed"]), 0.0, 1.0)
-        for param, value, variant in variants:
-            report = metrics.evaluate_pairs(
-                data.images, variant.forward_stack(noisy), spec.text(), "dense")
+    for per_noise in reports:
+        for param, value, report in per_noise:
             rows.append({"param": param, "value": value,
                          "row": json.loads(report.to_json())})
             lines.append(f"{param},{value},{report.csv_row()},{stamp}")
@@ -513,12 +520,7 @@ def cmd_cost(config):
 def cmd_classify(config):
     train_split = None
     if config["classifier"] is not None:
-        try:
-            clf = Classifier.load(config["classifier"])
-        except (OSError, ValueError, KeyError, TypeError) as e:
-            # JSON and unicode decode errors are ValueErrors too
-            raise CliError(f"{config['classifier']}: corrupt classifier "
-                           f"checkpoint: {e}")
+        clf = _read_checkpoint(Classifier.load, config["classifier"])
     else:
         train_split = load_dataset(config, "train")
         clf = train_classifier(

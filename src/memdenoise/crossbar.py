@@ -14,17 +14,15 @@ input splitting: the positive and negative parts are applied in separate
 read phases and subtracted at the readout.
 """
 
-import struct
-
 import numpy as np
 
-from .device import DeviceModel, quantize
+from .device import apply_variation, quantize
 
 TILE_ROWS = 256
 TILE_COLS = 64
 
-_MAGIC = b"MXTM"
-_VERSION = 1
+# Programmed state of a TiledMatrix, by constructor argument name.
+STATE = ("g_pos", "g_neg", "prune_mask", "input_dropout_mask")
 
 
 def _ceil_div(a, b):
@@ -68,6 +66,10 @@ class TiledMatrix:
             a.setflags(write=False)
         self._eff = None
 
+    def state(self):
+        """Conductances and masks by name, as restore() takes them back."""
+        return {name: getattr(self, name) for name in STATE}
+
     @property
     def tiles_per_polarity(self):
         gr, gc = tile_grid(self.rows, self.cols)
@@ -90,13 +92,20 @@ class TiledMatrix:
         return self._eff
 
 
+def restore(state, dev):
+    """The TiledMatrix whose state() is state, programmed through dev."""
+    return TiledMatrix(*(state[name] for name in STATE), levels=dev.levels,
+                       variation_sigma=dev.variation_sigma)
+
+
 def program(weights, dev, rng=None):
     """Program a weight matrix onto differential pairs through a device model.
 
-    Each weight maps one-sidedly: w >= 0 goes to g_pos as
-    apply_variation(quantize(w)), g_neg stays at 0; w < 0 mirrors onto
-    g_neg. One variation draw is consumed per pair (its programmed
-    device), so stream usage does not depend on the sign pattern.
+    Each weight maps one-sidedly: |w| is programmed as
+    apply_variation(quantize(|w|)) onto g_pos for w >= 0 and onto g_neg
+    for w < 0; the other device of the pair stays at 0. One variation
+    draw is consumed per pair (its programmed device), so stream usage
+    does not depend on the sign pattern.
 
     Raises ValueError naming the offending index if any |w| > 1.
     """
@@ -107,17 +116,12 @@ def program(weights, dev, rng=None):
     if amax > 1.0:
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(w)), w.shape))
         raise ValueError("|w|=%g > 1 at index %r" % (amax, idx))
+    if dev.variation_sigma > 0.0 and rng is None:
+        raise ValueError("variation_sigma > 0 requires an rng")
     pos = w >= 0
-    qp = quantize(np.where(pos, w, 0.0), dev)
-    qn = quantize(np.where(pos, 0.0, -w), dev)
-    if dev.variation_sigma > 0.0:
-        if rng is None:
-            raise ValueError("variation_sigma > 0 requires an rng")
-        eps = rng.normal(0.0, dev.variation_sigma, size=w.shape)
-        qp = np.where(pos, np.clip(qp + eps, 0.0, 1.0), 0.0)
-        qn = np.where(pos, 0.0, np.clip(qn + eps, 0.0, 1.0))
-    return TiledMatrix(qp, qn, levels=dev.levels,
-                       variation_sigma=dev.variation_sigma)
+    g = apply_variation(quantize(np.where(pos, w, -w), dev), dev, rng)
+    return TiledMatrix(np.where(pos, g, 0.0), np.where(pos, 0.0, g),
+                       levels=dev.levels, variation_sigma=dev.variation_sigma)
 
 
 def _blocked_product(x, w, rows, cols):
@@ -192,57 +196,3 @@ def apply_sparsity(m, dropout_frac, prune_frac, rng):
     return TiledMatrix(m.g_pos, m.g_neg, prune_mask=prune,
                        input_dropout_mask=drop, levels=m.levels,
                        variation_sigma=m.variation_sigma)
-
-
-def tiled_to_bytes(m):
-    """Serialize to a self-describing little-endian binary container."""
-    levels = -1 if m.levels is None else int(m.levels)
-    header = struct.pack("<4sHIIid", _MAGIC, _VERSION, m.rows, m.cols,
-                         levels, m.variation_sigma)
-    return b"".join([header, m.g_pos.tobytes(), m.g_neg.tobytes(),
-                     np.packbits(m.prune_mask).tobytes(),
-                     np.packbits(m.input_dropout_mask).tobytes()])
-
-
-def save_tiled(m, path):
-    with open(path, "wb") as f:
-        f.write(tiled_to_bytes(m))
-
-
-def tiled_from_bytes(blob, path="<bytes>"):
-    """Inverse of tiled_to_bytes."""
-    head_size = struct.calcsize("<4sHIIid")
-    magic, version, rows, cols, levels, sigma = struct.unpack(
-        "<4sHIIid", blob[:head_size])
-    if magic != _MAGIC:
-        raise ValueError("%s: not a crossbar container" % path)
-    if version != _VERSION:
-        raise ValueError("%s: unsupported version %d" % (path, version))
-    n = rows * cols
-    size = head_size + 16 * n + _ceil_div(n, 8) + _ceil_div(rows, 8)
-    if len(blob) != size:
-        raise ValueError("%s: crossbar container holds %d bytes, expected %d"
-                         % (path, len(blob), size))
-    off = head_size
-    g_pos = np.frombuffer(blob[off:off + 8 * n], dtype="<f8").reshape(rows, cols)
-    off += 8 * n
-    g_neg = np.frombuffer(blob[off:off + 8 * n], dtype="<f8").reshape(rows, cols)
-    off += 8 * n
-    nb = _ceil_div(n, 8)
-    prune = np.unpackbits(
-        np.frombuffer(blob[off:off + nb], dtype=np.uint8), count=n
-    ).astype(bool).reshape(rows, cols)
-    off += nb
-    nb = _ceil_div(rows, 8)
-    drop = np.unpackbits(
-        np.frombuffer(blob[off:off + nb], dtype=np.uint8), count=rows
-    ).astype(bool)
-    return TiledMatrix(g_pos.copy(), g_neg.copy(), prune_mask=prune,
-                       input_dropout_mask=drop,
-                       levels=None if levels < 0 else levels,
-                       variation_sigma=sigma)
-
-
-def load_tiled(path):
-    with open(path, "rb") as f:
-        return tiled_from_bytes(f.read(), path)

@@ -11,7 +11,9 @@ pixel bytes per record). Output dumps are binary PGM (P5) / PPM (P6).
 
 import gzip
 import struct
-from dataclasses import dataclass, field
+import zlib
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,6 +94,18 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
+@contextmanager
+def _gzip_errors(path):
+    # A gzip stream cut short or damaged fails like a raw file would.
+    try:
+        yield
+    except EOFError as e:
+        raise TruncatedFileError("%s: compressed stream ends early (%s)"
+                                 % (path, e)) from e
+    except (gzip.BadGzipFile, zlib.error) as e:
+        raise BadMagicError("%s: corrupt gzip stream (%s)" % (path, e)) from e
+
+
 def _read_idx(path, expected_magic):
     """Read one IDX file and return its payload as a uint8 array.
 
@@ -99,7 +113,7 @@ def _read_idx(path, expected_magic):
     (two zero bytes, a dtype byte 0x08 for unsigned byte, a rank byte)
     followed by one uint32 per dimension.
     """
-    with _open_maybe_gzip(path) as f:
+    with _gzip_errors(path), _open_maybe_gzip(path) as f:
         head = f.read(4)
         if len(head) < 4:
             raise TruncatedFileError("%s: header shorter than 4 bytes" % path)
@@ -168,7 +182,7 @@ def load_cifar10(path, split):
             fname = _resolve(path, name)
         except DatasetError:
             fname = _resolve("%s/cifar-10-batches-bin" % path, name)
-        with _open_maybe_gzip(fname) as f:
+        with _gzip_errors(fname), _open_maybe_gzip(fname) as f:
             blob = f.read()
         if len(blob) == 0 or len(blob) % 3073 != 0:
             raise BadMagicError(

@@ -24,17 +24,13 @@ adds losses and gradients in sample order, so the batched trainer gives
 the bits of the per-sample one.
 """
 
-import json
-
 import numpy as np
 
-from .. import crossbar
+from .. import ckpt, crossbar
 from ..device import DeviceModel
 from .common import (TrainConfig, TrainingDivergence, chunk_planes,
                      corrupt_plane, plane_samples, pow2_scale,
                      stack_from_planes)
-
-_MAGIC = b"MXCNN1__"
 
 
 def _windows(x, k):
@@ -107,6 +103,10 @@ class CnnDenoiser:
         self.k1 = np.asarray(k1, dtype=np.float64)  # (K, k, k)
         self.k3 = np.asarray(k3, dtype=np.float64)  # (K, k, k)
         self.k2 = np.asarray(k2, dtype=np.float64)  # (k, k)
+        if (self.k1.ndim != 3 or self.k3.shape != self.k1.shape
+                or self.k2.shape != self.k1.shape[1:]):
+            raise ValueError("kernels %r, %r, %r do not fit together"
+                             % (self.k1.shape, self.k3.shape, self.k2.shape))
         self.kernels = self.k1.shape[0]
         self.ksize = self.k1.shape[1]
         self.train_noise = train_noise
@@ -158,14 +158,16 @@ class CnnDenoiser:
     def forward_stack(self, images):
         """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
 
-        Planes run through the crossbars a chunk at a time, so the patch
-        matrices stay a few tens of MB however long the stack is.
+        Planes run through the crossbars a chunk at a time (see
+        chunk_planes), so the patch matrices stay about 4 MB however long
+        the stack is.
         """
         images = np.asarray(images, dtype=np.float64)
         flat, (h, w) = plane_samples(images)
         planes = flat.reshape(-1, h, w)
         out = np.empty_like(planes)
-        step = chunk_planes(h * w)
+        # widest patches: conv1's h*w x k*k or the 3D stage's h*w/4 x K*k*k
+        step = chunk_planes(h * w // 4 * max(4, self.kernels) * self.ksize ** 2)
         for lo in range(0, len(planes), step):
             x = planes[lo:lo + step]
             if h % 2 or w % 2:
@@ -181,45 +183,27 @@ class CnnDenoiser:
         return np.clip(out[0], 0.0, 1.0)
 
     def save(self, path):
-        header = {
-            "kind": "cnn", "kernels": self.kernels, "ksize": self.ksize,
+        meta = {
             "train_noise": self.train_noise, "rmse_log": self.rmse_log,
             "levels": self.device.levels,
             "variation_sigma": self.device.variation_sigma,
             "program_seed": self.program_seed,
         }
-        hdr = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as f:
-            f.write(_MAGIC)
-            f.write(len(hdr).to_bytes(4, "little"))
-            f.write(hdr)
-            f.write(self.k1.tobytes())
-            f.write(self.k3.tobytes())
-            f.write(self.k2.tobytes())
+        ckpt.save(path, "cnn", meta, {"k1": self.k1, "k3": self.k3, "k2": self.k2})
+
+    @classmethod
+    def from_state(cls, meta, arrays):
+        """A CNN from its checkpoint metadata and kernels, programmed anew."""
+        dev = DeviceModel(levels=meta["levels"],
+                          variation_sigma=meta["variation_sigma"])
+        return cls(arrays["k1"], arrays["k3"], arrays["k2"],
+                   train_noise=meta["train_noise"],
+                   rmse_log=meta["rmse_log"], device=dev,
+                   program_seed=meta["program_seed"])
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as f:
-            blob = f.read()
-        if blob[:8] != _MAGIC:
-            raise ValueError("%s: not a cnn checkpoint" % path)
-        n = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12:12 + n])
-        kk, ks = header["kernels"], header["ksize"]
-        off = 12 + n
-        sz1 = 8 * kk * ks * ks
-        k1 = np.frombuffer(blob[off:off + sz1], dtype="<f8").reshape(kk, ks, ks)
-        off += sz1
-        k3 = np.frombuffer(blob[off:off + sz1], dtype="<f8").reshape(kk, ks, ks)
-        off += sz1
-        k2 = np.frombuffer(blob[off:off + 8 * ks * ks],
-                           dtype="<f8").reshape(ks, ks)
-        dev = DeviceModel(levels=header["levels"],
-                          variation_sigma=header["variation_sigma"])
-        return cls(k1.copy(), k3.copy(), k2.copy(),
-                   train_noise=header["train_noise"],
-                   rmse_log=header["rmse_log"], device=dev,
-                   program_seed=header["program_seed"])
+        return ckpt.load(path, {"cnn": cls.from_state})[1]
 
 
 def _float_forward(x, k1, k3, k2):

@@ -90,13 +90,16 @@ def stack_from_planes(out, images):
     return out.reshape(n, c, h, w).transpose(0, 2, 3, 1)
 
 
-def chunk_planes(plane_pixels):
-    """Planes per inference chunk: just over 2**17 pixels in all.
+def chunk_planes(patch_elements):
+    """Planes per inference chunk, given one plane's widest patch matrix.
 
-    Patch matrices built over a chunk stay a few tens of MB however long
-    the stack is.
+    A chunk holds about 2**19 float64 patch elements (4 MB), at least one
+    plane: 9 planes of the fusion net's 784 x 72 patches on 28 x 28
+    images, 37 of the CNN's 196 x 72. Callers drop each chunk's patches
+    before unfolding the next, so inference memory does not grow with
+    the stack.
     """
-    return 131072 // plane_pixels + 1
+    return max(1, 2 ** 19 // patch_elements)
 
 
 def corrupt_plane(flat, shape, spec, seed_seq, clip_input=True):

@@ -14,18 +14,12 @@ into [-1, 1] and programmed onto differential pairs through the device
 model. RGB inputs are handled per channel plane with the same weights.
 """
 
-import io
-import json
-
 import numpy as np
 
-from .. import crossbar
+from .. import ckpt, crossbar
 from ..device import DeviceModel
-from ..noise import NoiseSpec, parse_spec
 from .common import (TrainConfig, TrainingDivergence, corrupt_plane,
                      plane_samples, pow2_scale, stack_from_planes)
-
-_MAGIC = b"MXDENSE1"
 
 
 class DenseDenoiser:
@@ -49,6 +43,9 @@ class DenseDenoiser:
             tiled = crossbar.program(
                 self.weights / self.scale, self.device,
                 np.random.default_rng([self.program_seed, 0x70]))
+        elif (tiled.rows, tiled.cols) != self.weights.shape:
+            raise ValueError("crossbar %r, weights %r"
+                             % ((tiled.rows, tiled.cols), self.weights.shape))
         self.tiled = tiled
 
     @classmethod
@@ -103,9 +100,9 @@ class DenseDenoiser:
         flat, _ = plane_samples(images)
         return stack_from_planes(self.forward_flat(flat), images)
 
-    def to_bytes(self) -> bytes:
-        header = {
-            "kind": "dense",
+    def state(self):
+        """Checkpoint metadata and named arrays, programmed state included."""
+        meta = {
             "shape": list(self.shape),
             "scale": self.scale,
             "train_noise": self.train_noise,
@@ -114,40 +111,25 @@ class DenseDenoiser:
             "variation_sigma": self.device.variation_sigma,
             "program_seed": self.program_seed,
         }
-        hdr = json.dumps(header, sort_keys=True).encode()
-        return b"".join([
-            _MAGIC, len(hdr).to_bytes(4, "little"), hdr,
-            self.weights.tobytes(), crossbar.tiled_to_bytes(self.tiled),
-        ])
+        return meta, {"weights": self.weights, **self.tiled.state()}
 
     @classmethod
-    def from_bytes(cls, blob: bytes, source: str = "<bytes>"):
-        if blob[:8] != _MAGIC:
-            raise ValueError("%s: not a dense denoiser checkpoint" % source)
-        n = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12:12 + n])
-        h, w = header["shape"]
-        p = h * w
-        off = 12 + n
-        weights = np.frombuffer(
-            blob[off:off + 8 * (p + 1) * p], dtype="<f8").reshape(p + 1, p)
-        off += 8 * (p + 1) * p
-        tiled = crossbar.tiled_from_bytes(blob[off:], source)
-        dev = DeviceModel(levels=header["levels"],
-                          variation_sigma=header["variation_sigma"])
-        return cls(weights.copy(), header["scale"], (h, w), tiled=tiled,
-                   train_noise=header["train_noise"],
-                   rmse_log=header["rmse_log"], device=dev,
-                   program_seed=header["program_seed"])
+    def from_state(cls, meta, arrays):
+        """Inverse of state()."""
+        dev = DeviceModel(levels=meta["levels"],
+                          variation_sigma=meta["variation_sigma"])
+        return cls(arrays["weights"], meta["scale"], meta["shape"],
+                   tiled=crossbar.restore(arrays, dev),
+                   train_noise=meta["train_noise"],
+                   rmse_log=meta["rmse_log"], device=dev,
+                   program_seed=meta["program_seed"])
 
     def save(self, path):
-        with open(path, "wb") as f:
-            f.write(self.to_bytes())
+        ckpt.save(path, "dense", *self.state())
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as f:
-            return cls.from_bytes(f.read(), str(path))
+        return ckpt.load(path, {"dense": cls.from_state})[1]
 
 
 def dense_train(cfg: TrainConfig, data):

@@ -16,19 +16,15 @@ multi-row one, so merging would change the bits of batch-1 runs and of
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .. import crossbar
+from .. import ckpt, crossbar
 from ..device import DeviceModel
 from ..noise import NoiseSpec, corrupt, parse_spec
 from .common import (TrainConfig, TrainingDivergence, chunk_planes,
                      plane_samples, pow2_scale, stack_from_planes)
 from .cnn import conv_same, unfold_stack
 from .dense import DenseDenoiser
-
-_MAGIC = b"MXFUSE1_"
 
 
 class FusionDenoiser:
@@ -64,15 +60,10 @@ class FusionDenoiser:
             tiled = crossbar.program(
                 self.kernel.reshape(-1, 1) / self.scale, self.device,
                 np.random.default_rng([self.program_seed, 0x70]))
+        elif (tiled.rows, tiled.cols) != (self.kernel.size, 1):
+            raise ValueError(f"crossbar {(tiled.rows, tiled.cols)}, kernel "
+                             f"needs {(self.kernel.size, 1)}")
         self.tiled = tiled
-
-    @property
-    def fusion_size(self) -> int:
-        return self.kernel.shape[1]
-
-    def member_planes(self, img):
-        """Stack of member outputs for one plane, (members, h, w)."""
-        return np.stack([m.forward(img) for m in self.members])
 
     def forward(self, img):
         """Denoise one image; channels are independent planes."""
@@ -96,17 +87,20 @@ class FusionDenoiser:
             [m.forward_flat(flat) for m in self.members], axis=1)
         planes = member_out.reshape(len(flat), len(self.members), h, w)
         out = np.empty((len(flat), h * w))
-        step = chunk_planes(h * w)
+        step = chunk_planes(h * w * self.kernel.size)
         for lo in range(0, len(flat), step):
-            patches = unfold_stack(planes[lo:lo + step], self.fusion_size)
-            patches = patches.reshape(-1, patches.shape[-1])
-            y = crossbar.matmul(self.tiled, patches)[:, 0] * self.scale
-            out[lo:lo + step] = np.clip(y, 0.0, 1.0).reshape(-1, h * w)
+            patches = unfold_stack(planes[lo:lo + step], self.kernel.shape[1])
+            y = crossbar.matmul(self.tiled,
+                                patches.reshape(-1, self.kernel.size))
+            del patches
+            out[lo:lo + step] = np.clip(y[:, 0] * self.scale,
+                                        0.0, 1.0).reshape(-1, h * w)
         return stack_from_planes(out, images)
 
     def forward_direct(self, img):
         """Float reference path: explicit sliding-window fusion."""
-        planes = self.member_planes(np.asarray(img, dtype=np.float64))
+        img = np.asarray(img, dtype=np.float64)
+        planes = np.stack([m.forward(img) for m in self.members])
         y = sum(conv_same(planes[m], self.kernel[m])
                 for m in range(len(self.members)))
         return np.clip(y, 0.0, 1.0)
@@ -118,65 +112,44 @@ class FusionDenoiser:
                               rmse_log=self.rmse_log, device=dev,
                               program_seed=seed)
 
-    def to_bytes(self) -> bytes:
-        header = {
-            "kind": "fusion",
-            "shape": list(self.shape),
-            "kernel_shape": list(self.kernel.shape),
+    def save(self, path):
+        """One checkpoint: the kernel's state plus every member's, by name."""
+        meta = {
             "member_noises": list(self.member_noises),
             "rmse_log": self.rmse_log,
             "levels": self.device.levels,
             "variation_sigma": self.device.variation_sigma,
             "program_seed": self.program_seed,
+            "members": [],
         }
-        hdr = json.dumps(header, sort_keys=True).encode()
-        parts = [_MAGIC, len(hdr).to_bytes(4, "little"), hdr,
-                 self.kernel.tobytes()]
-        tiled_blob = crossbar.tiled_to_bytes(self.tiled)
-        parts.append(len(tiled_blob).to_bytes(8, "little"))
-        parts.append(tiled_blob)
-        for member in self.members:
-            blob = member.to_bytes()
-            parts.append(len(blob).to_bytes(8, "little"))
-            parts.append(blob)
-        return b"".join(parts)
+        arrays = {"kernel": self.kernel, **self.tiled.state()}
+        for i, member in enumerate(self.members):
+            member_meta, member_arrays = member.state()
+            meta["members"].append(member_meta)
+            arrays.update((f"members.{i}.{name}", a)
+                          for name, a in member_arrays.items())
+        ckpt.save(path, "fusion", meta, arrays)
 
     @classmethod
-    def from_bytes(cls, blob: bytes, source: str = "<bytes>"):
-        if blob[:8] != _MAGIC:
-            raise ValueError(f"{source}: not a fusion denoiser checkpoint")
-        n = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12:12 + n])
-        off = 12 + n
-        kshape = tuple(header["kernel_shape"])
-        count = int(np.prod(kshape))
-        kernel = np.frombuffer(blob[off:off + 8 * count], dtype="<f8").reshape(kshape)
-        off += 8 * count
-        size = int.from_bytes(blob[off:off + 8], "little")
-        off += 8
-        tiled = crossbar.tiled_from_bytes(blob[off:off + size], source)
-        off += size
+    def from_state(cls, meta, arrays):
+        """A fusion net from its checkpoint metadata and arrays."""
         members = []
-        for _ in range(kshape[0]):
-            size = int.from_bytes(blob[off:off + 8], "little")
-            off += 8
-            members.append(DenseDenoiser.from_bytes(blob[off:off + size], source))
-            off += size
-        dev = DeviceModel(levels=header["levels"],
-                          variation_sigma=header["variation_sigma"])
-        return cls(members, kernel.copy(),
-                   member_noises=header["member_noises"], tiled=tiled,
-                   rmse_log=header["rmse_log"], device=dev,
-                   program_seed=header["program_seed"])
-
-    def save(self, path):
-        with open(path, "wb") as f:
-            f.write(self.to_bytes())
+        for i, member_meta in enumerate(meta["members"]):
+            pre = f"members.{i}."
+            members.append(DenseDenoiser.from_state(member_meta, {
+                name[len(pre):]: a for name, a in arrays.items()
+                if name.startswith(pre)}))
+        dev = DeviceModel(levels=meta["levels"],
+                          variation_sigma=meta["variation_sigma"])
+        return cls(members, arrays["kernel"],
+                   member_noises=meta["member_noises"],
+                   tiled=crossbar.restore(arrays, dev),
+                   rmse_log=meta["rmse_log"], device=dev,
+                   program_seed=meta["program_seed"])
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as f:
-            return cls.from_bytes(f.read(), str(path))
+        return ckpt.load(path, {"fusion": cls.from_state})[1]
 
 
 def fusion_init(member_count: int, size: int = 3, kind: str = "zero"):

@@ -6,11 +6,14 @@ fixtures use the recipes shipped as the CLI defaults, so what the tests
 certify is exactly what the command line produces.
 """
 
+import json
+import math
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from memdenoise.classify import train_classifier
 from memdenoise.cli import DENSE_RATE_OVERRIDES, TRAIN_RECIPES
@@ -21,6 +24,11 @@ from memdenoise.nets.fusion import fusion_train
 from memdenoise.noise import STANDARD_NOISES, parse_spec
 
 DATA_ROOT = os.environ.get("MEMDENOISE_DATA", "/root/data/mnist")
+
+# CI selects the "ci" profile (HYPOTHESIS_PROFILE=ci) so every run draws
+# the same examples.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 MEMBER_SEED = 7
 FUSION_SEED = 11
@@ -39,6 +47,22 @@ def write_idx_labels(path, labels):
     with open(path, "wb") as f:
         f.write(struct.pack(">II", 0x00000801, len(labels)))
         f.write(labels.tobytes())
+
+
+def drop_arrays(blob, names):
+    """A checkpoint container without the named arrays, header and bytes."""
+    n = int.from_bytes(blob[12:16], "little")
+    header = json.loads(blob[16:16 + n])
+    off, kept, parts = 16 + n, [], []
+    for name, dtype, shape in header["arrays"]:
+        size = np.dtype(dtype).itemsize * math.prod(shape)
+        if name not in names:
+            kept.append([name, dtype, shape])
+            parts.append(blob[off:off + size])
+        off += size
+    header["arrays"] = kept
+    hdr = json.dumps(header, sort_keys=True).encode()
+    return blob[:12] + len(hdr).to_bytes(4, "little") + hdr + b"".join(parts)
 
 
 @pytest.fixture(scope="session")

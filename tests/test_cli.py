@@ -12,7 +12,9 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import write_idx_images, write_idx_labels
+import gzip
+
+from conftest import drop_arrays, write_idx_images, write_idx_labels
 from memdenoise.cli import (
     DEFAULT_CONFIG,
     DENSE_RATE_OVERRIDES,
@@ -26,8 +28,10 @@ from memdenoise.cli import (
     resolved_train_config,
 )
 from memdenoise.baselines import FilterSpec
+from memdenoise.classify import Classifier
 from memdenoise.device import DeviceModel
-from memdenoise.nets.fusion import FusionDenoiser
+from memdenoise.nets.dense import DenseDenoiser
+from memdenoise.nets.fusion import FusionDenoiser, fusion_init
 from memdenoise.noise import STANDARD_NOISES, parse_spec
 
 
@@ -269,6 +273,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(cut) in err
 
+    @pytest.mark.parametrize("kind", ["dense", "fusion", "classifier"])
+    def test_truncated_checkpoint_names_path_once(self, corpus, dense_ckpt,
+                                                  capsys, tmp_path, kind):
+        path = tmp_path / f"{kind}.bin"
+        if kind == "dense":
+            shutil.copy(dense_ckpt, path)
+        elif kind == "fusion":
+            FusionDenoiser([DenseDenoiser.load(dense_ckpt)] * 8,
+                           fusion_init(8, kind="identity")).save(path)
+        else:
+            Classifier.initial(64, 4, (8, 8)).save(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) // 2])
+        flag = "--classifier" if kind == "classifier" else "--checkpoint"
+        command = "classify" if kind == "classifier" else "eval"
+        assert main([command, "--data", corpus, "--seed", "1", flag,
+                     str(path), "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(path)) == 1
+        assert f"holds {len(blob) // 2} bytes, expected {len(blob)}" in err
+
+    @pytest.mark.parametrize("damage", [
+        "raw-cut-in-header", "raw-cut-in-dims", "raw-cut-in-payload",
+        "gzip-truncated", "gzip-flipped-byte"])
+    def test_damaged_idx_returns_two(self, corpus, capsys, tmp_path, damage):
+        data = tmp_path / "data"
+        shutil.copytree(corpus, data)
+        raw = data / "t10k-images-idx3-ubyte"
+        blob = raw.read_bytes()
+        if damage.startswith("raw"):
+            keep = {"header": 2, "dims": 10, "payload": len(blob) - 10}
+            raw.write_bytes(blob[:keep[damage.rsplit("-", 1)[1]]])
+            target = raw
+        else:
+            raw.unlink()
+            target = data / "t10k-images-idx3-ubyte.gz"
+            packed = bytearray(gzip.compress(blob))
+            if damage == "gzip-truncated":
+                packed = packed[:len(packed) // 2]
+            else:
+                packed[len(packed) // 2] ^= 0xFF
+            target.write_bytes(bytes(packed))
+        assert main(["eval", "--data", str(data), "--seed", "1",
+                     "--outdir", str(tmp_path / "out")]) == 2
+        assert str(target) in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("build,argv,cause", [
     (lambda: parse_spec("gaussian:nan"),
@@ -498,20 +548,16 @@ class TestClassifyCommand:
         elif damage == "trailing-16":
             blob += bytes(16)
         else:
-            n = int.from_bytes(blob[8:12], "little")
-            header = json.loads(blob[12:12 + n])
-            del header["hidden"]
-            hdr = json.dumps(header, sort_keys=True).encode()
-            blob = blob[:8] + len(hdr).to_bytes(4, "little") + hdr \
-                + blob[12 + n:]
+            # the hidden layer's arrays, gone from header and payload
+            blob = drop_arrays(blob, {"w1", "b1"})
         bad = tmp_path / "clf.bin"
         bad.write_bytes(blob)
         assert main(["classify", "--data", corpus, "--seed", "5",
                      "--classifier", str(bad), "--outdir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(bad) in err
+        assert err.startswith("error: ") and err.count(str(bad)) == 1
         if damage == "missing-hidden":
-            assert "hidden" in err
+            assert "lacks 'w1'" in err
         else:
             assert "bytes, expected" in err
 

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memdenoise import crossbar
+from memdenoise import ckpt, crossbar
 from memdenoise.crossbar import (TILE_COLS, TILE_ROWS, TiledMatrix,
-                                 apply_sparsity, load_tiled, matmul, matvec,
-                                 program, save_tiled, tile_grid,
-                                 tiled_from_bytes, tiled_to_bytes)
-from memdenoise.device import DeviceModel
+                                 apply_sparsity, matmul, matvec, program,
+                                 tile_grid)
+from memdenoise.device import DeviceModel, quantize
 
 
 def block_count(extent, block):
@@ -35,6 +34,32 @@ def two_loop_readout(m, x):
         return (two_loop_product(np.maximum(x, 0.0), w)
                 - two_loop_product(np.maximum(-x, 0.0), w))
     return two_loop_product(x, w)
+
+
+def reference_program(weights, dev, rng=None):
+    """The two-sided programming rule this module used before: each side
+    quantized on its own, the variation draw added to each side."""
+    w = np.asarray(weights, dtype=np.float64)
+    pos = w >= 0
+    qp = quantize(np.where(pos, w, 0.0), dev)
+    qn = quantize(np.where(pos, 0.0, -w), dev)
+    if dev.variation_sigma > 0.0:
+        eps = rng.normal(0.0, dev.variation_sigma, size=w.shape)
+        qp = np.where(pos, np.clip(qp + eps, 0.0, 1.0), 0.0)
+        qn = np.where(pos, 0.0, np.clip(qn + eps, 0.0, 1.0))
+    return qp, qn
+
+
+def save_tiled(m, path):
+    """A programmed crossbar alone in the checkpoint container."""
+    ckpt.save(path, "crossbar",
+              {"levels": m.levels, "variation_sigma": m.variation_sigma},
+              m.state())
+
+
+def load_tiled(path):
+    return ckpt.load(path, {"crossbar": lambda meta, arrays: crossbar.restore(
+        arrays, DeviceModel(**meta))})[1]
 
 
 class TestTileGrid:
@@ -103,6 +128,29 @@ class TestProgram:
         a = program(w, dev, np.random.default_rng(5))
         b = program(-w, dev, np.random.default_rng(5))
         assert np.array_equal(a.g_pos, b.g_neg)
+
+    @pytest.mark.parametrize("dev", [
+        DeviceModel(), DeviceModel(levels=2), DeviceModel(levels=16),
+        DeviceModel(levels=256), DeviceModel(variation_sigma=0.05),
+        DeviceModel(levels=16, variation_sigma=0.05)], ids=str)
+    def test_bits_equal_reference_program(self, rng, dev):
+        w = rng.uniform(-1.0, 1.0, size=(40, 30))
+        w[0, :6] = [1.0, -1.0, 0.0, -0.0, 1e-9, -1e-9]
+        w[1:, :2] = [0.0, -0.0]
+        draws, want_draws = (np.random.default_rng(8) for _ in range(2))
+        m = program(w, dev, draws)
+        qp, qn = reference_program(w, dev, want_draws)
+        assert (m.g_pos == qp).all() and (m.g_neg == qn).all()
+        # same stream use: the next draw of both streams agrees
+        assert draws.random() == want_draws.random()
+        # Readouts keep every bit: an idle device now reads +0.0 where a
+        # quantized one read -0.0, and no output sum sees the sign. Only
+        # row 0 drives the outputs, so columns 2-5 sum zero conductances.
+        x = rng.random((5, 40))
+        x[:, 1:] = 0.0
+        want = matmul(TiledMatrix(qp, qn), x)
+        assert np.array_equal(matmul(m, x).view(np.uint64),
+                              want.view(np.uint64))
 
     def test_counts(self):
         m = program(np.zeros((784, 784)), DeviceModel())
@@ -242,11 +290,12 @@ class TestSparsity:
 
 
 class TestContainer:
-    def test_round_trip(self, rng):
+    def test_round_trip(self, rng, tmp_path):
         w = rng.uniform(-1.0, 1.0, size=(300, 100))
         m = program(w, DeviceModel(levels=64))
         s = apply_sparsity(m, 0.1, 0.05, np.random.default_rng(4))
-        back = tiled_from_bytes(tiled_to_bytes(s))
+        save_tiled(s, tmp_path / "m.bin")
+        back = load_tiled(tmp_path / "m.bin")
         assert np.array_equal(back.g_pos, s.g_pos)
         assert np.array_equal(back.g_neg, s.g_neg)
         assert np.array_equal(back.prune_mask, s.prune_mask)
@@ -254,30 +303,43 @@ class TestContainer:
         assert back.levels == 64
         assert back.variation_sigma == s.variation_sigma
 
-    def test_reserialization_is_byte_identical(self, rng):
+    def test_reserialization_is_byte_identical(self, rng, tmp_path):
         m = program(rng.uniform(-1.0, 1.0, size=(17, 9)), DeviceModel())
-        blob = tiled_to_bytes(m)
-        assert tiled_to_bytes(tiled_from_bytes(blob)) == blob
+        save_tiled(m, tmp_path / "a.bin")
+        save_tiled(load_tiled(tmp_path / "a.bin"), tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == \
+            (tmp_path / "b.bin").read_bytes()
 
-    def test_ideal_levels_survive(self):
-        m = program(np.zeros((2, 2)), DeviceModel())
-        assert tiled_from_bytes(tiled_to_bytes(m)).levels is None
+    def test_ideal_levels_survive(self, tmp_path):
+        save_tiled(program(np.zeros((2, 2)), DeviceModel()), tmp_path / "m.bin")
+        assert load_tiled(tmp_path / "m.bin").levels is None
 
     def test_file_round_trip(self, rng, tmp_path):
+        # The size follows from the header: magic, version, header length,
+        # JSON header, then each array's raw bytes and nothing else.
         m = program(rng.uniform(-1.0, 1.0, size=(10, 10)), DeviceModel())
         path = tmp_path / "m.bin"
         save_tiled(m, path)
+        blob = path.read_bytes()
+        n = int.from_bytes(blob[12:16], "little")
+        assert blob[:8] == ckpt.MAGIC
+        assert len(blob) == 16 + n + 2 * 8 * 100 + 100 + 10
         assert np.array_equal(load_tiled(path).g_pos, m.g_pos)
 
-    def test_bad_magic_names_source(self):
+    def test_bad_magic_names_source(self, tmp_path):
+        path = tmp_path / "demo.bin"
+        path.write_bytes(b"XXXX" + bytes(30))
         with pytest.raises(ValueError, match="demo.bin"):
-            tiled_from_bytes(b"XXXX" + bytes(30), "demo.bin")
+            load_tiled(path)
 
-    def test_bad_version(self):
-        blob = bytearray(tiled_to_bytes(program(np.zeros((1, 1)), DeviceModel())))
-        blob[4] = 99
+    def test_bad_version(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_tiled(program(np.zeros((1, 1)), DeviceModel()), path)
+        blob = bytearray(path.read_bytes())
+        blob[8] = 99
+        path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
-            tiled_from_bytes(bytes(blob))
+            load_tiled(path)
 
 
 class TestTiledMatrixValidation:

@@ -126,24 +126,32 @@ class TestDenseDenoiser:
 
 
 class TestSerialization:
-    def test_round_trip(self, rng):
+    def test_round_trip(self, rng, tmp_path):
         ds = tiny_dataset(rng)
         cfg = TrainConfig(parse_spec("gaussian:0.1"), learning_rate=0.05,
                           epochs=2, batch=4, seed=3)
         net = dense_train(cfg, ds)
-        blob = net.to_bytes()
-        back = DenseDenoiser.from_bytes(blob)
+        net.save(tmp_path / "a.bin")
+        back = DenseDenoiser.load(tmp_path / "a.bin")
         np.testing.assert_array_equal(back.weights, net.weights)
         assert back.scale == net.scale
         assert back.train_noise == net.train_noise
         assert back.rmse_log == net.rmse_log
-        assert back.to_bytes() == blob
+        back.save(tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == \
+            (tmp_path / "b.bin").read_bytes()
 
-    def test_round_trip_preserves_outputs(self, rng):
+    def test_round_trip_preserves_outputs(self, rng, tmp_path):
         ds = tiny_dataset(rng)
         cfg = TrainConfig(parse_spec("sp:0.25"), epochs=1, batch=4, seed=5)
-        net = dense_train(cfg, ds)
-        back = DenseDenoiser.from_bytes(net.to_bytes())
+        net = dense_train(cfg, ds).reprogram(
+            DeviceModel(levels=16, variation_sigma=0.05), seed=2
+        ).with_sparsity(0.1, 0.2, seed=3)
+        net.save(tmp_path / "net.bin")
+        back = DenseDenoiser.load(tmp_path / "net.bin")
+        for name, a in net.tiled.state().items():
+            assert np.array_equal(getattr(back.tiled, name), a)
+        assert back.device == net.device
         img = rng.random((8, 8))
         np.testing.assert_array_equal(back.forward(img), net.forward(img))
 
@@ -153,9 +161,16 @@ class TestSerialization:
         back = DenseDenoiser.load(tmp_path / "net.bin")
         np.testing.assert_array_equal(back.weights, net.weights)
 
-    def test_bad_magic(self):
-        with pytest.raises(ValueError):
-            DenseDenoiser.from_bytes(b"NOTADNSE" + bytes(64))
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"NOTADNSE" + bytes(64))
+        with pytest.raises(ValueError, match="x.bin"):
+            DenseDenoiser.load(path)
+
+    def test_mismatched_crossbar_rejected(self):
+        net = DenseDenoiser.identity(4, 4)
+        with pytest.raises(ValueError, match="crossbar"):
+            DenseDenoiser(np.zeros((10, 9)), 1.0, (3, 3), tiled=net.tiled)
 
 
 class TestTraining:

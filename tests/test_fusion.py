@@ -160,15 +160,16 @@ class TestForward:
         np.testing.assert_allclose(out[0], fused.forward(imgs[0]), atol=1e-12)
 
     def test_forward_stack_bits_equal_per_plane_unfold(self, rng):
-        # 4500 planes of 8x8 span three inference chunks; each chunk's one
-        # unfold must equal the per-plane patch matrices stacked up.
+        # 4500 planes of 8x8 (64 x 27 patches) span 15 inference chunks;
+        # each chunk's one unfold must equal the per-plane patch matrices
+        # stacked up.
         nets, _ = member_bank(rng)
         fused = FusionDenoiser(nets, rng.normal(0, 0.2, (3, 3, 3)))
         imgs = rng.random((1500, 8, 8, 3))
         flat, _ = plane_samples(imgs)
         member_out = np.stack([m.forward_flat(flat) for m in nets], axis=1)
         want = []
-        step = chunk_planes(64)
+        step = chunk_planes(64 * 27)
         for lo in range(0, len(flat), step):
             patches = np.concatenate(
                 [unfold_stack(planes.reshape(3, 8, 8), 3)
@@ -299,15 +300,37 @@ class TestSerialization:
         img = rng.random((8, 8))
         np.testing.assert_array_equal(back.forward(img), fused.forward(img))
 
-    def test_reserialization_is_byte_identical(self, rng):
+    def test_reserialization_is_byte_identical(self, rng, tmp_path):
         nets, _ = member_bank(rng)
-        fused = FusionDenoiser(nets, fusion_init(3, kind="identity"))
-        blob = fused.to_bytes()
-        assert FusionDenoiser.from_bytes(blob).to_bytes() == blob
+        fused = FusionDenoiser(nets, fusion_init(3, kind="identity"),
+                               device=DeviceModel(levels=16,
+                                                  variation_sigma=0.05))
+        fused.save(tmp_path / "a.bin")
+        FusionDenoiser.load(tmp_path / "a.bin").save(tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == \
+            (tmp_path / "b.bin").read_bytes()
 
-    def test_bad_magic(self):
-        with pytest.raises(ValueError):
-            FusionDenoiser.from_bytes(b"NOTFUSED" + bytes(32))
+    def test_programmed_state_survives(self, rng, tmp_path):
+        # Variation draws and masks are state: the loaded net keeps them.
+        nets, _ = member_bank(rng)
+        nets[1] = nets[1].with_sparsity(0.1, 0.2, seed=4)
+        fused = FusionDenoiser(nets, rng.normal(0, 0.2, (3, 3, 3)),
+                               device=DeviceModel(variation_sigma=0.05),
+                               program_seed=9)
+        fused.save(tmp_path / "f.bin")
+        back = FusionDenoiser.load(tmp_path / "f.bin")
+        for got, want in zip((back.tiled,) + tuple(m.tiled for m in back.members),
+                             (fused.tiled,) + tuple(m.tiled for m in fused.members)):
+            for name, a in want.state().items():
+                assert np.array_equal(getattr(got, name), a)
+        imgs = rng.random((4, 8, 8))
+        assert np.array_equal(back.forward_stack(imgs), fused.forward_stack(imgs))
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"NOTFUSED" + bytes(32))
+        with pytest.raises(ValueError, match="not a recognized checkpoint"):
+            FusionDenoiser.load(path)
 
     def test_reprogram_keeps_kernel(self, rng):
         from memdenoise.device import DeviceModel
