@@ -39,6 +39,8 @@ class TiledMatrix:
 
     prune_mask marks device pairs read as g = 0 in both polarities;
     input_dropout_mask marks rows whose input never reaches the array.
+    Conductances must lie in the normalized window [0, 1], NaN rejected,
+    so a readout of finite inputs is finite.
     """
 
     def __init__(self, g_pos, g_neg, prune_mask=None, input_dropout_mask=None,
@@ -47,6 +49,9 @@ class TiledMatrix:
         g_neg = np.ascontiguousarray(g_neg, dtype=np.float64)
         if g_pos.shape != g_neg.shape or g_pos.ndim != 2:
             raise ValueError("conductance arrays must share a 2-D shape")
+        for g in (g_pos, g_neg):
+            if not (g.min(initial=0.0) >= 0.0 and g.max(initial=0.0) <= 1.0):
+                raise ValueError("conductances outside [0, 1] (or NaN)")
         self.rows, self.cols = g_pos.shape
         self.g_pos = g_pos
         self.g_neg = g_neg
@@ -107,15 +112,15 @@ def program(weights, dev, rng=None):
     draw is consumed per pair (its programmed device), so stream usage
     does not depend on the sign pattern.
 
-    Raises ValueError naming the offending index if any |w| > 1.
+    Raises ValueError naming the offending index if any |w| > 1 or is NaN.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError("weights must be 2-D")
     amax = np.abs(w).max(initial=0.0)
-    if amax > 1.0:
+    if not amax <= 1.0:  # NaN propagates into amax and fails too
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(w)), w.shape))
-        raise ValueError("|w|=%g > 1 at index %r" % (amax, idx))
+        raise ValueError("|w|=%g at index %r, must be <= 1" % (amax, idx))
     if dev.variation_sigma > 0.0 and rng is None:
         raise ValueError("variation_sigma > 0 requires an rng")
     pos = w >= 0

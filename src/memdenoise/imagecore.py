@@ -214,26 +214,41 @@ def write_image(img, path):
 
 
 def read_image(path):
-    """Read back a binary PGM/PPM written by write_image."""
+    """Read back a binary PGM/PPM written by write_image.
+
+    A file that ends inside its header or pixels raises
+    TruncatedFileError; a header that is not P5/P6, has a non-numeric
+    size, or a maxval outside 1..255 raises BadMagicError. Both name
+    the path.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     fields, pos = [], 0
     while len(fields) < 4:
         while pos < len(blob) and blob[pos] in b" \t\r\n":
             pos += 1
-        if pos < len(blob) and blob[pos:pos + 1] == b"#":
+        if blob[pos:pos + 1] == b"#":
             while pos < len(blob) and blob[pos] not in b"\r\n":
                 pos += 1
             continue
         start = pos
         while pos < len(blob) and blob[pos] not in b" \t\r\n":
             pos += 1
+        if pos == len(blob):
+            raise TruncatedFileError("%s: header ends in field %d of 4"
+                                     % (path, len(fields) + 1))
         fields.append(blob[start:pos])
+        if fields[0] not in (b"P5", b"P6"):
+            raise BadMagicError("%s: not a binary PGM/PPM (%r)"
+                                % (path, fields[0]))
     pos += 1  # single whitespace after maxval
-    kind, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
-    if kind not in (b"P5", b"P6"):
-        raise BadMagicError("%s: not a binary PGM/PPM (%r)" % (path, kind))
-    channels = 1 if kind == b"P5" else 3
+    if not all(field.isdigit() for field in fields[1:]):
+        raise BadMagicError("%s: non-numeric size or maxval %r"
+                            % (path, fields[1:]))
+    w, h, maxval = (int(field) for field in fields[1:])
+    if not 1 <= maxval <= 255:
+        raise BadMagicError("%s: maxval %d outside 1..255" % (path, maxval))
+    channels = 1 if fields[0] == b"P5" else 3
     need = w * h * channels
     raw = np.frombuffer(blob[pos:pos + need], dtype=np.uint8)
     if raw.size < need:

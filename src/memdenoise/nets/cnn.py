@@ -28,9 +28,9 @@ import numpy as np
 
 from .. import ckpt, crossbar
 from ..device import DeviceModel
-from .common import (TrainConfig, TrainingDivergence, chunk_planes,
-                     corrupt_plane, plane_samples, pow2_scale,
-                     stack_from_planes)
+from .common import (TrainConfig, check_epoch, chunk_planes, corrupt_plane,
+                     plane_samples, pow2_scale, stack_from_planes,
+                     trained_gain)
 
 
 def _windows(x, k):
@@ -324,10 +324,10 @@ def cnn_train(cfg: TrainConfig, data, kernels=8, ksize=3):
                 k1 -= (eta / len(idx)) * g1
                 k3 -= (eta / len(idx)) * g3
                 k2 -= (eta / len(idx)) * g2
-        rmse = float(np.sqrt(sq_sum / n))
-        rmse_log.append(rmse)
-        if rmse > 2.0 * rmse_log[0]:
-            raise TrainingDivergence(epoch, rmse, rmse_log[0], rmse_log)
+        rmse_log.append(float(np.sqrt(sq_sum / n)))
+        check_epoch(epoch, rmse_log)
+    for k in (k1, k3, k2):
+        trained_gain(np.abs(k).max(), rmse_log)  # diverged kernels raise
     return CnnDenoiser(k1, k3, k2, train_noise=cfg.train_noise.text(),
                        rmse_log=rmse_log, device=cfg.device,
                        program_seed=cfg.seed)

@@ -1,5 +1,6 @@
 """Shared training plumbing for the denoising networks."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,17 +10,26 @@ from ..noise import NoiseSpec, corrupt
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when the epoch loss runs away from its starting value."""
+    """Raised when the epoch loss runs away from its starting value.
 
-    def __init__(self, epoch, rmse, initial_rmse, rmse_log):
+    member, when set, names the network that diverged (one of a bank).
+    """
+
+    def __init__(self, epoch, rmse, initial_rmse, rmse_log, member=""):
         self.epoch = epoch
         self.rmse = rmse
         self.initial_rmse = initial_rmse
         self.rmse_log = list(rmse_log)
+        self.member = member
         super().__init__(
-            "diverged at epoch %d: rmse %.6g > 2 x initial %.6g (log: %s)"
-            % (epoch, rmse, initial_rmse,
+            "%sdiverged at epoch %d: rmse %.6g, initial %.6g (log: %s)"
+            % (member + " " if member else "", epoch, rmse, initial_rmse,
                ", ".join("%.4g" % v for v in rmse_log)))
+
+    def __reduce__(self):
+        # Rebuilt from its fields, so it crosses a process boundary whole.
+        return type(self), (self.epoch, self.rmse, self.initial_rmse,
+                            self.rmse_log, self.member)
 
 
 @dataclass(frozen=True)
@@ -60,16 +70,46 @@ class TrainConfig:
             raise ValueError("clean_fraction must lie in [0, 1]")
 
 
+# Largest readout gain. No trained weight comes near it, and three
+# chained readouts at this gain stay far below float overflow, so a
+# network whose gains are all within it has finite outputs.
+MAX_GAIN = 2.0 ** 64
+
+
 def pow2_scale(max_abs):
     """Smallest power of two >= max_abs (1.0 for an empty/zero array).
 
     Used as the readout gain: dividing weights by a power of two and
     multiplying the readout back is exact in floating point, so ideal
-    programming reproduces float inference bit for bit.
+    programming reproduces float inference bit for bit. Raises
+    ValueError for a NaN max_abs or one above MAX_GAIN (inf included).
     """
     if max_abs == 0.0:
         return 1.0
+    if not max_abs <= MAX_GAIN:
+        raise ValueError("weight magnitude %g is not within the largest "
+                         "readout gain 2**64" % max_abs)
     return float(2.0 ** np.ceil(np.log2(max_abs)))
+
+
+def check_epoch(epoch, rmse_log):
+    """Raise TrainingDivergence if the epoch just logged has run away:
+    its RMSE exceeds twice the first epoch's or is not finite."""
+    rmse = rmse_log[-1]
+    if not (rmse <= 2.0 * rmse_log[0] and rmse < math.inf):
+        raise TrainingDivergence(epoch, rmse, rmse_log[0], rmse_log)
+
+
+def trained_gain(max_abs, rmse_log):
+    """pow2_scale(max_abs) for weights trained for len(rmse_log) epochs.
+
+    Weights whose largest magnitude is NaN or above MAX_GAIN have
+    diverged (no readout gain can program them): TrainingDivergence.
+    """
+    if not max_abs <= MAX_GAIN:
+        raise TrainingDivergence(len(rmse_log), rmse_log[-1], rmse_log[0],
+                                 rmse_log)
+    return pow2_scale(max_abs)
 
 
 def plane_samples(images):

@@ -18,8 +18,8 @@ import numpy as np
 
 from .. import ckpt, crossbar
 from ..device import DeviceModel
-from .common import (TrainConfig, TrainingDivergence, corrupt_plane,
-                     plane_samples, pow2_scale, stack_from_planes)
+from .common import (MAX_GAIN, TrainConfig, check_epoch, corrupt_plane,
+                     plane_samples, stack_from_planes, trained_gain)
 
 
 class DenseDenoiser:
@@ -34,6 +34,13 @@ class DenseDenoiser:
         if self.weights.shape != (p + 1, p):
             raise ValueError("weights %r, expected %r"
                              % (self.weights.shape, (p + 1, p)))
+        if not 0.0 < self.scale <= MAX_GAIN:
+            raise ValueError("readout gain %g is not in (0, 2**64]"
+                             % self.scale)
+        if not (-self.scale <= self.weights.min()
+                and self.weights.max() <= self.scale):
+            raise ValueError("weights exceed the readout gain %g (or are NaN)"
+                             % self.scale)
         self.train_noise = train_noise
         self.rmse_log = list(rmse_log)
         self.device = device if device is not None else DeviceModel()
@@ -137,8 +144,12 @@ def dense_train(cfg: TrainConfig, data):
 
     Every epoch draws fresh noise per sample from substream
     [seed, epoch, sample], shuffles with the config seed, and applies
-    delta-rule updates (mean over the batch). Epoch RMSE is logged;
-    exceeding twice the first epoch's RMSE raises TrainingDivergence.
+    delta-rule updates (mean over the batch). Epoch RMSE is logged; a
+    runaway epoch (see check_epoch) raises TrainingDivergence.
+
+    The input, error and update buffers are allocated once per run; each
+    in-place step is the same IEEE operation as its allocating form, so
+    the trained bits do not depend on the buffering.
     """
     clean, shape = plane_samples(data.images)
     if cfg.limit is not None:
@@ -150,31 +161,37 @@ def dense_train(cfg: TrainConfig, data):
     rng = np.random.default_rng([cfg.seed, 0x5F])
     rmse_log = []
     spec = cfg.train_noise
+    rows = min(cfg.batch, n)
+    x_buf = np.ones((rows, p + 1))  # column p is the bias input, set once
+    err_buf = np.empty((rows, p))
+    g = np.empty((p + 1, p))
     for epoch in range(1, cfg.epochs + 1):
         eta = cfg.learning_rate / np.sqrt(epoch)
         perm = rng.permutation(n)
         sq_sum = 0.0
         for start in range(0, n, cfg.batch):
             idx = perm[start:start + cfg.batch]
-            noisy = np.stack([
-                corrupt_plane(clean[i], shape, spec, [cfg.seed, epoch, int(i)])
-                for i in idx])
-            x = np.hstack([noisy, np.ones((len(idx), 1))])
-            err = clean[idx] - x @ weights
-            sq_sum += float(np.sum(err * err))
+            x, err = x_buf[:len(idx)], err_buf[:len(idx)]
+            for row, i in zip(x, idx):
+                row[:p] = corrupt_plane(clean[i], shape, spec,
+                                        [cfg.seed, epoch, int(i)])
+            np.matmul(x, weights, out=err)
+            np.subtract(clean[idx], err, out=err)
             if eta != 0.0:
-                weights += (eta / len(idx)) * (x.T @ err)
-        rmse = float(np.sqrt(sq_sum / (n * p)))
-        rmse_log.append(rmse)
-        if rmse > 2.0 * rmse_log[0]:
-            raise TrainingDivergence(epoch, rmse, rmse_log[0], rmse_log)
+                np.matmul(x.T, err, out=g)
+                g *= eta / len(idx)
+                weights += g
+            np.multiply(err, err, out=err)  # err is spent: square in place
+            sq_sum += float(np.sum(err))
+        rmse_log.append(float(np.sqrt(sq_sum / (n * p))))
+        check_epoch(epoch, rmse_log)
         if cfg.device_in_loop and not cfg.device.ideal:
-            s = pow2_scale(np.abs(weights).max())
+            s = trained_gain(np.abs(weights).max(), rmse_log)
             tiled = crossbar.program(
                 weights / s, cfg.device,
                 np.random.default_rng([cfg.seed, 0x71, epoch]))
             weights = s * tiled.effective_weights()
-    scale = pow2_scale(np.abs(weights).max())
+    scale = trained_gain(np.abs(weights).max(), rmse_log)
     return DenseDenoiser(weights, scale, shape,
                          train_noise=spec.text(), rmse_log=rmse_log,
                          device=cfg.device, program_seed=cfg.seed)

@@ -21,8 +21,8 @@ import numpy as np
 from .. import ckpt, crossbar
 from ..device import DeviceModel
 from ..noise import NoiseSpec, corrupt, parse_spec
-from .common import (TrainConfig, TrainingDivergence, chunk_planes,
-                     plane_samples, pow2_scale, stack_from_planes)
+from .common import (TrainConfig, check_epoch, chunk_planes, plane_samples,
+                     pow2_scale, stack_from_planes, trained_gain)
 from .cnn import conv_same, unfold_stack
 from .dense import DenseDenoiser
 
@@ -212,16 +212,15 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3, noises=None):
                 grad += patches[row].T @ err / p
             if eta != 0.0:
                 kflat += (eta / len(idx)) * grad
-        rmse = float(np.sqrt(sq_sum / (n * p)))
-        rmse_log.append(rmse)
-        if rmse > 2.0 * rmse_log[0]:
-            raise TrainingDivergence(epoch, rmse, rmse_log[0], rmse_log)
+        rmse_log.append(float(np.sqrt(sq_sum / (n * p))))
+        check_epoch(epoch, rmse_log)
         if cfg.device_in_loop and not cfg.device.ideal:
-            s = pow2_scale(np.abs(kflat).max())
+            s = trained_gain(np.abs(kflat).max(), rmse_log)
             tiled = crossbar.program(
                 kflat.reshape(-1, 1) / s, cfg.device,
                 np.random.default_rng([cfg.seed, 0x71, epoch]))
             kflat = (s * tiled.effective_weights()).reshape(-1)
+    trained_gain(np.abs(kflat).max(), rmse_log)  # diverged weights raise
     kernel = kflat.reshape(len(members), size, size)
     return FusionDenoiser(members, kernel, rmse_log=rmse_log,
                           device=cfg.device, program_seed=cfg.seed)

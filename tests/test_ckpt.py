@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_idx_images, write_idx_labels
 from memdenoise import ckpt
 from memdenoise.classify import Classifier
-from memdenoise.cli import CliError, load_net
+from memdenoise.cli import CliError, load_net, main
 from memdenoise.device import DeviceModel
 from memdenoise.nets.cnn import CnnDenoiser
 from memdenoise.nets.dense import DenseDenoiser
@@ -101,6 +102,11 @@ DAMAGE = st.one_of(
 )
 
 
+# Test images for the 4 x 4 nets: extremes and mid-grey included.
+PROBE = np.stack([np.zeros((4, 4)), np.ones((4, 4)), np.full((4, 4), 0.5),
+                  np.random.default_rng(8).random((4, 4))])
+
+
 def damaged(blob, damage):
     if damage[0] == "truncate":
         return blob[:int(damage[1] * len(blob))]
@@ -119,9 +125,15 @@ class TestHostileBytes:
         path = root / "damaged.bin"
         path.write_bytes(damaged(saved[kind], damage))
         try:
-            CLASSES[kind].load(path)
+            net = CLASSES[kind].load(path)
         except ValueError as e:
             assert str(e).count(str(path)) == 1
+        else:
+            if kind != "classifier":
+                # whatever loads denoises to finite values (and, with
+                # RuntimeWarnings as errors, without an overflow)
+                out = net.forward_stack(PROBE)
+                assert out.shape == PROBE.shape and np.isfinite(out).all()
         try:
             load_net(str(path))
         except CliError as e:
@@ -137,6 +149,73 @@ class TestHostileBytes:
         size = len(saved[kind])
         assert str(info.value) == (f"{path}: holds {size - 1} bytes, "
                                    f"expected {size}")
+
+
+def rewritten(path, kind, edit):
+    """Re-save the checkpoint at path after edit(meta, arrays) changed it."""
+    _, (meta, arrays) = ckpt.load(path, {kind: lambda m, a: (m, a)})
+    edit(meta, arrays)
+    ckpt.save(path, kind, meta, arrays)
+
+
+def _set(name, index, value):
+    def edit(meta, arrays):
+        arrays[name][index] = value
+    return edit
+
+
+NON_FINITE = [
+    # one k1 entry near the float maximum: its readout gain would overflow
+    ("cnn", _set("k1", (0, 0, 0), 1.7e308)),
+    ("cnn", _set("k1", (1, 2, 2), 8e307)),
+    ("cnn", _set("k3", (0, 1, 1), np.nan)),
+    ("cnn", _set("k2", (2, 2), -np.inf)),
+    ("dense", _set("g_pos", (3, 4), np.nan)),
+    ("dense", _set("g_neg", (0, 0), np.inf)),
+    ("dense", _set("g_pos", (1, 1), 1e300)),
+    ("dense", _set("weights", (16, 15), np.nan)),
+    ("dense", lambda meta, arrays: meta.update(scale=float("inf"))),
+    ("dense", lambda meta, arrays: meta.update(scale=float("nan"))),
+    ("fusion", _set("kernel", (1, 0, 0), np.inf)),
+    ("fusion", _set("g_neg", (4, 0), np.nan)),
+    ("fusion", _set("members.0.g_pos", (2, 2), np.nan)),
+    ("fusion", lambda meta, arrays: meta["members"][1].update(scale=1e300)),
+]
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("kind, edit", NON_FINITE)
+    def test_rejected_naming_the_path_once(self, blobs, tmp_path, kind, edit):
+        _, saved = blobs
+        path = tmp_path / "bad.bin"
+        path.write_bytes(saved[kind])
+        rewritten(path, kind, edit)
+        with pytest.raises(ValueError) as info:
+            CLASSES[kind].load(path)
+        assert str(info.value).count(str(path)) == 1
+        with pytest.raises(CliError) as info:
+            load_net(str(path))
+        assert str(info.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("value", [1.7e308, np.nan])
+    def test_eval_exits_two(self, blobs, tmp_path, capsys, value):
+        _, saved = blobs
+        data = tmp_path / "data"
+        data.mkdir()
+        rng = np.random.default_rng(0)
+        write_idx_images(data / "t10k-images-idx3-ubyte",
+                         rng.integers(0, 256, (4, 4, 4), dtype=np.uint8))
+        write_idx_labels(data / "t10k-labels-idx1-ubyte",
+                         np.arange(4, dtype=np.uint8))
+        path = tmp_path / "cnn.bin"
+        path.write_bytes(saved["cnn"])
+        rewritten(path, "cnn", _set("k1", (0, 0, 0), value))
+        assert main(["eval", "--data", str(data), "--seed", "1",
+                     "--checkpoint", str(path),
+                     "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count(str(path)) == 1
+        assert not (tmp_path / "out").exists()
 
 
 def test_fusion_checkpoint_streams(tmp_path):

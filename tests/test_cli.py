@@ -15,6 +15,7 @@ import pytest
 import gzip
 
 from conftest import drop_arrays, write_idx_images, write_idx_labels
+from memdenoise import cli
 from memdenoise.cli import (
     DEFAULT_CONFIG,
     DENSE_RATE_OVERRIDES,
@@ -22,6 +23,7 @@ from memdenoise.cli import (
     CliError,
     build_parser,
     config_hash,
+    load_dataset,
     load_net,
     main,
     merge_config,
@@ -30,7 +32,8 @@ from memdenoise.cli import (
 from memdenoise.baselines import FilterSpec
 from memdenoise.classify import Classifier
 from memdenoise.device import DeviceModel
-from memdenoise.nets.dense import DenseDenoiser
+from memdenoise.nets.cnn import cnn_train
+from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init
 from memdenoise.noise import STANDARD_NOISES, parse_spec
 
@@ -437,6 +440,107 @@ class TestTrainCommand:
         assert main(argv) == 0
         kind, _ = load_net(os.path.join(out, "cnn_gaussian_0.1.bin"))
         assert kind == "cnn"
+
+
+def serial_bank(argv, outdir):
+    """Checkpoints and train_log.csv of a bank trained one member at a
+    time in this process, calling the trainers directly."""
+    config = parse_to_config(argv + ["--outdir", str(outdir)])
+    data = load_dataset(config, "train")
+    trainer = {"dense": dense_train, "cnn": cnn_train}[config["net"]]
+    stamp = f"{config_hash(config)},{config['seed']}"
+    log = ["net,noise,epoch,rmse,config,seed"]
+    outdir.mkdir()
+    paths = []
+    for text in config["noises"]:
+        text = parse_spec(text).text()
+        net = trainer(resolved_train_config(config, text), data)
+        paths.append(outdir / f"{config['net']}_{text.replace(':', '_')}.bin")
+        net.save(paths[-1])
+        log += [f"{config['net']},{text},{epoch},{rmse:.8g},{stamp}"
+                for epoch, rmse in enumerate(net.rmse_log, 1)]
+    paths.append(outdir / "train_log.csv")
+    paths[-1].write_text("\n".join(log) + "\n")
+    return paths
+
+
+def noise_flags(texts):
+    return [arg for text in texts for arg in ("--noise", text)]
+
+
+BANKS = {
+    "dense": ["--seed", "5", "--net", "dense", "--lr", "0.05", "--epochs",
+              "2", "--batch", "8", "--limit", "32",
+              *noise_flags(s.text() for s in STANDARD_NOISES)],
+    "cnn": ["--seed", "5", "--net", "cnn", "--lr", "0.05", "--epochs", "2",
+            "--batch", "4", "--limit", "10",
+            *noise_flags(["gaussian:0.1", "sp:0.25"])],
+}
+
+
+class TestBankTraining:
+    # Members train in forked workers (one per CPU, here forced to
+    # several) or, with one CPU, in this process; both give the bytes
+    # of a serial loop over the members.
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("net", sorted(BANKS))
+    def test_bank_equals_serial_loop(self, corpus, capsys, monkeypatch,
+                                     tmp_path, net, cpus):
+        argv = ["train", "--data", corpus, *BANKS[net]]
+        want = serial_bank(argv, tmp_path / "serial")
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        out = tmp_path / "bank"
+        assert main(argv + ["--outdir", str(out)]) == 0
+        got = [out / p.name for p in want]
+        assert sorted(os.listdir(out)) == sorted(p.name for p in want)
+        for a, b in zip(want, got):
+            assert a.read_bytes() == b.read_bytes(), b.name
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {p}" for p in got]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_only_second_member_diverges(self, corpus, capsys, monkeypatch,
+                                         tmp_path, cpus):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        argv = ["train", "--data", corpus, "--outdir", str(tmp_path),
+                "--seed", "5", "--net", "dense", "--lr", "0.17",
+                "--epochs", "3", "--batch", "8", "--limit", "32",
+                "--noise", "poisson:2.5", "--noise", "gaussian:0.1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        # at this rate poisson's epoch RMSE peaks at 1.05 x its first,
+        # gaussian's reaches 3.2 x at epoch 2
+        assert "dense gaussian:0.1 diverged at epoch 2" in err[0]
+        assert "poisson" not in err[0]
+        assert not (tmp_path / "train_log.csv").exists()
+
+    def test_dead_worker_is_one_line_naming_member(self, corpus, capsys,
+                                                   monkeypatch, tmp_path):
+        def dies(cfg, data):
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setitem(cli._TRAINERS, "dense", dies)
+        argv = ["train", "--data", corpus, "--outdir", str(tmp_path),
+                "--seed", "5", "--net", "dense", "--noise", "gaussian:0.1",
+                "--noise", "sp:0.1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: training dense gaussian:0.1: a worker "
+                       "process died\n")
+
+    def test_bad_setting_exits_before_any_member_trains(
+            self, corpus, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        argv = ["train", "--data", corpus, "--outdir", str(tmp_path / "out"),
+                "--seed", "5", "--net", "dense", "--noise", "gaussian:0.1",
+                "--noise", "sp:0.1", "--batch", "0"]
+        assert main(argv) == 2
+        assert "batch" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def eval_args(corpus, ckpt, out, extra=()):

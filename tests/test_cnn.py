@@ -299,6 +299,16 @@ class TestTraining:
         net = cnn_train(cfg, ds, kernels=2)
         assert net.rmse_log[1] <= 2.0 * net.rmse_log[0]
 
+    @pytest.mark.parametrize("lr", [1e10, 1e300])
+    def test_runaway_first_epoch_diverges(self, rng, lr):
+        ds = self.make_dataset(rng)
+        cfg = TrainConfig(parse_spec("gaussian:0.1"), learning_rate=lr,
+                          epochs=1, batch=4, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDivergence) as info:
+            cnn_train(cfg, ds, kernels=2)
+        assert info.value.epoch == 1 and len(info.value.rmse_log) == 1
+
     def test_train_noise_recorded(self, rng):
         ds = self.make_dataset(rng)
         cfg = TrainConfig(parse_spec("sp:0.1"), learning_rate=0.0, epochs=1,

@@ -114,6 +114,13 @@ class TestProgram:
         with pytest.raises(ValueError, match=r"\(2, 3\)"):
             program(w, DeviceModel())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_index(self, bad):
+        w = np.zeros((4, 4))
+        w[1, 2] = bad
+        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+            program(w, DeviceModel())
+
     def test_requires_matrix(self):
         with pytest.raises(ValueError):
             program(np.zeros(5), DeviceModel())
@@ -357,6 +364,20 @@ class TestTiledMatrixValidation:
             TiledMatrix(g, g, prune_mask=np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):
             TiledMatrix(g, g, input_dropout_mask=np.zeros(2, dtype=bool))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300,
+                                     1.0 + 2 ** -52, 1e308])
+    @pytest.mark.parametrize("side", ["g_pos", "g_neg"])
+    def test_conductances_outside_window_rejected(self, bad, side):
+        g = {"g_pos": np.full((3, 2), 0.5), "g_neg": np.zeros((3, 2))}
+        g[side][2, 1] = bad
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            TiledMatrix(g["g_pos"], g["g_neg"])
+
+    def test_window_edges_accepted(self):
+        m = TiledMatrix(np.ones((2, 2)), np.zeros((2, 2)))
+        assert m.effective_weights().tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert TiledMatrix(np.zeros((0, 3)), np.zeros((0, 3))).rows == 0
 
     def test_arrays_frozen(self, rng):
         m = program(rng.uniform(0.0, 1.0, size=(4, 4)), DeviceModel())

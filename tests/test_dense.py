@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from memdenoise.device import DeviceModel
-from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
+from memdenoise.nets.common import (MAX_GAIN, TrainConfig, TrainingDivergence,
                                     corrupt_plane, plane_samples, pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.noise import parse_spec
@@ -22,6 +24,27 @@ class TestHelpers:
         assert pow2_scale(0.6) == 1.0
         assert pow2_scale(1.0) == 1.0
         assert pow2_scale(1.3) == 2.0
+        assert pow2_scale(MAX_GAIN) == MAX_GAIN == 2.0 ** 64
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.7e308,
+                                     2.0 ** 64 * (1 + 2 ** -52)])
+    def test_pow2_scale_rejects_non_finite_and_huge(self, bad):
+        with pytest.raises(ValueError, match="readout gain"):
+            pow2_scale(bad)
+
+    def test_divergence_pickles_whole(self):
+        e = TrainingDivergence(3, 2.5, 1.0, [1.0, 1.5, 2.5],
+                               member="dense sp:0.1")
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is TrainingDivergence
+        assert (back.epoch, back.rmse, back.initial_rmse, back.rmse_log,
+                back.member) == (3, 2.5, 1.0, [1.0, 1.5, 2.5], "dense sp:0.1")
+        assert str(back) == str(e)
+        assert str(e).startswith("dense sp:0.1 diverged at epoch 3: ")
+        bare = TrainingDivergence(1, 2.0, 0.5, [2.0])
+        bare = pickle.loads(pickle.dumps(bare))
+        assert bare.member == ""
+        assert str(bare).startswith("diverged at epoch 1")
 
     def test_plane_samples_grayscale(self, rng):
         imgs = rng.random((3, 4, 5))
@@ -67,6 +90,21 @@ class TestDenseDenoiser:
     def test_weight_shape_checked(self):
         with pytest.raises(ValueError):
             DenseDenoiser(np.zeros((64, 64)), 1.0, (8, 8))
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0,
+                                       2.0 ** 65, 1e308])
+    def test_scale_must_be_finite_positive_gain(self, scale):
+        with pytest.raises(ValueError, match="readout gain"):
+            DenseDenoiser(np.zeros((5, 4)), scale, (2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -1.5])
+    def test_weights_must_fit_the_gain(self, bad):
+        weights = np.zeros((5, 4))
+        weights[4, 3] = bad
+        with pytest.raises(ValueError, match="exceed the readout gain"):
+            DenseDenoiser(weights, 1.0, (2, 2))
+        weights[4, 3] = 1.0
+        assert DenseDenoiser(weights, 1.0, (2, 2)).scale == 1.0
 
     def test_forward_shape_checked(self, rng):
         net = DenseDenoiser.identity(8, 8)
@@ -238,6 +276,21 @@ class TestTraining:
         assert info.value.rmse > 2.0 * info.value.initial_rmse
         assert len(info.value.rmse_log) == info.value.epoch
 
+    @pytest.mark.parametrize("lr", [1e10, 1e300])
+    @pytest.mark.parametrize("device_in_loop", [False, True])
+    def test_runaway_first_epoch_diverges(self, rng, lr, device_in_loop):
+        # One epoch at an absurd rate: weights beyond any readout gain
+        # (1e10) or a NaN RMSE (1e300) diverge instead of yielding a net.
+        ds = tiny_dataset(rng)
+        cfg = TrainConfig(parse_spec("gaussian:0.1"), learning_rate=lr,
+                          epochs=1, batch=4, seed=1,
+                          device=DeviceModel(levels=16),
+                          device_in_loop=device_in_loop)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDivergence) as info:
+            dense_train(cfg, ds)
+        assert info.value.epoch == 1 and len(info.value.rmse_log) == 1
+
     def test_limit_restricts_training_set(self, rng):
         ds = tiny_dataset(rng, n=24)
         spec = parse_spec("gaussian:0.1")
@@ -269,3 +322,64 @@ class TestTraining:
         # weights passed through the 16-level grid at the last epoch end
         grid = np.round(net.weights / net.scale * 15) / 15 * net.scale
         np.testing.assert_allclose(net.weights, grid, atol=1e-12)
+
+
+def allocating_dense_train(cfg, data):
+    """(weights, rmse_log) of the delta-rule loop with fresh temporaries.
+
+    The oracle for dense_train's in-place buffers: every step allocates
+    its result, as the loop did before it was buffered.
+    """
+    clean, shape = plane_samples(data.images)
+    if cfg.limit is not None:
+        clean = clean[:cfg.limit]
+    n, p = clean.shape
+    weights = np.zeros((p + 1, p))
+    if cfg.init == "identity":
+        weights[:p] = np.eye(p)
+    rng = np.random.default_rng([cfg.seed, 0x5F])
+    rmse_log = []
+    for epoch in range(1, cfg.epochs + 1):
+        eta = cfg.learning_rate / np.sqrt(epoch)
+        perm = rng.permutation(n)
+        sq_sum = 0.0
+        for start in range(0, n, cfg.batch):
+            idx = perm[start:start + cfg.batch]
+            noisy = np.stack([
+                corrupt_plane(clean[i], shape, cfg.train_noise,
+                              [cfg.seed, epoch, int(i)]) for i in idx])
+            x = np.hstack([noisy, np.ones((len(idx), 1))])
+            err = clean[idx] - x @ weights
+            sq_sum += float(np.sum(err * err))
+            if eta != 0.0:
+                weights += (eta / len(idx)) * (x.T @ err)
+        rmse_log.append(float(np.sqrt(sq_sum / (n * p))))
+    return weights, rmse_log
+
+
+class TestBufferedDeltaRule:
+    @pytest.mark.parametrize("n, batch, lr, init", [
+        (37, 8, 0.02, "zero"),       # tail batch of 5
+        (37, 64, 0.02, "zero"),      # batch > n: one short batch per epoch
+        (13, 1, 0.01, "identity"),   # plain online rule, 1-row products
+        (24, 4, 0.0, "identity"),    # lr 0: no update, rmse only
+        (30, 7, 0.05, "zero"),
+    ])
+    @pytest.mark.parametrize("noise", ["gaussian:0.1", "sp:0.25"])
+    def test_bits_equal_allocating_loop(self, n, batch, lr, init, noise):
+        data = tiny_dataset(np.random.default_rng(n), n=n, h=7, w=9)
+        cfg = TrainConfig(parse_spec(noise), learning_rate=lr, epochs=3,
+                          batch=batch, seed=5, init=init)
+        net = dense_train(cfg, data)
+        weights, rmse_log = allocating_dense_train(cfg, data)
+        assert net.rmse_log == rmse_log
+        assert net.weights.tobytes() == weights.tobytes()
+
+    def test_bits_equal_allocating_loop_at_mnist_size(self):
+        data = tiny_dataset(np.random.default_rng(9), n=70, h=28, w=28)
+        cfg = TrainConfig(parse_spec("poisson"), learning_rate=0.01,
+                          epochs=2, batch=64, seed=2, limit=69)
+        net = dense_train(cfg, data)
+        weights, rmse_log = allocating_dense_train(cfg, data)
+        assert net.rmse_log == rmse_log
+        assert net.weights.tobytes() == weights.tobytes()

@@ -5,7 +5,8 @@ from memdenoise import crossbar
 from memdenoise.device import DeviceModel
 from memdenoise.imagecore import Dataset
 from memdenoise.nets.cnn import unfold_stack
-from memdenoise.nets.common import (TrainConfig, chunk_planes, plane_samples,
+from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
+                                    chunk_planes, plane_samples,
                                     pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init, fusion_train
@@ -249,6 +250,16 @@ class TestTraining:
         fused = fusion_train(cfg, nets, ds)
         assert fused.rmse_log[-1] < fused.rmse_log[0]
         assert len(fused.rmse_log) == 3
+
+    @pytest.mark.parametrize("lr", [1e30, 1e300])
+    def test_runaway_first_epoch_diverges(self, rng, lr):
+        nets, ds = member_bank(rng)
+        cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=lr,
+                          epochs=1, batch=4, seed=6, init="zero")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDivergence) as info:
+            fusion_train(cfg, nets, ds)
+        assert info.value.epoch == 1 and len(info.value.rmse_log) == 1
 
     def test_zero_epochs_returns_init_kernel(self, rng):
         nets, ds = member_bank(rng)

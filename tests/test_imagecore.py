@@ -188,6 +188,38 @@ class TestPortableImages:
         with pytest.raises(TruncatedFileError):
             read_image(path)
 
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 4, 3)])
+    def test_every_cut_is_truncation_naming_path(self, tmp_path, rng, shape):
+        # P5 (grayscale) and P6 (RGB): cut inside the header, between the
+        # header and the pixels, and inside the pixels.
+        path = tmp_path / "cut.pnm"
+        write_image(rng.random(shape), path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(TruncatedFileError) as info:
+                read_image(path)
+            assert str(path) in str(info.value), cut
+        path.write_bytes(blob)
+        assert read_image(path).shape == shape
+
+    @pytest.mark.parametrize("header", [
+        b"P5\nx 2\n255\n", b"P5\n2 -2\n255\n", b"P5\n2 2\n2.5\n",
+        b"P6\n+2 2\n255\n", b"P5\n2 2\n0\n", b"P5\n2 2\n256\n",
+        b"P5\n2 2\n65535\n", b"P7\n2 2\n255\n", b"\x00\x01\x02 ",
+    ])
+    def test_bad_header_is_bad_magic_naming_path(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(BadMagicError) as info:
+            read_image(path)
+        assert str(path) in str(info.value)
+
+    def test_low_maxval_scales(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 1\n1\n\x00\x01")
+        np.testing.assert_array_equal(read_image(path), [[0.0, 1.0]])
+
     def test_bad_image_shape(self, tmp_path):
         with pytest.raises(ValueError):
             write_image(np.zeros((2, 2, 4)), tmp_path / "b.pgm")
