@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .nets.common import TrainConfig, TrainingDivergence, plane_samples
+from .nets.common import (MAX_GAIN, TrainConfig, TrainingDivergence,
+                          plane_samples)
 from .noise import NoiseSpec, corrupt_dataset
 
 ACCURACY_CSV_HEADER = "noise,condition,accuracy,n"
@@ -64,6 +65,9 @@ class Classifier:
                     self.w1.shape, self.b1.shape, self.w2.shape,
                     self.b2.shape, self.shape))
         for a in (self.w1, self.b1, self.w2, self.b2):
+            if not np.abs(a).max(initial=0.0) <= MAX_GAIN:  # NaN too
+                raise ValueError("classifier weights must be finite and "
+                                 "within 2**64")
             a.setflags(write=False)
 
     @classmethod

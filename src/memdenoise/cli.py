@@ -11,6 +11,10 @@ fuse      assemble and train the fusion stage from member checkpoints
 
 Exit codes: 0 success, 2 validation error, 3 training divergence.
 
+train's bank members, eval's report rows and sweep's variants run in
+one fork pool (_fork_map), one worker per available CPU; outputs are
+byte-identical to running them one after another.
+
 Configuration is a JSON document merged with command-line flags (flags
 win).  All keys are optional except `seed`.  Schema, with defaults:
 
@@ -305,20 +309,10 @@ def _quality_csv(rows, stamp):
 
 def _rows_json(config, rows):
     return json.dumps({"config": config_hash(config), "seed": config["seed"],
-                       "rows": [json.loads(row.to_json()) for row in rows]},
-                      indent=2) + "\n"
+                       "rows": rows}, indent=2) + "\n"
 
 
 _TRAINERS = {"dense": dense_train, "cnn": cnn_train}
-
-# The training split a forked bank worker inherited; set only inside
-# workers, by _inherit.
-_worker_data = None
-
-
-def _inherit(data):
-    global _worker_data
-    _worker_data = data
 
 
 def _member_path(config, noise_text):
@@ -326,15 +320,11 @@ def _member_path(config, noise_text):
                         f"{config['net']}_{_safe(noise_text)}.bin")
 
 
-def _train_member(config, cfg, data=None):
-    """Train and save one member of a bank; its RMSE log.
-
-    A forked worker passes no data and trains on the split it inherited.
-    """
+def _train_member(config, cfg, data):
+    """Train and save one member of a bank; its RMSE log."""
     text = cfg.train_noise.text()
     try:
-        net = _TRAINERS[config["net"]](
-            cfg, _worker_data if data is None else data)
+        net = _TRAINERS[config["net"]](cfg, data)
     except TrainingDivergence as e:
         raise TrainingDivergence(e.epoch, e.rmse, e.initial_rmse, e.rmse_log,
                                  member=f"{config['net']} {text}") from None
@@ -348,36 +338,42 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _train_members(config, data, cfgs):
-    """RMSE logs of the members cfgs describes, each trained and saved.
+# The (fn, items) of the open _fork_map pool; its forked workers inherit
+# it, so neither is ever pickled.
+_task = None
 
-    Members train in worker processes, one per available CPU. They are
-    forked, not spawned, so the data reach them without being pickled
-    (the MNIST train split is 376 MB as float64); training starts no
-    threads before the fork. The first member to fail, in cfgs order,
-    raises its error here. With one worker the members train in this
-    process.
+
+def _run_task(index):
+    fn, items = _task
+    return fn(items[index])
+
+
+def _fork_map(fn, items, name):
+    """[fn(item) for item in items], run by up to one worker per CPU.
+
+    Workers are forked, so fn and what it closes over (a 376 MB MNIST
+    train split, say) reach them unpickled; callers start no threads
+    first. With one worker the items run in this process. The first item
+    to fail, in input order, raises its own error here, and a dead worker
+    a CliError naming name(item); pending items are then cancelled.
     """
-    workers = min(len(cfgs), _cpus())
-    if workers == 1:
-        return [_train_member(config, cfg, data) for cfg in cfgs]
-    with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
-                             initializer=_inherit, initargs=(data,)) as pool:
-        futures = [pool.submit(_train_member, config, cfg) for cfg in cfgs]
-        try:
-            logs = []
-            for future, cfg in zip(futures, cfgs):
-                try:
-                    logs.append(future.result())
-                except BrokenProcessPool:
-                    raise CliError(
-                        f"training {config['net']} "
-                        f"{cfg.train_noise.text()}: a worker process died"
-                    ) from None
-            return logs
-        finally:
-            for future in futures:  # after a failure, start no more members
-                future.cancel()
+    global _task
+    workers = min(len(items), _cpus())
+    if workers <= 1:
+        return [fn(item) for item in items]
+    _task, results = (fn, items), []
+    pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_task, i) for i in range(len(items))]
+        for future in futures:
+            results.append(future.result())
+        return results
+    except BrokenProcessPool:
+        raise CliError(f"{name(items[len(results)])}: a worker process "
+                       "died") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _task = None
 
 
 def member_bank(config):
@@ -428,7 +424,10 @@ def cmd_train(config):
         texts = [spec.text() for spec in specs]
         cfgs = [resolved_train_config(config, text) for text in texts]
         os.makedirs(config["outdir"], exist_ok=True)
-        for text, rmse_log in zip(texts, _train_members(config, data, cfgs)):
+        logs = _fork_map(
+            lambda cfg: _train_member(config, cfg, data), cfgs,
+            lambda cfg: f"training {config['net']} {cfg.train_noise.text()}")
+        for text, rmse_log in zip(texts, logs):
             written.append(_member_path(config, text))
             for epoch, rmse in enumerate(rmse_log, 1):
                 log.append(f"{config['net']},{text},{epoch},"
@@ -456,52 +455,59 @@ def _eval_pipelines(config):
 
 def cmd_eval(config):
     data = load_dataset(config, "test").subset(config["eval_limit"])
-    pipelines = _eval_pipelines(config)
-    written, rows = [], []
-    dump_root = os.path.join(config["outdir"], "images")
-    for spec in parse_noises(config):
-        # Noisy rows score the corruption exactly as the noise operator
-        # emits it; analog pipelines clamp at their own input stage.
-        if spec is None:
-            noisy, text = data.images.copy(), "none"
-        else:
-            noisy = corrupt_dataset(data.images, spec, config["seed"])
-            text = spec.text()
-        rows.append(metrics.evaluate_pairs(data.images, noisy, text, "noisy"))
-        outputs = [("noisy", noisy)]
-        for method, forward in pipelines:
-            denoised = forward(noisy)
-            rows.append(metrics.evaluate_pairs(data.images, denoised, text,
-                                               method))
-            outputs.append((method, denoised))
-        for i in range(min(config["dump"], len(data.images))):
-            base = os.path.join(dump_root, _safe(text))
-            os.makedirs(base, exist_ok=True)
-            for name, stack in [("clean", data.images)] + outputs:
-                path = os.path.join(base, f"{_safe(name)}_{i}.pgm")
-                write_image(stack[i], path)
-                written.append(path)
+    methods = [("noisy", None)] + _eval_pipelines(config)
+    # Noisy rows score the corruption exactly as the noise operator
+    # emits it; analog pipelines clamp at their own input stage.
+    noisy = [("none", data.images.copy()) if spec is None
+             else (spec.text(),
+                   corrupt_dataset(data.images, spec, config["seed"]))
+             for spec in parse_noises(config)]
+    dumps = range(min(config["dump"], len(data.images)))
+
+    def dump_path(text, name, i):
+        return os.path.join(config["outdir"], "images", _safe(text),
+                            f"{_safe(name)}_{i}.pgm")
+
+    def score(row):
+        # One report row; the task that makes the stack dumps it.
+        (text, stack), (method, forward) = row
+        if forward is not None:
+            stack = forward(stack)
+        for i in dumps:
+            write_image(stack[i], dump_path(text, method, i))
+        return metrics.evaluate_pairs(data.images, stack, text, method)
+
+    written = []
+    for text, _ in noisy:
+        for i in dumps:
+            os.makedirs(os.path.dirname(dump_path(text, "clean", i)),
+                        exist_ok=True)
+            write_image(data.images[i], dump_path(text, "clean", i))
+            written += [dump_path(text, name, i)
+                        for name, _ in [("clean", None)] + methods]
+    rows = _fork_map(score, [(n, m) for n in noisy for m in methods],
+                     lambda row: f"eval {row[0][0]} {row[1][0]}")
     stamp = f"{config_hash(config)},{config['seed']}"
     _write(os.path.join(config["outdir"], "eval.csv"),
            _quality_csv(rows, stamp), written)
     if config["json"]:
         _write(os.path.join(config["outdir"], "eval.json"),
-               _rows_json(config, rows), written)
+               _rows_json(config, [json.loads(r.to_json()) for r in rows]),
+               written)
     return written
 
 
-def _sweep_variants(net, grids, seed):
-    """(param, value, net) of every sweep point, each built when asked for."""
-    yield "ideal", "", net
-    for L in grids["levels"]:
-        yield "levels", L, net.reprogram(DeviceModel(levels=L), seed=seed)
-    for s in grids["sigma"]:
-        yield "sigma", s, net.reprogram(DeviceModel(variation_sigma=s),
-                                        seed=seed)
-    for f in grids["dropout"]:
-        yield "dropout", f, net.with_sparsity(f, 0.0, seed=seed)
-    for f in grids["prune"]:
-        yield "prune", f, net.with_sparsity(0.0, f, seed=seed)
+def _sweep_variant(net, param, value, seed):
+    """net at one sweep point, built from net and seed alone."""
+    if param == "levels":
+        return net.reprogram(DeviceModel(levels=value), seed=seed)
+    if param == "sigma":
+        return net.reprogram(DeviceModel(variation_sigma=value), seed=seed)
+    if param == "dropout":
+        return net.with_sparsity(value, 0.0, seed=seed)
+    if param == "prune":
+        return net.with_sparsity(0.0, value, seed=seed)
+    return net
 
 
 def cmd_sweep(config):
@@ -517,20 +523,23 @@ def cmd_sweep(config):
     noisy = [(spec.text(), np.clip(
         corrupt_dataset(data.images, spec, config["seed"]), 0.0, 1.0))
         for spec in specs]
-    # One variant programmed at a time, scored on every noise, then
-    # released; rows are emitted noise-major.
-    reports = [[] for _ in specs]
-    for param, value, variant in _sweep_variants(net, config["sweep"],
-                                                 config["seed"]):
-        for per_noise, (text, stack) in zip(reports, noisy):
-            per_noise.append((param, value, metrics.evaluate_pairs(
-                data.images, variant.forward_stack(stack), text, "dense")))
-        del variant
+    points = [("ideal", "")] + [(p, v) for p in ("levels", "sigma", "dropout",
+                                                 "prune")
+                                for v in config["sweep"][p]]
+
+    def score(point):
+        # Each task programs its own variant and scores it on every noise.
+        variant = _sweep_variant(net, *point, config["seed"])
+        return [metrics.evaluate_pairs(data.images, variant.forward_stack(stack),
+                                       text, "dense") for text, stack in noisy]
+
+    reports = _fork_map(score, points,
+                        lambda point: f"sweep {point[0]} {point[1]}".rstrip())
     stamp = f"{config_hash(config)},{config['seed']}"
     lines = ["param,value," + metrics.CSV_HEADER + ",config,seed"]
     rows = []
-    for per_noise in reports:
-        for param, value, report in per_noise:
+    for per_noise in zip(*reports):  # rows are emitted noise-major
+        for (param, value), report in zip(points, per_noise):
             rows.append({"param": param, "value": value,
                          "row": json.loads(report.to_json())})
             lines.append(f"{param},{value},{report.csv_row()},{stamp}")
@@ -538,10 +547,8 @@ def cmd_sweep(config):
     _write(os.path.join(config["outdir"], "sweep.csv"),
            "\n".join(lines) + "\n", written)
     if config["json"]:
-        payload = json.dumps({"config": config_hash(config),
-                              "seed": config["seed"], "rows": rows},
-                             indent=2) + "\n"
-        _write(os.path.join(config["outdir"], "sweep.json"), payload, written)
+        _write(os.path.join(config["outdir"], "sweep.json"),
+               _rows_json(config, rows), written)
     return written
 
 
@@ -554,41 +561,33 @@ def cmd_cost(config):
             budget = hwcost.ComponentBudget.from_mapping(overrides)
         except (OSError, json.JSONDecodeError, TypeError, ValueError) as e:
             raise CliError(f"bad budget file: {e}")
-    if config["net"] == "dense":
-        point = hwcost.DesignPoint.for_dense(
-            mode=config["mode"], phase=config["phase"])
-    elif config["net"] == "cnn":
-        point = hwcost.DesignPoint.for_cnn(
-            mode=config["mode"], phase=config["phase"])
-    else:
+    design = {"dense": hwcost.DesignPoint.for_dense,
+              "cnn": hwcost.DesignPoint.for_cnn}.get(config["net"])
+    if design is None:
         raise CliError("cost covers dense and cnn design points")
+    point = design(mode=config["mode"], phase=config["phase"])
+    estimate = (hwcost.estimate_training if config["phase"] == "training"
+                else hwcost.estimate)
     try:
-        if config["phase"] == "training":
-            report = hwcost.estimate_training(point, budget)
-        else:
-            report = hwcost.estimate(point, budget)
+        report = estimate(point, budget)
     except (ValueError, hwcost.FabricExceededError) as e:
         raise CliError(str(e))
     print(hwcost.format_report_table([report]))
     written = []
     if config["json"]:
-        payload = json.loads(hwcost.reports_to_json([report]))
-        text = json.dumps({"config": config_hash(config),
-                           "seed": config["seed"], "rows": payload},
-                          indent=2) + "\n"
-        _write(os.path.join(config["outdir"], "cost.json"), text, written)
+        rows = json.loads(hwcost.reports_to_json([report]))
+        _write(os.path.join(config["outdir"], "cost.json"),
+               _rows_json(config, rows), written)
     return written
 
 
 def cmd_classify(config):
-    train_split = None
     if config["classifier"] is not None:
         clf = _read_checkpoint(Classifier.load, config["classifier"])
     else:
-        train_split = load_dataset(config, "train")
-        clf = train_classifier(
-            train_split, TrainConfig(train_noise=None, learning_rate=0.1,
-                                     epochs=5, batch=64, seed=config["seed"]))
+        clf = train_classifier(load_dataset(config, "train"), TrainConfig(
+            train_noise=None, learning_rate=0.1, epochs=5, batch=64,
+            seed=config["seed"]))
     data = load_dataset(config, "test").subset(config["eval_limit"])
     denoiser = None
     if config["checkpoint"] is not None:
@@ -613,12 +612,8 @@ def cmd_classify(config):
     _write(os.path.join(config["outdir"], "classify.csv"),
            "\n".join(lines) + "\n", written)
     if config["json"]:
-        payload = json.dumps({"config": config_hash(config),
-                              "seed": config["seed"],
-                              "rows": [row.to_json() for row in rows]},
-                             indent=2) + "\n"
         _write(os.path.join(config["outdir"], "classify.json"),
-               payload, written)
+               _rows_json(config, [row.to_json() for row in rows]), written)
     return written
 
 

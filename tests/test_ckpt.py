@@ -129,11 +129,15 @@ class TestHostileBytes:
         except ValueError as e:
             assert str(e).count(str(path)) == 1
         else:
-            if kind != "classifier":
-                # whatever loads denoises to finite values (and, with
-                # RuntimeWarnings as errors, without an overflow)
+            # whatever loads denoises or classifies to finite values (and,
+            # with RuntimeWarnings as errors, without an overflow)
+            if kind == "classifier":
+                out = net.logits(PROBE.reshape(len(PROBE), -1))
+                assert out.shape == (len(PROBE), 10)
+            else:
                 out = net.forward_stack(PROBE)
-                assert out.shape == PROBE.shape and np.isfinite(out).all()
+                assert out.shape == PROBE.shape
+            assert np.isfinite(out).all()
         try:
             load_net(str(path))
         except CliError as e:
@@ -180,7 +184,24 @@ NON_FINITE = [
     ("fusion", _set("g_neg", (4, 0), np.nan)),
     ("fusion", _set("members.0.g_pos", (2, 2), np.nan)),
     ("fusion", lambda meta, arrays: meta["members"][1].update(scale=1e300)),
+    ("classifier", _set("w1", (3, 2), np.nan)),
+    ("classifier", _set("b1", (1,), np.inf)),
+    ("classifier", _set("w2", (0, 9), -np.inf)),
+    # finite, but its logits would overflow
+    ("classifier", _set("b2", (4,), 1e300)),
 ]
+
+
+def tiny_test_split(tmp_path):
+    """A directory holding a 4-image 4 x 4 IDX test split."""
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(0)
+    write_idx_images(data / "t10k-images-idx3-ubyte",
+                     rng.integers(0, 256, (4, 4, 4), dtype=np.uint8))
+    write_idx_labels(data / "t10k-labels-idx1-ubyte",
+                     np.arange(4, dtype=np.uint8))
+    return data
 
 
 class TestNonFiniteValues:
@@ -200,18 +221,26 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize("value", [1.7e308, np.nan])
     def test_eval_exits_two(self, blobs, tmp_path, capsys, value):
         _, saved = blobs
-        data = tmp_path / "data"
-        data.mkdir()
-        rng = np.random.default_rng(0)
-        write_idx_images(data / "t10k-images-idx3-ubyte",
-                         rng.integers(0, 256, (4, 4, 4), dtype=np.uint8))
-        write_idx_labels(data / "t10k-labels-idx1-ubyte",
-                         np.arange(4, dtype=np.uint8))
+        data = tiny_test_split(tmp_path)
         path = tmp_path / "cnn.bin"
         path.write_bytes(saved["cnn"])
         rewritten(path, "cnn", _set("k1", (0, 0, 0), value))
         assert main(["eval", "--data", str(data), "--seed", "1",
                      "--checkpoint", str(path),
+                     "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count(str(path)) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_classify_exits_two(self, blobs, tmp_path, capsys, value):
+        _, saved = blobs
+        data = tiny_test_split(tmp_path)
+        path = tmp_path / "clf.bin"
+        path.write_bytes(saved["classifier"])
+        rewritten(path, "classifier", _set("w1", (0, 0), value))
+        assert main(["classify", "--data", str(data), "--seed", "1",
+                     "--classifier", str(path),
                      "--outdir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count(str(path)) == 1

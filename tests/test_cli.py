@@ -8,6 +8,7 @@ checked at the byte level on the emitted files.
 import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -29,13 +30,15 @@ from memdenoise.cli import (
     merge_config,
     resolved_train_config,
 )
-from memdenoise.baselines import FilterSpec
+from memdenoise.baselines import FilterSpec, filter_stack, parse_filter
 from memdenoise.classify import Classifier
 from memdenoise.device import DeviceModel
+from memdenoise.imagecore import write_image
+from memdenoise.metrics import CSV_HEADER, evaluate_pairs
 from memdenoise.nets.cnn import cnn_train
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init
-from memdenoise.noise import STANDARD_NOISES, parse_spec
+from memdenoise.noise import STANDARD_NOISES, corrupt_dataset, parse_spec
 
 
 @pytest.fixture(scope="module")
@@ -630,6 +633,244 @@ class TestSweepCommand:
         assert main(["sweep", "--data", corpus, "--seed", "5",
                      "--checkpoint", dense_ckpt, "--noise", "none",
                      "--outdir", str(tmp_path)]) == 2
+
+
+def serial_sweep(argv, outdir):
+    """sweep.csv and sweep.json of a sweep that scores one variant after
+    another in this process, each variant built from the checkpoint."""
+    config = parse_to_config(argv + ["--outdir", str(outdir)])
+    net = DenseDenoiser.load(config["checkpoint"])
+    data = load_dataset(config, "test").subset(config["eval_limit"])
+    seed, grids = config["seed"], config["sweep"]
+    variants = (
+        [("ideal", "", net)]
+        + [("levels", L, net.reprogram(DeviceModel(levels=L), seed=seed))
+           for L in grids["levels"]]
+        + [("sigma", s, net.reprogram(DeviceModel(variation_sigma=s),
+                                      seed=seed)) for s in grids["sigma"]]
+        + [("dropout", f, net.with_sparsity(f, 0.0, seed=seed))
+           for f in grids["dropout"]]
+        + [("prune", f, net.with_sparsity(0.0, f, seed=seed))
+           for f in grids["prune"]])
+    stamp = f"{config_hash(config)},{seed}"
+    lines = ["param,value," + CSV_HEADER + ",config,seed"]
+    rows = []
+    for text in config["noises"]:
+        spec = parse_spec(text)
+        noisy = np.clip(corrupt_dataset(data.images, spec, seed), 0.0, 1.0)
+        for param, value, variant in variants:
+            report = evaluate_pairs(data.images, variant.forward_stack(noisy),
+                                    spec.text(), "dense")
+            rows.append({"param": param, "value": value,
+                         "row": json.loads(report.to_json())})
+            lines.append(f"{param},{value},{report.csv_row()},{stamp}")
+    outdir.mkdir()
+    (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "sweep.json").write_text(json.dumps(
+        {"config": config_hash(config), "seed": seed, "rows": rows},
+        indent=2) + "\n")
+    return [outdir / "sweep.csv", outdir / "sweep.json"]
+
+
+def serial_eval(argv, outdir):
+    """The files an eval writes, in `wrote` order, from a loop that scores
+    one report row after another in this process."""
+    config = parse_to_config(argv + ["--outdir", str(outdir)])
+    data = load_dataset(config, "test").subset(config["eval_limit"])
+    kind, net = load_net(config["checkpoint"])
+    filters = [parse_filter(text) for text in config["filters"]]
+    methods = ([("noisy", lambda stack: stack), (kind, net.forward_stack)]
+               + [(f.text(), lambda stack, f=f: filter_stack(stack, f))
+                  for f in filters])
+    stamp = f"{config_hash(config)},{config['seed']}"
+    lines, rows, paths = [CSV_HEADER + ",config,seed"], [], []
+    for text in config["noises"]:
+        if text == "none":
+            noisy = data.images.copy()
+        else:
+            spec = parse_spec(text)
+            text = spec.text()
+            noisy = corrupt_dataset(data.images, spec, config["seed"])
+        outputs = [("clean", data.images)]
+        for method, forward in methods:
+            stack = forward(noisy)
+            report = evaluate_pairs(data.images, stack, text, method)
+            lines.append(report.csv_row() + "," + stamp)
+            rows.append(json.loads(report.to_json()))
+            outputs.append((method, stack))
+        base = outdir / "images" / text.replace(":", "_")
+        base.mkdir(parents=True)
+        for i in range(config["dump"]):
+            for name, stack in outputs:
+                paths.append(base / f"{name.replace(':', '_')}_{i}.pgm")
+                write_image(stack[i], paths[-1])
+    (outdir / "eval.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "eval.json").write_text(json.dumps(
+        {"config": config_hash(config), "seed": config["seed"],
+         "rows": rows}, indent=2) + "\n")
+    return paths + [outdir / "eval.csv", outdir / "eval.json"]
+
+
+def files_under(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, names in os.walk(root) for f in names)
+
+
+GRIDS = ["--levels-grid", "16,4,2", "--sigma-grid", "0.05,0.2",
+         "--dropout-grid", "0.1,0.2", "--prune-grid", "0.1,0.2,0.3"]
+
+
+def sweep_argv(corpus, ckpt, *extra):
+    return ["sweep", "--data", corpus, "--seed", "5", "--checkpoint", ckpt,
+            "--noise", "gaussian:0.1", "--noise", "sp:0.25", *extra]
+
+
+class TestParallelRuns:
+    # Sweep variants and eval rows run in forked workers (one per CPU,
+    # here forced to several) or, with one CPU, in this process; both
+    # give the bytes of a serial loop.
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_sweep_equals_serial_loop(self, corpus, dense_ckpt, capsys,
+                                      monkeypatch, tmp_path, cpus):
+        argv = sweep_argv(corpus, dense_ckpt, *GRIDS, "--json")
+        want = serial_sweep(argv, tmp_path / "serial")
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        out = tmp_path / "sweep"
+        assert main(argv + ["--outdir", str(out)]) == 0
+        assert files_under(out) == ["sweep.csv", "sweep.json"]
+        for path in want:
+            assert (out / path.name).read_bytes() == path.read_bytes()
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / p.name}" for p in want]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_eval_equals_serial_loop(self, corpus, dense_ckpt, capsys,
+                                     monkeypatch, tmp_path, cpus):
+        argv = ["eval", "--data", corpus, "--seed", "5", "--checkpoint",
+                dense_ckpt, "--filter", "median:3", "--filter", "tv:0.1",
+                "--noise", "none", "--noise", "gaussian:0.1", "--dump", "2",
+                "--json"]
+        ref = tmp_path / "serial"
+        want = serial_eval(argv, ref)
+        assert len(want) == 2 * 2 * 5 + 2
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        out = tmp_path / "eval"
+        assert main(argv + ["--outdir", str(out)]) == 0
+        assert files_under(out) == files_under(ref)
+        for path in want:
+            got = out / path.relative_to(ref)
+            assert got.read_bytes() == path.read_bytes(), got
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / p.relative_to(ref)}" for p in want]
+
+    @pytest.mark.parametrize("lone, prefix", [
+        (["--prune-grid", "0.2"], "prune,0.2,"),
+        (["--levels-grid", "4"], "levels,4,")])
+    def test_variant_depends_on_checkpoint_and_seed_alone(
+            self, corpus, dense_ckpt, tmp_path, lone, prefix):
+        def rows(name, grids):
+            out = tmp_path / name
+            assert main(sweep_argv(corpus, dense_ckpt, *grids,
+                                   "--outdir", str(out))) == 0
+            lines = (out / "sweep.csv").read_text().splitlines()
+            # without the config hash and seed, which differ by grid
+            return [line.rsplit(",", 2)[0] for line in lines
+                    if line.startswith(prefix)]
+
+        alone = rows("alone", lone)
+        assert len(alone) == 2
+        assert rows("all", GRIDS) == alone
+
+    def test_dead_sweep_worker_is_one_line_naming_variant(
+            self, corpus, dense_ckpt, capsys, monkeypatch, tmp_path):
+        def dies(net, param, value, seed):
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_sweep_variant", dies)
+        argv = sweep_argv(corpus, dense_ckpt, "--levels-grid", "4",
+                          "--outdir", str(tmp_path))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: sweep ideal: a worker process "
+                                "died\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_dead_eval_worker_is_one_line_naming_row(
+            self, corpus, capsys, monkeypatch, tmp_path):
+        def dies(*args):
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli.metrics, "evaluate_pairs", dies)
+        assert main(["eval", "--data", corpus, "--seed", "5", "--noise",
+                     "gaussian:0.1", "--filter", "median:3",
+                     "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: eval gaussian:0.1 noisy: a worker process died\n")
+
+    def test_sweep_worker_cli_error_keeps_its_message(
+            self, corpus, dense_ckpt, capsys, monkeypatch, tmp_path):
+        build = cli._sweep_variant
+
+        def fails_at_levels(net, param, value, seed):
+            if param == "levels":
+                raise CliError(f"cannot program {value} levels")
+            return build(net, param, value, seed)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_sweep_variant", fails_at_levels)
+        argv = sweep_argv(corpus, dense_ckpt, "--levels-grid", "4,2",
+                          "--prune-grid", "0.1", "--outdir", str(tmp_path))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: cannot program 4 levels\n"
+
+    def test_eval_worker_value_error_keeps_its_type(
+            self, corpus, monkeypatch, tmp_path):
+        def fails(stack, spec):
+            raise ValueError(f"cannot filter with {spec.text()}")
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli.baselines, "filter_stack", fails)
+        with pytest.raises(ValueError) as info:
+            main(["eval", "--data", corpus, "--seed", "5", "--noise",
+                  "gaussian:0.1", "--filter", "median:3", "--filter",
+                  "gauss:0.8", "--outdir", str(tmp_path)])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "cannot filter with median:3"
+
+
+class TestForkMap:
+    def test_results_keep_input_order_and_come_from_workers(
+            self, monkeypatch):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        got = cli._fork_map(lambda i: (i * i, os.getpid()), list(range(6)),
+                            str)
+        assert [square for square, _ in got] == [0, 1, 4, 9, 16, 25]
+        assert os.getpid() not in {pid for _, pid in got}
+
+    @pytest.mark.parametrize("cpus, items", [(1, [1, 2, 3]), (4, [7])])
+    def test_one_worker_runs_in_this_process(self, monkeypatch, cpus, items):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        assert cli._fork_map(lambda i: (i, os.getpid()), items, str) == [
+            (i, os.getpid()) for i in items]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failure_in_input_order_raises(self, monkeypatch, cpus):
+        def fn(i):
+            if i == 1:
+                time.sleep(0.2)  # later items fail first
+                raise ValueError("item 1 failed")
+            if i > 1:
+                raise CliError(f"item {i} failed")
+            return i
+
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        with pytest.raises(ValueError) as info:
+            cli._fork_map(fn, [0, 1, 2, 3], str)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "item 1 failed"
 
 
 class TestClassifyCommand:
