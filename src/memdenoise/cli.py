@@ -11,9 +11,9 @@ fuse      assemble and train the fusion stage from member checkpoints
 
 Exit codes: 0 success, 2 validation error, 3 training divergence.
 
-train's bank members, eval's report rows and sweep's variants run in
-one fork pool (_fork_map), one worker per available CPU; outputs are
-byte-identical to running them one after another.
+train's bank members and sweep's variants run in one fork pool
+(_fork_map), one worker per available CPU; outputs are byte-identical
+to running them one after another.
 
 Configuration is a JSON document merged with command-line flags (flags
 win).  All keys are optional except `seed`.  Schema, with defaults:
@@ -455,38 +455,31 @@ def _eval_pipelines(config):
 
 def cmd_eval(config):
     data = load_dataset(config, "test").subset(config["eval_limit"])
-    methods = [("noisy", None)] + _eval_pipelines(config)
-    # Noisy rows score the corruption exactly as the noise operator
-    # emits it; analog pipelines clamp at their own input stage.
-    noisy = [("none", data.images.copy()) if spec is None
-             else (spec.text(),
-                   corrupt_dataset(data.images, spec, config["seed"]))
-             for spec in parse_noises(config)]
-    dumps = range(min(config["dump"], len(data.images)))
-
-    def dump_path(text, name, i):
-        return os.path.join(config["outdir"], "images", _safe(text),
-                            f"{_safe(name)}_{i}.pgm")
-
-    def score(row):
-        # One report row; the task that makes the stack dumps it.
-        (text, stack), (method, forward) = row
-        if forward is not None:
-            stack = forward(stack)
-        for i in dumps:
-            write_image(stack[i], dump_path(text, method, i))
-        return metrics.evaluate_pairs(data.images, stack, text, method)
-
-    written = []
-    for text, _ in noisy:
-        for i in dumps:
-            os.makedirs(os.path.dirname(dump_path(text, "clean", i)),
-                        exist_ok=True)
-            write_image(data.images[i], dump_path(text, "clean", i))
-            written += [dump_path(text, name, i)
-                        for name, _ in [("clean", None)] + methods]
-    rows = _fork_map(score, [(n, m) for n in noisy for m in methods],
-                     lambda row: f"eval {row[0][0]} {row[1][0]}")
+    pipelines = _eval_pipelines(config)
+    written, rows = [], []
+    dump_root = os.path.join(config["outdir"], "images")
+    for spec in parse_noises(config):
+        # Noisy rows score the corruption exactly as the noise operator
+        # emits it; analog pipelines clamp at their own input stage.
+        if spec is None:
+            noisy, text = data.images.copy(), "none"
+        else:
+            noisy = corrupt_dataset(data.images, spec, config["seed"])
+            text = spec.text()
+        rows.append(metrics.evaluate_pairs(data.images, noisy, text, "noisy"))
+        outputs = [("noisy", noisy)]
+        for method, forward in pipelines:
+            denoised = forward(noisy)
+            rows.append(metrics.evaluate_pairs(data.images, denoised, text,
+                                               method))
+            outputs.append((method, denoised))
+        for i in range(min(config["dump"], len(data.images))):
+            base = os.path.join(dump_root, _safe(text))
+            os.makedirs(base, exist_ok=True)
+            for name, stack in [("clean", data.images)] + outputs:
+                path = os.path.join(base, f"{_safe(name)}_{i}.pgm")
+                write_image(stack[i], path)
+                written.append(path)
     stamp = f"{config_hash(config)},{config['seed']}"
     _write(os.path.join(config["outdir"], "eval.csv"),
            _quality_csv(rows, stamp), written)
@@ -561,15 +554,19 @@ def cmd_cost(config):
             budget = hwcost.ComponentBudget.from_mapping(overrides)
         except (OSError, json.JSONDecodeError, TypeError, ValueError) as e:
             raise CliError(f"bad budget file: {e}")
-    design = {"dense": hwcost.DesignPoint.for_dense,
-              "cnn": hwcost.DesignPoint.for_cnn}.get(config["net"])
-    if design is None:
+    if config["net"] == "dense":
+        point = hwcost.DesignPoint.for_dense(
+            mode=config["mode"], phase=config["phase"])
+    elif config["net"] == "cnn":
+        point = hwcost.DesignPoint.for_cnn(
+            mode=config["mode"], phase=config["phase"])
+    else:
         raise CliError("cost covers dense and cnn design points")
-    point = design(mode=config["mode"], phase=config["phase"])
-    estimate = (hwcost.estimate_training if config["phase"] == "training"
-                else hwcost.estimate)
     try:
-        report = estimate(point, budget)
+        if config["phase"] == "training":
+            report = hwcost.estimate_training(point, budget)
+        else:
+            report = hwcost.estimate(point, budget)
     except (ValueError, hwcost.FabricExceededError) as e:
         raise CliError(str(e))
     print(hwcost.format_report_table([report]))
@@ -582,12 +579,14 @@ def cmd_cost(config):
 
 
 def cmd_classify(config):
+    train_split = None
     if config["classifier"] is not None:
         clf = _read_checkpoint(Classifier.load, config["classifier"])
     else:
-        clf = train_classifier(load_dataset(config, "train"), TrainConfig(
-            train_noise=None, learning_rate=0.1, epochs=5, batch=64,
-            seed=config["seed"]))
+        train_split = load_dataset(config, "train")
+        clf = train_classifier(
+            train_split, TrainConfig(train_noise=None, learning_rate=0.1,
+                                     epochs=5, batch=64, seed=config["seed"]))
     data = load_dataset(config, "test").subset(config["eval_limit"])
     denoiser = None
     if config["checkpoint"] is not None:

@@ -30,10 +30,9 @@ from memdenoise.cli import (
     merge_config,
     resolved_train_config,
 )
-from memdenoise.baselines import FilterSpec, filter_stack, parse_filter
+from memdenoise.baselines import FilterSpec
 from memdenoise.classify import Classifier
 from memdenoise.device import DeviceModel
-from memdenoise.imagecore import write_image
 from memdenoise.metrics import CSV_HEADER, evaluate_pairs
 from memdenoise.nets.cnn import cnn_train
 from memdenoise.nets.dense import DenseDenoiser, dense_train
@@ -672,45 +671,6 @@ def serial_sweep(argv, outdir):
     return [outdir / "sweep.csv", outdir / "sweep.json"]
 
 
-def serial_eval(argv, outdir):
-    """The files an eval writes, in `wrote` order, from a loop that scores
-    one report row after another in this process."""
-    config = parse_to_config(argv + ["--outdir", str(outdir)])
-    data = load_dataset(config, "test").subset(config["eval_limit"])
-    kind, net = load_net(config["checkpoint"])
-    filters = [parse_filter(text) for text in config["filters"]]
-    methods = ([("noisy", lambda stack: stack), (kind, net.forward_stack)]
-               + [(f.text(), lambda stack, f=f: filter_stack(stack, f))
-                  for f in filters])
-    stamp = f"{config_hash(config)},{config['seed']}"
-    lines, rows, paths = [CSV_HEADER + ",config,seed"], [], []
-    for text in config["noises"]:
-        if text == "none":
-            noisy = data.images.copy()
-        else:
-            spec = parse_spec(text)
-            text = spec.text()
-            noisy = corrupt_dataset(data.images, spec, config["seed"])
-        outputs = [("clean", data.images)]
-        for method, forward in methods:
-            stack = forward(noisy)
-            report = evaluate_pairs(data.images, stack, text, method)
-            lines.append(report.csv_row() + "," + stamp)
-            rows.append(json.loads(report.to_json()))
-            outputs.append((method, stack))
-        base = outdir / "images" / text.replace(":", "_")
-        base.mkdir(parents=True)
-        for i in range(config["dump"]):
-            for name, stack in outputs:
-                paths.append(base / f"{name.replace(':', '_')}_{i}.pgm")
-                write_image(stack[i], paths[-1])
-    (outdir / "eval.csv").write_text("\n".join(lines) + "\n")
-    (outdir / "eval.json").write_text(json.dumps(
-        {"config": config_hash(config), "seed": config["seed"],
-         "rows": rows}, indent=2) + "\n")
-    return paths + [outdir / "eval.csv", outdir / "eval.json"]
-
-
 def files_under(root):
     return sorted(os.path.relpath(os.path.join(d, f), root)
                   for d, _, names in os.walk(root) for f in names)
@@ -726,9 +686,9 @@ def sweep_argv(corpus, ckpt, *extra):
 
 
 class TestParallelRuns:
-    # Sweep variants and eval rows run in forked workers (one per CPU,
-    # here forced to several) or, with one CPU, in this process; both
-    # give the bytes of a serial loop.
+    # Sweep variants run in forked workers (one per CPU, here forced to
+    # several) or, with one CPU, in this process; both give the bytes of
+    # a serial loop.
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_sweep_equals_serial_loop(self, corpus, dense_ckpt, capsys,
                                       monkeypatch, tmp_path, cpus):
@@ -742,26 +702,6 @@ class TestParallelRuns:
             assert (out / path.name).read_bytes() == path.read_bytes()
         assert capsys.readouterr().out.splitlines() == [
             f"wrote {out / p.name}" for p in want]
-
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_eval_equals_serial_loop(self, corpus, dense_ckpt, capsys,
-                                     monkeypatch, tmp_path, cpus):
-        argv = ["eval", "--data", corpus, "--seed", "5", "--checkpoint",
-                dense_ckpt, "--filter", "median:3", "--filter", "tv:0.1",
-                "--noise", "none", "--noise", "gaussian:0.1", "--dump", "2",
-                "--json"]
-        ref = tmp_path / "serial"
-        want = serial_eval(argv, ref)
-        assert len(want) == 2 * 2 * 5 + 2
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-        out = tmp_path / "eval"
-        assert main(argv + ["--outdir", str(out)]) == 0
-        assert files_under(out) == files_under(ref)
-        for path in want:
-            got = out / path.relative_to(ref)
-            assert got.read_bytes() == path.read_bytes(), got
-        assert capsys.readouterr().out.splitlines() == [
-            f"wrote {out / p.relative_to(ref)}" for p in want]
 
     @pytest.mark.parametrize("lone, prefix", [
         (["--prune-grid", "0.2"], "prune,0.2,"),
@@ -797,19 +737,6 @@ class TestParallelRuns:
                                 "died\n")
         assert os.listdir(tmp_path) == []
 
-    def test_dead_eval_worker_is_one_line_naming_row(
-            self, corpus, capsys, monkeypatch, tmp_path):
-        def dies(*args):
-            os._exit(1)
-
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli.metrics, "evaluate_pairs", dies)
-        assert main(["eval", "--data", corpus, "--seed", "5", "--noise",
-                     "gaussian:0.1", "--filter", "median:3",
-                     "--outdir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: eval gaussian:0.1 noisy: a worker process died\n")
-
     def test_sweep_worker_cli_error_keeps_its_message(
             self, corpus, dense_ckpt, capsys, monkeypatch, tmp_path):
         build = cli._sweep_variant
@@ -825,21 +752,6 @@ class TestParallelRuns:
                           "--prune-grid", "0.1", "--outdir", str(tmp_path))
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: cannot program 4 levels\n"
-
-    def test_eval_worker_value_error_keeps_its_type(
-            self, corpus, monkeypatch, tmp_path):
-        def fails(stack, spec):
-            raise ValueError(f"cannot filter with {spec.text()}")
-
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli.baselines, "filter_stack", fails)
-        with pytest.raises(ValueError) as info:
-            main(["eval", "--data", corpus, "--seed", "5", "--noise",
-                  "gaussian:0.1", "--filter", "median:3", "--filter",
-                  "gauss:0.8", "--outdir", str(tmp_path)])
-        assert type(info.value) is ValueError
-        assert str(info.value) == "cannot filter with median:3"
-
 
 class TestForkMap:
     def test_results_keep_input_order_and_come_from_workers(
