@@ -7,16 +7,15 @@ hardware cost estimation, and a downstream classification harness.
 
 from .device import IDEAL, DeviceModel, apply_variation, quantize
 from .crossbar import (TILE_COLS, TILE_ROWS, TiledMatrix, apply_sparsity,
-                       matmul, matvec, program, tile_grid)
+                       matmul, program, tile_grid)
 from .imagecore import (Dataset, DatasetError, load_cifar10, load_mnist,
                         read_image, write_image)
 from .noise import NoiseSpec, STANDARD_NOISES, corrupt, corrupt_dataset, parse_spec
-from .metrics import QualityReport, evaluate_pairs, mse, psnr, ssim
-from .baselines import (FilterSpec, apply_filter, filter_stack, parse_filter,
-                        tune_filter)
+from .metrics import QualityReport, evaluate_pairs, mse, ssim
+from .baselines import FilterSpec, filter_stack, parse_filter, tune_filter
 from .hwcost import (ComponentBudget, DesignPoint, FabricExceededError,
                      HardwareCostReport, LayerGeometry, estimate,
-                     estimate_training, format_report_table)
+                     format_report_table)
 from .classify import AccuracyReport, Classifier, evaluate, train_classifier
 from .nets import (CnnDenoiser, DenseDenoiser, FusionDenoiser, TrainConfig,
                    TrainingDivergence, cnn_train, dense_train, fusion_train)
@@ -26,15 +25,14 @@ __version__ = "0.1.0"
 __all__ = [
     "IDEAL", "DeviceModel", "quantize", "apply_variation",
     "TILE_ROWS", "TILE_COLS", "TiledMatrix", "tile_grid", "program",
-    "matvec", "matmul", "apply_sparsity",
+    "matmul", "apply_sparsity",
     "Dataset", "DatasetError", "load_mnist", "load_cifar10",
     "read_image", "write_image",
     "NoiseSpec", "STANDARD_NOISES", "parse_spec", "corrupt", "corrupt_dataset",
-    "QualityReport", "evaluate_pairs", "ssim", "psnr", "mse",
-    "FilterSpec", "parse_filter", "apply_filter", "filter_stack", "tune_filter",
+    "QualityReport", "evaluate_pairs", "ssim", "mse",
+    "FilterSpec", "parse_filter", "filter_stack", "tune_filter",
     "ComponentBudget", "DesignPoint", "LayerGeometry", "HardwareCostReport",
-    "FabricExceededError", "estimate", "estimate_training",
-    "format_report_table",
+    "FabricExceededError", "estimate", "format_report_table",
     "AccuracyReport", "Classifier", "train_classifier", "evaluate",
     "CnnDenoiser", "DenseDenoiser", "FusionDenoiser", "TrainConfig",
     "TrainingDivergence", "cnn_train", "dense_train", "fusion_train",

@@ -25,15 +25,12 @@ from .metrics import evaluate_pairs
 __all__ = [
     "TUNE_GRIDS",
     "FilterSpec",
-    "apply_filter",
     "filter_stack",
     "gaussian_blur",
     "median_filter",
     "parse_filter",
-    "total_variation",
     "tune_filter",
     "tv_denoise",
-    "tv_energy",
 ]
 
 _KINDS = ("gauss", "median", "tv")
@@ -159,8 +156,8 @@ def filter_stack(imgs, spec: FilterSpec):
     """Apply one filter across an (n, h, w) or (n, h, w, c) stack.
 
     Channels become (h, w) planes, filtered a chunk of planes per call
-    and clipped to [0, 1]; every image comes out exactly as
-    :func:`apply_filter` makes it alone.
+    and clipped to [0, 1]; every image comes out exactly as it would
+    alone.
     """
     imgs = np.asarray(imgs, dtype=np.float64)
     if imgs.ndim == 3:
@@ -181,26 +178,18 @@ def filter_stack(imgs, spec: FilterSpec):
     return np.ascontiguousarray(np.moveaxis(out.reshape(n, c, h, w), 1, 3))
 
 
-def apply_filter(img, spec: FilterSpec):
-    """Dispatch one (h, w) or (h, w, c) image through ``spec``'s filter."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim not in (2, 3):
-        raise ValueError(f"expected (h, w) or (h, w, c), got shape {img.shape}")
-    return filter_stack(img[None], spec)[0]
-
-
 def gaussian_blur(img, sigma: float):
     """Separable Gaussian convolution, kernel radius ceil(3*sigma).
 
     The kernel is built explicitly and normalized to unit sum so a
     constant image passes through unchanged; borders are reflected.
     """
-    return apply_filter(img, FilterSpec("gauss", sigma=sigma))
+    return filter_stack([img], FilterSpec("gauss", sigma=sigma))[0]
 
 
 def median_filter(img, window: int = 3):
     """Per-pixel median over a reflect-padded window x window patch."""
-    return apply_filter(img, FilterSpec("median", window=window))
+    return filter_stack([img], FilterSpec("median", window=window))[0]
 
 
 def tv_denoise(img, tv_weight: float, tv_iters: int = 50):
@@ -212,26 +201,8 @@ def tv_denoise(img, tv_weight: float, tv_iters: int = 50):
     step keeps the objective ``||u - f||^2 + 2 * tv_weight * TV(u)``
     non-increasing across iterations.
     """
-    return apply_filter(img, FilterSpec("tv", tv_weight=tv_weight,
-                                        tv_iters=tv_iters))
-
-
-def total_variation(img) -> float:
-    """Isotropic total variation, summed over channels if present."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim == 3:
-        return float(sum(total_variation(img[:, :, c]) for c in range(img.shape[2])))
-    gx = np.zeros_like(img)
-    gy = np.zeros_like(img)
-    _forward_gradient(img, gx, gy)
-    return float(np.sqrt(gx**2 + gy**2).sum())
-
-
-def tv_energy(u, f, tv_weight: float) -> float:
-    """Objective ||u - f||^2 + 2 * tv_weight * TV(u)."""
-    u = np.asarray(u, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    return float(((u - f) ** 2).sum()) + 2.0 * tv_weight * total_variation(u)
+    spec = FilterSpec("tv", tv_weight=tv_weight, tv_iters=tv_iters)
+    return filter_stack([img], spec)[0]
 
 
 # Search grids for per-noise parameter tuning.  Deliberately small and

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .nets.common import (MAX_GAIN, TrainConfig, TrainingDivergence,
-                          plane_samples)
+from .nets.common import (MAX_GAIN, TrainConfig, check_epoch, plane_samples,
+                          trained_gain)
 from .noise import NoiseSpec, corrupt_dataset
 
 ACCURACY_CSV_HEADER = "noise,condition,accuracy,n"
@@ -115,8 +115,9 @@ def train_classifier(data, cfg: TrainConfig | None = None, hidden: int = 100):
     """SGD with cross-entropy on the clean training split.
 
     Defaults (lr 0.1, 5 epochs, batch 64) reach >= 0.95 clean test
-    accuracy on MNIST.  The epoch loss log follows the same divergence
-    rule as the denoiser trainers.
+    accuracy on MNIST.  The epoch loss log and the trained layers follow
+    the same divergence rules as the denoiser trainers (check_epoch,
+    trained_gain).
     """
     if cfg is None:
         cfg = TrainConfig(train_noise=None, learning_rate=0.1, epochs=5,
@@ -158,21 +159,21 @@ def train_classifier(data, cfg: TrainConfig | None = None, hidden: int = 100):
                 b1 -= eta * g_b1
                 w2 -= eta * g_w2
                 b2 -= eta * g_b2
-        loss = loss_sum / n
-        loss_log.append(loss)
-        if loss > 2.0 * loss_log[0]:
-            raise TrainingDivergence(epoch, loss, loss_log[0], loss_log)
+        loss_log.append(loss_sum / n)
+        check_epoch(epoch, loss_log)
+    for a in (w1, b1, w2, b2):
+        trained_gain(np.abs(a).max(), loss_log)  # diverged weights raise
     return Classifier(w1, b1, w2, b2, shape, loss_log=loss_log)
 
 
 def evaluate(clf: Classifier, data, denoiser=None, noise: NoiseSpec | None = None,
-             seed: int = 0, method: str | None = None) -> AccuracyReport:
+             seed: int = 0) -> AccuracyReport:
     """Accuracy after corrupt -> (optionally denoise) -> classify.
 
     Every consumer downstream of the sensor is an analog stage, so the
     corrupted stack is clamped to the [0, 1] input window before it
-    reaches either the denoiser or the classifier.  ``method`` names
-    the denoiser in the report row (defaults to its class name).
+    reaches either the denoiser or the classifier.  The report row
+    names the denoiser by its class name.
     """
     images = np.asarray(data.images, dtype=np.float64)
     noise_text = ""
@@ -181,7 +182,7 @@ def evaluate(clf: Classifier, data, denoiser=None, noise: NoiseSpec | None = Non
         noise_text = noise.text()
     if denoiser is not None:
         images = denoiser.forward_stack(images)
-        label = method or type(denoiser).__name__.replace("Denoiser", "").lower()
+        label = type(denoiser).__name__.replace("Denoiser", "").lower()
         condition = f"denoised({label})"
     else:
         condition = "noisy" if noise is not None else "clean"

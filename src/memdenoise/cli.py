@@ -7,7 +7,6 @@ eval      quality reports for noisy / denoised / baseline-filtered images
 sweep     quality grids over device levels, variation, dropout, pruning
 cost      hardware cost table for a design point
 classify  downstream accuracy for clean / noisy / denoised inputs
-fuse      assemble and train the fusion stage from member checkpoints
 
 Exit codes: 0 success, 2 validation error, 3 training divergence.
 
@@ -181,7 +180,10 @@ def merge_config(args) -> dict:
         config["data_path"] = os.environ.get("MEMDENOISE_DATA")
     if config["seed"] is None:
         raise CliError("seed is required (--seed or config key 'seed')")
-    config["seed"] = int(config["seed"])
+    try:
+        config["seed"] = int(config["seed"])
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"seed must be an integer, got {config['seed']!r}")
     _check_devices(config)
     return config
 
@@ -554,27 +556,20 @@ def cmd_cost(config):
             budget = hwcost.ComponentBudget.from_mapping(overrides)
         except (OSError, json.JSONDecodeError, TypeError, ValueError) as e:
             raise CliError(f"bad budget file: {e}")
-    if config["net"] == "dense":
-        point = hwcost.DesignPoint.for_dense(
-            mode=config["mode"], phase=config["phase"])
-    elif config["net"] == "cnn":
-        point = hwcost.DesignPoint.for_cnn(
-            mode=config["mode"], phase=config["phase"])
-    else:
+    if config["net"] not in ("dense", "cnn"):
         raise CliError("cost covers dense and cnn design points")
+    design = (hwcost.DesignPoint.for_dense if config["net"] == "dense"
+              else hwcost.DesignPoint.for_cnn)
     try:
-        if config["phase"] == "training":
-            report = hwcost.estimate_training(point, budget)
-        else:
-            report = hwcost.estimate(point, budget)
-    except (ValueError, hwcost.FabricExceededError) as e:
+        point = design(mode=config["mode"], phase=config["phase"])
+        report = hwcost.estimate(point, budget)
+    except ValueError as e:  # FabricExceededError too
         raise CliError(str(e))
     print(hwcost.format_report_table([report]))
     written = []
     if config["json"]:
-        rows = json.loads(hwcost.reports_to_json([report]))
         _write(os.path.join(config["outdir"], "cost.json"),
-               _rows_json(config, rows), written)
+               _rows_json(config, [report.to_json()]), written)
     return written
 
 
@@ -616,12 +611,8 @@ def cmd_classify(config):
     return written
 
 
-def cmd_fuse(config):
-    return cmd_train(dict(config, net="fusion"))
-
-
 _COMMANDS = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep,
-             "cost": cmd_cost, "classify": cmd_classify, "fuse": cmd_fuse}
+             "cost": cmd_cost, "classify": cmd_classify}
 
 
 def build_parser():
@@ -683,8 +674,6 @@ def build_parser():
                        help="accuracy for clean/noisy/denoised inputs")
     p.add_argument("--checkpoint", help="denoiser applied before classifying")
     p.add_argument("--classifier", help="classifier checkpoint to reuse")
-    p = sub.add_parser("fuse", parents=[common, trainish],
-                       help="train the fusion stage from member checkpoints")
     return parser
 
 

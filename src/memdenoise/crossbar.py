@@ -146,39 +146,26 @@ def _blocked_product(x, w, rows, cols):
     return y
 
 
-def matvec(m, x):
-    """Analog dot product y[j] = sum_i x[i] (g_pos[i,j] - g_neg[i,j]).
-
-    Pruned pairs and dropped rows contribute nothing. Inputs with negative
-    entries run as two read phases (positive part minus negative part).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m.rows,):
-        raise ValueError("input length %r, expected %d" % (x.shape, m.rows))
-    return _apply(m, x)
-
-
 def matmul(m, xs):
-    """Batched matvec: xs has shape (n, rows), result (n, cols).
+    """Analog dot products ys[k, j] = sum_i xs[k, i] (g_pos[i,j] - g_neg[i,j]).
 
-    A stack (..., n, rows) reads each (n, rows) batch on its own, giving
-    each the bits it would get alone; result (..., n, cols).
+    xs has shape (n, rows), result (n, cols). Pruned pairs and dropped
+    rows contribute nothing. Inputs with negative entries run as two read
+    phases (positive part minus negative part). A stack (..., n, rows)
+    reads each (n, rows) batch on its own, giving each the bits it would
+    get alone; result (..., n, cols).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim < 2 or xs.shape[-1] != m.rows:
         raise ValueError("batch shape %r, expected (..., n, %d)"
                          % (xs.shape, m.rows))
-    return _apply(m, xs)
-
-
-def _apply(m, x):
     w = m.effective_weights()
-    if x.min(initial=0.0) < 0.0:
-        xp = np.maximum(x, 0.0)
-        xn = np.maximum(-x, 0.0)
+    if xs.min(initial=0.0) < 0.0:
+        xp = np.maximum(xs, 0.0)
+        xn = np.maximum(-xs, 0.0)
         return (_blocked_product(xp, w, m.rows, m.cols)
                 - _blocked_product(xn, w, m.rows, m.cols))
-    return _blocked_product(x, w, m.rows, m.cols)
+    return _blocked_product(xs, w, m.rows, m.cols)
 
 
 def apply_sparsity(m, dropout_frac, prune_frac, rng):

@@ -29,12 +29,8 @@ class DeviceModel:
 
     levels: int | None = IDEAL
     variation_sigma: float = 0.0
-    g_min: float = 0.0
-    g_max: float = 1.0
 
     def __post_init__(self):
-        if not self.g_min < self.g_max:
-            raise ValueError("g_min must be below g_max")
         if self.levels is not None and not (
                 isinstance(self.levels, numbers.Integral) and self.levels >= 2):
             raise ValueError("levels must be an integer >= 2 (or None for ideal)")

@@ -13,10 +13,7 @@ here once so every report uses the same model:
 * The CMOS output chain (summation, activation, conditioning) is costed
   as one calibrated lump, ``cmos_chain_power`` / ``cmos_chain_area``.
   Sequential mode runs a single chain for the whole readout; parallel
-  mode replicates it per column slot (dense) or per patch (conv).  The
-  internal composition of the chain in terms of the cited opamp and
-  multiplier figures is not pinned down, which is why it is exposed as a
-  single overridable constant rather than assembled from parts.
+  mode replicates it per column slot (dense) or per patch (conv).
 * Conv designs reuse one kernel crossbar per layer across patch
   positions in sequential mode, so latency is the total patch count
   times ``t_read``; parallel mode duplicates each kernel per patch
@@ -35,7 +32,6 @@ from the components rather than stored.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -49,10 +45,8 @@ __all__ = [
     "LayerGeometry",
     "count_tiles",
     "estimate",
-    "estimate_training",
     "format_report_table",
     "format_si",
-    "reports_to_json",
 ]
 
 
@@ -72,11 +66,9 @@ class ComponentBudget:
     """Cited component constants, SI units throughout.
 
     ``cmos_chain_power`` and ``cmos_chain_area`` are calibration lumps
-    for the whole per-output readout chain; the opamp, multiplier and
-    ADC entries are kept as the individually cited figures so a budget
-    override can rebuild the chain from parts if a composition is ever
-    settled.  ``max_tiles`` optionally caps the fabric; ``None`` means
-    unbounded.
+    for the whole per-output readout chain; the ADC and SRAM entries
+    cost the hidden outputs a training design stores.  ``max_tiles``
+    optionally caps the fabric; ``None`` means unbounded.
     """
 
     tile_power: float = 111e-6          # W, one 256x64 tile active
@@ -84,10 +76,6 @@ class ComponentBudget:
     t_read: float = 50e-9               # s per read slot
     t_write: float = 80e-9              # s per write pulse
     update_pulses: int = 50             # pulses per programmed cell
-    opamp_power: float = 262.4e-6       # W
-    opamp_area: float = 25.8e-12        # m^2
-    multiplier_power: float = 525.28e-6 # W
-    multiplier_area: float = 53.33e-12  # m^2
     adc_power: float = 40e-6            # W, 8-bit
     adc_area: float = 3000e-12          # m^2
     sram_cell_area: float = 0.525e-12   # m^2, 6T cell
@@ -106,9 +94,6 @@ class ComponentBudget:
             raise ValueError("update_pulses must be >= 0")
         if self.max_tiles is not None and self.max_tiles < 0:
             raise ValueError("max_tiles must be >= 0 or None")
-
-    def replace(self, **overrides) -> "ComponentBudget":
-        return dataclasses.replace(self, **overrides)
 
     @classmethod
     def from_mapping(cls, overrides) -> "ComponentBudget":
@@ -169,6 +154,8 @@ class DesignPoint:
         if self.phase not in _PHASES:
             raise ValueError(f"phase must be one of {_PHASES}")
         object.__setattr__(self, "layers", tuple(self.layers))
+        if not self.layers:
+            raise ValueError("a design needs at least one layer")
         if self.network == "dense" and len(self.layers) > 1:
             raise ValueError("a dense design has at most one layer")
 
@@ -278,15 +265,6 @@ def count_tiles(rows: int, cols: int) -> int:
     return grid[0] * grid[1]
 
 
-def _zero_report(point: DesignPoint) -> HardwareCostReport:
-    return HardwareCostReport(
-        network=point.network, mode=point.mode, phase=point.phase,
-        devices=0, tiles=0,
-        crossbar_power=0.0, crossbar_active_time=0.0, crossbar_area=0.0,
-        cmos_power=0.0, cmos_active_time=0.0, cmos_area=0.0,
-    )
-
-
 def _check_fabric(tiles: int, budget: ComponentBudget) -> None:
     if budget.max_tiles is not None and tiles > budget.max_tiles:
         raise FabricExceededError(tiles, budget.max_tiles)
@@ -294,9 +272,6 @@ def _check_fabric(tiles: int, budget: ComponentBudget) -> None:
 
 def _forward_report(point: DesignPoint, budget: ComponentBudget) -> HardwareCostReport:
     layers = point.layers
-    if not layers:
-        return _zero_report(point)
-
     parallel = point.mode == "parallel"
     # Parallel conv duplicates kernels per patch; dense and sequential
     # designs keep one physical copy per layer.
@@ -352,36 +327,20 @@ def _forward_report(point: DesignPoint, budget: ComponentBudget) -> HardwareCost
 
 
 def estimate(point: DesignPoint, budget: ComponentBudget | None = None) -> HardwareCostReport:
-    """Inference cost report for a design point.
+    """Per-image cost report for a design point in its phase.
 
-    Parameters
-    ----------
-    point : DesignPoint
-        Must have ``phase == "inference"``.
-    budget : ComponentBudget, optional
-        Component constants; defaults to the cited values.
+    Inference costs the forward readout alone.  Training adds error
+    computation and the weight update: the crossbar component covers the
+    update phase (the forward pass is orders of magnitude below it); CMOS
+    covers forward readout plus one error slot per output; conv designs
+    additionally pay ADC conversion and 8-bit SRAM storage for every
+    hidden-layer output held for the backward pass.  ``budget`` defaults
+    to the cited constants.
     """
-    if point.phase != "inference":
-        raise ValueError("estimate handles inference; use estimate_training")
-    return _forward_report(point, budget or ComponentBudget())
-
-
-def estimate_training(point: DesignPoint, budget: ComponentBudget | None = None) -> HardwareCostReport:
-    """Per-image training cost: forward pass, error computation, update.
-
-    The crossbar component covers the update phase (the forward pass is
-    orders of magnitude below it); CMOS covers forward readout plus one
-    error slot per output; conv designs additionally pay ADC conversion
-    and 8-bit SRAM storage for every hidden-layer output held for the
-    backward pass.
-    """
-    if point.phase != "training":
-        raise ValueError("estimate_training requires phase == 'training'")
     budget = budget or ComponentBudget()
-    forward = _forward_report(
-        dataclasses.replace(point, phase="inference"), budget)
-    if not point.layers:
-        return _zero_report(point)
+    forward = _forward_report(point, budget)
+    if point.phase == "inference":
+        return forward
 
     last = point.layers[-1]
     error_latency = last.passes * last.cols * budget.t_read
@@ -470,7 +429,3 @@ def format_report_table(reports) -> str:
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
-
-
-def reports_to_json(reports) -> str:
-    return json.dumps([report.to_json() for report in reports], indent=2)

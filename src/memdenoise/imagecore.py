@@ -70,13 +70,6 @@ class Dataset:
     def __len__(self):
         return len(self.images)
 
-    @property
-    def image_shape(self):
-        """(height, width, channels) of every image in the set."""
-        h, w = self.images.shape[1:3]
-        c = self.images.shape[3] if self.images.ndim == 4 else 1
-        return (h, w, c)
-
     def subset(self, n):
         """First n images as a new Dataset (n=None keeps everything)."""
         if n is None or n >= len(self):

@@ -1,4 +1,4 @@
-"""Image quality scoring: MSE, PSNR, SSIM, and per-dataset aggregates.
+"""Image quality scoring: MSE, SSIM, and per-dataset aggregates with PSNR.
 
 Intensities are assumed to live in [0, 1], so PSNR uses MAX = 1. SSIM
 follows the Wang et al. form with a 7x7 uniform window, C1 = 0.01^2,
@@ -49,14 +49,6 @@ def mse(a, b):
     """Mean squared error over all elements."""
     a, b = _pair(a, b)
     return float(_mse_images(a[None], b[None])[0])
-
-
-def psnr(a, b):
-    """10 log10(1 / mse) in dB; inf when the images are identical."""
-    m = mse(a, b)
-    if m == 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(1.0 / m))
 
 
 def _window_sums(x, k):

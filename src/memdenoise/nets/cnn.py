@@ -128,12 +128,6 @@ class CnnDenoiser:
         self.m2 = crossbar.program(
             (self.k2 / self.s2).reshape(kk, 1), self.device, rng)
 
-    @property
-    def device_pairs(self):
-        """Trainable device pairs across all kernel crossbars."""
-        return (self.m1.devices_per_polarity + self.m3.devices_per_polarity
-                + self.m2.devices_per_polarity)
-
     def _forward_linear(self, x):
         # crossbar route: every convolution is a patch-matrix readout. The
         # chunk's (b, h, w) planes are read as a stack of b patch matrices,
@@ -151,16 +145,13 @@ class CnnDenoiser:
         y2 = crossbar.matmul(self.m2, unfold(a3, k)) * self.s2
         return _upsample(y2.reshape(b, h // 2, w // 2))
 
-    def forward(self, img):
-        """Denoise one image (shape preserving; odd sizes reflect-padded)."""
-        return self.forward_stack(np.asarray(img)[None])[0]
-
     def forward_stack(self, images):
         """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
 
-        Planes run through the crossbars a chunk at a time (see
-        chunk_planes), so the patch matrices stay about 4 MB however long
-        the stack is.
+        Shape preserving: odd sides are reflect-padded on the way in and
+        cropped on the way out. Planes run through the crossbars a chunk
+        at a time (see chunk_planes), so the patch matrices stay about
+        4 MB however long the stack is.
         """
         images = np.asarray(images, dtype=np.float64)
         flat, (h, w) = plane_samples(images)

@@ -142,13 +142,11 @@ def chunk_planes(patch_elements):
     return max(1, 2 ** 19 // patch_elements)
 
 
-def corrupt_plane(flat, shape, spec, seed_seq, clip_input=True):
-    """Corrupt one flattened plane with its own substream.
+def corrupt_plane(flat, shape, spec, seed_seq):
+    """Corrupt one flattened plane with its own substream, clamped.
 
     The analog front end clamps inputs to its [0, 1] voltage window, so
-    training and inference see clamped noisy planes by default.
+    training sees clamped noisy planes.
     """
     img = corrupt(flat.reshape(shape), spec, np.random.default_rng(seed_seq))
-    if clip_input:
-        img = np.clip(img, 0.0, 1.0)
-    return img.reshape(-1)
+    return np.clip(img, 0.0, 1.0).reshape(-1)

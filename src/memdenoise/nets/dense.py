@@ -87,20 +87,6 @@ class DenseDenoiser:
         y = crossbar.matmul(self.tiled, x) * self.scale
         return np.clip(y, 0.0, 1.0)
 
-    def forward(self, img):
-        """Denoise one image; channels are independent planes."""
-        img = np.asarray(img, dtype=np.float64)
-        h, w = self.shape
-        if img.shape[:2] != (h, w):
-            raise ValueError("image %r, net expects %r" % (img.shape, self.shape))
-        if img.ndim == 2:
-            return self.forward_flat(img.reshape(1, -1))[0].reshape(h, w)
-        out = np.empty_like(img)
-        for c in range(img.shape[2]):
-            out[:, :, c] = self.forward_flat(
-                img[:, :, c].reshape(1, -1))[0].reshape(h, w)
-        return out
-
     def forward_stack(self, images):
         """Denoise a stack of images in one batched readout."""
         images = np.asarray(images, dtype=np.float64)

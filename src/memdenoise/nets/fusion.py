@@ -65,10 +65,6 @@ class FusionDenoiser:
                              f"needs {(self.kernel.size, 1)}")
         self.tiled = tiled
 
-    def forward(self, img):
-        """Denoise one image; channels are independent planes."""
-        return self.forward_stack(np.asarray(img)[None])[0]
-
     def forward_stack(self, images):
         """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
 
@@ -100,7 +96,8 @@ class FusionDenoiser:
     def forward_direct(self, img):
         """Float reference path: explicit sliding-window fusion."""
         img = np.asarray(img, dtype=np.float64)
-        planes = np.stack([m.forward(img) for m in self.members])
+        planes = np.stack([m.forward_stack(img[None])[0]
+                           for m in self.members])
         y = sum(conv_same(planes[m], self.kernel[m])
                 for m in range(len(self.members)))
         return np.clip(y, 0.0, 1.0)

@@ -6,13 +6,12 @@ statistics on MNIST:
   * The Gaussian model's parameter is the noise VARIANCE, not the std:
     the noisy mean MSE then equals the parameter (0.099 at 0.1, 0.499 at
     0.5), which is what the quality tables show.
-  * Corruption is unclipped by default. Clamping Gaussian noise on a
+  * Corruption is unclipped. Clamping Gaussian noise on a
     mostly-black dataset would halve its measured MSE (most pixels sit at
     0, where negative excursions are eaten by the clamp), and the
     reference noisy rows are only reproduced without it. The analog
     front end clamps to its [0, 1] input window instead, inside the
-    denoisers and the classifier. Pass clip=True for a range-limited
-    sensor readout.
+    denoisers and the classifier.
   * Poisson peak defaults to 2.5 and Speckle variance to 1.0, both
     calibrated against the reference noisy MSE (0.052 and 0.114).
 
@@ -103,7 +102,7 @@ def parse_spec(text):
     return NoiseSpec("speckle", variance=arg)
 
 
-def corrupt(img, spec, rng, clip=False):
+def corrupt(img, spec, rng):
     """Apply one corruption to one image.
 
     Gaussian: y = x + n,  n ~ N(0, variance) i.i.d. per pixel.
@@ -111,29 +110,24 @@ def corrupt(img, spec, rng, clip=False):
               to 0 or 1 with equal probability.
     poisson:  y = Poisson(x * peak) / peak.
     speckle:  y = x + x * n,  n ~ N(0, variance).
-
-    clip=True clamps the result into [0, 1].
     """
     x = np.asarray(img, dtype=np.float64)
     if spec.kind == "gaussian":
-        y = x + rng.normal(0.0, np.sqrt(spec.variance), size=x.shape)
-    elif spec.kind == "sp":
+        return x + rng.normal(0.0, np.sqrt(spec.variance), size=x.shape)
+    if spec.kind == "sp":
         y = x.copy()
         flat = y.reshape(-1)
         k = int(np.floor(spec.density * flat.size + 0.5))
         if k:
             where = rng.choice(flat.size, size=k, replace=False)
             flat[where] = rng.integers(0, 2, size=k).astype(np.float64)
-    elif spec.kind == "poisson":
-        y = rng.poisson(x * spec.peak).astype(np.float64) / spec.peak
-    else:
-        y = x + x * rng.normal(0.0, np.sqrt(spec.variance), size=x.shape)
-    if clip:
-        y = np.clip(y, 0.0, 1.0)
-    return y
+        return y
+    if spec.kind == "poisson":
+        return rng.poisson(x * spec.peak).astype(np.float64) / spec.peak
+    return x + x * rng.normal(0.0, np.sqrt(spec.variance), size=x.shape)
 
 
-def corrupt_dataset(images, spec, seed, clip=False):
+def corrupt_dataset(images, spec, seed):
     """Corrupt a stack of images with per-image substreams.
 
     Image i uses default_rng([seed, i]), so any subset or ordering of the
@@ -142,7 +136,7 @@ def corrupt_dataset(images, spec, seed, clip=False):
     images = np.asarray(images, dtype=np.float64)
     out = np.empty_like(images)
     for i in range(images.shape[0]):
-        out[i] = corrupt(images[i], spec, np.random.default_rng([seed, i]), clip=clip)
+        out[i] = corrupt(images[i], spec, np.random.default_rng([seed, i]))
     return out
 
 

@@ -16,7 +16,7 @@ import pytest
 from conftest import EVAL_SEED, write_idx_images, write_idx_labels
 from memdenoise import baselines, hwcost, metrics
 from memdenoise.cli import main
-from memdenoise.crossbar import TILE_COLS, TILE_ROWS, matvec, program, tile_grid
+from memdenoise.crossbar import TILE_COLS, TILE_ROWS, matmul, program, tile_grid
 from memdenoise.device import DeviceModel, quantize
 from memdenoise.hwcost import ComponentBudget, DesignPoint, count_tiles
 from memdenoise.classify import evaluate
@@ -207,7 +207,7 @@ def test_criterion_5_tuned_classical_filters(eval_images):
 def test_criterion_6_hardware_cost_model():
     seq = hwcost.estimate(DesignPoint.for_dense())
     par = hwcost.estimate(DesignPoint.for_dense(mode="parallel"))
-    train = hwcost.estimate_training(DesignPoint.for_dense(phase="training"))
+    train = hwcost.estimate(DesignPoint.for_dense(phase="training"))
     print("criterion 6:\n" + hwcost.format_report_table([seq, par, train]))
 
     assert within(seq.total_energy, 21.1e-9, 0.30 * 21.1e-9), \
@@ -228,7 +228,7 @@ def test_criterion_6_hardware_cost_model():
     cnn_reports = [
         hwcost.estimate(DesignPoint.for_cnn()),
         hwcost.estimate(DesignPoint.for_cnn(mode="parallel")),
-        hwcost.estimate_training(DesignPoint.for_cnn(phase="training")),
+        hwcost.estimate(DesignPoint.for_cnn(phase="training")),
     ]
     print("criterion 6 (conv rows, reported only):\n"
           + hwcost.format_report_table(cnn_reports))
@@ -252,7 +252,7 @@ def test_criterion_7_classification_gain(classifier, member_bank, fusion_net,
         noisy = evaluate(classifier, mnist_test, noise=spec, seed=EVAL_SEED)
         member = evaluate(classifier, mnist_test,
                           denoiser=member_bank[text], noise=spec,
-                          seed=EVAL_SEED, method="dense")
+                          seed=EVAL_SEED)
         noisy_acc[text] = noisy.accuracy
         member_acc[text] = member.accuracy
         gains[text] = 100.0 * (member.accuracy - noisy.accuracy)
@@ -262,8 +262,7 @@ def test_criterion_7_classification_gain(classifier, member_bank, fusion_net,
     fused_gap = {}
     for text in ("gaussian:0.5", "sp:0.5", "speckle:1"):
         fused = evaluate(classifier, mnist_test, denoiser=fusion_net,
-                         noise=parse_spec(text), seed=EVAL_SEED,
-                         method="fusion")
+                         noise=parse_spec(text), seed=EVAL_SEED)
         fused_gap[text] = 100.0 * (fused.accuracy - member_acc[text])
         print(f"criterion 7: {text:<13} fused {fused.accuracy:.4f} "
               f"vs matched member {fused_gap[text]:+.1f} pts")
@@ -327,14 +326,15 @@ def test_criterion_8_property_suites(tmp_path):
     # Crossbar readout against plain linear algebra, ideal device.
     weights = rng.normal(0.0, 0.2, (300, 100))
     tiled = program(weights / np.abs(weights).max(), DeviceModel())
-    x = rng.uniform(-1.0, 1.0, 300)
+    x = rng.uniform(-1.0, 1.0, (1, 300))  # signed: a two-phase read
     direct = x @ (weights / np.abs(weights).max())
-    matvec_err = np.abs(matvec(tiled, x) - direct).max()
+    readout_err = np.abs(matmul(tiled, x) - direct).max()
     cnn = CnnDenoiser(k1, k3, k2)
-    conv_err = np.abs(cnn.forward(noisy) - cnn.forward_direct(noisy)).max()
-    print(f"criterion 8: matvec error {matvec_err:.3e}, "
+    conv_err = np.abs(cnn.forward_stack(noisy[None])[0]
+                      - cnn.forward_direct(noisy)).max()
+    print(f"criterion 8: readout error {readout_err:.3e}, "
           f"conv route error {conv_err:.3e}")
-    assert matvec_err < 1e-10
+    assert readout_err < 1e-10
     assert conv_err < 1e-10
 
     # Quantization idempotence and monotonicity.
@@ -348,9 +348,9 @@ def test_criterion_8_property_suites(tmp_path):
     a = rng.uniform(0.0, 1.0, (28, 28))
     b = np.clip(a + rng.normal(0.0, 0.1, (28, 28)), 0.0, 1.0)
     assert metrics.ssim(a, a) == pytest.approx(1.0, abs=1e-12)
-    assert metrics.psnr(a, b) == pytest.approx(
+    assert metrics.evaluate_pairs(a[None], b[None]).psnr == pytest.approx(
         10.0 * math.log10(1.0 / metrics.mse(a, b)), rel=1e-12)
-    assert metrics.psnr(a, a) == math.inf
+    assert metrics.evaluate_pairs(a[None], a[None]).psnr is None
     assert metrics.mse(a, b) == metrics.mse(b, a)
 
     # Byte-identical artifacts for a fixed seed across re-runs, on an IDX

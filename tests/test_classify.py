@@ -17,7 +17,7 @@ from memdenoise.classify import (
     train_classifier,
 )
 from memdenoise.imagecore import Dataset
-from memdenoise.nets.common import TrainConfig
+from memdenoise.nets.common import TrainConfig, TrainingDivergence
 from memdenoise.noise import NoiseSpec
 
 
@@ -173,6 +173,20 @@ class TestTraining:
         assert len(clf.loss_log) == 3
         assert all(np.isfinite(loss) for loss in clf.loss_log)
 
+    @pytest.mark.parametrize("lr", [1e6, 1e12])
+    def test_runaway_weights_raise_divergence(self, lr):
+        # The clamped log keeps these losses finite and under twice the
+        # first epoch's, but the layers grow past the largest gain.
+        rng = np.random.default_rng(0)
+        data = Dataset(images=rng.random((256, 8, 8)),
+                       labels=rng.integers(0, 10, 256), split="train")
+        cfg = TrainConfig(train_noise=None, learning_rate=lr, epochs=5,
+                          batch=64, seed=0)
+        with pytest.raises(TrainingDivergence) as info:
+            train_classifier(data, cfg)
+        assert info.value.epoch == 5
+        assert all(np.isfinite(loss) for loss in info.value.rmse_log)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -235,13 +249,6 @@ class TestEvaluate:
         report = evaluate(trained, data, denoiser=IdentityDenoiser(),
                           noise=NoiseSpec("gaussian", 0.01), seed=4)
         assert report.condition == "denoised(identity)"
-
-    def test_method_overrides_condition_label(self, trained):
-        data = toy_data(n=50, seed=11, split="test")
-        report = evaluate(trained, data, denoiser=IdentityDenoiser(),
-                          noise=NoiseSpec("gaussian", 0.01), seed=4,
-                          method="dense")
-        assert report.condition == "denoised(dense)"
 
     def test_identity_denoiser_matches_noisy_accuracy(self, trained):
         data = toy_data(n=100, seed=11, split="test")

@@ -113,6 +113,20 @@ class TestConfigMerging:
         with pytest.raises(CliError, match="'train'.*lr"):
             parse_to_config(["eval", "--config", str(path)])
 
+    @pytest.mark.parametrize("seed,want", [("12", 12), (3.0, 3), (7, 7)])
+    def test_integer_like_seeds_accepted(self, tmp_path, seed, want):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": seed}))
+        assert parse_to_config(["cost", "--config", str(path)])["seed"] == want
+
+    @pytest.mark.parametrize("seed", ["abc", [1]], ids=["string", "list"])
+    def test_non_integer_seed_exits_two(self, tmp_path, capsys, seed):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": seed}))
+        assert main(["cost", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be an integer, got {seed!r}\n"
+
     def test_nested_key_must_be_object(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": 1, "train": 3}))
@@ -394,6 +408,16 @@ class TestCostCommand:
         assert main(["cost", "--seed", "0", "--net", "dense",
                      "--phase", "training"]) == 0
         assert "dense seq. train" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key,value", [("mode", "burst"),
+                                           ("phase", "sleep")])
+    def test_bad_design_label_exits_two(self, capsys, tmp_path, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 0, key: value}))
+        assert main(["cost", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert err.count("\n") == 1
 
     def test_cnn_design_point(self, capsys):
         assert main(["cost", "--seed", "0", "--net", "cnn"]) == 0
@@ -848,19 +872,31 @@ class TestClassifyCommand:
         assert clean(first) == clean(second)
 
 
+FUSE = ["train", "--net", "fusion"]
+
+
 class TestFuseCommand:
+    """Fusing the member bank: `train --net fusion`."""
+
+    def test_fuse_is_not_a_subcommand(self, corpus, member_dir, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["fuse", "--data", corpus, "--seed", "5",
+                  "--members", member_dir])
+        assert info.value.code == 2
+        assert "invalid choice: 'fuse'" in capsys.readouterr().err
+
     def test_missing_members_lists_every_path(self, corpus, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
-        assert main(["fuse", "--data", corpus, "--seed", "5",
-                     "--members", str(empty), "--outdir", str(tmp_path)]) == 2
+        assert main(FUSE + ["--data", corpus, "--seed", "5", "--members",
+                            str(empty), "--outdir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         for spec in STANDARD_NOISES:
             assert "dense_%s.bin" % spec.text().replace(":", "_") in err
 
     def test_requires_members_flag(self, corpus, capsys, tmp_path):
-        assert main(["fuse", "--data", corpus, "--seed", "5",
-                     "--outdir", str(tmp_path)]) == 2
+        assert main(FUSE + ["--data", corpus, "--seed", "5",
+                            "--outdir", str(tmp_path)]) == 2
         assert "--members" in capsys.readouterr().err
 
     def test_rejects_non_dense_members(self, corpus, member_dir, tmp_path):
@@ -872,14 +908,14 @@ class TestFuseCommand:
         shutil.copytree(member_dir, bank)
         shutil.copy(os.path.join(out, "cnn_gaussian_0.1.bin"),
                     bank / "dense_speckle_1.bin")
-        assert main(["fuse", "--data", corpus, "--seed", "5",
-                     "--members", str(bank), "--outdir", out]) == 2
+        assert main(FUSE + ["--data", corpus, "--seed", "5",
+                            "--members", str(bank), "--outdir", out]) == 2
 
     def test_trains_and_saves_fusion_net(self, corpus, member_dir, tmp_path):
         out = str(tmp_path)
-        assert main(["fuse", "--data", corpus, "--seed", "5",
-                     "--members", str(member_dir), "--epochs", "1",
-                     "--limit", "16", "--outdir", out]) == 0
+        assert main(FUSE + ["--data", corpus, "--seed", "5",
+                            "--members", str(member_dir), "--epochs", "1",
+                            "--limit", "16", "--outdir", out]) == 0
         kind, net = load_net(os.path.join(out, "fusion.bin"))
         assert kind == "fusion"
         assert isinstance(net, FusionDenoiser)

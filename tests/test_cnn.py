@@ -122,37 +122,38 @@ class TestForward:
     def test_crossbar_route_equals_direct_route(self, rng):
         net = make_cnn(rng)
         img = rng.random((12, 12))
-        a = net.forward(img)
+        a = net.forward_stack(img[None])[0]
         b = net.forward_direct(img)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_shape_preserved_even_size(self, rng):
         net = make_cnn(rng)
-        assert net.forward(rng.random((10, 14))).shape == (10, 14)
+        assert net.forward_stack(rng.random((1, 10, 14))).shape == (1, 10, 14)
 
     def test_odd_sizes_pad_and_crop(self, rng):
         net = make_cnn(rng)
-        assert net.forward(rng.random((9, 13))).shape == (9, 13)
+        assert net.forward_stack(rng.random((1, 9, 13))).shape == (1, 9, 13)
 
     def test_output_clamped(self, rng):
         net = make_cnn(rng)
-        out = net.forward(rng.random((8, 8)) * 3.0 - 1.0)
+        out = net.forward_stack(rng.random((1, 8, 8)) * 3.0 - 1.0)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_rgb_channels_processed_independently(self, rng):
         net = make_cnn(rng)
-        img = rng.random((8, 8, 3))
-        out = net.forward(img)
+        imgs = rng.random((1, 8, 8, 3))
+        out = net.forward_stack(imgs)
         for c in range(3):
-            np.testing.assert_array_equal(out[:, :, c],
-                                          net.forward(img[:, :, c]))
+            np.testing.assert_array_equal(out[..., c],
+                                          net.forward_stack(imgs[..., c]))
 
     def test_forward_stack_matches_per_image(self, rng):
         net = make_cnn(rng)
         imgs = rng.random((3, 8, 8))
         out = net.forward_stack(imgs)
         for i in range(3):
-            np.testing.assert_array_equal(out[i], net.forward(imgs[i]))
+            np.testing.assert_array_equal(out[i],
+                                          net.forward_stack(imgs[i:i + 1])[0])
 
     @pytest.mark.parametrize("shape", [(340, 28, 28), (2300, 9, 13),
                                        (400, 27, 27), (60, 28, 28, 3),
@@ -174,12 +175,7 @@ class TestForward:
         out = net.forward_stack(imgs)
         assert out.shape == imgs.shape
         for i in range(len(imgs)):
-            assert np.array_equal(out[i], net.forward(imgs[i]))
-
-    def test_device_pairs_counts_all_stages(self, rng):
-        net = make_cnn(rng, kernels=8, ksize=3)
-        # 9x8 conv1 + 72x1 collapse + 9x1 conv2
-        assert net.device_pairs == 72 + 72 + 9
+            assert np.array_equal(out[i], net.forward_stack(imgs[i:i + 1])[0])
 
 
 class TestGradients:
@@ -329,8 +325,9 @@ class TestSerialization:
         np.testing.assert_array_equal(back.k2, net.k2)
         assert back.rmse_log == [0.2, 0.1]
         assert back.train_noise == "gaussian:0.1"
-        img = rng.random((8, 8))
-        np.testing.assert_array_equal(back.forward(img), net.forward(img))
+        imgs = rng.random((2, 8, 8))
+        np.testing.assert_array_equal(back.forward_stack(imgs),
+                                      net.forward_stack(imgs))
 
     def test_device_settings_survive(self, rng, tmp_path):
         k1 = rng.normal(0, 0.3, (2, 3, 3))

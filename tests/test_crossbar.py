@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from memdenoise import ckpt, crossbar
 from memdenoise.crossbar import (TILE_COLS, TILE_ROWS, TiledMatrix,
-                                 apply_sparsity, matmul, matvec, program,
-                                 tile_grid)
+                                 apply_sparsity, matmul, program, tile_grid)
 from memdenoise.device import DeviceModel, quantize
 
 
@@ -168,14 +167,14 @@ class TestProgram:
 class TestReadout:
     def test_identity_passthrough(self):
         m = program(np.eye(4), DeviceModel())
-        x = np.array([1.0, 0.0, 0.0, 0.0])
-        assert np.array_equal(matvec(m, x), x)
+        x = np.array([[1.0, 0.0, 0.0, 0.0]])
+        assert np.array_equal(matmul(m, x), x)
 
     def test_matches_dense_multiply(self, rng):
         w = rng.uniform(-1.0, 1.0, size=(300, 100))
         m = program(w, DeviceModel())
-        x = rng.uniform(0.0, 1.0, size=300)
-        assert np.max(np.abs(matvec(m, x) - x @ w)) < 1e-12
+        x = rng.uniform(0.0, 1.0, size=(1, 300))
+        assert np.max(np.abs(matmul(m, x) - x @ w)) < 1e-12
 
     @pytest.mark.parametrize("rows", [1, 255, 256, 257, 785])
     @pytest.mark.parametrize("cols", [1, 63, 64, 65, 784])
@@ -192,8 +191,6 @@ class TestReadout:
                     xs = rng.uniform(low, 1.0, size=(n, rows))
                     assert np.array_equal(matmul(m, xs),
                                           two_loop_readout(m, xs))
-                    assert np.array_equal(matvec(m, xs[0]),
-                                          two_loop_readout(m, xs[0]))
 
     def test_batched_matches_dense_multiply(self, rng):
         w = rng.uniform(-1.0, 1.0, size=(300, 100))
@@ -204,15 +201,17 @@ class TestReadout:
     def test_two_phase_signed_inputs(self, rng):
         w = rng.uniform(-1.0, 1.0, size=(50, 30))
         m = program(w, DeviceModel())
-        x = rng.uniform(-1.0, 1.0, size=50)
-        assert np.max(np.abs(matvec(m, x) - x @ w)) < 1e-12
+        x = rng.uniform(-1.0, 1.0, size=(1, 50))
+        assert np.max(np.abs(matmul(m, x) - x @ w)) < 1e-12
 
     def test_dimension_mismatch(self):
         m = program(np.zeros((4, 4)), DeviceModel())
         with pytest.raises(ValueError):
-            matvec(m, np.zeros(5))
+            matmul(m, np.zeros((1, 5)))
         with pytest.raises(ValueError):
             matmul(m, np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            matmul(m, np.zeros(4))  # a bare vector is not a batch
 
     @given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0), seed=st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
@@ -220,10 +219,10 @@ class TestReadout:
         gen = np.random.default_rng(seed)
         w = gen.uniform(-1.0, 1.0, size=(20, 10))
         m = program(w, DeviceModel())
-        x1 = gen.uniform(0.0, 1.0, size=20)
-        x2 = gen.uniform(0.0, 1.0, size=20)
-        lhs = matvec(m, a * x1 + b * x2)
-        rhs = a * matvec(m, x1) + b * matvec(m, x2)
+        x1 = gen.uniform(0.0, 1.0, size=(1, 20))
+        x2 = gen.uniform(0.0, 1.0, size=(1, 20))
+        lhs = matmul(m, a * x1 + b * x2)
+        rhs = a * matmul(m, x1) + b * matmul(m, x2)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_tile_accumulation_order_is_fixed(self, rng):
@@ -231,8 +230,8 @@ class TestReadout:
         # dense product, so partial sums are accumulated consistently.
         w = rng.uniform(-1.0, 1.0, size=(600, 150))
         m = program(w, DeviceModel())
-        x = rng.uniform(0.0, 1.0, size=600)
-        assert np.max(np.abs(matvec(m, x) - x @ w)) < 1e-12
+        x = rng.uniform(0.0, 1.0, size=(1, 600))
+        assert np.max(np.abs(matmul(m, x) - x @ w)) < 1e-12
 
 
 class TestSparsity:
@@ -256,29 +255,29 @@ class TestSparsity:
         s = apply_sparsity(m, 0.0, 0.0, np.random.default_rng(0))
         assert not s.input_dropout_mask.any()
         assert not s.prune_mask.any()
-        x = rng.uniform(0.0, 1.0, size=m.rows)
-        assert np.array_equal(matvec(m, x), matvec(s, x))
+        x = rng.uniform(0.0, 1.0, size=(1, m.rows))
+        assert np.array_equal(matmul(m, x), matmul(s, x))
 
     def test_dropped_rows_contribute_nothing(self, rng):
         m = self.make(rng)
         s = apply_sparsity(m, 0.3, 0.0, np.random.default_rng(2))
         w = (s.g_pos - s.g_neg).copy()
         w[s.input_dropout_mask] = 0.0
-        x = rng.uniform(0.0, 1.0, size=m.rows)
-        assert np.max(np.abs(matvec(s, x) - x @ w)) < 1e-12
+        x = rng.uniform(0.0, 1.0, size=(1, m.rows))
+        assert np.max(np.abs(matmul(s, x) - x @ w)) < 1e-12
 
     def test_pruned_pairs_read_as_zero(self, rng):
         m = self.make(rng)
         s = apply_sparsity(m, 0.0, 0.25, np.random.default_rng(3))
         w = np.where(s.prune_mask, 0.0, s.g_pos - s.g_neg)
-        x = rng.uniform(0.0, 1.0, size=m.rows)
-        assert np.max(np.abs(matvec(s, x) - x @ w)) < 1e-12
+        x = rng.uniform(0.0, 1.0, size=(1, m.rows))
+        assert np.max(np.abs(matmul(s, x) - x @ w)) < 1e-12
 
     def test_all_pruned_reads_zero(self, rng):
         m = self.make(rng, rows=8, cols=4)
         forced = TiledMatrix(m.g_pos, m.g_neg,
                              prune_mask=np.ones((8, 4), dtype=bool))
-        assert not matvec(forced, rng.uniform(0.0, 1.0, size=8)).any()
+        assert not matmul(forced, rng.uniform(0.0, 1.0, size=(1, 8))).any()
 
     def test_same_seed_same_masks(self, rng):
         m = self.make(rng)

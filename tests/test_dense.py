@@ -7,7 +7,7 @@ from memdenoise.device import DeviceModel
 from memdenoise.nets.common import (MAX_GAIN, TrainConfig, TrainingDivergence,
                                     corrupt_plane, plane_samples, pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
-from memdenoise.noise import parse_spec
+from memdenoise.noise import corrupt, parse_spec
 
 
 def tiny_dataset(rng, n=24, h=8, w=8):
@@ -61,11 +61,12 @@ class TestHelpers:
 
     def test_corrupt_plane_clamps_by_default(self):
         flat = np.zeros(64)
-        out = corrupt_plane(flat, (8, 8), parse_spec("gaussian:0.5"), [0, 0])
+        spec = parse_spec("gaussian:0.5")
+        out = corrupt_plane(flat, (8, 8), spec, [0, 0])
         assert out.min() >= 0.0 and out.max() <= 1.0
-        raw = corrupt_plane(flat, (8, 8), parse_spec("gaussian:0.5"), [0, 0],
-                            clip_input=False)
+        raw = corrupt(flat.reshape(8, 8), spec, np.random.default_rng([0, 0]))
         assert raw.min() < 0.0
+        np.testing.assert_array_equal(out, np.clip(raw, 0.0, 1.0).reshape(-1))
 
     def test_config_validation(self):
         spec = parse_spec("gaussian:0.1")
@@ -84,8 +85,8 @@ class TestHelpers:
 class TestDenseDenoiser:
     def test_identity_passes_images_through(self, rng):
         net = DenseDenoiser.identity(8, 8)
-        img = rng.random((8, 8))
-        np.testing.assert_array_equal(net.forward(img), img)
+        imgs = rng.random((1, 8, 8))
+        np.testing.assert_array_equal(net.forward_stack(imgs), imgs)
 
     def test_weight_shape_checked(self):
         with pytest.raises(ValueError):
@@ -109,7 +110,7 @@ class TestDenseDenoiser:
     def test_forward_shape_checked(self, rng):
         net = DenseDenoiser.identity(8, 8)
         with pytest.raises(ValueError):
-            net.forward(rng.random((7, 8)))
+            net.forward_stack(rng.random((1, 7, 8)))
 
     def test_crossbar_route_equals_float_route(self, rng):
         # ideal device + power-of-two gain: programmed readout must equal
@@ -128,23 +129,24 @@ class TestDenseDenoiser:
         weights = np.zeros((p + 1, p))
         weights[:p] = np.eye(p) * 1.0
         net = DenseDenoiser(weights, 1.0, (2, 2))
-        out = net.forward(np.array([[-1.0, 0.5], [2.0, 1.0]]))
-        np.testing.assert_array_equal(out, [[0.0, 0.5], [1.0, 1.0]])
+        out = net.forward_stack(np.array([[[-1.0, 0.5], [2.0, 1.0]]]))
+        np.testing.assert_array_equal(out, [[[0.0, 0.5], [1.0, 1.0]]])
 
     def test_forward_stack_matches_per_image(self, rng):
         net = DenseDenoiser.identity(6, 6)
         imgs = rng.random((4, 6, 6))
         out = net.forward_stack(imgs)
         for i in range(4):
-            np.testing.assert_array_equal(out[i], net.forward(imgs[i]))
+            np.testing.assert_array_equal(out[i],
+                                          net.forward_stack(imgs[i:i + 1])[0])
 
     def test_rgb_planes_share_weights(self, rng):
         net = DenseDenoiser.identity(6, 6)
-        img = rng.random((6, 6, 3))
-        out = net.forward(img)
+        imgs = rng.random((1, 6, 6, 3))
+        out = net.forward_stack(imgs)
         for c in range(3):
-            np.testing.assert_array_equal(out[:, :, c],
-                                          net.forward(img[:, :, c]))
+            np.testing.assert_array_equal(out[..., c],
+                                          net.forward_stack(imgs[..., c]))
 
     def test_reprogram_changes_device_not_weights(self, rng):
         net = DenseDenoiser.identity(6, 6)
@@ -157,8 +159,8 @@ class TestDenseDenoiser:
         masked = net.with_sparsity(0.25, 0.0, seed=3)
         assert masked.tiled.input_dropout_mask.sum() == round(0.25 * 37)
         dropped = masked.tiled.input_dropout_mask[:36]
-        img = np.full((6, 6), 0.8)
-        out = masked.forward(img).reshape(-1)
+        imgs = np.full((1, 6, 6), 0.8)
+        out = masked.forward_stack(imgs).reshape(-1)
         np.testing.assert_array_equal(out[dropped], 0.0)
         np.testing.assert_array_equal(out[~dropped], 0.8)
 
@@ -190,8 +192,9 @@ class TestSerialization:
         for name, a in net.tiled.state().items():
             assert np.array_equal(getattr(back.tiled, name), a)
         assert back.device == net.device
-        img = rng.random((8, 8))
-        np.testing.assert_array_equal(back.forward(img), net.forward(img))
+        imgs = rng.random((2, 8, 8))
+        np.testing.assert_array_equal(back.forward_stack(imgs),
+                                      net.forward_stack(imgs))
 
     def test_file_round_trip(self, rng, tmp_path):
         net = DenseDenoiser.identity(6, 6)

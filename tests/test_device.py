@@ -29,10 +29,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             DeviceModel(variation_sigma=-0.01)
 
-    def test_window_ordering(self):
-        with pytest.raises(ValueError):
-            DeviceModel(g_min=1.0, g_max=1.0)
-
 
 class TestQuantize:
     @pytest.mark.parametrize("levels", [2, 16, 64, 128, 256])

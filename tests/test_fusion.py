@@ -114,21 +114,22 @@ class TestForward:
         kernel = np.zeros((3, 3, 3))
         kernel[1, 1, 1] = 1.0
         fused = FusionDenoiser(nets, kernel)
-        img = rng.random((8, 8))
-        np.testing.assert_allclose(fused.forward(img), nets[1].forward(img),
-                                   atol=1e-12)
+        imgs = rng.random((1, 8, 8))
+        np.testing.assert_allclose(fused.forward_stack(imgs),
+                                   nets[1].forward_stack(imgs), atol=1e-12)
 
     def test_zero_kernel_gives_black(self, rng):
         nets, _ = member_bank(rng)
         fused = FusionDenoiser(nets, fusion_init(3, kind="zero"))
-        assert not fused.forward(rng.random((8, 8))).any()
+        assert not fused.forward_stack(rng.random((1, 8, 8))).any()
 
     def test_identity_init_averages_members(self, rng):
         nets, _ = member_bank(rng)
         fused = FusionDenoiser(nets, fusion_init(3, kind="identity"))
-        img = rng.random((8, 8))
-        want = np.clip(np.mean([m.forward(img) for m in nets], axis=0), 0, 1)
-        np.testing.assert_allclose(fused.forward(img), want, atol=1e-12)
+        imgs = rng.random((1, 8, 8))
+        want = np.clip(np.mean([m.forward_stack(imgs) for m in nets], axis=0),
+                       0, 1)
+        np.testing.assert_allclose(fused.forward_stack(imgs), want, atol=1e-12)
 
     def test_crossbar_route_equals_direct_route(self, rng):
         nets, _ = member_bank(rng)
@@ -136,21 +137,21 @@ class TestForward:
         kernel[:, 1, 1] += 1 / 3
         fused = FusionDenoiser(nets, kernel)
         img = rng.random((8, 8))
-        a = fused.forward(img)
+        a = fused.forward_stack(img[None])[0]
         b = fused.forward_direct(img)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_forward_stack_matches_per_image(self, rng):
-        # row-independent readout; batched products may differ in the
-        # last ulp from single-plane ones
+        # row-independent readout; the members' 1-row readouts take
+        # another BLAS path, so a lone image may differ in the last ulp
         nets, _ = member_bank(rng)
         kernel = rng.normal(0, 0.1, (3, 3, 3))
         fused = FusionDenoiser(nets, kernel)
         imgs = rng.random((5, 8, 8))
         out = fused.forward_stack(imgs)
         for i in range(5):
-            np.testing.assert_allclose(out[i], fused.forward(imgs[i]),
-                                       atol=1e-12)
+            np.testing.assert_allclose(
+                out[i], fused.forward_stack(imgs[i:i + 1])[0], atol=1e-12)
 
     def test_forward_stack_rgb(self, rng):
         nets, _ = member_bank(rng)
@@ -158,7 +159,8 @@ class TestForward:
         imgs = rng.random((2, 8, 8, 3))
         out = fused.forward_stack(imgs)
         assert out.shape == (2, 8, 8, 3)
-        np.testing.assert_allclose(out[0], fused.forward(imgs[0]), atol=1e-12)
+        np.testing.assert_allclose(out[0], fused.forward_stack(imgs[:1])[0],
+                                   atol=1e-12)
 
     def test_forward_stack_bits_equal_per_plane_unfold(self, rng):
         # 4500 planes of 8x8 (64 x 27 patches) span 15 inference chunks;
@@ -184,13 +186,13 @@ class TestForward:
         nets, _ = member_bank(rng)
         fused = FusionDenoiser(nets, fusion_init(3))
         with pytest.raises(ValueError):
-            fused.forward(rng.random((6, 6)))
+            fused.forward_stack(rng.random((1, 6, 6)))
 
     def test_output_clamped(self, rng):
         nets, _ = member_bank(rng)
         kernel = np.full((3, 3, 3), 1.0)
         fused = FusionDenoiser(nets, kernel)
-        out = fused.forward(rng.random((8, 8)))
+        out = fused.forward_stack(rng.random((1, 8, 8)))
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -308,8 +310,9 @@ class TestSerialization:
         np.testing.assert_array_equal(back.kernel, fused.kernel)
         assert back.member_noises == fused.member_noises
         assert back.rmse_log == [0.3, 0.2]
-        img = rng.random((8, 8))
-        np.testing.assert_array_equal(back.forward(img), fused.forward(img))
+        imgs = rng.random((2, 8, 8))
+        np.testing.assert_array_equal(back.forward_stack(imgs),
+                                      fused.forward_stack(imgs))
 
     def test_reserialization_is_byte_identical(self, rng, tmp_path):
         nets, _ = member_bank(rng)

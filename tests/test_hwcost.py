@@ -20,10 +20,8 @@ from memdenoise.hwcost import (
     LayerGeometry,
     count_tiles,
     estimate,
-    estimate_training,
     format_report_table,
     format_si,
-    reports_to_json,
 )
 
 BUDGET = ComponentBudget()
@@ -99,9 +97,11 @@ class TestComponentBudget:
             ComponentBudget.from_mapping({"t_reed": 1.0, "frobnicator": 2.0})
 
     def test_replace_returns_new_budget(self):
-        changed = BUDGET.replace(tile_power=1e-3)
+        changed = dataclasses.replace(BUDGET, tile_power=1e-3)
         assert changed.tile_power == 1e-3
         assert BUDGET.tile_power == 111e-6
+        with pytest.raises(ValueError, match="tile_power"):
+            dataclasses.replace(BUDGET, tile_power=0.0)
 
 
 class TestLayerGeometry:
@@ -148,6 +148,11 @@ class TestDesignPoint:
         point = DesignPoint("cnn", "sequential", "inference",
                             [LayerGeometry(9, 8, 4)])
         assert isinstance(point.layers, tuple)
+
+    @pytest.mark.parametrize("network", ["dense", "cnn"])
+    def test_rejects_empty_layers(self, network):
+        with pytest.raises(ValueError, match="at least one layer"):
+            DesignPoint(network, "sequential", "inference", ())
 
     def test_dense_rejects_multiple_layers(self):
         with pytest.raises(ValueError, match="at most one layer"):
@@ -227,7 +232,7 @@ class TestDenseParallelInference:
 
 class TestDenseTraining:
     def test_update_phase_dominates_time(self):
-        r = estimate_training(dense_point(phase="training"))
+        r = estimate(dense_point(phase="training"))
         b = BUDGET
         cells = TILE_ROWS * TILE_COLS
         update_latency = cells * b.t_write * b.update_pulses
@@ -239,7 +244,7 @@ class TestDenseTraining:
         assert 61.2e-3 <= r.time_per_image <= 82.8e-3
 
     def test_update_energy(self):
-        r = estimate_training(dense_point(phase="training"))
+        r = estimate(dense_point(phase="training"))
         b = BUDGET
         cells = TILE_ROWS * TILE_COLS
         assert r.crossbar_power == pytest.approx(52 * b.tile_power, rel=1e-12)
@@ -249,14 +254,14 @@ class TestDenseTraining:
         assert abs(r.total_energy - 236e-6) <= 0.30 * 236e-6
 
     def test_single_layer_design_stores_no_intermediates(self):
-        r = estimate_training(dense_point(phase="training"))
+        r = estimate(dense_point(phase="training"))
         assert r.intermediate_outputs == 0
         assert r.sram_adc_power == 0.0
         assert r.sram_adc_area == 0.0
 
     def test_zero_pulses_removes_update_costs(self):
-        budget = BUDGET.replace(update_pulses=0)
-        r = estimate_training(dense_point(phase="training"), budget)
+        budget = dataclasses.replace(BUDGET, update_pulses=0)
+        r = estimate(dense_point(phase="training"), budget)
         assert r.crossbar_active_time == 0.0
         assert r.crossbar_energy == 0.0
         assert r.time_per_image == pytest.approx(
@@ -280,7 +285,7 @@ class TestCnnCosts:
         assert r.cmos_power == pytest.approx(1176 * BUDGET.cmos_chain_power, rel=1e-12)
 
     def test_training_parks_hidden_outputs_in_sram(self):
-        r = estimate_training(cnn_point(phase="training"))
+        r = estimate(cnn_point(phase="training"))
         stored = 784 * 8 + 196 * 1
         assert r.intermediate_outputs == stored
         assert r.sram_adc_power == BUDGET.adc_power
@@ -289,7 +294,7 @@ class TestCnnCosts:
             BUDGET.adc_area + stored * 8 * BUDGET.sram_cell_area, rel=1e-12)
 
     def test_training_error_slot_uses_final_layer_outputs(self):
-        r = estimate_training(cnn_point(phase="training"))
+        r = estimate(cnn_point(phase="training"))
         b = BUDGET
         update_latency = TILE_ROWS * TILE_COLS * b.t_write * b.update_pulses
         assert r.time_per_image == pytest.approx(
@@ -303,8 +308,8 @@ class TestEnergyAccounting:
             cnn_point(), cnn_point(mode="parallel"),
         ]
         reports = [estimate(p) for p in points]
-        reports.append(estimate_training(dense_point(phase="training")))
-        reports.append(estimate_training(cnn_point(phase="training")))
+        reports.append(estimate(dense_point(phase="training")))
+        reports.append(estimate(cnn_point(phase="training")))
         return reports
 
     def test_energy_is_power_times_time_per_component(self):
@@ -328,7 +333,7 @@ class TestEnergyAccounting:
 
 class TestFabricLimit:
     def test_dense_design_exceeds_small_fabric(self):
-        budget = BUDGET.replace(max_tiles=10)
+        budget = dataclasses.replace(BUDGET, max_tiles=10)
         with pytest.raises(FabricExceededError) as info:
             estimate(dense_point(), budget)
         assert info.value.needed == 52
@@ -336,26 +341,30 @@ class TestFabricLimit:
         assert "52 tiles" in str(info.value)
 
     def test_limit_is_inclusive(self):
-        assert estimate(dense_point(), BUDGET.replace(max_tiles=52)).tiles == 52
+        budget = dataclasses.replace(BUDGET, max_tiles=52)
+        assert estimate(dense_point(), budget).tiles == 52
 
     def test_parallel_cnn_needs_tile_per_patch(self):
         point = cnn_point(mode="parallel")
-        assert estimate(point, BUDGET.replace(max_tiles=1176)).tiles == 1176
+        budget = dataclasses.replace(BUDGET, max_tiles=1176)
+        assert estimate(point, budget).tiles == 1176
         with pytest.raises(FabricExceededError):
-            estimate(point, BUDGET.replace(max_tiles=1175))
+            estimate(point, dataclasses.replace(budget, max_tiles=1175))
 
     def test_is_a_value_error(self):
         assert issubclass(FabricExceededError, ValueError)
 
 
-class TestPhaseGuards:
-    def test_estimate_rejects_training_points(self):
-        with pytest.raises(ValueError, match="estimate_training"):
-            estimate(dense_point(phase="training"))
-
-    def test_estimate_training_rejects_inference_points(self):
-        with pytest.raises(ValueError, match="training"):
-            estimate_training(dense_point())
+class TestPhaseDispatch:
+    @pytest.mark.parametrize("point", [dense_point, cnn_point])
+    def test_estimate_follows_point_phase(self, point):
+        inference = estimate(point())
+        training = estimate(point(phase="training"))
+        assert (inference.phase, training.phase) == ("inference", "training")
+        # training adds the update phase on top of the forward readout
+        assert training.tiles == inference.tiles
+        assert training.time_per_image > inference.time_per_image
+        assert inference.intermediate_outputs == 0
 
 
 class TestFormatting:
@@ -394,10 +403,9 @@ class TestFormatting:
         assert "  -  " in table.splitlines()[-1]
 
     def test_json_round_trip_matches_report(self):
-        r = estimate_training(cnn_point(phase="training"))
-        payload = json.loads(reports_to_json([r]))
-        assert len(payload) == 1
-        row = payload[0]
+        r = estimate(cnn_point(phase="training"))
+        row = json.loads(json.dumps(r.to_json()))
+        assert row == r.to_json()
         assert row["devices_per_polarity"] == 153
         assert row["tiles_per_polarity"] == 3
         assert row["total_energy_j"] == r.total_energy

@@ -133,10 +133,6 @@ class TestDataset:
         assert ds.subset(None) is ds
         assert ds.subset(100) is ds
 
-    def test_image_shape(self, mnist_dir):
-        ds = load_mnist(str(mnist_dir[0]), "test")
-        assert ds.image_shape == (28, 28, 1)
-
 
 class TestPortableImages:
     def test_pgm_round_trip_is_exact_on_byte_grid(self, tmp_path, rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memdenoise.metrics import (CSV_HEADER, SSIM_WINDOW, QualityReport,
-                                evaluate_pairs, mse, psnr, ssim)
+                                evaluate_pairs, mse, ssim)
 
 
 def brute_force_ssim(a, b, k=SSIM_WINDOW):
@@ -82,18 +82,22 @@ class TestMse:
 
 
 class TestPsnr:
+    """PSNR of one image, as the report of a 1-image stack gives it."""
+
     def test_identity_with_mse(self, rng):
-        a, b = rng.random((2, 12, 12))
-        assert psnr(a, b) == pytest.approx(10.0 * np.log10(1.0 / mse(a, b)))
+        a, b = rng.random((2, 1, 12, 12))
+        assert evaluate_pairs(a, b).psnr == pytest.approx(
+            10.0 * np.log10(1.0 / mse(a[0], b[0])))
 
     def test_infinite_for_identical(self, rng):
-        a = rng.random((8, 8))
-        assert psnr(a, a) == float("inf")
+        # an infinite PSNR is reported as None, printed '-'
+        a = rng.random((1, 8, 8))
+        assert evaluate_pairs(a, a).psnr is None
 
     def test_uniform_error_level(self):
         # constant offset of 0.1 -> mse 0.01 -> exactly 20 dB
-        a = np.full((16, 16), 0.4)
-        assert psnr(a, a + 0.1) == pytest.approx(20.0)
+        a = np.full((1, 16, 16), 0.4)
+        assert evaluate_pairs(a, a + 0.1).psnr == pytest.approx(20.0)
 
 
 class TestSsim:
