@@ -73,6 +73,8 @@ class FilterSpec:
 
 def parse_filter(text: str) -> FilterSpec:
     """Parse the textual form produced by :meth:`FilterSpec.text`."""
+    if not isinstance(text, str):
+        raise TypeError(f"filter spec must be a string, got {text!r}")
     parts = text.strip().lower().split(":")
     kind, args = parts[0], parts[1:]
     if kind in ("gauss", "gaussian"):

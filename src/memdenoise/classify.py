@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .nets.common import (MAX_GAIN, TrainConfig, check_epoch, plane_samples,
-                          trained_gain)
+from .nets.common import (MAX_GAIN, TrainConfig, check_epoch, check_planes,
+                          plane_samples, trained_gain)
 from .noise import NoiseSpec, corrupt_dataset
 
 ACCURACY_CSV_HEADER = "noise,condition,accuracy,n"
@@ -83,7 +83,7 @@ class Classifier:
 
     def predict(self, images):
         """Class labels for a stack of images."""
-        flat, _ = plane_samples(np.asarray(images, dtype=np.float64))
+        flat, _ = plane_samples(check_planes(images, self.shape, "classifier"))
         return np.argmax(self.logits(flat), axis=1)
 
     def accuracy(self, images, labels) -> float:
@@ -111,17 +111,13 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def train_classifier(data, cfg: TrainConfig | None = None, hidden: int = 100):
+def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
     """SGD with cross-entropy on the clean training split.
 
-    Defaults (lr 0.1, 5 epochs, batch 64) reach >= 0.95 clean test
-    accuracy on MNIST.  The epoch loss log and the trained layers follow
-    the same divergence rules as the denoiser trainers (check_epoch,
-    trained_gain).
+    The CLI's recipe is cli.CLASSIFIER_RECIPE. The epoch loss log and the
+    trained layers follow the same divergence rules as the denoiser
+    trainers (check_epoch, trained_gain).
     """
-    if cfg is None:
-        cfg = TrainConfig(train_noise=None, learning_rate=0.1, epochs=5,
-                          batch=64, seed=0)
     flat, shape = plane_samples(data.images)
     labels = np.asarray(data.labels)
     if data.images.ndim == 4:

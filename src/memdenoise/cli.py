@@ -1,57 +1,24 @@
 """Experiment driver: configuration, subcommands, and report emission.
 
-Subcommands
------------
-train     fit a denoising network, write checkpoint + per-epoch RMSE log
-eval      quality reports for noisy / denoised / baseline-filtered images
-sweep     quality grids over device levels, variation, dropout, pruning
-cost      hardware cost table for a design point
-classify  downstream accuracy for clean / noisy / denoised inputs
+_COMMANDS maps each subcommand (train, eval, sweep, cost, classify) to
+its function and help line.  Exit codes: 0 success, 2 validation error,
+3 training divergence.  train's bank members and sweep's variants run
+in one fork pool (_fork_map).
 
-Exit codes: 0 success, 2 validation error, 3 training divergence.
-
-train's bank members and sweep's variants run in one fork pool
-(_fork_map), one worker per available CPU; outputs are byte-identical
-to running them one after another.
-
-Configuration is a JSON document merged with command-line flags (flags
-win).  All keys are optional except `seed`.  Schema, with defaults:
-
-    {
-      "dataset":   "mnist",            # or "cifar10"
-      "data_path": null,               # default: $MEMDENOISE_DATA
-      "noises":    ["gaussian:0.1"],   # list of corruption specs
-      "net":       "dense",            # dense | cnn | fusion
-      "device":    {"levels": null, "variation_sigma": 0.0},
-      "dropout":   0.0,                # input-row masking fraction
-      "prune":     0.0,                # device-pair masking fraction
-      "train":     {"learning_rate": null, "epochs": null, "batch": null,
-                    "limit": null, "init": "zero", "clean_fraction": 0.5,
-                    "device_in_loop": false},
-      "eval_limit": 1000,              # test images scored per row
-      "checkpoint": null,              # network checkpoint to evaluate
-      "filters":   [],                 # baseline filter specs for eval
-      "members":   null,               # member checkpoint dir (fusion)
-      "classifier": null,              # classifier checkpoint to reuse
-      "mode":      "sequential",       # cost: sequential | parallel
-      "phase":     "inference",        # cost: inference | training
-      "budget":    null,               # cost: JSON of constant overrides
-      "sweep":     {"levels": [], "sigma": [], "dropout": [], "prune": []},
-      "seed":      null,               # REQUIRED, int
-      "outdir":    "out",
-      "json":      false,              # emit JSON next to each CSV
-      "dump":      0                   # PGM dumps per eval condition
-    }
-
-Null training fields resolve to the per-network defaults recorded in
-TRAIN_RECIPES.  Every emitted report row carries the hash of the
-effective configuration and the seed, and a re-run with the same
-configuration reproduces every output file byte for byte.
+The configuration is DEFAULT_CONFIG, overlaid by a JSON document
+(--config), overlaid by command-line flags.  OPTIONS lists every key
+with its default, the flag that sets it and the subcommands taking that
+flag; `seed` is required.  Null training fields resolve to the
+per-network defaults recorded in TRAIN_RECIPES.  Every emitted report
+row carries the hash of the effective configuration and the seed, and a
+re-run with the same configuration reproduces every output file byte
+for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import json
@@ -68,7 +35,7 @@ from .classify import ACCURACY_CSV_HEADER, Classifier, evaluate, train_classifie
 from .device import DeviceModel
 from .imagecore import DatasetError, load_cifar10, load_mnist, write_image
 from .nets.cnn import CnnDenoiser, cnn_train
-from .nets.common import TrainConfig, TrainingDivergence
+from .nets.common import ImageShapeError, TrainConfig, TrainingDivergence
 from .nets.dense import DenseDenoiser, dense_train
 from .nets.fusion import FusionDenoiser, fusion_train
 from .noise import STANDARD_NOISES, corrupt_dataset, parse_spec
@@ -78,31 +45,114 @@ class CliError(ValueError):
     """Configuration or input problem; maps to exit code 2."""
 
 
-DEFAULT_CONFIG = {
-    "dataset": "mnist",
-    "data_path": None,
-    "noises": ["gaussian:0.1"],
-    "net": "dense",
-    "device": {"levels": None, "variation_sigma": 0.0},
-    "dropout": 0.0,
-    "prune": 0.0,
-    "train": {"learning_rate": None, "epochs": None, "batch": None,
-              "limit": None, "init": "zero", "clean_fraction": 0.5,
-              "device_in_loop": False},
-    "eval_limit": 1000,
-    "checkpoint": None,
-    "filters": [],
-    "members": None,
-    "classifier": None,
-    "mode": "sequential",
-    "phase": "inference",
-    "budget": None,
-    "sweep": {"levels": [], "sigma": [], "dropout": [], "prune": []},
-    "seed": None,
-    "outdir": "out",
-    "json": False,
-    "dump": 0,
-}
+@contextlib.contextmanager
+def _naming(key):
+    """Turn a TypeError or ValueError raised while using config[key] into
+    a CliError naming key."""
+    try:
+        yield
+    except CliError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise CliError(f"{key}: {e}") from None
+
+
+def _levels(text):
+    """A --levels value: None for 'ideal', else an int, else a float (a
+    non-integer count, which DeviceModel then rejects by name)."""
+    if text == "ideal":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+_levels.__name__ = "levels"  # argparse names a type in its error messages
+
+
+def _grid(convert):
+    """argparse type of a comma list of convert(item) values."""
+    def grid(text):
+        return [convert(item) for item in text.split(",")]
+    grid.__name__ = f"{convert.__name__} list"
+    return grid
+
+
+_ALL = ("train", "eval", "sweep", "cost", "classify")
+
+# One row per configuration key: its path (dotted inside a section), its
+# default, the flag that sets it with that flag's argparse keywords, and
+# the subcommands taking the flag.
+OPTIONS = [
+    ("dataset", "mnist", "--dataset", {"choices": ["mnist", "cifar10"]}, _ALL),
+    ("data_path", None, "--data",
+     {"help": "dataset root (default $MEMDENOISE_DATA)"}, _ALL),
+    ("noises", ["gaussian:0.1"], "--noise",
+     {"action": "append",
+      "help": "corruption spec, repeatable (e.g. gaussian:0.1)"}, _ALL),
+    ("net", "dense", "--net", {"choices": ["dense", "cnn", "fusion"]},
+     ("train", "cost")),
+    ("device.levels", None, "--levels",
+     {"type": _levels, "help": "device levels, integer or 'ideal'"}, _ALL),
+    ("device.variation_sigma", 0.0, "--sigma", {"type": float}, _ALL),
+    # Input-row and device-pair masking fractions. No flag sets them and
+    # no command reads them (sweep has its own grids), but every report's
+    # config hash covers them, so dropping them would change all hashes.
+    ("dropout", 0.0, None, {}, ()),
+    ("prune", 0.0, None, {}, ()),
+    ("train.learning_rate", None, "--lr", {"type": float}, ("train",)),
+    ("train.epochs", None, "--epochs", {"type": int}, ("train",)),
+    ("train.batch", None, "--batch", {"type": int}, ("train",)),
+    ("train.limit", None, "--limit", {"type": int}, ("train",)),
+    ("train.init", "zero", "--init", {"choices": ["zero", "identity"]},
+     ("train",)),
+    ("train.clean_fraction", 0.5, "--clean-fraction", {"type": float},
+     ("train",)),
+    ("train.device_in_loop", False, "--device-in-loop",
+     {"action": "store_true"}, ("train",)),
+    ("eval_limit", 1000, "--eval-limit", {"type": int}, _ALL),
+    ("checkpoint", None, "--checkpoint", {}, ("eval", "sweep", "classify")),
+    ("filters", [], "--filter",
+     {"action": "append",
+      "help": "baseline filter spec, repeatable (e.g. median:3)"}, ("eval",)),
+    ("members", None, "--members",
+     {"help": "directory of the 8 dense member checkpoints"}, ("train",)),
+    ("classifier", None, "--classifier",
+     {"help": "classifier checkpoint to reuse"}, ("classify",)),
+    ("mode", "sequential", "--mode",
+     {"choices": ["sequential", "parallel"]}, ("cost",)),
+    ("phase", "inference", "--phase",
+     {"choices": ["inference", "training"]}, ("cost",)),
+    ("budget", None, "--budget",
+     {"help": "JSON file of cost-constant overrides"}, ("cost",)),
+    ("sweep.levels", [], "--levels-grid",
+     {"type": _grid(_levels), "help": "comma list, e.g. 256,128,64,16,2"},
+     ("sweep",)),
+    ("sweep.sigma", [], "--sigma-grid", {"type": _grid(float)}, ("sweep",)),
+    ("sweep.dropout", [], "--dropout-grid", {"type": _grid(float)},
+     ("sweep",)),
+    ("sweep.prune", [], "--prune-grid", {"type": _grid(float)}, ("sweep",)),
+    ("seed", None, "--seed", {"type": int, "help": "required"}, _ALL),
+    ("outdir", "out", "--outdir", {}, _ALL),
+    ("json", False, "--json",
+     {"action": "store_true", "help": "emit JSON reports next to CSV"}, _ALL),
+    ("dump", 0, "--dump", {"type": int, "help": "PGM dumps per condition"},
+     ("eval",)),
+]
+
+
+def _set(config, path, value):
+    """config[section][key] = value for 'section.key', else config[path]."""
+    *sections, key = path.split(".")
+    for name in sections:
+        config = config.setdefault(name, {})
+    config[key] = value
+
+
+DEFAULT_CONFIG = {}
+for _option in OPTIONS:
+    _set(DEFAULT_CONFIG, *_option[:2])
 
 # Training settings that reproduce the reported quality numbers when a
 # field is left null.  Dense learning rate is per noise: the lightest
@@ -113,6 +163,8 @@ TRAIN_RECIPES = {
     "fusion": {"learning_rate": 0.05, "epochs": 3, "batch": 8, "limit": 10000},
 }
 DENSE_RATE_OVERRIDES = {"gaussian:0.01": 0.02}
+# The classifier behind `classify`: >= 0.95 clean accuracy on MNIST.
+CLASSIFIER_RECIPE = {"learning_rate": 0.1, "epochs": 5, "batch": 64}
 
 
 def merge_config(args) -> dict:
@@ -142,40 +194,9 @@ def merge_config(args) -> dict:
                 config[key].update(value)
             else:
                 config[key] = value
-    flag_map = {
-        "data": "data_path", "dataset": "dataset", "noise": "noises",
-        "net": "net", "seed": "seed", "outdir": "outdir",
-        "eval_limit": "eval_limit",
-        "checkpoint": "checkpoint", "filter": "filters",
-        "members": "members", "classifier": "classifier", "mode": "mode",
-        "phase": "phase", "budget": "budget", "dropout": "dropout",
-        "prune": "prune", "dump": "dump",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            config[key] = value
-    if getattr(args, "emit_json", False):
-        config["json"] = True
-    if getattr(args, "levels", None) is not None:
-        config["device"]["levels"] = _parse_number(args.levels, "levels")
-    if getattr(args, "sigma", None) is not None:
-        config["device"]["variation_sigma"] = args.sigma
-    train_flags = {"lr": "learning_rate", "epochs": "epochs", "batch": "batch",
-                   "limit": "limit", "init": "init",
-                   "clean_fraction": "clean_fraction"}
-    for attr, key in train_flags.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            config["train"][key] = value
-    if getattr(args, "device_in_loop", False):
-        config["train"]["device_in_loop"] = True
-    for attr, key in {"levels_grid": "levels", "sigma_grid": "sigma",
-                      "dropout_grid": "dropout", "prune_grid": "prune"}.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            config["sweep"][key] = [_parse_number(t, key)
-                                    for t in value.split(",")]
+    for path, value in vars(args).items():  # the flags given: build_parser
+        if path not in ("command", "config"):
+            _set(config, path, value)
     if config["data_path"] is None:
         config["data_path"] = os.environ.get("MEMDENOISE_DATA")
     if config["seed"] is None:
@@ -188,28 +209,19 @@ def merge_config(args) -> dict:
     return config
 
 
-def _parse_number(text, key):
-    """A levels value (integer or 'ideal') or another grid value (float)."""
-    try:
-        if key == "levels":
-            return None if text == "ideal" else int(text)
-        return float(text)
-    except ValueError:
-        raise CliError(f"bad {key} value {text!r}")
-
-
 def _check_devices(config):
-    """Reject device settings no DeviceModel accepts (NaN, inf, 2.5 levels)."""
+    """Reject device settings no DeviceModel accepts (NaN, inf, 2.5 levels)
+    and sweep grids that are not lists of them or of fractions in [0, 1)."""
+    with _naming("device"):
+        DeviceModel(**config["device"])
     grids = config["sweep"]
-    settings = ([config["device"]] + [{"levels": L} for L in grids["levels"]]
-                + [{"variation_sigma": s} for s in grids["sigma"]])
-    try:
-        for setting in settings:
-            DeviceModel(**setting)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"bad device setting: {e}")
-    if not all(0.0 <= f < 1.0 for f in grids["dropout"] + grids["prune"]):
-        raise CliError("dropout/prune fractions must lie in [0, 1)")
+    with _naming("sweep"):
+        for levels in grids["levels"]:
+            DeviceModel(levels=levels)
+        for sigma in grids["sigma"]:
+            DeviceModel(variation_sigma=sigma)
+        if not all(0 <= f < 1 for f in [*grids["dropout"], *grids["prune"]]):
+            raise ValueError("dropout/prune fractions must lie in [0, 1)")
 
 
 # Plumbing keys that cannot influence report values; everything else
@@ -238,12 +250,17 @@ def load_dataset(config, split):
         raise CliError(f"cannot load {config['dataset']} {split}: {e}")
 
 
+def _test_split(config):
+    """The first eval_limit images of the test split."""
+    data = load_dataset(config, "test")
+    with _naming("eval_limit"):
+        return data.subset(config["eval_limit"])
+
+
 def parse_noises(config):
-    try:
+    with _naming("noises"):
         return [None if text == "none" else parse_spec(text)
                 for text in config["noises"]]
-    except ValueError as e:
-        raise CliError(str(e))
 
 
 _NET_KINDS = {"dense": DenseDenoiser.from_state,
@@ -267,29 +284,21 @@ def load_net(path):
 
 
 def resolved_train_config(config, noise_text=None) -> TrainConfig:
+    """The net's recipe, the dense rate override for noise_text, then the
+    non-null config["train"] values."""
     net = config["net"]
-    if net not in TRAIN_RECIPES:
-        raise CliError(f"unknown net {config['net']!r}")
-    recipe = dict(TRAIN_RECIPES[net])
+    try:
+        recipe = dict(TRAIN_RECIPES[net])
+    except (KeyError, TypeError):
+        raise CliError(f"unknown net {net!r}") from None
     if net == "dense" and noise_text in DENSE_RATE_OVERRIDES:
         recipe["learning_rate"] = DENSE_RATE_OVERRIDES[noise_text]
-    tr = config["train"]
-    try:
-        device = DeviceModel(**config["device"])
+    recipe.update((k, v) for k, v in config["train"].items() if v is not None)
+    with _naming("train"):
         return TrainConfig(
             train_noise=None if noise_text is None else parse_spec(noise_text),
-            learning_rate=(recipe["learning_rate"]
-                           if tr["learning_rate"] is None else tr["learning_rate"]),
-            epochs=recipe["epochs"] if tr["epochs"] is None else tr["epochs"],
-            batch=recipe["batch"] if tr["batch"] is None else tr["batch"],
-            seed=config["seed"],
-            limit=recipe["limit"] if tr["limit"] is None else tr["limit"],
-            init=tr["init"],
-            clean_fraction=tr["clean_fraction"],
-            device=device,
-            device_in_loop=tr["device_in_loop"])
-    except ValueError as e:
-        raise CliError(str(e))
+            seed=config["seed"], device=DeviceModel(**config["device"]),
+            **recipe)
 
 
 def _safe(noise_text):
@@ -303,15 +312,21 @@ def _write(path, text, written):
     written.append(path)
 
 
-def _quality_csv(rows, stamp):
-    lines = [metrics.CSV_HEADER + ",config,seed"]
-    lines += [row.csv_row() + "," + stamp for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _rows_json(config, rows):
     return json.dumps({"config": config_hash(config), "seed": config["seed"],
                        "rows": rows}, indent=2) + "\n"
+
+
+def _emit(config, name, header, lines, json_rows, written):
+    """<outdir>/<name>.csv: header and lines, each stamped with the config
+    hash and seed; with --json, <name>.json of json_rows (unless None)."""
+    stamp = f"{config_hash(config)},{config['seed']}"
+    text = "".join(f"{line},{stamp}\n" for line in lines)
+    _write(os.path.join(config["outdir"], name + ".csv"),
+           f"{header},config,seed\n{text}", written)
+    if config["json"] and json_rows is not None:
+        _write(os.path.join(config["outdir"], name + ".json"),
+               _rows_json(config, json_rows), written)
 
 
 _TRAINERS = {"dense": dense_train, "cnn": cnn_train}
@@ -398,27 +413,19 @@ def member_bank(config):
     return members
 
 
-def _train_fusion(config, data, written):
-    members = member_bank(config)
-    cfg = resolved_train_config(config, None)
-    net = fusion_train(cfg, members, data,
-                       noises=[s.text() for s in STANDARD_NOISES])
-    path = os.path.join(config["outdir"], "fusion.bin")
-    os.makedirs(config["outdir"], exist_ok=True)
-    net.save(path)
-    written.append(path)
-    return net
-
-
 def cmd_train(config):
     data = load_dataset(config, "train")
-    written = []
-    stamp = f"{config_hash(config)},{config['seed']}"
-    log = ["net,noise,epoch,rmse,config,seed"]
+    written, log = [], []
     if config["net"] == "fusion":
-        net = _train_fusion(config, data, written)
+        members = member_bank(config)
+        net = fusion_train(resolved_train_config(config, None), members, data,
+                           noises=[s.text() for s in STANDARD_NOISES])
+        path = os.path.join(config["outdir"], "fusion.bin")
+        os.makedirs(config["outdir"], exist_ok=True)
+        net.save(path)
+        written.append(path)
         for epoch, rmse in enumerate(net.rmse_log, 1):
-            log.append(f"fusion,,{epoch},{rmse:.8g},{stamp}")
+            log.append(f"fusion,,{epoch},{rmse:.8g}")
     else:
         specs = parse_noises(config)
         if not specs or any(s is None for s in specs):
@@ -432,32 +439,24 @@ def cmd_train(config):
         for text, rmse_log in zip(texts, logs):
             written.append(_member_path(config, text))
             for epoch, rmse in enumerate(rmse_log, 1):
-                log.append(f"{config['net']},{text},{epoch},"
-                           f"{rmse:.8g},{stamp}")
-    _write(os.path.join(config["outdir"], "train_log.csv"),
-           "\n".join(log) + "\n", written)
+                log.append(f"{config['net']},{text},{epoch},{rmse:.8g}")
+    _emit(config, "train_log", "net,noise,epoch,rmse", log, None, written)
     return written
 
 
-def _eval_pipelines(config):
-    """(method label, callable stack -> stack) pairs selected by config."""
-    pipelines = []
+def cmd_eval(config):
+    data = _test_split(config)
+    pipelines = []  # (method label, stack -> stack)
     if config["checkpoint"] is not None:
         kind, net = load_net(config["checkpoint"])
         pipelines.append((kind, net.forward_stack))
-    for text in config["filters"]:
-        try:
-            spec = baselines.parse_filter(text)
-        except ValueError as e:
-            raise CliError(str(e))
+    with _naming("filters"):
+        specs = [baselines.parse_filter(text) for text in config["filters"]]
+    for spec in specs:
         pipelines.append((spec.text(),
                           lambda stack, s=spec: baselines.filter_stack(stack, s)))
-    return pipelines
-
-
-def cmd_eval(config):
-    data = load_dataset(config, "test").subset(config["eval_limit"])
-    pipelines = _eval_pipelines(config)
+    with _naming("dump"):
+        dumps = range(min(config["dump"], len(data.images)))
     written, rows = [], []
     dump_root = os.path.join(config["outdir"], "images")
     for spec in parse_noises(config):
@@ -475,20 +474,15 @@ def cmd_eval(config):
             rows.append(metrics.evaluate_pairs(data.images, denoised, text,
                                                method))
             outputs.append((method, denoised))
-        for i in range(min(config["dump"], len(data.images))):
+        for i in dumps:
             base = os.path.join(dump_root, _safe(text))
             os.makedirs(base, exist_ok=True)
             for name, stack in [("clean", data.images)] + outputs:
                 path = os.path.join(base, f"{_safe(name)}_{i}.pgm")
                 write_image(stack[i], path)
                 written.append(path)
-    stamp = f"{config_hash(config)},{config['seed']}"
-    _write(os.path.join(config["outdir"], "eval.csv"),
-           _quality_csv(rows, stamp), written)
-    if config["json"]:
-        _write(os.path.join(config["outdir"], "eval.json"),
-               _rows_json(config, [json.loads(r.to_json()) for r in rows]),
-               written)
+    _emit(config, "eval", metrics.CSV_HEADER, [r.csv_row() for r in rows],
+          [json.loads(r.to_json()) for r in rows], written)
     return written
 
 
@@ -514,13 +508,12 @@ def cmd_sweep(config):
     specs = [s for s in parse_noises(config) if s is not None]
     if not specs:
         raise CliError("sweep requires a real noise spec")
-    data = load_dataset(config, "test").subset(config["eval_limit"])
+    data = _test_split(config)
     noisy = [(spec.text(), np.clip(
         corrupt_dataset(data.images, spec, config["seed"]), 0.0, 1.0))
         for spec in specs]
-    points = [("ideal", "")] + [(p, v) for p in ("levels", "sigma", "dropout",
-                                                 "prune")
-                                for v in config["sweep"][p]]
+    grids = config["sweep"]  # levels, sigma, dropout, prune: OPTIONS order
+    points = [("ideal", "")] + [(p, v) for p in grids for v in grids[p]]
 
     def score(point):
         # Each task programs its own variant and scores it on every noise.
@@ -530,20 +523,14 @@ def cmd_sweep(config):
 
     reports = _fork_map(score, points,
                         lambda point: f"sweep {point[0]} {point[1]}".rstrip())
-    stamp = f"{config_hash(config)},{config['seed']}"
-    lines = ["param,value," + metrics.CSV_HEADER + ",config,seed"]
-    rows = []
+    lines, rows, written = [], [], []
     for per_noise in zip(*reports):  # rows are emitted noise-major
         for (param, value), report in zip(points, per_noise):
             rows.append({"param": param, "value": value,
                          "row": json.loads(report.to_json())})
-            lines.append(f"{param},{value},{report.csv_row()},{stamp}")
-    written = []
-    _write(os.path.join(config["outdir"], "sweep.csv"),
-           "\n".join(lines) + "\n", written)
-    if config["json"]:
-        _write(os.path.join(config["outdir"], "sweep.json"),
-               _rows_json(config, rows), written)
+            lines.append(f"{param},{value},{report.csv_row()}")
+    _emit(config, "sweep", "param,value," + metrics.CSV_HEADER, lines, rows,
+          written)
     return written
 
 
@@ -567,22 +554,19 @@ def cmd_cost(config):
         raise CliError(str(e))
     print(hwcost.format_report_table([report]))
     written = []
-    if config["json"]:
+    if config["json"]:  # no CSV: the table goes to stdout
         _write(os.path.join(config["outdir"], "cost.json"),
                _rows_json(config, [report.to_json()]), written)
     return written
 
 
 def cmd_classify(config):
-    train_split = None
     if config["classifier"] is not None:
         clf = _read_checkpoint(Classifier.load, config["classifier"])
     else:
-        train_split = load_dataset(config, "train")
-        clf = train_classifier(
-            train_split, TrainConfig(train_noise=None, learning_rate=0.1,
-                                     epochs=5, batch=64, seed=config["seed"]))
-    data = load_dataset(config, "test").subset(config["eval_limit"])
+        clf = train_classifier(load_dataset(config, "train"), TrainConfig(
+            train_noise=None, seed=config["seed"], **CLASSIFIER_RECIPE))
+    data = _test_split(config)
     denoiser = None
     if config["checkpoint"] is not None:
         _, denoiser = load_net(config["checkpoint"])
@@ -594,86 +578,44 @@ def cmd_classify(config):
         if denoiser is not None:
             rows.append(evaluate(clf, data, denoiser=denoiser, noise=spec,
                                  seed=config["seed"]))
-    stamp = f"{config_hash(config)},{config['seed']}"
-    lines = [ACCURACY_CSV_HEADER + ",config,seed"]
-    lines += [row.csv_row() + "," + stamp for row in rows]
     written = []
-    os.makedirs(config["outdir"], exist_ok=True)
     if config["classifier"] is None:
         path = os.path.join(config["outdir"], "classifier.bin")
+        os.makedirs(config["outdir"], exist_ok=True)
         clf.save(path)
         written.append(path)
-    _write(os.path.join(config["outdir"], "classify.csv"),
-           "\n".join(lines) + "\n", written)
-    if config["json"]:
-        _write(os.path.join(config["outdir"], "classify.json"),
-               _rows_json(config, [row.to_json() for row in rows]), written)
+    _emit(config, "classify", ACCURACY_CSV_HEADER, [r.csv_row() for r in rows],
+          [r.to_json() for r in rows], written)
     return written
 
 
-_COMMANDS = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep,
-             "cost": cmd_cost, "classify": cmd_classify}
+_COMMANDS = {
+    "train": (cmd_train, "train a network per noise, write checkpoints"),
+    "eval": (cmd_eval, "quality reports for noisy/denoised/baselines"),
+    "sweep": (cmd_sweep, "non-ideality grids on a dense checkpoint"),
+    "cost": (cmd_cost, "hardware cost table for a design point"),
+    "classify": (cmd_classify, "accuracy for clean/noisy/denoised inputs"),
+}
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--data", help="dataset root (default $MEMDENOISE_DATA)")
-    common.add_argument("--dataset", choices=["mnist", "cifar10"])
-    common.add_argument("--noise", action="append",
-                        help="corruption spec, repeatable (e.g. gaussian:0.1)")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--outdir")
-    common.add_argument("--eval-limit", dest="eval_limit", type=int)
-    common.add_argument("--json", dest="emit_json", action="store_true",
-                        help="emit JSON reports next to CSV")
-    common.add_argument("--levels", help="device levels, integer or 'ideal'")
-    common.add_argument("--sigma", type=float, help="device variation sigma")
+    """One subparser per command, with the OPTIONS flags it takes.
 
-    trainish = argparse.ArgumentParser(add_help=False)
-    trainish.add_argument("--lr", type=float)
-    trainish.add_argument("--epochs", type=int)
-    trainish.add_argument("--batch", type=int)
-    trainish.add_argument("--limit", type=int)
-    trainish.add_argument("--init", choices=["zero", "identity"])
-    trainish.add_argument("--clean-fraction", dest="clean_fraction", type=float)
-    trainish.add_argument("--device-in-loop", dest="device_in_loop",
-                          action="store_true")
-    trainish.add_argument("--members",
-                          help="directory of the 8 dense member checkpoints")
-
+    Each flag's dest is its config key path and an unset flag leaves no
+    attribute, so merge_config sets exactly the flags given.
+    """
     parser = argparse.ArgumentParser(
         prog="memdenoise",
         description="Crossbar denoising experiments: training, evaluation, "
                     "non-ideality sweeps, hardware cost, classification.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("train", parents=[common, trainish],
-                       help="train a network per noise, write checkpoints")
-    p.add_argument("--net", choices=["dense", "cnn", "fusion"])
-    p = sub.add_parser("eval", parents=[common],
-                       help="quality reports for noisy/denoised/baselines")
-    p.add_argument("--checkpoint", help="denoiser checkpoint to score")
-    p.add_argument("--filter", action="append",
-                   help="baseline filter spec, repeatable (e.g. median:3)")
-    p.add_argument("--dump", type=int, help="PGM dumps per condition")
-    p = sub.add_parser("sweep", parents=[common],
-                       help="non-ideality grids on a dense checkpoint")
-    p.add_argument("--checkpoint")
-    p.add_argument("--levels-grid", dest="levels_grid",
-                   help="comma list, e.g. 256,128,64,16,2")
-    p.add_argument("--sigma-grid", dest="sigma_grid")
-    p.add_argument("--dropout-grid", dest="dropout_grid")
-    p.add_argument("--prune-grid", dest="prune_grid")
-    p = sub.add_parser("cost", parents=[common],
-                       help="hardware cost table for a design point")
-    p.add_argument("--net", choices=["dense", "cnn"])
-    p.add_argument("--mode", choices=["sequential", "parallel"])
-    p.add_argument("--phase", choices=["inference", "training"])
-    p.add_argument("--budget", help="JSON file of cost-constant overrides")
-    p = sub.add_parser("classify", parents=[common],
-                       help="accuracy for clean/noisy/denoised inputs")
-    p.add_argument("--checkpoint", help="denoiser applied before classifying")
-    p.add_argument("--classifier", help="classifier checkpoint to reuse")
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON configuration file")
+        for path, _, flag, kwargs, commands in OPTIONS:
+            if command in commands:
+                p.add_argument(flag, dest=path, default=argparse.SUPPRESS,
+                               **kwargs)
     return parser
 
 
@@ -681,8 +623,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = merge_config(args)
-        written = _COMMANDS[args.command](config)
-    except CliError as e:
+        written = _COMMANDS[args.command][0](config)
+    except (CliError, ImageShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TrainingDivergence as e:

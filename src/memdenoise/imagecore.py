@@ -10,6 +10,7 @@ pixel bytes per record). Output dumps are binary PGM (P5) / PPM (P6).
 """
 
 import gzip
+import numbers
 import struct
 import zlib
 from contextlib import contextmanager
@@ -72,6 +73,9 @@ class Dataset:
 
     def subset(self, n):
         """First n images as a new Dataset (n=None keeps everything)."""
+        if not (n is None or isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"image count must be None or an integer >= 1, "
+                             f"got {n!r}")
         if n is None or n >= len(self):
             return self
         return Dataset(self.images[:n].copy(), self.labels[:n].copy(), self.split)

@@ -1,6 +1,7 @@
 """Shared training plumbing for the denoising networks."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,19 @@ class TrainingDivergence(RuntimeError):
                             self.rmse_log, self.member)
 
 
+class ImageShapeError(ValueError):
+    """An image stack whose planes are not the size a network was built for."""
+
+
+def check_planes(images, shape, owner):
+    """images as a float64 stack; ImageShapeError unless its planes are shape."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.shape[1:3] != tuple(shape):
+        raise ImageShapeError(
+            f"images {images.shape}, {owner} expects {tuple(shape)}")
+    return images
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters shared by all trainers.
@@ -58,16 +72,20 @@ class TrainConfig:
     device_in_loop: bool = False
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.init not in ("zero", "identity"):
-            raise ValueError("init must be 'zero' or 'identity'")
-        if not 0.0 <= self.clean_fraction <= 1.0:
-            raise ValueError("clean_fraction must lie in [0, 1]")
+        real, whole = numbers.Real, numbers.Integral
+        for name, kind, ok, rule in [
+                ("learning_rate", real, lambda v: v >= 0, "a number >= 0"),
+                ("epochs", whole, lambda v: v >= 0, "an integer >= 0"),
+                ("batch", whole, lambda v: v >= 1, "an integer >= 1"),
+                ("limit", (whole, type(None)), lambda v: v is None or v >= 1,
+                 "None or an integer >= 1"),
+                ("init", str, lambda v: v in ("zero", "identity"),
+                 "'zero' or 'identity'"),
+                ("clean_fraction", real, lambda v: 0.0 <= v <= 1.0,
+                 "a number in [0, 1]")]:
+            value = getattr(self, name)
+            if not (isinstance(value, kind) and ok(value)):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 # Largest readout gain. No trained weight comes near it, and three

@@ -18,8 +18,9 @@ import numpy as np
 
 from .. import ckpt, crossbar
 from ..device import DeviceModel
-from .common import (MAX_GAIN, TrainConfig, check_epoch, corrupt_plane,
-                     plane_samples, stack_from_planes, trained_gain)
+from .common import (MAX_GAIN, TrainConfig, check_epoch, check_planes,
+                     corrupt_plane, plane_samples, stack_from_planes,
+                     trained_gain)
 
 
 class DenseDenoiser:
@@ -89,7 +90,7 @@ class DenseDenoiser:
 
     def forward_stack(self, images):
         """Denoise a stack of images in one batched readout."""
-        images = np.asarray(images, dtype=np.float64)
+        images = check_planes(images, self.shape, "dense net")
         flat, _ = plane_samples(images)
         return stack_from_planes(self.forward_flat(flat), images)
 

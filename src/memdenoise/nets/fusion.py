@@ -21,8 +21,9 @@ import numpy as np
 from .. import ckpt, crossbar
 from ..device import DeviceModel
 from ..noise import NoiseSpec, corrupt, parse_spec
-from .common import (TrainConfig, check_epoch, chunk_planes, plane_samples,
-                     pow2_scale, stack_from_planes, trained_gain)
+from .common import (TrainConfig, check_epoch, check_planes, chunk_planes,
+                     plane_samples, pow2_scale, stack_from_planes,
+                     trained_gain)
 from .cnn import conv_same, unfold_stack
 from .dense import DenseDenoiser
 
@@ -74,10 +75,7 @@ class FusionDenoiser:
         memory held. Member outputs sit in [0, 1], so the fusion readout
         runs in a single non-negative input phase.
         """
-        images = np.asarray(images, dtype=np.float64)
-        if images.shape[1:3] != self.shape:
-            raise ValueError(
-                f"images {images.shape}, members expect {self.shape}")
+        images = check_planes(images, self.shape, "fusion net")
         flat, (h, w) = plane_samples(images)
         member_out = np.stack(
             [m.forward_flat(flat) for m in self.members], axis=1)

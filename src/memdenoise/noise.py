@@ -82,6 +82,8 @@ def parse_spec(text):
 
     'gaussian:VAR', 'sp:DENSITY', 'poisson[:PEAK]', 'speckle[:VAR]'.
     """
+    if not isinstance(text, str):
+        raise TypeError("noise spec must be a string, got %r" % (text,))
     parts = text.strip().split(":")
     kind = parts[0]
     if kind not in KINDS:

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import settings
 
 from memdenoise.classify import train_classifier
-from memdenoise.cli import DENSE_RATE_OVERRIDES, TRAIN_RECIPES
+from memdenoise.cli import (CLASSIFIER_RECIPE, DENSE_RATE_OVERRIDES,
+                            TRAIN_RECIPES)
 from memdenoise.imagecore import load_mnist
 from memdenoise.nets.common import TrainConfig
 from memdenoise.nets.dense import dense_train
@@ -116,8 +117,8 @@ def fusion_net(member_bank, mnist_train):
 
 @pytest.fixture(scope="session")
 def classifier(mnist_train):
-    cfg = TrainConfig(train_noise=None, learning_rate=0.1, epochs=5, batch=64,
-                      seed=CLASSIFIER_SEED)
+    cfg = TrainConfig(train_noise=None, seed=CLASSIFIER_SEED,
+                      **CLASSIFIER_RECIPE)
     return train_classifier(mnist_train, cfg)
 
 

@@ -17,7 +17,8 @@ from memdenoise.classify import (
     train_classifier,
 )
 from memdenoise.imagecore import Dataset
-from memdenoise.nets.common import TrainConfig, TrainingDivergence
+from memdenoise.nets.common import (ImageShapeError, TrainConfig,
+                                    TrainingDivergence)
 from memdenoise.noise import NoiseSpec
 
 
@@ -86,6 +87,11 @@ class TestUntrainedClassifier:
         clf = Classifier.initial(16, 7, (4, 4))
         assert clf.w1.shape == (16, 7)
         assert clf.w2.shape == (7, 10)
+
+    def test_image_shape_checked(self):
+        clf = Classifier.initial(16, 8, (4, 4))
+        with pytest.raises(ImageShapeError, match=r"\(4, 4\)"):
+            clf.predict(np.zeros((2, 5, 5)))
 
     def test_weights_are_read_only(self):
         clf = Classifier.initial(16, 8, (4, 4))

@@ -368,6 +368,91 @@ def test_non_finite_parameters_rejected(corpus, dense_ckpt, capsys, tmp_path,
     assert err.startswith("error: ") and cause in err
 
 
+
+def one_error_line(capsys, *causes):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(cause in err for cause in causes), err
+
+
+@pytest.fixture(scope="module")
+def corpus_10x10(tmp_path_factory):
+    root = tmp_path_factory.mktemp("idx10")
+    rng = np.random.default_rng(1)
+    for prefix, n in (("train", 48), ("t10k", 24)):
+        write_idx_images(root / f"{prefix}-images-idx3-ubyte",
+                         rng.integers(0, 256, (n, 10, 10), dtype=np.uint8))
+        write_idx_labels(root / f"{prefix}-labels-idx1-ubyte",
+                         (np.arange(n) % 10).astype(np.uint8))
+    return str(root)
+
+
+class TestImageSizeMismatch:
+    """Checkpoints of 8x8 nets run on a 10x10 corpus."""
+
+    @pytest.mark.parametrize("command,kind", [
+        ("eval", "dense"), ("eval", "fusion"), ("sweep", "dense"),
+        ("classify", "dense"), ("classify", "classifier")])
+    def test_exits_two_naming_both_shapes(self, corpus_10x10, dense_ckpt,
+                                          capsys, tmp_path, command, kind):
+        path, flag = dense_ckpt, "--checkpoint"
+        if kind == "fusion":
+            path = str(tmp_path / "fusion.bin")
+            FusionDenoiser([DenseDenoiser.load(dense_ckpt)] * 8,
+                           fusion_init(8, kind="identity")).save(path)
+        elif kind == "classifier":
+            path, flag = str(tmp_path / "clf.bin"), "--classifier"
+            Classifier.initial(64, 4, (8, 8)).save(path)
+        extra = ["--levels-grid", "4"] if command == "sweep" else []
+        assert main([command, "--data", corpus_10x10, "--seed", "1", flag,
+                     path, "--outdir", str(tmp_path / "out")] + extra) == 2
+        one_error_line(capsys, "(8, 8)", "10, 10)")
+
+    def test_cnn_checkpoints_take_any_size(self, corpus, corpus_10x10,
+                                           tmp_path):
+        assert main(["train", "--data", corpus, "--seed", "1", "--net", "cnn",
+                     "--epochs", "1", "--limit", "8", "--outdir",
+                     str(tmp_path)]) == 0
+        assert main(["eval", "--data", corpus_10x10, "--seed", "1",
+                     "--checkpoint", str(tmp_path / "cnn_gaussian_0.1.bin"),
+                     "--outdir", str(tmp_path / "eval")]) == 0
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("argv,cause", [
+        (["eval", "--eval-limit", "0"], "eval_limit"),
+        (["eval", "--eval-limit", "-3"], "eval_limit"),
+        (["sweep", "--eval-limit", "0"], "eval_limit"),
+        (["classify", "--eval-limit", "0"], "eval_limit"),
+        (["train", "--limit", "0"], "limit"),
+        (["train", "--limit", "-2"], "limit")])
+    def test_non_positive_limits_exit_two(self, corpus, dense_ckpt, capsys,
+                                          tmp_path, argv, cause):
+        if argv[0] in ("eval", "sweep"):
+            argv = argv + ["--checkpoint", dense_ckpt]
+        assert main(argv + ["--data", corpus, "--seed", "1",
+                            "--outdir", str(tmp_path)]) == 2
+        one_error_line(capsys, cause)
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("command,document,cause", [
+        ("eval", {"eval_limit": "abc"}, "eval_limit"),
+        ("eval", {"dump": "x"}, "dump"),
+        ("eval", {"filters": 3}, "filters"),
+        ("eval", {"filters": [3]}, "filters"),
+        ("eval", {"noises": [3]}, "noises"),
+        ("train", {"train": {"epochs": "4"}}, "epochs"),
+        ("train", {"train": {"epochs": 2.0}}, "epochs")])
+    def test_wrong_typed_config_values_exit_two(self, corpus, capsys,
+                                                tmp_path, command, document,
+                                                cause):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, **document}))
+        assert main([command, "--config", str(path), "--data", corpus,
+                     "--outdir", str(tmp_path / "out")]) == 2
+        one_error_line(capsys, cause)
+
+
 class TestCostCommand:
     def test_dense_sequential_table(self, capsys):
         assert main(["cost", "--seed", "0", "--net", "dense"]) == 0

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from memdenoise.device import DeviceModel
-from memdenoise.nets.common import (MAX_GAIN, TrainConfig, TrainingDivergence,
-                                    corrupt_plane, plane_samples, pow2_scale)
+from memdenoise.nets.common import (MAX_GAIN, ImageShapeError, TrainConfig,
+                                    TrainingDivergence, corrupt_plane,
+                                    plane_samples, pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.noise import corrupt, parse_spec
 
@@ -81,6 +82,19 @@ class TestHelpers:
         with pytest.raises(ValueError):
             TrainConfig(spec, clean_fraction=1.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("limit", 0), ("limit", -2), ("limit", 2.0), ("limit", "4"),
+        ("epochs", "4"), ("epochs", 2.5), ("batch", None),
+        ("learning_rate", "0.1"), ("learning_rate", np.nan), ("init", 0),
+        ("clean_fraction", "0.5")])
+    def test_wrong_values_name_their_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be .*got"):
+            TrainConfig(parse_spec("gaussian:0.1"), **{field: value})
+
+    def test_limit_accepts_none_and_positive_integers(self):
+        for limit in (None, 1, np.int64(5)):
+            assert TrainConfig(None, limit=limit).limit == limit
+
 
 class TestDenseDenoiser:
     def test_identity_passes_images_through(self, rng):
@@ -91,6 +105,12 @@ class TestDenseDenoiser:
     def test_weight_shape_checked(self):
         with pytest.raises(ValueError):
             DenseDenoiser(np.zeros((64, 64)), 1.0, (8, 8))
+
+    @pytest.mark.parametrize("shape", [(3, 10, 10), (3, 8, 10, 3), (64,)])
+    def test_image_shape_checked(self, shape):
+        net = DenseDenoiser.identity(8, 8)
+        with pytest.raises(ImageShapeError, match=r"\(8, 8\)"):
+            net.forward_stack(np.zeros(shape))
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0,
                                        2.0 ** 65, 1e308])

@@ -133,6 +133,12 @@ class TestDataset:
         assert ds.subset(None) is ds
         assert ds.subset(100) is ds
 
+    @pytest.mark.parametrize("n", [0, -3, 2.0, "abc", [2]])
+    def test_subset_takes_none_or_a_positive_integer(self, n):
+        ds = Dataset(np.zeros((3, 2, 2)), np.zeros(3, dtype=np.int64), "test")
+        with pytest.raises(ValueError, match="integer >= 1"):
+            ds.subset(n)
+
 
 class TestPortableImages:
     def test_pgm_round_trip_is_exact_on_byte_grid(self, tmp_path, rng):
