@@ -15,7 +15,8 @@ import numpy as np
 
 from . import ckpt
 from .nets.common import (MAX_GAIN, TrainConfig, check_epoch, check_planes,
-                          plane_samples, trained_gain)
+                          check_trained, max_abs, plane_samples,
+                          training_epochs)
 from .noise import NoiseSpec, corrupt_dataset
 
 ACCURACY_CSV_HEADER = "noise,condition,accuracy,n"
@@ -65,7 +66,7 @@ class Classifier:
                     self.w1.shape, self.b1.shape, self.w2.shape,
                     self.b2.shape, self.shape))
         for a in (self.w1, self.b1, self.w2, self.b2):
-            if not np.abs(a).max(initial=0.0) <= MAX_GAIN:  # NaN too
+            if not max_abs(a) <= MAX_GAIN:  # NaN too
                 raise ValueError("classifier weights must be finite and "
                                  "within 2**64")
             a.setflags(write=False)
@@ -116,7 +117,7 @@ def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
 
     The CLI's recipe is cli.CLASSIFIER_RECIPE. The epoch loss log and the
     trained layers follow the same divergence rules as the denoiser
-    trainers (check_epoch, trained_gain).
+    trainers (check_epoch, check_trained).
     """
     flat, shape = plane_samples(data.images)
     labels = np.asarray(data.labels)
@@ -131,14 +132,10 @@ def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
     w1, b1 = clf.w1.copy(), clf.b1.copy()
     w2, b2 = clf.w2.copy(), clf.b2.copy()
     onehot = np.eye(10)[labels]
-    rng = np.random.default_rng([cfg.seed, 0x5F])
     loss_log = []
-    for epoch in range(1, cfg.epochs + 1):
-        eta = cfg.learning_rate / np.sqrt(epoch)
-        perm = rng.permutation(n)
+    for epoch, eta, batches in training_epochs(cfg, n):
         loss_sum = 0.0
-        for start in range(0, n, cfg.batch):
-            idx = perm[start:start + cfg.batch]
+        for idx in batches:
             x, y = flat[idx], onehot[idx]
             pre = x @ w1 + b1
             hid = np.maximum(0.0, pre)
@@ -157,8 +154,7 @@ def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
                 b2 -= eta * g_b2
         loss_log.append(loss_sum / n)
         check_epoch(epoch, loss_log)
-    for a in (w1, b1, w2, b2):
-        trained_gain(np.abs(a).max(), loss_log)  # diverged weights raise
+    check_trained(loss_log, w1, b1, w2, b2)
     return Classifier(w1, b1, w2, b2, shape, loss_log=loss_log)
 
 

@@ -20,9 +20,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import functools
 import hashlib
 import json
 import multiprocessing as mp
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -80,22 +82,24 @@ def _grid(convert):
 
 
 _ALL = ("train", "eval", "sweep", "cost", "classify")
+_DATA = ("train", "eval", "sweep", "classify")  # the commands reading images
 
 # One row per configuration key: its path (dotted inside a section), its
 # default, the flag that sets it with that flag's argparse keywords, and
 # the subcommands taking the flag.
 OPTIONS = [
-    ("dataset", "mnist", "--dataset", {"choices": ["mnist", "cifar10"]}, _ALL),
+    ("dataset", "mnist", "--dataset", {"choices": ["mnist", "cifar10"]}, _DATA),
     ("data_path", None, "--data",
-     {"help": "dataset root (default $MEMDENOISE_DATA)"}, _ALL),
+     {"help": "dataset root (default $MEMDENOISE_DATA)"}, _DATA),
     ("noises", ["gaussian:0.1"], "--noise",
      {"action": "append",
-      "help": "corruption spec, repeatable (e.g. gaussian:0.1)"}, _ALL),
+      "help": "corruption spec, repeatable (e.g. gaussian:0.1)"}, _DATA),
     ("net", "dense", "--net", {"choices": ["dense", "cnn", "fusion"]},
      ("train", "cost")),
     ("device.levels", None, "--levels",
-     {"type": _levels, "help": "device levels, integer or 'ideal'"}, _ALL),
-    ("device.variation_sigma", 0.0, "--sigma", {"type": float}, _ALL),
+     {"type": _levels, "help": "device levels, integer or 'ideal'"},
+     ("train",)),
+    ("device.variation_sigma", 0.0, "--sigma", {"type": float}, ("train",)),
     # Input-row and device-pair masking fractions. No flag sets them and
     # no command reads them (sweep has its own grids), but every report's
     # config hash covers them, so dropping them would change all hashes.
@@ -111,7 +115,8 @@ OPTIONS = [
      ("train",)),
     ("train.device_in_loop", False, "--device-in-loop",
      {"action": "store_true"}, ("train",)),
-    ("eval_limit", 1000, "--eval-limit", {"type": int}, _ALL),
+    ("eval_limit", 1000, "--eval-limit", {"type": int},
+     ("eval", "sweep", "classify")),
     ("checkpoint", None, "--checkpoint", {}, ("eval", "sweep", "classify")),
     ("filters", [], "--filter",
      {"action": "append",
@@ -136,7 +141,8 @@ OPTIONS = [
     ("seed", None, "--seed", {"type": int, "help": "required"}, _ALL),
     ("outdir", "out", "--outdir", {}, _ALL),
     ("json", False, "--json",
-     {"action": "store_true", "help": "emit JSON reports next to CSV"}, _ALL),
+     {"action": "store_true", "help": "emit JSON reports next to CSV"},
+     ("eval", "sweep", "cost", "classify")),
     ("dump", 0, "--dump", {"type": int, "help": "PGM dumps per condition"},
      ("eval",)),
 ]
@@ -197,6 +203,7 @@ def merge_config(args) -> dict:
     for path, value in vars(args).items():  # the flags given: build_parser
         if path not in ("command", "config"):
             _set(config, path, value)
+    _check_types(config)
     if config["data_path"] is None:
         config["data_path"] = os.environ.get("MEMDENOISE_DATA")
     if config["seed"] is None:
@@ -207,6 +214,29 @@ def merge_config(args) -> dict:
         raise CliError(f"seed must be an integer, got {config['seed']!r}")
     _check_devices(config)
     return config
+
+
+def _get(config, path):
+    return functools.reduce(operator.getitem, path.split("."), config)
+
+
+def _check_types(config):
+    """Reject a value its OPTIONS row's flag could not give: a choice not
+    listed, a non-boolean switch, or a non-string for a string flag (null
+    is allowed where the default is null)."""
+    for path, default, flag, kwargs, _ in OPTIONS:
+        value, choices = _get(config, path), kwargs.get("choices")
+        if choices:
+            ok, rule = value in choices, "one of " + ", ".join(choices)
+        elif kwargs.get("action") == "store_true":
+            ok, rule = type(value) is bool, "true or false"
+        elif flag and not {"type", "action"} & set(kwargs):
+            ok = isinstance(value, str) or (value is None and default is None)
+            rule = "a string" + " or null" * (default is None)
+        else:
+            continue
+        if not ok:
+            raise CliError(f"{path} must be {rule}, got {value!r}")
 
 
 def _check_devices(config):
@@ -241,9 +271,7 @@ def load_dataset(config, split):
         raise CliError("no dataset path: set --data or MEMDENOISE_DATA")
     if not os.path.isdir(path):
         raise CliError(f"dataset path {path!r} is not a directory")
-    loader = {"mnist": load_mnist, "cifar10": load_cifar10}.get(config["dataset"])
-    if loader is None:
-        raise CliError(f"unknown dataset {config['dataset']!r}")
+    loader = {"mnist": load_mnist, "cifar10": load_cifar10}[config["dataset"]]
     try:
         return loader(path, split)
     except DatasetError as e:
@@ -286,12 +314,8 @@ def load_net(path):
 def resolved_train_config(config, noise_text=None) -> TrainConfig:
     """The net's recipe, the dense rate override for noise_text, then the
     non-null config["train"] values."""
-    net = config["net"]
-    try:
-        recipe = dict(TRAIN_RECIPES[net])
-    except (KeyError, TypeError):
-        raise CliError(f"unknown net {net!r}") from None
-    if net == "dense" and noise_text in DENSE_RATE_OVERRIDES:
+    recipe = dict(TRAIN_RECIPES[config["net"]])
+    if config["net"] == "dense" and noise_text in DENSE_RATE_OVERRIDES:
         recipe["learning_rate"] = DENSE_RATE_OVERRIDES[noise_text]
     recipe.update((k, v) for k, v in config["train"].items() if v is not None)
     with _naming("train"):
@@ -413,7 +437,17 @@ def member_bank(config):
     return members
 
 
+# Keys a net's trainer never reads: train refuses them off their defaults.
+_UNREAD = {"dense": ("train.clean_fraction", "members"),
+           "cnn": ("train.init", "train.clean_fraction",
+                   "train.device_in_loop", "members"),
+           "fusion": ("noises",)}
+
+
 def cmd_train(config):
+    for path in _UNREAD[config["net"]]:
+        if _get(config, path) != _get(DEFAULT_CONFIG, path):
+            raise CliError(f"{path} is not read when training {config['net']}")
     data = load_dataset(config, "train")
     written, log = [], []
     if config["net"] == "fusion":
@@ -482,7 +516,7 @@ def cmd_eval(config):
                 write_image(stack[i], path)
                 written.append(path)
     _emit(config, "eval", metrics.CSV_HEADER, [r.csv_row() for r in rows],
-          [json.loads(r.to_json()) for r in rows], written)
+          [r.to_json() for r in rows], written)
     return written
 
 
@@ -527,7 +561,7 @@ def cmd_sweep(config):
     for per_noise in zip(*reports):  # rows are emitted noise-major
         for (param, value), report in zip(points, per_noise):
             rows.append({"param": param, "value": value,
-                         "row": json.loads(report.to_json())})
+                         "row": report.to_json()})
             lines.append(f"{param},{value},{report.csv_row()}")
     _emit(config, "sweep", "param,value," + metrics.CSV_HEADER, lines, rows,
           written)
@@ -602,7 +636,8 @@ def build_parser():
     """One subparser per command, with the OPTIONS flags it takes.
 
     Each flag's dest is its config key path and an unset flag leaves no
-    attribute, so merge_config sets exactly the flags given.
+    attribute, so merge_config sets exactly the flags given. Flags are
+    never abbreviated: sweep's --levels is no prefix of --levels-grid.
     """
     parser = argparse.ArgumentParser(
         prog="memdenoise",
@@ -610,7 +645,7 @@ def build_parser():
                     "non-ideality sweeps, hardware cost, classification.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON configuration file")
         for path, _, flag, kwargs, commands in OPTIONS:
             if command in commands:

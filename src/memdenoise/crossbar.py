@@ -43,8 +43,7 @@ class TiledMatrix:
     so a readout of finite inputs is finite.
     """
 
-    def __init__(self, g_pos, g_neg, prune_mask=None, input_dropout_mask=None,
-                 levels=None, variation_sigma=0.0):
+    def __init__(self, g_pos, g_neg, prune_mask=None, input_dropout_mask=None):
         g_pos = np.ascontiguousarray(g_pos, dtype=np.float64)
         g_neg = np.ascontiguousarray(g_neg, dtype=np.float64)
         if g_pos.shape != g_neg.shape or g_pos.ndim != 2:
@@ -65,8 +64,6 @@ class TiledMatrix:
             raise ValueError("prune mask shape mismatch")
         if self.input_dropout_mask.shape != (self.rows,):
             raise ValueError("dropout mask shape mismatch")
-        self.levels = levels
-        self.variation_sigma = float(variation_sigma)
         for a in (self.g_pos, self.g_neg, self.prune_mask, self.input_dropout_mask):
             a.setflags(write=False)
         self._eff = None
@@ -97,10 +94,9 @@ class TiledMatrix:
         return self._eff
 
 
-def restore(state, dev):
-    """The TiledMatrix whose state() is state, programmed through dev."""
-    return TiledMatrix(*(state[name] for name in STATE), levels=dev.levels,
-                       variation_sigma=dev.variation_sigma)
+def restore(state):
+    """The TiledMatrix whose state() is state."""
+    return TiledMatrix(*(state[name] for name in STATE))
 
 
 def program(weights, dev, rng=None):
@@ -125,8 +121,7 @@ def program(weights, dev, rng=None):
         raise ValueError("variation_sigma > 0 requires an rng")
     pos = w >= 0
     g = apply_variation(quantize(np.where(pos, w, -w), dev), dev, rng)
-    return TiledMatrix(np.where(pos, g, 0.0), np.where(pos, 0.0, g),
-                       levels=dev.levels, variation_sigma=dev.variation_sigma)
+    return TiledMatrix(np.where(pos, g, 0.0), np.where(pos, 0.0, g))
 
 
 def _blocked_product(x, w, rows, cols):
@@ -186,5 +181,4 @@ def apply_sparsity(m, dropout_frac, prune_frac, rng):
         flat = rng.choice(m.devices_per_polarity, size=n_prune, replace=False)
         prune[np.unravel_index(flat, prune.shape)] = True
     return TiledMatrix(m.g_pos, m.g_neg, prune_mask=prune,
-                       input_dropout_mask=drop, levels=m.levels,
-                       variation_sigma=m.variation_sigma)
+                       input_dropout_mask=drop)

@@ -14,7 +14,6 @@ the mean MSE, so the psnr = 10 log10(1/mse) identity holds for every
 emitted report.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +112,9 @@ class QualityReport:
     psnr: float | None
     n_images: int
 
-    def to_json(self):
-        return json.dumps({"noise": self.noise, "method": self.method,
-                           "ssim": self.ssim, "mse": self.mse,
-                           "psnr": self.psnr, "n": self.n_images})
+    def to_json(self) -> dict:
+        return {"noise": self.noise, "method": self.method, "ssim": self.ssim,
+                "mse": self.mse, "psnr": self.psnr, "n": self.n_images}
 
     def csv_row(self):
         p = "-" if self.psnr is None else "%.6g" % self.psnr

@@ -26,11 +26,11 @@ the bits of the per-sample one.
 
 import numpy as np
 
-from .. import ckpt, crossbar
+from .. import ckpt
 from ..device import DeviceModel
-from .common import (TrainConfig, check_epoch, chunk_planes, corrupt_plane,
-                     plane_samples, pow2_scale, stack_from_planes,
-                     trained_gain)
+from .common import (Layer, TrainConfig, check_epoch, check_trained,
+                     chunk_planes, corrupt_plane, device_args, device_meta,
+                     plane_samples, stack_from_planes, training_epochs)
 
 
 def _windows(x, k):
@@ -96,7 +96,9 @@ def _upsample_back(g):
 
 
 class CnnDenoiser:
-    """Trained kernels plus their crossbar-programmed unfoldings."""
+    """Trained kernels plus their crossbar layers m1, m3 and m2: each
+    kernel unfolded to a (patch, output) matrix, programmed at its own
+    gain in that order from the [program_seed, 0x70] stream."""
 
     def __init__(self, k1, k3, k2, train_noise="", rmse_log=(),
                  device=None, program_seed=0):
@@ -113,20 +115,11 @@ class CnnDenoiser:
         self.rmse_log = list(rmse_log)
         self.device = device if device is not None else DeviceModel()
         self.program_seed = int(program_seed)
-        self._program()
-
-    def _program(self):
         kk = self.ksize * self.ksize
         rng = np.random.default_rng([self.program_seed, 0x70])
-        self.s1 = pow2_scale(np.abs(self.k1).max())
-        m1 = (self.k1 / self.s1).reshape(self.kernels, kk).T  # (9, K)
-        self.m1 = crossbar.program(m1, self.device, rng)
-        self.s3 = pow2_scale(np.abs(self.k3).max())
-        self.m3 = crossbar.program(
-            (self.k3 / self.s3).reshape(self.kernels * kk, 1), self.device, rng)
-        self.s2 = pow2_scale(np.abs(self.k2).max())
-        self.m2 = crossbar.program(
-            (self.k2 / self.s2).reshape(kk, 1), self.device, rng)
+        self.m1 = Layer(self.k1.reshape(self.kernels, kk).T, self.device, rng)
+        self.m3 = Layer(self.k3.reshape(-1, 1), self.device, rng)
+        self.m2 = Layer(self.k2.reshape(kk, 1), self.device, rng)
 
     def _forward_linear(self, x):
         # crossbar route: every convolution is a patch-matrix readout. The
@@ -137,12 +130,12 @@ class CnnDenoiser:
         b, h, w = x.shape
         k = self.ksize
         x = np.clip(x, 0.0, 1.0)
-        a1 = crossbar.matmul(self.m1, unfold(x, k)) * self.s1
+        a1 = self.m1.read(unfold(x, k))
         a1 = np.maximum(a1, 0.0).reshape(b, h, w, self.kernels)
         p, _ = _maxpool(a1.transpose(0, 3, 1, 2))
-        y3 = crossbar.matmul(self.m3, unfold_stack(p, k)) * self.s3
+        y3 = self.m3.read(unfold_stack(p, k))
         a3 = np.maximum(y3, 0.0).reshape(b, h // 2, w // 2)
-        y2 = crossbar.matmul(self.m2, unfold(a3, k)) * self.s2
+        y2 = self.m2.read(unfold(a3, k))
         return _upsample(y2.reshape(b, h // 2, w // 2))
 
     def forward_stack(self, images):
@@ -167,30 +160,15 @@ class CnnDenoiser:
             out[lo:lo + step] = np.clip(y[:, :h, :w], 0.0, 1.0)
         return stack_from_planes(out, images)
 
-    def forward_direct(self, img):
-        """Reference route: direct sliding-window convolutions, no crossbar."""
-        x = np.clip(np.asarray(img, dtype=np.float64), 0.0, 1.0)
-        out, _ = _float_forward(x[None], self.k1, self.k3, self.k2)
-        return np.clip(out[0], 0.0, 1.0)
-
     def save(self, path):
-        meta = {
-            "train_noise": self.train_noise, "rmse_log": self.rmse_log,
-            "levels": self.device.levels,
-            "variation_sigma": self.device.variation_sigma,
-            "program_seed": self.program_seed,
-        }
+        meta = {"train_noise": self.train_noise, **device_meta(self)}
         ckpt.save(path, "cnn", meta, {"k1": self.k1, "k3": self.k3, "k2": self.k2})
 
     @classmethod
     def from_state(cls, meta, arrays):
         """A CNN from its checkpoint metadata and kernels, programmed anew."""
-        dev = DeviceModel(levels=meta["levels"],
-                          variation_sigma=meta["variation_sigma"])
         return cls(arrays["k1"], arrays["k3"], arrays["k2"],
-                   train_noise=meta["train_noise"],
-                   rmse_log=meta["rmse_log"], device=dev,
-                   program_seed=meta["program_seed"])
+                   train_noise=meta["train_noise"], **device_args(meta))
 
     @classmethod
     def load(cls, path):
@@ -288,14 +266,10 @@ def cnn_train(cfg: TrainConfig, data, kernels=8, ksize=3):
           + rng.normal(0.0, 0.02, size=(kernels, ksize, ksize)))
     k2 = rng.normal(0.0, 0.02, size=(ksize, ksize))
     k2[ksize // 2, ksize // 2] += 1.0
-    shuffle_rng = np.random.default_rng([cfg.seed, 0x5F])
     rmse_log = []
-    for epoch in range(1, cfg.epochs + 1):
-        eta = cfg.learning_rate / np.sqrt(epoch)
-        perm = shuffle_rng.permutation(n)
+    for epoch, eta, batches in training_epochs(cfg, n):
         sq_sum = 0.0
-        for start in range(0, n, cfg.batch):
-            idx = perm[start:start + cfg.batch]
+        for idx in batches:
             noisy = np.stack([
                 corrupt_plane(clean[i], shape, cfg.train_noise,
                               [cfg.seed, epoch, int(i)]) for i in idx])
@@ -317,8 +291,7 @@ def cnn_train(cfg: TrainConfig, data, kernels=8, ksize=3):
                 k2 -= (eta / len(idx)) * g2
         rmse_log.append(float(np.sqrt(sq_sum / n)))
         check_epoch(epoch, rmse_log)
-    for k in (k1, k3, k2):
-        trained_gain(np.abs(k).max(), rmse_log)  # diverged kernels raise
+    check_trained(rmse_log, k1, k3, k2)
     return CnnDenoiser(k1, k3, k2, train_noise=cfg.train_noise.text(),
                        rmse_log=rmse_log, device=cfg.device,
                        program_seed=cfg.seed)

@@ -1,4 +1,5 @@
-"""Shared training plumbing for the denoising networks."""
+"""Shared plumbing of the denoising networks: the programmed crossbar
+layer, the device record of a checkpoint and the training schedule."""
 
 import math
 import numbers
@@ -6,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import crossbar
 from ..device import DeviceModel
 from ..noise import NoiseSpec, corrupt
 
@@ -110,6 +112,56 @@ def pow2_scale(max_abs):
     return float(2.0 ** np.ceil(np.log2(max_abs)))
 
 
+def max_abs(a):
+    """Largest |entry| of a (NaN if any is NaN), with no |a| temporary."""
+    return max(a.max(initial=0.0), -a.min(initial=0.0))
+
+
+class Layer:
+    """Read-only float weights, their gain pow2_scale(max |w|) and the
+    crossbar holding weights / gain: tiled if given, else programmed
+    through device with rng. read(xs) is the readout times the gain."""
+
+    def __init__(self, weights, device, rng, tiled=None):
+        self.gain = pow2_scale(max_abs(weights))
+        weights.setflags(write=False)
+        self.weights = weights
+        if tiled is None:
+            tiled = crossbar.program(weights / self.gain, device, rng)
+        elif (tiled.rows, tiled.cols) != weights.shape:
+            raise ValueError("crossbar %r, weights %r"
+                             % ((tiled.rows, tiled.cols), weights.shape))
+        self.tiled = tiled
+
+    def read(self, xs):
+        return crossbar.matmul(self.tiled, xs) * self.gain
+
+
+def device_meta(net):
+    """The training log and device record every network checkpoint stores."""
+    return {"rmse_log": net.rmse_log, "levels": net.device.levels,
+            "variation_sigma": net.device.variation_sigma,
+            "program_seed": net.program_seed}
+
+
+def device_args(meta):
+    """Constructor keywords rebuilding the record device_meta stored."""
+    return {"rmse_log": meta["rmse_log"], "program_seed": meta["program_seed"],
+            "device": DeviceModel(levels=meta["levels"],
+                                  variation_sigma=meta["variation_sigma"])}
+
+
+def training_epochs(cfg, n):
+    """(epoch, learning_rate / sqrt(epoch), minibatches) per epoch: the
+    minibatches are cfg.batch-sample index arrays (the last may be short)
+    of n samples shuffled each epoch by the [seed, 0x5F] stream."""
+    rng = np.random.default_rng([cfg.seed, 0x5F])
+    for epoch in range(1, cfg.epochs + 1):
+        perm = rng.permutation(n)
+        yield (epoch, cfg.learning_rate / np.sqrt(epoch),
+               [perm[i:i + cfg.batch] for i in range(0, n, cfg.batch)])
+
+
 def check_epoch(epoch, rmse_log):
     """Raise TrainingDivergence if the epoch just logged has run away:
     its RMSE exceeds twice the first epoch's or is not finite."""
@@ -118,16 +170,25 @@ def check_epoch(epoch, rmse_log):
         raise TrainingDivergence(epoch, rmse, rmse_log[0], rmse_log)
 
 
-def trained_gain(max_abs, rmse_log):
-    """pow2_scale(max_abs) for weights trained for len(rmse_log) epochs.
-
-    Weights whose largest magnitude is NaN or above MAX_GAIN have
-    diverged (no readout gain can program them): TrainingDivergence.
-    """
-    if not max_abs <= MAX_GAIN:
+def check_trained(rmse_log, *arrays):
+    """Raise TrainingDivergence if an array trained for len(rmse_log)
+    epochs holds NaN or a magnitude above MAX_GAIN: no readout gain can
+    program it."""
+    if not all(max_abs(a) <= MAX_GAIN for a in arrays):
         raise TrainingDivergence(len(rmse_log), rmse_log[-1], rmse_log[0],
                                  rmse_log)
-    return pow2_scale(max_abs)
+
+
+def device_in_loop(weights, cfg, epoch, rmse_log):
+    """weights as read back after programming them through cfg.device
+    with the [seed, 0x71, epoch] stream, if cfg trains device-in-loop on
+    a non-ideal device; else weights unchanged."""
+    if not cfg.device_in_loop or cfg.device.ideal:
+        return weights
+    check_trained(rmse_log, weights)
+    layer = Layer(weights.reshape(len(weights), -1), cfg.device,
+                  np.random.default_rng([cfg.seed, 0x71, epoch]))
+    return (layer.gain * layer.tiled.effective_weights()).reshape(weights.shape)
 
 
 def plane_samples(images):

@@ -18,43 +18,29 @@ import numpy as np
 
 from .. import ckpt, crossbar
 from ..device import DeviceModel
-from .common import (MAX_GAIN, TrainConfig, check_epoch, check_planes,
-                     corrupt_plane, plane_samples, stack_from_planes,
-                     trained_gain)
+from .common import (Layer, TrainConfig, check_epoch, check_planes,
+                     check_trained, corrupt_plane, device_args, device_in_loop,
+                     device_meta, plane_samples, stack_from_planes,
+                     training_epochs)
 
 
 class DenseDenoiser:
     """A programmed (P+1) x P crossbar layer plus its readout gain."""
 
-    def __init__(self, weights, scale, shape, tiled=None, train_noise="",
+    def __init__(self, weights, shape, tiled=None, train_noise="",
                  rmse_log=(), device=None, program_seed=0):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.scale = float(scale)
+        weights = np.asarray(weights, dtype=np.float64)
         self.shape = tuple(shape)
         p = self.shape[0] * self.shape[1]
-        if self.weights.shape != (p + 1, p):
+        if weights.shape != (p + 1, p):
             raise ValueError("weights %r, expected %r"
-                             % (self.weights.shape, (p + 1, p)))
-        if not 0.0 < self.scale <= MAX_GAIN:
-            raise ValueError("readout gain %g is not in (0, 2**64]"
-                             % self.scale)
-        if not (-self.scale <= self.weights.min()
-                and self.weights.max() <= self.scale):
-            raise ValueError("weights exceed the readout gain %g (or are NaN)"
-                             % self.scale)
+                             % (weights.shape, (p + 1, p)))
         self.train_noise = train_noise
         self.rmse_log = list(rmse_log)
         self.device = device if device is not None else DeviceModel()
         self.program_seed = int(program_seed)
-        self.weights.setflags(write=False)
-        if tiled is None:
-            tiled = crossbar.program(
-                self.weights / self.scale, self.device,
-                np.random.default_rng([self.program_seed, 0x70]))
-        elif (tiled.rows, tiled.cols) != self.weights.shape:
-            raise ValueError("crossbar %r, weights %r"
-                             % ((tiled.rows, tiled.cols), self.weights.shape))
-        self.tiled = tiled
+        self.layer = Layer(weights, self.device, np.random.default_rng(
+            [self.program_seed, 0x70]), tiled)
 
     @classmethod
     def identity(cls, h, w):
@@ -62,11 +48,11 @@ class DenseDenoiser:
         p = h * w
         weights = np.zeros((p + 1, p))
         weights[:p] = np.eye(p)
-        return cls(weights, 1.0, (h, w))
+        return cls(weights, (h, w))
 
     def reprogram(self, dev, seed=0):
         """Same float weights, freshly programmed through another device."""
-        return DenseDenoiser(self.weights, self.scale, self.shape,
+        return DenseDenoiser(self.layer.weights, self.shape,
                              train_noise=self.train_noise,
                              rmse_log=self.rmse_log, device=dev,
                              program_seed=seed)
@@ -74,9 +60,9 @@ class DenseDenoiser:
     def with_sparsity(self, dropout_frac, prune_frac, seed=0):
         """Masked copy: dropout on input rows, pruning on device pairs."""
         tiled = crossbar.apply_sparsity(
-            self.tiled, dropout_frac, prune_frac,
+            self.layer.tiled, dropout_frac, prune_frac,
             np.random.default_rng([seed, 0x5A]))
-        return DenseDenoiser(self.weights, self.scale, self.shape, tiled=tiled,
+        return DenseDenoiser(self.layer.weights, self.shape, tiled=tiled,
                              train_noise=self.train_noise,
                              rmse_log=self.rmse_log, device=self.device,
                              program_seed=self.program_seed)
@@ -85,8 +71,7 @@ class DenseDenoiser:
         """Denoise a batch of flattened planes, (n, P) -> (n, P)."""
         flat = np.clip(np.asarray(flat, dtype=np.float64), 0.0, 1.0)
         x = np.hstack([flat, np.ones((flat.shape[0], 1))])
-        y = crossbar.matmul(self.tiled, x) * self.scale
-        return np.clip(y, 0.0, 1.0)
+        return np.clip(self.layer.read(x), 0.0, 1.0)
 
     def forward_stack(self, images):
         """Denoise a stack of images in one batched readout."""
@@ -95,28 +80,22 @@ class DenseDenoiser:
         return stack_from_planes(self.forward_flat(flat), images)
 
     def state(self):
-        """Checkpoint metadata and named arrays, programmed state included."""
-        meta = {
-            "shape": list(self.shape),
-            "scale": self.scale,
-            "train_noise": self.train_noise,
-            "rmse_log": self.rmse_log,
-            "levels": self.device.levels,
-            "variation_sigma": self.device.variation_sigma,
-            "program_seed": self.program_seed,
-        }
-        return meta, {"weights": self.weights, **self.tiled.state()}
+        """Checkpoint metadata and named arrays, programmed state included;
+        from_state checks the stored scale (the gain) against the weights."""
+        meta = {"shape": list(self.shape), "scale": self.layer.gain,
+                "train_noise": self.train_noise, **device_meta(self)}
+        return meta, {"weights": self.layer.weights, **self.layer.tiled.state()}
 
     @classmethod
     def from_state(cls, meta, arrays):
         """Inverse of state()."""
-        dev = DeviceModel(levels=meta["levels"],
-                          variation_sigma=meta["variation_sigma"])
-        return cls(arrays["weights"], meta["scale"], meta["shape"],
-                   tiled=crossbar.restore(arrays, dev),
-                   train_noise=meta["train_noise"],
-                   rmse_log=meta["rmse_log"], device=dev,
-                   program_seed=meta["program_seed"])
+        net = cls(arrays["weights"], meta["shape"],
+                  tiled=crossbar.restore(arrays),
+                  train_noise=meta["train_noise"], **device_args(meta))
+        if meta["scale"] != net.layer.gain:
+            raise ValueError("stored readout gain %r, weights give %g"
+                             % (meta["scale"], net.layer.gain))
+        return net
 
     def save(self, path):
         ckpt.save(path, "dense", *self.state())
@@ -145,19 +124,15 @@ def dense_train(cfg: TrainConfig, data):
     weights = np.zeros((p + 1, p))
     if cfg.init == "identity":
         weights[:p] = np.eye(p)
-    rng = np.random.default_rng([cfg.seed, 0x5F])
     rmse_log = []
     spec = cfg.train_noise
     rows = min(cfg.batch, n)
     x_buf = np.ones((rows, p + 1))  # column p is the bias input, set once
     err_buf = np.empty((rows, p))
     g = np.empty((p + 1, p))
-    for epoch in range(1, cfg.epochs + 1):
-        eta = cfg.learning_rate / np.sqrt(epoch)
-        perm = rng.permutation(n)
+    for epoch, eta, batches in training_epochs(cfg, n):
         sq_sum = 0.0
-        for start in range(0, n, cfg.batch):
-            idx = perm[start:start + cfg.batch]
+        for idx in batches:
             x, err = x_buf[:len(idx)], err_buf[:len(idx)]
             for row, i in zip(x, idx):
                 row[:p] = corrupt_plane(clean[i], shape, spec,
@@ -172,13 +147,8 @@ def dense_train(cfg: TrainConfig, data):
             sq_sum += float(np.sum(err))
         rmse_log.append(float(np.sqrt(sq_sum / (n * p))))
         check_epoch(epoch, rmse_log)
-        if cfg.device_in_loop and not cfg.device.ideal:
-            s = trained_gain(np.abs(weights).max(), rmse_log)
-            tiled = crossbar.program(
-                weights / s, cfg.device,
-                np.random.default_rng([cfg.seed, 0x71, epoch]))
-            weights = s * tiled.effective_weights()
-    scale = trained_gain(np.abs(weights).max(), rmse_log)
-    return DenseDenoiser(weights, scale, shape,
-                         train_noise=spec.text(), rmse_log=rmse_log,
-                         device=cfg.device, program_seed=cfg.seed)
+        weights = device_in_loop(weights, cfg, epoch, rmse_log)
+    check_trained(rmse_log, weights)
+    return DenseDenoiser(weights, shape, train_noise=spec.text(),
+                         rmse_log=rmse_log, device=cfg.device,
+                         program_seed=cfg.seed)

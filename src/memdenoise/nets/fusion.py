@@ -21,18 +21,19 @@ import numpy as np
 from .. import ckpt, crossbar
 from ..device import DeviceModel
 from ..noise import NoiseSpec, corrupt, parse_spec
-from .common import (TrainConfig, check_epoch, check_planes, chunk_planes,
-                     plane_samples, pow2_scale, stack_from_planes,
-                     trained_gain)
-from .cnn import conv_same, unfold_stack
+from .common import (Layer, TrainConfig, check_epoch, check_planes,
+                     check_trained, chunk_planes, device_args, device_in_loop,
+                     device_meta, plane_samples, stack_from_planes,
+                     training_epochs)
+from .cnn import unfold_stack
 from .dense import DenseDenoiser
 
 
 class FusionDenoiser:
     """Frozen member bank plus one programmed fusion kernel."""
 
-    def __init__(self, members, kernel, member_noises=None, tiled=None,
-                 rmse_log=(), device=None, program_seed=0):
+    def __init__(self, members, kernel, tiled=None, rmse_log=(), device=None,
+                 program_seed=0):
         self.members = tuple(members)
         if not self.members:
             raise ValueError("at least one member is required")
@@ -47,24 +48,13 @@ class FusionDenoiser:
                 or self.kernel.shape[1] % 2 == 0):
             raise ValueError(
                 f"kernel must be (members, k, k) with odd k, got {self.kernel.shape}")
-        if member_noises is None:
-            member_noises = tuple(m.train_noise for m in self.members)
-        self.member_noises = tuple(member_noises)
-        if len(self.member_noises) != len(self.members):
-            raise ValueError("one noise label per member is required")
         self.rmse_log = list(rmse_log)
         self.device = device if device is not None else DeviceModel()
         self.program_seed = int(program_seed)
         self.kernel.setflags(write=False)
-        self.scale = pow2_scale(np.abs(self.kernel).max())
-        if tiled is None:
-            tiled = crossbar.program(
-                self.kernel.reshape(-1, 1) / self.scale, self.device,
-                np.random.default_rng([self.program_seed, 0x70]))
-        elif (tiled.rows, tiled.cols) != (self.kernel.size, 1):
-            raise ValueError(f"crossbar {(tiled.rows, tiled.cols)}, kernel "
-                             f"needs {(self.kernel.size, 1)}")
-        self.tiled = tiled
+        self.layer = Layer(self.kernel.reshape(-1, 1), self.device,
+                           np.random.default_rng([self.program_seed, 0x70]),
+                           tiled)
 
     def forward_stack(self, images):
         """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
@@ -84,40 +74,17 @@ class FusionDenoiser:
         step = chunk_planes(h * w * self.kernel.size)
         for lo in range(0, len(flat), step):
             patches = unfold_stack(planes[lo:lo + step], self.kernel.shape[1])
-            y = crossbar.matmul(self.tiled,
-                                patches.reshape(-1, self.kernel.size))
+            y = self.layer.read(patches.reshape(-1, self.kernel.size))
             del patches
-            out[lo:lo + step] = np.clip(y[:, 0] * self.scale,
-                                        0.0, 1.0).reshape(-1, h * w)
+            out[lo:lo + step] = np.clip(y[:, 0], 0.0, 1.0).reshape(-1, h * w)
         return stack_from_planes(out, images)
 
-    def forward_direct(self, img):
-        """Float reference path: explicit sliding-window fusion."""
-        img = np.asarray(img, dtype=np.float64)
-        planes = np.stack([m.forward_stack(img[None])[0]
-                           for m in self.members])
-        y = sum(conv_same(planes[m], self.kernel[m])
-                for m in range(len(self.members)))
-        return np.clip(y, 0.0, 1.0)
-
-    def reprogram(self, dev, seed=0):
-        """Same members and float kernel, kernel freshly programmed."""
-        return FusionDenoiser(self.members, self.kernel,
-                              member_noises=self.member_noises,
-                              rmse_log=self.rmse_log, device=dev,
-                              program_seed=seed)
-
     def save(self, path):
-        """One checkpoint: the kernel's state plus every member's, by name."""
-        meta = {
-            "member_noises": list(self.member_noises),
-            "rmse_log": self.rmse_log,
-            "levels": self.device.levels,
-            "variation_sigma": self.device.variation_sigma,
-            "program_seed": self.program_seed,
-            "members": [],
-        }
-        arrays = {"kernel": self.kernel, **self.tiled.state()}
+        """One checkpoint: the kernel's state plus every member's, by name;
+        from_state checks the stored member_noises against the members."""
+        meta = {"member_noises": [m.train_noise for m in self.members],
+                "members": [], **device_meta(self)}
+        arrays = {"kernel": self.kernel, **self.layer.tiled.state()}
         for i, member in enumerate(self.members):
             member_meta, member_arrays = member.state()
             meta["members"].append(member_meta)
@@ -134,13 +101,13 @@ class FusionDenoiser:
             members.append(DenseDenoiser.from_state(member_meta, {
                 name[len(pre):]: a for name, a in arrays.items()
                 if name.startswith(pre)}))
-        dev = DeviceModel(levels=meta["levels"],
-                          variation_sigma=meta["variation_sigma"])
-        return cls(members, arrays["kernel"],
-                   member_noises=meta["member_noises"],
-                   tiled=crossbar.restore(arrays, dev),
-                   rmse_log=meta["rmse_log"], device=dev,
-                   program_seed=meta["program_seed"])
+        net = cls(members, arrays["kernel"], tiled=crossbar.restore(arrays),
+                  **device_args(meta))
+        noises = [m.train_noise for m in members]
+        if meta["member_noises"] != noises:
+            raise ValueError(f"stored member noises {meta['member_noises']!r}, "
+                             f"members were trained on {noises!r}")
+        return net
 
     @classmethod
     def load(cls, path):
@@ -177,14 +144,10 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3, noises=None):
         clean = clean[:cfg.limit]
     n, p = clean.shape
     kflat = fusion_init(len(members), size, cfg.init).reshape(-1)
-    rng = np.random.default_rng([cfg.seed, 0x5F])
     rmse_log = []
-    for epoch in range(1, cfg.epochs + 1):
-        eta = cfg.learning_rate / np.sqrt(epoch)
-        perm = rng.permutation(n)
+    for epoch, eta, batches in training_epochs(cfg, n):
         sq_sum = 0.0
-        for start in range(0, n, cfg.batch):
-            idx = perm[start:start + cfg.batch]
+        for idx in batches:
             inputs = np.empty((len(idx), p))
             for row, i in enumerate(idx):
                 sample_rng = np.random.default_rng([cfg.seed, epoch, int(i)])
@@ -209,13 +172,8 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3, noises=None):
                 kflat += (eta / len(idx)) * grad
         rmse_log.append(float(np.sqrt(sq_sum / (n * p))))
         check_epoch(epoch, rmse_log)
-        if cfg.device_in_loop and not cfg.device.ideal:
-            s = trained_gain(np.abs(kflat).max(), rmse_log)
-            tiled = crossbar.program(
-                kflat.reshape(-1, 1) / s, cfg.device,
-                np.random.default_rng([cfg.seed, 0x71, epoch]))
-            kflat = (s * tiled.effective_weights()).reshape(-1)
-    trained_gain(np.abs(kflat).max(), rmse_log)  # diverged weights raise
+        kflat = device_in_loop(kflat, cfg, epoch, rmse_log)
+    check_trained(rmse_log, kflat)
     kernel = kflat.reshape(len(members), size, size)
     return FusionDenoiser(members, kernel, rmse_log=rmse_log,
                           device=cfg.device, program_seed=cfg.seed)

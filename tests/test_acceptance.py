@@ -9,6 +9,7 @@ exact recipes the command line ships with.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from memdenoise.crossbar import TILE_COLS, TILE_ROWS, matmul, program, tile_grid
 from memdenoise.device import DeviceModel, quantize
 from memdenoise.hwcost import ComponentBudget, DesignPoint, count_tiles
 from memdenoise.classify import evaluate
-from memdenoise.nets.cnn import CnnDenoiser, cnn_loss_and_grads
+from memdenoise.nets.cnn import (CnnDenoiser, _float_forward,
+                                 cnn_loss_and_grads)
 from memdenoise.noise import STANDARD_NOISES, corrupt_dataset, parse_spec
 
 pytestmark = pytest.mark.acceptance
@@ -144,7 +146,7 @@ def test_criterion_4_non_ideality_trends(member_bank, eval_images,
             f"SSIM(L=2) = {sweep[2]:.4f}, required < 0.2: binarizing at half "
             f"the power-of-two readout scale keeps the trained near-diagonal "
             f"smoothing weights (almost no entry exceeds half of "
-            f"max |w| = {np.abs(net.weights).max():.3f}), so the two-level "
+            f"max |w| = {np.abs(net.layer.weights).max():.3f}), so the two-level "
             f"net still passes a dimmed but structured digit through")
     gap = ideal_ssim - sweep[64]
     if not gap <= 0.05:
@@ -330,8 +332,9 @@ def test_criterion_8_property_suites(tmp_path):
     direct = x @ (weights / np.abs(weights).max())
     readout_err = np.abs(matmul(tiled, x) - direct).max()
     cnn = CnnDenoiser(k1, k3, k2)
+    route, _ = _float_forward(np.clip(noisy, 0.0, 1.0)[None], k1, k3, k2)
     conv_err = np.abs(cnn.forward_stack(noisy[None])[0]
-                      - cnn.forward_direct(noisy)).max()
+                      - np.clip(route[0], 0.0, 1.0)).max()
     print(f"criterion 8: readout error {readout_err:.3e}, "
           f"conv route error {conv_err:.3e}")
     assert readout_err < 1e-10
@@ -367,7 +370,7 @@ def test_criterion_8_property_suites(tmp_path):
                    "--noise", "gaussian:0.1", "--filter", "median:3",
                    "--eval-limit", "200", "--outdir", out])
         assert rc == 0
-    reference = open(outs[0] + "/eval.csv", "rb").read()
-    assert open(outs[1] + "/eval.csv", "rb").read() == reference
-    assert open(outs[2] + "/eval.csv", "rb").read() == reference
+    reference = Path(outs[0] + "/eval.csv").read_bytes()
+    assert Path(outs[1] + "/eval.csv").read_bytes() == reference
+    assert Path(outs[2] + "/eval.csv").read_bytes() == reference
     print("criterion 8: eval.csv byte-identical across three re-runs")

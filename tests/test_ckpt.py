@@ -1,5 +1,6 @@
 """The checkpoint container: layout, hostile bytes, and streamed memory."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ def small_nets():
     """One small network of every checkpoint kind, programmed state in all."""
     rng = np.random.default_rng(3)
     dev = DeviceModel(levels=16, variation_sigma=0.05)
-    dense = DenseDenoiser(rng.normal(0, 0.1, (17, 16)), 1.0, (4, 4),
+    dense = DenseDenoiser(rng.normal(0, 0.1, (17, 16)), (4, 4),
                           train_noise="gaussian:0.1", rmse_log=[0.2, 0.1],
                           device=dev, program_seed=5)
     members = [dense.with_sparsity(0.1, 0.2, seed=1),
@@ -192,6 +193,16 @@ NON_FINITE = [
 ]
 
 
+# Values a checkpoint stores that follow from its arrays, made to disagree.
+DERIVED = [
+    ("dense", lambda meta, arrays: meta.update(scale=0.25), "readout gain"),
+    ("fusion", lambda meta, arrays: meta["members"][1].update(scale=2.0),
+     "readout gain"),
+    ("fusion", lambda meta, arrays: meta.update(
+        member_noises=["gaussian:0.1", "sp:0.1"]), "member noises"),
+]
+
+
 def tiny_test_split(tmp_path):
     """A directory holding a 4-image 4 x 4 IDX test split."""
     data = tmp_path / "data"
@@ -216,6 +227,16 @@ class TestNonFiniteValues:
         assert str(info.value).count(str(path)) == 1
         with pytest.raises(CliError) as info:
             load_net(str(path))
+        assert str(info.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("kind, edit, cause", DERIVED)
+    def test_derived_values_checked(self, blobs, tmp_path, kind, edit, cause):
+        _, saved = blobs
+        path = tmp_path / "bad.bin"
+        path.write_bytes(saved[kind])
+        rewritten(path, kind, edit)
+        with pytest.raises(ValueError, match=cause) as info:
+            CLASSES[kind].load(path)
         assert str(info.value).count(str(path)) == 1
 
     @pytest.mark.parametrize("value", [1.7e308, np.nan])
@@ -271,3 +292,64 @@ def test_fusion_checkpoint_streams(tmp_path):
     assert retained - before > 100 * MB
     assert load_peak - retained <= 2 * MB
     assert len(back.members) == 8
+
+
+def ramp(shape, top):
+    """Evenly spaced values from -top (exactly) to just below top."""
+    n = int(np.prod(shape))
+    return ((np.arange(n) - n // 2) / (n // 2) * top).reshape(shape)
+
+
+def pinned_checkpoints(dev):
+    """One network of each kind from hand-set weights: no training and no
+    variation draws, so the bytes follow from the code alone."""
+    record = {"rmse_log": [0.5, 0.25], "device": dev, "program_seed": 3}
+
+    def dense(noise, top):
+        return DenseDenoiser(ramp((5, 4), top), (2, 2), train_noise=noise,
+                             **record)
+
+    return {
+        "dense": dense("gaussian:0.1", 0.5),
+        "cnn": CnnDenoiser(ramp((2, 3, 3), 2.0), ramp((2, 3, 3), 0.25),
+                           ramp((3, 3), 1.0), train_noise="gaussian:0.1",
+                           **record),
+        "fusion": FusionDenoiser(
+            [dense("gaussian:0.1", 0.5), dense("sp:0.25", 2.0)],
+            ramp((2, 3, 3), 0.125), **record),
+    }
+
+
+# sha256 of each checkpoint, recorded before the networks shared one
+# crossbar layer; a change to any checkpoint byte fails here.
+PINNED = {
+    "dense-ideal":
+        "41cfaf2dfe64d8b025134805fef63c1e8d0bbcffaaeec63a0dff7f3ee3bd3235",
+    "cnn-ideal":
+        "ca37e2d500220282a559d5b8db429ffeb3c34ad8cbd145f3fb9d2d665f58ec72",
+    "fusion-ideal":
+        "a9569666790fabe7a58a09515eb4525e28315cb17a1379a3c1dd68ac8b561839",
+    "dense-levels4":
+        "8d1cc1499d91f7d1948a0bc59e7aaa593674137075523a767381a95faa7b4406",
+    "cnn-levels4":
+        "1eb52b678cc728a6bf355c4cce09d7b094c531be83095969cce3bf9d7b615baf",
+    "fusion-levels4":
+        "7e3c4293779fbc878d63d006de4695dee655640013e49e3352025a526f776623",
+    "classifier":
+        "a61a184b574cc02e562641edbe34edc77f5aa57a2064e9551bb6fb5034dbb092",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_checkpoint_bytes_are_pinned(tmp_path, name):
+    kind, _, device = name.partition("-")
+    if kind == "classifier":
+        net = Classifier(ramp((4, 3), 1.0), ramp((3,), 0.5),
+                         ramp((3, 10), 4.0), ramp((10,), 0.25), (2, 2),
+                         loss_log=[2.0, 1.5])
+    else:
+        dev = DeviceModel(levels=4) if device == "levels4" else DeviceModel()
+        net = pinned_checkpoints(dev)[kind]
+    net.save(tmp_path / "net.bin")
+    digest = hashlib.sha256((tmp_path / "net.bin").read_bytes()).hexdigest()
+    assert digest == PINNED[name]

@@ -9,6 +9,7 @@ import json
 import os
 import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,9 +147,9 @@ class TestConfigMerging:
             parse_to_config(["eval", "--config", str(path)])
 
     def test_levels_flag_parses_ideal(self):
-        config = parse_to_config(["eval", "--seed", "1", "--levels", "16"])
+        config = parse_to_config(["train", "--seed", "1", "--levels", "16"])
         assert config["device"]["levels"] == 16
-        config = parse_to_config(["eval", "--seed", "1", "--levels", "ideal"])
+        config = parse_to_config(["train", "--seed", "1", "--levels", "ideal"])
         assert config["device"]["levels"] is None
 
     def test_data_path_falls_back_to_environment(self, monkeypatch):
@@ -175,7 +176,7 @@ class TestConfigHash:
         base = parse_to_config(["eval", "--seed", "1"])
         for argv in (["eval", "--seed", "2"],
                      ["eval", "--seed", "1", "--noise", "sp:0.5"],
-                     ["eval", "--seed", "1", "--levels", "16"]):
+                     ["train", "--seed", "1", "--levels", "16"]):
             assert config_hash(parse_to_config(argv)) != config_hash(base)
 
     def test_hash_is_stable_text(self):
@@ -226,11 +227,12 @@ class TestTrainingRecipes:
         assert cfg.device.levels == 16
         assert cfg.device.variation_sigma == 0.02
 
-    def test_unknown_net_rejected(self):
-        config = parse_to_config(["train", "--seed", "3"])
-        config["net"] = "rnn"
+    def test_unknown_net_rejected(self, tmp_path):
+        # A net no recipe covers stops at the merge, before any recipe.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 3, "net": "rnn"}))
         with pytest.raises(CliError, match="rnn"):
-            resolved_train_config(config, "gaussian:0.1")
+            parse_to_config(["train", "--config", str(path)])
 
 
 class TestExitCodes:
@@ -283,7 +285,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_truncated_checkpoint_returns_two(self, corpus, dense_ckpt, capsys,
                                               tmp_path, command, keep):
-        blob = open(dense_ckpt, "rb").read()
+        blob = Path(dense_ckpt).read_bytes()
         cut = tmp_path / "cut.bin"
         cut.write_bytes(blob[:len(blob) // 2 if keep == "half" else -1])
         assert main([command, "--data", corpus, "--seed", "1",
@@ -347,10 +349,10 @@ class TestExitCodes:
     (lambda: parse_spec("poisson:inf"),
      ["eval", "--noise", "poisson:inf"], "peak"),
     (lambda: DeviceModel(variation_sigma=float("nan")),
-     ["eval", "--sigma", "nan"], "variation_sigma"),
+     ["train", "--sigma", "nan"], "variation_sigma"),
     (lambda: DeviceModel(variation_sigma=float("nan")),
      ["sweep", "--sigma-grid", "0.1,nan"], "variation_sigma"),
-    (lambda: DeviceModel(levels=2.5), ["eval", "--levels", "2.5"], "levels"),
+    (lambda: DeviceModel(levels=2.5), ["train", "--levels", "2.5"], "levels"),
     (lambda: FilterSpec("gauss", sigma=float("inf")),
      ["eval", "--filter", "gauss:inf"], "sigma"),
     (lambda: FilterSpec("tv", tv_weight=float("inf")),
@@ -361,11 +363,15 @@ def test_non_finite_parameters_rejected(corpus, dense_ckpt, capsys, tmp_path,
                                         build, argv, cause):
     with pytest.raises(ValueError, match=cause):
         build()
-    rc = main(argv + ["--data", corpus, "--seed", "1", "--checkpoint",
-                      dense_ckpt, "--outdir", str(tmp_path)])
+    # train takes the device flags and no checkpoint; it stops before
+    # training, and writes nothing
+    net = [] if argv[0] == "train" else ["--checkpoint", dense_ckpt]
+    rc = main(argv + ["--data", corpus, "--seed", "1", *net,
+                      "--outdir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cause in err
+    assert not (tmp_path / "out").exists()
 
 
 
@@ -517,7 +523,7 @@ class TestTrainCommand:
         ckpt = os.path.join(out, "dense_gaussian_0.1.bin")
         assert os.path.isfile(ckpt)
         assert f"wrote {ckpt}" in stdout
-        lines = open(os.path.join(out, "train_log.csv")).read().splitlines()
+        lines = Path(out, "train_log.csv").read_text().splitlines()
         assert lines[0] == "net,noise,epoch,rmse,config,seed"
         assert len(lines) == 3
         assert lines[1].startswith("dense,gaussian:0.1,1,")
@@ -531,7 +537,7 @@ class TestTrainCommand:
         out = str(tmp_path)
         assert main(["train", "--data", corpus, "--outdir", out] + TRAIN_ARGS) == 0
         again = os.path.join(out, "dense_gaussian_0.1.bin")
-        assert open(again, "rb").read() == open(dense_ckpt, "rb").read()
+        assert Path(again).read_bytes() == Path(dense_ckpt).read_bytes()
 
     def test_one_checkpoint_per_noise(self, corpus, tmp_path):
         out = str(tmp_path)
@@ -664,7 +670,7 @@ class TestEvalCommand:
     def test_row_structure(self, corpus, dense_ckpt, tmp_path):
         out = str(tmp_path)
         assert main(eval_args(corpus, dense_ckpt, out)) == 0
-        lines = open(os.path.join(out, "eval.csv")).read().splitlines()
+        lines = Path(out, "eval.csv").read_text().splitlines()
         assert lines[0] == "noise,method,ssim,mse,psnr,n,config,seed"
         methods = [line.split(",")[1] for line in lines[1:]]
         assert methods == ["noisy", "dense", "median:3"] * 2
@@ -677,15 +683,15 @@ class TestEvalCommand:
         assert main(eval_args(corpus, dense_ckpt, first)) == 0
         assert main(eval_args(corpus, dense_ckpt, second)) == 0
         assert main(eval_args(corpus, dense_ckpt, with_json, ["--json"])) == 0
-        reference = open(os.path.join(first, "eval.csv"), "rb").read()
-        assert open(os.path.join(second, "eval.csv"), "rb").read() == reference
-        assert open(os.path.join(with_json, "eval.csv"), "rb").read() == reference
+        reference = Path(first, "eval.csv").read_bytes()
+        assert Path(second, "eval.csv").read_bytes() == reference
+        assert Path(with_json, "eval.csv").read_bytes() == reference
 
     def test_json_payload_matches_csv_stamp(self, corpus, dense_ckpt, tmp_path):
         out = str(tmp_path)
         assert main(eval_args(corpus, dense_ckpt, out, ["--json"])) == 0
-        payload = json.loads(open(os.path.join(out, "eval.json")).read())
-        stamp = open(os.path.join(out, "eval.csv")).read().splitlines()[1]
+        payload = json.loads(Path(out, "eval.json").read_text())
+        stamp = Path(out, "eval.csv").read_text().splitlines()[1]
         assert payload["config"] == stamp.split(",")[-2]
         assert payload["seed"] == 5
         assert len(payload["rows"]) == 6
@@ -702,7 +708,7 @@ class TestEvalCommand:
         out = str(tmp_path)
         assert main(["eval", "--data", corpus, "--seed", "5", "--noise",
                      "gaussian:0.1", "--outdir", out]) == 0
-        lines = open(os.path.join(out, "eval.csv")).read().splitlines()
+        lines = Path(out, "eval.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "noisy"
 
@@ -714,7 +720,7 @@ class TestSweepCommand:
                      "--checkpoint", dense_ckpt, "--noise", "gaussian:0.1",
                      "--levels-grid", "16,2", "--dropout-grid", "0.2",
                      "--outdir", out]) == 0
-        lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        lines = Path(out, "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("param,value,noise,method")
         params = [(line.split(",")[0], line.split(",")[1])
                   for line in lines[1:]]
@@ -770,7 +776,7 @@ def serial_sweep(argv, outdir):
             report = evaluate_pairs(data.images, variant.forward_stack(noisy),
                                     spec.text(), "dense")
             rows.append({"param": param, "value": value,
-                         "row": json.loads(report.to_json())})
+                         "row": report.to_json()})
             lines.append(f"{param},{value},{report.csv_row()},{stamp}")
     outdir.mkdir()
     (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
@@ -906,7 +912,7 @@ class TestClassifyCommand:
                                         "trailing-16", "missing-hidden"])
     def test_damaged_classifier_returns_two(self, corpus, classifier_ckpt,
                                             capsys, tmp_path, damage):
-        blob = open(classifier_ckpt, "rb").read()
+        blob = Path(classifier_ckpt).read_bytes()
         if damage == "truncated":
             blob = blob[:-8]
         elif damage == "trailing-byte":
@@ -933,7 +939,7 @@ class TestClassifyCommand:
                      "--noise", "gaussian:0.5", "--checkpoint", dense_ckpt,
                      "--outdir", out]) == 0
         assert os.path.isfile(os.path.join(out, "classifier.bin"))
-        lines = open(os.path.join(out, "classify.csv")).read().splitlines()
+        lines = Path(out, "classify.csv").read_text().splitlines()
         assert lines[0] == "noise,condition,accuracy,n,config,seed"
         conditions = [line.split(",")[1] for line in lines[1:]]
         assert conditions == ["clean", "noisy", "denoised(dense)"]
@@ -952,8 +958,8 @@ class TestClassifyCommand:
                      "--noise", "gaussian:0.5", "--classifier", saved,
                      "--outdir", second]) == 0
         assert not os.path.exists(os.path.join(second, "classifier.bin"))
-        clean = lambda path: open(os.path.join(path, "classify.csv")) \
-            .read().splitlines()[1].split(",")[2]
+        clean = lambda path: Path(path, "classify.csv").read_text() \
+            .splitlines()[1].split(",")[2]
         assert clean(first) == clean(second)
 
 
@@ -1005,5 +1011,5 @@ class TestFuseCommand:
         assert kind == "fusion"
         assert isinstance(net, FusionDenoiser)
         assert len(net.members) == 8
-        lines = open(os.path.join(out, "train_log.csv")).read().splitlines()
+        lines = Path(out, "train_log.csv").read_text().splitlines()
         assert lines[1].startswith("fusion,,1,")

@@ -7,6 +7,7 @@ to any of them changes what old reports claim to reproduce.
 """
 
 import json
+import os
 import re
 
 import pytest
@@ -23,17 +24,29 @@ from memdenoise.cli import (
     resolved_train_config,
 )
 
-COMMON = ["--config", "--data", "--dataset", "--noise", "--seed", "--outdir",
-          "--eval-limit", "--json", "--levels", "--sigma"]
+COMMON = ["--config", "--seed", "--outdir"]
+DATA = ["--data", "--dataset", "--noise"]
+SCORED = DATA + ["--eval-limit", "--json", "--checkpoint"]
 FLAGS = {
-    "train": COMMON + ["--lr", "--epochs", "--batch", "--limit", "--init",
-                       "--clean-fraction", "--device-in-loop", "--members",
-                       "--net"],
-    "eval": COMMON + ["--checkpoint", "--filter", "--dump"],
-    "sweep": COMMON + ["--checkpoint", "--levels-grid", "--sigma-grid",
-                       "--dropout-grid", "--prune-grid"],
-    "cost": COMMON + ["--net", "--mode", "--phase", "--budget"],
-    "classify": COMMON + ["--checkpoint", "--classifier"],
+    "train": COMMON + DATA + ["--levels", "--sigma", "--lr", "--epochs",
+                              "--batch", "--limit", "--init",
+                              "--clean-fraction", "--device-in-loop",
+                              "--members", "--net"],
+    "eval": COMMON + SCORED + ["--filter", "--dump"],
+    "sweep": COMMON + SCORED + ["--levels-grid", "--sigma-grid",
+                                "--dropout-grid", "--prune-grid"],
+    "cost": COMMON + ["--json", "--net", "--mode", "--phase", "--budget"],
+    "classify": COMMON + SCORED + ["--classifier"],
+}
+# Flags a command stopped offering because it ignored their keys. The
+# keys still reach it through --config, so their hashes stay pinned.
+DROPPED = {
+    "train": ["--eval-limit", "--json"],
+    "eval": ["--levels", "--sigma"],
+    "sweep": ["--levels", "--sigma"],
+    "cost": ["--data", "--dataset", "--noise", "--eval-limit", "--levels",
+             "--sigma"],
+    "classify": ["--levels", "--sigma"],
 }
 
 
@@ -85,7 +98,8 @@ def test_default_config_is_pinned():
 # One argv per flag, each with a non-default value, after `<command>
 # --seed 1` (the empty flag is the command alone), and the hash it gives.
 # The configuration holds no command name, so one hash serves every
-# subcommand that takes the flag.
+# subcommand that takes the flag, and every one that takes its key from
+# a --config document (DROPPED).
 PINNED = {
     "": ("", "b47998846845"),
     "--data": ("/elsewhere", "b47998846845"),
@@ -120,16 +134,42 @@ PINNED = {
 }
 
 CASES = [(command, flag) for command, flags in FLAGS.items()
-         for flag in [""] + flags if flag != "--config"]
+         for flag in [""] + flags + DROPPED[command] if flag != "--config"]
+
+
+def _flag_config(command, flag):
+    value, _ = PINNED[flag]
+    argv = [command, "--seed", "1"] + f"{flag} {value}".split()
+    return merge_config(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("command,flag", CASES,
                          ids=[c + f for c, f in CASES])
-def test_config_hash_is_pinned(command, flag):
-    value, digest = PINNED[flag]
-    argv = [command, "--seed", "1"] + f"{flag} {value}".split()
-    config = merge_config(build_parser().parse_args(argv))
-    assert config_hash(config) == digest
+def test_config_hash_is_pinned(command, flag, tmp_path):
+    if flag in DROPPED[command]:
+        # The configuration a command offering the flag makes of it,
+        # given to this command as a --config document.
+        donor = next(c for c, flags in FLAGS.items() if flag in flags)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_flag_config(donor, flag)))
+        config = merge_config(build_parser().parse_args(
+            [command, "--config", str(path)]))
+    else:
+        config = _flag_config(command, flag)
+    assert config_hash(config) == PINNED[flag][1]
+
+
+DROPPED_CASES = [(c, f) for c, flags in DROPPED.items() for f in flags]
+
+
+@pytest.mark.parametrize("command,flag", DROPPED_CASES,
+                         ids=[c + f for c, f in DROPPED_CASES])
+def test_dropped_flags_are_refused(command, flag, capsys):
+    value, _ = PINNED[flag]
+    with pytest.raises(SystemExit) as info:
+        main([command, "--seed", "1"] + f"{flag} {value}".split())
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_config_file_hash_is_pinned(tmp_path):
@@ -191,3 +231,70 @@ def test_config_documents_resolve_or_raise_cli_error(config_path, document):
             resolved_train_config(config, noise_text)
     except CliError:
         pass
+
+
+# --config values of a type no flag gives, each with the command that
+# reads the key: every one exits 2 with one error line naming the key.
+MISTYPED = [
+    ("eval", {"outdir": 3}, "outdir"),
+    ("eval", {"dataset": [1]}, "dataset"),
+    ("train", {"members": 3, "net": "fusion"}, "members"),
+    ("eval", {"checkpoint": 3}, "checkpoint"),
+    ("classify", {"classifier": 5}, "classifier"),
+    ("cost", {"budget": 7}, "budget"),
+    ("eval", {"json": "no"}, "json"),
+    ("train", {"train": {"device_in_loop": "no"}}, "train.device_in_loop"),
+    ("cost", {"net": None}, "net"),
+    ("eval", {"outdir": None}, "outdir"),
+]
+
+
+@pytest.mark.parametrize("command,document,key", MISTYPED,
+                         ids=[json.dumps(d) for _, d, _ in MISTYPED])
+def test_mistyped_config_values_exit_two(tmp_path, monkeypatch, capsys,
+                                         command, document, key):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, **document}))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+# A key a net's trainer never reads, set off its default: train refuses it
+# before reading any data.
+UNREAD = [
+    ("cnn", ["--init", "identity"], "train.init"),
+    ("cnn", ["--clean-fraction", "0.9"], "train.clean_fraction"),
+    ("cnn", ["--device-in-loop"], "train.device_in_loop"),
+    ("cnn", ["--members", "bank"], "members"),
+    ("dense", ["--clean-fraction", "0.9"], "train.clean_fraction"),
+    ("dense", ["--members", "bank"], "members"),
+    ("fusion", ["--noise", "sp:0.1"], "noises"),
+]
+
+
+@pytest.mark.parametrize("net,argv,key", UNREAD,
+                         ids=[f"{n}-{k}" for n, _, k in UNREAD])
+def test_train_refuses_keys_its_net_never_reads(tmp_path, monkeypatch,
+                                                capsys, net, argv, key):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--seed", "1", "--net", net, *argv]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {key} is not read when training {net}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("net,argv", [
+    ("cnn", ["--init", "zero", "--clean-fraction", "0.5"]),
+    ("dense", ["--init", "identity", "--device-in-loop"]),
+    ("fusion", ["--noise", "gaussian:0.1", "--clean-fraction", "0.9"]),
+])
+def test_train_accepts_defaults_and_keys_its_net_reads(monkeypatch, capsys,
+                                                       net, argv):
+    # The run gets past the key check and stops at the missing dataset.
+    monkeypatch.delenv("MEMDENOISE_DATA", raising=False)
+    assert main(["train", "--seed", "1", "--net", net, *argv]) == 2
+    assert capsys.readouterr().err == \
+        "error: no dataset path: set --data or MEMDENOISE_DATA\n"

@@ -51,14 +51,12 @@ def reference_program(weights, dev, rng=None):
 
 def save_tiled(m, path):
     """A programmed crossbar alone in the checkpoint container."""
-    ckpt.save(path, "crossbar",
-              {"levels": m.levels, "variation_sigma": m.variation_sigma},
-              m.state())
+    ckpt.save(path, "crossbar", {}, m.state())
 
 
 def load_tiled(path):
     return ckpt.load(path, {"crossbar": lambda meta, arrays: crossbar.restore(
-        arrays, DeviceModel(**meta))})[1]
+        arrays)})[1]
 
 
 class TestTileGrid:
@@ -306,8 +304,6 @@ class TestContainer:
         assert np.array_equal(back.g_neg, s.g_neg)
         assert np.array_equal(back.prune_mask, s.prune_mask)
         assert np.array_equal(back.input_dropout_mask, s.input_dropout_mask)
-        assert back.levels == 64
-        assert back.variation_sigma == s.variation_sigma
 
     def test_reserialization_is_byte_identical(self, rng, tmp_path):
         m = program(rng.uniform(-1.0, 1.0, size=(17, 9)), DeviceModel())
@@ -315,10 +311,6 @@ class TestContainer:
         save_tiled(load_tiled(tmp_path / "a.bin"), tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == \
             (tmp_path / "b.bin").read_bytes()
-
-    def test_ideal_levels_survive(self, tmp_path):
-        save_tiled(program(np.zeros((2, 2)), DeviceModel()), tmp_path / "m.bin")
-        assert load_tiled(tmp_path / "m.bin").levels is None
 
     def test_file_round_trip(self, rng, tmp_path):
         # The size follows from the header: magic, version, header length,

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from memdenoise.device import DeviceModel
+from memdenoise.crossbar import TiledMatrix
 from memdenoise.nets.common import (MAX_GAIN, ImageShapeError, TrainConfig,
                                     TrainingDivergence, corrupt_plane,
-                                    plane_samples, pow2_scale)
+                                    device_meta, plane_samples, pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.noise import corrupt, parse_spec
 
@@ -104,7 +105,7 @@ class TestDenseDenoiser:
 
     def test_weight_shape_checked(self):
         with pytest.raises(ValueError):
-            DenseDenoiser(np.zeros((64, 64)), 1.0, (8, 8))
+            DenseDenoiser(np.zeros((64, 64)), (8, 8))
 
     @pytest.mark.parametrize("shape", [(3, 10, 10), (3, 8, 10, 3), (64,)])
     def test_image_shape_checked(self, shape):
@@ -112,20 +113,42 @@ class TestDenseDenoiser:
         with pytest.raises(ImageShapeError, match=r"\(8, 8\)"):
             net.forward_stack(np.zeros(shape))
 
+    @staticmethod
+    def from_state(weights, scale):
+        """A 2 x 2 net loaded from checkpoint fields that store scale."""
+        meta = {"shape": [2, 2], "scale": scale, "train_noise": "",
+                **device_meta(DenseDenoiser.identity(2, 2))}
+        blank = TiledMatrix(np.zeros((5, 4)), np.zeros((5, 4)))
+        return DenseDenoiser.from_state(meta, {"weights": weights,
+                                               **blank.state()})
+
     @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0,
                                        2.0 ** 65, 1e308])
     def test_scale_must_be_finite_positive_gain(self, scale):
+        # The gain of all-zero weights is 1.0: a stored scale is checked
+        # against it, so no other value loads.
         with pytest.raises(ValueError, match="readout gain"):
-            DenseDenoiser(np.zeros((5, 4)), scale, (2, 2))
+            self.from_state(np.zeros((5, 4)), scale)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -1.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -1.5,
+                                     2.0 ** 65])
     def test_weights_must_fit_the_gain(self, bad):
         weights = np.zeros((5, 4))
         weights[4, 3] = bad
-        with pytest.raises(ValueError, match="exceed the readout gain"):
-            DenseDenoiser(weights, 1.0, (2, 2))
-        weights[4, 3] = 1.0
-        assert DenseDenoiser(weights, 1.0, (2, 2)).scale == 1.0
+        with pytest.raises(ValueError, match="readout gain"):
+            self.from_state(weights, 1.0)
+        fits = np.zeros((5, 4))
+        fits[4, 3] = 1.0
+        assert self.from_state(fits, 1.0).layer.gain == 1.0
+
+    @pytest.mark.parametrize("top,gain", [(0.0, 1.0), (1.0, 1.0), (1.5, 2.0),
+                                          (-1.5, 2.0), (-0.3, 0.5),
+                                          (2.0 ** 64, 2.0 ** 64)])
+    def test_gain_is_pow2_of_largest_weight(self, top, gain):
+        weights = np.zeros((5, 4))
+        weights[4, 3] = top
+        weights[0, 0] = top / 4
+        assert DenseDenoiser(weights, (2, 2)).layer.gain == gain
 
     def test_forward_shape_checked(self, rng):
         net = DenseDenoiser.identity(8, 8)
@@ -137,8 +160,7 @@ class TestDenseDenoiser:
         # the float matrix product bit for bit
         p = 36
         weights = rng.uniform(-1.2, 1.2, size=(p + 1, p))
-        scale = pow2_scale(np.abs(weights).max())
-        net = DenseDenoiser(weights, scale, (6, 6))
+        net = DenseDenoiser(weights, (6, 6))
         x = rng.random((5, p))
         ones = np.hstack([x, np.ones((5, 1))])
         want = np.clip(ones @ weights, 0.0, 1.0)
@@ -148,7 +170,7 @@ class TestDenseDenoiser:
         p = 4
         weights = np.zeros((p + 1, p))
         weights[:p] = np.eye(p) * 1.0
-        net = DenseDenoiser(weights, 1.0, (2, 2))
+        net = DenseDenoiser(weights, (2, 2))
         out = net.forward_stack(np.array([[[-1.0, 0.5], [2.0, 1.0]]]))
         np.testing.assert_array_equal(out, [[[0.0, 0.5], [1.0, 1.0]]])
 
@@ -172,13 +194,13 @@ class TestDenseDenoiser:
         net = DenseDenoiser.identity(6, 6)
         coarse = net.reprogram(DeviceModel(levels=16))
         assert coarse.device.levels == 16
-        np.testing.assert_array_equal(coarse.weights, net.weights)
+        np.testing.assert_array_equal(coarse.layer.weights, net.layer.weights)
 
     def test_with_sparsity_masks_apply(self, rng):
         net = DenseDenoiser.identity(6, 6)
         masked = net.with_sparsity(0.25, 0.0, seed=3)
-        assert masked.tiled.input_dropout_mask.sum() == round(0.25 * 37)
-        dropped = masked.tiled.input_dropout_mask[:36]
+        assert masked.layer.tiled.input_dropout_mask.sum() == round(0.25 * 37)
+        dropped = masked.layer.tiled.input_dropout_mask[:36]
         imgs = np.full((1, 6, 6), 0.8)
         out = masked.forward_stack(imgs).reshape(-1)
         np.testing.assert_array_equal(out[dropped], 0.0)
@@ -193,8 +215,8 @@ class TestSerialization:
         net = dense_train(cfg, ds)
         net.save(tmp_path / "a.bin")
         back = DenseDenoiser.load(tmp_path / "a.bin")
-        np.testing.assert_array_equal(back.weights, net.weights)
-        assert back.scale == net.scale
+        np.testing.assert_array_equal(back.layer.weights, net.layer.weights)
+        assert back.layer.gain == net.layer.gain
         assert back.train_noise == net.train_noise
         assert back.rmse_log == net.rmse_log
         back.save(tmp_path / "b.bin")
@@ -209,8 +231,8 @@ class TestSerialization:
         ).with_sparsity(0.1, 0.2, seed=3)
         net.save(tmp_path / "net.bin")
         back = DenseDenoiser.load(tmp_path / "net.bin")
-        for name, a in net.tiled.state().items():
-            assert np.array_equal(getattr(back.tiled, name), a)
+        for name, a in net.layer.tiled.state().items():
+            assert np.array_equal(getattr(back.layer.tiled, name), a)
         assert back.device == net.device
         imgs = rng.random((2, 8, 8))
         np.testing.assert_array_equal(back.forward_stack(imgs),
@@ -220,7 +242,7 @@ class TestSerialization:
         net = DenseDenoiser.identity(6, 6)
         net.save(tmp_path / "net.bin")
         back = DenseDenoiser.load(tmp_path / "net.bin")
-        np.testing.assert_array_equal(back.weights, net.weights)
+        np.testing.assert_array_equal(back.layer.weights, net.layer.weights)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"
@@ -231,7 +253,7 @@ class TestSerialization:
     def test_mismatched_crossbar_rejected(self):
         net = DenseDenoiser.identity(4, 4)
         with pytest.raises(ValueError, match="crossbar"):
-            DenseDenoiser(np.zeros((10, 9)), 1.0, (3, 3), tiled=net.tiled)
+            DenseDenoiser(np.zeros((10, 9)), (3, 3), tiled=net.layer.tiled)
 
 
 class TestTraining:
@@ -250,7 +272,7 @@ class TestTraining:
         w0 = np.zeros((65, 64))
         err = clean - x @ w0
         want = w0 + 0.05 * (x.T @ err)
-        np.testing.assert_allclose(net.weights, want, atol=1e-12)
+        np.testing.assert_allclose(net.layer.weights, want, atol=1e-12)
 
     def test_batch_update_is_mean_over_batch(self, rng):
         from memdenoise.imagecore import Dataset
@@ -267,14 +289,14 @@ class TestTraining:
         x = np.hstack([noisy, np.ones((4, 1))])
         err = clean[perm] - x @ np.zeros((65, 64))
         want = (0.04 / 4) * (x.T @ err)
-        np.testing.assert_allclose(net.weights, want, atol=1e-12)
+        np.testing.assert_allclose(net.layer.weights, want, atol=1e-12)
 
     def test_identity_init_starts_from_passthrough(self, rng):
         ds = tiny_dataset(rng)
         cfg = TrainConfig(parse_spec("gaussian:0.01"), learning_rate=0.0,
                           epochs=1, batch=4, init="identity")
         net = dense_train(cfg, ds)
-        np.testing.assert_array_equal(net.weights[:64], np.eye(64))
+        np.testing.assert_array_equal(net.layer.weights[:64], np.eye(64))
 
     def test_rmse_log_one_entry_per_epoch(self, rng):
         ds = tiny_dataset(rng)
@@ -320,7 +342,7 @@ class TestTraining:
         a = dense_train(TrainConfig(spec, epochs=1, batch=4, seed=3, limit=8), ds)
         b = dense_train(TrainConfig(spec, epochs=1, batch=4, seed=3, limit=8),
                         ds.subset(8))
-        np.testing.assert_array_equal(a.weights, b.weights)
+        np.testing.assert_array_equal(a.layer.weights, b.layer.weights)
 
     def test_same_seed_reproduces_training(self, rng):
         ds = tiny_dataset(rng)
@@ -328,7 +350,7 @@ class TestTraining:
         cfg = TrainConfig(spec, epochs=2, batch=4, seed=11)
         a = dense_train(cfg, ds)
         b = dense_train(cfg, ds)
-        np.testing.assert_array_equal(a.weights, b.weights)
+        np.testing.assert_array_equal(a.layer.weights, b.layer.weights)
         assert a.rmse_log == b.rmse_log
 
     def test_train_noise_recorded_as_text(self, rng):
@@ -343,8 +365,9 @@ class TestTraining:
                           seed=4, device=dev, device_in_loop=True)
         net = dense_train(cfg, ds)
         # weights passed through the 16-level grid at the last epoch end
-        grid = np.round(net.weights / net.scale * 15) / 15 * net.scale
-        np.testing.assert_allclose(net.weights, grid, atol=1e-12)
+        w, gain = net.layer.weights, net.layer.gain
+        grid = np.round(w / gain * 15) / 15 * gain
+        np.testing.assert_allclose(w, grid, atol=1e-12)
 
 
 def allocating_dense_train(cfg, data):
@@ -396,7 +419,7 @@ class TestBufferedDeltaRule:
         net = dense_train(cfg, data)
         weights, rmse_log = allocating_dense_train(cfg, data)
         assert net.rmse_log == rmse_log
-        assert net.weights.tobytes() == weights.tobytes()
+        assert net.layer.weights.tobytes() == weights.tobytes()
 
     def test_bits_equal_allocating_loop_at_mnist_size(self):
         data = tiny_dataset(np.random.default_rng(9), n=70, h=28, w=28)
@@ -405,4 +428,4 @@ class TestBufferedDeltaRule:
         net = dense_train(cfg, data)
         weights, rmse_log = allocating_dense_train(cfg, data)
         assert net.rmse_log == rmse_log
-        assert net.weights.tobytes() == weights.tobytes()
+        assert net.layer.weights.tobytes() == weights.tobytes()

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
-from memdenoise import crossbar
+from memdenoise import ckpt, crossbar
 from memdenoise.device import DeviceModel
 from memdenoise.imagecore import Dataset
-from memdenoise.nets.cnn import unfold_stack
+from memdenoise.nets.cnn import conv_same, unfold_stack
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
                                     chunk_planes, plane_samples,
                                     pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init, fusion_train
 from memdenoise.noise import corrupt, parse_spec
+
+
+def direct_route(fused, img):
+    """Float reference path: explicit sliding-window fusion."""
+    planes = [m.forward_stack(img[None])[0] for m in fused.members]
+    y = sum(conv_same(plane, k) for plane, k in zip(planes, fused.kernel))
+    return np.clip(y, 0.0, 1.0)
 
 
 def member_bank(rng, h=8, w=8, count=3):
@@ -95,10 +102,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FusionDenoiser(list(nets[:2]) + [odd], fusion_init(3))
 
-    def test_member_noises_recorded(self, rng):
+    def test_member_noises_recorded(self, rng, tmp_path):
         nets, _ = member_bank(rng)
-        fused = FusionDenoiser(nets, fusion_init(3))
-        assert fused.member_noises == ("gaussian:0.05", "sp:0.1", "speckle:1")
+        FusionDenoiser(nets, fusion_init(3)).save(tmp_path / "f.bin")
+        _, meta = ckpt.load(tmp_path / "f.bin", {"fusion": lambda m, a: m})
+        assert meta["member_noises"] == ["gaussian:0.05", "sp:0.1", "speckle:1"]
 
     def test_init_kinds(self):
         zero = fusion_init(4, 3, "zero")
@@ -138,7 +146,7 @@ class TestForward:
         fused = FusionDenoiser(nets, kernel)
         img = rng.random((8, 8))
         a = fused.forward_stack(img[None])[0]
-        b = fused.forward_direct(img)
+        b = direct_route(fused, img)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_forward_stack_matches_per_image(self, rng):
@@ -177,8 +185,8 @@ class TestForward:
             patches = np.concatenate(
                 [unfold_stack(planes.reshape(3, 8, 8), 3)
                  for planes in member_out[lo:lo + step]])
-            want.append(crossbar.matmul(fused.tiled, patches)[:, 0])
-        want = np.clip(np.concatenate(want) * fused.scale, 0.0, 1.0)
+            want.append(crossbar.matmul(fused.layer.tiled, patches)[:, 0])
+        want = np.clip(np.concatenate(want) * fused.layer.gain, 0.0, 1.0)
         want = want.reshape(1500, 3, 8, 8).transpose(0, 2, 3, 1)
         assert np.array_equal(fused.forward_stack(imgs), want)
 
@@ -308,7 +316,8 @@ class TestSerialization:
         fused.save(path)
         back = FusionDenoiser.load(path)
         np.testing.assert_array_equal(back.kernel, fused.kernel)
-        assert back.member_noises == fused.member_noises
+        assert [m.train_noise for m in back.members] == \
+            ["gaussian:0.05", "sp:0.1", "speckle:1"]
         assert back.rmse_log == [0.3, 0.2]
         imgs = rng.random((2, 8, 8))
         np.testing.assert_array_equal(back.forward_stack(imgs),
@@ -333,8 +342,8 @@ class TestSerialization:
                                program_seed=9)
         fused.save(tmp_path / "f.bin")
         back = FusionDenoiser.load(tmp_path / "f.bin")
-        for got, want in zip((back.tiled,) + tuple(m.tiled for m in back.members),
-                             (fused.tiled,) + tuple(m.tiled for m in fused.members)):
+        for got, want in zip([n.layer.tiled for n in (back, *back.members)],
+                             [n.layer.tiled for n in (fused, *fused.members)]):
             for name, a in want.state().items():
                 assert np.array_equal(getattr(got, name), a)
         imgs = rng.random((4, 8, 8))
@@ -345,11 +354,3 @@ class TestSerialization:
         path.write_bytes(b"NOTFUSED" + bytes(32))
         with pytest.raises(ValueError, match="not a recognized checkpoint"):
             FusionDenoiser.load(path)
-
-    def test_reprogram_keeps_kernel(self, rng):
-        from memdenoise.device import DeviceModel
-        nets, _ = member_bank(rng)
-        fused = FusionDenoiser(nets, fusion_init(3, kind="identity"))
-        coarse = fused.reprogram(DeviceModel(levels=16))
-        np.testing.assert_array_equal(coarse.kernel, fused.kernel)
-        assert coarse.device.levels == 16

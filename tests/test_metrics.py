@@ -199,6 +199,6 @@ class TestQualityReport:
 
     def test_json_round_trips(self):
         rep = QualityReport("sp:0.1", "median:3", 0.914, 0.005, 23.0, 1000)
-        loaded = json.loads(rep.to_json())
-        assert loaded == {"noise": "sp:0.1", "method": "median:3",
+        loaded = json.loads(json.dumps(rep.to_json()))
+        assert loaded == rep.to_json() == {"noise": "sp:0.1", "method": "median:3",
                           "ssim": 0.914, "mse": 0.005, "psnr": 23.0, "n": 1000}
