@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .imagecore import plane_samples, stack_from_planes
 from .metrics import evaluate_pairs
 
 __all__ = [
@@ -157,27 +158,18 @@ _PLANE_KERNELS = {"gauss": _gauss_planes, "median": _median_planes,
 def filter_stack(imgs, spec: FilterSpec):
     """Apply one filter across an (n, h, w) or (n, h, w, c) stack.
 
-    Channels become (h, w) planes, filtered a chunk of planes per call
-    and clipped to [0, 1]; every image comes out exactly as it would
-    alone.
+    Channels become (h, w) planes (imagecore.plane_samples), filtered a
+    chunk of planes per call and clipped to [0, 1]; every image comes
+    out exactly as it would alone.
     """
-    imgs = np.asarray(imgs, dtype=np.float64)
-    if imgs.ndim == 3:
-        planes = imgs
-    elif imgs.ndim == 4:
-        planes = np.moveaxis(imgs, 3, 1).reshape((-1,) + imgs.shape[1:3])
-    else:
-        raise ValueError(f"expected (n, h, w) or (n, h, w, c), got shape "
-                         f"{imgs.shape}")
+    flat, shape = plane_samples(imgs)
+    planes = flat.reshape((-1,) + shape)
     kernel = _PLANE_KERNELS[spec.kind]
     out = np.empty(planes.shape)
     for lo in range(0, len(planes), _CHUNK_PLANES):
         out[lo:lo + _CHUNK_PLANES] = np.clip(
             kernel(planes[lo:lo + _CHUNK_PLANES], spec), 0.0, 1.0)
-    if imgs.ndim == 3:
-        return out
-    n, h, w, c = imgs.shape
-    return np.ascontiguousarray(np.moveaxis(out.reshape(n, c, h, w), 1, 3))
+    return stack_from_planes(out, imgs)
 
 
 def gaussian_blur(img, sigma: float):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .nets.common import (MAX_GAIN, TrainConfig, check_epoch, check_planes,
-                          check_trained, max_abs, plane_samples,
-                          training_epochs)
+from .imagecore import ImageShapeError
+from .nets.common import (MAX_GAIN, TrainConfig, check_epoch, check_trained,
+                          max_abs, training_epochs)
 from .noise import NoiseSpec, corrupt_dataset
 
 ACCURACY_CSV_HEADER = "noise,condition,accuracy,n"
@@ -44,7 +44,7 @@ class AccuracyReport:
 
 
 class Classifier:
-    """Plane -> hidden ReLU -> 10 logits, argmax decision.
+    """Whole (h, w) or (h, w, c) image -> hidden ReLU -> 10 logits, argmax.
 
     The output layer starts at zero, so an untrained classifier emits
     identical logits and argmax falls through to class 0; training
@@ -59,10 +59,10 @@ class Classifier:
         self.shape = tuple(shape)
         self.loss_log = list(loss_log)
         p, hidden = self.w1.shape
-        if (p != self.shape[0] * self.shape[1] or self.b1.shape != (hidden,)
+        if (p != np.prod(self.shape) or self.b1.shape != (hidden,)
                 or self.w2.shape != (hidden, 10) or self.b2.shape != (10,)):
             raise ValueError(
-                "layers %r, %r, %r, %r do not fit %r planes" % (
+                "layers %r, %r, %r, %r do not fit %r images" % (
                     self.w1.shape, self.b1.shape, self.w2.shape,
                     self.b2.shape, self.shape))
         for a in (self.w1, self.b1, self.w2, self.b2):
@@ -72,9 +72,9 @@ class Classifier:
             a.setflags(write=False)
 
     @classmethod
-    def initial(cls, plane_size: int, hidden: int, shape, seed: int = 0):
+    def initial(cls, size: int, hidden: int, shape, seed: int = 0):
         rng = np.random.default_rng([seed, 0x43])
-        w1 = rng.normal(0.0, np.sqrt(2.0 / plane_size), (plane_size, hidden))
+        w1 = rng.normal(0.0, np.sqrt(2.0 / size), (size, hidden))
         return cls(w1, np.zeros(hidden), np.zeros((hidden, 10)), np.zeros(10),
                    shape)
 
@@ -83,8 +83,13 @@ class Classifier:
         return hidden @ self.w2 + self.b2
 
     def predict(self, images):
-        """Class labels for a stack of images."""
-        flat, _ = plane_samples(check_planes(images, self.shape, "classifier"))
+        """Class labels for a stack of images, each clamped to the [0, 1]
+        input window first."""
+        images = np.asarray(images, dtype=np.float64)
+        if images.shape[1:] != self.shape:
+            raise ImageShapeError(f"images {images.shape}, classifier expects "
+                                  f"{self.shape}")
+        flat = np.clip(images.reshape(len(images), -1), 0.0, 1.0)
         return np.argmax(self.logits(flat), axis=1)
 
     def accuracy(self, images, labels) -> float:
@@ -119,12 +124,9 @@ def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
     trained layers follow the same divergence rules as the denoiser
     trainers (check_epoch, check_trained).
     """
-    flat, shape = plane_samples(data.images)
+    images = np.asarray(data.images, dtype=np.float64)
+    flat, shape = images.reshape(len(images), -1), images.shape[1:]
     labels = np.asarray(data.labels)
-    if data.images.ndim == 4:
-        # Channel planes were unrolled into separate samples; labels
-        # repeat per channel in the same order.
-        labels = np.repeat(labels, data.images.shape[3])
     if cfg.limit is not None:
         flat, labels = flat[:cfg.limit], labels[:cfg.limit]
     n, p = flat.shape
@@ -162,15 +164,15 @@ def evaluate(clf: Classifier, data, denoiser=None, noise: NoiseSpec | None = Non
              seed: int = 0) -> AccuracyReport:
     """Accuracy after corrupt -> (optionally denoise) -> classify.
 
-    Every consumer downstream of the sensor is an analog stage, so the
-    corrupted stack is clamped to the [0, 1] input window before it
-    reaches either the denoiser or the classifier.  The report row
-    names the denoiser by its class name.
+    Every consumer downstream of the sensor is an analog stage that
+    clamps its own input to the [0, 1] window: the denoiser and the
+    classifier (Classifier.predict).  The report row names the denoiser
+    by its class name.
     """
-    images = np.asarray(data.images, dtype=np.float64)
+    images = data.images
     noise_text = ""
     if noise is not None:
-        images = np.clip(corrupt_dataset(images, noise, seed), 0.0, 1.0)
+        images = corrupt_dataset(images, noise, seed)
         noise_text = noise.text()
     if denoiser is not None:
         images = denoiser.forward_stack(images)

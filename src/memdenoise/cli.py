@@ -7,12 +7,12 @@ in one fork pool (_fork_map).
 
 The configuration is DEFAULT_CONFIG, overlaid by a JSON document
 (--config), overlaid by command-line flags.  OPTIONS lists every key
-with its default, the flag that sets it and the subcommands taking that
-flag; `seed` is required.  Null training fields resolve to the
-per-network defaults recorded in TRAIN_RECIPES.  Every emitted report
-row carries the hash of the effective configuration and the seed, and a
-re-run with the same configuration reproduces every output file byte
-for byte.
+with its default, the flag that sets it and its readers; `seed` is
+required, and a key off its default that the command does not read is
+refused.  Null training fields resolve to the per-network defaults
+recorded in TRAIN_RECIPES.  Every emitted report row carries the hash
+of the effective configuration and the seed, and a re-run with the same
+configuration reproduces every output file byte for byte.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
-
 from . import baselines, ckpt, hwcost, metrics
 from .classify import ACCURACY_CSV_HEADER, Classifier, evaluate, train_classifier
 from .device import DeviceModel
-from .imagecore import DatasetError, load_cifar10, load_mnist, write_image
+from .imagecore import (DatasetError, ImageShapeError, image_suffix,
+                        load_cifar10, load_mnist, write_image)
 from .nets.cnn import CnnDenoiser, cnn_train
-from .nets.common import ImageShapeError, TrainConfig, TrainingDivergence
+from .nets.common import TrainConfig, TrainingDivergence
 from .nets.dense import DenseDenoiser, dense_train
 from .nets.fusion import FusionDenoiser, fusion_train
 from .noise import STANDARD_NOISES, corrupt_dataset, parse_spec
@@ -83,17 +82,20 @@ def _grid(convert):
 
 _ALL = ("train", "eval", "sweep", "cost", "classify")
 _DATA = ("train", "eval", "sweep", "classify")  # the commands reading images
+_SCORED = ("eval", "sweep", "classify")
 
 # One row per configuration key: its path (dotted inside a section), its
 # default, the flag that sets it with that flag's argparse keywords, and
-# the subcommands taking the flag.
+# its readers. A reader is a subcommand, or train:<net> when only that
+# net's trainer reads the key; a subcommand offers the flags it reads.
 OPTIONS = [
     ("dataset", "mnist", "--dataset", {"choices": ["mnist", "cifar10"]}, _DATA),
     ("data_path", None, "--data",
      {"help": "dataset root (default $MEMDENOISE_DATA)"}, _DATA),
     ("noises", ["gaussian:0.1"], "--noise",
      {"action": "append",
-      "help": "corruption spec, repeatable (e.g. gaussian:0.1)"}, _DATA),
+      "help": "corruption spec, repeatable (e.g. gaussian:0.1)"},
+     ("train:dense", "train:cnn") + _SCORED),
     ("net", "dense", "--net", {"choices": ["dense", "cnn", "fusion"]},
      ("train", "cost")),
     ("device.levels", None, "--levels",
@@ -101,8 +103,9 @@ OPTIONS = [
      ("train",)),
     ("device.variation_sigma", 0.0, "--sigma", {"type": float}, ("train",)),
     # Input-row and device-pair masking fractions. No flag sets them and
-    # no command reads them (sweep has its own grids), but every report's
-    # config hash covers them, so dropping them would change all hashes.
+    # no command reads them (sweep has its own grids), so every command
+    # refuses them off their defaults; but every report's config hash
+    # covers them, so dropping them would change all hashes.
     ("dropout", 0.0, None, {}, ()),
     ("prune", 0.0, None, {}, ()),
     ("train.learning_rate", None, "--lr", {"type": float}, ("train",)),
@@ -110,19 +113,19 @@ OPTIONS = [
     ("train.batch", None, "--batch", {"type": int}, ("train",)),
     ("train.limit", None, "--limit", {"type": int}, ("train",)),
     ("train.init", "zero", "--init", {"choices": ["zero", "identity"]},
-     ("train",)),
+     ("train:dense", "train:fusion")),
     ("train.clean_fraction", 0.5, "--clean-fraction", {"type": float},
-     ("train",)),
+     ("train:fusion",)),
     ("train.device_in_loop", False, "--device-in-loop",
-     {"action": "store_true"}, ("train",)),
-    ("eval_limit", 1000, "--eval-limit", {"type": int},
-     ("eval", "sweep", "classify")),
-    ("checkpoint", None, "--checkpoint", {}, ("eval", "sweep", "classify")),
+     {"action": "store_true"}, ("train:dense", "train:fusion")),
+    ("eval_limit", 1000, "--eval-limit", {"type": int}, _SCORED),
+    ("checkpoint", None, "--checkpoint", {}, _SCORED),
     ("filters", [], "--filter",
      {"action": "append",
       "help": "baseline filter spec, repeatable (e.g. median:3)"}, ("eval",)),
     ("members", None, "--members",
-     {"help": "directory of the 8 dense member checkpoints"}, ("train",)),
+     {"help": "directory of the 8 dense member checkpoints"},
+     ("train:fusion",)),
     ("classifier", None, "--classifier",
      {"help": "classifier checkpoint to reuse"}, ("classify",)),
     ("mode", "sequential", "--mode",
@@ -204,6 +207,7 @@ def merge_config(args) -> dict:
         if path not in ("command", "config"):
             _set(config, path, value)
     _check_types(config)
+    _check_read(config, args.command)
     if config["data_path"] is None:
         config["data_path"] = os.environ.get("MEMDENOISE_DATA")
     if config["seed"] is None:
@@ -237,6 +241,17 @@ def _check_types(config):
             continue
         if not ok:
             raise CliError(f"{path} must be {rule}, got {value!r}")
+
+
+def _check_read(config, command):
+    """Refuse a key set off its default that command does not read (for
+    train, that config["net"]'s trainer does not read)."""
+    net = config["net"]
+    where = f"when training {net}" if command == "train" else f"by {command}"
+    for path, default, _, _, readers in OPTIONS:
+        if (_get(config, path) != default and command not in readers
+                and f"{command}:{net}" not in readers):
+            raise CliError(f"{path} is not read {where}")
 
 
 def _check_devices(config):
@@ -429,31 +444,23 @@ def member_bank(config):
     if missing:
         raise CliError("missing member checkpoints:\n  " + "\n  ".join(missing))
     members = []
-    for path in paths:
+    for spec, path in zip(STANDARD_NOISES, paths):
         kind, net = load_net(path)
         if kind != "dense":
             raise CliError(f"{path}: fusion members must be dense checkpoints")
+        if net.train_noise != spec.text():
+            raise CliError(f"{path}: member trained on {net.train_noise!r}, "
+                           f"not {spec.text()}")
         members.append(net)
     return members
 
 
-# Keys a net's trainer never reads: train refuses them off their defaults.
-_UNREAD = {"dense": ("train.clean_fraction", "members"),
-           "cnn": ("train.init", "train.clean_fraction",
-                   "train.device_in_loop", "members"),
-           "fusion": ("noises",)}
-
-
 def cmd_train(config):
-    for path in _UNREAD[config["net"]]:
-        if _get(config, path) != _get(DEFAULT_CONFIG, path):
-            raise CliError(f"{path} is not read when training {config['net']}")
     data = load_dataset(config, "train")
     written, log = [], []
     if config["net"] == "fusion":
-        members = member_bank(config)
-        net = fusion_train(resolved_train_config(config, None), members, data,
-                           noises=[s.text() for s in STANDARD_NOISES])
+        net = fusion_train(resolved_train_config(config, None),
+                           member_bank(config), data)
         path = os.path.join(config["outdir"], "fusion.bin")
         os.makedirs(config["outdir"], exist_ok=True)
         net.save(path)
@@ -512,7 +519,8 @@ def cmd_eval(config):
             base = os.path.join(dump_root, _safe(text))
             os.makedirs(base, exist_ok=True)
             for name, stack in [("clean", data.images)] + outputs:
-                path = os.path.join(base, f"{_safe(name)}_{i}.pgm")
+                path = os.path.join(base, _safe(name) + f"_{i}"
+                                    + image_suffix(stack[i]))
                 write_image(stack[i], path)
                 written.append(path)
     _emit(config, "eval", metrics.CSV_HEADER, [r.csv_row() for r in rows],
@@ -543,9 +551,9 @@ def cmd_sweep(config):
     if not specs:
         raise CliError("sweep requires a real noise spec")
     data = _test_split(config)
-    noisy = [(spec.text(), np.clip(
-        corrupt_dataset(data.images, spec, config["seed"]), 0.0, 1.0))
-        for spec in specs]
+    # The dense variants clamp their input stacks.
+    noisy = [(spec.text(), corrupt_dataset(data.images, spec, config["seed"]))
+             for spec in specs]
     grids = config["sweep"]  # levels, sigma, dropout, prune: OPTIONS order
     points = [("ideal", "")] + [(p, v) for p in grids for v in grids[p]]
 
@@ -647,8 +655,8 @@ def build_parser():
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON configuration file")
-        for path, _, flag, kwargs, commands in OPTIONS:
-            if command in commands:
+        for path, _, flag, kwargs, readers in OPTIONS:
+            if command in {reader.split(":")[0] for reader in readers}:
                 p.add_argument(flag, dest=path, default=argparse.SUPPRESS,
                                **kwargs)
     return parser

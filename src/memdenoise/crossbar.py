@@ -9,9 +9,10 @@ has one fixed order and results are bit reproducible no matter how
 callers batch their rows. The 64-column tiles of a row block produce
 independent outputs, so one product per row block reads them all.
 
-Signed inputs (intermediate CNN activations) are handled by two-phase
-input splitting: the positive and negative parts are applied in separate
-read phases and subtracted at the readout.
+Inputs are non-negative voltages, so a readout is one read phase: every
+caller clamps its input to the [0, 1] window (the dense net, the CNN's
+first layer) or feeds ReLU outputs (the CNN's later layers) or clamped
+member outputs (the fusion stage).
 """
 
 import numpy as np
@@ -144,9 +145,8 @@ def _blocked_product(x, w, rows, cols):
 def matmul(m, xs):
     """Analog dot products ys[k, j] = sum_i xs[k, i] (g_pos[i,j] - g_neg[i,j]).
 
-    xs has shape (n, rows), result (n, cols). Pruned pairs and dropped
-    rows contribute nothing. Inputs with negative entries run as two read
-    phases (positive part minus negative part). A stack (..., n, rows)
+    xs has shape (n, rows), result (n, cols), read in one phase. Pruned
+    pairs and dropped rows contribute nothing. A stack (..., n, rows)
     reads each (n, rows) batch on its own, giving each the bits it would
     get alone; result (..., n, cols).
     """
@@ -154,13 +154,7 @@ def matmul(m, xs):
     if xs.ndim < 2 or xs.shape[-1] != m.rows:
         raise ValueError("batch shape %r, expected (..., n, %d)"
                          % (xs.shape, m.rows))
-    w = m.effective_weights()
-    if xs.min(initial=0.0) < 0.0:
-        xp = np.maximum(xs, 0.0)
-        xn = np.maximum(-xs, 0.0)
-        return (_blocked_product(xp, w, m.rows, m.cols)
-                - _blocked_product(xn, w, m.rows, m.cols))
-    return _blocked_product(xs, w, m.rows, m.cols)
+    return _blocked_product(xs, m.effective_weights(), m.rows, m.cols)
 
 
 def apply_sparsity(m, dropout_frac, prune_frac, rng):

@@ -1,8 +1,12 @@
 """Image tensors, dataset ingestion and portable image dumps.
 
 Images are float64 numpy arrays with intensities in [0, 1], shaped (h, w)
-for a single grayscale plane or (h, w, 3) for RGB. Datasets stack images
-along axis 0 and are immutable after construction.
+for a single grayscale plane or (h, w, c) with c channels (3 for RGB).
+Datasets stack images along axis 0 and are immutable after construction.
+plane_samples and its inverse stack_from_planes are the one view of a
+stack as (h, w) planes, one per image channel: the denoisers, the
+filters and the SSIM scorer work on planes, and no other module moves a
+channel axis.
 
 Supported inputs: IDX files (big-endian dimension header, optionally
 gzipped) and CIFAR-10 binary batches (1 label byte + 3072 channel-planar
@@ -191,23 +195,58 @@ def load_cifar10(path, split):
     return Dataset(images, np.concatenate(labels).astype(np.int64), split)
 
 
+class ImageShapeError(ValueError):
+    """An image stack whose planes are not the size a network was built for."""
+
+
+def plane_samples(images, shape=None, owner=""):
+    """An (n, h, w) or (n, h, w, c) stack as (n*c, h*w) flattened planes,
+    each image's channels in channel order, and the plane shape (h, w).
+
+    With shape given, ImageShapeError naming owner unless the planes are
+    that shape.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    if shape is not None and images.shape[1:3] != tuple(shape):
+        raise ImageShapeError(
+            f"images {images.shape}, {owner} expects {tuple(shape)}")
+    if images.ndim not in (3, 4):
+        raise ValueError(f"expected an (n, h, w) or (n, h, w, c) stack, got "
+                         f"shape {images.shape}")
+    h, w = images.shape[1:3]
+    planes = images if images.ndim == 3 else images.transpose(0, 3, 1, 2)
+    return planes.reshape(-1, h * w), (h, w)
+
+
+def stack_from_planes(out, images):
+    """Inverse of plane_samples: (n*c, ...) back to the layout of images,
+    C-contiguous."""
+    shape = np.shape(images)
+    if len(shape) == 3:
+        return out.reshape(shape)
+    n, h, w, c = shape
+    return np.ascontiguousarray(out.reshape(n, c, h, w).transpose(0, 2, 3, 1))
+
+
+def image_suffix(img):
+    """'.ppm' for an (h, w, 3) image, else '.pgm': write_image's format."""
+    return ".ppm" if np.shape(img)[2:] == (3,) else ".pgm"
+
+
 def write_image(img, path):
-    """Dump an image as binary PGM (grayscale) or PPM (RGB), maxval 255.
+    """Dump an (h, w) or (h, w, 1) image as binary PGM, an (h, w, 3) one
+    as PPM, maxval 255.
 
     Intensities quantize to bytes by round-half-up, so 0.5 maps to 128.
     """
     arr = np.asarray(img, dtype=np.float64)
-    raw = np.floor(np.clip(arr, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-    if arr.ndim == 3 and arr.shape[2] == 1:
-        raw = raw[:, :, 0]
-    if raw.ndim == 2:
-        header = b"P5\n%d %d\n255\n" % (raw.shape[1], raw.shape[0])
-    elif raw.ndim == 3 and raw.shape[2] == 3:
-        header = b"P6\n%d %d\n255\n" % (raw.shape[1], raw.shape[0])
-    else:
+    if not (arr.ndim == 2 or arr.ndim == 3 and arr.shape[2] in (1, 3)):
         raise ValueError("bad image shape %r" % (arr.shape,))
+    raw = np.floor(np.clip(arr, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    magic = b"P6" if image_suffix(arr) == ".ppm" else b"P5"
     with open(path, "wb") as f:
-        f.write(header + raw.tobytes())
+        f.write(b"%s\n%d %d\n255\n" % (magic, arr.shape[1], arr.shape[0])
+                + raw.tobytes())
 
 
 def read_image(path):

@@ -7,7 +7,9 @@ averaging; the small uniform window suits 28x28 inputs. Window sums are
 taken from integral images over the last two axes, deliberately a
 different computation route than the usual uniform-filter
 implementations so the two can be checked against each other. One plane
-kernel serves both single images and whole stacks.
+kernel serves both single images and whole stacks; an image of c
+channels scores each channel plane (imagecore.plane_samples) and
+averages the c scores.
 
 Aggregate reports average SSIM and MSE over images and derive PSNR from
 the mean MSE, so the psnr = 10 log10(1/mse) identity holds for every
@@ -17,6 +19,8 @@ emitted report.
 from dataclasses import dataclass
 
 import numpy as np
+
+from .imagecore import plane_samples
 
 SSIM_WINDOW = 7
 _C1 = 0.01 ** 2
@@ -61,18 +65,14 @@ def _window_sums(x, k):
 
 
 def _ssim_images(a, b):
-    # Per-image SSIM of two (m, h, w) or (m, h, w, c) stacks. Channels
-    # become planes of their own, scored over the last two axes, and RGB
-    # images average their channel scores.
-    rgb = a.ndim == 4 and a.shape[3] in (1, 3)
-    if rgb:
-        a, b = np.moveaxis(a, 3, 1), np.moveaxis(b, 3, 1)
-    elif a.ndim != 3:
-        raise ValueError("bad image shape %r" % (a.shape[1:],))
+    # Per-image SSIM of two (m, h, w) or (m, h, w, c) stacks: the mean of
+    # each image's channel plane scores.
+    m = len(a)
+    (a, (h, w)), (b, _) = plane_samples(a), plane_samples(b)
+    a, b = a.reshape(-1, h, w), b.reshape(-1, h, w)
     k = SSIM_WINDOW
-    if a.shape[-2] < k or a.shape[-1] < k:
-        raise ValueError("image %r smaller than %dx%d window"
-                         % (a.shape[-2:], k, k))
+    if h < k or w < k:
+        raise ValueError("image %r smaller than %dx%d window" % ((h, w), k, k))
     n = float(k * k)
     sa = _window_sums(a, k)
     sb = _window_sums(b, k)
@@ -88,12 +88,12 @@ def _ssim_images(a, b):
     cab = (sab / n - ua * ub) * norm
     s = ((2.0 * ua * ub + _C1) * (2.0 * cab + _C2)) / (
         (ua * ua + ub * ub + _C1) * (va + vb + _C2))
-    scores = np.mean(s, axis=(-2, -1))
-    return np.mean(scores, axis=1) if rgb else scores
+    return np.mean(np.mean(s, axis=(-2, -1)).reshape(m, -1), axis=1)
 
 
 def ssim(a, b):
-    """Mean structural similarity; RGB scores per channel, then averages."""
+    """Mean structural similarity; a multi-channel image scores each
+    channel plane, then averages."""
     a, b = _pair(a, b)
     return float(_ssim_images(a[None], b[None])[0])
 

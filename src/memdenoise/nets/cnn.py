@@ -28,9 +28,10 @@ import numpy as np
 
 from .. import ckpt
 from ..device import DeviceModel
+from ..imagecore import plane_samples, stack_from_planes
 from .common import (Layer, TrainConfig, check_epoch, check_trained,
                      chunk_planes, corrupt_plane, device_args, device_meta,
-                     plane_samples, stack_from_planes, training_epochs)
+                     training_epochs)
 
 
 def _windows(x, k):
@@ -146,7 +147,6 @@ class CnnDenoiser:
         at a time (see chunk_planes), so the patch matrices stay about
         4 MB however long the stack is.
         """
-        images = np.asarray(images, dtype=np.float64)
         flat, (h, w) = plane_samples(images)
         planes = flat.reshape(-1, h, w)
         out = np.empty_like(planes)

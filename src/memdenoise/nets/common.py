@@ -35,19 +35,6 @@ class TrainingDivergence(RuntimeError):
                             self.rmse_log, self.member)
 
 
-class ImageShapeError(ValueError):
-    """An image stack whose planes are not the size a network was built for."""
-
-
-def check_planes(images, shape, owner):
-    """images as a float64 stack; ImageShapeError unless its planes are shape."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.shape[1:3] != tuple(shape):
-        raise ImageShapeError(
-            f"images {images.shape}, {owner} expects {tuple(shape)}")
-    return images
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters shared by all trainers.
@@ -189,24 +176,6 @@ def device_in_loop(weights, cfg, epoch, rmse_log):
     layer = Layer(weights.reshape(len(weights), -1), cfg.device,
                   np.random.default_rng([cfg.seed, 0x71, epoch]))
     return (layer.gain * layer.tiled.effective_weights()).reshape(weights.shape)
-
-
-def plane_samples(images):
-    """Flatten an image stack to (n_planes, h*w) treating channels as planes."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 3:
-        n, h, w = images.shape
-        return images.reshape(n, h * w), (h, w)
-    n, h, w, c = images.shape
-    return images.transpose(0, 3, 1, 2).reshape(n * c, h * w), (h, w)
-
-
-def stack_from_planes(out, images):
-    """Inverse of plane_samples: (n_planes, ...) back to the layout of images."""
-    if images.ndim == 3:
-        return out.reshape(images.shape)
-    n, h, w, c = images.shape
-    return out.reshape(n, c, h, w).transpose(0, 2, 3, 1)
 
 
 def chunk_planes(patch_elements):

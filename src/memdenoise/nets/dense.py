@@ -18,9 +18,9 @@ import numpy as np
 
 from .. import ckpt, crossbar
 from ..device import DeviceModel
-from .common import (Layer, TrainConfig, check_epoch, check_planes,
-                     check_trained, corrupt_plane, device_args, device_in_loop,
-                     device_meta, plane_samples, stack_from_planes,
+from ..imagecore import plane_samples, stack_from_planes
+from .common import (Layer, TrainConfig, check_epoch, check_trained,
+                     corrupt_plane, device_args, device_in_loop, device_meta,
                      training_epochs)
 
 
@@ -75,8 +75,7 @@ class DenseDenoiser:
 
     def forward_stack(self, images):
         """Denoise a stack of images in one batched readout."""
-        images = check_planes(images, self.shape, "dense net")
-        flat, _ = plane_samples(images)
+        flat, _ = plane_samples(images, self.shape, "dense net")
         return stack_from_planes(self.forward_flat(flat), images)
 
     def state(self):

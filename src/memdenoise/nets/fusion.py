@@ -20,10 +20,10 @@ import numpy as np
 
 from .. import ckpt, crossbar
 from ..device import DeviceModel
-from ..noise import NoiseSpec, corrupt, parse_spec
-from .common import (Layer, TrainConfig, check_epoch, check_planes,
-                     check_trained, chunk_planes, device_args, device_in_loop,
-                     device_meta, plane_samples, stack_from_planes,
+from ..imagecore import plane_samples, stack_from_planes
+from ..noise import corrupt, parse_spec
+from .common import (Layer, TrainConfig, check_epoch, check_trained,
+                     chunk_planes, device_args, device_in_loop, device_meta,
                      training_epochs)
 from .cnn import unfold_stack
 from .dense import DenseDenoiser
@@ -59,14 +59,12 @@ class FusionDenoiser:
     def forward_stack(self, images):
         """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
 
-        Each member reads the whole stack in one batched readout. The
-        fusion readout runs a chunk of planes at a time over one patch
-        matrix; its rows are independent, so chunking changes only the
-        memory held. Member outputs sit in [0, 1], so the fusion readout
-        runs in a single non-negative input phase.
+        Each member clamps the stack and reads it in one batched
+        readout. The fusion readout runs a chunk of planes at a time over
+        one patch matrix; its rows are independent, so chunking changes
+        only the memory held.
         """
-        images = check_planes(images, self.shape, "fusion net")
-        flat, (h, w) = plane_samples(images)
+        flat, (h, w) = plane_samples(images, self.shape, "fusion net")
         member_out = np.stack(
             [m.forward_flat(flat) for m in self.members], axis=1)
         planes = member_out.reshape(len(flat), len(self.members), h, w)
@@ -122,23 +120,19 @@ def fusion_init(member_count: int, size: int = 3, kind: str = "zero"):
     return kernel
 
 
-def fusion_train(cfg: TrainConfig, members, data, size: int = 3, noises=None):
+def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
     """Train the fusion kernel over frozen members by the delta rule.
 
     cfg.clean_fraction of the samples pass through the members
-    uncorrupted; the rest draw one of ``noises`` uniformly (default: the
-    members' own recorded corruption settings).  The error is taken on
-    the linear fusion output against the clean plane, and the kernel
-    update is the pixel-mean of error times patch, which keeps the
-    learning-rate scale of the single-layer rule.
+    uncorrupted; the rest draw one of the members' own recorded
+    corruption settings uniformly.  The error is taken on the linear
+    fusion output against the clean plane, and the kernel update is the
+    pixel-mean of error times patch, which keeps the learning-rate scale
+    of the single-layer rule.
     """
     members = tuple(members)
-    if noises is not None:
-        specs = [s if isinstance(s, NoiseSpec) else parse_spec(s) for s in noises]
-    elif cfg.clean_fraction < 1.0:
-        specs = [parse_spec(m.train_noise) for m in members]
-    else:
-        specs = []
+    specs = ([parse_spec(m.train_noise) for m in members]
+             if cfg.clean_fraction < 1.0 else [])
     clean, shape = plane_samples(data.images)
     if cfg.limit is not None:
         clean = clean[:cfg.limit]
@@ -155,10 +149,10 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3, noises=None):
                     inputs[row] = clean[i]
                 else:
                     spec = specs[sample_rng.integers(len(specs))]
-                    inputs[row] = np.clip(
-                        corrupt(clean[i].reshape(shape), spec, sample_rng),
-                        0.0, 1.0).reshape(-1)
-            # One batched readout per member and one unfold per minibatch.
+                    inputs[row] = corrupt(clean[i].reshape(shape), spec,
+                                          sample_rng).reshape(-1)
+            # The members clamp their inputs. One batched readout per
+            # member and one unfold per minibatch.
             # The kernel update stays per sample, in sample order.
             planes = np.stack([m.forward_flat(inputs) for m in members], axis=1)
             patches = unfold_stack(

@@ -111,8 +111,7 @@ def fusion_net(member_bank, mnist_train):
                       seed=FUSION_SEED, limit=recipe["limit"], init="identity",
                       clean_fraction=0.5)
     members = [member_bank[s.text()] for s in STANDARD_NOISES]
-    return fusion_train(cfg, members, mnist_train,
-                        noises=[s.text() for s in STANDARD_NOISES])
+    return fusion_train(cfg, members, mnist_train)
 
 
 @pytest.fixture(scope="session")

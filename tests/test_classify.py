@@ -8,6 +8,7 @@ can be checked in milliseconds without the real dataset.
 import numpy as np
 import pytest
 
+from memdenoise import crossbar
 from memdenoise.classify import (
     ACCURACY_CSV_HEADER,
     AccuracyReport,
@@ -16,9 +17,9 @@ from memdenoise.classify import (
     evaluate,
     train_classifier,
 )
-from memdenoise.imagecore import Dataset
-from memdenoise.nets.common import (ImageShapeError, TrainConfig,
-                                    TrainingDivergence)
+from memdenoise.imagecore import Dataset, ImageShapeError
+from memdenoise.nets.common import TrainConfig, TrainingDivergence
+from memdenoise.nets.dense import DenseDenoiser
 from memdenoise.noise import NoiseSpec
 
 
@@ -159,14 +160,20 @@ class TestTraining:
         full_on_subset = train_classifier(subset, toy_config(), hidden=16)
         np.testing.assert_array_equal(limited.w1, full_on_subset.w1)
 
-    def test_rgb_planes_repeat_labels_per_channel(self):
+    def test_rgb_images_are_read_whole(self):
+        # One sample per image: the input layer takes all 4*4*3 pixels,
+        # and one label per image comes back.
         rng = np.random.default_rng(2)
         images = rng.uniform(0.0, 1.0, (20, 4, 4, 3))
         labels = (np.arange(20) % 10).astype(np.int64)
         data = Dataset(images=images, labels=labels, split="train")
         clf = train_classifier(data, toy_config(epochs=1), hidden=8)
-        assert clf.shape == (4, 4)
+        assert clf.shape == (4, 4, 3) and clf.w1.shape == (48, 8)
         assert np.isfinite(clf.loss_log[0])
+        assert clf.predict(images).shape == (20,)
+        assert evaluate(clf, data, noise=NoiseSpec("gaussian", 0.1)).n == 20
+        with pytest.raises(ImageShapeError, match=r"\(4, 4, 3\)"):
+            clf.predict(images[..., 0])
 
     def test_first_epoch_blowup_is_logged_not_fatal(self):
         # The divergence guard compares each epoch to the first, so a
@@ -242,13 +249,26 @@ class TestEvaluate:
         assert report.condition == "noisy"
         assert report.noise == "gaussian:0.5"
 
-    def test_corruption_clamped_before_pipeline(self, trained):
+    def test_corruption_clamped_before_pipeline(self, trained, monkeypatch):
+        # evaluate hands the corruption on as the noise emits it, and each
+        # analog stage clamps its own input to the [0, 1] window: neither
+        # a denoiser's crossbar nor the classifier sees a value outside.
         data = toy_data(n=50, seed=11, split="test")
+        noise = NoiseSpec("gaussian", 0.5)
         recorder = RecordingDenoiser()
-        evaluate(trained, data, denoiser=recorder,
-                 noise=NoiseSpec("gaussian", 0.5), seed=4)
-        assert recorder.seen.min() >= 0.0
-        assert recorder.seen.max() <= 1.0
+        evaluate(trained, data, denoiser=recorder, noise=noise, seed=4)
+        assert recorder.seen.min() < 0.0 and recorder.seen.max() > 1.0
+        seen = []
+        read, logits = crossbar.matmul, trained.logits
+        monkeypatch.setattr(crossbar, "matmul",
+                            lambda m, xs: seen.append(xs) or read(m, xs))
+        monkeypatch.setattr(trained, "logits",
+                            lambda flat: seen.append(flat) or logits(flat))
+        evaluate(trained, data, noise=noise, seed=4)
+        evaluate(trained, data, denoiser=DenseDenoiser.identity(4, 4),
+                 noise=noise, seed=4)
+        assert len(seen) == 3
+        assert all(x.min() >= 0.0 and x.max() <= 1.0 for x in seen)
 
     def test_denoised_condition_named_after_class(self, trained):
         data = toy_data(n=50, seed=11, split="test")

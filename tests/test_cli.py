@@ -68,12 +68,15 @@ def dense_ckpt(corpus, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def member_dir(dense_ckpt, tmp_path_factory):
-    bank = tmp_path_factory.mktemp("members")
+def member_dir(corpus, tmp_path_factory):
+    # One dense member per standard noise, each trained on its own noise.
+    bank = str(tmp_path_factory.mktemp("members"))
+    argv = ["train", "--data", corpus, "--outdir", bank, "--seed", "5",
+            "--lr", "0.05", "--epochs", "1", "--batch", "8", "--limit", "16"]
     for spec in STANDARD_NOISES:
-        shutil.copy(dense_ckpt,
-                    bank / ("dense_%s.bin" % spec.text().replace(":", "_")))
-    return str(bank)
+        argv += ["--noise", spec.text()]
+    assert main(argv) == 0
+    return bank
 
 
 def parse_to_config(argv):
@@ -160,7 +163,7 @@ class TestConfigMerging:
     def test_defaults_are_not_mutated(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": 1, "train": {"learning_rate": 9.0}}))
-        parse_to_config(["eval", "--config", str(path)])
+        parse_to_config(["train", "--config", str(path)])
         assert DEFAULT_CONFIG["train"]["learning_rate"] is None
 
 
@@ -513,6 +516,29 @@ class TestCostCommand:
     def test_cnn_design_point(self, capsys):
         assert main(["cost", "--seed", "0", "--net", "cnn"]) == 0
         assert "153x2" in capsys.readouterr().out
+
+    def test_cnn_parallel_design_point(self, capsys):
+        # One array per patch position: 1176 tiles read at once.
+        assert main(["cost", "--seed", "0", "--net", "cnn",
+                     "--mode", "parallel"]) == 0
+        out = capsys.readouterr().out
+        assert "cnn par. infer" in out
+        assert all(cell in out for cell in ("72324x2", "1176x2", "150ns"))
+
+    def test_cnn_training_phase_report(self, capsys):
+        assert main(["cost", "--seed", "0", "--net", "cnn",
+                     "--phase", "training"]) == 0
+        out = capsys.readouterr().out
+        assert "cnn seq. train" in out
+        assert all(cell in out for cell in ("153x2", "6468", "65.6ms"))
+
+    def test_fabric_too_small_exits_two(self, capsys, tmp_path):
+        budget = tmp_path / "budget.json"
+        budget.write_text(json.dumps({"max_tiles": 10}))
+        assert main(["cost", "--seed", "0", "--net", "dense", "--budget",
+                     str(budget), "--outdir", str(tmp_path / "out")]) == 2
+        one_error_line(capsys, "design needs 52 tiles")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainCommand:
@@ -1013,3 +1039,142 @@ class TestFuseCommand:
         assert len(net.members) == 8
         lines = Path(out, "train_log.csv").read_text().splitlines()
         assert lines[1].startswith("fusion,,1,")
+
+
+def on_grid(values, gain, levels):
+    """Whether values are gain * k / (levels - 1) for integers k."""
+    steps = np.abs(values) / gain * (levels - 1)
+    return np.allclose(steps, np.round(steps), rtol=0.0, atol=1e-9)
+
+
+class TestDeviceInLoop:
+    """train --device-in-loop reprograms the weights every epoch, so the
+    trained weights sit on the device's level grid."""
+
+    def test_dense(self, corpus, tmp_path):
+        runs = {}
+        for name, extra in (("loop", ["--device-in-loop"]), ("once", [])):
+            out = tmp_path / name
+            assert main(["train", "--data", corpus, "--outdir", str(out),
+                         "--levels", "16"] + TRAIN_ARGS + extra) == 0
+            runs[name] = DenseDenoiser.load(
+                str(out / "dense_gaussian_0.1.bin"))
+        loop, once = runs["loop"], runs["once"]
+        assert loop.device.levels == once.device.levels == 16
+        assert on_grid(loop.layer.weights, loop.layer.gain, 16)
+        assert not on_grid(once.layer.weights, once.layer.gain, 16)
+
+    def test_fusion(self, corpus, member_dir, tmp_path):
+        runs = {}
+        for name, extra in (("loop", ["--device-in-loop"]), ("once", [])):
+            out = tmp_path / name
+            assert main(FUSE + ["--data", corpus, "--seed", "5", "--members",
+                                member_dir, "--levels", "16", "--epochs", "2",
+                                "--limit", "16", "--outdir", str(out)]
+                        + extra) == 0
+            runs[name] = FusionDenoiser.load(str(out / "fusion.bin"))
+        loop, once = runs["loop"], runs["once"]
+        assert loop.device.levels == once.device.levels == 16
+        assert on_grid(loop.kernel, loop.layer.gain, 16)
+        assert not on_grid(once.kernel, once.layer.gain, 16)
+
+
+def test_cnn_checkpoint_scores_odd_sized_images(corpus, tmp_path):
+    # 9x9 planes take the CNN's reflect-pad and crop path; the eval row
+    # is the score of the checkpoint's own forward_stack.
+    root = tmp_path / "idx9"
+    root.mkdir()
+    rng = np.random.default_rng(3)
+    write_idx_images(root / "t10k-images-idx3-ubyte",
+                     rng.integers(0, 256, (12, 9, 9), dtype=np.uint8))
+    write_idx_labels(root / "t10k-labels-idx1-ubyte",
+                     (np.arange(12) % 10).astype(np.uint8))
+    assert main(["train", "--data", corpus, "--seed", "1", "--net", "cnn",
+                 "--epochs", "1", "--limit", "8", "--outdir",
+                 str(tmp_path)]) == 0
+    ckpt = str(tmp_path / "cnn_gaussian_0.1.bin")
+    assert main(["eval", "--data", str(root), "--seed", "2", "--checkpoint",
+                 ckpt, "--json", "--outdir", str(tmp_path / "eval")]) == 0
+    rows = json.loads((tmp_path / "eval" / "eval.json").read_text())["rows"]
+    assert [row["method"] for row in rows] == ["noisy", "cnn"]
+    clean = load_dataset({"data_path": str(root), "dataset": "mnist"},
+                         "test").images
+    noisy = corrupt_dataset(clean, parse_spec("gaussian:0.1"), 2)
+    denoised = load_net(ckpt)[1].forward_stack(noisy)
+    assert denoised.shape == (12, 9, 9)
+    assert rows[1] == evaluate_pairs(clean, denoised, "gaussian:0.1",
+                                     "cnn").to_json()
+
+
+def write_cifar_batch(path, rng, n):
+    """n CIFAR-10 binary records: a label byte, then 3 x 32 x 32 pixels."""
+    records = rng.integers(0, 256, (n, 3073), dtype=np.uint8)
+    records[:, 0] = np.arange(n) % 10
+    path.write_bytes(records.tobytes())
+
+
+@pytest.fixture(scope="module")
+def cifar(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cifar")
+    rng = np.random.default_rng(4)
+    for i in range(1, 6):
+        write_cifar_batch(root / f"data_batch_{i}.bin", rng, 4)
+    write_cifar_batch(root / "test_batch.bin", rng, 6)
+    return str(root)
+
+
+class TestCifar10:
+    """Every command on RGB images: denoisers, filters and SSIM work on
+    channel planes, and the classifier reads whole images."""
+
+    def run(self, cifar, *argv):
+        assert main([*argv, "--dataset", "cifar10", "--data", cifar,
+                     "--seed", "1"]) == 0
+
+    @pytest.fixture(scope="class")
+    def nets(self, cifar, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("cifar_nets"))
+        for net in ("dense", "cnn"):
+            self.run(cifar, "train", "--net", net, "--epochs", "1",
+                     "--limit", "8", "--outdir", out)
+        return out
+
+    def test_eval_dumps_ppm_images(self, cifar, nets, tmp_path):
+        self.run(cifar, "eval", "--checkpoint",
+                 f"{nets}/dense_gaussian_0.1.bin",
+                 "--filter", "median:3", "--dump", "1", "--eval-limit", "4",
+                 "--outdir", str(tmp_path))
+        lines = (tmp_path / "eval.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == [
+            "noisy", "dense", "median:3"]
+        assert all(line.split(",")[5] == "4" for line in lines)
+        base = tmp_path / "images" / "gaussian_0.1"
+        names = sorted(os.listdir(base))
+        assert names == ["clean_0.ppm", "dense_0.ppm", "median_3_0.ppm",
+                         "noisy_0.ppm"]
+        for name in names:
+            assert (base / name).read_bytes().startswith(b"P6\n32 32\n")
+
+    def test_eval_scores_cnn(self, cifar, nets, tmp_path):
+        self.run(cifar, "eval", "--checkpoint", f"{nets}/cnn_gaussian_0.1.bin",
+                 "--eval-limit", "4", "--outdir", str(tmp_path))
+        lines = (tmp_path / "eval.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == ["noisy", "cnn"]
+
+    def test_sweep(self, cifar, nets, tmp_path):
+        self.run(cifar, "sweep", "--checkpoint",
+                 f"{nets}/dense_gaussian_0.1.bin", "--levels-grid", "4",
+                 "--eval-limit", "4", "--outdir", str(tmp_path))
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == ["ideal", "levels"]
+
+    def test_classify_rows_count_images(self, cifar, nets, tmp_path):
+        self.run(cifar, "classify", "--checkpoint",
+                 f"{nets}/dense_gaussian_0.1.bin", "--eval-limit", "5",
+                 "--outdir", str(tmp_path))
+        lines = (tmp_path / "classify.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == [
+            "clean", "noisy", "denoised(dense)"]
+        assert all(line.split(",")[3] == "5" for line in lines)
+        assert Classifier.load(str(tmp_path / "classifier.bin")).shape == (
+            32, 32, 3)

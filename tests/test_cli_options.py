@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from memdenoise.cli import (
     DEFAULT_CONFIG,
+    OPTIONS,
     CliError,
     build_parser,
     config_hash,
@@ -38,8 +39,8 @@ FLAGS = {
     "cost": COMMON + ["--json", "--net", "--mode", "--phase", "--budget"],
     "classify": COMMON + SCORED + ["--classifier"],
 }
-# Flags a command stopped offering because it ignored their keys. The
-# keys still reach it through --config, so their hashes stay pinned.
+# Flags a command stopped offering because it ignores their keys. Given
+# through --config, such a key is refused.
 DROPPED = {
     "train": ["--eval-limit", "--json"],
     "eval": ["--levels", "--sigma"],
@@ -98,8 +99,8 @@ def test_default_config_is_pinned():
 # One argv per flag, each with a non-default value, after `<command>
 # --seed 1` (the empty flag is the command alone), and the hash it gives.
 # The configuration holds no command name, so one hash serves every
-# subcommand that takes the flag, and every one that takes its key from
-# a --config document (DROPPED).
+# subcommand that takes the flag. A command not reading the key (DROPPED)
+# refuses it from a --config document, so it stamps no hash.
 PINNED = {
     "": ("", "b47998846845"),
     "--data": ("/elsewhere", "b47998846845"),
@@ -116,9 +117,11 @@ PINNED = {
     "--batch": ("16", "292652402b34"),
     "--limit": ("100", "1f762cc87a97"),
     "--init": ("identity", "7c2e02856ac4"),
-    "--clean-fraction": ("0.25", "d07bec5fd59e"),
+    # Read by fusion training alone, so set with --net fusion (hashes
+    # recorded before unread keys were refused).
+    "--clean-fraction": ("0.25 --net fusion", "49089ca301f4"),
     "--device-in-loop": ("", "82597d98e2c1"),
-    "--members": ("bank", "4869821653ac"),
+    "--members": ("bank --net fusion", "2ce1408de37e"),
     "--net": ("cnn", "a3ec9090c1e2"),
     "--checkpoint": ("net.bin", "c4a8c0eab2ce"),
     "--filter": ("median:3 --filter tv:0.1", "6eba42c2692d"),
@@ -145,18 +148,24 @@ def _flag_config(command, flag):
 
 @pytest.mark.parametrize("command,flag", CASES,
                          ids=[c + f for c, f in CASES])
-def test_config_hash_is_pinned(command, flag, tmp_path):
+def test_config_hash_is_pinned(command, flag, tmp_path, monkeypatch):
     if flag in DROPPED[command]:
         # The configuration a command offering the flag makes of it,
-        # given to this command as a --config document.
+        # given to this command as a --config document, is refused
+        # naming the key and the command.
+        monkeypatch.delenv("MEMDENOISE_DATA", raising=False)
         donor = next(c for c, flags in FLAGS.items() if flag in flags)
+        key = next(row[0] for row in OPTIONS if row[2] == flag)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(_flag_config(donor, flag)))
-        config = merge_config(build_parser().parse_args(
-            [command, "--config", str(path)]))
+        where = ("when training dense" if command == "train"
+                 else "by " + command)
+        with pytest.raises(CliError) as info:
+            merge_config(build_parser().parse_args(
+                [command, "--config", str(path)]))
+        assert str(info.value) == f"{key} is not read {where}"
     else:
-        config = _flag_config(command, flag)
-    assert config_hash(config) == PINNED[flag][1]
+        assert config_hash(_flag_config(command, flag)) == PINNED[flag][1]
 
 
 DROPPED_CASES = [(c, f) for c, flags in DROPPED.items() for f in flags]
@@ -173,15 +182,53 @@ def test_dropped_flags_are_refused(command, flag, capsys):
 
 
 def test_config_file_hash_is_pinned(tmp_path):
-    # dropout/prune are read by no command, but they are part of the hash.
+    # Recorded before unread keys were refused.
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
-        "seed": 4, "dropout": 0.25, "prune": 0.5, "net": "fusion",
-        "device": {"levels": 64}, "train": {"epochs": 3, "limit": 50},
-        "sweep": {"levels": [4, None]}, "noises": ["speckle:0.2"]}))
+        "seed": 4, "net": "fusion", "members": "bank",
+        "device": {"levels": 64},
+        "train": {"epochs": 3, "limit": 50, "clean_fraction": 0.25}}))
     config = merge_config(build_parser().parse_args(["train", "--config",
                                                      str(path)]))
-    assert config_hash(config) == "f28afc1d41cd"
+    assert config_hash(config) == "5cf739079407"
+
+
+# Keys no flag of the command sets, off their defaults in a --config
+# document: dropout and prune are read by no command, sweep grids only by
+# sweep, and noises not by fusion training.
+UNFLAGGED = [
+    ("train", {"dropout": 0.25}, "dropout", "when training dense"),
+    ("eval", {"prune": 0.5}, "prune", "by eval"),
+    ("train", {"sweep": {"levels": [4, None]}}, "sweep.levels",
+     "when training dense"),
+    ("train", {"net": "fusion", "noises": ["speckle:0.2"]}, "noises",
+     "when training fusion"),
+    ("classify", {"train": {"epochs": 3}}, "train.epochs", "by classify"),
+    ("eval", {"net": "cnn"}, "net", "by eval"),
+]
+
+
+@pytest.mark.parametrize("command,document,key,where", UNFLAGGED,
+                         ids=[f"{c}-{k}" for c, _, k, _ in UNFLAGGED])
+def test_unread_config_keys_exit_two(tmp_path, monkeypatch, capsys, command,
+                                     document, key, where):
+    # Refused before the data path is looked up, even from the environment.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MEMDENOISE_DATA", str(tmp_path))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, **document}))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {key} is not read {where}\n"
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_data_path_from_environment_is_not_an_unread_key(tmp_path,
+                                                        monkeypatch):
+    # cost reads no data, yet runs with $MEMDENOISE_DATA set: the check
+    # sees only the keys the command line and the document set.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MEMDENOISE_DATA", str(tmp_path))
+    assert main(["cost", "--seed", "0"]) == 0
 
 
 # JSON values of every type, weighted towards the ones the commands use.

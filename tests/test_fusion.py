@@ -3,11 +3,10 @@ import pytest
 
 from memdenoise import ckpt, crossbar
 from memdenoise.device import DeviceModel
-from memdenoise.imagecore import Dataset
+from memdenoise.imagecore import Dataset, plane_samples
 from memdenoise.nets.cnn import conv_same, unfold_stack
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
-                                    chunk_planes, plane_samples,
-                                    pow2_scale)
+                                    chunk_planes, pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init, fusion_train
 from memdenoise.noise import corrupt, parse_spec
@@ -279,23 +278,6 @@ class TestTraining:
         np.testing.assert_array_equal(fused.kernel,
                                       fusion_init(3, 3, "identity"))
         assert fused.rmse_log == []
-
-    def test_noise_mix_defaults_to_member_settings(self, rng):
-        nets, ds = member_bank(rng)
-        cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.05,
-                          epochs=1, batch=4, seed=2)
-        a = fusion_train(cfg, nets, ds)
-        b = fusion_train(cfg, nets, ds, noises=[m.train_noise for m in nets])
-        np.testing.assert_array_equal(a.kernel, b.kernel)
-
-    def test_accepts_spec_objects(self, rng):
-        nets, ds = member_bank(rng)
-        cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.05,
-                          epochs=1, batch=4, seed=2)
-        a = fusion_train(cfg, nets, ds,
-                         noises=[parse_spec(m.train_noise) for m in nets])
-        b = fusion_train(cfg, nets, ds, noises=[m.train_noise for m in nets])
-        np.testing.assert_array_equal(a.kernel, b.kernel)
 
     def test_same_seed_reproduces(self, rng):
         nets, ds = member_bank(rng)
