@@ -9,10 +9,10 @@ from .device import IDEAL, DeviceModel, apply_variation, quantize
 from .crossbar import (TILE_COLS, TILE_ROWS, TiledMatrix, apply_sparsity,
                        matmul, program, tile_grid)
 from .imagecore import (Dataset, DatasetError, load_cifar10, load_mnist,
-                        read_image, write_image)
+                        write_image)
 from .noise import NoiseSpec, STANDARD_NOISES, corrupt, corrupt_dataset, parse_spec
 from .metrics import QualityReport, evaluate_pairs, mse, ssim
-from .baselines import FilterSpec, filter_stack, parse_filter, tune_filter
+from .baselines import FilterSpec, filter_stack, parse_filter
 from .hwcost import (ComponentBudget, DesignPoint, FabricExceededError,
                      HardwareCostReport, LayerGeometry, estimate,
                      format_report_table)
@@ -27,10 +27,10 @@ __all__ = [
     "TILE_ROWS", "TILE_COLS", "TiledMatrix", "tile_grid", "program",
     "matmul", "apply_sparsity",
     "Dataset", "DatasetError", "load_mnist", "load_cifar10",
-    "read_image", "write_image",
+    "write_image",
     "NoiseSpec", "STANDARD_NOISES", "parse_spec", "corrupt", "corrupt_dataset",
     "QualityReport", "evaluate_pairs", "ssim", "mse",
-    "FilterSpec", "parse_filter", "filter_stack", "tune_filter",
+    "FilterSpec", "parse_filter", "filter_stack",
     "ComponentBudget", "DesignPoint", "LayerGeometry", "HardwareCostReport",
     "FabricExceededError", "estimate", "format_report_table",
     "AccuracyReport", "Classifier", "train_classifier", "evaluate",

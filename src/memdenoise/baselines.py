@@ -5,11 +5,6 @@ and total-variation minimization by dual projection.  All are pure,
 shape preserving, and emit values in [0, 1].  Bilateral, non-local
 means, wavelet shrinkage and Wiener filtering are deliberately not
 implemented.
-
-Filter parameters are not fixed a priori.  Mirroring the
-best-of-several protocol the comparison targets use, :func:`tune_filter`
-grid-searches each filter over the small documented grids in
-:data:`TUNE_GRIDS` and reports the winner.
 """
 
 from __future__ import annotations
@@ -21,20 +16,24 @@ import numpy as np
 from scipy import ndimage
 
 from .imagecore import plane_samples, stack_from_planes
-from .metrics import evaluate_pairs
+from .noise import format_number
 
 __all__ = [
-    "TUNE_GRIDS",
+    "MAX_KERNEL_WIDTH",
     "FilterSpec",
     "filter_stack",
     "gaussian_blur",
     "median_filter",
     "parse_filter",
-    "tune_filter",
     "tv_denoise",
 ]
 
 _KINDS = ("gauss", "median", "tv")
+
+# Widest Gaussian or median window in pixels, about three times the
+# largest image side read here (32); it keeps a mistyped width from
+# overflowing the Gaussian radius or allocating gigabytes for a median.
+MAX_KERNEL_WIDTH = 99
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,15 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        if self.kind == "gauss" and not 0 < self.sigma < math.inf:
-            raise ValueError("gauss requires a finite sigma > 0")
-        if self.kind == "median":
-            if self.window < 3 or self.window % 2 == 0:
-                raise ValueError("median window must be odd and >= 3")
+        # The Gaussian window is 2 * max(1, ceil(3 * sigma)) + 1 wide
+        radius = (MAX_KERNEL_WIDTH - 1) // 2
+        if self.kind == "gauss" and not 0 < 3 * self.sigma <= radius:
+            raise ValueError(f"gauss requires a sigma in (0, {radius}/3] "
+                             f"(window at most {MAX_KERNEL_WIDTH} pixels)")
+        if self.kind == "median" and not (
+                3 <= self.window <= MAX_KERNEL_WIDTH and self.window % 2):
+            raise ValueError(f"median window must be odd, in [3, "
+                             f"{MAX_KERNEL_WIDTH}]")
         if self.kind == "tv":
             if not 0 < self.tv_weight < math.inf:
                 raise ValueError("tv requires a finite tv_weight > 0")
@@ -66,10 +69,10 @@ class FilterSpec:
 
     def text(self) -> str:
         if self.kind == "gauss":
-            return f"gauss:{self.sigma:g}"
+            return f"gauss:{format_number(self.sigma)}"
         if self.kind == "median":
             return f"median:{self.window}"
-        return f"tv:{self.tv_weight:g}:{self.tv_iters}"
+        return f"tv:{format_number(self.tv_weight)}:{self.tv_iters}"
 
 
 def parse_filter(text: str) -> FilterSpec:
@@ -197,32 +200,3 @@ def tv_denoise(img, tv_weight: float, tv_iters: int = 50):
     """
     spec = FilterSpec("tv", tv_weight=tv_weight, tv_iters=tv_iters)
     return filter_stack([img], spec)[0]
-
-
-# Search grids for per-noise parameter tuning.  Deliberately small and
-# fixed so reported winners are reproducible.
-TUNE_GRIDS: dict[str, tuple[FilterSpec, ...]] = {
-    "gauss": tuple(FilterSpec("gauss", sigma=s)
-                   for s in (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.5)),
-    "median": tuple(FilterSpec("median", window=w) for w in (3, 5)),
-    "tv": tuple(FilterSpec("tv", tv_weight=w, tv_iters=50)
-                for w in (0.03, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3)),
-}
-
-
-def tune_filter(clean, noisy, kind: str, grid=None):
-    """Best filter of one kind on a clean/noisy stack, by mean SSIM.
-
-    Returns ``(spec, score)`` for the grid point with the highest mean
-    SSIM against the clean stack.  Ties keep the earliest grid entry so
-    re-runs are stable.
-    """
-    candidates = TUNE_GRIDS[kind] if grid is None else tuple(grid)
-    if not candidates:
-        raise ValueError("empty tuning grid")
-    best_spec, best_score = None, -np.inf
-    for spec in candidates:
-        score = evaluate_pairs(clean, filter_stack(noisy, spec)).ssim
-        if score > best_score:
-            best_spec, best_score = spec, score
-    return best_spec, best_score

@@ -72,7 +72,8 @@ class Classifier:
             a.setflags(write=False)
 
     @classmethod
-    def initial(cls, size: int, hidden: int, shape, seed: int = 0):
+    def initial(cls, hidden: int, shape, seed: int = 0):
+        size = int(np.prod(shape))
         rng = np.random.default_rng([seed, 0x43])
         w1 = rng.normal(0.0, np.sqrt(2.0 / size), (size, hidden))
         return cls(w1, np.zeros(hidden), np.zeros((hidden, 10)), np.zeros(10),
@@ -129,8 +130,8 @@ def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
     labels = np.asarray(data.labels)
     if cfg.limit is not None:
         flat, labels = flat[:cfg.limit], labels[:cfg.limit]
-    n, p = flat.shape
-    clf = Classifier.initial(p, hidden, shape, seed=cfg.seed)
+    n = len(flat)
+    clf = Classifier.initial(hidden, shape, seed=cfg.seed)
     w1, b1 = clf.w1.copy(), clf.b1.copy()
     w2, b2 = clf.w2.copy(), clf.b2.copy()
     onehot = np.eye(10)[labels]

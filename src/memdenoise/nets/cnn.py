@@ -170,10 +170,6 @@ class CnnDenoiser:
         return cls(arrays["k1"], arrays["k3"], arrays["k2"],
                    train_noise=meta["train_noise"], **device_args(meta))
 
-    @classmethod
-    def load(cls, path):
-        return ckpt.load(path, {"cnn": cls.from_state})[1]
-
 
 def _float_forward(x, k1, k3, k2):
     """Float forward pass of a (B, h, w) stack: pre-clamp output and cache.

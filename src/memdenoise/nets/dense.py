@@ -42,14 +42,6 @@ class DenseDenoiser:
         self.layer = Layer(weights, self.device, np.random.default_rng(
             [self.program_seed, 0x70]), tiled)
 
-    @classmethod
-    def identity(cls, h, w):
-        """Pass-through net: diagonal 1, bias row 0, unit gain."""
-        p = h * w
-        weights = np.zeros((p + 1, p))
-        weights[:p] = np.eye(p)
-        return cls(weights, (h, w))
-
     def reprogram(self, dev, seed=0):
         """Same float weights, freshly programmed through another device."""
         return DenseDenoiser(self.layer.weights, self.shape,
@@ -98,10 +90,6 @@ class DenseDenoiser:
 
     def save(self, path):
         ckpt.save(path, "dense", *self.state())
-
-    @classmethod
-    def load(cls, path):
-        return ckpt.load(path, {"dense": cls.from_state})[1]
 
 
 def dense_train(cfg: TrainConfig, data):

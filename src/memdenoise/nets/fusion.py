@@ -107,10 +107,6 @@ class FusionDenoiser:
                              f"members were trained on {noises!r}")
         return net
 
-    @classmethod
-    def load(cls, path):
-        return ckpt.load(path, {"fusion": cls.from_state})[1]
-
 
 def fusion_init(member_count: int, size: int = 3, kind: str = "zero"):
     """Starting kernel: all zeros, or the member average pass-through."""

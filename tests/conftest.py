@@ -14,13 +14,14 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from memdenoise.classify import train_classifier
 from memdenoise.cli import (CLASSIFIER_RECIPE, DENSE_RATE_OVERRIDES,
                             TRAIN_RECIPES)
 from memdenoise.imagecore import load_mnist
 from memdenoise.nets.common import TrainConfig
-from memdenoise.nets.dense import dense_train
+from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import fusion_train
 from memdenoise.noise import STANDARD_NOISES, parse_spec
 
@@ -48,6 +49,28 @@ def write_idx_labels(path, labels):
     with open(path, "wb") as f:
         f.write(struct.pack(">II", 0x00000801, len(labels)))
         f.write(labels.tobytes())
+
+
+def identity_dense(h, w):
+    """Pass-through dense net for (h, w) planes: diagonal 1, bias row 0,
+    unit gain."""
+    p = h * w
+    weights = np.zeros((p + 1, p))
+    weights[:p] = np.eye(p)
+    return DenseDenoiser(weights, (h, w))
+
+
+def spec_texts(kinds):
+    """Hypothesis strategy for a spec parser: "kind:field[:field...]" with
+    one of the given kinds, each field a float's repr (often a small
+    positive one), an integer or a short string; or any string or a
+    non-string."""
+    field = st.one_of(st.floats(0, 100).map(repr), st.floats().map(repr),
+                      st.integers(0, 200).map(str), st.integers().map(str),
+                      st.text(max_size=4))
+    spec = st.builds(lambda kind, fields: ":".join([kind, *fields]),
+                     st.sampled_from(kinds), st.lists(field, max_size=3))
+    return st.one_of(spec, st.text(), st.integers(), st.none())
 
 
 def drop_arrays(blob, names):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from memdenoise.baselines import (TUNE_GRIDS, FilterSpec, filter_stack,
+from conftest import spec_texts
+from memdenoise.baselines import (MAX_KERNEL_WIDTH, FilterSpec, filter_stack,
                                   gaussian_blur, median_filter, parse_filter,
-                                  tune_filter, tv_denoise)
+                                  tv_denoise)
+from test_acceptance import TUNE_GRIDS, tune_filter
 
 scipy_ndimage = pytest.importorskip("scipy.ndimage")
 
@@ -45,9 +48,27 @@ class TestSpec:
 
     def test_validation(self):
         for bad in ("gauss:0", "gauss:-1", "median:4", "median:1",
-                    "tv:0", "unknown:1", "gauss", "gauss:1:2"):
+                    "tv:0", "unknown:1", "gauss", "gauss:1:2", "gauss:1e308",
+                    "gauss:16.34", "median:101", "median:100001"):
             with pytest.raises(ValueError):
                 parse_filter(bad)
+
+    def test_widest_windows(self, rng):
+        # a Gaussian of radius ceil(3 * sigma) is 2 * radius + 1 wide
+        sigma = (MAX_KERNEL_WIDTH - 1) // 2 / 3
+        img = rng.random((6, 6))
+        for text in (f"gauss:{sigma!r}", f"median:{MAX_KERNEL_WIDTH}"):
+            out = one_image(img, parse_filter(text))
+            assert np.all((0.0 <= out) & (out <= 1.0))
+
+    @settings(max_examples=300)
+    @given(spec_texts(("gauss", "gaussian", "median", "tv", "MEDIAN")))
+    def test_any_input_round_trips_or_raises(self, text):
+        try:
+            spec = parse_filter(text)
+        except (ValueError, TypeError):
+            return
+        assert parse_filter(spec.text()) == spec
 
 
 class TestGaussianBlur:

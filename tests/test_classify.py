@@ -8,6 +8,7 @@ can be checked in milliseconds without the real dataset.
 import numpy as np
 import pytest
 
+from conftest import identity_dense
 from memdenoise import crossbar
 from memdenoise.classify import (
     ACCURACY_CSV_HEADER,
@@ -19,7 +20,6 @@ from memdenoise.classify import (
 )
 from memdenoise.imagecore import Dataset, ImageShapeError
 from memdenoise.nets.common import TrainConfig, TrainingDivergence
-from memdenoise.nets.dense import DenseDenoiser
 from memdenoise.noise import NoiseSpec
 
 
@@ -74,28 +74,28 @@ class TestAccuracyReport:
 
 class TestUntrainedClassifier:
     def test_zero_output_layer_predicts_class_zero(self):
-        clf = Classifier.initial(16, 32, (4, 4), seed=5)
+        clf = Classifier.initial(32, (4, 4), seed=5)
         data = toy_data(n=60)
         assert np.all(clf.predict(data.images) == 0)
 
     def test_untrained_accuracy_is_class_zero_fraction(self):
-        clf = Classifier.initial(16, 32, (4, 4), seed=5)
+        clf = Classifier.initial(32, (4, 4), seed=5)
         data = toy_data(n=60)
         expected = float(np.mean(data.labels == 0))
         assert clf.accuracy(data.images, data.labels) == expected
 
     def test_hidden_width_respected(self):
-        clf = Classifier.initial(16, 7, (4, 4))
+        clf = Classifier.initial(7, (4, 4))
         assert clf.w1.shape == (16, 7)
         assert clf.w2.shape == (7, 10)
 
     def test_image_shape_checked(self):
-        clf = Classifier.initial(16, 8, (4, 4))
+        clf = Classifier.initial(8, (4, 4))
         with pytest.raises(ImageShapeError, match=r"\(4, 4\)"):
             clf.predict(np.zeros((2, 5, 5)))
 
     def test_weights_are_read_only(self):
-        clf = Classifier.initial(16, 8, (4, 4))
+        clf = Classifier.initial(8, (4, 4))
         with pytest.raises(ValueError):
             clf.w1[0, 0] = 1.0
 
@@ -148,7 +148,7 @@ class TestTraining:
 
     def test_zero_epochs_returns_initial_weights(self):
         clf = train_classifier(toy_data(), toy_config(epochs=0), hidden=16)
-        init = Classifier.initial(16, 16, (4, 4), seed=3)
+        init = Classifier.initial(16, (4, 4), seed=3)
         np.testing.assert_array_equal(clf.w1, init.w1)
         np.testing.assert_array_equal(clf.w2, np.zeros((16, 10)))
         assert clf.loss_log == []
@@ -265,7 +265,7 @@ class TestEvaluate:
         monkeypatch.setattr(trained, "logits",
                             lambda flat: seen.append(flat) or logits(flat))
         evaluate(trained, data, noise=noise, seed=4)
-        evaluate(trained, data, denoiser=DenseDenoiser.identity(4, 4),
+        evaluate(trained, data, denoiser=identity_dense(4, 4),
                  noise=noise, seed=4)
         assert len(seen) == 3
         assert all(x.min() >= 0.0 and x.max() <= 1.0 for x in seen)
@@ -278,7 +278,7 @@ class TestEvaluate:
 
     def test_identity_denoiser_matches_noisy_accuracy(self, trained):
         data = toy_data(n=100, seed=11, split="test")
-        noise = NoiseSpec("sp", density=0.1)
+        noise = NoiseSpec("sp", 0.1)
         noisy = evaluate(trained, data, noise=noise, seed=4)
         passthrough = evaluate(trained, data, denoiser=IdentityDenoiser(),
                                noise=noise, seed=4)

@@ -8,6 +8,8 @@ checked at the byte level on the emitted files.
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from memdenoise.classify import Classifier
 from memdenoise.device import DeviceModel
 from memdenoise.metrics import CSV_HEADER, evaluate_pairs
 from memdenoise.nets.cnn import cnn_train
-from memdenoise.nets.dense import DenseDenoiser, dense_train
+from memdenoise.nets.dense import dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init
 from memdenoise.noise import STANDARD_NOISES, corrupt_dataset, parse_spec
 
@@ -304,10 +306,10 @@ class TestExitCodes:
         if kind == "dense":
             shutil.copy(dense_ckpt, path)
         elif kind == "fusion":
-            FusionDenoiser([DenseDenoiser.load(dense_ckpt)] * 8,
+            FusionDenoiser([load_net(dense_ckpt)[1]] * 8,
                            fusion_init(8, kind="identity")).save(path)
         else:
-            Classifier.initial(64, 4, (8, 8)).save(path)
+            Classifier.initial(4, (8, 8)).save(path)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
         flag = "--classifier" if kind == "classifier" else "--checkpoint"
@@ -384,6 +386,35 @@ def one_error_line(capsys, *causes):
     assert all(cause in err for cause in causes), err
 
 
+@pytest.mark.parametrize("argv,cause", [
+    (["--filter", "gauss:1e308"], "filters: gauss requires a sigma"),
+    (["--filter", "median:100001"], "filters: median window must be odd"),
+    (["--noise", "poisson:1e20"], "noises: poisson needs a peak"),
+    (["--noise", "speckle:1e300"], "noises: speckle needs a variance"),
+], ids=["gauss-1e308", "median-100001", "poisson-1e20", "speckle-1e300"])
+def test_out_of_range_specs_exit_two(corpus, capsys, tmp_path, argv, cause):
+    assert main(["eval", "--data", corpus, "--seed", "1", *argv,
+                 "--outdir", str(tmp_path / "out")]) == 2
+    one_error_line(capsys, cause)
+    assert not (tmp_path / "out").exists()
+
+
+def test_noises_at_their_cap_score_finitely(corpus, dense_ckpt, tmp_path):
+    # 2**62 is the largest variance and Poisson peak a spec takes. The net
+    # and the widest filters score it finitely, with no RuntimeWarning
+    # (an error under this suite's warning filters).
+    cap = repr(2.0**62)
+    assert main(["eval", "--data", corpus, "--seed", "1", "--checkpoint",
+                 dense_ckpt, "--noise", f"gaussian:{cap}", "--noise",
+                 f"poisson:{cap}", "--noise", f"speckle:{cap}", "--filter",
+                 "median:99", "--filter", "gauss:16.3", "--filter", "tv:0.1",
+                 "--json", "--outdir", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "eval.json").read_text())["rows"]
+    assert len(rows) == 3 * 5
+    assert all(np.isfinite([r["ssim"], r["mse"], r["psnr"]]).all()
+               for r in rows)
+
+
 @pytest.fixture(scope="module")
 def corpus_10x10(tmp_path_factory):
     root = tmp_path_factory.mktemp("idx10")
@@ -407,11 +438,11 @@ class TestImageSizeMismatch:
         path, flag = dense_ckpt, "--checkpoint"
         if kind == "fusion":
             path = str(tmp_path / "fusion.bin")
-            FusionDenoiser([DenseDenoiser.load(dense_ckpt)] * 8,
+            FusionDenoiser([load_net(dense_ckpt)[1]] * 8,
                            fusion_init(8, kind="identity")).save(path)
         elif kind == "classifier":
             path, flag = str(tmp_path / "clf.bin"), "--classifier"
-            Classifier.initial(64, 4, (8, 8)).save(path)
+            Classifier.initial(4, (8, 8)).save(path)
         extra = ["--levels-grid", "4"] if command == "sweep" else []
         assert main([command, "--data", corpus_10x10, "--seed", "1", flag,
                      path, "--outdir", str(tmp_path / "out")] + extra) == 2
@@ -779,7 +810,7 @@ def serial_sweep(argv, outdir):
     """sweep.csv and sweep.json of a sweep that scores one variant after
     another in this process, each variant built from the checkpoint."""
     config = parse_to_config(argv + ["--outdir", str(outdir)])
-    net = DenseDenoiser.load(config["checkpoint"])
+    _, net = load_net(config["checkpoint"])
     data = load_dataset(config, "test").subset(config["eval_limit"])
     seed, grids = config["seed"], config["sweep"]
     variants = (
@@ -1057,8 +1088,7 @@ class TestDeviceInLoop:
             out = tmp_path / name
             assert main(["train", "--data", corpus, "--outdir", str(out),
                          "--levels", "16"] + TRAIN_ARGS + extra) == 0
-            runs[name] = DenseDenoiser.load(
-                str(out / "dense_gaussian_0.1.bin"))
+            runs[name] = load_net(str(out / "dense_gaussian_0.1.bin"))[1]
         loop, once = runs["loop"], runs["once"]
         assert loop.device.levels == once.device.levels == 16
         assert on_grid(loop.layer.weights, loop.layer.gain, 16)
@@ -1072,7 +1102,7 @@ class TestDeviceInLoop:
                                 member_dir, "--levels", "16", "--epochs", "2",
                                 "--limit", "16", "--outdir", str(out)]
                         + extra) == 0
-            runs[name] = FusionDenoiser.load(str(out / "fusion.bin"))
+            runs[name] = load_net(str(out / "fusion.bin"))[1]
         loop, once = runs["loop"], runs["once"]
         assert loop.device.levels == once.device.levels == 16
         assert on_grid(loop.kernel, loop.layer.gain, 16)
@@ -1178,3 +1208,54 @@ class TestCifar10:
         assert all(line.split(",")[3] == "5" for line in lines)
         assert Classifier.load(str(tmp_path / "classifier.bin")).shape == (
             32, 32, 3)
+
+
+class TestBlasThreads:
+    """eval's reports are the same bytes under one and two BLAS threads.
+
+    Each eval runs in a subprocess that sets its own thread count; the
+    16x16 readouts are large enough for OpenBLAS to split them across
+    threads when it has two.
+    """
+
+    @pytest.fixture(scope="class")
+    def nets(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("blas")
+        rng = np.random.default_rng(2)
+        for prefix, n in (("train", 32), ("t10k", 64)):
+            write_idx_images(root / f"{prefix}-images-idx3-ubyte",
+                             rng.integers(0, 256, (n, 16, 16), dtype=np.uint8))
+            write_idx_labels(root / f"{prefix}-labels-idx1-ubyte",
+                             (np.arange(n) % 10).astype(np.uint8))
+        out = str(root / "nets")
+        common = ["--data", str(root), "--seed", "5", "--epochs", "1",
+                  "--limit", "16", "--outdir", out]
+        noises = [arg for spec in STANDARD_NOISES
+                  for arg in ("--noise", spec.text())]
+        assert main(["train", *common, "--lr", "0.05", *noises]) == 0
+        assert main(FUSE + common + ["--members", out]) == 0
+        assert main(["train", "--net", "cnn", *common]) == 0
+        return str(root), {"fusion": f"{out}/fusion.bin",
+                           "cnn": f"{out}/cnn_gaussian_0.1.bin"}
+
+    @pytest.mark.parametrize("kind", ["fusion", "cnn"])
+    def test_eval_reports_do_not_depend_on_threads(self, nets, tmp_path,
+                                                   kind):
+        data, paths = nets
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "memdenoise.cli", "eval", "--data",
+                 data, "--seed", "1", "--checkpoint", paths[kind], "--noise",
+                 "gaussian:0.1", "--noise", "sp:0.1", "--json", "--outdir",
+                 str(out)], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            reports.append([(out / name).read_bytes()
+                            for name in ("eval.csv", "eval.json")])
+        assert reports[0] == reports[1]

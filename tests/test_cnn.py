@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from memdenoise import ckpt
 from memdenoise.device import DeviceModel
 from memdenoise.imagecore import plane_samples
 from memdenoise.nets.cnn import (CnnDenoiser, _float_forward,
@@ -9,6 +10,9 @@ from memdenoise.nets.cnn import (CnnDenoiser, _float_forward,
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
                                     corrupt_plane)
 from memdenoise.noise import parse_spec
+
+# Checkpoint kinds ckpt.load accepts here
+CNN = {"cnn": CnnDenoiser.from_state}
 
 
 def direct_conv(x, kern):
@@ -328,7 +332,7 @@ class TestSerialization:
         net.rmse_log = [0.2, 0.1]
         path = tmp_path / "cnn.bin"
         net.save(path)
-        back = CnnDenoiser.load(path)
+        back = ckpt.load(path, CNN)[1]
         np.testing.assert_array_equal(back.k1, net.k1)
         np.testing.assert_array_equal(back.k3, net.k3)
         np.testing.assert_array_equal(back.k2, net.k2)
@@ -345,10 +349,10 @@ class TestSerialization:
         net = CnnDenoiser(k1, k3, k2, device=DeviceModel(levels=64))
         path = tmp_path / "cnn.bin"
         net.save(path)
-        assert CnnDenoiser.load(path).device.levels == 64
+        assert ckpt.load(path, CNN)[1].device.levels == 64
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"NOTACNN_" + bytes(32))
         with pytest.raises(ValueError):
-            CnnDenoiser.load(path)
+            ckpt.load(path, CNN)[1]

@@ -3,6 +3,8 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import identity_dense
+from memdenoise import ckpt
 from memdenoise.device import DeviceModel
 from memdenoise.crossbar import TiledMatrix
 from memdenoise.imagecore import ImageShapeError, plane_samples
@@ -11,6 +13,9 @@ from memdenoise.nets.common import (MAX_GAIN, TrainConfig,
                                     device_meta, pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.noise import corrupt, parse_spec
+
+# Checkpoint kinds ckpt.load accepts here
+DENSE = {"dense": DenseDenoiser.from_state}
 
 
 def tiny_dataset(rng, n=24, h=8, w=8):
@@ -100,7 +105,7 @@ class TestHelpers:
 
 class TestDenseDenoiser:
     def test_identity_passes_images_through(self, rng):
-        net = DenseDenoiser.identity(8, 8)
+        net = identity_dense(8, 8)
         imgs = rng.random((1, 8, 8))
         np.testing.assert_array_equal(net.forward_stack(imgs), imgs)
 
@@ -110,7 +115,7 @@ class TestDenseDenoiser:
 
     @pytest.mark.parametrize("shape", [(3, 10, 10), (3, 8, 10, 3), (64,)])
     def test_image_shape_checked(self, shape):
-        net = DenseDenoiser.identity(8, 8)
+        net = identity_dense(8, 8)
         with pytest.raises(ImageShapeError, match=r"\(8, 8\)"):
             net.forward_stack(np.zeros(shape))
 
@@ -118,7 +123,7 @@ class TestDenseDenoiser:
     def from_state(weights, scale):
         """A 2 x 2 net loaded from checkpoint fields that store scale."""
         meta = {"shape": [2, 2], "scale": scale, "train_noise": "",
-                **device_meta(DenseDenoiser.identity(2, 2))}
+                **device_meta(identity_dense(2, 2))}
         blank = TiledMatrix(np.zeros((5, 4)), np.zeros((5, 4)))
         return DenseDenoiser.from_state(meta, {"weights": weights,
                                                **blank.state()})
@@ -152,7 +157,7 @@ class TestDenseDenoiser:
         assert DenseDenoiser(weights, (2, 2)).layer.gain == gain
 
     def test_forward_shape_checked(self, rng):
-        net = DenseDenoiser.identity(8, 8)
+        net = identity_dense(8, 8)
         with pytest.raises(ValueError):
             net.forward_stack(rng.random((1, 7, 8)))
 
@@ -176,7 +181,7 @@ class TestDenseDenoiser:
         np.testing.assert_array_equal(out, [[[0.0, 0.5], [1.0, 1.0]]])
 
     def test_forward_stack_matches_per_image(self, rng):
-        net = DenseDenoiser.identity(6, 6)
+        net = identity_dense(6, 6)
         imgs = rng.random((4, 6, 6))
         out = net.forward_stack(imgs)
         for i in range(4):
@@ -184,7 +189,7 @@ class TestDenseDenoiser:
                                           net.forward_stack(imgs[i:i + 1])[0])
 
     def test_rgb_planes_share_weights(self, rng):
-        net = DenseDenoiser.identity(6, 6)
+        net = identity_dense(6, 6)
         imgs = rng.random((1, 6, 6, 3))
         out = net.forward_stack(imgs)
         for c in range(3):
@@ -192,13 +197,13 @@ class TestDenseDenoiser:
                                           net.forward_stack(imgs[..., c]))
 
     def test_reprogram_changes_device_not_weights(self, rng):
-        net = DenseDenoiser.identity(6, 6)
+        net = identity_dense(6, 6)
         coarse = net.reprogram(DeviceModel(levels=16))
         assert coarse.device.levels == 16
         np.testing.assert_array_equal(coarse.layer.weights, net.layer.weights)
 
     def test_with_sparsity_masks_apply(self, rng):
-        net = DenseDenoiser.identity(6, 6)
+        net = identity_dense(6, 6)
         masked = net.with_sparsity(0.25, 0.0, seed=3)
         assert masked.layer.tiled.input_dropout_mask.sum() == round(0.25 * 37)
         dropped = masked.layer.tiled.input_dropout_mask[:36]
@@ -215,7 +220,7 @@ class TestSerialization:
                           epochs=2, batch=4, seed=3)
         net = dense_train(cfg, ds)
         net.save(tmp_path / "a.bin")
-        back = DenseDenoiser.load(tmp_path / "a.bin")
+        back = ckpt.load(tmp_path / "a.bin", DENSE)[1]
         np.testing.assert_array_equal(back.layer.weights, net.layer.weights)
         assert back.layer.gain == net.layer.gain
         assert back.train_noise == net.train_noise
@@ -231,7 +236,7 @@ class TestSerialization:
             DeviceModel(levels=16, variation_sigma=0.05), seed=2
         ).with_sparsity(0.1, 0.2, seed=3)
         net.save(tmp_path / "net.bin")
-        back = DenseDenoiser.load(tmp_path / "net.bin")
+        back = ckpt.load(tmp_path / "net.bin", DENSE)[1]
         for name, a in net.layer.tiled.state().items():
             assert np.array_equal(getattr(back.layer.tiled, name), a)
         assert back.device == net.device
@@ -240,19 +245,19 @@ class TestSerialization:
                                       net.forward_stack(imgs))
 
     def test_file_round_trip(self, rng, tmp_path):
-        net = DenseDenoiser.identity(6, 6)
+        net = identity_dense(6, 6)
         net.save(tmp_path / "net.bin")
-        back = DenseDenoiser.load(tmp_path / "net.bin")
+        back = ckpt.load(tmp_path / "net.bin", DENSE)[1]
         np.testing.assert_array_equal(back.layer.weights, net.layer.weights)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"NOTADNSE" + bytes(64))
         with pytest.raises(ValueError, match="x.bin"):
-            DenseDenoiser.load(path)
+            ckpt.load(path, DENSE)[1]
 
     def test_mismatched_crossbar_rejected(self):
-        net = DenseDenoiser.identity(4, 4)
+        net = identity_dense(4, 4)
         with pytest.raises(ValueError, match="crossbar"):
             DenseDenoiser(np.zeros((10, 9)), (3, 3), tiled=net.layer.tiled)
 

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from conftest import identity_dense
 from memdenoise import ckpt, crossbar
 from memdenoise.device import DeviceModel
 from memdenoise.imagecore import Dataset, plane_samples
 from memdenoise.nets.cnn import conv_same, unfold_stack
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
                                     chunk_planes, pow2_scale)
-from memdenoise.nets.dense import DenseDenoiser, dense_train
+from memdenoise.nets.dense import dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init, fusion_train
 from memdenoise.noise import corrupt, parse_spec
+
+# Checkpoint kinds ckpt.load accepts here
+FUSION = {"fusion": FusionDenoiser.from_state}
 
 
 def direct_route(fused, img):
@@ -97,7 +101,7 @@ class TestConstruction:
 
     def test_members_must_share_shape(self, rng):
         nets, _ = member_bank(rng)
-        odd = DenseDenoiser.identity(6, 6)
+        odd = identity_dense(6, 6)
         with pytest.raises(ValueError):
             FusionDenoiser(list(nets[:2]) + [odd], fusion_init(3))
 
@@ -296,7 +300,7 @@ class TestSerialization:
         fused = FusionDenoiser(nets, kernel, rmse_log=[0.3, 0.2])
         path = tmp_path / "fusion.bin"
         fused.save(path)
-        back = FusionDenoiser.load(path)
+        back = ckpt.load(path, FUSION)[1]
         np.testing.assert_array_equal(back.kernel, fused.kernel)
         assert [m.train_noise for m in back.members] == \
             ["gaussian:0.05", "sp:0.1", "speckle:1"]
@@ -311,7 +315,7 @@ class TestSerialization:
                                device=DeviceModel(levels=16,
                                                   variation_sigma=0.05))
         fused.save(tmp_path / "a.bin")
-        FusionDenoiser.load(tmp_path / "a.bin").save(tmp_path / "b.bin")
+        ckpt.load(tmp_path / "a.bin", FUSION)[1].save(tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == \
             (tmp_path / "b.bin").read_bytes()
 
@@ -323,7 +327,7 @@ class TestSerialization:
                                device=DeviceModel(variation_sigma=0.05),
                                program_seed=9)
         fused.save(tmp_path / "f.bin")
-        back = FusionDenoiser.load(tmp_path / "f.bin")
+        back = ckpt.load(tmp_path / "f.bin", FUSION)[1]
         for got, want in zip([n.layer.tiled for n in (back, *back.members)],
                              [n.layer.tiled for n in (fused, *fused.members)]):
             for name, a in want.state().items():
@@ -335,4 +339,4 @@ class TestSerialization:
         path = tmp_path / "x.bin"
         path.write_bytes(b"NOTFUSED" + bytes(32))
         with pytest.raises(ValueError, match="not a recognized checkpoint"):
-            FusionDenoiser.load(path)
+            ckpt.load(path, FUSION)[1]

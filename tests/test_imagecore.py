@@ -6,8 +6,7 @@ import pytest
 
 from memdenoise.imagecore import (BadMagicError, CountMismatchError, Dataset,
                                   DatasetError, TruncatedFileError,
-                                  load_cifar10, load_mnist, read_image,
-                                  write_image)
+                                  load_cifar10, load_mnist, write_image)
 
 
 def idx_images(arrays):
@@ -140,28 +139,38 @@ class TestDataset:
             ds.subset(n)
 
 
+def read_pnm(path):
+    """Oracle: a binary PGM/PPM in write_image's layout, three header
+    lines (magic, "width height", maxval 255) and then the pixel bytes."""
+    magic, size, maxval, pixels = path.read_bytes().split(b"\n", 3)
+    assert magic in (b"P5", b"P6") and maxval == b"255"
+    w, h = map(int, size.split())
+    shape = (h, w, 3) if magic == b"P6" else (h, w)
+    return np.frombuffer(pixels, np.uint8).reshape(shape) / 255.0
+
+
 class TestPortableImages:
     def test_pgm_round_trip_is_exact_on_byte_grid(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(9, 7)).astype(np.float64) / 255.0
         path = tmp_path / "img.pgm"
         write_image(img, path)
-        np.testing.assert_allclose(read_image(path), img, atol=0, rtol=0)
+        np.testing.assert_allclose(read_pnm(path), img, atol=0, rtol=0)
 
     def test_ppm_round_trip(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(5, 6, 3)).astype(np.float64) / 255.0
         path = tmp_path / "img.ppm"
         write_image(img, path)
-        np.testing.assert_array_equal(read_image(path), img)
+        np.testing.assert_array_equal(read_pnm(path), img)
 
     def test_half_rounds_up(self, tmp_path):
         path = tmp_path / "g.pgm"
         write_image(np.array([[0.5]]), path)
-        assert read_image(path)[0, 0] == 128 / 255.0
+        assert read_pnm(path)[0, 0] == 128 / 255.0
 
     def test_out_of_range_clipped(self, tmp_path):
         path = tmp_path / "c.pgm"
         write_image(np.array([[-0.5, 1.5]]), path)
-        np.testing.assert_array_equal(read_image(path), [[0.0, 1.0]])
+        np.testing.assert_array_equal(read_pnm(path), [[0.0, 1.0]])
 
     def test_header_written_correctly(self, tmp_path):
         path = tmp_path / "h.pgm"
@@ -171,56 +180,7 @@ class TestPortableImages:
     def test_single_channel_axis_collapses_to_pgm(self, tmp_path):
         path = tmp_path / "s.pgm"
         write_image(np.zeros((2, 2, 1)), path)
-        assert read_image(path).shape == (2, 2)
-
-    def test_comment_lines_skipped(self, tmp_path):
-        path = tmp_path / "c.pgm"
-        path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x00\xff")
-        np.testing.assert_array_equal(read_image(path), [[0.0, 1.0]])
-
-    def test_non_pnm_rejected(self, tmp_path):
-        path = tmp_path / "x.pgm"
-        path.write_bytes(b"P3\n1 1\n255\n0")
-        with pytest.raises(BadMagicError):
-            read_image(path)
-
-    def test_truncated_pixels(self, tmp_path):
-        path = tmp_path / "t.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-        with pytest.raises(TruncatedFileError):
-            read_image(path)
-
-    @pytest.mark.parametrize("shape", [(3, 5), (2, 4, 3)])
-    def test_every_cut_is_truncation_naming_path(self, tmp_path, rng, shape):
-        # P5 (grayscale) and P6 (RGB): cut inside the header, between the
-        # header and the pixels, and inside the pixels.
-        path = tmp_path / "cut.pnm"
-        write_image(rng.random(shape), path)
-        blob = path.read_bytes()
-        for cut in range(len(blob)):
-            path.write_bytes(blob[:cut])
-            with pytest.raises(TruncatedFileError) as info:
-                read_image(path)
-            assert str(path) in str(info.value), cut
-        path.write_bytes(blob)
-        assert read_image(path).shape == shape
-
-    @pytest.mark.parametrize("header", [
-        b"P5\nx 2\n255\n", b"P5\n2 -2\n255\n", b"P5\n2 2\n2.5\n",
-        b"P6\n+2 2\n255\n", b"P5\n2 2\n0\n", b"P5\n2 2\n256\n",
-        b"P5\n2 2\n65535\n", b"P7\n2 2\n255\n", b"\x00\x01\x02 ",
-    ])
-    def test_bad_header_is_bad_magic_naming_path(self, tmp_path, header):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(header + bytes(12))
-        with pytest.raises(BadMagicError) as info:
-            read_image(path)
-        assert str(path) in str(info.value)
-
-    def test_low_maxval_scales(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_bytes(b"P5\n2 1\n1\n\x00\x01")
-        np.testing.assert_array_equal(read_image(path), [[0.0, 1.0]])
+        assert read_pnm(path).shape == (2, 2)
 
     def test_bad_image_shape(self, tmp_path):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memdenoise.noise import (STANDARD_NOISES, NoiseSpec, corrupt,
+from conftest import spec_texts
+from memdenoise.noise import (PARAMS, STANDARD_NOISES, NoiseSpec, corrupt,
                               corrupt_dataset, parse_spec)
 
 
@@ -12,29 +13,35 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NoiseSpec("gaussian")
         with pytest.raises(ValueError):
-            NoiseSpec("gaussian", variance=-0.1)
+            NoiseSpec("gaussian", -0.1)
 
     def test_sp_density_range(self):
-        NoiseSpec("sp", density=0.0)
-        NoiseSpec("sp", density=1.0)
+        NoiseSpec("sp", 0.0)
+        NoiseSpec("sp", 1.0)
         with pytest.raises(ValueError):
-            NoiseSpec("sp", density=1.1)
+            NoiseSpec("sp", 1.1)
         with pytest.raises(ValueError):
             NoiseSpec("sp")
 
     def test_poisson_default_peak(self):
-        assert NoiseSpec("poisson").peak == 2.5
+        assert NoiseSpec("poisson").param == 2.5
         with pytest.raises(ValueError):
-            NoiseSpec("poisson", peak=0.5)
+            NoiseSpec("poisson", 0.5)
 
     def test_speckle_default_variance(self):
-        assert NoiseSpec("speckle").variance == 1.0
+        assert NoiseSpec("speckle").param == 1.0
         with pytest.raises(ValueError):
-            NoiseSpec("speckle", variance=-1.0)
+            NoiseSpec("speckle", -1.0)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "poisson", "speckle"])
+    def test_parameter_capped_at_2_pow_62(self, kind):
+        assert NoiseSpec(kind, 2.0**62).param == 2.0**62
+        with pytest.raises(ValueError, match=r"4\.61169e\+18\]"):
+            NoiseSpec(kind, np.nextafter(2.0**62, np.inf))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            NoiseSpec("uniform", variance=0.1)
+            NoiseSpec("uniform", 0.1)
 
 
 class TestTextForm:
@@ -48,6 +55,20 @@ class TestTextForm:
     def test_defaults_fill_in(self):
         assert parse_spec("poisson").text() == "poisson:2.5"
         assert parse_spec("speckle").text() == "speckle:1"
+
+    def test_text_is_exact(self):
+        # %g where it reads back exactly, the full repr where it would not
+        assert parse_spec("gaussian:0.1234567").text() == "gaussian:0.1234567"
+        assert parse_spec("poisson:1e18").text() == "poisson:1e+18"
+
+    @settings(max_examples=300)
+    @given(spec_texts(tuple(PARAMS)))
+    def test_any_input_round_trips_or_raises(self, text):
+        try:
+            spec = parse_spec(text)
+        except (ValueError, TypeError):
+            return
+        assert parse_spec(spec.text()) == spec
 
     def test_malformed(self):
         for bad in ("gaussian", "sp", "gaussian:0.1:2", "salt:0.1"):
@@ -72,7 +93,7 @@ class TestGaussian:
 
     def test_zero_variance_is_identity(self, rng):
         x = rng.random((8, 8))
-        y = corrupt(x, NoiseSpec("gaussian", variance=0.0),
+        y = corrupt(x, NoiseSpec("gaussian", 0.0),
                     np.random.default_rng(0))
         np.testing.assert_array_equal(y, x)
 
