@@ -15,11 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .imagecore import plane_samples, stack_from_planes
+from .imagecore import plane_chunks, plane_samples, stack_from_planes
 from .noise import format_number
 
 __all__ = [
     "MAX_KERNEL_WIDTH",
+    "MAX_TV_ITERS",
+    "MIN_GAUSS_SIGMA",
+    "MIN_TV_WEIGHT",
     "FilterSpec",
     "filter_stack",
     "gaussian_blur",
@@ -34,6 +37,20 @@ _KINDS = ("gauss", "median", "tv")
 # largest image side read here (32); it keeps a mistyped width from
 # overflowing the Gaussian radius or allocating gigabytes for a median.
 MAX_KERNEL_WIDTH = 99
+
+# Smallest Gaussian sigma. At and below it the side weights
+# exp(-0.5 / sigma**2) are exactly 0, so the kernel is the identity;
+# far below it 1 / sigma**2 overflows.
+MIN_GAUSS_SIGMA = 0.025
+
+# Smallest TV weight. The dual step is 0.125 / weight: at 1e-100 a
+# gradient up to 1e50 still squares far below float max, and a pixel
+# moves by at most 4 * weight, far below one step of an image byte.
+MIN_TV_WEIGHT = 1e-100
+
+# Most TV iterations, 20 times the tuning grid's 50: a mistyped count
+# fails at once instead of running for hours.
+MAX_TV_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -54,18 +71,21 @@ class FilterSpec:
             raise ValueError(f"kind must be one of {_KINDS}")
         # The Gaussian window is 2 * max(1, ceil(3 * sigma)) + 1 wide
         radius = (MAX_KERNEL_WIDTH - 1) // 2
-        if self.kind == "gauss" and not 0 < 3 * self.sigma <= radius:
-            raise ValueError(f"gauss requires a sigma in (0, {radius}/3] "
-                             f"(window at most {MAX_KERNEL_WIDTH} pixels)")
+        if self.kind == "gauss" and not (
+                MIN_GAUSS_SIGMA <= self.sigma and 3 * self.sigma <= radius):
+            raise ValueError(f"gauss requires a sigma in [{MIN_GAUSS_SIGMA}, "
+                             f"{radius}/3] (window at most {MAX_KERNEL_WIDTH} "
+                             f"pixels)")
         if self.kind == "median" and not (
                 3 <= self.window <= MAX_KERNEL_WIDTH and self.window % 2):
             raise ValueError(f"median window must be odd, in [3, "
                              f"{MAX_KERNEL_WIDTH}]")
         if self.kind == "tv":
-            if not 0 < self.tv_weight < math.inf:
-                raise ValueError("tv requires a finite tv_weight > 0")
-            if self.tv_iters < 1:
-                raise ValueError("tv requires tv_iters >= 1")
+            if not MIN_TV_WEIGHT <= self.tv_weight < math.inf:
+                raise ValueError(f"tv requires a finite tv_weight >= "
+                                 f"{MIN_TV_WEIGHT:g}")
+            if not 1 <= self.tv_iters <= MAX_TV_ITERS:
+                raise ValueError(f"tv requires tv_iters in [1, {MAX_TV_ITERS}]")
 
     def text(self) -> str:
         if self.kind == "gauss":
@@ -95,12 +115,6 @@ def parse_filter(text: str) -> FilterSpec:
         iters = int(args[1]) if len(args) == 2 else 50
         return FilterSpec("tv", tv_weight=float(args[0]), tv_iters=iters)
     raise ValueError(f"unknown filter kind {kind!r}")
-
-
-# Planes filtered per plane-kernel call: keeps the TV iteration's
-# working set in cache (0.4 MB per array at 28x28), whatever the stack
-# length.
-_CHUNK_PLANES = 64
 
 
 def _gauss_planes(planes, spec):
@@ -162,16 +176,16 @@ def filter_stack(imgs, spec: FilterSpec):
     """Apply one filter across an (n, h, w) or (n, h, w, c) stack.
 
     Channels become (h, w) planes (imagecore.plane_samples), filtered a
-    chunk of planes per call and clipped to [0, 1]; every image comes
-    out exactly as it would alone.
+    chunk of planes per call (plane_chunks: the TV iteration holds about
+    12 arrays of each plane's size, and stays in cache) and clipped to
+    [0, 1]; every image comes out exactly as it would alone.
     """
     flat, shape = plane_samples(imgs)
     planes = flat.reshape((-1,) + shape)
     kernel = _PLANE_KERNELS[spec.kind]
     out = np.empty(planes.shape)
-    for lo in range(0, len(planes), _CHUNK_PLANES):
-        out[lo:lo + _CHUNK_PLANES] = np.clip(
-            kernel(planes[lo:lo + _CHUNK_PLANES], spec), 0.0, 1.0)
+    for chunk in plane_chunks(len(planes), 12 * flat.shape[1]):
+        out[chunk] = np.clip(kernel(planes[chunk], spec), 0.0, 1.0)
     return stack_from_planes(out, imgs)
 
 

@@ -514,7 +514,9 @@ def cmd_eval(config):
             denoised = forward(noisy)
             rows.append(metrics.evaluate_pairs(data.images, denoised, text,
                                                method))
-            outputs.append((method, denoised))
+            # Only the dumped images outlive the scoring.
+            outputs.append((method, denoised[:len(dumps)].copy()))
+            del denoised
         for i in dumps:
             base = os.path.join(dump_root, _safe(text))
             os.makedirs(base, exist_ok=True)

@@ -6,7 +6,7 @@ Datasets stack images along axis 0 and are immutable after construction.
 plane_samples and its inverse stack_from_planes are the one view of a
 stack as (h, w) planes, one per image channel: the denoisers, the
 filters and the SSIM scorer work on planes, and no other module moves a
-channel axis.
+channel axis. plane_chunks is the one chunk rule of those stack passes.
 
 Supported inputs: IDX files (big-endian dimension header, optionally
 gzipped) and CIFAR-10 binary batches (1 label byte + 3072 channel-planar
@@ -216,6 +216,16 @@ def plane_samples(images, shape=None, owner=""):
     h, w = images.shape[1:3]
     planes = images if images.ndim == 3 else images.transpose(0, 3, 1, 2)
     return planes.reshape(-1, h * w), (h, w)
+
+
+def plane_chunks(n, plane_elements):
+    """Ordered slices covering range(n), each about 2**19 float64s of a
+    stack pass holding plane_elements per plane, so its memory does not
+    grow with n. No chunk is 1 plane unless n == 1 (the tail joins the
+    chunk before it): a 1-row crossbar readout takes another BLAS path."""
+    step = max(2, 2 ** 19 // max(1, plane_elements))
+    edges = [0, *range(step, n - 1, step), n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
 def stack_from_planes(out, images):

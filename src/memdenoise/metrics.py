@@ -20,18 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import plane_samples
+from .imagecore import plane_chunks, plane_samples
 
 SSIM_WINDOW = 7
 _C1 = 0.01 ** 2
 _C2 = 0.03 ** 2
 
 CSV_HEADER = "noise,method,ssim,mse,psnr,n"
-
-
-# Planes scored per pass of the stack scorer: each temporary stays under
-# 1 MB at 28x28, whatever the stack length.
-_CHUNK_PLANES = 128
 
 
 def _pair(a, b):
@@ -125,10 +120,11 @@ class QualityReport:
 def evaluate_pairs(reference, test, noise="", method=""):
     """Score a stack of test images against their references.
 
-    Both stacks are (n, h, w) or (n, h, w, c), scored a chunk of planes
-    at a time. SSIM and MSE are averaged over images; PSNR is derived
-    from the mean MSE. Each image's scores equal :func:`ssim` and
-    :func:`mse` on that image alone, bit for bit.
+    Both stacks are (n, h, w) or (n, h, w, c), scored in plane_chunks of
+    images (SSIM holds about 16 arrays of an image's size). SSIM and MSE
+    are averaged over images; PSNR is derived from the mean MSE. Each
+    image's scores equal :func:`ssim` and :func:`mse` on that image
+    alone, bit for bit.
     """
     reference, test = _pair(reference, test)
     if reference.ndim < 3:
@@ -136,14 +132,12 @@ def evaluate_pairs(reference, test, noise="", method=""):
     n = reference.shape[0]
     if n < 1:
         raise ValueError("empty stack")
-    planes = reference.shape[3] if reference.ndim == 4 else 1
-    step = max(1, _CHUNK_PLANES // planes)
     ssims = np.empty(n)
     mses = np.empty(n)
-    for lo in range(0, n, step):
-        a, b = reference[lo:lo + step], test[lo:lo + step]
-        ssims[lo:lo + step] = _ssim_images(a, b)
-        mses[lo:lo + step] = _mse_images(a, b)
+    for chunk in plane_chunks(n, 16 * reference[0].size):
+        a, b = reference[chunk], test[chunk]
+        ssims[chunk] = _ssim_images(a, b)
+        mses[chunk] = _mse_images(a, b)
     mean_mse = float(np.mean(mses))
     p = None if mean_mse == 0.0 else float(10.0 * np.log10(1.0 / mean_mse))
     return QualityReport(noise=noise, method=method, ssim=float(np.mean(ssims)),

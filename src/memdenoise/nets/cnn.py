@@ -28,10 +28,9 @@ import numpy as np
 
 from .. import ckpt
 from ..device import DeviceModel
-from ..imagecore import plane_samples, stack_from_planes
+from ..imagecore import plane_chunks, plane_samples, stack_from_planes
 from .common import (Layer, TrainConfig, check_epoch, check_trained,
-                     chunk_planes, corrupt_plane, device_args, device_meta,
-                     training_epochs)
+                     corrupt_plane, device_args, device_meta, training_epochs)
 
 
 def _windows(x, k):
@@ -144,20 +143,20 @@ class CnnDenoiser:
 
         Shape preserving: odd sides are reflect-padded on the way in and
         cropped on the way out. Planes run through the crossbars a chunk
-        at a time (see chunk_planes), so the patch matrices stay about
+        at a time (see plane_chunks), so the patch matrices stay about
         4 MB however long the stack is.
         """
         flat, (h, w) = plane_samples(images)
         planes = flat.reshape(-1, h, w)
         out = np.empty_like(planes)
         # widest patches: conv1's h*w x k*k or the 3D stage's h*w/4 x K*k*k
-        step = chunk_planes(h * w // 4 * max(4, self.kernels) * self.ksize ** 2)
-        for lo in range(0, len(planes), step):
-            x = planes[lo:lo + step]
+        widest = h * w // 4 * max(4, self.kernels) * self.ksize ** 2
+        for chunk in plane_chunks(len(planes), widest):
+            x = planes[chunk]
             if h % 2 or w % 2:
                 x = np.pad(x, ((0, 0), (0, h % 2), (0, w % 2)), mode="reflect")
             y = self._forward_linear(x)
-            out[lo:lo + step] = np.clip(y[:, :h, :w], 0.0, 1.0)
+            out[chunk] = np.clip(y[:, :h, :w], 0.0, 1.0)
         return stack_from_planes(out, images)
 
     def save(self, path):

@@ -178,18 +178,6 @@ def device_in_loop(weights, cfg, epoch, rmse_log):
     return (layer.gain * layer.tiled.effective_weights()).reshape(weights.shape)
 
 
-def chunk_planes(patch_elements):
-    """Planes per inference chunk, given one plane's widest patch matrix.
-
-    A chunk holds about 2**19 float64 patch elements (4 MB), at least one
-    plane: 9 planes of the fusion net's 784 x 72 patches on 28 x 28
-    images, 37 of the CNN's 196 x 72. Callers drop each chunk's patches
-    before unfolding the next, so inference memory does not grow with
-    the stack.
-    """
-    return max(1, 2 ** 19 // patch_elements)
-
-
 def corrupt_plane(flat, shape, spec, seed_seq):
     """Corrupt one flattened plane with its own substream, clamped.
 

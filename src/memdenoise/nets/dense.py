@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import ckpt, crossbar
 from ..device import DeviceModel
-from ..imagecore import plane_samples, stack_from_planes
+from ..imagecore import plane_chunks, plane_samples, stack_from_planes
 from .common import (Layer, TrainConfig, check_epoch, check_trained,
                      corrupt_plane, device_args, device_in_loop, device_meta,
                      training_epochs)
@@ -66,9 +66,14 @@ class DenseDenoiser:
         return np.clip(self.layer.read(x), 0.0, 1.0)
 
     def forward_stack(self, images):
-        """Denoise a stack of images in one batched readout."""
+        """Denoise a stack of images, one batched readout per plane_chunks
+        chunk (the clamp, bias column and readout hold about 4 planes);
+        readout rows are independent, so chunking changes only memory."""
         flat, _ = plane_samples(images, self.shape, "dense net")
-        return stack_from_planes(self.forward_flat(flat), images)
+        out = np.empty(flat.shape)
+        for rows in plane_chunks(len(flat), 4 * flat.shape[1]):
+            out[rows] = self.forward_flat(flat[rows])
+        return stack_from_planes(out, images)
 
     def state(self):
         """Checkpoint metadata and named arrays, programmed state included;

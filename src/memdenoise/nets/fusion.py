@@ -20,11 +20,10 @@ import numpy as np
 
 from .. import ckpt, crossbar
 from ..device import DeviceModel
-from ..imagecore import plane_samples, stack_from_planes
+from ..imagecore import plane_chunks, plane_samples, stack_from_planes
 from ..noise import corrupt, parse_spec
 from .common import (Layer, TrainConfig, check_epoch, check_trained,
-                     chunk_planes, device_args, device_in_loop, device_meta,
-                     training_epochs)
+                     device_args, device_in_loop, device_meta, training_epochs)
 from .cnn import unfold_stack
 from .dense import DenseDenoiser
 
@@ -59,22 +58,24 @@ class FusionDenoiser:
     def forward_stack(self, images):
         """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
 
-        Each member clamps the stack and reads it in one batched
-        readout. The fusion readout runs a chunk of planes at a time over
-        one patch matrix; its rows are independent, so chunking changes
-        only the memory held.
+        Two levels of plane_chunks: each member clamps and reads an
+        outer chunk, sized by the member outputs, in one batched readout;
+        the fusion readout then reads the outer chunk's planes an inner
+        chunk at a time, sized by its patch matrix. Readout rows are
+        independent, so chunking changes only the memory held.
         """
         flat, (h, w) = plane_samples(images, self.shape, "fusion net")
-        member_out = np.stack(
-            [m.forward_flat(flat) for m in self.members], axis=1)
-        planes = member_out.reshape(len(flat), len(self.members), h, w)
+        depth, size = len(self.members), self.kernel.size
         out = np.empty((len(flat), h * w))
-        step = chunk_planes(h * w * self.kernel.size)
-        for lo in range(0, len(flat), step):
-            patches = unfold_stack(planes[lo:lo + step], self.kernel.shape[1])
-            y = self.layer.read(patches.reshape(-1, self.kernel.size))
-            del patches
-            out[lo:lo + step] = np.clip(y[:, 0], 0.0, 1.0).reshape(-1, h * w)
+        for outer in plane_chunks(len(flat), depth * h * w):
+            planes = np.stack([m.forward_flat(flat[outer]) for m in
+                               self.members], axis=1).reshape(-1, depth, h, w)
+            fused = out[outer]
+            for inner in plane_chunks(len(planes), h * w * size):
+                patches = unfold_stack(planes[inner], self.kernel.shape[1])
+                y = self.layer.read(patches.reshape(-1, size))
+                del patches
+                fused[inner] = np.clip(y[:, 0], 0.0, 1.0).reshape(-1, h * w)
         return stack_from_planes(out, images)
 
     def save(self, path):

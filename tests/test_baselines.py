@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import spec_texts
-from memdenoise.baselines import (MAX_KERNEL_WIDTH, FilterSpec, filter_stack,
+from memdenoise.baselines import (MAX_KERNEL_WIDTH, MIN_GAUSS_SIGMA,
+                                  MIN_TV_WEIGHT, FilterSpec, filter_stack,
                                   gaussian_blur, median_filter, parse_filter,
                                   tv_denoise)
 from test_acceptance import TUNE_GRIDS, tune_filter
@@ -33,7 +36,10 @@ def one_image(img, spec):
 
 
 class TestSpec:
-    @pytest.mark.parametrize("text", ["gauss:0.8", "median:5", "tv:0.1:50"])
+    @pytest.mark.parametrize("text", [
+        "gauss:0.8", "median:5", "tv:0.1:50",
+        # the bounds: MIN_GAUSS_SIGMA, MIN_TV_WEIGHT, MAX_TV_ITERS
+        "gauss:0.025", "tv:1e-100:50", "tv:0.1:1000"])
     def test_text_round_trip(self, text):
         assert parse_filter(text).text() == text
 
@@ -49,9 +55,24 @@ class TestSpec:
     def test_validation(self):
         for bad in ("gauss:0", "gauss:-1", "median:4", "median:1",
                     "tv:0", "unknown:1", "gauss", "gauss:1:2", "gauss:1e308",
-                    "gauss:16.34", "median:101", "median:100001"):
+                    "gauss:16.34", "median:101", "median:100001",
+                    "gauss:1e-200", "gauss:0.0249", "tv:1e-320", "tv:1e-101",
+                    "tv:0.1:0", "tv:0.1:1001", "tv:0.1:1000000000"):
             with pytest.raises(ValueError):
                 parse_filter(bad)
+
+    def test_smallest_sigma_and_weight_are_the_identity(self, rng):
+        # At the floors the Gaussian kernel is exactly [0, 1, 0] and the
+        # TV step 0.125 / weight stays finite, squares included, even on
+        # a noisy stack far outside [0, 1]: no RuntimeWarning, and every
+        # pixel comes out as the clamped input.
+        imgs = rng.normal(0.5, 1e6, (3, 9, 11))
+        for spec in (FilterSpec("gauss", sigma=MIN_GAUSS_SIGMA),
+                     FilterSpec("tv", tv_weight=MIN_TV_WEIGHT)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = filter_stack(imgs, spec)
+            np.testing.assert_array_equal(out, np.clip(imgs, 0.0, 1.0))
 
     def test_widest_windows(self, rng):
         # a Gaussian of radius ceil(3 * sigma) is 2 * radius + 1 wide
@@ -180,8 +201,8 @@ class TestDispatch:
     @pytest.mark.parametrize("text", ["median:3", "median:5", "gauss:0.8",
                                       "tv:0.1"])
     def test_filter_stack_is_per_image(self, rng, text, channels):
-        # 70 gray planes (or 210 RGB ones) span several filter chunks.
-        shape = (70, 10, 12) if channels is None else (70, 10, 12, channels)
+        # 120 gray planes (or 40 RGB images) span three filter chunks.
+        shape = (120, 28, 30) if channels is None else (40, 28, 30, channels)
         imgs = rng.random(shape)
         spec = parse_filter(text)
         out = filter_stack(imgs, spec)

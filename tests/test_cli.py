@@ -389,9 +389,13 @@ def one_error_line(capsys, *causes):
 @pytest.mark.parametrize("argv,cause", [
     (["--filter", "gauss:1e308"], "filters: gauss requires a sigma"),
     (["--filter", "median:100001"], "filters: median window must be odd"),
+    (["--filter", "gauss:1e-200"], "filters: gauss requires a sigma"),
+    (["--filter", "tv:1e-320"], "filters: tv requires a finite tv_weight"),
+    (["--filter", "tv:0.1:1000000000"], "filters: tv requires tv_iters"),
     (["--noise", "poisson:1e20"], "noises: poisson needs a peak"),
     (["--noise", "speckle:1e300"], "noises: speckle needs a variance"),
-], ids=["gauss-1e308", "median-100001", "poisson-1e20", "speckle-1e300"])
+], ids=["gauss-1e308", "median-100001", "gauss-1e-200", "tv-1e-320",
+        "tv-1e9-iters", "poisson-1e20", "speckle-1e300"])
 def test_out_of_range_specs_exit_two(corpus, capsys, tmp_path, argv, cause):
     assert main(["eval", "--data", corpus, "--seed", "1", *argv,
                  "--outdir", str(tmp_path / "out")]) == 2

@@ -3,7 +3,7 @@ import pytest
 
 from memdenoise import ckpt
 from memdenoise.device import DeviceModel
-from memdenoise.imagecore import plane_samples
+from memdenoise.imagecore import plane_chunks, plane_samples
 from memdenoise.nets.cnn import (CnnDenoiser, _float_forward,
                                  cnn_loss_and_grads, cnn_train, conv_same,
                                  unfold, unfold_stack)
@@ -179,7 +179,7 @@ class TestForward:
                              ids=["ideal", "16-levels"])
     def test_forward_stack_bits_equal_per_image_forward(self, rng, shape,
                                                         device):
-        # The first two stacks span three inference chunks, the RGB one
+        # The first two stacks span several inference chunks, the RGB one
         # two; chunked readouts must give each image its lone bits.
         net = make_cnn(rng, kernels=8)
         net = CnnDenoiser(net.k1, net.k3, net.k2, device=device,
@@ -189,6 +189,17 @@ class TestForward:
         assert out.shape == imgs.shape
         for i in range(len(imgs)):
             assert np.array_equal(out[i], net.forward_stack(imgs[i:i + 1])[0])
+
+    def test_chunked_readout_equals_whole_stack_readout(self, rng):
+        # Two chunks of 28x28 planes, the second with the folded 1-plane
+        # tail, against one readout of the whole stack.
+        net = make_cnn(rng, kernels=8)
+        widest = 14 * 14 * 8 * 9  # the 3D stage's patches
+        step = plane_chunks(10 ** 6, widest)[0].stop
+        imgs = rng.random((2 * step + 1, 28, 28))
+        assert len(plane_chunks(len(imgs), widest)) == 2
+        want = np.clip(net._forward_linear(imgs), 0.0, 1.0)
+        assert np.array_equal(net.forward_stack(imgs), want)
 
 
 class TestGradients:

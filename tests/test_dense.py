@@ -7,7 +7,8 @@ from conftest import identity_dense
 from memdenoise import ckpt
 from memdenoise.device import DeviceModel
 from memdenoise.crossbar import TiledMatrix
-from memdenoise.imagecore import ImageShapeError, plane_samples
+from memdenoise.imagecore import (ImageShapeError, plane_chunks,
+                                  plane_samples)
 from memdenoise.nets.common import (MAX_GAIN, TrainConfig,
                                     TrainingDivergence, corrupt_plane,
                                     device_meta, pow2_scale)
@@ -187,6 +188,24 @@ class TestDenseDenoiser:
         for i in range(4):
             np.testing.assert_array_equal(out[i],
                                           net.forward_stack(imgs[i:i + 1])[0])
+
+    @pytest.mark.parametrize("device", [DeviceModel(),
+                                        DeviceModel(levels=16,
+                                                    variation_sigma=0.05)],
+                             ids=["ideal", "16-levels"])
+    def test_chunked_readout_equals_whole_stack_readout(self, rng, device):
+        # Two chunks, the second with the folded 1-plane tail: at 28x28 a
+        # 1-row readout takes another BLAS path and changes bits.
+        p = 28 * 28
+        weights = np.vstack([np.eye(p), np.zeros((1, p))])
+        net = DenseDenoiser(weights + rng.normal(0, 0.01, weights.shape),
+                            (28, 28), device=device, program_seed=2)
+        step = plane_chunks(10 ** 6, 4 * p)[0].stop
+        imgs = rng.random((2 * step + 1, 28, 28))
+        assert len(plane_chunks(len(imgs), 4 * p)) == 2
+        flat, _ = plane_samples(imgs)
+        want = net.forward_flat(flat).reshape(imgs.shape)
+        assert np.array_equal(net.forward_stack(imgs), want)
 
     def test_rgb_planes_share_weights(self, rng):
         net = identity_dense(6, 6)

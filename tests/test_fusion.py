@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import identity_dense
 from memdenoise import ckpt, crossbar
 from memdenoise.device import DeviceModel
-from memdenoise.imagecore import Dataset, plane_samples
+from memdenoise.imagecore import Dataset, plane_chunks, plane_samples
 from memdenoise.nets.cnn import conv_same, unfold_stack
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
-                                    chunk_planes, pow2_scale)
-from memdenoise.nets.dense import dense_train
+                                    pow2_scale)
+from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init, fusion_train
 from memdenoise.noise import corrupt, parse_spec
 
@@ -174,24 +176,70 @@ class TestForward:
                                    atol=1e-12)
 
     def test_forward_stack_bits_equal_per_plane_unfold(self, rng):
-        # 4500 planes of 8x8 (64 x 27 patches) span 15 inference chunks;
-        # each chunk's one unfold must equal the per-plane patch matrices
-        # stacked up.
+        # 4500 planes of 8x8 span two outer chunks of member outputs and
+        # 16 inner chunks of 64 x 27 patches; each inner chunk's one unfold
+        # must equal the per-plane patch matrices stacked up.
         nets, _ = member_bank(rng)
         fused = FusionDenoiser(nets, rng.normal(0, 0.2, (3, 3, 3)))
         imgs = rng.random((1500, 8, 8, 3))
         flat, _ = plane_samples(imgs)
-        member_out = np.stack([m.forward_flat(flat) for m in nets], axis=1)
         want = []
-        step = chunk_planes(64 * 27)
-        for lo in range(0, len(flat), step):
-            patches = np.concatenate(
-                [unfold_stack(planes.reshape(3, 8, 8), 3)
-                 for planes in member_out[lo:lo + step]])
-            want.append(crossbar.matmul(fused.layer.tiled, patches)[:, 0])
+        for outer in plane_chunks(len(flat), 3 * 64):
+            member_out = np.stack([m.forward_flat(flat[outer]) for m in nets],
+                                  axis=1)
+            for inner in plane_chunks(len(member_out), 64 * 27):
+                patches = np.concatenate(
+                    [unfold_stack(planes.reshape(3, 8, 8), 3)
+                     for planes in member_out[inner]])
+                want.append(crossbar.matmul(fused.layer.tiled, patches)[:, 0])
+        assert len(want) == 16
         want = np.clip(np.concatenate(want) * fused.layer.gain, 0.0, 1.0)
         want = want.reshape(1500, 3, 8, 8).transpose(0, 2, 3, 1)
         assert np.array_equal(fused.forward_stack(imgs), want)
+
+    def test_chunked_readouts_equal_whole_stack_readouts(self, rng):
+        # Two outer chunks of 28x28 planes, the second with the folded
+        # 1-plane tail (a 1-row member readout changes bits at 28x28),
+        # against one readout of the whole stack per member and one
+        # fusion readout of its whole patch matrix.
+        p = 28 * 28
+        members = [DenseDenoiser(np.vstack([np.eye(p), np.zeros((1, p))])
+                                 + rng.normal(0, 0.01, (p + 1, p)), (28, 28))
+                   for _ in range(3)]
+        fused = FusionDenoiser(members, rng.normal(0, 0.2, (3, 3, 3)))
+        step = plane_chunks(10 ** 6, 3 * p)[0].stop
+        imgs = rng.random((2 * step + 1, 28, 28))
+        assert len(plane_chunks(len(imgs), 3 * p)) == 2
+        flat, _ = plane_samples(imgs)
+        planes = np.stack([m.forward_flat(flat) for m in members], axis=1)
+        patches = unfold_stack(planes.reshape(-1, 3, 28, 28), 3)
+        want = fused.layer.read(patches.reshape(-1, 27))[:, 0]
+        want = np.clip(want, 0.0, 1.0).reshape(imgs.shape)
+        assert np.array_equal(fused.forward_stack(imgs), want)
+
+    def test_forward_stack_memory_does_not_grow_with_the_stack(self, rng):
+        # Peak traced allocation of a forward pass, less its output, is
+        # one chunk's working set: the same for 3 and 12 outer chunks.
+        p = 8 * 8
+        members = [DenseDenoiser(np.vstack([np.eye(p), np.zeros((1, p))])
+                                 + rng.normal(0, 0.01, (p + 1, p)), (8, 8))
+                   for _ in range(8)]
+        fused = FusionDenoiser(members, rng.normal(0, 0.1, (8, 3, 3)))
+        n = 3 * plane_chunks(10 ** 6, 8 * p)[0].stop
+
+        def growth(imgs):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = fused.forward_stack(imgs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - before - out.nbytes
+
+        small = growth(rng.random((n, 8, 8)))
+        large = growth(rng.random((4 * n, 8, 8)))
+        assert large < 1.25 * small, (small, large)
 
     def test_shape_mismatch_rejected(self, rng):
         nets, _ = member_bank(rng)

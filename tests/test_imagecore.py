@@ -6,7 +6,8 @@ import pytest
 
 from memdenoise.imagecore import (BadMagicError, CountMismatchError, Dataset,
                                   DatasetError, TruncatedFileError,
-                                  load_cifar10, load_mnist, write_image)
+                                  load_cifar10, load_mnist, plane_chunks,
+                                  write_image)
 
 
 def idx_images(arrays):
@@ -185,3 +186,32 @@ class TestPortableImages:
     def test_bad_image_shape(self, tmp_path):
         with pytest.raises(ValueError):
             write_image(np.zeros((2, 2, 4)), tmp_path / "b.pgm")
+
+
+class TestPlaneChunks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 167, 168, 334, 335, 336, 1000])
+    @pytest.mark.parametrize("plane_elements", [1, 3136, 6272, 2 ** 19,
+                                                2 ** 30])
+    def test_slices_cover_the_range_in_order(self, n, plane_elements):
+        chunks = plane_chunks(n, plane_elements)
+        assert [i for c in chunks for i in range(n)[c]] == list(range(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 167, 168, 335, 336, 1000])
+    @pytest.mark.parametrize("plane_elements", [3136, 2 ** 19, 2 ** 30])
+    def test_no_one_plane_chunk(self, n, plane_elements):
+        sizes = [c.stop - c.start for c in plane_chunks(n, plane_elements)]
+        assert min(sizes) >= 2
+
+    @pytest.mark.parametrize("plane_elements", [1, 3136, 2 ** 30])
+    def test_one_plane_is_one_chunk(self, plane_elements):
+        assert plane_chunks(1, plane_elements) == [slice(0, 1)]
+
+    def test_empty_stack_has_no_chunks(self):
+        assert plane_chunks(0, 3136) == []
+
+    def test_chunks_hold_about_two_to_the_nineteen_elements(self):
+        # 2**19 // 3136 = 167 planes; the 1-plane tail joins the last chunk
+        assert plane_chunks(335, 3136) == [slice(0, 167), slice(167, 335)]
+        assert plane_chunks(336, 3136) == [slice(0, 167), slice(167, 334),
+                                           slice(334, 336)]
+        assert plane_chunks(5, 2 ** 30) == [slice(0, 2), slice(2, 5)]

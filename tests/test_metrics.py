@@ -148,9 +148,9 @@ class TestSsim:
 class TestEvaluatePairs:
     @pytest.mark.parametrize("shape", [(5, 28, 28), (4, 12, 12, 3),
                                        (6, 9, 13), (3, 10, 8, 1),
-                                       (300, 8, 8), (130, 8, 9, 3)])
+                                       (1100, 8, 8), (330, 8, 9, 3)])
     def test_equals_per_image_loop_exactly(self, rng, shape):
-        # The last two stacks span several scoring chunks.
+        # The last two stacks span three scoring chunks each.
         ref = rng.random(shape)
         test = np.clip(ref + rng.normal(0, 0.2, shape), 0, 1)
         rep = evaluate_pairs(ref, test)
