@@ -15,8 +15,7 @@ import numpy as np
 
 from . import ckpt
 from .imagecore import ImageShapeError
-from .nets.common import (MAX_GAIN, TrainConfig, check_epoch, check_trained,
-                          max_abs, training_epochs)
+from .nets.common import MAX_GAIN, TrainConfig, fit, max_abs
 from .noise import NoiseSpec, corrupt_dataset
 
 ACCURACY_CSV_HEADER = "noise,condition,accuracy,n"
@@ -119,11 +118,11 @@ def _softmax(z):
 
 
 def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
-    """SGD with cross-entropy on the clean training split.
+    """SGD with cross-entropy on the clean training split, under fit.
 
-    The CLI's recipe is cli.CLASSIFIER_RECIPE. The epoch loss log and the
-    trained layers follow the same divergence rules as the denoiser
-    trainers (check_epoch, check_trained).
+    The CLI's recipe is cli.CLASSIFIER_RECIPE. The epoch loss is the
+    mean cross-entropy; it and the trained layers follow the denoisers'
+    divergence rules.
     """
     images = np.asarray(data.images, dtype=np.float64)
     flat, shape = images.reshape(len(images), -1), images.shape[1:]
@@ -132,33 +131,27 @@ def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
         flat, labels = flat[:cfg.limit], labels[:cfg.limit]
     n = len(flat)
     clf = Classifier.initial(hidden, shape, seed=cfg.seed)
-    w1, b1 = clf.w1.copy(), clf.b1.copy()
-    w2, b2 = clf.w2.copy(), clf.b2.copy()
+    layers = [a.copy() for a in (clf.w1, clf.b1, clf.w2, clf.b2)]
+    w1, b1, w2, b2 = layers
     onehot = np.eye(10)[labels]
-    loss_log = []
-    for epoch, eta, batches in training_epochs(cfg, n):
-        loss_sum = 0.0
-        for idx in batches:
-            x, y = flat[idx], onehot[idx]
-            pre = x @ w1 + b1
-            hid = np.maximum(0.0, pre)
-            prob = _softmax(hid @ w2 + b2)
-            loss_sum += float(-np.sum(np.log(np.maximum(prob[np.arange(len(idx)), labels[idx]], 1e-300))))
+
+    def step(epoch, eta, idx):
+        x, y = flat[idx], onehot[idx]
+        pre = x @ w1 + b1
+        hid = np.maximum(0.0, pre)
+        prob = _softmax(hid @ w2 + b2)
+        picked = prob[np.arange(len(idx)), labels[idx]]
+        if eta != 0.0:
             g_logit = (prob - y) / len(idx)
-            g_w2 = hid.T @ g_logit
-            g_b2 = g_logit.sum(axis=0)
             g_hid = (g_logit @ w2.T) * (pre > 0)
-            g_w1 = x.T @ g_hid
-            g_b1 = g_hid.sum(axis=0)
-            if eta != 0.0:
-                w1 -= eta * g_w1
-                b1 -= eta * g_b1
-                w2 -= eta * g_w2
-                b2 -= eta * g_b2
-        loss_log.append(loss_sum / n)
-        check_epoch(epoch, loss_log)
-    check_trained(loss_log, w1, b1, w2, b2)
-    return Classifier(w1, b1, w2, b2, shape, loss_log=loss_log)
+            grads = (x.T @ g_hid, g_hid.sum(axis=0), hid.T @ g_logit,
+                     g_logit.sum(axis=0))
+            for a, g in zip(layers, grads):
+                a -= eta * g
+        return [float(-np.sum(np.log(np.maximum(picked, 1e-300))))]
+
+    loss_log = fit(cfg, n, step, layers, lambda s: s / n)
+    return Classifier(*layers, shape, loss_log=loss_log)
 
 
 def evaluate(clf: Classifier, data, denoiser=None, noise: NoiseSpec | None = None,

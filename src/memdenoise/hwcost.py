@@ -160,31 +160,18 @@ class DesignPoint:
             raise ValueError("a dense design has at most one layer")
 
     @classmethod
-    def for_dense(cls, shape=(785, 784), mode="sequential", phase="inference"):
-        """Single fully connected layer of the given weight shape."""
-        rows, cols = int(shape[0]), int(shape[1])
-        return cls("dense", mode, phase, (LayerGeometry(rows, cols, 1),))
+    def for_dense(cls, mode="sequential", phase="inference"):
+        """The dense net's one 785 x 784 (bias-augmented) layer."""
+        return cls("dense", mode, phase, (LayerGeometry(785, 784, 1),))
 
     @classmethod
-    def for_cnn(cls, image_shape=(28, 28), kernels=8, kernel_size=3,
-                mode="sequential", phase="inference"):
-        """Three conv stages: K same-pad kernels, pooled fusion, refinement.
-
-        Patch counts follow stride-1 same-padding convolution on the
-        stated image, with 2x2 pooling after the first stage (odd sides
-        padded up before pooling).
-        """
-        h, w = int(image_shape[0]), int(image_shape[1])
-        if h < 1 or w < 1:
-            raise ValueError("image sides must be >= 1")
-        kk = int(kernel_size) ** 2
-        ph, pw = (h + h % 2) // 2, (w + w % 2) // 2
-        layers = (
-            LayerGeometry(kk, int(kernels), h * w),
-            LayerGeometry(int(kernels) * kk, 1, ph * pw),
-            LayerGeometry(kk, 1, ph * pw),
-        )
-        return cls("cnn", mode, phase, layers)
+    def for_cnn(cls, mode="sequential", phase="inference"):
+        """The CNN's three stages on a 28 x 28 image: 8 same-pad 3 x 3
+        kernels, the 3D kernel over the 2 x 2-pooled maps and the 3 x 3
+        refinement, each read once per output pixel (its patches)."""
+        return cls("cnn", mode, phase, (LayerGeometry(9, 8, 28 * 28),
+                                         LayerGeometry(8 * 9, 1, 14 * 14),
+                                         LayerGeometry(9, 1, 14 * 14)))
 
 
 @dataclass(frozen=True)

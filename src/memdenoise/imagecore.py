@@ -155,7 +155,7 @@ def load_mnist(path, split):
 
     Returns:
         Dataset of (n, 28, 28) float64 images scaled by 1/255, labels 0..9,
-        file order preserved.
+        file order preserved. DatasetError if the split holds no records.
     """
     if split not in _MNIST_FILES:
         raise ValueError("unknown split %r" % (split,))
@@ -165,6 +165,8 @@ def load_mnist(path, split):
     if raw.shape[0] != labels.shape[0]:
         raise CountMismatchError(
             "%s: %d images vs %d labels" % (path, raw.shape[0], labels.shape[0]))
+    if raw.shape[0] == 0:
+        raise DatasetError("%s: the %s split holds no records" % (path, split))
     images = raw.astype(np.float64) / 255.0
     return Dataset(images, labels.astype(np.int64), split)
 

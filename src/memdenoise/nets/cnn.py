@@ -29,8 +29,8 @@ import numpy as np
 from .. import ckpt
 from ..device import DeviceModel
 from ..imagecore import plane_chunks, plane_samples, stack_from_planes
-from .common import (Layer, TrainConfig, check_epoch, check_trained,
-                     corrupt_plane, device_args, device_meta, training_epochs)
+from .common import (Layer, TrainConfig, corrupt_plane, device_args,
+                     device_meta, fit, training_planes)
 
 
 def _windows(x, k):
@@ -243,15 +243,11 @@ def cnn_loss_and_grads(x, target, k1, k3, k2):
 
 
 def cnn_train(cfg: TrainConfig, data, kernels=8, ksize=3):
-    """SGD training of the convolutional denoiser.
-
-    Kernel init is scaled Gaussian (seeded); updates average gradients
-    over the batch. Divergence aborts as in dense training.
-    """
-    clean, shape = plane_samples(data.images)
-    if cfg.limit is not None:
-        clean = clean[:cfg.limit]
-    n = clean.shape[0]
+    """SGD training of the convolutional denoiser under fit, from a
+    seeded Gaussian kernel init; each update averages the batch's
+    gradients, added per sample in sample order (that order fixes the
+    trained bits)."""
+    clean, shape = training_planes(data, cfg)
     rng = np.random.default_rng([cfg.seed, 0x31])
     # The 3D stage squeezes through one ReLU plane; a zero-mean start
     # leaves it dead, so k3 opens as a positive averaging kernel and k2
@@ -261,32 +257,24 @@ def cnn_train(cfg: TrainConfig, data, kernels=8, ksize=3):
           + rng.normal(0.0, 0.02, size=(kernels, ksize, ksize)))
     k2 = rng.normal(0.0, 0.02, size=(ksize, ksize))
     k2[ksize // 2, ksize // 2] += 1.0
-    rmse_log = []
-    for epoch, eta, batches in training_epochs(cfg, n):
-        sq_sum = 0.0
-        for idx in batches:
-            noisy = np.stack([
-                corrupt_plane(clean[i], shape, cfg.train_noise,
-                              [cfg.seed, epoch, int(i)]) for i in idx])
-            loss, (d1, d3, d2) = cnn_loss_and_grads(
-                noisy.reshape(-1, *shape), clean[idx].reshape(-1, *shape),
-                k1, k3, k2)
-            # Sums run in sample order: that order fixes the trained bits.
-            g1 = np.zeros_like(k1)
-            g3 = np.zeros_like(k3)
-            g2 = np.zeros_like(k2)
+
+    def step(epoch, eta, idx):
+        noisy = np.stack([
+            corrupt_plane(clean[i], shape, cfg.train_noise,
+                          [cfg.seed, epoch, int(i)]) for i in idx])
+        loss, grads = cnn_loss_and_grads(
+            noisy.reshape(-1, *shape), clean[idx].reshape(-1, *shape),
+            k1, k3, k2)
+        for k, d in zip((k1, k3, k2), grads):
+            g = np.zeros_like(k)
             for b in range(len(idx)):
-                sq_sum += loss[b]
-                g1 += d1[b]
-                g3 += d3[b]
-                g2 += d2[b]
+                g += d[b]
             if eta != 0.0:
-                k1 -= (eta / len(idx)) * g1
-                k3 -= (eta / len(idx)) * g3
-                k2 -= (eta / len(idx)) * g2
-        rmse_log.append(float(np.sqrt(sq_sum / n)))
-        check_epoch(epoch, rmse_log)
-    check_trained(rmse_log, k1, k3, k2)
+                k -= (eta / len(idx)) * g
+        return loss
+
+    n = len(clean)
+    rmse_log = fit(cfg, n, step, (k1, k3, k2), lambda s: float(np.sqrt(s / n)))
     return CnnDenoiser(k1, k3, k2, train_noise=cfg.train_noise.text(),
                        rmse_log=rmse_log, device=cfg.device,
                        program_seed=cfg.seed)

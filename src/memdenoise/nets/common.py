@@ -1,5 +1,5 @@
-"""Shared plumbing of the denoising networks: the programmed crossbar
-layer, the device record of a checkpoint and the training schedule."""
+"""Shared plumbing of the networks: the programmed crossbar layer, the
+device record of a checkpoint and fit, the one training loop."""
 
 import math
 import numbers
@@ -9,6 +9,7 @@ import numpy as np
 
 from .. import crossbar
 from ..device import DeviceModel
+from ..imagecore import plane_samples
 from ..noise import NoiseSpec, corrupt
 
 
@@ -44,7 +45,9 @@ class TrainConfig:
     tuned recipes in the CLI use 64). init 'zero' starts from an empty
     array, 'identity' from a pass-through mapping. device_in_loop
     reprograms the weights through the device model after every epoch
-    instead of once at the end.
+    instead of once at the end. limit keeps the first limit training
+    samples: channel planes for the denoisers (an RGB image is three),
+    whole images for the classifier.
     """
 
     # None trains on clean inputs (the classifier); denoiser trainers
@@ -138,44 +141,61 @@ def device_args(meta):
                                   variation_sigma=meta["variation_sigma"])}
 
 
-def training_epochs(cfg, n):
-    """(epoch, learning_rate / sqrt(epoch), minibatches) per epoch: the
-    minibatches are cfg.batch-sample index arrays (the last may be short)
-    of n samples shuffled each epoch by the [seed, 0x5F] stream."""
-    rng = np.random.default_rng([cfg.seed, 0x5F])
-    for epoch in range(1, cfg.epochs + 1):
-        perm = rng.permutation(n)
-        yield (epoch, cfg.learning_rate / np.sqrt(epoch),
-               [perm[i:i + cfg.batch] for i in range(0, n, cfg.batch)])
-
-
-def check_epoch(epoch, rmse_log):
-    """Raise TrainingDivergence if the epoch just logged has run away:
-    its RMSE exceeds twice the first epoch's or is not finite."""
-    rmse = rmse_log[-1]
-    if not (rmse <= 2.0 * rmse_log[0] and rmse < math.inf):
-        raise TrainingDivergence(epoch, rmse, rmse_log[0], rmse_log)
-
-
-def check_trained(rmse_log, *arrays):
-    """Raise TrainingDivergence if an array trained for len(rmse_log)
-    epochs holds NaN or a magnitude above MAX_GAIN: no readout gain can
+def check_trained(log, *arrays):
+    """Raise TrainingDivergence if an array trained for len(log) epochs
+    holds NaN or a magnitude above MAX_GAIN: no readout gain can
     program it."""
     if not all(max_abs(a) <= MAX_GAIN for a in arrays):
-        raise TrainingDivergence(len(rmse_log), rmse_log[-1], rmse_log[0],
-                                 rmse_log)
+        raise TrainingDivergence(len(log), log[-1], log[0], log)
 
 
-def device_in_loop(weights, cfg, epoch, rmse_log):
-    """weights as read back after programming them through cfg.device
-    with the [seed, 0x71, epoch] stream, if cfg trains device-in-loop on
-    a non-ideal device; else weights unchanged."""
-    if not cfg.device_in_loop or cfg.device.ideal:
-        return weights
-    check_trained(rmse_log, weights)
-    layer = Layer(weights.reshape(len(weights), -1), cfg.device,
-                  np.random.default_rng([cfg.seed, 0x71, epoch]))
-    return (layer.gain * layer.tiled.effective_weights()).reshape(weights.shape)
+def training_planes(data, cfg):
+    """The first cfg.limit channel planes of data's images (all of them
+    without a limit) as (n, h*w) rows, and the plane shape. Only the
+    images holding those planes are copied into planes."""
+    images = data.images
+    if cfg.limit is not None:
+        channels = images.shape[3] if np.ndim(images) == 4 else 1
+        images = images[:-(-cfg.limit // channels)]
+    clean, shape = plane_samples(images)
+    return clean[:cfg.limit], shape
+
+
+def fit(cfg, n, step, params, score, in_loop=()):
+    """Train params in place on n samples; return the per-epoch log.
+
+    Each epoch shuffles the samples with the [seed, 0x5F] stream and
+    calls step(epoch, learning_rate / sqrt(epoch), idx) on each cfg.batch
+    index array in turn (the last may be short). step updates params and
+    returns that minibatch's loss terms, added one by one in order into
+    the epoch's sum; score(sum) is logged. TrainingDivergence when a
+    logged score exceeds twice the first or is not finite, or when a
+    trained array cannot be programmed (check_trained). With
+    cfg.device_in_loop on a non-ideal device, every in_loop array is
+    overwritten after each epoch by its read-back through cfg.device
+    with the [seed, 0x71, epoch] stream.
+    """
+    rng = np.random.default_rng([cfg.seed, 0x5F])
+    log = []
+    for epoch in range(1, cfg.epochs + 1):
+        eta = cfg.learning_rate / np.sqrt(epoch)
+        perm = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, cfg.batch):
+            for term in step(epoch, eta, perm[lo:lo + cfg.batch]):
+                total += term
+        log.append(score(total))
+        if not (log[-1] <= 2.0 * log[0] and log[-1] < math.inf):
+            raise TrainingDivergence(epoch, log[-1], log[0], log)
+        if cfg.device_in_loop and not cfg.device.ideal:
+            check_trained(log, *in_loop)
+            for a in in_loop:
+                layer = Layer(a.reshape(len(a), -1), cfg.device,
+                              np.random.default_rng([cfg.seed, 0x71, epoch]))
+                a[...] = (layer.gain * layer.tiled.effective_weights()
+                          ).reshape(a.shape)
+    check_trained(log, *params)
+    return log
 
 
 def corrupt_plane(flat, shape, spec, seed_seq):

@@ -19,9 +19,8 @@ import numpy as np
 from .. import ckpt, crossbar
 from ..device import DeviceModel
 from ..imagecore import plane_chunks, plane_samples, stack_from_planes
-from .common import (Layer, TrainConfig, check_epoch, check_trained,
-                     corrupt_plane, device_args, device_in_loop, device_meta,
-                     training_epochs)
+from .common import (Layer, TrainConfig, corrupt_plane, device_args,
+                     device_meta, fit, training_planes)
 
 
 class DenseDenoiser:
@@ -98,49 +97,40 @@ class DenseDenoiser:
 
 
 def dense_train(cfg: TrainConfig, data):
-    """Train a dense denoiser on clean images with on-the-fly corruption.
-
-    Every epoch draws fresh noise per sample from substream
-    [seed, epoch, sample], shuffles with the config seed, and applies
-    delta-rule updates (mean over the batch). Epoch RMSE is logged; a
-    runaway epoch (see check_epoch) raises TrainingDivergence.
+    """Train a dense denoiser on clean planes corrupted afresh each epoch,
+    sample i in epoch e from substream [seed, e, i], by the delta rule
+    (mean update over the batch) under fit.
 
     The input, error and update buffers are allocated once per run; each
     in-place step is the same IEEE operation as its allocating form, so
     the trained bits do not depend on the buffering.
     """
-    clean, shape = plane_samples(data.images)
-    if cfg.limit is not None:
-        clean = clean[:cfg.limit]
+    clean, shape = training_planes(data, cfg)
     n, p = clean.shape
     weights = np.zeros((p + 1, p))
     if cfg.init == "identity":
         weights[:p] = np.eye(p)
-    rmse_log = []
-    spec = cfg.train_noise
     rows = min(cfg.batch, n)
     x_buf = np.ones((rows, p + 1))  # column p is the bias input, set once
     err_buf = np.empty((rows, p))
     g = np.empty((p + 1, p))
-    for epoch, eta, batches in training_epochs(cfg, n):
-        sq_sum = 0.0
-        for idx in batches:
-            x, err = x_buf[:len(idx)], err_buf[:len(idx)]
-            for row, i in zip(x, idx):
-                row[:p] = corrupt_plane(clean[i], shape, spec,
-                                        [cfg.seed, epoch, int(i)])
-            np.matmul(x, weights, out=err)
-            np.subtract(clean[idx], err, out=err)
-            if eta != 0.0:
-                np.matmul(x.T, err, out=g)
-                g *= eta / len(idx)
-                weights += g
-            np.multiply(err, err, out=err)  # err is spent: square in place
-            sq_sum += float(np.sum(err))
-        rmse_log.append(float(np.sqrt(sq_sum / (n * p))))
-        check_epoch(epoch, rmse_log)
-        weights = device_in_loop(weights, cfg, epoch, rmse_log)
-    check_trained(rmse_log, weights)
-    return DenseDenoiser(weights, shape, train_noise=spec.text(),
+
+    def step(epoch, eta, idx):
+        x, err = x_buf[:len(idx)], err_buf[:len(idx)]
+        for row, i in zip(x, idx):
+            row[:p] = corrupt_plane(clean[i], shape, cfg.train_noise,
+                                    [cfg.seed, epoch, int(i)])
+        np.matmul(x, weights, out=err)
+        np.subtract(clean[idx], err, out=err)
+        if eta != 0.0:
+            np.matmul(x.T, err, out=g)
+            np.multiply(g, eta / len(idx), out=g)
+            np.add(weights, g, out=weights)
+        np.multiply(err, err, out=err)  # err is spent: square in place
+        return [float(np.sum(err))]
+
+    rmse_log = fit(cfg, n, step, [weights],
+                   lambda s: float(np.sqrt(s / (n * p))), in_loop=[weights])
+    return DenseDenoiser(weights, shape, train_noise=cfg.train_noise.text(),
                          rmse_log=rmse_log, device=cfg.device,
                          program_seed=cfg.seed)

@@ -22,8 +22,8 @@ from .. import ckpt, crossbar
 from ..device import DeviceModel
 from ..imagecore import plane_chunks, plane_samples, stack_from_planes
 from ..noise import corrupt, parse_spec
-from .common import (Layer, TrainConfig, check_epoch, check_trained,
-                     device_args, device_in_loop, device_meta, training_epochs)
+from .common import (Layer, TrainConfig, device_args, device_meta, fit,
+                     training_planes)
 from .cnn import unfold_stack
 from .dense import DenseDenoiser
 
@@ -118,7 +118,8 @@ def fusion_init(member_count: int, size: int = 3, kind: str = "zero"):
 
 
 def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
-    """Train the fusion kernel over frozen members by the delta rule.
+    """Train the fusion kernel over frozen members by the delta rule
+    under fit.
 
     cfg.clean_fraction of the samples pass through the members
     uncorrupted; the rest draw one of the members' own recorded
@@ -130,41 +131,37 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
     members = tuple(members)
     specs = ([parse_spec(m.train_noise) for m in members]
              if cfg.clean_fraction < 1.0 else [])
-    clean, shape = plane_samples(data.images)
-    if cfg.limit is not None:
-        clean = clean[:cfg.limit]
+    clean, shape = training_planes(data, cfg)
     n, p = clean.shape
     kflat = fusion_init(len(members), size, cfg.init).reshape(-1)
-    rmse_log = []
-    for epoch, eta, batches in training_epochs(cfg, n):
-        sq_sum = 0.0
-        for idx in batches:
-            inputs = np.empty((len(idx), p))
-            for row, i in enumerate(idx):
-                sample_rng = np.random.default_rng([cfg.seed, epoch, int(i)])
-                if sample_rng.random() < cfg.clean_fraction:
-                    inputs[row] = clean[i]
-                else:
-                    spec = specs[sample_rng.integers(len(specs))]
-                    inputs[row] = corrupt(clean[i].reshape(shape), spec,
-                                          sample_rng).reshape(-1)
-            # The members clamp their inputs. One batched readout per
-            # member and one unfold per minibatch.
-            # The kernel update stays per sample, in sample order.
-            planes = np.stack([m.forward_flat(inputs) for m in members], axis=1)
-            patches = unfold_stack(
-                planes.reshape(len(idx), len(members), *shape), size)
-            grad = np.zeros_like(kflat)
-            for row, i in enumerate(idx):
-                err = clean[i] - patches[row] @ kflat
-                sq_sum += float(err @ err)
-                grad += patches[row].T @ err / p
-            if eta != 0.0:
-                kflat += (eta / len(idx)) * grad
-        rmse_log.append(float(np.sqrt(sq_sum / (n * p))))
-        check_epoch(epoch, rmse_log)
-        kflat = device_in_loop(kflat, cfg, epoch, rmse_log)
-    check_trained(rmse_log, kflat)
+
+    def step(epoch, eta, idx):
+        inputs = np.empty((len(idx), p))
+        for row, i in enumerate(idx):
+            sample_rng = np.random.default_rng([cfg.seed, epoch, int(i)])
+            if sample_rng.random() < cfg.clean_fraction:
+                inputs[row] = clean[i]
+            else:
+                spec = specs[sample_rng.integers(len(specs))]
+                inputs[row] = corrupt(clean[i].reshape(shape), spec,
+                                      sample_rng).reshape(-1)
+        # The members clamp their inputs. One batched readout per member
+        # and one unfold per minibatch; the update stays per sample.
+        planes = np.stack([m.forward_flat(inputs) for m in members], axis=1)
+        patches = unfold_stack(
+            planes.reshape(len(idx), len(members), *shape), size)
+        grad = np.zeros_like(kflat)
+        terms = []
+        for row, i in enumerate(idx):
+            err = clean[i] - patches[row] @ kflat
+            terms.append(float(err @ err))
+            grad += patches[row].T @ err / p
+        if eta != 0.0:
+            kflat[...] += (eta / len(idx)) * grad
+        return terms
+
+    rmse_log = fit(cfg, n, step, [kflat],
+                   lambda s: float(np.sqrt(s / (n * p))), in_loop=[kflat])
     kernel = kflat.reshape(len(members), size, size)
     return FusionDenoiser(members, kernel, rmse_log=rmse_log,
                           device=cfg.device, program_seed=cfg.seed)

@@ -37,6 +37,46 @@ def toy_config(**overrides):
     return TrainConfig(**base)
 
 
+def allocating_classifier_train(data, cfg, hidden):
+    """(w1, b1, w2, b2, loss_log) of the classifier's minibatch SGD loop,
+    written out in full: the reference train_classifier must equal."""
+    images = np.asarray(data.images, dtype=np.float64)
+    flat, labels = images.reshape(len(images), -1), np.asarray(data.labels)
+    if cfg.limit is not None:
+        flat, labels = flat[:cfg.limit], labels[:cfg.limit]
+    n = len(flat)
+    clf = Classifier.initial(hidden, images.shape[1:], seed=cfg.seed)
+    w1, b1, w2, b2 = (a.copy() for a in (clf.w1, clf.b1, clf.w2, clf.b2))
+    onehot = np.eye(10)[labels]
+    rng = np.random.default_rng([cfg.seed, 0x5F])
+    loss_log = []
+    for epoch in range(1, cfg.epochs + 1):
+        eta = cfg.learning_rate / np.sqrt(epoch)
+        perm = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch):
+            idx = perm[start:start + cfg.batch]
+            x, y = flat[idx], onehot[idx]
+            pre = x @ w1 + b1
+            hid = np.maximum(0.0, pre)
+            prob = _softmax(hid @ w2 + b2)
+            picked = prob[np.arange(len(idx)), labels[idx]]
+            loss_sum += float(-np.sum(np.log(np.maximum(picked, 1e-300))))
+            g_logit = (prob - y) / len(idx)
+            g_w2 = hid.T @ g_logit
+            g_b2 = g_logit.sum(axis=0)
+            g_hid = (g_logit @ w2.T) * (pre > 0)
+            g_w1 = x.T @ g_hid
+            g_b1 = g_hid.sum(axis=0)
+            if eta != 0.0:
+                w1 -= eta * g_w1
+                b1 -= eta * g_b1
+                w2 -= eta * g_w2
+                b2 -= eta * g_b2
+        loss_log.append(loss_sum / n)
+    return w1, b1, w2, b2, loss_log
+
+
 class IdentityDenoiser:
     def forward_stack(self, images):
         return np.asarray(images, dtype=np.float64)
@@ -122,6 +162,18 @@ class TestTraining:
         assert clf.accuracy(held_out.images, held_out.labels) >= 0.95
         assert clf.loss_log[-1] < clf.loss_log[0]
         assert len(clf.loss_log) == 8
+
+    @pytest.mark.parametrize("n,batch,limit", [
+        (40, 1, None), (400, 7, None), (400, 16, 45)],
+        ids=["batch-1", "ragged-tail", "limit"])
+    def test_bits_equal_reference_loop(self, n, batch, limit):
+        data = toy_data(n=n)
+        cfg = toy_config(epochs=3, batch=batch, limit=limit)
+        clf = train_classifier(data, cfg, hidden=16)
+        *layers, loss_log = allocating_classifier_train(data, cfg, 16)
+        for got, want in zip((clf.w1, clf.b1, clf.w2, clf.b2), layers):
+            assert got.tobytes() == want.tobytes()
+        assert clf.loss_log == loss_log
 
     def test_permuted_labels_stay_near_chance(self):
         data = toy_data()

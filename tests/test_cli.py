@@ -345,6 +345,24 @@ class TestExitCodes:
                      "--outdir", str(tmp_path / "out")]) == 2
         assert str(target) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,split", [
+        (["train", "--net", "dense", "--noise", "gaussian:0.1"], "train"),
+        (["train", "--net", "cnn", "--noise", "gaussian:0.1"], "train"),
+        (["classify"], "train"), (["eval"], "test")],
+        ids=["train-dense", "train-cnn", "classify", "eval"])
+    def test_empty_idx_split_returns_two(self, capsys, tmp_path, argv, split):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("train", "t10k"):
+            write_idx_images(data / f"{name}-images-idx3-ubyte",
+                             np.zeros((0, 8, 8), dtype=np.uint8))
+            write_idx_labels(data / f"{name}-labels-idx1-ubyte",
+                             np.zeros(0, dtype=np.uint8))
+        assert main([*argv, "--data", str(data), "--seed", "1",
+                     "--outdir", str(tmp_path / "out")]) == 2
+        assert (f"cannot load mnist {split}: {data}: the {split} split holds "
+                "no records") in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("build,argv,cause", [
     (lambda: parse_spec("gaussian:nan"),

@@ -11,7 +11,7 @@ from memdenoise.imagecore import (ImageShapeError, plane_chunks,
                                   plane_samples)
 from memdenoise.nets.common import (MAX_GAIN, TrainConfig,
                                     TrainingDivergence, corrupt_plane,
-                                    device_meta, pow2_scale)
+                                    device_meta, pow2_scale, training_planes)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.noise import corrupt, parse_spec
 
@@ -67,6 +67,19 @@ class TestHelpers:
         assert flat.shape == (6, 20) and shape == (4, 5)
         np.testing.assert_array_equal(flat[0], imgs[0, :, :, 0].reshape(-1))
         np.testing.assert_array_equal(flat[1], imgs[0, :, :, 1].reshape(-1))
+
+    @pytest.mark.parametrize("limit", [None, 1, 2, 3, 4, 7, 12, 13])
+    @pytest.mark.parametrize("channels", [0, 1, 3])
+    def test_training_planes_are_the_first_limit_planes(self, rng, limit,
+                                                        channels):
+        # channels 0: a gray (n, h, w) stack
+        from memdenoise.imagecore import Dataset
+        imgs = rng.random((4, 3, 5) + ((channels,) if channels else ()))
+        data = Dataset(imgs, np.zeros(4, dtype=np.int64), "train")
+        cfg = TrainConfig(parse_spec("gaussian:0.1"), limit=limit)
+        clean, shape = training_planes(data, cfg)
+        assert shape == (3, 5)
+        assert np.array_equal(clean, plane_samples(imgs)[0][:limit])
 
     def test_corrupt_plane_clamps_by_default(self):
         flat = np.zeros(64)

@@ -28,12 +28,11 @@ BUDGET = ComponentBudget()
 
 
 def dense_point(mode="sequential", phase="inference"):
-    return DesignPoint.for_dense(shape=(785, 784), mode=mode, phase=phase)
+    return DesignPoint.for_dense(mode=mode, phase=phase)
 
 
 def cnn_point(mode="sequential", phase="inference"):
-    return DesignPoint.for_cnn(image_shape=(28, 28), kernels=8, kernel_size=3,
-                               mode=mode, phase=phase)
+    return DesignPoint.for_cnn(mode=mode, phase=phase)
 
 
 class TestCountTiles:
@@ -138,11 +137,6 @@ class TestDesignPoint:
             LayerGeometry(72, 1, 196),
             LayerGeometry(9, 1, 196),
         )
-
-    def test_cnn_odd_image_pools_with_pad(self):
-        point = DesignPoint.for_cnn(image_shape=(27, 27))
-        assert point.layers[0].passes == 27 * 27
-        assert point.layers[1].passes == 14 * 14
 
     def test_layers_coerced_to_tuple(self):
         point = DesignPoint("cnn", "sequential", "inference",
