@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .imagecore import plane_chunks, plane_samples, stack_from_planes
+from .imagecore import map_planes
 from .noise import format_number
 
 __all__ = [
@@ -175,18 +175,14 @@ _PLANE_KERNELS = {"gauss": _gauss_planes, "median": _median_planes,
 def filter_stack(imgs, spec: FilterSpec):
     """Apply one filter across an (n, h, w) or (n, h, w, c) stack.
 
-    Channels become (h, w) planes (imagecore.plane_samples), filtered a
-    chunk of planes per call (plane_chunks: the TV iteration holds about
-    12 arrays of each plane's size, and stays in cache) and clipped to
-    [0, 1]; every image comes out exactly as it would alone.
+    Channels become (h, w) planes, filtered a chunk of images per call
+    (imagecore.map_planes: the TV iteration holds about 12 arrays of
+    each plane's size, and stays in cache) and clipped to [0, 1]; every
+    image comes out exactly as it would alone.
     """
-    flat, shape = plane_samples(imgs)
-    planes = flat.reshape((-1,) + shape)
     kernel = _PLANE_KERNELS[spec.kind]
-    out = np.empty(planes.shape)
-    for chunk in plane_chunks(len(planes), 12 * flat.shape[1]):
-        out[chunk] = np.clip(kernel(planes[chunk], spec), 0.0, 1.0)
-    return stack_from_planes(out, imgs)
+    return map_planes(lambda planes: np.clip(kernel(planes, spec), 0.0, 1.0),
+                      imgs, 12 * np.prod(np.shape(imgs)[1:3]))
 
 
 def gaussian_blur(img, sigma: float):

@@ -2,8 +2,9 @@
 
 _COMMANDS maps each subcommand (train, eval, sweep, cost, classify) to
 its function and help line.  Exit codes: 0 success, 2 validation error,
-3 training divergence.  train's bank members and sweep's variants run
-in one fork pool (_fork_map).
+3 training divergence.  train's bank members, sweep's variants and each
+eval noise's pipelines run in one fork pool (_fork_map), in which this
+process works the front of the list and forked workers the back.
 
 The configuration is DEFAULT_CONFIG, overlaid by a JSON document
 (--config), overlaid by command-line flags.  OPTIONS lists every key
@@ -394,40 +395,59 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
-# The (fn, items) of the open _fork_map pool; its forked workers inherit
-# it, so neither is ever pickled.
+# The (fn, items, claimed) of the open _fork_map pool; its forked workers
+# inherit it, so none of them is ever pickled.
 _task = None
 
 
+def _claim(claimed, index):
+    """True for the one process that takes items[index]."""
+    with claimed.get_lock():
+        first = not claimed[index]
+        claimed[index] = 1
+    return first
+
+
 def _run_task(index):
-    fn, items = _task
-    return fn(items[index])
+    fn, items, claimed = _task
+    return fn(items[index]) if _claim(claimed, index) else None
 
 
 def _fork_map(fn, items, name):
-    """[fn(item) for item in items], run by up to one worker per CPU.
+    """[fn(item) for item in items], this process and up to one forked
+    worker per other CPU working through them.
 
-    Workers are forked, so fn and what it closes over (a 376 MB MNIST
-    train split, say) reach them unpickled; callers start no threads
-    first. With one worker the items run in this process. The first item
-    to fail, in input order, raises its own error here, and a dead worker
-    a CliError naming name(item); pending items are then cancelled.
+    The workers take the items from the back and this process from the
+    front, each item claimed by the first to reach it, so the front
+    items' work (and anything a profiler records of it) stays here. fn
+    and what it closes over (a 376 MB MNIST train split, say) reach the
+    workers unpickled; callers start no threads first, and fn must not
+    fork: a _fork_map called while a pool is open runs its items in the
+    calling process. With one CPU or one item everything runs here. The
+    first item to fail, in input order, raises its own error, and an
+    item lost with a dead worker a CliError naming name(item); items
+    nobody has started are then dropped.
     """
     global _task
-    workers = min(len(items), _cpus())
-    if workers <= 1:
+    workers = min(len(items), _cpus()) - 1
+    if workers < 1 or _task is not None:
         return [fn(item) for item in items]
-    _task, results = (fn, items), []
-    pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"))
+    fork = mp.get_context("fork")
+    claimed = fork.Array("b", len(items))
+    _task, results = (fn, items, claimed), []
+    pool = ProcessPoolExecutor(workers, mp_context=fork)
     try:
-        futures = [pool.submit(_run_task, i) for i in range(len(items))]
-        for future in futures:
-            results.append(future.result())
+        futures = [pool.submit(_run_task, i)
+                   for i in reversed(range(len(items)))]
+        for i, future in enumerate(reversed(futures)):
+            results.append(fn(items[i]) if _claim(claimed, i)
+                           else future.result())
         return results
     except BrokenProcessPool:
         raise CliError(f"{name(items[len(results)])}: a worker process "
                        "died") from None
     finally:
+        claimed[:] = [1] * len(items)  # workers skip what nobody started
         pool.shutdown(cancel_futures=True)
         _task = None
 
@@ -509,14 +529,18 @@ def cmd_eval(config):
             noisy = corrupt_dataset(data.images, spec, config["seed"])
             text = spec.text()
         rows.append(metrics.evaluate_pairs(data.images, noisy, text, "noisy"))
-        outputs = [("noisy", noisy)]
-        for method, forward in pipelines:
-            denoised = forward(noisy)
-            rows.append(metrics.evaluate_pairs(data.images, denoised, text,
-                                               method))
+
+        def score(pipeline):
             # Only the dumped images outlive the scoring.
-            outputs.append((method, denoised[:len(dumps)].copy()))
-            del denoised
+            method, forward = pipeline
+            denoised = forward(noisy)
+            return (metrics.evaluate_pairs(data.images, denoised, text, method),
+                    denoised[:len(dumps)].copy())
+
+        scored = _fork_map(score, pipelines, lambda p: f"eval {p[0]}")
+        rows += [report for report, _ in scored]
+        outputs = [("noisy", noisy)] + [(report.method, dumped)
+                                        for report, dumped in scored]
         for i in dumps:
             base = os.path.join(dump_root, _safe(text))
             os.makedirs(base, exist_ok=True)

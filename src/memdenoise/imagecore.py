@@ -3,10 +3,10 @@
 Images are float64 numpy arrays with intensities in [0, 1], shaped (h, w)
 for a single grayscale plane or (h, w, c) with c channels (3 for RGB).
 Datasets stack images along axis 0 and are immutable after construction.
-plane_samples and its inverse stack_from_planes are the one view of a
-stack as (h, w) planes, one per image channel: the denoisers, the
-filters and the SSIM scorer work on planes, and no other module moves a
-channel axis. plane_chunks is the one chunk rule of those stack passes.
+plane_samples and map_planes are the one view of a stack as (h, w)
+planes, one per image channel: the denoisers, the filters and the SSIM
+scorer work on planes, and no other module moves a channel axis.
+plane_chunks is the one chunk rule of those stack passes.
 
 Supported inputs: IDX files (big-endian dimension header, optionally
 gzipped) and CIFAR-10 binary batches (1 label byte + 3072 channel-planar
@@ -201,22 +201,28 @@ class ImageShapeError(ValueError):
     """An image stack whose planes are not the size a network was built for."""
 
 
-def plane_samples(images, shape=None, owner=""):
-    """An (n, h, w) or (n, h, w, c) stack as (n*c, h*w) flattened planes,
-    each image's channels in channel order, and the plane shape (h, w).
+def _planes(images, shape, owner):
+    """An (n, h, w) or (n, h, w, c) float64 stack as an (n, c, h, w)
+    view (c = 1 for the former): each image's channels in channel order.
 
     With shape given, ImageShapeError naming owner unless the planes are
     that shape.
     """
-    images = np.asarray(images, dtype=np.float64)
     if shape is not None and images.shape[1:3] != tuple(shape):
         raise ImageShapeError(
             f"images {images.shape}, {owner} expects {tuple(shape)}")
     if images.ndim not in (3, 4):
         raise ValueError(f"expected an (n, h, w) or (n, h, w, c) stack, got "
                          f"shape {images.shape}")
-    h, w = images.shape[1:3]
-    planes = images if images.ndim == 3 else images.transpose(0, 3, 1, 2)
+    return images[:, None] if images.ndim == 3 else images.transpose(0, 3, 1, 2)
+
+
+def plane_samples(images, shape=None, owner=""):
+    """An (n, h, w) or (n, h, w, c) stack as (n*c, h*w) flattened planes,
+    each image's channels in channel order, and the plane shape (h, w);
+    see _planes for shape and owner."""
+    planes = _planes(np.asarray(images, dtype=np.float64), shape, owner)
+    h, w = planes.shape[2:]
     return planes.reshape(-1, h * w), (h, w)
 
 
@@ -230,14 +236,22 @@ def plane_chunks(n, plane_elements):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
-def stack_from_planes(out, images):
-    """Inverse of plane_samples: (n*c, ...) back to the layout of images,
-    C-contiguous."""
-    shape = np.shape(images)
-    if len(shape) == 3:
-        return out.reshape(shape)
-    n, h, w, c = shape
-    return np.ascontiguousarray(out.reshape(n, c, h, w).transpose(0, 2, 3, 1))
+def map_planes(fn, images, plane_elements, shape=None, owner=""):
+    """fn over the channel planes of an (n, h, w) or (n, h, w, c) stack,
+    back in the stack's layout (a new C-contiguous float64 array).
+
+    fn takes an (m, h, w) array of planes and returns m planes of values.
+    It is called once per plane_chunks chunk of images, each image's
+    planes together, so neither the stack nor its output is ever
+    transposed whole; see _planes for shape and owner.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    out = np.empty(images.shape)
+    planes, into = _planes(images, shape, owner), _planes(out, None, "")
+    n, c, h, w = planes.shape
+    for chunk in plane_chunks(n, c * plane_elements):
+        into[chunk] = fn(planes[chunk].reshape(-1, h, w)).reshape(-1, c, h, w)
+    return out
 
 
 def image_suffix(img):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import ckpt
 from ..device import DeviceModel
-from ..imagecore import plane_chunks, plane_samples, stack_from_planes
+from ..imagecore import map_planes
 from .common import (Layer, TrainConfig, corrupt_plane, device_args,
                      device_meta, fit, training_planes)
 
@@ -143,21 +143,19 @@ class CnnDenoiser:
 
         Shape preserving: odd sides are reflect-padded on the way in and
         cropped on the way out. Planes run through the crossbars a chunk
-        at a time (see plane_chunks), so the patch matrices stay about
+        at a time (see map_planes), so the patch matrices stay about
         4 MB however long the stack is.
         """
-        flat, (h, w) = plane_samples(images)
-        planes = flat.reshape(-1, h, w)
-        out = np.empty_like(planes)
-        # widest patches: conv1's h*w x k*k or the 3D stage's h*w/4 x K*k*k
-        widest = h * w // 4 * max(4, self.kernels) * self.ksize ** 2
-        for chunk in plane_chunks(len(planes), widest):
-            x = planes[chunk]
+        h, w = np.shape(images)[1:3]
+
+        def forward(x):
             if h % 2 or w % 2:
                 x = np.pad(x, ((0, 0), (0, h % 2), (0, w % 2)), mode="reflect")
-            y = self._forward_linear(x)
-            out[chunk] = np.clip(y[:, :h, :w], 0.0, 1.0)
-        return stack_from_planes(out, images)
+            return np.clip(self._forward_linear(x)[:, :h, :w], 0.0, 1.0)
+
+        # widest patches: conv1's h*w x k*k or the 3D stage's h*w/4 x K*k*k
+        return map_planes(forward, images,
+                          h * w // 4 * max(4, self.kernels) * self.ksize ** 2)
 
     def save(self, path):
         meta = {"train_noise": self.train_noise, **device_meta(self)}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import ckpt, crossbar
 from ..device import DeviceModel
-from ..imagecore import plane_chunks, plane_samples, stack_from_planes
+from ..imagecore import map_planes
 from .common import (Layer, TrainConfig, corrupt_plane, device_args,
                      device_meta, fit, training_planes)
 
@@ -65,14 +65,12 @@ class DenseDenoiser:
         return np.clip(self.layer.read(x), 0.0, 1.0)
 
     def forward_stack(self, images):
-        """Denoise a stack of images, one batched readout per plane_chunks
+        """Denoise a stack of images, one batched readout per map_planes
         chunk (the clamp, bias column and readout hold about 4 planes);
         readout rows are independent, so chunking changes only memory."""
-        flat, _ = plane_samples(images, self.shape, "dense net")
-        out = np.empty(flat.shape)
-        for rows in plane_chunks(len(flat), 4 * flat.shape[1]):
-            out[rows] = self.forward_flat(flat[rows])
-        return stack_from_planes(out, images)
+        return map_planes(
+            lambda planes: self.forward_flat(planes.reshape(len(planes), -1)),
+            images, 4 * self.shape[0] * self.shape[1], self.shape, "dense net")
 
     def state(self):
         """Checkpoint metadata and named arrays, programmed state included;

@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import ckpt, crossbar
 from ..device import DeviceModel
-from ..imagecore import plane_chunks, plane_samples, stack_from_planes
+from ..imagecore import map_planes, plane_chunks
 from ..noise import corrupt, parse_spec
 from .common import (Layer, TrainConfig, device_args, device_meta, fit,
                      training_planes)
@@ -58,25 +58,29 @@ class FusionDenoiser:
     def forward_stack(self, images):
         """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
 
-        Two levels of plane_chunks: each member clamps and reads an
-        outer chunk, sized by the member outputs, in one batched readout;
-        the fusion readout then reads the outer chunk's planes an inner
-        chunk at a time, sized by its patch matrix. Readout rows are
-        independent, so chunking changes only the memory held.
+        Two levels of chunks: each member clamps and reads an outer
+        map_planes chunk, sized by the member outputs, in one batched
+        readout; the fusion readout then reads the outer chunk's planes
+        an inner plane_chunks chunk at a time, sized by its patch matrix.
+        Readout rows are independent, so chunking changes only the
+        memory held.
         """
-        flat, (h, w) = plane_samples(images, self.shape, "fusion net")
-        depth, size = len(self.members), self.kernel.size
-        out = np.empty((len(flat), h * w))
-        for outer in plane_chunks(len(flat), depth * h * w):
-            planes = np.stack([m.forward_flat(flat[outer]) for m in
-                               self.members], axis=1).reshape(-1, depth, h, w)
-            fused = out[outer]
+        (h, w), depth, size = self.shape, len(self.members), self.kernel.size
+
+        def forward(chunk):
+            flat = chunk.reshape(len(chunk), -1)
+            planes = np.stack([m.forward_flat(flat) for m in self.members],
+                              axis=1).reshape(-1, depth, h, w)
+            fused = np.empty(flat.shape)
             for inner in plane_chunks(len(planes), h * w * size):
                 patches = unfold_stack(planes[inner], self.kernel.shape[1])
                 y = self.layer.read(patches.reshape(-1, size))
                 del patches
                 fused[inner] = np.clip(y[:, 0], 0.0, 1.0).reshape(-1, h * w)
-        return stack_from_planes(out, images)
+            return fused
+
+        return map_planes(forward, images, depth * h * w, self.shape,
+                          "fusion net")
 
     def save(self, path):
         """One checkpoint: the kernel's state plus every member's, by name;

@@ -6,6 +6,7 @@ checked at the byte level on the emitted files.
 """
 
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -57,6 +58,9 @@ def corpus(tmp_path_factory):
                      (np.arange(24) % 10).astype(np.uint8))
     return str(root)
 
+
+# Events the tests share with forked pool workers.
+FORK = multiprocessing.get_context("fork")
 
 TRAIN_ARGS = ["--seed", "5", "--net", "dense", "--noise", "gaussian:0.1",
               "--lr", "0.05", "--epochs", "2", "--batch", "8", "--limit", "32"]
@@ -715,8 +719,16 @@ class TestBankTraining:
 
     def test_dead_worker_is_one_line_naming_member(self, corpus, capsys,
                                                    monkeypatch, tmp_path):
+        # The worker takes the last member and dies in it; this process
+        # trains the first once the worker has started.
+        started, pid = FORK.Event(), os.getpid()
+
         def dies(cfg, data):
-            os._exit(1)
+            if os.getpid() != pid:
+                started.set()
+                os._exit(1)
+            assert started.wait(10)
+            return dense_train(cfg, data)
 
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         monkeypatch.setitem(cli._TRAINERS, "dense", dies)
@@ -725,8 +737,8 @@ class TestBankTraining:
                 "--noise", "sp:0.1"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == ("error: training dense gaussian:0.1: a worker "
-                       "process died\n")
+        assert err == ("error: training dense sp:0.1: a worker process "
+                       "died\n")
 
     def test_bad_setting_exits_before_any_member_trains(
             self, corpus, capsys, monkeypatch, tmp_path):
@@ -790,6 +802,71 @@ class TestEvalCommand:
         lines = Path(out, "eval.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "noisy"
+
+
+@pytest.fixture(scope="module")
+def fusion_ckpt(corpus, member_dir, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("fusion"))
+    assert main(["train", "--net", "fusion", "--data", corpus, "--seed", "5",
+                 "--members", member_dir, "--epochs", "1", "--limit", "16",
+                 "--outdir", out]) == 0
+    return os.path.join(out, "fusion.bin")
+
+
+class TestEvalPool:
+    # Each noise's pipelines run in the fork pool: the net here, filters
+    # in workers as CPUs allow.
+    def test_outputs_do_not_depend_on_cpus(self, corpus, fusion_ckpt,
+                                           capsys, monkeypatch, tmp_path):
+        runs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(cli, "_cpus", lambda c=cpus: c)
+            out = tmp_path / str(cpus)
+            assert main(["eval", "--data", corpus, "--seed", "5",
+                         "--checkpoint", fusion_ckpt, "--filter", "median:3",
+                         "--filter", "gauss:0.8", "--filter", "tv:0.1",
+                         "--noise", "gaussian:0.1", "--noise", "sp:0.1",
+                         "--dump", "2", "--json", "--outdir", str(out)]) == 0
+            wrote = capsys.readouterr().out.splitlines()
+            runs.append(([os.path.relpath(line[len("wrote "):], out)
+                          for line in wrote],
+                         {name: (out / name).read_bytes()
+                          for name in files_under(out)}))
+        assert runs[0] == runs[1] == runs[2]
+        wrote, files = runs[0]
+        assert sorted(wrote) == sorted(files)
+        assert wrote[-2:] == ["eval.csv", "eval.json"]
+        assert len(wrote) == 2 + 2 * 2 * 6  # clean, noisy and 4 pipelines
+        methods = [line.split(",")[1] for line in
+                   files["eval.csv"].decode().splitlines()[1:]]
+        assert methods == ["noisy", "fusion", "median:3", "gauss:0.8",
+                           "tv:0.1:50"] * 2
+
+    def test_dead_worker_exits_two_naming_the_pipeline(
+            self, corpus, capsys, monkeypatch, tmp_path):
+        # The worker takes the last pipeline and dies in it; this process
+        # runs the first once the worker has started.
+        started, pid = FORK.Event(), os.getpid()
+        filter_stack = cli.baselines.filter_stack
+
+        def dies(stack, spec):
+            if os.getpid() != pid:
+                started.set()
+                os._exit(1)
+            assert started.wait(10)
+            return filter_stack(stack, spec)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli.baselines, "filter_stack", dies)
+        out = tmp_path / "out"
+        assert main(["eval", "--data", corpus, "--seed", "5", "--filter",
+                     "gauss:0.8", "--filter", "median:3", "--noise",
+                     "gaussian:0.1", "--outdir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: eval median:3: a worker process "
+                                "died\n")
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -917,8 +994,16 @@ class TestParallelRuns:
 
     def test_dead_sweep_worker_is_one_line_naming_variant(
             self, corpus, dense_ckpt, capsys, monkeypatch, tmp_path):
+        # The worker takes the last variant and dies in it; this process
+        # scores the first once the worker has started.
+        started, pid, build = FORK.Event(), os.getpid(), cli._sweep_variant
+
         def dies(net, param, value, seed):
-            os._exit(1)
+            if os.getpid() != pid:
+                started.set()
+                os._exit(1)
+            assert started.wait(10)
+            return build(net, param, value, seed)
 
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_sweep_variant", dies)
@@ -927,7 +1012,7 @@ class TestParallelRuns:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: sweep ideal: a worker process "
+        assert captured.err == ("error: sweep levels 4: a worker process "
                                 "died\n")
         assert os.listdir(tmp_path) == []
 
@@ -948,13 +1033,54 @@ class TestParallelRuns:
         assert capsys.readouterr().err == "error: cannot program 4 levels\n"
 
 class TestForkMap:
-    def test_results_keep_input_order_and_come_from_workers(
-            self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_results_keep_input_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        assert cli._fork_map(lambda i: i * i, list(range(9)), str) == [
+            i * i for i in range(9)]
+
+    def test_first_item_runs_here_and_last_in_a_worker(self, monkeypatch):
+        # Item 0 cannot end before item 2 has started and item 2 cannot
+        # end before item 0 has started, so with one worker (which takes
+        # item 2 first) each must run where the pool's rule puts it.
+        front, back = FORK.Event(), FORK.Event()
+
+        def fn(i):
+            if i == 0:
+                front.set()
+                assert back.wait(10)
+            if i == 2:
+                assert front.wait(10)
+                back.set()
+            return i, os.getpid()
+
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        got = cli._fork_map(lambda i: (i * i, os.getpid()), list(range(6)),
-                            str)
-        assert [square for square, _ in got] == [0, 1, 4, 9, 16, 25]
-        assert os.getpid() not in {pid for _, pid in got}
+        got = cli._fork_map(fn, [0, 1, 2], str)
+        assert [i for i, _ in got] == [0, 1, 2]
+        assert got[0][1] == os.getpid() != got[2][1]
+
+    def test_failure_here_wins_over_a_later_one_in_a_worker(self,
+                                                            monkeypatch):
+        # Item 2 fails in the worker before item 0 fails here.
+        front, back = FORK.Event(), FORK.Event()
+
+        def fn(i):
+            if i == 0:
+                front.set()
+                assert back.wait(10)
+                time.sleep(0.1)
+                raise ValueError("item 0 failed")
+            if i == 2:
+                assert front.wait(10)
+                back.set()
+                raise CliError("item 2 failed")
+            return i
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        with pytest.raises(ValueError) as info:
+            cli._fork_map(fn, [0, 1, 2], str)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "item 0 failed"
 
     @pytest.mark.parametrize("cpus, items", [(1, [1, 2, 3]), (4, [7])])
     def test_one_worker_runs_in_this_process(self, monkeypatch, cpus, items):
@@ -977,6 +1103,29 @@ class TestForkMap:
             cli._fork_map(fn, [0, 1, 2, 3], str)
         assert type(info.value) is ValueError
         assert str(info.value) == "item 1 failed"
+
+    def test_a_map_inside_an_open_pool_runs_serially(self, monkeypatch):
+        # Forking while the pool's manager thread runs is unsafe, so a
+        # task's own _fork_map, here (item 0) or in a worker (item 3, the
+        # first a worker takes), forks nothing.
+        front, back = FORK.Event(), FORK.Event()
+
+        def fn(i):
+            if i == 0:
+                front.set()
+                assert back.wait(10)
+            if i == 3:
+                assert front.wait(10)
+                back.set()
+            return cli._fork_map(lambda j: (j, os.getpid()), [0, 1, 2], str)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        got = cli._fork_map(fn, [0, 1, 2, 3], str)
+        pids = [{pid for _, pid in per_item} for per_item in got]
+        assert [[j for j, _ in per_item] for per_item in got] == [[0, 1, 2]] * 4
+        assert all(len(p) == 1 for p in pids)
+        assert pids[0] == {os.getpid()} != pids[3]
+        assert cli._task is None
 
 
 class TestClassifyCommand:

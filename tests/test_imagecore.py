@@ -1,13 +1,20 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import identity_dense
+from memdenoise.baselines import filter_stack, parse_filter
 from memdenoise.imagecore import (BadMagicError, CountMismatchError, Dataset,
-                                  DatasetError, TruncatedFileError,
-                                  load_cifar10, load_mnist, plane_chunks,
+                                  DatasetError, ImageShapeError,
+                                  TruncatedFileError, load_cifar10, load_mnist,
+                                  map_planes, plane_chunks, plane_samples,
                                   write_image)
+from memdenoise.metrics import evaluate_pairs
+from memdenoise.nets.cnn import CnnDenoiser
+from memdenoise.nets.fusion import FusionDenoiser
 
 
 def idx_images(arrays):
@@ -215,3 +222,61 @@ class TestPlaneChunks:
         assert plane_chunks(336, 3136) == [slice(0, 167), slice(167, 334),
                                            slice(334, 336)]
         assert plane_chunks(5, 2 ** 30) == [slice(0, 2), slice(2, 5)]
+
+
+class TestMapPlanes:
+    @pytest.mark.parametrize("shape", [(5, 4, 6), (5, 4, 6, 3)])
+    def test_planes_come_back_in_the_stack_layout(self, shape):
+        imgs = np.random.default_rng(0).random(shape)
+        flat, (h, w) = plane_samples(imgs)
+        out = map_planes(lambda planes: planes * 2.0 + 1.0, imgs, h * w)
+        assert out.flags.c_contiguous and out.shape == imgs.shape
+        assert np.array_equal(out, imgs * 2.0 + 1.0)
+        seen, c = [], len(flat) // 5
+        map_planes(lambda planes: seen.append(planes.copy()) or planes, imgs,
+                   2 ** 18)  # 2 images per chunk, the tail folded in
+        assert [len(planes) for planes in seen] == [2 * c, 3 * c]
+        assert np.array_equal(np.concatenate(seen).reshape(flat.shape), flat)
+
+    def test_shape_is_checked_by_owner(self):
+        with pytest.raises(ImageShapeError, match="toy net expects"):
+            map_planes(lambda planes: planes, np.zeros((2, 4, 4)), 16, (5, 5),
+                       "toy net")
+
+
+# 8x8 RGB stack passes. Each takes an (n, 8, 8, 3) stack; its working
+# memory must not grow with n, which it did while whole stacks were
+# transposed into channel planes and back.
+def _rgb_passes():
+    rng = np.random.default_rng(1)
+    k = rng.normal(0, 0.3, (3, 3, 3))
+    cnn = CnnDenoiser(k, k / 9.0, np.eye(3))
+    fusion = FusionDenoiser([identity_dense(8, 8) for _ in range(8)],
+                            rng.normal(0, 0.1, (8, 3, 3)))
+    return {
+        "dense": identity_dense(8, 8).forward_stack,
+        "cnn": cnn.forward_stack,
+        "fusion": fusion.forward_stack,
+        "median": lambda s: filter_stack(s, parse_filter("median:3")),
+        "gauss": lambda s: filter_stack(s, parse_filter("gauss:0.8")),
+        "score": lambda s: evaluate_pairs(s, s),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_rgb_passes()))
+def test_rgb_stack_pass_memory_does_not_grow_with_the_stack(name):
+    stack_pass = _rgb_passes()[name]
+    rng = np.random.default_rng(2)
+
+    def growth(n):
+        imgs = rng.random((n, 8, 8, 3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = stack_pass(imgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - before - getattr(out, "nbytes", 0)
+
+    assert growth(8000) <= 2 * growth(2000)
