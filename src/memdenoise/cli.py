@@ -2,9 +2,10 @@
 
 _COMMANDS maps each subcommand (train, eval, sweep, cost, classify) to
 its function and help line.  Exit codes: 0 success, 2 validation error,
-3 training divergence.  train's bank members, sweep's variants and each
-eval noise's pipelines run in one fork pool (_fork_map), in which this
-process works the front of the list and forked workers the back.
+3 training divergence.  train's bank members, sweep's variants and
+eval's (noise, image slice) tasks run in one fork pool (_fork_map), in
+which this process works the front of the list and forked workers the
+back.
 
 The configuration is DEFAULT_CONFIG, overlaid by a JSON document
 (--config), overlaid by command-line flags.  OPTIONS lists every key
@@ -31,11 +32,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
+
 from . import baselines, ckpt, hwcost, metrics
 from .classify import ACCURACY_CSV_HEADER, Classifier, evaluate, train_classifier
 from .device import DeviceModel
 from .imagecore import (DatasetError, ImageShapeError, image_suffix,
-                        load_cifar10, load_mnist, write_image)
+                        load_cifar10, load_mnist, plane_chunks, write_image)
 from .nets.cnn import CnnDenoiser, cnn_train
 from .nets.common import TrainConfig, TrainingDivergence
 from .nets.dense import DenseDenoiser, dense_train
@@ -227,14 +230,17 @@ def _get(config, path):
 
 def _check_types(config):
     """Reject a value its OPTIONS row's flag could not give: a choice not
-    listed, a non-boolean switch, or a non-string for a string flag (null
-    is allowed where the default is null)."""
+    listed, a non-boolean switch, a boolean for an integer flag, or a
+    non-string for a string flag (null is allowed where the default is
+    null)."""
     for path, default, flag, kwargs, _ in OPTIONS:
         value, choices = _get(config, path), kwargs.get("choices")
         if choices:
             ok, rule = value in choices, "one of " + ", ".join(choices)
         elif kwargs.get("action") == "store_true":
             ok, rule = type(value) is bool, "true or false"
+        elif kwargs.get("type") is int:
+            ok, rule = not isinstance(value, bool), "an integer"
         elif flag and not {"type", "action"} & set(kwargs):
             ok = isinstance(value, str) or (value is None and default is None)
             rule = "a string" + " or null" * (default is None)
@@ -505,9 +511,20 @@ def cmd_train(config):
     return written
 
 
+# Image-sized float64 arrays an eval task holds at once: its noisy
+# images, one pipeline's output and the SSIM working set (metrics).
+_TASK_ARRAYS = 18
+
+
 def cmd_eval(config):
+    with _naming("dump"):
+        if operator.index(config["dump"]) < 0:
+            raise ValueError(f"must be at least 0, got {config['dump']}")
     data = _test_split(config)
-    pipelines = []  # (method label, stack -> stack)
+    # (method label, stack -> stack); noisy rows score the corruption
+    # exactly as the noise operator emits it, and analog pipelines clamp
+    # at their own input stage.
+    pipelines = [("noisy", lambda stack: stack)]
     if config["checkpoint"] is not None:
         kind, net = load_net(config["checkpoint"])
         pipelines.append((kind, net.forward_stack))
@@ -516,35 +533,44 @@ def cmd_eval(config):
     for spec in specs:
         pipelines.append((spec.text(),
                           lambda stack, s=spec: baselines.filter_stack(stack, s)))
-    with _naming("dump"):
-        dumps = range(min(config["dump"], len(data.images)))
+    noises = [("none" if spec is None else spec.text(), spec)
+              for spec in parse_noises(config)]
+    clean, dumps = data.images, min(config["dump"], len(data.images))
+    slices = plane_chunks(len(clean), _TASK_ARRAYS * clean[0].size)
+
+    def score(item):
+        # One noise on one slice of images: corrupt the slice, then run
+        # each pipeline on it. Only each image's scores and the dumped
+        # images outlive the task.
+        (_, spec), part = item
+        noisy = (clean[part].copy() if spec is None else
+                 corrupt_dataset(clean[part], spec, config["seed"], part.start))
+        kept = max(0, dumps - part.start)
+        results = []
+        for _, forward in pipelines:
+            out = forward(noisy)
+            results.append((*metrics.image_scores(clean[part], out),
+                            out[:kept].copy()))
+        return results
+
+    items = [(noise, part) for noise in noises for part in slices]
+    scored = _fork_map(score, items, lambda item: (
+        f"eval {item[0][0]} images {item[1].start}-{item[1].stop - 1}"))
     written, rows = [], []
     dump_root = os.path.join(config["outdir"], "images")
-    for spec in parse_noises(config):
-        # Noisy rows score the corruption exactly as the noise operator
-        # emits it; analog pipelines clamp at their own input stage.
-        if spec is None:
-            noisy, text = data.images.copy(), "none"
-        else:
-            noisy = corrupt_dataset(data.images, spec, config["seed"])
-            text = spec.text()
-        rows.append(metrics.evaluate_pairs(data.images, noisy, text, "noisy"))
-
-        def score(pipeline):
-            # Only the dumped images outlive the scoring.
-            method, forward = pipeline
-            denoised = forward(noisy)
-            return (metrics.evaluate_pairs(data.images, denoised, text, method),
-                    denoised[:len(dumps)].copy())
-
-        scored = _fork_map(score, pipelines, lambda p: f"eval {p[0]}")
-        rows += [report for report, _ in scored]
-        outputs = [("noisy", noisy)] + [(report.method, dumped)
-                                        for report, dumped in scored]
-        for i in dumps:
+    for j, (text, _) in enumerate(noises):
+        outputs = [("clean", clean)]
+        # per pipeline: its (ssims, mses, dumped) of every slice in order
+        for (method, _), parts in zip(pipelines, zip(
+                *scored[j * len(slices):(j + 1) * len(slices)])):
+            ssims, mses, dumped = (np.concatenate(a) for a in zip(*parts))
+            rows.append(metrics.QualityReport.from_scores(text, method, ssims,
+                                                          mses))
+            outputs.append((method, dumped))
+        for i in range(dumps):
             base = os.path.join(dump_root, _safe(text))
             os.makedirs(base, exist_ok=True)
-            for name, stack in [("clean", data.images)] + outputs:
+            for name, stack in outputs:
                 path = os.path.join(base, _safe(name) + f"_{i}"
                                     + image_suffix(stack[i]))
                 write_image(stack[i], path)

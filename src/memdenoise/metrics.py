@@ -11,9 +11,11 @@ kernel serves both single images and whole stacks; an image of c
 channels scores each channel plane (imagecore.plane_samples) and
 averages the c scores.
 
-Aggregate reports average SSIM and MSE over images and derive PSNR from
-the mean MSE, so the psnr = 10 log10(1/mse) identity holds for every
-emitted report.
+image_scores gives a stack's per-image SSIM and MSE, and
+QualityReport.from_scores reduces them: it averages SSIM and MSE over
+images and derives PSNR from the mean MSE, so the psnr = 10 log10(1/mse)
+identity holds for every emitted report. evaluate_pairs is the two in
+one call.
 """
 
 from dataclasses import dataclass
@@ -107,6 +109,15 @@ class QualityReport:
     psnr: float | None
     n_images: int
 
+    @classmethod
+    def from_scores(cls, noise, method, ssims, mses):
+        """The report of per-image SSIM and MSE arrays (image_scores):
+        their means, and PSNR from the mean MSE."""
+        mean_mse = float(np.mean(mses))
+        p = None if mean_mse == 0.0 else float(10.0 * np.log10(1.0 / mean_mse))
+        return cls(noise=noise, method=method, ssim=float(np.mean(ssims)),
+                   mse=mean_mse, psnr=p, n_images=len(mses))
+
     def to_json(self) -> dict:
         return {"noise": self.noise, "method": self.method, "ssim": self.ssim,
                 "mse": self.mse, "psnr": self.psnr, "n": self.n_images}
@@ -117,14 +128,15 @@ class QualityReport:
             self.noise, self.method, self.ssim, self.mse, p, self.n_images)
 
 
-def evaluate_pairs(reference, test, noise="", method=""):
-    """Score a stack of test images against their references.
+def image_scores(reference, test):
+    """Per-image SSIM and MSE arrays of a stack of test images against
+    their references.
 
     Both stacks are (n, h, w) or (n, h, w, c), scored in plane_chunks of
-    images (SSIM holds about 16 arrays of an image's size). SSIM and MSE
-    are averaged over images; PSNR is derived from the mean MSE. Each
-    image's scores equal :func:`ssim` and :func:`mse` on that image
-    alone, bit for bit.
+    images (SSIM holds about 16 arrays of an image's size). Each image's
+    scores equal :func:`ssim` and :func:`mse` on that image alone, bit for
+    bit, so the scores of consecutive slices of a stack, concatenated,
+    equal the scores of the whole stack.
     """
     reference, test = _pair(reference, test)
     if reference.ndim < 3:
@@ -138,7 +150,11 @@ def evaluate_pairs(reference, test, noise="", method=""):
         a, b = reference[chunk], test[chunk]
         ssims[chunk] = _ssim_images(a, b)
         mses[chunk] = _mse_images(a, b)
-    mean_mse = float(np.mean(mses))
-    p = None if mean_mse == 0.0 else float(10.0 * np.log10(1.0 / mean_mse))
-    return QualityReport(noise=noise, method=method, ssim=float(np.mean(ssims)),
-                         mse=mean_mse, psnr=p, n_images=n)
+    return ssims, mses
+
+
+def evaluate_pairs(reference, test, noise="", method=""):
+    """The QualityReport of a stack of test images against their
+    references: image_scores reduced by QualityReport.from_scores."""
+    return QualityReport.from_scores(noise, method,
+                                     *image_scores(reference, test))

@@ -102,16 +102,20 @@ def corrupt(img, spec, rng):
     return x + x * rng.normal(0.0, np.sqrt(spec.param), size=x.shape)
 
 
-def corrupt_dataset(images, spec, seed):
+def corrupt_dataset(images, spec, seed, start=0):
     """Corrupt a stack of images with per-image substreams.
 
-    Image i uses default_rng([seed, i]), so any subset or ordering of the
-    work reproduces the same pixels.
+    images are images start, start + 1, ... of a dataset, and dataset
+    image i uses default_rng([seed, i]). So a slice of a dataset,
+    corrupted with start at its first index, equals those rows of the
+    whole dataset's corruption, and any split or ordering of the work
+    reproduces the same pixels.
     """
     images = np.asarray(images, dtype=np.float64)
     out = np.empty_like(images)
     for i in range(images.shape[0]):
-        out[i] = corrupt(images[i], spec, np.random.default_rng([seed, i]))
+        out[i] = corrupt(images[i], spec,
+                         np.random.default_rng([seed, start + i]))
     return out
 
 

@@ -508,7 +508,15 @@ class TestBadValues:
         ("eval", {"filters": [3]}, "filters"),
         ("eval", {"noises": [3]}, "noises"),
         ("train", {"train": {"epochs": "4"}}, "epochs"),
-        ("train", {"train": {"epochs": 2.0}}, "epochs")])
+        ("train", {"train": {"epochs": 2.0}}, "epochs"),
+        # booleans for integer keys, which int() would take as 0 or 1
+        ("eval", {"eval_limit": True}, "eval_limit"),
+        ("eval", {"dump": True}, "dump"),
+        ("eval", {"seed": True}, "seed"),
+        ("sweep", {"eval_limit": False}, "eval_limit"),
+        ("train", {"train": {"epochs": True}}, "train.epochs"),
+        ("train", {"train": {"batch": True}}, "train.batch"),
+        ("train", {"train": {"limit": False}}, "train.limit")])
     def test_wrong_typed_config_values_exit_two(self, corpus, capsys,
                                                 tmp_path, command, document,
                                                 cause):
@@ -517,6 +525,20 @@ class TestBadValues:
         assert main([command, "--config", str(path), "--data", corpus,
                      "--outdir", str(tmp_path / "out")]) == 2
         one_error_line(capsys, cause)
+
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_dump_exits_two(self, corpus, dense_ckpt, capsys,
+                                     tmp_path, how):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, "dump": -2}))
+        argv = (["--dump", "-1", "--seed", "1"] if how == "flag"
+                else ["--config", str(path)])
+        out = tmp_path / "out"
+        assert main(["eval", *argv, "--data", corpus, "--checkpoint",
+                     dense_ckpt, "--outdir", str(out)]) == 2
+        one_error_line(capsys, "dump")
+        assert not out.exists()
 
 
 class TestCostCommand:
@@ -813,25 +835,44 @@ def fusion_ckpt(corpus, member_dir, tmp_path_factory):
     return os.path.join(out, "fusion.bin")
 
 
+@pytest.fixture(scope="module")
+def cnn_ckpt(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cnn")
+    assert main(["train", "--net", "cnn", "--data", corpus, "--seed", "5",
+                 "--epochs", "1", "--limit", "8", "--outdir", str(out)]) == 0
+    return str(out / "cnn_gaussian_0.1.bin")
+
+
+def slices_of(monkeypatch, k):
+    """Make eval's tasks take k of the 8x8 test images each (a 1-image
+    tail joins the slice before it)."""
+    monkeypatch.setattr(cli, "_TASK_ARRAYS", 2 ** 19 // (64 * k))
+
+
+def eval_run(argv, out, capsys):
+    """The wrote lines (relative to out) and the bytes of every file of
+    a successful eval into out."""
+    assert main(argv + ["--outdir", str(out)]) == 0
+    wrote = capsys.readouterr().out.splitlines()
+    return ([os.path.relpath(line[len("wrote "):], out) for line in wrote],
+            {name: (out / name).read_bytes() for name in files_under(out)})
+
+
 class TestEvalPool:
-    # Each noise's pipelines run in the fork pool: the net here, filters
-    # in workers as CPUs allow.
+    # Each (noise, image slice) is one task of the fork pool: the front
+    # tasks run here, the back ones in workers as CPUs allow.
     def test_outputs_do_not_depend_on_cpus(self, corpus, fusion_ckpt,
                                            capsys, monkeypatch, tmp_path):
+        slices_of(monkeypatch, 7)
         runs = []
         for cpus in (1, 2, 4):
             monkeypatch.setattr(cli, "_cpus", lambda c=cpus: c)
-            out = tmp_path / str(cpus)
-            assert main(["eval", "--data", corpus, "--seed", "5",
-                         "--checkpoint", fusion_ckpt, "--filter", "median:3",
-                         "--filter", "gauss:0.8", "--filter", "tv:0.1",
-                         "--noise", "gaussian:0.1", "--noise", "sp:0.1",
-                         "--dump", "2", "--json", "--outdir", str(out)]) == 0
-            wrote = capsys.readouterr().out.splitlines()
-            runs.append(([os.path.relpath(line[len("wrote "):], out)
-                          for line in wrote],
-                         {name: (out / name).read_bytes()
-                          for name in files_under(out)}))
+            runs.append(eval_run(
+                ["eval", "--data", corpus, "--seed", "5",
+                 "--checkpoint", fusion_ckpt, "--filter", "median:3",
+                 "--filter", "gauss:0.8", "--filter", "tv:0.1",
+                 "--noise", "gaussian:0.1", "--noise", "sp:0.1",
+                 "--dump", "2", "--json"], tmp_path / str(cpus), capsys))
         assert runs[0] == runs[1] == runs[2]
         wrote, files = runs[0]
         assert sorted(wrote) == sorted(files)
@@ -842,30 +883,60 @@ class TestEvalPool:
         assert methods == ["noisy", "fusion", "median:3", "gauss:0.8",
                            "tv:0.1:50"] * 2
 
-    def test_dead_worker_exits_two_naming_the_pipeline(
-            self, corpus, capsys, monkeypatch, tmp_path):
-        # The worker takes the last pipeline and dies in it; this process
-        # runs the first once the worker has started.
-        started, pid = FORK.Event(), os.getpid()
-        filter_stack = cli.baselines.filter_stack
+    # (extra flags, the slices' ends at 5 images a slice)
+    SPLITS = {"dumps-cross-slices": (["--dump", "7"], [5, 10, 15, 20, 24]),
+              "limit-1": (["--eval-limit", "1", "--dump", "1"], [1]),
+              "1-image-tail": (["--eval-limit", "11", "--dump", "6"],
+                               [5, 11])}
 
-        def dies(stack, spec):
+    @pytest.mark.parametrize("split", sorted(SPLITS))
+    @pytest.mark.parametrize("net", ["dense", "cnn"])
+    def test_slices_give_the_bytes_of_one_whole_slice(
+            self, corpus, dense_ckpt, cnn_ckpt, capsys, monkeypatch,
+            tmp_path, net, split):
+        extra, ends = self.SPLITS[split]
+        argv = ["eval", "--data", corpus, "--seed", "5", "--checkpoint",
+                {"dense": dense_ckpt, "cnn": cnn_ckpt}[net], "--filter",
+                "median:3", "--noise", "gaussian:0.1", "--noise", "sp:0.1",
+                "--noise", "none", "--json", *extra]
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        n = ends[-1]
+        assert [s.stop for s in cli.plane_chunks(
+            n, cli._TASK_ARRAYS * 64)] == [n]
+        want = eval_run(argv, tmp_path / "whole", capsys)
+        slices_of(monkeypatch, 5)
+        assert [s.stop for s in cli.plane_chunks(
+            n, cli._TASK_ARRAYS * 64)] == ends
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(cli, "_cpus", lambda c=cpus: c)
+            assert eval_run(argv, tmp_path / str(cpus), capsys) == want
+
+    def test_dead_worker_exits_two_naming_the_slice(
+            self, corpus, capsys, monkeypatch, tmp_path):
+        # Slices of 8 images: the worker takes the last (images 16-23)
+        # and dies corrupting it; this process corrupts the first once
+        # the worker has started, then the second.
+        started, pid = FORK.Event(), os.getpid()
+        corrupt = cli.corrupt_dataset
+
+        def dies(images, spec, seed, start):
             if os.getpid() != pid:
                 started.set()
                 os._exit(1)
             assert started.wait(10)
-            return filter_stack(stack, spec)
+            return corrupt(images, spec, seed, start)
 
+        slices_of(monkeypatch, 8)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli.baselines, "filter_stack", dies)
+        monkeypatch.setattr(cli, "corrupt_dataset", dies)
         out = tmp_path / "out"
         assert main(["eval", "--data", corpus, "--seed", "5", "--filter",
-                     "gauss:0.8", "--filter", "median:3", "--noise",
-                     "gaussian:0.1", "--outdir", str(out)]) == 2
+                     "median:3", "--noise", "gaussian:0.1",
+                     "--outdir", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: eval median:3: a worker process "
-                                "died\n")
+        assert captured.err == ("error: eval gaussian:0.1 images 16-23: a "
+                                "worker process died\n")
         assert not out.exists()
 
 

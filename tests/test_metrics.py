@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memdenoise.metrics import (CSV_HEADER, SSIM_WINDOW, QualityReport,
-                                evaluate_pairs, mse, ssim)
+                                evaluate_pairs, image_scores, mse, ssim)
 
 
 def brute_force_ssim(a, b, k=SSIM_WINDOW):
@@ -159,6 +159,22 @@ class TestEvaluatePairs:
                                           for i in range(n)]))
         assert rep.mse == float(np.mean([mse(ref[i], test[i])
                                          for i in range(n)]))
+
+    @pytest.mark.parametrize("shape", [(11, 28, 28), (9, 12, 12, 3),
+                                       (1100, 8, 8)])
+    def test_concatenated_slices_reduce_to_the_whole_report(self, rng, shape):
+        # eval scores each slice of its split on its own, a 1-image slice
+        # included, and reduces the concatenated scores
+        ref = rng.random(shape)
+        test = np.clip(ref + rng.normal(0, 0.2, shape), 0, 1)
+        edges = [0, 2, 5, 6, shape[0]]
+        parts = [image_scores(ref[lo:hi], test[lo:hi])
+                 for lo, hi in zip(edges, edges[1:])]
+        ssims, mses = (np.concatenate(scores) for scores in zip(*parts))
+        whole = image_scores(ref, test)
+        assert (ssims == whole[0]).all() and (mses == whole[1]).all()
+        assert QualityReport.from_scores("sp:0.1", "dense", ssims, mses) == \
+            evaluate_pairs(ref, test, "sp:0.1", "dense")
 
     def test_aggregates_match_per_image_scores(self, rng):
         ref = rng.random((5, 28, 28))

@@ -197,6 +197,22 @@ class TestDatasetCorruption:
         assert not np.array_equal(corrupt_dataset(imgs, spec, 1),
                                   corrupt_dataset(imgs, spec, 2))
 
+    @pytest.mark.parametrize("text", ["gaussian:0.1", "sp:0.25", "poisson",
+                                      "speckle"])
+    @pytest.mark.parametrize("shape", [(9, 8, 8), (7, 6, 5, 3)],
+                             ids=["gray", "rgb"])
+    def test_slice_from_its_start_equals_the_whole_stack_rows(self, rng, text,
+                                                              shape):
+        # eval corrupts each slice of its split on its own, a 1-image
+        # slice included
+        imgs = rng.random(shape)
+        spec = parse_spec(text)
+        whole = corrupt_dataset(imgs, spec, seed=11)
+        edges = [0, 2, 5, 6, shape[0]]
+        for lo, hi in zip(edges, edges[1:]):
+            part = corrupt_dataset(imgs[lo:hi], spec, 11, start=lo)
+            assert (part == whole[lo:hi]).all(), (lo, hi)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_images_get_distinct_streams(self, seed):
