@@ -14,8 +14,7 @@ from .noise import NoiseSpec, STANDARD_NOISES, corrupt, corrupt_dataset, parse_s
 from .metrics import QualityReport, evaluate_pairs, mse, ssim
 from .baselines import FilterSpec, filter_stack, parse_filter
 from .hwcost import (ComponentBudget, DesignPoint, FabricExceededError,
-                     HardwareCostReport, LayerGeometry, estimate,
-                     format_report_table)
+                     HardwareCostReport, estimate, format_report_table)
 from .classify import AccuracyReport, Classifier, evaluate, train_classifier
 from .nets import (CnnDenoiser, DenseDenoiser, FusionDenoiser, TrainConfig,
                    TrainingDivergence, cnn_train, dense_train, fusion_train)
@@ -31,7 +30,7 @@ __all__ = [
     "NoiseSpec", "STANDARD_NOISES", "parse_spec", "corrupt", "corrupt_dataset",
     "QualityReport", "evaluate_pairs", "ssim", "mse",
     "FilterSpec", "parse_filter", "filter_stack",
-    "ComponentBudget", "DesignPoint", "LayerGeometry", "HardwareCostReport",
+    "ComponentBudget", "DesignPoint", "HardwareCostReport",
     "FabricExceededError", "estimate", "format_report_table",
     "AccuracyReport", "Classifier", "train_classifier", "evaluate",
     "CnnDenoiser", "DenseDenoiser", "FusionDenoiser", "TrainConfig",

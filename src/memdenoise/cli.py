@@ -37,8 +37,9 @@ import numpy as np
 from . import baselines, ckpt, hwcost, metrics
 from .classify import ACCURACY_CSV_HEADER, Classifier, evaluate, train_classifier
 from .device import DeviceModel
-from .imagecore import (DatasetError, ImageShapeError, image_suffix,
-                        load_cifar10, load_mnist, plane_chunks, write_image)
+from .imagecore import (DatasetError, ImageShapeError, check_count,
+                        image_suffix, load_cifar10, load_mnist, plane_chunks,
+                        write_image)
 from .nets.cnn import CnnDenoiser, cnn_train
 from .nets.common import TrainConfig, TrainingDivergence
 from .nets.dense import DenseDenoiser, dense_train
@@ -83,6 +84,12 @@ def _grid(convert):
     grid.__name__ = f"{convert.__name__} list"
     return grid
 
+
+_FLOATS = _grid(float)
+# What a number-typed flag gives; a JSON boolean is none of them, though
+# int() and float() would read it as 0 or 1.
+_NUMBERS = {int: "an integer", float: "a number",
+            _FLOATS: "a list of numbers"}
 
 _ALL = ("train", "eval", "sweep", "cost", "classify")
 _DATA = ("train", "eval", "sweep", "classify")  # the commands reading images
@@ -141,10 +148,9 @@ OPTIONS = [
     ("sweep.levels", [], "--levels-grid",
      {"type": _grid(_levels), "help": "comma list, e.g. 256,128,64,16,2"},
      ("sweep",)),
-    ("sweep.sigma", [], "--sigma-grid", {"type": _grid(float)}, ("sweep",)),
-    ("sweep.dropout", [], "--dropout-grid", {"type": _grid(float)},
-     ("sweep",)),
-    ("sweep.prune", [], "--prune-grid", {"type": _grid(float)}, ("sweep",)),
+    ("sweep.sigma", [], "--sigma-grid", {"type": _FLOATS}, ("sweep",)),
+    ("sweep.dropout", [], "--dropout-grid", {"type": _FLOATS}, ("sweep",)),
+    ("sweep.prune", [], "--prune-grid", {"type": _FLOATS}, ("sweep",)),
     ("seed", None, "--seed", {"type": int, "help": "required"}, _ALL),
     ("outdir", "out", "--outdir", {}, _ALL),
     ("json", False, "--json",
@@ -214,13 +220,16 @@ def merge_config(args) -> dict:
     _check_read(config, args.command)
     if config["data_path"] is None:
         config["data_path"] = os.environ.get("MEMDENOISE_DATA")
-    if config["seed"] is None:
+    seed = config["seed"]
+    if seed is None:
         raise CliError("seed is required (--seed or config key 'seed')")
     try:
-        config["seed"] = int(config["seed"])
+        config["seed"] = int(seed)  # "12" and 3.0 too, but not 1.5
+        if isinstance(seed, float) and seed != config["seed"]:
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise CliError(f"seed must be an integer, got {config['seed']!r}")
-    _check_devices(config)
+        raise CliError(f"seed must be an integer, got {seed!r}")
+    _check_values(config)
     return config
 
 
@@ -230,17 +239,19 @@ def _get(config, path):
 
 def _check_types(config):
     """Reject a value its OPTIONS row's flag could not give: a choice not
-    listed, a non-boolean switch, a boolean for an integer flag, or a
-    non-string for a string flag (null is allowed where the default is
-    null)."""
+    listed, a non-boolean switch, a boolean for a number flag or in a
+    number grid, or a non-string for a string flag (null is allowed
+    where the default is null)."""
     for path, default, flag, kwargs, _ in OPTIONS:
         value, choices = _get(config, path), kwargs.get("choices")
         if choices:
             ok, rule = value in choices, "one of " + ", ".join(choices)
         elif kwargs.get("action") == "store_true":
             ok, rule = type(value) is bool, "true or false"
-        elif kwargs.get("type") is int:
-            ok, rule = not isinstance(value, bool), "an integer"
+        elif kwargs.get("type") in _NUMBERS:
+            items = value if isinstance(value, list) else [value]
+            ok = not any(isinstance(item, bool) for item in items)
+            rule = _NUMBERS[kwargs["type"]]
         elif flag and not {"type", "action"} & set(kwargs):
             ok = isinstance(value, str) or (value is None and default is None)
             rule = "a string" + " or null" * (default is None)
@@ -261,9 +272,20 @@ def _check_read(config, command):
             raise CliError(f"{path} is not read {where}")
 
 
-def _check_devices(config):
-    """Reject device settings no DeviceModel accepts (NaN, inf, 2.5 levels)
-    and sweep grids that are not lists of them or of fractions in [0, 1)."""
+def _check_values(config):
+    """Reject, before any file is read, values no reader accepts: noise
+    and filter specs, an eval_limit below 1, a negative dump, device
+    settings no DeviceModel accepts (NaN, inf, 2.5 levels) and sweep
+    grids that are not lists of them or of fractions in [0, 1)."""
+    parse_noises(config)
+    with _naming("filters"):
+        for text in config["filters"]:
+            baselines.parse_filter(text)
+    with _naming("eval_limit"):
+        check_count(config["eval_limit"])
+    with _naming("dump"):
+        if operator.index(config["dump"]) < 0:
+            raise ValueError(f"must be at least 0, got {config['dump']}")
     with _naming("device"):
         DeviceModel(**config["device"])
     grids = config["sweep"]
@@ -302,9 +324,7 @@ def load_dataset(config, split):
 
 def _test_split(config):
     """The first eval_limit images of the test split."""
-    data = load_dataset(config, "test")
-    with _naming("eval_limit"):
-        return data.subset(config["eval_limit"])
+    return load_dataset(config, "test").subset(config["eval_limit"])
 
 
 def parse_noises(config):
@@ -517,9 +537,6 @@ _TASK_ARRAYS = 18
 
 
 def cmd_eval(config):
-    with _naming("dump"):
-        if operator.index(config["dump"]) < 0:
-            raise ValueError(f"must be at least 0, got {config['dump']}")
     data = _test_split(config)
     # (method label, stack -> stack); noisy rows score the corruption
     # exactly as the noise operator emits it, and analog pipelines clamp
@@ -528,9 +545,7 @@ def cmd_eval(config):
     if config["checkpoint"] is not None:
         kind, net = load_net(config["checkpoint"])
         pipelines.append((kind, net.forward_stack))
-    with _naming("filters"):
-        specs = [baselines.parse_filter(text) for text in config["filters"]]
-    for spec in specs:
+    for spec in map(baselines.parse_filter, config["filters"]):
         pipelines.append((spec.text(),
                           lambda stack, s=spec: baselines.filter_stack(stack, s)))
     noises = [("none" if spec is None else spec.text(), spec)
@@ -628,6 +643,9 @@ def cmd_sweep(config):
     return written
 
 
+COST_SHAPE = (28, 28)  # cost's plane shape: MNIST's, as in the abstract
+
+
 def cmd_cost(config):
     budget = None
     if config["budget"] is not None:
@@ -637,12 +655,12 @@ def cmd_cost(config):
             budget = hwcost.ComponentBudget.from_mapping(overrides)
         except (OSError, json.JSONDecodeError, TypeError, ValueError) as e:
             raise CliError(f"bad budget file: {e}")
-    if config["net"] not in ("dense", "cnn"):
+    nets = {"dense": DenseDenoiser, "cnn": CnnDenoiser}
+    if config["net"] not in nets:
         raise CliError("cost covers dense and cnn design points")
-    design = (hwcost.DesignPoint.for_dense if config["net"] == "dense"
-              else hwcost.DesignPoint.for_cnn)
+    point = hwcost.DesignPoint(config["net"], config["mode"], config["phase"],
+                               nets[config["net"]].crossbar_layers(COST_SHAPE))
     try:
-        point = design(mode=config["mode"], phase=config["phase"])
         report = hwcost.estimate(point, budget)
     except ValueError as e:  # FabricExceededError too
         raise CliError(str(e))

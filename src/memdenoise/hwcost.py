@@ -42,7 +42,6 @@ __all__ = [
     "DesignPoint",
     "FabricExceededError",
     "HardwareCostReport",
-    "LayerGeometry",
     "count_tiles",
     "estimate",
     "format_report_table",
@@ -106,72 +105,20 @@ class ComponentBudget:
 
 
 @dataclass(frozen=True)
-class LayerGeometry:
-    """One crossbar-mapped layer: matrix shape and applications per image.
-
-    ``passes`` counts matrix-vector applications per image: 1 for a
-    dense layer, the number of patch positions for a conv kernel.
-    """
-
-    rows: int
-    cols: int
-    passes: int = 1
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("layer dimensions must be >= 1")
-        if self.passes < 1:
-            raise ValueError("passes must be >= 1")
-
-    @property
-    def devices(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def tiles(self) -> int:
-        return count_tiles(self.rows, self.cols)
-
-
-_NETWORKS = ("dense", "cnn")
-_MODES = ("sequential", "parallel")
-_PHASES = ("inference", "training")
-
-
-@dataclass(frozen=True)
 class DesignPoint:
-    """A network mapped onto the fabric in a given readout mode and phase."""
+    """A network mapped onto the fabric in a given readout mode and phase.
+
+    ``layers`` holds each crossbar-mapped layer as ``(rows, cols, reads)``
+    in programming order, ``reads`` counting its matrix-vector reads per
+    image: 1 for a dense layer, the patch positions for a conv kernel.
+    The networks declare them (``DenseDenoiser.crossbar_layers``,
+    ``CnnDenoiser.crossbar_layers``).
+    """
 
     network: str
     mode: str
     phase: str
-    layers: tuple[LayerGeometry, ...]
-
-    def __post_init__(self):
-        if self.network not in _NETWORKS:
-            raise ValueError(f"network must be one of {_NETWORKS}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if self.phase not in _PHASES:
-            raise ValueError(f"phase must be one of {_PHASES}")
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if not self.layers:
-            raise ValueError("a design needs at least one layer")
-        if self.network == "dense" and len(self.layers) > 1:
-            raise ValueError("a dense design has at most one layer")
-
-    @classmethod
-    def for_dense(cls, mode="sequential", phase="inference"):
-        """The dense net's one 785 x 784 (bias-augmented) layer."""
-        return cls("dense", mode, phase, (LayerGeometry(785, 784, 1),))
-
-    @classmethod
-    def for_cnn(cls, mode="sequential", phase="inference"):
-        """The CNN's three stages on a 28 x 28 image: 8 same-pad 3 x 3
-        kernels, the 3D kernel over the 2 x 2-pooled maps and the 3 x 3
-        refinement, each read once per output pixel (its patches)."""
-        return cls("cnn", mode, phase, (LayerGeometry(9, 8, 28 * 28),
-                                         LayerGeometry(8 * 9, 1, 14 * 14),
-                                         LayerGeometry(9, 1, 14 * 14)))
+    layers: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -262,16 +209,15 @@ def _forward_report(point: DesignPoint, budget: ComponentBudget) -> HardwareCost
     parallel = point.mode == "parallel"
     # Parallel conv duplicates kernels per patch; dense and sequential
     # designs keep one physical copy per layer.
-    duplication = [
-        layer.passes if (parallel and point.network == "cnn") else 1
-        for layer in layers
-    ]
-    devices = sum(d * layer.devices for d, layer in zip(duplication, layers))
-    tiles = sum(d * layer.tiles for d, layer in zip(duplication, layers))
+    copies = [reads if (parallel and point.network == "cnn") else 1
+              for _, _, reads in layers]
+    devices = sum(c * rows * cols for c, (rows, cols, _) in zip(copies, layers))
+    tiles = sum(c * count_tiles(rows, cols)
+                for c, (rows, cols, _) in zip(copies, layers))
     _check_fabric(tiles, budget)
 
     crossbar_area = 2 * tiles * budget.tile_area
-    total_passes = sum(layer.passes for layer in layers)
+    total_reads = sum(reads for _, _, reads in layers)
 
     if point.network == "dense":
         if parallel:
@@ -291,11 +237,11 @@ def _forward_report(point: DesignPoint, budget: ComponentBudget) -> HardwareCost
             crossbar_power = 2 * tiles * budget.tile_power
             crossbar_active = budget.t_read
             latency = len(layers) * budget.t_read
-            chains = total_passes
+            chains = total_reads
             cmos_active = budget.t_read
         else:
             crossbar_power = 2 * tiles * budget.tile_power
-            crossbar_active = total_passes * budget.t_read
+            crossbar_active = total_reads * budget.t_read
             latency = crossbar_active
             chains = 1
             cmos_active = latency
@@ -329,15 +275,15 @@ def estimate(point: DesignPoint, budget: ComponentBudget | None = None) -> Hardw
     if point.phase == "inference":
         return forward
 
-    last = point.layers[-1]
-    error_latency = last.passes * last.cols * budget.t_read
+    _, cols, reads = point.layers[-1]
+    error_latency = reads * cols * budget.t_read
     cells = TILE_ROWS * TILE_COLS
     update_latency = cells * budget.t_write * budget.update_pulses
     update_active = cells * budget.update_pulses * budget.t_read
 
     # Hidden-layer outputs digitized and parked for the backward pass;
     # a single-layer design computes its error directly and stores none.
-    stored = sum(layer.passes * layer.cols for layer in point.layers[:-1])
+    stored = sum(reads * cols for _, cols, reads in point.layers[:-1])
     if stored:
         sram_adc_power = budget.adc_power
         sram_adc_active = stored * budget.t_read

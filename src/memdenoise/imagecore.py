@@ -52,6 +52,14 @@ class CountMismatchError(DatasetError):
     """Image file and label file disagree on the record count."""
 
 
+def check_count(n):
+    """n, if it is None or an integer >= 1 (an image count), else ValueError."""
+    if not (n is None or isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"image count must be None or an integer >= 1, "
+                         f"got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An ordered, immutable image/label collection.
@@ -77,10 +85,7 @@ class Dataset:
 
     def subset(self, n):
         """First n images as a new Dataset (n=None keeps everything)."""
-        if not (n is None or isinstance(n, numbers.Integral) and n >= 1):
-            raise ValueError(f"image count must be None or an integer >= 1, "
-                             f"got {n!r}")
-        if n is None or n >= len(self):
+        if check_count(n) is None or n >= len(self):
             return self
         return Dataset(self.images[:n].copy(), self.labels[:n].copy(), self.split)
 

@@ -95,10 +95,22 @@ def _upsample_back(g):
     return g.reshape(*lead, h // 2, 2, w // 2, 2).sum(axis=(-3, -1))
 
 
+KERNELS, KSIZE = 8, 3  # conv1's kernels and side: cnn_train's and cost's
+
+
 class CnnDenoiser:
     """Trained kernels plus their crossbar layers m1, m3 and m2: each
     kernel unfolded to a (patch, output) matrix, programmed at its own
     gain in that order from the [program_seed, 0x70] stream."""
+
+    @staticmethod
+    def crossbar_layers(shape, kernels=KERNELS, ksize=KSIZE):
+        """(rows, cols, reads per plane) of m1, m3 and m2 for (h, w) planes:
+        m1 reads a patch per pixel, m3 and m2 one per pooled pixel, of the
+        plane padded to even sides as forward_stack pads it."""
+        h, w = shape
+        n, kk = (h + h % 2) * (w + w % 2), ksize * ksize
+        return (kk, kernels, n), (kernels * kk, 1, n // 4), (kk, 1, n // 4)
 
     def __init__(self, k1, k3, k2, train_noise="", rmse_log=(),
                  device=None, program_seed=0):
@@ -240,7 +252,7 @@ def cnn_loss_and_grads(x, target, k1, k3, k2):
     return loss, grads
 
 
-def cnn_train(cfg: TrainConfig, data, kernels=8, ksize=3):
+def cnn_train(cfg: TrainConfig, data, kernels=KERNELS, ksize=KSIZE):
     """SGD training of the convolutional denoiser under fit, from a
     seeded Gaussian kernel init; each update averages the batch's
     gradients, added per sample in sample order (that order fixes the

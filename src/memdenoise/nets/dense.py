@@ -26,14 +26,21 @@ from .common import (Layer, TrainConfig, corrupt_plane, device_args,
 class DenseDenoiser:
     """A programmed (P+1) x P crossbar layer plus its readout gain."""
 
+    @staticmethod
+    def crossbar_layers(shape):
+        """(rows, cols, reads per plane) of each crossbar for (h, w) planes:
+        one (P+1) x P array, P pixels plus the bias input, read once."""
+        p = shape[0] * shape[1]
+        return ((p + 1, p, 1),)
+
     def __init__(self, weights, shape, tiled=None, train_noise="",
                  rmse_log=(), device=None, program_seed=0):
         weights = np.asarray(weights, dtype=np.float64)
         self.shape = tuple(shape)
-        p = self.shape[0] * self.shape[1]
-        if weights.shape != (p + 1, p):
+        (rows, cols, _), = self.crossbar_layers(self.shape)
+        if weights.shape != (rows, cols):
             raise ValueError("weights %r, expected %r"
-                             % (weights.shape, (p + 1, p)))
+                             % (weights.shape, (rows, cols)))
         self.train_noise = train_noise
         self.rmse_log = list(rmse_log)
         self.device = device if device is not None else DeviceModel()

@@ -23,6 +23,7 @@ from memdenoise.hwcost import ComponentBudget, DesignPoint, count_tiles
 from memdenoise.classify import evaluate
 from memdenoise.nets.cnn import (CnnDenoiser, _float_forward,
                                  cnn_loss_and_grads)
+from memdenoise.nets.dense import DenseDenoiser
 from memdenoise.baselines import FilterSpec, filter_stack
 from memdenoise.noise import STANDARD_NOISES, corrupt_dataset, parse_spec
 
@@ -238,10 +239,16 @@ def test_criterion_5_tuned_classical_filters(eval_images):
     assert not failures, "; ".join(failures)
 
 
+def design(net, mode="sequential", phase="inference"):
+    """The cost command's design point: the net's declared 28 x 28 layers."""
+    layers = {"dense": DenseDenoiser, "cnn": CnnDenoiser}[net].crossbar_layers
+    return DesignPoint(net, mode, phase, layers((28, 28)))
+
+
 def test_criterion_6_hardware_cost_model():
-    seq = hwcost.estimate(DesignPoint.for_dense())
-    par = hwcost.estimate(DesignPoint.for_dense(mode="parallel"))
-    train = hwcost.estimate(DesignPoint.for_dense(phase="training"))
+    seq = hwcost.estimate(design("dense"))
+    par = hwcost.estimate(design("dense", mode="parallel"))
+    train = hwcost.estimate(design("dense", phase="training"))
     print("criterion 6:\n" + hwcost.format_report_table([seq, par, train]))
 
     assert within(seq.total_energy, 21.1e-9, 0.30 * 21.1e-9), \
@@ -260,9 +267,9 @@ def test_criterion_6_hardware_cost_model():
         f"training energy {train.total_energy:.3e} J"
 
     cnn_reports = [
-        hwcost.estimate(DesignPoint.for_cnn()),
-        hwcost.estimate(DesignPoint.for_cnn(mode="parallel")),
-        hwcost.estimate(DesignPoint.for_cnn(phase="training")),
+        hwcost.estimate(design("cnn")),
+        hwcost.estimate(design("cnn", mode="parallel")),
+        hwcost.estimate(design("cnn", phase="training")),
     ]
     print("criterion 6 (conv rows, reported only):\n"
           + hwcost.format_report_table(cnn_reports))

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import gzip
+import hashlib
 
 from conftest import drop_arrays, write_idx_images, write_idx_labels
 from memdenoise import cli
@@ -129,7 +130,8 @@ class TestConfigMerging:
         path.write_text(json.dumps({"seed": seed}))
         assert parse_to_config(["cost", "--config", str(path)])["seed"] == want
 
-    @pytest.mark.parametrize("seed", ["abc", [1]], ids=["string", "list"])
+    @pytest.mark.parametrize("seed", ["abc", [1], 1.5],
+                             ids=["string", "list", "fraction"])
     def test_non_integer_seed_exits_two(self, tmp_path, capsys, seed):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": seed}))
@@ -516,7 +518,17 @@ class TestBadValues:
         ("sweep", {"eval_limit": False}, "eval_limit"),
         ("train", {"train": {"epochs": True}}, "train.epochs"),
         ("train", {"train": {"batch": True}}, "train.batch"),
-        ("train", {"train": {"limit": False}}, "train.limit")])
+        ("train", {"train": {"limit": False}}, "train.limit"),
+        # booleans for float keys and in float grids, which float() would
+        # take as 0.0 or 1.0
+        ("train", {"train": {"learning_rate": True}}, "train.learning_rate"),
+        ("train", {"net": "fusion", "train": {"clean_fraction": False}},
+         "train.clean_fraction"),
+        ("train", {"device": {"variation_sigma": False}},
+         "device.variation_sigma"),
+        ("sweep", {"sweep": {"sigma": [True]}}, "sweep.sigma"),
+        ("sweep", {"sweep": {"dropout": [0.1, False]}}, "sweep.dropout"),
+        ("sweep", {"sweep": {"prune": [True]}}, "sweep.prune")])
     def test_wrong_typed_config_values_exit_two(self, corpus, capsys,
                                                 tmp_path, command, document,
                                                 cause):
@@ -526,6 +538,27 @@ class TestBadValues:
                      "--outdir", str(tmp_path / "out")]) == 2
         one_error_line(capsys, cause)
 
+
+    @pytest.mark.parametrize("argv,cause", [
+        (["train", "--noise", "bogus:1"], "noises"),
+        (["classify", "--noise", "bogus:1"], "noises"),
+        (["classify", "--eval-limit", "0"], "eval_limit"),
+        (["eval", "--filter", "nope"], "filters"),
+        (["eval", "--noise", "bogus:1"], "noises"),
+        (["eval", "--eval-limit", "0"], "eval_limit"),
+        (["sweep", "--eval-limit", "0"], "eval_limit")])
+    def test_bad_values_exit_two_before_any_read(self, capsys, tmp_path,
+                                                 argv, cause):
+        # The dataset directory is empty and the checkpoint missing, so a
+        # value checked only after a read would report the read instead.
+        empty, out = tmp_path / "empty", tmp_path / "out"
+        empty.mkdir()
+        if argv[0] != "train":
+            argv = argv + ["--checkpoint", str(empty / "missing.bin")]
+        assert main(argv + ["--data", str(empty), "--seed", "1",
+                            "--outdir", str(out)]) == 2
+        one_error_line(capsys, cause)
+        assert not out.exists()
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_negative_dump_exits_two(self, corpus, dense_ckpt, capsys,
@@ -583,7 +616,8 @@ class TestCostCommand:
         assert "dense seq. train" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key,value", [("mode", "burst"),
-                                           ("phase", "sleep")])
+                                           ("phase", "sleep"),
+                                           ("net", "rnn")])
     def test_bad_design_label_exits_two(self, capsys, tmp_path, key, value):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": 0, key: value}))
@@ -591,6 +625,54 @@ class TestCostCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("net,mode,phase,row,stdout,report", [
+        # Recorded before the design points came from the nets' declared
+        # layers: the table's data row, then sha256 prefixes of the whole
+        # stdout (the output directory read as <outdir>) and of cost.json.
+        ("dense", "sequential", "inference",
+         "dense seq. infer  615440x2  52x2   222uW   577pJ   0.2912mm2  6.43mW  "
+         "20.6nJ  0.0006mm2  -       -           21.1nJ   0.2918mm2  3.2us",
+         "24ad65da24848d89", "3184ebd4eb4d6fac"),
+        ("dense", "sequential", "training",
+         "dense seq. train  615440x2  52x2   5.77mW  236uJ   0.2912mm2  6.43mW  "
+         "273nJ   0.0006mm2  -       -           237uJ    0.2918mm2  65.6ms",
+         "ca957e6cc7d5b637", "cb61599bd19a1325"),
+        ("dense", "parallel", "inference",
+         "dense par. infer  615440x2  52x2   11.5mW  577pJ   0.2912mm2  411mW   "
+         "20.6nJ  0.0384mm2  -       -           21.1nJ   0.3296mm2  50ns",
+         "dde3ad87d2e89437", "7d1713cd10e6370b"),
+        ("dense", "parallel", "training",
+         "dense par. train  615440x2  52x2   5.77mW  236uJ   0.2912mm2  6.43mW  "
+         "252nJ   0.0384mm2  -       -           237uJ    0.3296mm2  65.6ms",
+         "4953b449ed483f50", "75d4836c19fd21ef"),
+        ("cnn", "sequential", "inference",
+         "cnn seq. infer  153x2    3x2    666uW   39.2nJ  0.0168mm2  6.43mW  "
+         "378nJ   0.0006mm2  -       -           417nJ    0.0174mm2  58.8us",
+         "257079f700fefde7", "922c9004ed5ef6de"),
+        ("cnn", "sequential", "training",
+         "cnn seq. train  153x2    3x2    333uW   13.6uJ  0.0168mm2  6.43mW  "
+         "441nJ   0.0006mm2  6468    12.9nJ      14.1uJ   0.04757mm2  65.6ms",
+         "65d4968a8eb06aac", "b310c82ee34effd6"),
+        ("cnn", "parallel", "inference",
+         "cnn par. infer  72324x2  1176x2  261mW   13.1nJ  6.586mm2  7.56W   "
+         "378nJ   0.7056mm2  -       -           391nJ    7.291mm2  150ns",
+         "5c85e307f6bff0a9", "b5ade2c081422800"),
+        ("cnn", "parallel", "training",
+         "cnn par. train  72324x2  1176x2  131mW   5.35mJ  6.586mm2  6.43mW  "
+         "64nJ    0.7056mm2  6468    12.9nJ      5.35mJ   7.321mm2  65.5ms",
+         "59b24c544e8d7366", "bdd751d975daffc3"),
+    ])
+    def test_outputs_are_pinned(self, capsys, tmp_path, net, mode, phase,
+                                row, stdout, report):
+        digest = lambda text: hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert main(["cost", "--seed", "1", "--net", net, "--mode", mode,
+                     "--phase", phase, "--json", "--outdir",
+                     str(tmp_path)]) == 0
+        out = capsys.readouterr().out.replace(str(tmp_path), "<outdir>")
+        assert out.splitlines()[2] == row
+        assert digest(out) == stdout
+        assert digest((tmp_path / "cost.json").read_text()) == report
 
     def test_cnn_design_point(self, capsys):
         assert main(["cost", "--seed", "0", "--net", "cnn"]) == 0

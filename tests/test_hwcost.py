@@ -9,30 +9,35 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from memdenoise import hwcost
+from memdenoise import crossbar, hwcost
 from memdenoise.crossbar import TILE_COLS, TILE_ROWS, tile_grid
 from memdenoise.hwcost import (
     ComponentBudget,
     DesignPoint,
     FabricExceededError,
-    LayerGeometry,
     count_tiles,
     estimate,
     format_report_table,
     format_si,
 )
+from memdenoise.nets import CnnDenoiser, DenseDenoiser
 
 BUDGET = ComponentBudget()
 
 
+# The design points of the cost command: each net's declared layers for
+# 28 x 28 planes. TestDesignPoint states those layers independently.
 def dense_point(mode="sequential", phase="inference"):
-    return DesignPoint.for_dense(mode=mode, phase=phase)
+    return DesignPoint("dense", mode, phase,
+                       DenseDenoiser.crossbar_layers((28, 28)))
 
 
 def cnn_point(mode="sequential", phase="inference"):
-    return DesignPoint.for_cnn(mode=mode, phase=phase)
+    return DesignPoint("cnn", mode, phase,
+                       CnnDenoiser.crossbar_layers((28, 28)))
 
 
 class TestCountTiles:
@@ -104,64 +109,30 @@ class TestComponentBudget:
 
 
 class TestLayerGeometry:
+    """The nets' declared layers: plain (rows, cols, reads) tuples."""
+
     def test_devices_and_tiles(self):
-        layer = LayerGeometry(785, 784)
-        assert layer.devices == 615440
-        assert layer.tiles == 52
-        assert layer.passes == 1
+        (rows, cols, reads), = DenseDenoiser.crossbar_layers((28, 28))
+        assert rows * cols == 615440
+        assert count_tiles(rows, cols) == 52
+        assert reads == 1
 
     def test_small_layer_fits_one_tile(self):
-        assert LayerGeometry(9, 8, passes=784).tiles == 1
-
-    @pytest.mark.parametrize("kwargs", [
-        {"rows": 0, "cols": 1}, {"rows": 1, "cols": 0},
-        {"rows": 1, "cols": 1, "passes": 0},
-    ])
-    def test_rejects_degenerate_geometry(self, kwargs):
-        with pytest.raises(ValueError):
-            LayerGeometry(**kwargs)
+        rows, cols, reads = CnnDenoiser.crossbar_layers((28, 28))[0]
+        assert count_tiles(rows, cols) == 1
+        assert reads == 784
 
 
 class TestDesignPoint:
     def test_dense_default_is_one_bias_augmented_layer(self):
-        point = DesignPoint.for_dense()
+        point = dense_point()
         assert point.network == "dense"
         assert point.mode == "sequential"
         assert point.phase == "inference"
-        assert point.layers == (LayerGeometry(785, 784, 1),)
+        assert point.layers == ((785, 784, 1),)
 
     def test_cnn_layer_table(self):
-        point = cnn_point()
-        assert point.layers == (
-            LayerGeometry(9, 8, 784),
-            LayerGeometry(72, 1, 196),
-            LayerGeometry(9, 1, 196),
-        )
-
-    def test_layers_coerced_to_tuple(self):
-        point = DesignPoint("cnn", "sequential", "inference",
-                            [LayerGeometry(9, 8, 4)])
-        assert isinstance(point.layers, tuple)
-
-    @pytest.mark.parametrize("network", ["dense", "cnn"])
-    def test_rejects_empty_layers(self, network):
-        with pytest.raises(ValueError, match="at least one layer"):
-            DesignPoint(network, "sequential", "inference", ())
-
-    def test_dense_rejects_multiple_layers(self):
-        with pytest.raises(ValueError, match="at most one layer"):
-            DesignPoint("dense", "sequential", "inference",
-                        (LayerGeometry(5, 5), LayerGeometry(5, 5)))
-
-    @pytest.mark.parametrize("kwargs", [
-        {"network": "rnn"}, {"mode": "burst"}, {"phase": "sleep"},
-    ])
-    def test_rejects_unknown_labels(self, kwargs):
-        base = {"network": "dense", "mode": "sequential", "phase": "inference",
-                "layers": (LayerGeometry(5, 5),)}
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            DesignPoint(**base)
+        assert cnn_point().layers == ((9, 8, 784), (72, 1, 196), (9, 1, 196))
 
 
 class TestDenseSequentialInference:
@@ -293,6 +264,72 @@ class TestCnnCosts:
         update_latency = TILE_ROWS * TILE_COLS * b.t_write * b.update_pulses
         assert r.time_per_image == pytest.approx(
             58.8e-6 + 196 * b.t_read + update_latency, rel=1e-12)
+
+
+def cnn_net(kernels, ksize, seed=0):
+    rng = np.random.default_rng(seed)
+    return CnnDenoiser(rng.normal(size=(kernels, ksize, ksize)),
+                       rng.normal(size=(kernels, ksize, ksize)),
+                       rng.normal(size=(ksize, ksize)))
+
+
+def readouts(monkeypatch, net, shape):
+    """((rows, cols) of the crossbar, rows read) of each crossbar readout
+    of a 1-image forward_stack, in call order."""
+    calls, real = [], crossbar.matmul
+
+    def counted(m, xs):
+        calls.append(((m.rows, m.cols), int(np.prod(np.shape(xs)[:-1]))))
+        return real(m, xs)
+
+    monkeypatch.setattr(crossbar, "matmul", counted)
+    net.forward_stack(np.random.default_rng(1).random((1, *shape)))
+    return calls
+
+
+class TestDeclaredLayers:
+    """Each net's declared layers against the crossbars it programs and
+    the rows its simulated readout reads."""
+
+    @pytest.mark.parametrize("shape", [(28, 28), (8, 8), (5, 7)])
+    def test_dense_programs_and_reads_its_declaration(self, monkeypatch,
+                                                      shape):
+        p = shape[0] * shape[1]
+        net = DenseDenoiser(np.zeros((p + 1, p)), shape)
+        (rows, cols, reads), = DenseDenoiser.crossbar_layers(shape)
+        assert (net.layer.tiled.rows, net.layer.tiled.cols) == (rows, cols)
+        assert readouts(monkeypatch, net, shape) == [((rows, cols), reads)]
+
+    @pytest.mark.parametrize("kernels,ksize", [(8, 3), (1, 3), (3, 5)])
+    @pytest.mark.parametrize("shape", [(28, 28), (27, 27), (9, 7), (8, 8)])
+    def test_cnn_programs_and_reads_its_declaration(self, monkeypatch, shape,
+                                                    kernels, ksize):
+        net = cnn_net(kernels, ksize)
+        declared = CnnDenoiser.crossbar_layers(shape, kernels, ksize)
+        assert [(m.tiled.rows, m.tiled.cols) for m in (net.m1, net.m3, net.m2)
+                ] == [(rows, cols) for rows, cols, _ in declared]
+        assert readouts(monkeypatch, net, shape) == [
+            ((rows, cols), reads) for rows, cols, reads in declared]
+
+    def test_odd_sides_read_their_padded_planes(self):
+        assert [reads for *_, reads in CnnDenoiser.crossbar_layers((27, 27))
+                ] == [784, 196, 196]
+        assert [reads for *_, reads in CnnDenoiser.crossbar_layers((9, 7))
+                ] == [80, 20, 20]
+
+    @pytest.mark.parametrize("point,net", [
+        (dense_point, lambda: DenseDenoiser(np.zeros((785, 784)), (28, 28))),
+        (cnn_point, lambda: cnn_net(8, 3))])
+    def test_tile_reads_are_the_sequential_read_slots(self, monkeypatch,
+                                                      point, net):
+        # Sequential inference costs one read slot per tile read: 52 for
+        # the dense net's one row over 52 tiles, 784 + 196 + 196 for the
+        # CNN's patch rows, each over its one tile.
+        slots = sum(rows * count_tiles(*shape)
+                    for shape, rows in readouts(monkeypatch, net(), (28, 28)))
+        report = estimate(point())
+        assert report.crossbar_active_time == slots * BUDGET.t_read
+        assert slots == {"dense": 52, "cnn": 1176}[report.network]
 
 
 class TestEnergyAccounting:
