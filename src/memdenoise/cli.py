@@ -646,6 +646,15 @@ def cmd_sweep(config):
 COST_SHAPE = (28, 28)  # cost's plane shape: MNIST's, as in the abstract
 
 
+def cost_point(net, mode, phase):
+    """The cost command's design point: net's declared layers at COST_SHAPE."""
+    nets = {"dense": DenseDenoiser, "cnn": CnnDenoiser}
+    if net not in nets:
+        raise CliError("cost covers dense and cnn design points")
+    return hwcost.DesignPoint(net, mode, phase,
+                              nets[net].crossbar_layers(COST_SHAPE))
+
+
 def cmd_cost(config):
     budget = None
     if config["budget"] is not None:
@@ -655,11 +664,7 @@ def cmd_cost(config):
             budget = hwcost.ComponentBudget.from_mapping(overrides)
         except (OSError, json.JSONDecodeError, TypeError, ValueError) as e:
             raise CliError(f"bad budget file: {e}")
-    nets = {"dense": DenseDenoiser, "cnn": CnnDenoiser}
-    if config["net"] not in nets:
-        raise CliError("cost covers dense and cnn design points")
-    point = hwcost.DesignPoint(config["net"], config["mode"], config["phase"],
-                               nets[config["net"]].crossbar_layers(COST_SHAPE))
+    point = cost_point(config["net"], config["mode"], config["phase"])
     try:
         report = hwcost.estimate(point, budget)
     except ValueError as e:  # FabricExceededError too

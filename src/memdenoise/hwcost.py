@@ -112,7 +112,9 @@ class DesignPoint:
     in programming order, ``reads`` counting its matrix-vector reads per
     image: 1 for a dense layer, the patch positions for a conv kernel.
     The networks declare them (``DenseDenoiser.crossbar_layers``,
-    ``CnnDenoiser.crossbar_layers``).
+    ``CnnDenoiser.crossbar_layers``). Nothing is checked: ``estimate``
+    costs any mode but "parallel" as sequential, any network but "dense"
+    as a CNN, and needs a layer; the cost command's choices refuse labels.
     """
 
     network: str
@@ -219,32 +221,19 @@ def _forward_report(point: DesignPoint, budget: ComponentBudget) -> HardwareCost
     crossbar_area = 2 * tiles * budget.tile_area
     total_reads = sum(reads for _, _, reads in layers)
 
-    if point.network == "dense":
-        if parallel:
-            crossbar_power = 2 * tiles * budget.tile_power
-            crossbar_active = budget.t_read
-            latency = budget.t_read
-            chains = TILE_COLS
-            cmos_active = budget.t_read
-        else:
-            crossbar_power = 2 * budget.tile_power
-            crossbar_active = tiles * budget.t_read
-            latency = TILE_COLS * budget.t_read
-            chains = 1
-            cmos_active = latency
-    else:
-        if parallel:
-            crossbar_power = 2 * tiles * budget.tile_power
-            crossbar_active = budget.t_read
-            latency = len(layers) * budget.t_read
-            chains = total_reads
-            cmos_active = budget.t_read
-        else:
-            crossbar_power = 2 * tiles * budget.tile_power
-            crossbar_active = total_reads * budget.t_read
-            latency = crossbar_active
-            chains = 1
-            cmos_active = latency
+    dense, chains = point.network == "dense", 1
+    if parallel:  # every tile reads in the same slot
+        crossbar_power = 2 * tiles * budget.tile_power
+        crossbar_active = cmos_active = budget.t_read
+        latency = (1 if dense else len(layers)) * budget.t_read
+        chains = TILE_COLS if dense else total_reads
+    elif dense:  # one tile read per slot
+        crossbar_power = 2 * budget.tile_power
+        crossbar_active = tiles * budget.t_read
+        latency = cmos_active = TILE_COLS * budget.t_read
+    else:  # one patch read per slot
+        crossbar_power = 2 * tiles * budget.tile_power
+        crossbar_active = latency = cmos_active = total_reads * budget.t_read
 
     return HardwareCostReport(
         network=point.network, mode=point.mode, phase=point.phase,

@@ -104,13 +104,14 @@ class CnnDenoiser:
     gain in that order from the [program_seed, 0x70] stream."""
 
     @staticmethod
-    def crossbar_layers(shape, kernels=KERNELS, ksize=KSIZE):
-        """(rows, cols, reads per plane) of m1, m3 and m2 for (h, w) planes:
-        m1 reads a patch per pixel, m3 and m2 one per pooled pixel, of the
-        plane padded to even sides as forward_stack pads it."""
+    def crossbar_layers(shape):
+        """(rows, cols, reads per plane) of m1, m3 and m2 for (h, w) planes
+        and KERNELS kernels of KSIZE sides: m1 reads a patch per pixel, m3
+        and m2 one per pooled pixel of the plane padded as forward_stack
+        pads it."""
         h, w = shape
-        n, kk = (h + h % 2) * (w + w % 2), ksize * ksize
-        return (kk, kernels, n), (kernels * kk, 1, n // 4), (kk, 1, n // 4)
+        n, kk = (h + h % 2) * (w + w % 2), KSIZE * KSIZE
+        return (kk, KERNELS, n), (KERNELS * kk, 1, n // 4), (kk, 1, n // 4)
 
     def __init__(self, k1, k3, k2, train_noise="", rmse_log=(),
                  device=None, program_seed=0):

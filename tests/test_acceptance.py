@@ -16,14 +16,13 @@ import pytest
 
 from conftest import EVAL_SEED, write_idx_images, write_idx_labels
 from memdenoise import hwcost, metrics
-from memdenoise.cli import main
+from memdenoise.cli import cost_point, main
 from memdenoise.crossbar import TILE_COLS, TILE_ROWS, matmul, program, tile_grid
 from memdenoise.device import DeviceModel, quantize
-from memdenoise.hwcost import ComponentBudget, DesignPoint, count_tiles
+from memdenoise.hwcost import ComponentBudget, count_tiles
 from memdenoise.classify import evaluate
 from memdenoise.nets.cnn import (CnnDenoiser, _float_forward,
                                  cnn_loss_and_grads)
-from memdenoise.nets.dense import DenseDenoiser
 from memdenoise.baselines import FilterSpec, filter_stack
 from memdenoise.noise import STANDARD_NOISES, corrupt_dataset, parse_spec
 
@@ -239,16 +238,10 @@ def test_criterion_5_tuned_classical_filters(eval_images):
     assert not failures, "; ".join(failures)
 
 
-def design(net, mode="sequential", phase="inference"):
-    """The cost command's design point: the net's declared 28 x 28 layers."""
-    layers = {"dense": DenseDenoiser, "cnn": CnnDenoiser}[net].crossbar_layers
-    return DesignPoint(net, mode, phase, layers((28, 28)))
-
-
 def test_criterion_6_hardware_cost_model():
-    seq = hwcost.estimate(design("dense"))
-    par = hwcost.estimate(design("dense", mode="parallel"))
-    train = hwcost.estimate(design("dense", phase="training"))
+    seq = hwcost.estimate(cost_point("dense", "sequential", "inference"))
+    par = hwcost.estimate(cost_point("dense", "parallel", "inference"))
+    train = hwcost.estimate(cost_point("dense", "sequential", "training"))
     print("criterion 6:\n" + hwcost.format_report_table([seq, par, train]))
 
     assert within(seq.total_energy, 21.1e-9, 0.30 * 21.1e-9), \
@@ -267,9 +260,9 @@ def test_criterion_6_hardware_cost_model():
         f"training energy {train.total_energy:.3e} J"
 
     cnn_reports = [
-        hwcost.estimate(design("cnn")),
-        hwcost.estimate(design("cnn", mode="parallel")),
-        hwcost.estimate(design("cnn", phase="training")),
+        hwcost.estimate(cost_point("cnn", "sequential", "inference")),
+        hwcost.estimate(cost_point("cnn", "parallel", "inference")),
+        hwcost.estimate(cost_point("cnn", "sequential", "training")),
     ]
     print("criterion 6 (conv rows, reported only):\n"
           + hwcost.format_report_table(cnn_reports))

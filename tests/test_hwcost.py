@@ -13,17 +13,17 @@ import numpy as np
 import pytest
 
 from memdenoise import crossbar, hwcost
+from memdenoise.cli import cost_point
 from memdenoise.crossbar import TILE_COLS, TILE_ROWS, tile_grid
 from memdenoise.hwcost import (
     ComponentBudget,
-    DesignPoint,
     FabricExceededError,
     count_tiles,
     estimate,
     format_report_table,
     format_si,
 )
-from memdenoise.nets import CnnDenoiser, DenseDenoiser
+from memdenoise.nets import CnnDenoiser, DenseDenoiser, cnn
 
 BUDGET = ComponentBudget()
 
@@ -31,13 +31,11 @@ BUDGET = ComponentBudget()
 # The design points of the cost command: each net's declared layers for
 # 28 x 28 planes. TestDesignPoint states those layers independently.
 def dense_point(mode="sequential", phase="inference"):
-    return DesignPoint("dense", mode, phase,
-                       DenseDenoiser.crossbar_layers((28, 28)))
+    return cost_point("dense", mode, phase)
 
 
 def cnn_point(mode="sequential", phase="inference"):
-    return DesignPoint("cnn", mode, phase,
-                       CnnDenoiser.crossbar_layers((28, 28)))
+    return cost_point("cnn", mode, phase)
 
 
 class TestCountTiles:
@@ -304,8 +302,11 @@ class TestDeclaredLayers:
     @pytest.mark.parametrize("shape", [(28, 28), (27, 27), (9, 7), (8, 8)])
     def test_cnn_programs_and_reads_its_declaration(self, monkeypatch, shape,
                                                     kernels, ksize):
+        # The declaration reads the module's kernel count and side.
+        monkeypatch.setattr(cnn, "KERNELS", kernels)
+        monkeypatch.setattr(cnn, "KSIZE", ksize)
         net = cnn_net(kernels, ksize)
-        declared = CnnDenoiser.crossbar_layers(shape, kernels, ksize)
+        declared = CnnDenoiser.crossbar_layers(shape)
         assert [(m.tiled.rows, m.tiled.cols) for m in (net.m1, net.m3, net.m2)
                 ] == [(rows, cols) for rows, cols, _ in declared]
         assert readouts(monkeypatch, net, shape) == [
