@@ -36,6 +36,10 @@ def save(path, kind, meta, arrays):
     """Write a checkpoint of the given kind: JSON metadata plus named arrays.
 
     Boolean arrays are stored as bytes, every other array as float64.
+    The bytes go to a temporary file beside path that then replaces it,
+    so a save that fails part-way leaves any earlier file at path as it
+    was and removes its temporary file. (No fsync: this guards against
+    the process failing, not against the machine losing power.)
     """
     arrays = {name: _stored(a) for name, a in arrays.items()}
     header = json.dumps({
@@ -43,11 +47,18 @@ def save(path, kind, meta, arrays):
         "arrays": [[name, a.dtype.str, list(a.shape)]
                    for name, a in arrays.items()],
     }, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
-        f.write(header)
-        for a in arrays.values():
-            f.write(_raw(a))
+    # One writer per process, so the process id makes the name unique.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
+            f.write(header)
+            for a in arrays.values():
+                f.write(_raw(a))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the save failed before the replace
+            os.remove(tmp)
 
 
 def _parse_header(blob, path):

@@ -502,6 +502,12 @@ def member_bank(config):
 
 
 def cmd_train(config):
+    # A noise list with no real spec is refused before any read; fusion
+    # reads no noises.
+    if config["net"] != "fusion":
+        specs = parse_noises(config)
+        if not specs or any(s is None for s in specs):
+            raise CliError("train requires at least one real noise spec")
     data = load_dataset(config, "train")
     written, log = [], []
     if config["net"] == "fusion":
@@ -514,9 +520,6 @@ def cmd_train(config):
         for epoch, rmse in enumerate(net.rmse_log, 1):
             log.append(f"fusion,,{epoch},{rmse:.8g}")
     else:
-        specs = parse_noises(config)
-        if not specs or any(s is None for s in specs):
-            raise CliError("train requires at least one real noise spec")
         texts = [spec.text() for spec in specs]
         cfgs = [resolved_train_config(config, text) for text in texts]
         os.makedirs(config["outdir"], exist_ok=True)
@@ -611,12 +614,12 @@ def _sweep_variant(net, param, value, seed):
 def cmd_sweep(config):
     if config["checkpoint"] is None:
         raise CliError("sweep requires --checkpoint (a dense net)")
-    kind, net = load_net(config["checkpoint"])
-    if kind != "dense":
-        raise CliError("sweep operates on dense checkpoints")
     specs = [s for s in parse_noises(config) if s is not None]
     if not specs:
         raise CliError("sweep requires a real noise spec")
+    kind, net = load_net(config["checkpoint"])
+    if kind != "dense":
+        raise CliError("sweep operates on dense checkpoints")
     data = _test_split(config)
     # The dense variants clamp their input stacks.
     noisy = [(spec.text(), corrupt_dataset(data.images, spec, config["seed"]))

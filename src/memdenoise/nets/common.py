@@ -161,12 +161,15 @@ def training_planes(data, cfg):
     return clean[:cfg.limit], shape
 
 
-def fit(cfg, n, step, params, score, in_loop=()):
+def fit(cfg, n, step, params, score, in_loop=(), plan=None):
     """Train params in place on n samples; return the per-epoch log.
 
     Each epoch shuffles the samples with the [seed, 0x5F] stream and
     calls step(epoch, learning_rate / sqrt(epoch), idx) on each cfg.batch
-    index array in turn (the last may be short). step updates params and
+    index array in turn (the last may be short). plan, when given, is
+    called as plan(epoch, batches) with the epoch's list of those index
+    arrays before its first step, so a trainer can prepare work that
+    does not depend on params ahead of the steps. step updates params and
     returns that minibatch's loss terms, added one by one in order into
     the epoch's sum; score(sum) is logged. TrainingDivergence when a
     logged score exceeds twice the first or is not finite, or when a
@@ -180,9 +183,12 @@ def fit(cfg, n, step, params, score, in_loop=()):
     for epoch in range(1, cfg.epochs + 1):
         eta = cfg.learning_rate / np.sqrt(epoch)
         perm = rng.permutation(n)
+        batches = [perm[lo:lo + cfg.batch] for lo in range(0, n, cfg.batch)]
+        if plan is not None:
+            plan(epoch, batches)
         total = 0.0
-        for lo in range(0, n, cfg.batch):
-            for term in step(epoch, eta, perm[lo:lo + cfg.batch]):
+        for idx in batches:
+            for term in step(epoch, eta, idx):
                 total += term
         log.append(score(total))
         if not (log[-1] <= 2.0 * log[0] and log[-1] < math.inf):

@@ -6,12 +6,16 @@ member outputs are stacked into planes, and a single trained
 depth x k x k kernel collapses the stack back to one image.  Only that
 kernel is trainable here; members stay frozen.
 
-Training reads each member once per minibatch and unfolds the whole
-minibatch at once; the kernel update adds its per-sample terms in sample
-order.  The member readouts stay one per minibatch and are not merged
-into larger ones: a 1-row readout takes another BLAS path than a
-multi-row one, so merging would change the bits of batch-1 runs and of
-1-sample tail batches.
+Training reads the members ahead of the kernel steps: their outputs
+depend only on the shuffled sample order and the per-sample noise draws,
+never on the kernel.  fit hands over each epoch's minibatches first, and
+each member then reads a block of whole consecutive minibatches (about
+2**19 member outputs) in one readout.  Each step unfolds its own
+minibatch's rows of the block and adds the kernel update's per-sample
+terms in sample order.  A multi-row minibatch's rows of a block readout
+have the bits of its own readout, so blocking keeps the bits; a 1-row
+readout takes another BLAS path, so a 1-sample minibatch (batch 1, or a
+1-sample tail) is still read on its own.
 """
 
 from __future__ import annotations
@@ -121,6 +125,23 @@ def fusion_init(member_count: int, size: int = 3, kind: str = "zero"):
     return kernel
 
 
+def minibatch_runs(batches, per_block):
+    """The minibatches in order, grouped into runs of at most per_block.
+
+    A 1-sample minibatch (batch 1, or a 1-sample tail) is a run of its
+    own: a 1-row readout takes another BLAS path than a multi-row one,
+    so reading it inside a larger block would change its bits.
+    """
+    run = []
+    for idx in batches:
+        if run and (len(run) == per_block or len(idx) == 1):
+            yield run
+            run = []
+        run.append(idx)
+    if run:
+        yield run
+
+
 def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
     """Train the fusion kernel over frozen members by the delta rule
     under fit.
@@ -137,23 +158,45 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
              if cfg.clean_fraction < 1.0 else [])
     clean, shape = training_planes(data, cfg)
     n, p = clean.shape
-    kflat = fusion_init(len(members), size, cfg.init).reshape(-1)
+    depth = len(members)
+    kflat = fusion_init(depth, size, cfg.init).reshape(-1)
+    # Minibatches per block: about 2**19 member outputs, the plane_chunks
+    # budget, so the block held does not grow with n.
+    per_block = max(1, 2 ** 19 // (depth * p * cfg.batch))
+    feed = None
+
+    def member_planes(epoch, batches):
+        # The (rows, members, P) member outputs of each minibatch in turn.
+        # They do not depend on the kernel, so each block of minibatches
+        # is corrupted and read ahead of its steps, one readout per member
+        # (the members clamp their inputs).
+        for run in minibatch_runs(batches, per_block):
+            rows = np.concatenate(run)
+            inputs = np.empty((len(rows), p))
+            for row, i in enumerate(rows):
+                sample_rng = np.random.default_rng([cfg.seed, epoch, int(i)])
+                if sample_rng.random() < cfg.clean_fraction:
+                    inputs[row] = clean[i]
+                else:
+                    spec = specs[sample_rng.integers(len(specs))]
+                    inputs[row] = corrupt(clean[i].reshape(shape), spec,
+                                          sample_rng).reshape(-1)
+            planes = np.empty((len(rows), depth, p))
+            for j, member in enumerate(members):
+                planes[:, j] = member.forward_flat(inputs)
+            lo = 0
+            for idx in run:
+                yield planes[lo:lo + len(idx)]
+                lo += len(idx)
+
+    def plan(epoch, batches):
+        nonlocal feed
+        feed = member_planes(epoch, batches)
 
     def step(epoch, eta, idx):
-        inputs = np.empty((len(idx), p))
-        for row, i in enumerate(idx):
-            sample_rng = np.random.default_rng([cfg.seed, epoch, int(i)])
-            if sample_rng.random() < cfg.clean_fraction:
-                inputs[row] = clean[i]
-            else:
-                spec = specs[sample_rng.integers(len(specs))]
-                inputs[row] = corrupt(clean[i].reshape(shape), spec,
-                                      sample_rng).reshape(-1)
-        # The members clamp their inputs. One batched readout per member
-        # and one unfold per minibatch; the update stays per sample.
-        planes = np.stack([m.forward_flat(inputs) for m in members], axis=1)
-        patches = unfold_stack(
-            planes.reshape(len(idx), len(members), *shape), size)
+        # One unfold per minibatch; the update stays per sample.
+        patches = unfold_stack(next(feed).reshape(len(idx), depth, *shape),
+                               size)
         grad = np.zeros_like(kflat)
         terms = []
         for row, i in enumerate(idx):
@@ -165,7 +208,8 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
         return terms
 
     rmse_log = fit(cfg, n, step, [kflat],
-                   lambda s: float(np.sqrt(s / (n * p))), in_loop=[kflat])
-    kernel = kflat.reshape(len(members), size, size)
+                   lambda s: float(np.sqrt(s / (n * p))), in_loop=[kflat],
+                   plan=plan)
+    kernel = kflat.reshape(depth, size, size)
     return FusionDenoiser(members, kernel, rmse_log=rmse_log,
                           device=cfg.device, program_seed=cfg.seed)

@@ -1,6 +1,7 @@
 """The checkpoint container: layout, hostile bytes, and streamed memory."""
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -297,6 +298,30 @@ def test_fusion_checkpoint_streams(tmp_path):
     assert retained - before > 100 * MB
     assert load_peak - retained <= 2 * MB
     assert len(back.members) == 8
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+def test_failed_save_leaves_the_old_file(blobs, tmp_path, monkeypatch, fault):
+    # A save that fails after writing part of its bytes, or at the final
+    # replace, leaves the earlier checkpoint's bytes and no other file.
+    root, saved = blobs
+    path = tmp_path / "net.bin"
+    path.write_bytes(saved["fusion"])
+    net, raw, seen = load("dense", root / "dense"), ckpt._raw, []
+
+    def fail(*args):
+        seen.append(sorted(p.name for p in tmp_path.iterdir()))
+        if fault == "write" and len(seen) == 1:
+            return raw(*args)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(*(ckpt, "_raw") if fault == "write"
+                        else (ckpt.os, "replace"), fail)
+    with pytest.raises(OSError, match="no space left"):
+        net.save(path)
+    assert seen[-1] == ["net.bin", f"net.bin.{os.getpid()}.tmp"]
+    assert path.read_bytes() == saved["fusion"]
+    assert [p.name for p in tmp_path.iterdir()] == ["net.bin"]
 
 
 def ramp(shape, top):

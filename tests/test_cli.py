@@ -284,6 +284,24 @@ class TestExitCodes:
         assert main(["train", "--data", corpus, "--seed", "1", "--net", "dense",
                      "--noise", "none", "--outdir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv,cause", [
+        (["train", "--net", "dense"], "train requires at least one real "
+         "noise spec"),
+        (["train", "--net", "cnn"], "train requires at least one real "
+         "noise spec"),
+        (["sweep", "--checkpoint", "missing.bin"], "sweep requires a real "
+         "noise spec")], ids=["train-dense", "train-cnn", "sweep"])
+    def test_noise_refused_before_any_read(self, capsys, tmp_path, monkeypatch,
+                                           argv, cause):
+        # An empty data directory and a missing checkpoint would each fail
+        # their read: the noise list is refused first.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        assert main([*argv, "--data", "empty", "--seed", "1", "--noise",
+                     "none", "--outdir", "out"]) == 2
+        one_error_line(capsys, cause)
+        assert not (tmp_path / "out").exists()
+
     def test_bad_noise_spec_returns_two(self, corpus, capsys, tmp_path):
         assert main(["eval", "--data", corpus, "--seed", "1",
                      "--noise", "gaussian:-1", "--outdir", str(tmp_path)]) == 2
@@ -1535,9 +1553,10 @@ class TestCifar10:
 
 
 class TestBlasThreads:
-    """eval's reports are the same bytes under one and two BLAS threads.
+    """eval's reports and fusion training's checkpoint are the same bytes
+    under one and two BLAS threads.
 
-    Each eval runs in a subprocess that sets its own thread count; the
+    Each command runs in a subprocess that sets its own thread count; the
     16x16 readouts are large enough for OpenBLAS to split them across
     threads when it has two.
     """
@@ -1546,7 +1565,7 @@ class TestBlasThreads:
     def nets(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("blas")
         rng = np.random.default_rng(2)
-        for prefix, n in (("train", 32), ("t10k", 64)):
+        for prefix, n in (("train", 300), ("t10k", 64)):
             write_idx_images(root / f"{prefix}-images-idx3-ubyte",
                              rng.integers(0, 256, (n, 16, 16), dtype=np.uint8))
             write_idx_labels(root / f"{prefix}-labels-idx1-ubyte",
@@ -1562,24 +1581,44 @@ class TestBlasThreads:
         return str(root), {"fusion": f"{out}/fusion.bin",
                            "cnn": f"{out}/cnn_gaussian_0.1.bin"}
 
+    @staticmethod
+    def run(argv, threads):
+        """memdenoise argv in a subprocess with that many BLAS threads."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "memdenoise.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("kind", ["fusion", "cnn"])
     def test_eval_reports_do_not_depend_on_threads(self, nets, tmp_path,
                                                    kind):
         data, paths = nets
-        src = os.path.dirname(os.path.dirname(cli.__file__))
         reports = []
         for threads in ("1", "2"):
             out = tmp_path / threads
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run(
-                [sys.executable, "-m", "memdenoise.cli", "eval", "--data",
-                 data, "--seed", "1", "--checkpoint", paths[kind], "--noise",
-                 "gaussian:0.1", "--noise", "sp:0.1", "--json", "--outdir",
-                 str(out)], env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
+            self.run(["eval", "--data", data, "--seed", "1", "--checkpoint",
+                      paths[kind], "--noise", "gaussian:0.1", "--noise",
+                      "sp:0.1", "--json", "--outdir", str(out)], threads)
             reports.append([(out / name).read_bytes()
                             for name in ("eval.csv", "eval.json")])
         assert reports[0] == reports[1]
+
+    def test_fusion_training_does_not_depend_on_threads(self, nets,
+                                                        tmp_path):
+        # 300 samples of 8 x 256 member outputs: blocks of 256 and 44 rows
+        # (32 minibatches of 8, then 5 and a 4-sample tail).
+        data, paths = nets
+        trained = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            self.run([*FUSE, "--data", data, "--seed", "3", "--epochs", "2",
+                      "--lr", "0.002", "--members",
+                      os.path.dirname(paths["fusion"]), "--outdir", str(out)],
+                     threads)
+            trained.append([(out / name).read_bytes()
+                            for name in ("fusion.bin", "train_log.csv")])
+        assert trained[0] == trained[1]

@@ -11,7 +11,8 @@ from memdenoise.nets.cnn import conv_same, unfold_stack
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
                                     pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
-from memdenoise.nets.fusion import FusionDenoiser, fusion_init, fusion_train
+from memdenoise.nets.fusion import (FusionDenoiser, fusion_init,
+                                    fusion_train, minibatch_runs)
 from memdenoise.noise import corrupt, parse_spec
 
 # Checkpoint kinds ckpt.load accepts here
@@ -38,12 +39,27 @@ def member_bank(rng, h=8, w=8, count=3):
     return nets, ds
 
 
+def member_bank_28(rng, n):
+    """Three untrained near-identity 28x28 members and n random images.
+    At 28x28 a 1-row member readout has other bits than the same row of
+    a taller readout, which 8x8 members do not show."""
+    p = 28 * 28
+    nets = [DenseDenoiser(np.vstack([np.eye(p), np.zeros((1, p))])
+                          + rng.normal(0, 0.01, (p + 1, p)), (28, 28),
+                          train_noise=text)
+            for text in ("gaussian:0.05", "sp:0.1", "speckle:1")]
+    return nets, Dataset(rng.random((n, 28, 28)), np.zeros(n, np.int64),
+                         "train")
+
+
 def per_sample_fusion_train(cfg, members, data, size=3):
     """Reference trainer: one patch matrix and update term per sample.
 
-    Member readouts stay one per minibatch, as in the trainer: a 1-row
-    readout takes another BLAS path than a multi-row one, so only the
-    minibatch grouping fixes the member outputs' bits.
+    Each minibatch is corrupted and read by the members on its own, inside
+    the SGD loop, where the trainer reads blocks of minibatches ahead of
+    the steps. The == cases thus pin that a minibatch's rows of a block
+    readout have the bits of its own readout, and that a 1-row minibatch
+    is still read alone (a 1-row readout takes another BLAS path).
     """
     specs = [parse_spec(m.train_noise) for m in members]
     clean, shape = plane_samples(data.images)
@@ -270,6 +286,50 @@ class TestTraining:
         kernel, rmse_log = per_sample_fusion_train(cfg, nets, ds)
         assert np.array_equal(fused.kernel, kernel)
         assert fused.rmse_log == rmse_log
+
+    # 3 x 784 member outputs per sample: a block is 2**19 // 2352 = 222
+    # samples' worth of whole minibatches (3 of 72, 27 of 8).
+    @pytest.mark.parametrize("batch,limit,device_in_loop", [
+        (72, 300, False), (8, 17, False), (8, 40, True)],
+        ids=["batch-72-two-blocks", "one-sample-tail", "device-in-loop"])
+    def test_blocked_readouts_bits_equal_per_sample_at_28x28(
+            self, rng, batch, limit, device_in_loop):
+        nets, ds = member_bank_28(rng, limit)
+        cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.05,
+                          epochs=2, batch=batch, seed=4, limit=limit,
+                          device=DeviceModel(levels=16, variation_sigma=0.05),
+                          device_in_loop=device_in_loop)
+        fused = fusion_train(cfg, nets, ds)
+        kernel, rmse_log = per_sample_fusion_train(cfg, nets, ds)
+        assert np.array_equal(fused.kernel, kernel)
+        assert fused.rmse_log == rmse_log
+
+    def test_members_read_once_per_block(self, rng, monkeypatch):
+        # 300 samples in 38 minibatches of 8 (the last 4) make 2 blocks of
+        # at most 27 minibatches per epoch: each member reads twice an
+        # epoch, not 38 times.
+        nets, ds = member_bank_28(rng, 300)
+        reads = []
+        for net in nets:
+            read = net.forward_flat
+            monkeypatch.setattr(net, "forward_flat", lambda flat, read=read: (
+                reads.append(len(flat)), read(flat))[1])
+        cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.05,
+                          epochs=2, batch=8, seed=4, limit=300)
+        fusion_train(cfg, nets, ds)
+        assert reads == 2 * (3 * [216] + 3 * [84])
+
+    @pytest.mark.parametrize("sizes,per_block,runs", [
+        ([8, 8, 8, 8, 4], 2, [[8, 8], [8, 8], [4]]),
+        ([8, 8, 1], 27, [[8, 8], [1]]),
+        ([1, 1, 1], 27, [[1], [1], [1]]),
+        ([72, 72], 1, [[72], [72]])])
+    def test_minibatch_runs(self, sizes, per_block, runs):
+        batches = [np.arange(k) for k in sizes]
+        got = list(minibatch_runs(batches, per_block))
+        assert [[len(idx) for idx in run] for run in got] == runs
+        order = [idx for run in got for idx in run]
+        assert all(a is b for a, b in zip(order, batches))
 
     def test_least_squares_oracle_on_synthetic_mix(self, rng):
         # With k=1 kernels the fusion layer is plain linear regression on
