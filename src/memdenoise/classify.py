@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .imagecore import ImageShapeError
+from .imagecore import ImageShapeError, float_stack
 from .nets.common import MAX_GAIN, TrainConfig, fit, max_abs
 from .noise import NoiseSpec, corrupt_dataset
 
@@ -84,8 +84,9 @@ class Classifier:
 
     def predict(self, images):
         """Class labels for a stack of images, each clamped to the [0, 1]
-        input window first."""
-        images = np.asarray(images, dtype=np.float64)
+        input window first; TypeError for an integer stack
+        (imagecore.float_stack)."""
+        images = float_stack(images)
         if images.shape[1:] != self.shape:
             raise ImageShapeError(f"images {images.shape}, classifier expects "
                                   f"{self.shape}")
@@ -124,19 +125,17 @@ def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
     mean cross-entropy; it and the trained layers follow the denoisers'
     divergence rules.
     """
-    images = np.asarray(data.images, dtype=np.float64)
-    flat, shape = images.reshape(len(images), -1), images.shape[1:]
-    labels = np.asarray(data.labels)
-    if cfg.limit is not None:
-        flat, labels = flat[:cfg.limit], labels[:cfg.limit]
-    n = len(flat)
+    shape = data.images.shape[1:]
+    labels = np.asarray(data.labels)[:cfg.limit]
+    n = len(labels)
     clf = Classifier.initial(hidden, shape, seed=cfg.seed)
     layers = [a.copy() for a in (clf.w1, clf.b1, clf.w2, clf.b2)]
     w1, b1, w2, b2 = layers
     onehot = np.eye(10)[labels]
 
     def step(epoch, eta, idx):
-        x, y = flat[idx], onehot[idx]
+        # Only the minibatch is converted to float64 (data.floats).
+        x, y = data.floats(idx).reshape(len(idx), -1), onehot[idx]
         pre = x @ w1 + b1
         hid = np.maximum(0.0, pre)
         prob = _softmax(hid @ w2 + b2)
@@ -163,7 +162,7 @@ def evaluate(clf: Classifier, data, denoiser=None, noise: NoiseSpec | None = Non
     classifier (Classifier.predict).  The report row names the denoiser
     by its class name.
     """
-    images = data.images
+    images = data.floats()
     noise_text = ""
     if noise is not None:
         images = corrupt_dataset(images, noise, seed)

@@ -553,7 +553,7 @@ def cmd_eval(config):
                           lambda stack, s=spec: baselines.filter_stack(stack, s)))
     noises = [("none" if spec is None else spec.text(), spec)
               for spec in parse_noises(config)]
-    clean, dumps = data.images, min(config["dump"], len(data.images))
+    clean, dumps = data.floats(), min(config["dump"], len(data))
     slices = plane_chunks(len(clean), _TASK_ARRAYS * clean[0].size)
 
     def score(item):
@@ -620,9 +620,9 @@ def cmd_sweep(config):
     kind, net = load_net(config["checkpoint"])
     if kind != "dense":
         raise CliError("sweep operates on dense checkpoints")
-    data = _test_split(config)
+    clean = _test_split(config).floats()
     # The dense variants clamp their input stacks.
-    noisy = [(spec.text(), corrupt_dataset(data.images, spec, config["seed"]))
+    noisy = [(spec.text(), corrupt_dataset(clean, spec, config["seed"]))
              for spec in specs]
     grids = config["sweep"]  # levels, sigma, dropout, prune: OPTIONS order
     points = [("ideal", "")] + [(p, v) for p in grids for v in grids[p]]
@@ -630,7 +630,7 @@ def cmd_sweep(config):
     def score(point):
         # Each task programs its own variant and scores it on every noise.
         variant = _sweep_variant(net, *point, config["seed"])
-        return [metrics.evaluate_pairs(data.images, variant.forward_stack(stack),
+        return [metrics.evaluate_pairs(clean, variant.forward_stack(stack),
                                        text, "dense") for text, stack in noisy]
 
     reports = _fork_map(score, points,

@@ -3,6 +3,11 @@
 Images are float64 numpy arrays with intensities in [0, 1], shaped (h, w)
 for a single grayscale plane or (h, w, c) with c channels (3 for RGB).
 Datasets stack images along axis 0 and are immutable after construction.
+A loaded split keeps the file's uint8 pixels; Dataset.floats converts
+only the slice a pass reads into float64 intensities. The float stack
+passes (plane_samples, map_planes, noise.corrupt_dataset,
+metrics.image_scores) refuse an integer stack with TypeError
+(float_stack), so raw pixels are never read as intensities 0..255.
 plane_samples and map_planes are the one view of a stack as (h, w)
 planes, one per image channel: the denoisers, the filters and the SSIM
 scorer work on planes, and no other module moves a channel axis.
@@ -14,6 +19,7 @@ pixel bytes per record). Output dumps are binary PGM (P5) / PPM (P6).
 """
 
 import gzip
+import math
 import numbers
 import struct
 import zlib
@@ -64,7 +70,9 @@ def check_count(n):
 class Dataset:
     """An ordered, immutable image/label collection.
 
-    images: float64 array, (n, h, w) grayscale or (n, h, w, 3) RGB, in [0, 1].
+    images: (n, h, w) grayscale or (n, h, w, 3) RGB; uint8 pixels 0..255
+            (a loaded split, 1 byte per pixel) or float64 intensities in
+            [0, 1]. Passes read them through floats, never directly.
     labels: int64 array of class indices 0..9, same length as images.
     split:  'train' or 'test'.
     """
@@ -77,6 +85,9 @@ class Dataset:
         if len(self.images) != len(self.labels):
             raise CountMismatchError(
                 "%d images vs %d labels" % (len(self.images), len(self.labels)))
+        if self.images.dtype not in (np.uint8, np.float64):
+            raise TypeError(f"images must be uint8 pixels or float64 "
+                            f"intensities, got {self.images.dtype}")
         self.images.setflags(write=False)
         self.labels.setflags(write=False)
 
@@ -89,15 +100,24 @@ class Dataset:
             return self
         return Dataset(self.images[:n].copy(), self.labels[:n].copy(), self.split)
 
+    def floats(self, part=slice(None)):
+        """images[part] (a slice or an index array) as a new C-contiguous
+        float64 array in [0, 1]: uint8 pixels divided by 255.0, float64
+        intensities by 1.0, which is exact."""
+        out = self.images[part].astype(np.float64, order="C")
+        out /= 255.0 if self.images.dtype == np.uint8 else 1.0
+        return out
+
 
 def _open_maybe_gzip(path):
     # Sniff the two gzip magic bytes so both raw and .gz distributions load
-    # without flags.
+    # without flags. A raw file is read unbuffered: a buffer filled by the
+    # header reads would be joined to the payload, copying it once more.
     with open(path, "rb") as f:
         head = f.read(2)
     if head == b"\x1f\x8b":
         return gzip.open(path, "rb")
-    return open(path, "rb")
+    return open(path, "rb", buffering=0)
 
 
 @contextmanager
@@ -133,12 +153,21 @@ def _read_idx(path, expected_magic):
             raise TruncatedFileError("%s: truncated dimension header" % path)
         dims = struct.unpack(">" + "I" * ndim, dim_bytes)
         payload = f.read()
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if len(payload) < count:
         raise TruncatedFileError(
             "%s: payload %d bytes, header promises %d" % (path, len(payload), count))
-    data = np.frombuffer(payload[:count], dtype=np.uint8)
-    return data.reshape(dims)
+    # A read-only view of the payload: the pixels are never copied.
+    return np.frombuffer(payload, dtype=np.uint8, count=count).reshape(dims)
+
+
+def _class_indices(labels, path):
+    """uint8 labels as int64 class indices; DatasetError naming path for a
+    label outside 0..9."""
+    if labels.size and labels.max() > 9:
+        raise DatasetError("%s: label %d is not a class index 0..9"
+                           % (path, labels.max()))
+    return labels.astype(np.int64)
 
 
 def _resolve(path, name):
@@ -159,8 +188,9 @@ def load_mnist(path, split):
         split: 'train' or 'test'.
 
     Returns:
-        Dataset of (n, 28, 28) float64 images scaled by 1/255, labels 0..9,
-        file order preserved. DatasetError if the split holds no records.
+        Dataset of (n, 28, 28) uint8 images (a view of the file's bytes),
+        labels 0..9, file order preserved. DatasetError if the split
+        holds no records.
     """
     if split not in _MNIST_FILES:
         raise ValueError("unknown split %r" % (split,))
@@ -172,15 +202,16 @@ def load_mnist(path, split):
             "%s: %d images vs %d labels" % (path, raw.shape[0], labels.shape[0]))
     if raw.shape[0] == 0:
         raise DatasetError("%s: the %s split holds no records" % (path, split))
-    images = raw.astype(np.float64) / 255.0
-    return Dataset(images, labels.astype(np.int64), split)
+    return Dataset(raw, _class_indices(labels, path), split)
 
 
 def load_cifar10(path, split):
     """Load CIFAR-10 binary batches under `path` for the given split.
 
     Records are 1 label byte followed by 3072 pixel bytes in channel-planar
-    R,G,B order; planes are reordered to interleaved (h, w, c) layout.
+    R,G,B order; the uint8 images are an interleaved (h, w, c) view of
+    them. A one-file split is a view of the file's bytes; a split of
+    several files is copied into one array once.
     """
     if split not in _CIFAR_FILES:
         raise ValueError("unknown split %r" % (split,))
@@ -198,12 +229,23 @@ def load_cifar10(path, split):
         rec = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 3073)
         labels.append(rec[:, 0])
         chunks.append(rec[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1))
-    images = np.concatenate(chunks).astype(np.float64) / 255.0
-    return Dataset(images, np.concatenate(labels).astype(np.int64), split)
+    images = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return Dataset(images, _class_indices(np.concatenate(labels), path), split)
 
 
 class ImageShapeError(ValueError):
     """An image stack whose planes are not the size a network was built for."""
+
+
+def float_stack(images):
+    """images as a float64 array; TypeError for an integer stack, whose
+    values a float pass would read as intensities 0..255 (Dataset.floats
+    gives a split's pixels in [0, 1])."""
+    images = np.asarray(images)
+    if np.issubdtype(images.dtype, np.integer):
+        raise TypeError(f"{images.dtype} stack: image passes read float64 "
+                        f"intensities in [0, 1] (use Dataset.floats)")
+    return np.asarray(images, dtype=np.float64)
 
 
 def _planes(images, shape, owner):
@@ -226,7 +268,7 @@ def plane_samples(images, shape=None, owner=""):
     """An (n, h, w) or (n, h, w, c) stack as (n*c, h*w) flattened planes,
     each image's channels in channel order, and the plane shape (h, w);
     see _planes for shape and owner."""
-    planes = _planes(np.asarray(images, dtype=np.float64), shape, owner)
+    planes = _planes(float_stack(images), shape, owner)
     h, w = planes.shape[2:]
     return planes.reshape(-1, h * w), (h, w)
 
@@ -250,7 +292,7 @@ def map_planes(fn, images, plane_elements, shape=None, owner=""):
     planes together, so neither the stack nor its output is ever
     transposed whole; see _planes for shape and owner.
     """
-    images = np.asarray(images, dtype=np.float64)
+    images = float_stack(images)
     out = np.empty(images.shape)
     planes, into = _planes(images, shape, owner), _planes(out, None, "")
     n, c, h, w = planes.shape

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import plane_chunks, plane_samples
+from .imagecore import float_stack, plane_chunks, plane_samples
 
 SSIM_WINDOW = 7
 _C1 = 0.01 ** 2
@@ -136,9 +136,10 @@ def image_scores(reference, test):
     images (SSIM holds about 16 arrays of an image's size). Each image's
     scores equal :func:`ssim` and :func:`mse` on that image alone, bit for
     bit, so the scores of consecutive slices of a stack, concatenated,
-    equal the scores of the whole stack.
+    equal the scores of the whole stack. TypeError for an integer stack
+    (imagecore.float_stack).
     """
-    reference, test = _pair(reference, test)
+    reference, test = _pair(float_stack(reference), float_stack(test))
     if reference.ndim < 3:
         raise ValueError("expected an image stack")
     n = reference.shape[0]

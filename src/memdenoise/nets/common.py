@@ -151,13 +151,13 @@ def check_trained(log, *arrays):
 
 def training_planes(data, cfg):
     """The first cfg.limit channel planes of data's images (all of them
-    without a limit) as (n, h*w) rows, and the plane shape. Only the
-    images holding those planes are copied into planes."""
-    images = data.images
+    without a limit) as (n, h*w) float64 rows, and the plane shape. Only
+    the images holding those planes are converted and copied into planes."""
+    part = slice(None)
     if cfg.limit is not None:
-        channels = images.shape[3] if np.ndim(images) == 4 else 1
-        images = images[:-(-cfg.limit // channels)]
-    clean, shape = plane_samples(images)
+        channels = data.images.shape[3] if data.images.ndim == 4 else 1
+        part = slice(-(-cfg.limit // channels))
+    clean, shape = plane_samples(data.floats(part))
     return clean[:cfg.limit], shape
 
 
@@ -172,14 +172,19 @@ def fit(cfg, n, step, params, score, in_loop=(), plan=None):
     does not depend on params ahead of the steps. step updates params and
     returns that minibatch's loss terms, added one by one in order into
     the epoch's sum; score(sum) is logged. TrainingDivergence when a
-    logged score exceeds twice the first or is not finite, or when a
-    trained array cannot be programmed (check_trained). With
+    logged score is not finite or exceeds twice its reference, or when a
+    trained array cannot be programmed (check_trained). The first
+    epoch's reference is the untrained score: score of the first
+    minibatch's loss terms, which each step computes before its update,
+    scaled to n samples. Each later epoch's reference is the first
+    epoch's score. With
     cfg.device_in_loop on a non-ideal device, every in_loop array is
     overwritten after each epoch by its read-back through cfg.device
     with the [seed, 0x71, epoch] stream.
     """
     rng = np.random.default_rng([cfg.seed, 0x5F])
     log = []
+    untrained = None
     for epoch in range(1, cfg.epochs + 1):
         eta = cfg.learning_rate / np.sqrt(epoch)
         perm = rng.permutation(n)
@@ -190,9 +195,12 @@ def fit(cfg, n, step, params, score, in_loop=(), plan=None):
         for idx in batches:
             for term in step(epoch, eta, idx):
                 total += term
+            if untrained is None:
+                untrained = score(total * n / len(idx))
         log.append(score(total))
-        if not (log[-1] <= 2.0 * log[0] and log[-1] < math.inf):
-            raise TrainingDivergence(epoch, log[-1], log[0], log)
+        reference = log[0] if epoch > 1 else untrained
+        if not (log[-1] <= 2.0 * reference and log[-1] < math.inf):
+            raise TrainingDivergence(epoch, log[-1], reference, log)
         if cfg.device_in_loop and not cfg.device.ideal:
             check_trained(log, *in_loop)
             for a in in_loop:

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imagecore import float_stack
+
 # Per kind: the parameter's name, default (None: it must be given) and
 # closed range. numpy draws Poisson counts up to about 9.2e18; at 2**62
 # (4.6e18) every filter and SSIM still score the corrupted images finitely.
@@ -109,9 +111,10 @@ def corrupt_dataset(images, spec, seed, start=0):
     image i uses default_rng([seed, i]). So a slice of a dataset,
     corrupted with start at its first index, equals those rows of the
     whole dataset's corruption, and any split or ordering of the work
-    reproduces the same pixels.
+    reproduces the same pixels. TypeError for an integer stack
+    (imagecore.float_stack).
     """
-    images = np.asarray(images, dtype=np.float64)
+    images = float_stack(images)
     out = np.empty_like(images)
     for i in range(images.shape[0]):
         out[i] = corrupt(images[i], spec,

@@ -60,6 +60,28 @@ def identity_dense(h, w):
     return DenseDenoiser(weights, (h, w))
 
 
+# Damage a fuzz does to a file's bytes: cut it at a fraction of its
+# length, append bytes, or flip bits of the byte at a fraction of it.
+DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("flip"), st.floats(0.0, 1.0, exclude_max=True),
+              st.integers(1, 255)),
+)
+
+
+def damaged(blob, damage):
+    """blob after one DAMAGE; a cut or flip at fraction f acts on byte
+    int(f * len(blob)) (a flip needs a non-empty blob)."""
+    if damage[0] == "truncate":
+        return blob[:int(damage[1] * len(blob))]
+    if damage[0] == "append":
+        return blob + damage[1]
+    out = bytearray(blob)
+    out[int(damage[1] * len(blob))] ^= damage[2]
+    return bytes(out)
+
+
 def spec_texts(kinds):
     """Hypothesis strategy for a spec parser: "kind:field[:field...]" with
     one of the given kinds, each field a float's repr (often a small

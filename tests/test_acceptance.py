@@ -31,7 +31,7 @@ pytestmark = pytest.mark.acceptance
 
 @pytest.fixture(scope="module")
 def eval_images(mnist_test):
-    images = mnist_test.images[:1000]
+    images = mnist_test.floats(slice(1000))
     assert len(images) >= 1000
     return images
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_dense, write_idx_images, write_idx_labels
+from conftest import (DAMAGE, damaged, identity_dense, write_idx_images,
+                      write_idx_labels)
 from memdenoise import ckpt
 from memdenoise.classify import Classifier
 from memdenoise.cli import CliError, load_net, main
@@ -101,27 +102,9 @@ class TestLayout:
         assert back["ints"].tolist() == [0.0, 1.0, 2.0]
 
 
-DAMAGE = st.one_of(
-    st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
-    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
-    st.tuples(st.just("flip"), st.floats(0.0, 1.0, exclude_max=True),
-              st.integers(1, 255)),
-)
-
-
 # Test images for the 4 x 4 nets: extremes and mid-grey included.
 PROBE = np.stack([np.zeros((4, 4)), np.ones((4, 4)), np.full((4, 4), 0.5),
                   np.random.default_rng(8).random((4, 4))])
-
-
-def damaged(blob, damage):
-    if damage[0] == "truncate":
-        return blob[:int(damage[1] * len(blob))]
-    if damage[0] == "append":
-        return blob + damage[1]
-    out = bytearray(blob)
-    out[int(damage[1] * len(blob))] ^= damage[2]
-    return bytes(out)
 
 
 class TestHostileBytes:

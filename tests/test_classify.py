@@ -226,25 +226,46 @@ class TestTraining:
         assert evaluate(clf, data, noise=NoiseSpec("gaussian", 0.1)).n == 20
         with pytest.raises(ImageShapeError, match=r"\(4, 4, 3\)"):
             clf.predict(images[..., 0])
+        # Raw pixels would be classified as intensities 0..255.
+        with pytest.raises(TypeError, match="Dataset.floats"):
+            clf.predict((images * 255).astype(np.uint8))
 
-    def test_first_epoch_blowup_is_logged_not_fatal(self):
-        # The divergence guard compares each epoch to the first, so a
-        # learning rate that explodes inside epoch one produces a large
-        # logged loss and a finished run, not an exception: the decayed
-        # rate never doubles that inflated base afterwards.
-        clf = train_classifier(toy_data(), toy_config(learning_rate=1e4,
-                                                      epochs=3), hidden=16)
-        assert clf.loss_log[0] > 100.0
-        assert len(clf.loss_log) == 3
-        assert all(np.isfinite(loss) for loss in clf.loss_log)
+    @pytest.mark.parametrize("shape", [(200, 4, 4), (60, 4, 4, 3)])
+    def test_pixels_train_like_their_floats(self, shape):
+        # Each minibatch of a loaded split's uint8 pixels is converted as
+        # it is read; the trained bits equal training on the float64
+        # reading of the whole split.
+        rng = np.random.default_rng(3)
+        pixels = rng.integers(0, 256, shape, dtype=np.uint8)
+        labels = (np.arange(shape[0]) % 10).astype(np.int64)
+        cfg = toy_config(epochs=2, limit=150)
+        got = train_classifier(Dataset(pixels, labels, "train"), cfg, hidden=8)
+        want = train_classifier(Dataset(pixels / 255.0, labels, "train"), cfg,
+                                hidden=8)
+        for a, b in zip((got.w1, got.b1, got.w2, got.b2),
+                        (want.w1, want.b1, want.w2, want.b2)):
+            assert np.array_equal(a, b)
+        assert got.loss_log == want.loss_log
 
-    @pytest.mark.parametrize("lr", [1e6, 1e12])
+    def test_first_epoch_blowup_diverges(self):
+        # A learning rate that explodes inside epoch one is judged against
+        # the untrained loss of the first minibatch (about ln 10 here), so
+        # the run stops at epoch one instead of logging the blow-up.
+        with pytest.raises(TrainingDivergence) as info:
+            train_classifier(toy_data(), toy_config(learning_rate=1e4,
+                                                    epochs=3), hidden=16)
+        assert info.value.epoch == 1 and info.value.rmse > 100.0
+        assert info.value.initial_rmse == pytest.approx(np.log(10), rel=0.01)
+
+    @pytest.mark.parametrize("lr", [1e20, 1e100])
     def test_runaway_weights_raise_divergence(self, lr):
-        # The clamped log keeps these losses finite and under twice the
-        # first epoch's, but the layers grow past the largest gain.
+        # One class only: the first step saturates every prediction, so
+        # the logged losses stay finite and under twice their references
+        # (0 after the first minibatch), but the layers grow past the
+        # largest gain.
         rng = np.random.default_rng(0)
         data = Dataset(images=rng.random((256, 8, 8)),
-                       labels=rng.integers(0, 10, 256), split="train")
+                       labels=np.zeros(256, np.int64), split="train")
         cfg = TrainConfig(train_noise=None, learning_rate=lr, epochs=5,
                           batch=64, seed=0)
         with pytest.raises(TrainingDivergence) as info:

@@ -833,9 +833,9 @@ class TestBankTraining:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1
-        # at this rate poisson's epoch RMSE peaks at 1.05 x its first,
-        # gaussian's reaches 3.2 x at epoch 2
-        assert "dense gaussian:0.1 diverged at epoch 2" in err[0]
+        # at this rate poisson trains, while gaussian's first epoch RMSE is
+        # 3.2 x its untrained first minibatch's
+        assert "dense gaussian:0.1 diverged at epoch 1" in err[0]
         assert "poisson" not in err[0]
         assert not (tmp_path / "train_log.csv").exists()
 
@@ -1081,7 +1081,7 @@ def serial_sweep(argv, outdir):
     another in this process, each variant built from the checkpoint."""
     config = parse_to_config(argv + ["--outdir", str(outdir)])
     _, net = load_net(config["checkpoint"])
-    data = load_dataset(config, "test").subset(config["eval_limit"])
+    clean = load_dataset(config, "test").subset(config["eval_limit"]).floats()
     seed, grids = config["seed"], config["sweep"]
     variants = (
         [("ideal", "", net)]
@@ -1098,9 +1098,9 @@ def serial_sweep(argv, outdir):
     rows = []
     for text in config["noises"]:
         spec = parse_spec(text)
-        noisy = np.clip(corrupt_dataset(data.images, spec, seed), 0.0, 1.0)
+        noisy = np.clip(corrupt_dataset(clean, spec, seed), 0.0, 1.0)
         for param, value, variant in variants:
-            report = evaluate_pairs(data.images, variant.forward_stack(noisy),
+            report = evaluate_pairs(clean, variant.forward_stack(noisy),
                                     spec.text(), "dense")
             rows.append({"param": param, "value": value,
                          "row": report.to_json()})
@@ -1413,6 +1413,28 @@ class TestFuseCommand:
         lines = Path(out, "train_log.csv").read_text().splitlines()
         assert lines[1].startswith("fusion,,1,")
 
+    def test_first_epoch_blowup_exits_three(self, capsys, tmp_path):
+        # Members trained at a high rate on 16 random 16x16 images make the
+        # fusion stage blow up inside its only epoch (an RMSE near 7.6e10
+        # on planes in [0, 1]). Epoch one is judged against the untrained
+        # score of its first minibatch, so nothing is written.
+        rng = np.random.default_rng(2)
+        write_idx_images(tmp_path / "train-images-idx3-ubyte",
+                         rng.integers(0, 256, (300, 16, 16), dtype=np.uint8))
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte",
+                         (np.arange(300) % 10).astype(np.uint8))
+        common = ["--data", str(tmp_path), "--seed", "5", "--epochs", "1"]
+        members, out = str(tmp_path / "members"), tmp_path / "fusion"
+        assert main(["train", *common, "--limit", "16", "--lr", "0.05",
+                     *noise_flags(s.text() for s in STANDARD_NOISES),
+                     "--outdir", members]) == 0
+        capsys.readouterr()
+        assert main(FUSE + common + ["--lr", "0.05", "--members", members,
+                                     "--outdir", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "diverged at epoch 1" in err[0]
+        assert not out.exists() or not any(out.iterdir())
+
 
 def on_grid(values, gain, levels):
     """Whether values are gain * k / (levels - 1) for integers k."""
@@ -1470,7 +1492,7 @@ def test_cnn_checkpoint_scores_odd_sized_images(corpus, tmp_path):
     rows = json.loads((tmp_path / "eval" / "eval.json").read_text())["rows"]
     assert [row["method"] for row in rows] == ["noisy", "cnn"]
     clean = load_dataset({"data_path": str(root), "dataset": "mnist"},
-                         "test").images
+                         "test").floats()
     noisy = corrupt_dataset(clean, parse_spec("gaussian:0.1"), 2)
     denoised = load_net(ckpt)[1].forward_stack(noisy)
     assert denoised.shape == (12, 9, 9)

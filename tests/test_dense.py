@@ -11,7 +11,8 @@ from memdenoise.imagecore import (ImageShapeError, plane_chunks,
                                   plane_samples)
 from memdenoise.nets.common import (MAX_GAIN, TrainConfig,
                                     TrainingDivergence, corrupt_plane,
-                                    device_meta, pow2_scale, training_planes)
+                                    device_meta, fit, pow2_scale,
+                                    training_planes)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.noise import corrupt, parse_spec
 
@@ -80,6 +81,49 @@ class TestHelpers:
         clean, shape = training_planes(data, cfg)
         assert shape == (3, 5)
         assert np.array_equal(clean, plane_samples(imgs)[0][:limit])
+
+    @pytest.mark.parametrize("limit", [None, 1, 5, 12])
+    @pytest.mark.parametrize("channels", [0, 3])
+    def test_training_planes_of_pixels_are_their_floats(self, rng, limit,
+                                                        channels):
+        # A loaded split's uint8 pixels give the planes of its float64
+        # reading, bit for bit.
+        from memdenoise.imagecore import Dataset
+        pixels = rng.integers(0, 256, (4, 3, 5) + ((channels,) if channels
+                                                   else ()), dtype=np.uint8)
+        cfg = TrainConfig(parse_spec("gaussian:0.1"), limit=limit)
+        got = training_planes(Dataset(pixels, np.zeros(4, np.int64), "train"),
+                              cfg)[0]
+        floats = Dataset(pixels / 255.0, np.zeros(4, np.int64), "train")
+        assert np.array_equal(got, training_planes(floats, cfg)[0])
+
+    def test_fit_judges_epoch_one_against_the_untrained_minibatch(self):
+        # The first minibatch scores 1.0 a sample before its update and the
+        # rest 3.0: epoch one's 2.8 exceeds twice the untrained 1.0.
+        losses = iter([1.0] + [3.0] * 9)
+
+        def step(epoch, eta, idx):
+            return [next(losses) for _ in idx]
+
+        cfg = TrainConfig(parse_spec("gaussian:0.1"), epochs=2, batch=1)
+        with pytest.raises(TrainingDivergence) as info:
+            fit(cfg, 10, step, [], lambda s: s / 10)
+        assert info.value.epoch == 1
+        assert info.value.initial_rmse == 1.0
+        assert info.value.rmse == pytest.approx(2.8)
+
+    def test_fit_judges_later_epochs_against_epoch_one(self):
+        # Untrained 0.5 a sample (the first minibatch of 2, scaled to 10),
+        # epoch one 0.9, epoch two 1.5: within twice epoch one's, though
+        # above twice the untrained score.
+        losses = iter([0.5] * 2 + [1.0] * 8 + [1.5] * 10)
+
+        def step(epoch, eta, idx):
+            return [next(losses) for _ in idx]
+
+        cfg = TrainConfig(parse_spec("gaussian:0.1"), epochs=2, batch=2)
+        log = fit(cfg, 10, step, [], lambda s: s / 10)
+        assert log == pytest.approx([0.9, 1.5])
 
     def test_corrupt_plane_clamps_by_default(self):
         flat = np.zeros(64)

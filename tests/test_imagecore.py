@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import identity_dense
+from conftest import DAMAGE, damaged, identity_dense
 from memdenoise.baselines import filter_stack, parse_filter
 from memdenoise.imagecore import (BadMagicError, CountMismatchError, Dataset,
                                   DatasetError, ImageShapeError,
@@ -41,11 +43,14 @@ def mnist_dir(tmp_path):
 
 class TestIdxLoading:
     def test_values_scaled_by_255(self, mnist_dir):
+        # Stored as the file's uint8 pixels, read as float64 / 255.
         path, imgs, labs = mnist_dir
         ds = load_mnist(str(path), "test")
         assert ds.images.shape == (5, 28, 28)
-        assert ds.images.dtype == np.float64
-        np.testing.assert_array_equal(ds.images, imgs / 255.0)
+        assert ds.images.dtype == np.uint8
+        np.testing.assert_array_equal(ds.images, imgs)
+        assert ds.floats().dtype == np.float64
+        np.testing.assert_array_equal(ds.floats(), imgs / 255.0)
         np.testing.assert_array_equal(ds.labels, labs)
         assert ds.split == "test"
 
@@ -58,7 +63,9 @@ class TestIdxLoading:
         with gzip.open(tmp_path / "train-labels-idx1-ubyte.gz", "wb") as f:
             f.write(idx_labels(labs))
         ds = load_mnist(str(tmp_path), "train")
-        np.testing.assert_array_equal(ds.images, imgs / 255.0)
+        assert ds.images.dtype == np.uint8
+        np.testing.assert_array_equal(ds.images, imgs)
+        np.testing.assert_array_equal(ds.floats(), imgs / 255.0)
 
     def test_unknown_split(self, mnist_dir):
         with pytest.raises(ValueError):
@@ -98,6 +105,26 @@ class TestIdxLoading:
         with pytest.raises(CountMismatchError):
             load_mnist(str(tmp_path), "test")
 
+    def test_label_outside_the_classes(self, tmp_path, mnist_dir):
+        # The classifier indexes a 10-class one-hot table by label.
+        path, imgs, labs = mnist_dir
+        (tmp_path / "t10k-images-idx3-ubyte").write_bytes(idx_images(imgs))
+        (tmp_path / "t10k-labels-idx1-ubyte").write_bytes(
+            idx_labels([3, 1, 10, 1, 5]))
+        with pytest.raises(DatasetError, match="label 10 is not a class"):
+            load_mnist(str(tmp_path), "test")
+
+    def test_header_dimensions_multiply_exactly(self, tmp_path, mnist_dir):
+        # 2**32 - 1 cubed overflows an int64 product; the header promises
+        # far more than the payload holds.
+        path, imgs, labs = mnist_dir
+        big = 2 ** 32 - 1
+        (tmp_path / "t10k-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 0x00000803, big, big, big) + imgs.tobytes())
+        (tmp_path / "t10k-labels-idx1-ubyte").write_bytes(idx_labels(labs))
+        with pytest.raises(TruncatedFileError, match="header promises"):
+            load_mnist(str(tmp_path), "test")
+
 
 class TestCifarLoading:
     def test_record_layout(self, tmp_path):
@@ -111,13 +138,29 @@ class TestCifarLoading:
         assert ds.images.shape == (4, 32, 32, 3)
         np.testing.assert_array_equal(ds.labels, labels)
         # channel-planar source becomes interleaved (h, w, c)
+        assert ds.images.dtype == np.uint8
+        np.testing.assert_array_equal(ds.images[0], pixels[0].transpose(1, 2, 0))
         np.testing.assert_array_equal(
-            ds.images[0], pixels[0].transpose(1, 2, 0) / 255.0)
+            ds.floats()[0], pixels[0].transpose(1, 2, 0) / 255.0)
 
     def test_ragged_file_rejected(self, tmp_path):
         (tmp_path / "test_batch.bin").write_bytes(bytes(3073 * 2 + 1))
         with pytest.raises(BadMagicError):
             load_cifar10(str(tmp_path), "test")
+
+    def test_batches_join_in_file_order(self, tmp_path):
+        # The train split is five batch files, copied into one array.
+        gen = np.random.default_rng(4)
+        records = gen.integers(0, 256, (10, 3073), dtype=np.uint8)
+        records[:, 0] %= 10
+        for i in range(5):
+            (tmp_path / f"data_batch_{i + 1}.bin").write_bytes(
+                records[2 * i:2 * i + 2].tobytes())
+        ds = load_cifar10(str(tmp_path), "train")
+        pixels = records[:, 1:].reshape(10, 3, 32, 32).transpose(0, 2, 3, 1)
+        assert ds.images.dtype == np.uint8
+        np.testing.assert_array_equal(ds.images, pixels)
+        np.testing.assert_array_equal(ds.labels, records[:, 0])
 
 
 class TestDataset:
@@ -145,6 +188,159 @@ class TestDataset:
         ds = Dataset(np.zeros((3, 2, 2)), np.zeros(3, dtype=np.int64), "test")
         with pytest.raises(ValueError, match="integer >= 1"):
             ds.subset(n)
+
+    @pytest.mark.parametrize("part", [
+        slice(None), slice(1, 4), slice(4, 0, -2), np.array([4, 0, 2, 2]),
+        np.array([], dtype=np.int64)],
+        ids=["all", "slice", "step", "index-array", "empty"])
+    def test_floats_are_the_float64_conversion(self, mnist_dir, part):
+        path, imgs, _ = mnist_dir
+        got = load_mnist(str(path), "test").floats(part)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, imgs.astype(np.float64)[part] / 255.0)
+
+    @pytest.mark.parametrize("part", [slice(None), slice(1, 3),
+                                      np.array([2, 0])])
+    def test_float64_images_read_back_exactly(self, part):
+        # Intensities off the 1/255 grid are divided by 1.0, which is exact.
+        images = np.random.default_rng(5).random((4, 3, 3))
+        ds = Dataset(images, np.zeros(4, dtype=np.int64), "test")
+        got = ds.floats(part)
+        assert np.array_equal(got, images[part])
+        assert got.flags.writeable and not np.shares_memory(got, images)
+
+    def test_cifar_view_reads_contiguous(self, tmp_path):
+        records = np.random.default_rng(6).integers(0, 256, (3, 3073),
+                                                   dtype=np.uint8)
+        records[:, 0] %= 10
+        (tmp_path / "test_batch.bin").write_bytes(records.tobytes())
+        ds = load_cifar10(str(tmp_path), "test")
+        pixels = records[:, 1:].reshape(3, 3, 32, 32).transpose(0, 2, 3, 1)
+        got = ds.floats(slice(1, 3))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, pixels.astype(np.float64)[1:3] / 255.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint16, bool])
+    def test_images_are_uint8_or_float64(self, dtype):
+        with pytest.raises(TypeError, match="uint8 pixels or float64"):
+            Dataset(np.zeros((3, 2, 2), dtype), np.zeros(3, dtype=np.int64),
+                    "test")
+
+
+def traced_peak(load):
+    """load()'s result and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestLoadedSplitMemory:
+    # A loaded split holds its pixels once, as the file's bytes. A
+    # float64 split allocated about 9 bytes a pixel: 8 to hold it and 1
+    # for the file's bytes while converting.
+    def test_idx_split_allocates_one_byte_a_pixel(self, tmp_path):
+        n = 2000
+        gen = np.random.default_rng(7)
+        (tmp_path / "t10k-images-idx3-ubyte").write_bytes(idx_images(
+            gen.integers(0, 256, (n, 28, 28), dtype=np.uint8)))
+        (tmp_path / "t10k-labels-idx1-ubyte").write_bytes(
+            idx_labels(np.arange(n) % 10))
+        ds, peak = traced_peak(lambda: load_mnist(str(tmp_path), "test"))
+        assert ds.images.dtype == np.uint8 and len(ds) == n
+        assert peak <= 1.2 * n * 28 * 28
+
+    def test_cifar_split_allocates_one_byte_a_pixel(self, tmp_path):
+        n = 2000
+        records = np.random.default_rng(8).integers(0, 256, (n, 3073),
+                                                    dtype=np.uint8)
+        records[:, 0] %= 10
+        (tmp_path / "test_batch.bin").write_bytes(records.tobytes())
+        ds, peak = traced_peak(lambda: load_cifar10(str(tmp_path), "test"))
+        assert ds.images.dtype == np.uint8 and len(ds) == n
+        assert peak <= 1.2 * n * 32 * 32 * 3
+
+
+# Loader fuzz: each file is a well-formed one that may be damaged
+# (DAMAGE, or one header word replaced), gzipped, and damaged again as a
+# compressed stream. Whatever the bytes, a loader either returns uint8
+# images with one class index 0..9 per image, or raises DatasetError,
+# which the CLI reports with exit code 2.
+HEADER_WORD = st.tuples(st.just("word"), st.integers(0, 3),
+                        st.integers(0, 2 ** 32 - 1))
+
+
+def stored(draw, blob):
+    """A file holding blob, drawn: damaged or not, and gzipped or not (a
+    gzipped stream may be damaged in turn). Returns (bytes, gzipped)."""
+    for damage in draw(st.lists(st.one_of(DAMAGE, HEADER_WORD), max_size=2)):
+        if damage[0] == "word":
+            if len(blob) >= 4 * damage[1] + 4:
+                at = 4 * damage[1]
+                blob = (blob[:at] + struct.pack(">I", damage[2])
+                        + blob[at + 4:])
+        elif blob or damage[0] == "append":
+            blob = damaged(blob, damage)
+    gzipped = draw(st.booleans())
+    if gzipped:
+        blob = gzip.compress(blob, mtime=0)
+        for damage in draw(st.lists(DAMAGE, max_size=1)):
+            blob = damaged(blob, damage)
+    return blob, gzipped
+
+
+def write_stored(root, name, stored_blob):
+    """Write a stored blob as name, or as name.gz when gzipped, removing
+    the other so the loader reads this one."""
+    blob, gzipped = stored_blob
+    for suffix in ("", ".gz"):
+        (root / (name + suffix)).unlink(missing_ok=True)
+    (root / (name + (".gz" if gzipped else ""))).write_bytes(blob)
+
+
+def check_loaded(load):
+    try:
+        ds = load()
+    except DatasetError:
+        return
+    assert ds.images.dtype == np.uint8
+    assert ds.labels.dtype == np.int64 and len(ds.labels) == len(ds)
+    assert ds.labels.size == 0 or 0 <= ds.labels.min() <= ds.labels.max() <= 9
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader_fuzz")
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 3), h=st.integers(0, 4),
+           w=st.integers(0, 4), extra_labels=st.integers(-1, 1))
+    def test_idx_pair_loads_or_raises_dataset_error(self, fuzz_root, data, n,
+                                                    h, w, extra_labels):
+        gen = np.random.default_rng(n * 25 + h * 5 + w)
+        images = idx_images(gen.integers(0, 256, (n, h, w), dtype=np.uint8))
+        labels = idx_labels(gen.integers(0, 12, max(0, n + extra_labels)))
+        write_stored(fuzz_root, "t10k-images-idx3-ubyte",
+                     stored(data.draw, images))
+        write_stored(fuzz_root, "t10k-labels-idx1-ubyte",
+                     stored(data.draw, labels))
+        check_loaded(lambda: load_mnist(str(fuzz_root), "test"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 3))
+    def test_cifar_batch_loads_or_raises_dataset_error(self, fuzz_root, data,
+                                                       n):
+        records = np.random.default_rng(n).integers(0, 256, (n, 3073),
+                                                    dtype=np.uint8)
+        records[:, 0] %= 12
+        write_stored(fuzz_root, "test_batch.bin",
+                     stored(data.draw, records.tobytes()))
+        check_loaded(lambda: load_cifar10(str(fuzz_root), "test"))
 
 
 def read_pnm(path):
@@ -242,6 +438,17 @@ class TestMapPlanes:
         with pytest.raises(ImageShapeError, match="toy net expects"):
             map_planes(lambda planes: planes, np.zeros((2, 4, 4)), 16, (5, 5),
                        "toy net")
+
+    # Raw pixels would be read as intensities 0..255.
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_integer_stack_is_refused(self, dtype):
+        with pytest.raises(TypeError, match="Dataset.floats"):
+            map_planes(lambda planes: planes, np.zeros((2, 4, 4), dtype), 16)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_plane_samples_refuse_an_integer_stack(self, dtype):
+        with pytest.raises(TypeError, match="Dataset.floats"):
+            plane_samples(np.zeros((2, 4, 4, 3), dtype))
 
 
 # 8x8 RGB stack passes. Each takes an (n, 8, 8, 3) stack; its working

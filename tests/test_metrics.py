@@ -206,6 +206,15 @@ class TestEvaluatePairs:
         with pytest.raises(ValueError):
             evaluate_pairs(np.zeros((0, 28, 28)), np.zeros((0, 28, 28)))
 
+    @pytest.mark.parametrize("which", ["reference", "test"])
+    def test_integer_stack_is_refused(self, rng, which):
+        # Raw pixels would be scored as intensities 0..255.
+        stacks = {"reference": rng.random((3, 8, 8)),
+                  "test": rng.random((3, 8, 8))}
+        stacks[which] = np.zeros((3, 8, 8), np.uint8)
+        with pytest.raises(TypeError, match="Dataset.floats"):
+            image_scores(stacks["reference"], stacks["test"])
+
 
 class TestQualityReport:
     def test_csv_row_matches_header(self):

@@ -197,6 +197,12 @@ class TestDatasetCorruption:
         assert not np.array_equal(corrupt_dataset(imgs, spec, 1),
                                   corrupt_dataset(imgs, spec, 2))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_integer_stack_is_refused(self, dtype):
+        # Raw pixels would be corrupted as intensities 0..255.
+        with pytest.raises(TypeError, match="Dataset.floats"):
+            corrupt_dataset(np.zeros((2, 8, 8), dtype), parse_spec("sp:0.1"), 0)
+
     @pytest.mark.parametrize("text", ["gaussian:0.1", "sp:0.25", "poisson",
                                       "speckle"])
     @pytest.mark.parametrize("shape", [(9, 8, 8), (7, 6, 5, 3)],
