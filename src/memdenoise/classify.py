@@ -107,10 +107,6 @@ class Classifier:
         return cls(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],
                    meta["shape"], loss_log=meta["loss_log"])
 
-    @classmethod
-    def load(cls, path):
-        return ckpt.load(path, {"classifier": cls.from_state})[1]
-
 
 def _softmax(z):
     z = z - z.max(axis=1, keepdims=True)

@@ -2,8 +2,8 @@
 
 _COMMANDS maps each subcommand (train, eval, sweep, cost, classify) to
 its function and help line.  Exit codes: 0 success, 2 validation error,
-3 training divergence.  train's bank members, sweep's variants and
-eval's (noise, image slice) tasks run in one fork pool (_fork_map), in
+3 training divergence.  train's nets, sweep's variants and eval's
+(noise, image slice) tasks run in one fork pool (_fork_map), in
 which this process works the front of the list and forked workers the
 back.
 
@@ -290,6 +290,9 @@ def _check_values(config):
         DeviceModel(**config["device"])
     grids = config["sweep"]
     with _naming("sweep"):
+        for name, grid in grids.items():
+            if not isinstance(grid, list):
+                raise ValueError(f"{name} must be a list, got {grid!r}")
         for levels in grids["levels"]:
             DeviceModel(levels=levels)
         for sigma in grids["sigma"]:
@@ -338,31 +341,29 @@ _NET_KINDS = {"dense": DenseDenoiser.from_state,
               "fusion": FusionDenoiser.from_state}
 
 
-def _read_checkpoint(load, path, *args):
-    """load(path, *args), I/O and format faults as CliErrors naming path once."""
+def load_net(path, kinds=_NET_KINDS):
+    """(kind, object) of the checkpoint at path, dispatching on its kind
+    (any denoiser's by default); I/O and format faults as CliErrors
+    naming path once."""
     try:
-        return load(path, *args)
+        return ckpt.load(path, kinds)
     except OSError as e:
         raise CliError(f"cannot read checkpoint: {e}")
     except ValueError as e:
         raise CliError(str(e))
 
 
-def load_net(path):
-    """(kind, net) of any denoiser checkpoint, dispatching on its kind."""
-    return _read_checkpoint(ckpt.load, path, _NET_KINDS)
-
-
-def resolved_train_config(config, noise_text=None) -> TrainConfig:
-    """The net's recipe, the dense rate override for noise_text, then the
-    non-null config["train"] values."""
+def resolved_train_config(config, noise_text="") -> TrainConfig:
+    """The net's recipe, the dense rate override for noise_text (the
+    net's training noise, "" for fusion), then the non-null
+    config["train"] values."""
     recipe = dict(TRAIN_RECIPES[config["net"]])
     if config["net"] == "dense" and noise_text in DENSE_RATE_OVERRIDES:
         recipe["learning_rate"] = DENSE_RATE_OVERRIDES[noise_text]
     recipe.update((k, v) for k, v in config["train"].items() if v is not None)
     with _naming("train"):
         return TrainConfig(
-            train_noise=None if noise_text is None else parse_spec(noise_text),
+            train_noise=parse_spec(noise_text) if noise_text else None,
             seed=config["seed"], device=DeviceModel(**config["device"]),
             **recipe)
 
@@ -398,21 +399,24 @@ def _emit(config, name, header, lines, json_rows, written):
 _TRAINERS = {"dense": dense_train, "cnn": cnn_train}
 
 
-def _member_path(config, noise_text):
-    return os.path.join(config["outdir"],
-                        f"{config['net']}_{_safe(noise_text)}.bin")
+def _net_path(config, noise_text):
+    """Where train saves the net trained on noise_text ("" for fusion)."""
+    name = f"{config['net']}_{_safe(noise_text)}" if noise_text else "fusion"
+    return os.path.join(config["outdir"], name + ".bin")
 
 
-def _train_member(config, cfg, data):
-    """Train and save one member of a bank; its RMSE log."""
-    text = cfg.train_noise.text()
+def _train_net(config, noise_text, cfg, data):
+    """Train the net named by noise_text under cfg and save it; its RMSE
+    log. A fusion net reads its member bank here, after the dataset."""
+    net = config["net"]
     try:
-        net = _TRAINERS[config["net"]](cfg, data)
+        trained = (fusion_train(cfg, member_bank(config), data)
+                   if net == "fusion" else _TRAINERS[net](cfg, data))
     except TrainingDivergence as e:
         raise TrainingDivergence(e.epoch, e.rmse, e.initial_rmse, e.rmse_log,
-                                 member=f"{config['net']} {text}") from None
-    net.save(_member_path(config, text))
-    return net.rmse_log
+                                 member=f"{net} {noise_text}".rstrip()) from None
+    trained.save(_net_path(config, noise_text))
+    return trained.rmse_log
 
 
 def _cpus():
@@ -502,34 +506,25 @@ def member_bank(config):
 
 
 def cmd_train(config):
-    # A noise list with no real spec is refused before any read; fusion
-    # reads no noises.
-    if config["net"] != "fusion":
+    # Each net is named by its training noise, fusion (which reads no
+    # noises) by "". Every setting is checked before any file is read.
+    net = config["net"]
+    texts = [""]
+    if net != "fusion":
         specs = parse_noises(config)
         if not specs or any(s is None for s in specs):
             raise CliError("train requires at least one real noise spec")
-    data = load_dataset(config, "train")
-    written, log = [], []
-    if config["net"] == "fusion":
-        net = fusion_train(resolved_train_config(config, None),
-                           member_bank(config), data)
-        path = os.path.join(config["outdir"], "fusion.bin")
-        os.makedirs(config["outdir"], exist_ok=True)
-        net.save(path)
-        written.append(path)
-        for epoch, rmse in enumerate(net.rmse_log, 1):
-            log.append(f"fusion,,{epoch},{rmse:.8g}")
-    else:
         texts = [spec.text() for spec in specs]
-        cfgs = [resolved_train_config(config, text) for text in texts]
-        os.makedirs(config["outdir"], exist_ok=True)
-        logs = _fork_map(
-            lambda cfg: _train_member(config, cfg, data), cfgs,
-            lambda cfg: f"training {config['net']} {cfg.train_noise.text()}")
-        for text, rmse_log in zip(texts, logs):
-            written.append(_member_path(config, text))
-            for epoch, rmse in enumerate(rmse_log, 1):
-                log.append(f"{config['net']},{text},{epoch},{rmse:.8g}")
+    items = [(text, resolved_train_config(config, text)) for text in texts]
+    data = load_dataset(config, "train")
+    os.makedirs(config["outdir"], exist_ok=True)
+    logs = _fork_map(lambda item: _train_net(config, *item, data), items,
+                     lambda item: f"training {net} {item[0]}".rstrip())
+    written, log = [], []
+    for text, rmse_log in zip(texts, logs):
+        written.append(_net_path(config, text))
+        log += [f"{net},{text},{epoch},{rmse:.8g}"
+                for epoch, rmse in enumerate(rmse_log, 1)]
     _emit(config, "train_log", "net,noise,epoch,rmse", log, None, written)
     return written
 
@@ -682,7 +677,8 @@ def cmd_cost(config):
 
 def cmd_classify(config):
     if config["classifier"] is not None:
-        clf = _read_checkpoint(Classifier.load, config["classifier"])
+        _, clf = load_net(config["classifier"],
+                          kinds={"classifier": Classifier.from_state})
     else:
         clf = train_classifier(load_dataset(config, "train"), TrainConfig(
             train_noise=None, seed=config["seed"], **CLASSIFIER_RECIPE))

@@ -8,8 +8,8 @@ variation (additive Gaussian with std sigma relative to the full window,
 drawn once per programming event and frozen afterwards).
 """
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +31,13 @@ class DeviceModel:
     variation_sigma: float = 0.0
 
     def __post_init__(self):
+        # Both must convert to a finite float: a JSON integer of 400
+        # digits would otherwise load and then fail the first programming.
         if self.levels is not None and not (
-                isinstance(self.levels, numbers.Integral) and self.levels >= 2):
+                isinstance(self.levels, numbers.Integral)
+                and 2 <= self.levels <= sys.float_info.max):
             raise ValueError("levels must be an integer >= 2 (or None for ideal)")
-        if not 0 <= self.variation_sigma < math.inf:
+        if not 0 <= self.variation_sigma <= sys.float_info.max:
             raise ValueError("variation_sigma must be finite and >= 0")
 
     @property

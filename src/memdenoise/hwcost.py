@@ -33,6 +33,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .crossbar import TILE_COLS, TILE_ROWS, tile_grid
@@ -84,19 +87,26 @@ class ComponentBudget:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            if field.name in ("update_pulses", "max_tiles"):
-                continue
             value = getattr(self, field.name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{field.name} must be positive, got {value!r}")
-        if self.update_pulses < 0:
-            raise ValueError("update_pulses must be >= 0")
-        if self.max_tiles is not None and self.max_tiles < 0:
-            raise ValueError("max_tiles must be >= 0 or None")
+            if field.name == "max_tiles" and value is None:
+                continue
+            counted = field.name in ("update_pulses", "max_tiles")
+            # A boolean is an Integral; NaN fails every comparison, and a
+            # number beyond float range the upper bound.
+            if not (isinstance(value, numbers.Integral if counted
+                               else numbers.Real)
+                    and not isinstance(value, bool)
+                    and (value >= 0 if counted else value > 0)
+                    and value <= sys.float_info.max):
+                rule = ("an integer >= 0" if counted
+                        else "a positive finite number")
+                raise ValueError(f"{field.name} must be {rule}, got {value!r}")
 
     @classmethod
     def from_mapping(cls, overrides) -> "ComponentBudget":
         """Budget with any subset of constants overridden by name."""
+        if not isinstance(overrides, Mapping):
+            raise ValueError("overrides must map field names to values")
         known = {f.name for f in dataclasses.fields(cls)}
         bad = sorted(set(overrides) - known)
         if bad:
@@ -257,12 +267,13 @@ def estimate(point: DesignPoint, budget: ComponentBudget | None = None) -> Hardw
     covers forward readout plus one error slot per output; conv designs
     additionally pay ADC conversion and 8-bit SRAM storage for every
     hidden-layer output held for the backward pass.  ``budget`` defaults
-    to the cited constants.
+    to the cited constants.  A budget whose constants overflow the
+    arithmetic (a NaN or infinite cost) is a ValueError naming the cost.
     """
     budget = budget or ComponentBudget()
     forward = _forward_report(point, budget)
     if point.phase == "inference":
-        return forward
+        return _finite(forward)
 
     _, cols, reads = point.layers[-1]
     error_latency = reads * cols * budget.t_read
@@ -280,7 +291,7 @@ def estimate(point: DesignPoint, budget: ComponentBudget | None = None) -> Hardw
     else:
         sram_adc_power = sram_adc_active = sram_adc_area = 0.0
 
-    return HardwareCostReport(
+    return _finite(HardwareCostReport(
         network=point.network, mode=point.mode, phase=point.phase,
         devices=forward.devices, tiles=forward.tiles,
         # Only the programmed polarity draws power, for a read slot of
@@ -296,7 +307,15 @@ def estimate(point: DesignPoint, budget: ComponentBudget | None = None) -> Hardw
         sram_adc_area=sram_adc_area,
         intermediate_outputs=stored,
         time_per_image=forward.time_per_image + error_latency + update_latency,
-    )
+    ))
+
+
+def _finite(report: HardwareCostReport) -> HardwareCostReport:
+    for name, value in report.to_json().items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"the budget overflows the cost model: "
+                             f"{name} is {value}")
+    return report
 
 
 _SI_STEPS = (

@@ -21,6 +21,7 @@ pixel bytes per record). Output dumps are binary PGM (P5) / PPM (P6).
 import gzip
 import math
 import numbers
+import os
 import struct
 import zlib
 from contextlib import contextmanager
@@ -111,8 +112,8 @@ class Dataset:
 
 def _open_maybe_gzip(path):
     # Sniff the two gzip magic bytes so both raw and .gz distributions load
-    # without flags. A raw file is read unbuffered: a buffer filled by the
-    # header reads would be joined to the payload, copying it once more.
+    # without flags. A raw file is read unbuffered, straight into the
+    # caller's array.
     with open(path, "rb") as f:
         head = f.read(2)
     if head == b"\x1f\x8b":
@@ -132,12 +133,20 @@ def _gzip_errors(path):
         raise BadMagicError("%s: corrupt gzip stream (%s)" % (path, e)) from e
 
 
+# An IDX payload is read in 64 KiB slices: one read of a gzipped payload
+# would hold it twice, as decompressed bytes and then in the array.
+_READ_SLICE = 2 ** 16
+_MAX_DEFLATE_RATIO = 1032  # no gzipped file of n bytes holds over 1032 n
+
+
 def _read_idx(path, expected_magic):
     """Read one IDX file and return its payload as a uint8 array.
 
     The header is four big-endian uint32 words minimum: a magic number
     (two zero bytes, a dtype byte 0x08 for unsigned byte, a rank byte)
-    followed by one uint32 per dimension.
+    followed by one uint32 per dimension. Raw and gzipped files are read
+    the same way, into an array of the header's size, which is refused
+    first if the file cannot hold it.
     """
     with _gzip_errors(path), _open_maybe_gzip(path) as f:
         head = f.read(4)
@@ -152,13 +161,22 @@ def _read_idx(path, expected_magic):
         if len(dim_bytes) < 4 * ndim:
             raise TruncatedFileError("%s: truncated dimension header" % path)
         dims = struct.unpack(">" + "I" * ndim, dim_bytes)
-        payload = f.read()
-    count = math.prod(dims)
-    if len(payload) < count:
-        raise TruncatedFileError(
-            "%s: payload %d bytes, header promises %d" % (path, len(payload), count))
-    # A read-only view of the payload: the pixels are never copied.
-    return np.frombuffer(payload, dtype=np.uint8, count=count).reshape(dims)
+        count, size = math.prod(dims), os.path.getsize(path)
+        room = (size * _MAX_DEFLATE_RATIO if isinstance(f, gzip.GzipFile)
+                else size - 4 - 4 * ndim)
+        if count > room:
+            raise TruncatedFileError("%s: header promises %d bytes, the file "
+                                     "holds at most %d" % (path, count, room))
+        out, got = np.empty(count, np.uint8), 0
+        while got < count:
+            n = f.readinto(out[got:got + _READ_SLICE])
+            if not n:
+                raise TruncatedFileError("%s: payload %d bytes, header "
+                                         "promises %d" % (path, got, count))
+            got += n
+        while f.read(_READ_SLICE):  # a gzip stream checks its CRC at its end
+            pass
+    return out.reshape(dims)
 
 
 def _class_indices(labels, path):
@@ -188,7 +206,8 @@ def load_mnist(path, split):
         split: 'train' or 'test'.
 
     Returns:
-        Dataset of (n, 28, 28) uint8 images (a view of the file's bytes),
+        Dataset of (n, 28, 28) uint8 images (read into one array, about
+        1 byte a pixel while loading, raw or gzipped),
         labels 0..9, file order preserved. DatasetError if the split
         holds no records.
     """

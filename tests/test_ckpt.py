@@ -86,7 +86,7 @@ class TestLayout:
 
     def test_arrays_read_into_fresh_memory(self, blobs):
         root, _ = blobs
-        net = Classifier.load(root / "classifier")
+        net = load("classifier", root / "classifier")
         assert net.w1.base is None and net.w1.flags.c_contiguous
 
     def test_empty_and_boolean_arrays(self, tmp_path):

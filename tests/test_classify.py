@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_dense
-from memdenoise import crossbar
+from memdenoise import ckpt, crossbar
 from memdenoise.classify import (
     ACCURACY_CSV_HEADER,
     AccuracyReport,
@@ -274,12 +274,16 @@ class TestTraining:
         assert all(np.isfinite(loss) for loss in info.value.rmse_log)
 
 
+def load_classifier(path):
+    return ckpt.load(path, {"classifier": Classifier.from_state})[1]
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         clf = train_classifier(toy_data(), toy_config(epochs=2), hidden=16)
         path = tmp_path / "clf.bin"
         clf.save(path)
-        loaded = Classifier.load(path)
+        loaded = load_classifier(path)
         np.testing.assert_array_equal(loaded.w1, clf.w1)
         np.testing.assert_array_equal(loaded.b1, clf.b1)
         np.testing.assert_array_equal(loaded.w2, clf.w2)
@@ -292,14 +296,14 @@ class TestSerialization:
         path = tmp_path / "clf.bin"
         clf.save(path)
         probe = toy_data(n=50, seed=7)
-        np.testing.assert_array_equal(Classifier.load(path).predict(probe.images),
+        np.testing.assert_array_equal(load_classifier(path).predict(probe.images),
                                       clf.predict(probe.images))
 
     def test_bad_magic_names_the_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(ValueError, match="junk.bin"):
-            Classifier.load(path)
+            load_classifier(path)
 
 
 @pytest.fixture(scope="module")

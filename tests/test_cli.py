@@ -5,6 +5,8 @@ subcommand runs in well under a second.  Reproducibility claims are
 checked at the byte level on the emitted files.
 """
 
+import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -12,10 +14,13 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gzip
 import hashlib
@@ -35,11 +40,13 @@ from memdenoise.cli import (
     merge_config,
     resolved_train_config,
 )
+from memdenoise import hwcost
 from memdenoise.baselines import FilterSpec
 from memdenoise.classify import Classifier
 from memdenoise.device import DeviceModel
 from memdenoise.metrics import CSV_HEADER, evaluate_pairs
 from memdenoise.nets.cnn import cnn_train
+from memdenoise.nets.common import TrainingDivergence
 from memdenoise.nets.dense import dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init
 from memdenoise.noise import STANDARD_NOISES, corrupt_dataset, parse_spec
@@ -504,6 +511,15 @@ class TestImageSizeMismatch:
                      "--outdir", str(tmp_path / "eval")]) == 0
 
 
+BAD_TRAIN_SETTINGS = [
+    (net, argv, cause) for net in ("dense", "cnn", "fusion")
+    for argv, cause in [(["--limit", "0"], "limit"),
+                        (["--batch", "0"], "batch"),
+                        (["--epochs", "-1"], "epochs"),
+                        (["--lr", "-1"], "learning_rate")]
+] + [("fusion", ["--clean-fraction", "2"], "clean_fraction")]
+
+
 class TestBadValues:
     @pytest.mark.parametrize("argv,cause", [
         (["eval", "--eval-limit", "0"], "eval_limit"),
@@ -576,6 +592,22 @@ class TestBadValues:
         assert main(argv + ["--data", str(empty), "--seed", "1",
                             "--outdir", str(out)]) == 2
         one_error_line(capsys, cause)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("net,argv,cause", BAD_TRAIN_SETTINGS, ids=[
+        f"{net}{argv[0]}" for net, argv, _ in BAD_TRAIN_SETTINGS])
+    def test_bad_train_settings_exit_two_before_any_read(
+            self, capsys, monkeypatch, tmp_path, net, argv, cause):
+        # Every net's training settings are resolved before the dataset
+        # (and, for fusion, the member bank) is read.
+        def read(config, split):
+            pytest.fail(f"read the {split} split")
+
+        monkeypatch.setattr(cli, "load_dataset", read)
+        out = tmp_path / "out"
+        assert main(["train", "--net", net, *argv, "--seed", "1",
+                     "--outdir", str(out)]) == 2
+        one_error_line(capsys, f"train: {cause} must be")
         assert not out.exists()
 
     @pytest.mark.parametrize("how", ["flag", "config"])
@@ -718,6 +750,63 @@ class TestCostCommand:
                      str(budget), "--outdir", str(tmp_path / "out")]) == 2
         one_error_line(capsys, "design needs 52 tiles")
         assert not (tmp_path / "out").exists()
+
+
+BUDGET_FIELDS = [f.name for f in dataclasses.fields(hwcost.ComponentBudget)]
+BUDGET_VALUES = (st.floats() | st.integers() | st.integers(-2, 60)
+                 | st.booleans() | st.none() | st.text(max_size=3)
+                 | st.sampled_from([1e308, 1e-308, 5e-324, 2 ** 1100, 1.5])
+                 | st.lists(st.integers(0, 3), max_size=2))
+BUDGETS = (st.dictionaries(st.sampled_from(BUDGET_FIELDS + ["t_reed"]),
+                           BUDGET_VALUES, max_size=4)
+           | BUDGET_VALUES)
+REPORT_FIELDS = list(hwcost.estimate(cli.cost_point(
+    "dense", "sequential", "inference")).to_json())
+
+
+@pytest.fixture(scope="module")
+def budget_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("budget") / "budget.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(budget=BUDGETS, net=st.sampled_from(["dense", "cnn"]),
+       mode=st.sampled_from(["sequential", "parallel"]),
+       phase=st.sampled_from(["inference", "training"]))
+@example(budget={"tile_power": 1e308, "update_pulses": 0}, net="dense",
+         mode="sequential", phase="training")
+@example(budget={"t_read": 1e308}, net="dense", mode="sequential",
+         phase="inference")
+@example(budget={"update_pulses": 1.5}, net="dense", mode="sequential",
+         phase="training")
+@example(budget={"update_pulses": True}, net="dense", mode="sequential",
+         phase="training")
+@example(budget={"max_tiles": True}, net="dense", mode="sequential",
+         phase="inference")
+@example(budget={"tile_area": 10 ** 400}, net="cnn", mode="parallel",
+         phase="inference")
+def test_cost_budget_prints_a_finite_table_or_exits_two(
+        budget_path, budget, net, mode, phase):
+    # Each --budget document prints a table of finite values, or exits 2
+    # with one line naming the field, the unknown key or the cost that
+    # overflows.
+    budget_path.write_text(json.dumps(budget))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["cost", "--seed", "1", "--net", net, "--mode", mode,
+                     "--phase", phase, "--budget", str(budget_path)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        named = [*BUDGET_FIELDS, "t_reed", *REPORT_FIELDS, "overrides",
+                 "fabric provides"]
+        assert any(name in err for name in named), err
+        return
+    assert code == 0 and err == ""
+    design = f"{net} {mode[:3]}. {phase[:5]}"
+    row = out.splitlines()[2]
+    assert row.startswith(design)
+    assert "nan" not in row[len(design):] and "inf" not in row[len(design):]
 
 
 class TestTrainCommand:
@@ -1413,6 +1502,19 @@ class TestFuseCommand:
         lines = Path(out, "train_log.csv").read_text().splitlines()
         assert lines[1].startswith("fusion,,1,")
 
+    def test_divergence_names_fusion_like_a_bank_member(
+            self, corpus, capsys, monkeypatch, tmp_path):
+        def diverges(cfg, members, data):
+            raise TrainingDivergence(2, 9.0, 1.0, [1.0, 9.0])
+
+        monkeypatch.setattr(cli, "member_bank", lambda config: [])
+        monkeypatch.setattr(cli, "fusion_train", diverges)
+        assert main(FUSE + ["--data", corpus, "--seed", "5", "--members",
+                            "bank", "--outdir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "diverged: fusion diverged at epoch 2: rmse 9, initial 1 "
+            "(log: 1, 9)\n")
+
     def test_first_epoch_blowup_exits_three(self, capsys, tmp_path):
         # Members trained at a high rate on 16 random 16x16 images make the
         # fusion stage blow up inside its only epoch (an RMSE near 7.6e10
@@ -1570,8 +1672,9 @@ class TestCifar10:
         assert [line.split(",")[1] for line in lines] == [
             "clean", "noisy", "denoised(dense)"]
         assert all(line.split(",")[3] == "5" for line in lines)
-        assert Classifier.load(str(tmp_path / "classifier.bin")).shape == (
-            32, 32, 3)
+        _, clf = load_net(str(tmp_path / "classifier.bin"),
+                          kinds={"classifier": Classifier.from_state})
+        assert clf.shape == (32, 32, 3)
 
 
 class TestBlasThreads:

@@ -6,9 +6,12 @@ per-flag argparse code; every report row carries this hash, so a change
 to any of them changes what old reports claim to reproduce.
 """
 
+import io
 import json
 import os
 import re
+import sys
+from contextlib import redirect_stderr
 
 import pytest
 from hypothesis import example, given, settings
@@ -278,6 +281,74 @@ def test_config_documents_resolve_or_raise_cli_error(config_path, document):
             resolved_train_config(config, noise_text)
     except CliError:
         pass
+
+
+# Sweep grids, from a flag's comma list or a --config document: each
+# either parses into a grid every variant accepts, or is refused with one
+# message naming the flag (argparse, exit 2) or "sweep" (CliError, exit 2).
+GRID_FLAGS = {"--levels-grid": "levels", "--sigma-grid": "sigma",
+              "--dropout-grid": "dropout", "--prune-grid": "prune"}
+GRID_ITEMS = (st.sampled_from(["ideal", "2", "256", "1", "0", "-1", "0.5",
+                               "0.99", "1e999", "nan", "-inf", "4.0", " 4",
+                               "1_0", "1e-320", "", "٣"])
+              | st.integers().map(str) | st.floats().map(repr)
+              | st.text(max_size=4))
+
+
+def check_grids(grids):
+    """A parsed sweep section: lists of what each variant accepts, every
+    number within float range (a variant converts it to a float)."""
+    top = sys.float_info.max
+    assert all(isinstance(grid, list) for grid in grids.values())
+    assert all(v is None or type(v) is int and 2 <= v <= top
+               for v in grids["levels"])
+    assert all(type(v) in (int, float) and 0 <= v <= top
+               for v in grids["sigma"])
+    assert all(type(v) in (int, float) and 0 <= v < 1
+               for v in grids["dropout"] + grids["prune"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag=st.sampled_from(sorted(GRID_FLAGS)),
+       text=st.lists(GRID_ITEMS, min_size=1, max_size=4).map(",".join))
+@example(flag="--levels-grid", text="1" * 5000)
+@example(flag="--levels-grid", text="1" * 4000)
+@example(flag="--sigma-grid", text="nan")
+@example(flag="--dropout-grid", text="-x")
+def test_sweep_grid_flags_parse_or_exit_two(flag, text):
+    err = io.StringIO()
+    try:
+        with redirect_stderr(err):
+            args = build_parser().parse_args(["sweep", "--seed", "1",
+                                              f"{flag}={text}"])
+    except SystemExit as e:
+        assert e.code == 2 and f"argument {flag}: " in err.getvalue()
+        return
+    try:
+        config = merge_config(args)
+    except CliError as e:
+        assert str(e).startswith("sweep: ") and "\n" not in str(e)
+        return
+    check_grids(config["sweep"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids=st.dictionaries(st.sampled_from(sorted(GRID_FLAGS.values())),
+                             st.lists(VALUES, max_size=3) | VALUES))
+@example(grids={"dropout": {}})
+@example(grids={"levels": ""})
+@example(grids={"sigma": [float("nan")]})
+@example(grids={"sigma": [10 ** 400]})
+@example(grids={"levels": [10 ** 400]})
+def test_sweep_grid_documents_parse_or_exit_two(config_path, grids):
+    config_path.write_text(json.dumps({"seed": 1, "sweep": grids}))
+    args = build_parser().parse_args(["sweep", "--config", str(config_path)])
+    try:
+        config = merge_config(args)
+    except CliError as e:
+        assert str(e).startswith("sweep") and "\n" not in str(e)
+        return
+    check_grids(config["sweep"])
 
 
 # --config values of a type no flag gives, each with the command that

@@ -30,6 +30,21 @@ class TestModelValidation:
             DeviceModel(variation_sigma=-0.01)
 
 
+    @pytest.mark.parametrize("kwargs", [{"levels": 10 ** 400},
+                                        {"variation_sigma": 10 ** 400}])
+    def test_values_beyond_float_range_rejected(self, kwargs):
+        # A config may give a JSON integer of any size; one no float holds
+        # would fail the first programming with an OverflowError.
+        with pytest.raises(ValueError):
+            DeviceModel(**kwargs)
+
+    def test_largest_float_sized_values_program(self, rng):
+        g = np.array([0.3, 0.7])
+        assert quantize(g, DeviceModel(levels=10 ** 300)).tolist() == [0.3, 0.7]
+        assert np.all(np.isfinite(apply_variation(
+            g, DeviceModel(variation_sigma=10 ** 300), rng)))
+
+
 class TestQuantize:
     @pytest.mark.parametrize("levels", [2, 16, 64, 128, 256])
     def test_matches_nearest_level_oracle(self, levels, rng):

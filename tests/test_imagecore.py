@@ -125,6 +125,26 @@ class TestIdxLoading:
         with pytest.raises(TruncatedFileError, match="header promises"):
             load_mnist(str(tmp_path), "test")
 
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_count_beyond_the_file_refused_before_allocating(
+            self, tmp_path, mnist_dir, gzipped):
+        # A raw file holds at most its bytes after the header; a gzipped
+        # one at most 1032 times its size (DEFLATE's largest ratio). A
+        # header promising 10**9 pixels is refused without reserving them.
+        path, imgs, labs = mnist_dir
+        blob = struct.pack(">IIII", 0x00000803, 1000, 1000, 1000) + bytes(99)
+        name = "t10k-images-idx3-ubyte"
+        if gzipped:
+            (tmp_path / name).unlink()
+            name, blob = name + ".gz", gzip.compress(blob, mtime=0)
+        (tmp_path / name).write_bytes(blob)
+        room = len(blob) * 1032 if gzipped else 99
+        result, peak = traced_peak(lambda: pytest.raises(
+            TruncatedFileError, load_mnist, str(tmp_path), "test"))
+        assert str(result.value).endswith(
+            f"header promises 1000000000 bytes, the file holds at most {room}")
+        assert peak < 2 ** 20
+
 
 class TestCifarLoading:
     def test_record_layout(self, tmp_path):
@@ -251,6 +271,20 @@ class TestLoadedSplitMemory:
             idx_labels(np.arange(n) % 10))
         ds, peak = traced_peak(lambda: load_mnist(str(tmp_path), "test"))
         assert ds.images.dtype == np.uint8 and len(ds) == n
+        assert peak <= 1.2 * n * 28 * 28
+
+    def test_gzipped_idx_split_allocates_one_byte_a_pixel(self, tmp_path):
+        # The payload is decompressed in slices straight into the array;
+        # decompressing it in one piece peaked at about 2 bytes a pixel.
+        n = 2000
+        images = np.random.default_rng(7).integers(0, 256, (n, 28, 28),
+                                                   dtype=np.uint8)
+        for name, blob in [("t10k-images-idx3-ubyte", idx_images(images)),
+                           ("t10k-labels-idx1-ubyte",
+                            idx_labels(np.arange(n) % 10))]:
+            (tmp_path / (name + ".gz")).write_bytes(gzip.compress(blob))
+        ds, peak = traced_peak(lambda: load_mnist(str(tmp_path), "test"))
+        np.testing.assert_array_equal(ds.images, images)
         assert peak <= 1.2 * n * 28 * 28
 
     def test_cifar_split_allocates_one_byte_a_pixel(self, tmp_path):
