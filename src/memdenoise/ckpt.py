@@ -4,14 +4,19 @@ Layout: the magic ``MEMDCKPT``, little-endian uint32 version and header
 length, a UTF-8 JSON header (kind, metadata, and each array's name,
 dtype ``<f8`` or ``|b1`` and shape), then each array's raw C-order
 little-endian bytes in header order. Arrays are written straight from
-memory and read straight into fresh arrays: no copy of the file, or of
-any array, is ever held.
+memory, and a load maps the file read-only and views each array in it:
+no copy of the file, or of any array, is ever held. Loaded arrays are
+read-only. A save writes a new file that replaces the old one, so a file
+a loaded network still maps is never changed under it; a checkpoint must
+not be truncated or rewritten in place while a run reads it.
 """
 
 import json
 import math
+import mmap
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,14 +37,35 @@ def _stored(a):
     return np.ascontiguousarray(a, dtype=bool if a.dtype == bool else "<f8")
 
 
+@contextmanager
+def replacing(path, mode="wb"):
+    """A file opened in mode that replaces path once the block succeeds.
+
+    It is a temporary file beside path, <path>.<pid>.tmp, so a write
+    that fails part-way leaves any earlier file at path as it was and
+    removes the temporary file. (No fsync: this guards against the
+    process failing, not against the machine losing power.)
+    """
+    # One writer per process, so the process id makes the name unique.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the replace
+            os.remove(tmp)
+
+
 def save(path, kind, meta, arrays):
     """Write a checkpoint of the given kind: JSON metadata plus named arrays.
 
     Boolean arrays are stored as bytes, every other array as float64.
-    The bytes go to a temporary file beside path that then replaces it,
-    so a save that fails part-way leaves any earlier file at path as it
-    was and removes its temporary file. (No fsync: this guards against
-    the process failing, not against the machine losing power.)
+    The file replaces path only once it is whole (replacing). Its size
+    is reserved first where the platform can (posix_fallocate): a disk
+    that cannot hold it fails the save before any byte is written, and
+    ext4 then has no delayed allocation to force out when the file
+    replaces an older one (about 0.08 s for a 123 MB fusion checkpoint).
     """
     arrays = {name: _stored(a) for name, a in arrays.items()}
     header = json.dumps({
@@ -47,18 +73,14 @@ def save(path, kind, meta, arrays):
         "arrays": [[name, a.dtype.str, list(a.shape)]
                    for name, a in arrays.items()],
     }, sort_keys=True).encode()
-    # One writer per process, so the process id makes the name unique.
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
-            f.write(header)
-            for a in arrays.values():
-                f.write(_raw(a))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the save failed before the replace
-            os.remove(tmp)
+    size = _PREFIX.size + len(header) + sum(a.nbytes for a in arrays.values())
+    with replacing(path) as f:
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(f.fileno(), 0, size)
+        f.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
+        f.write(header)
+        for a in arrays.values():
+            f.write(_raw(a))
 
 
 def _parse_header(blob, path):
@@ -85,7 +107,8 @@ def load(path, kinds):
     kinds maps each accepted kind to a callable (meta, arrays) ->
     object. The header-declared size must equal the file size; every
     format fault, including a field that callable rejects, is a
-    ValueError naming path once.
+    ValueError naming path once. The arrays are read-only views of the
+    file, mapped once its size, header and kind are checked.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -106,13 +129,14 @@ def load(path, kinds):
         if kind not in kinds:
             raise ValueError(f"{path}: holds a {kind} checkpoint, expected "
                              + " or ".join(kinds))
-        arrays = {}
-        for name, dtype, shape in layout:
-            a = np.empty(shape, dtype)
-            if f.readinto(_raw(a)) != a.nbytes:
-                raise ValueError(f"{path}: ended while reading {name}")
-            arrays[name] = a
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    arrays, offset = {}, _PREFIX.size + n
     try:
+        for name, dtype, shape in layout:
+            count = math.prod(shape)
+            arrays[name] = np.frombuffer(mapped, dtype, count,
+                                         offset).reshape(shape)
+            offset += count * dtype.itemsize
         return kind, kinds[kind](meta, arrays)
     except KeyError as e:
         raise ValueError(f"{path}: {kind} checkpoint lacks {e}") from e

@@ -41,10 +41,11 @@ from .imagecore import (DatasetError, ImageShapeError, check_count,
                         image_suffix, load_cifar10, load_mnist, plane_chunks,
                         write_image)
 from .nets.cnn import CnnDenoiser, cnn_train
-from .nets.common import TrainConfig, TrainingDivergence
+from .nets.common import TrainConfig, TrainingDivergence, build_readouts
 from .nets.dense import DenseDenoiser, dense_train
 from .nets.fusion import FusionDenoiser, fusion_train
 from .noise import STANDARD_NOISES, corrupt_dataset, parse_spec
+from .readahead import WorkerError, cpus as _cpus
 
 
 class CliError(ValueError):
@@ -373,8 +374,9 @@ def _safe(noise_text):
 
 
 def _write(path, text, written):
+    """Write a report whole or not at all (ckpt.replacing)."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as f:
+    with ckpt.replacing(path, "w") as f:
         f.write(text)
     written.append(path)
 
@@ -409,20 +411,17 @@ def _train_net(config, noise_text, cfg, data):
     """Train the net named by noise_text under cfg and save it; its RMSE
     log. A fusion net reads its member bank here, after the dataset."""
     net = config["net"]
+    name = f"{net} {noise_text}".rstrip()
     try:
         trained = (fusion_train(cfg, member_bank(config), data)
                    if net == "fusion" else _TRAINERS[net](cfg, data))
     except TrainingDivergence as e:
         raise TrainingDivergence(e.epoch, e.rmse, e.initial_rmse, e.rmse_log,
-                                 member=f"{net} {noise_text}".rstrip()) from None
+                                 member=name) from None
+    except WorkerError as e:  # fusion's read-ahead child failed
+        raise CliError(f"training {name}: {e}") from None
     trained.save(_net_path(config, noise_text))
     return trained.rmse_log
-
-
-def _cpus():
-    if not hasattr(os, "sched_getaffinity"):  # no fork-safe pool off Linux
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 # The (fn, items, claimed) of the open _fork_map pool; its forked workers
@@ -451,8 +450,9 @@ def _fork_map(fn, items, name):
     front, each item claimed by the first to reach it, so the front
     items' work (and anything a profiler records of it) stays here. fn
     and what it closes over (a 376 MB MNIST train split, say) reach the
-    workers unpickled; callers start no threads first, and fn must not
-    fork: a _fork_map called while a pool is open runs its items in the
+    workers unpickled; callers start no threads first. fn may start and
+    end child processes of its own (fusion training's read-ahead does),
+    but a _fork_map called while a pool is open runs its items in the
     calling process. With one CPU or one item everything runs here. The
     first item to fail, in input order, raises its own error, and an
     item lost with a dead worker a CliError naming name(item); items
@@ -538,11 +538,12 @@ def cmd_eval(config):
     data = _test_split(config)
     # (method label, stack -> stack); noisy rows score the corruption
     # exactly as the noise operator emits it, and analog pipelines clamp
-    # at their own input stage.
+    # at their own input stage. The net's readout matrices are built
+    # before the pool forks, so its workers share them.
     pipelines = [("noisy", lambda stack: stack)]
     if config["checkpoint"] is not None:
         kind, net = load_net(config["checkpoint"])
-        pipelines.append((kind, net.forward_stack))
+        pipelines.append((kind, build_readouts(net).forward_stack))
     for spec in map(baselines.parse_filter, config["filters"]):
         pipelines.append((spec.text(),
                           lambda stack, s=spec: baselines.filter_stack(stack, s)))

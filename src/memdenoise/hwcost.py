@@ -312,7 +312,9 @@ def estimate(point: DesignPoint, budget: ComponentBudget | None = None) -> Hardw
 
 def _finite(report: HardwareCostReport) -> HardwareCostReport:
     for name, value in report.to_json().items():
-        if isinstance(value, float) and not math.isfinite(value):
+        # an area is printed in mm2, 1e6 times its value in m2
+        shown = value * 1e6 if name.endswith("_m2") else value
+        if isinstance(value, float) and not math.isfinite(shown):
             raise ValueError(f"the budget overflows the cost model: "
                              f"{name} is {value}")
     return report

@@ -167,16 +167,25 @@ def _read_idx(path, expected_magic):
         if count > room:
             raise TruncatedFileError("%s: header promises %d bytes, the file "
                                      "holds at most %d" % (path, count, room))
-        out, got = np.empty(count, np.uint8), 0
-        while got < count:
-            n = f.readinto(out[got:got + _READ_SLICE])
-            if not n:
-                raise TruncatedFileError("%s: payload %d bytes, header "
-                                         "promises %d" % (path, got, count))
-            got += n
-        while f.read(_READ_SLICE):  # a gzip stream checks its CRC at its end
-            pass
+        out = np.empty(count, np.uint8)
+        _read_payload(f, out, path)
     return out.reshape(dims)
+
+
+def _read_payload(f, out, path):
+    """Fill the uint8 array out from f in _READ_SLICE slices, then read f
+    to its end, so a gzip stream checks its CRC; the bytes past out."""
+    got = 0
+    while got < len(out):
+        n = f.readinto(out[got:got + _READ_SLICE])
+        if not n:
+            raise TruncatedFileError("%s: payload %d bytes, header promises "
+                                     "%d" % (path, got, len(out)))
+        got += n
+    extra = 0
+    while chunk := f.read(_READ_SLICE):
+        extra += len(chunk)
+    return extra
 
 
 def _class_indices(labels, path):
@@ -224,32 +233,57 @@ def load_mnist(path, split):
     return Dataset(raw, _class_indices(labels, path), split)
 
 
+def _cifar_size(path):
+    """The bytes a CIFAR-10 batch file holds once read: a raw file's size,
+    a gzipped one's as its trailer states it (mod 2**32), refused if no
+    gzipped file of its size could hold that much."""
+    size = os.path.getsize(path)
+    with open(path, "rb") as f:
+        head = f.read(2)
+        if head != b"\x1f\x8b":
+            return size
+        if size < 18:  # a gzip header and trailer take 18 bytes
+            raise TruncatedFileError("%s: a %d-byte gzip stream" % (path, size))
+        f.seek(-4, os.SEEK_END)
+        (stated,) = struct.unpack("<I", f.read(4))
+    if stated > size * _MAX_DEFLATE_RATIO:
+        raise TruncatedFileError("%s: gzip trailer states %d bytes, the file "
+                                 "holds at most %d"
+                                 % (path, stated, size * _MAX_DEFLATE_RATIO))
+    return stated
+
+
 def load_cifar10(path, split):
     """Load CIFAR-10 binary batches under `path` for the given split.
 
     Records are 1 label byte followed by 3072 pixel bytes in channel-planar
     R,G,B order; the uint8 images are an interleaved (h, w, c) view of
-    them. A one-file split is a view of the file's bytes; a split of
-    several files is copied into one array once.
+    them. Every batch file of the split is read, in _READ_SLICE slices,
+    into one array sized for them all up front, so loading holds about 1
+    byte a pixel, raw or gzipped.
     """
     if split not in _CIFAR_FILES:
         raise ValueError("unknown split %r" % (split,))
-    chunks, labels = [], []
+    names = []
     for name in _CIFAR_FILES[split]:
         try:
-            fname = _resolve(path, name)
+            names.append(_resolve(path, name))
         except DatasetError:
-            fname = _resolve("%s/cifar-10-batches-bin" % path, name)
-        with _gzip_errors(fname), _open_maybe_gzip(fname) as f:
-            blob = f.read()
-        if len(blob) == 0 or len(blob) % 3073 != 0:
+            names.append(_resolve("%s/cifar-10-batches-bin" % path, name))
+    sizes = [_cifar_size(fname) for fname in names]
+    for fname, size in zip(names, sizes):
+        if size == 0 or size % 3073 != 0:
             raise BadMagicError(
-                "%s: %d bytes is not a multiple of 3073" % (fname, len(blob)))
-        rec = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 3073)
-        labels.append(rec[:, 0])
-        chunks.append(rec[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1))
-    images = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return Dataset(images, _class_indices(np.concatenate(labels), path), split)
+                "%s: %d bytes is not a multiple of 3073" % (fname, size))
+    records, lo = np.empty((sum(sizes) // 3073, 3073), np.uint8), 0
+    for fname, size in zip(names, sizes):
+        with _gzip_errors(fname), _open_maybe_gzip(fname) as f:
+            if _read_payload(f, records.reshape(-1)[lo:lo + size], fname):
+                raise BadMagicError("%s: holds more than the %d bytes its "
+                                    "gzip trailer states" % (fname, size))
+        lo += size
+    images = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+    return Dataset(images, _class_indices(records[:, 0], path), split)
 
 
 class ImageShapeError(ValueError):

@@ -127,6 +127,16 @@ class Layer:
         return crossbar.matmul(self.tiled, xs) * self.gain
 
 
+def build_readouts(net):
+    """net, each of its layers' readout matrices built now rather than at
+    its first readout, so that processes forked afterwards share them
+    instead of each building its own from the conductances (which, mapped
+    from a checkpoint, it would first have to page in)."""
+    for layer in net.layers:
+        layer.tiled.effective_weights()
+    return net
+
+
 def device_meta(net):
     """The training log and device record every network checkpoint stores."""
     return {"rmse_log": net.rmse_log, "levels": net.device.levels,

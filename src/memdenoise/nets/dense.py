@@ -48,6 +48,11 @@ class DenseDenoiser:
         self.layer = Layer(weights, self.device, np.random.default_rng(
             [self.program_seed, 0x70]), tiled)
 
+    @property
+    def layers(self):
+        """The programmed crossbar layers, in read order."""
+        return (self.layer,)
+
     def reprogram(self, dev, seed=0):
         """Same float weights, freshly programmed through another device."""
         return DenseDenoiser(self.layer.weights, self.shape,

@@ -10,12 +10,15 @@ Training reads the members ahead of the kernel steps: their outputs
 depend only on the shuffled sample order and the per-sample noise draws,
 never on the kernel.  fit hands over each epoch's minibatches first, and
 each member then reads a block of whole consecutive minibatches (about
-2**19 member outputs) in one readout.  Each step unfolds its own
-minibatch's rows of the block and adds the kernel update's per-sample
-terms in sample order.  A multi-row minibatch's rows of a block readout
-have the bits of its own readout, so blocking keeps the bits; a 1-row
-readout takes another BLAS path, so a 1-sample minibatch (batch 1, or a
-1-sample tail) is still read on its own.
+2**19 member outputs) in one readout.  A child process forked for the
+epoch (readahead.ReadAhead) makes the blocks while the steps run and
+pipes them over in order, at most about one block ahead; with one CPU
+they are made inline, each as its first step needs it.  Each step
+unfolds its own minibatch's rows of the block and adds the kernel
+update's per-sample terms in sample order.  A multi-row minibatch's
+rows of a block readout have the bits of its own readout, so blocking
+keeps the bits; a 1-row readout takes another BLAS path, so a 1-sample
+minibatch (batch 1, or a 1-sample tail) is still read on its own.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from .. import ckpt, crossbar
 from ..device import DeviceModel
 from ..imagecore import map_planes, plane_chunks
 from ..noise import corrupt, parse_spec
-from .common import (Layer, TrainConfig, device_args, device_meta, fit,
-                     training_planes)
+from ..readahead import ReadAhead
+from .common import (Layer, TrainConfig, build_readouts, device_args,
+                     device_meta, fit, training_planes)
 from .cnn import unfold_stack
 from .dense import DenseDenoiser
 
@@ -58,6 +62,13 @@ class FusionDenoiser:
         self.layer = Layer(self.kernel.reshape(-1, 1), self.device,
                            np.random.default_rng([self.program_seed, 0x70]),
                            tiled)
+
+    @property
+    def layers(self):
+        """The programmed crossbar layers, in read order: the members',
+        then the kernel's."""
+        return (*(layer for m in self.members for layer in m.layers),
+                self.layer)
 
     def forward_stack(self, images):
         """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
@@ -153,7 +164,7 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
     pixel-mean of error times patch, which keeps the learning-rate scale
     of the single-layer rule.
     """
-    members = tuple(members)
+    members = tuple(map(build_readouts, members))  # before any fork
     specs = ([parse_spec(m.train_noise) for m in members]
              if cfg.clean_fraction < 1.0 else [])
     clean, shape = training_planes(data, cfg)
@@ -163,14 +174,13 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
     # Minibatches per block: about 2**19 member outputs, the plane_chunks
     # budget, so the block held does not grow with n.
     per_block = max(1, 2 ** 19 // (depth * p * cfg.batch))
-    feed = None
 
-    def member_planes(epoch, batches):
-        # The (rows, members, P) member outputs of each minibatch in turn.
-        # They do not depend on the kernel, so each block of minibatches
-        # is corrupted and read ahead of its steps, one readout per member
-        # (the members clamp their inputs).
-        for run in minibatch_runs(batches, per_block):
+    def member_blocks(epoch, runs):
+        # The (rows, members, P) member outputs of each run of minibatches.
+        # They do not depend on the kernel, so each run is corrupted and
+        # read ahead of its steps, one readout per member (the members
+        # clamp their inputs).
+        for run in runs:
             rows = np.concatenate(run)
             inputs = np.empty((len(rows), p))
             for row, i in enumerate(rows):
@@ -184,14 +194,25 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
             planes = np.empty((len(rows), depth, p))
             for j, member in enumerate(members):
                 planes[:, j] = member.forward_flat(inputs)
+            yield planes
+
+    def minibatch_planes(blocks, runs):
+        for planes, run in zip(blocks, runs):
             lo = 0
             for idx in run:
                 yield planes[lo:lo + len(idx)]
                 lo += len(idx)
 
+    reader, feed = ReadAhead(), None
+
     def plan(epoch, batches):
+        # Each epoch's member blocks are made by a child forked now (or
+        # inline, with one CPU) and taken by the steps in order.
         nonlocal feed
-        feed = member_planes(epoch, batches)
+        runs = list(minibatch_runs(batches, per_block))
+        blocks = reader.start(member_blocks(epoch, runs),
+                              [(sum(map(len, run)), depth, p) for run in runs])
+        feed = minibatch_planes(blocks, runs)
 
     def step(epoch, eta, idx):
         # One unfold per minibatch; the update stays per sample.
@@ -207,9 +228,12 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
             kflat[...] += (eta / len(idx)) * grad
         return terms
 
-    rmse_log = fit(cfg, n, step, [kflat],
-                   lambda s: float(np.sqrt(s / (n * p))), in_loop=[kflat],
-                   plan=plan)
+    try:
+        rmse_log = fit(cfg, n, step, [kflat],
+                       lambda s: float(np.sqrt(s / (n * p))), in_loop=[kflat],
+                       plan=plan)
+    finally:
+        reader.close()
     kernel = kflat.reshape(depth, size, size)
     return FusionDenoiser(members, kernel, rmse_log=rmse_log,
                           device=cfg.device, program_seed=cfg.seed)

@@ -16,6 +16,7 @@ from memdenoise.classify import Classifier
 from memdenoise.cli import CliError, load_net, main
 from memdenoise.device import DeviceModel
 from memdenoise.nets.cnn import CnnDenoiser
+from memdenoise.nets.common import build_readouts
 from memdenoise.nets.dense import DenseDenoiser
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init
 
@@ -84,10 +85,20 @@ class TestLayout:
         with pytest.raises(ValueError, match="expected dense"):
             load("dense", root / "cnn")
 
-    def test_arrays_read_into_fresh_memory(self, blobs):
-        root, _ = blobs
+    def test_arrays_are_read_only_views_of_the_file(self, blobs):
+        root, saved = blobs
+        _, (meta, arrays) = ckpt.load(root / "dense",
+                                      {"dense": lambda m, a: (m, a)})
+        for name, a in arrays.items():
+            assert not a.flags.writeable and a.flags.c_contiguous
+            assert not a.flags.owndata and a.base is not None
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[:1] = 0
+        # each array's bytes are the file's own, at its offset in header order
+        tail = b"".join(a.tobytes() for a in arrays.values())
+        assert saved["dense"].endswith(tail)
         net = load("classifier", root / "classifier")
-        assert net.w1.base is None and net.w1.flags.c_contiguous
+        assert not net.w1.flags.writeable and not net.w1.flags.owndata
 
     def test_empty_and_boolean_arrays(self, tmp_path):
         path = tmp_path / "x"
@@ -146,8 +157,10 @@ class TestHostileBytes:
 
 
 def rewritten(path, kind, edit):
-    """Re-save the checkpoint at path after edit(meta, arrays) changed it."""
-    _, (meta, arrays) = ckpt.load(path, {kind: lambda m, a: (m, a)})
+    """Re-save the checkpoint at path after edit(meta, arrays) changed it
+    (a copy of each array: loaded arrays are read-only views of the file)."""
+    _, (meta, arrays) = ckpt.load(path, {kind: lambda m, a: (
+        m, {name: x.copy() for name, x in a.items()})})
     edit(meta, arrays)
     ckpt.save(path, kind, meta, arrays)
 
@@ -259,7 +272,8 @@ class TestNonFiniteValues:
 
 def test_fusion_checkpoint_streams(tmp_path):
     # A 28x28 fusion net over 8 members writes a 118 MB file. Neither save
-    # nor load may hold a second copy of its bytes.
+    # nor load may hold a second copy of its bytes, and the load holds no
+    # first copy either: it maps the file.
     member = identity_dense(28, 28)
     net = FusionDenoiser([member] * 8, fusion_init(8, kind="identity"))
     path = tmp_path / "fusion.bin"
@@ -278,15 +292,16 @@ def test_fusion_checkpoint_streams(tmp_path):
         path.unlink(missing_ok=True)
     assert size > 100 * MB
     assert save_peak - start < 2 * MB
-    assert retained - before > 100 * MB
+    assert retained - before < 2 * MB
     assert load_peak - retained <= 2 * MB
     assert len(back.members) == 8
 
 
-@pytest.mark.parametrize("fault", ["write", "replace"])
+@pytest.mark.parametrize("fault", ["write", "replace", "reserve"])
 def test_failed_save_leaves_the_old_file(blobs, tmp_path, monkeypatch, fault):
-    # A save that fails after writing part of its bytes, or at the final
-    # replace, leaves the earlier checkpoint's bytes and no other file.
+    # A save that fails after writing part of its bytes, at the final
+    # replace, or when its size cannot be reserved (a full disk), leaves
+    # the earlier checkpoint's bytes and no other file.
     root, saved = blobs
     path = tmp_path / "net.bin"
     path.write_bytes(saved["fusion"])
@@ -298,13 +313,42 @@ def test_failed_save_leaves_the_old_file(blobs, tmp_path, monkeypatch, fault):
             return raw(*args)
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(*(ckpt, "_raw") if fault == "write"
-                        else (ckpt.os, "replace"), fail)
+    monkeypatch.setattr(*{"write": (ckpt, "_raw"),
+                          "replace": (ckpt.os, "replace"),
+                          "reserve": (ckpt.os, "posix_fallocate")}[fault],
+                        fail)
     with pytest.raises(OSError, match="no space left"):
         net.save(path)
     assert seen[-1] == ["net.bin", f"net.bin.{os.getpid()}.tmp"]
     assert path.read_bytes() == saved["fusion"]
     assert [p.name for p in tmp_path.iterdir()] == ["net.bin"]
+
+
+def test_readout_matrices_are_built_when_asked(blobs):
+    # A load maps the file and builds no readout matrix; build_readouts
+    # builds every layer's, a fusion net's members' too, as a caller does
+    # before it forks.
+    root, _ = blobs
+    for kind, layers in [("dense", 1), ("cnn", 3), ("fusion", 2 + 1)]:
+        net = load(kind, root / kind)
+        tiles = [layer.tiled for layer in net.layers]
+        assert len(tiles) == layers and all(t._eff is None for t in tiles)
+        assert build_readouts(net) is net
+        assert all(t._eff is not None for t in tiles)
+
+
+def test_saving_over_a_loaded_net_leaves_it_as_loaded(blobs, tmp_path):
+    # A save replaces the file a loaded net maps rather than writing into
+    # it, so the net reads what it loaded, whatever is saved over it.
+    root, saved = blobs
+    path = tmp_path / "net.bin"
+    path.write_bytes(saved["fusion"])
+    net = load("fusion", path)  # its readout matrices are not built yet
+    other = small_nets()["fusion"]
+    FusionDenoiser(other.members[::-1], -other.kernel).save(path)
+    assert path.read_bytes() != saved["fusion"]
+    want = load("fusion", root / "fusion").forward_stack(PROBE)
+    assert np.array_equal(net.forward_stack(PROBE), want)
 
 
 def ramp(shape, top):

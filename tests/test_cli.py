@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -26,7 +27,7 @@ import gzip
 import hashlib
 
 from conftest import drop_arrays, write_idx_images, write_idx_labels
-from memdenoise import cli
+from memdenoise import ckpt, cli, readahead
 from memdenoise.cli import (
     DEFAULT_CONFIG,
     DENSE_RATE_OVERRIDES,
@@ -47,7 +48,7 @@ from memdenoise.device import DeviceModel
 from memdenoise.metrics import CSV_HEADER, evaluate_pairs
 from memdenoise.nets.cnn import cnn_train
 from memdenoise.nets.common import TrainingDivergence
-from memdenoise.nets.dense import dense_train
+from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init
 from memdenoise.noise import STANDARD_NOISES, corrupt_dataset, parse_spec
 
@@ -785,6 +786,8 @@ def budget_path(tmp_path_factory):
          phase="inference")
 @example(budget={"tile_area": 10 ** 400}, net="cnn", mode="parallel",
          phase="inference")
+@example(budget={"cmos_chain_area": 1e308}, net="dense", mode="sequential",
+         phase="inference")
 def test_cost_budget_prints_a_finite_table_or_exits_two(
         budget_path, budget, net, mode, phase):
     # Each --budget document prints a table of finite values, or exits 2
@@ -807,6 +810,48 @@ def test_cost_budget_prints_a_finite_table_or_exits_two(
     row = out.splitlines()[2]
     assert row.startswith(design)
     assert "nan" not in row[len(design):] and "inf" not in row[len(design):]
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+@pytest.mark.parametrize("name", ["eval.csv", "eval.json"])
+def test_failed_report_write_leaves_the_old_report(tmp_path, monkeypatch,
+                                                   name, fault):
+    # A report is written to a temporary file that replaces it: a write
+    # that fails part-way, or at the replace, leaves the old report and no
+    # other file. (The part-way failure shadows open in ckpt, which owns
+    # that temporary file.)
+    path, written = tmp_path / name, []
+    cli._write(str(path), "old report\n", written)
+
+    def refuse(*args):
+        raise OSError("no space left on device")
+
+    def half_open(file, mode):
+        f = open(file, mode)
+
+        class HalfWrites:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                f.close()
+
+            def write(self, text):
+                f.write(text[:len(text) // 2])
+                f.flush()
+                refuse()
+
+        return HalfWrites()
+
+    if fault == "write":
+        monkeypatch.setattr(ckpt, "open", half_open, raising=False)
+    else:
+        monkeypatch.setattr(ckpt.os, "replace", refuse)
+    with pytest.raises(OSError, match="no space left"):
+        cli._write(str(path), "new report\n" * 1000, written)
+    assert path.read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert written == [str(path)]
 
 
 class TestTrainCommand:
@@ -1501,6 +1546,34 @@ class TestFuseCommand:
         assert len(net.members) == 8
         lines = Path(out, "train_log.csv").read_text().splitlines()
         assert lines[1].startswith("fusion,,1,")
+
+    @pytest.mark.parametrize("fault, cause", [
+        ("raise", "the read-ahead process raised ValueError: boom"),
+        ("kill", "a worker process died")])
+    def test_read_ahead_failure_exits_two(self, corpus, member_dir, capsys,
+                                          monkeypatch, tmp_path, fault,
+                                          cause):
+        # The member readouts run in a child forked for the epoch: an
+        # exception there, or its death, exits 2 naming the cause, and the
+        # child is waited for.
+        parent, read = os.getpid(), DenseDenoiser.forward_flat
+
+        def forward_flat(net, flat):
+            if os.getpid() != parent:
+                if fault == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError("boom")
+            return read(net, flat)
+
+        monkeypatch.setattr(DenseDenoiser, "forward_flat", forward_flat)
+        monkeypatch.setattr(readahead, "cpus", lambda: 2)
+        out = tmp_path / "out"
+        assert main(FUSE + ["--data", corpus, "--seed", "5", "--members",
+                            member_dir, "--epochs", "1", "--limit", "16",
+                            "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: training fusion: {cause}\n"
+        assert multiprocessing.active_children() == []
+        assert not (out / "fusion.bin").exists()
 
     def test_divergence_names_fusion_like_a_bank_member(
             self, corpus, capsys, monkeypatch, tmp_path):

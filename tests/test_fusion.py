@@ -1,22 +1,59 @@
+import contextlib
+import multiprocessing
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import identity_dense
-from memdenoise import ckpt, crossbar
+from memdenoise import ckpt, crossbar, readahead
 from memdenoise.device import DeviceModel
 from memdenoise.imagecore import Dataset, plane_chunks, plane_samples
 from memdenoise.nets.cnn import conv_same, unfold_stack
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
                                     pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
+from memdenoise.nets import fusion as fusion_module
 from memdenoise.nets.fusion import (FusionDenoiser, fusion_init,
                                     fusion_train, minibatch_runs)
 from memdenoise.noise import corrupt, parse_spec
+from memdenoise.readahead import WorkerError
 
 # Checkpoint kinds ckpt.load accepts here
 FUSION = {"fusion": FusionDenoiser.from_state}
+FORK = multiprocessing.get_context("fork")
+
+
+def on_each_feed(monkeypatch, train):
+    """(cpus, train()) for each CPU count the read-ahead may see: 1 makes
+    the member blocks inline, 2 and 4 in a forked child."""
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(readahead, "cpus", lambda c=cpus: c)
+        yield cpus, train()
+
+
+def recorded_reads(monkeypatch, nets, fault=None):
+    """A queue that each member readout puts (rows, pid) into, from
+    whichever process reads; in a forked child, fault(), if given, then
+    runs in place of the readout."""
+    parent, reads = os.getpid(), FORK.SimpleQueue()
+    for net in nets:
+        def forward_flat(flat, read=net.forward_flat):
+            reads.put((len(flat), os.getpid()))
+            if fault is not None and os.getpid() != parent:
+                fault()
+            return read(flat)
+        monkeypatch.setattr(net, "forward_flat", forward_flat)
+    return reads
+
+
+def drained(queue):
+    items = []
+    while not queue.empty():
+        items.append(queue.get())
+    return items
 
 
 def direct_route(fused, img):
@@ -275,17 +312,18 @@ class TestTraining:
     @pytest.mark.parametrize("batch,limit,device_in_loop", [
         (1, 8, False), (4, 8, False), (4, 10, False), (4, 10, True)],
         ids=["batch-1", "batch-4", "ragged-tail", "device-in-loop"])
-    def test_minibatch_unfold_bits_equal_per_sample(self, rng, batch, limit,
-                                                    device_in_loop):
+    def test_minibatch_unfold_bits_equal_per_sample(
+            self, rng, monkeypatch, batch, limit, device_in_loop):
         nets, ds = member_bank(rng)
         cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.1,
                           epochs=2, batch=batch, seed=4, limit=limit,
                           device=DeviceModel(levels=16, variation_sigma=0.05),
                           device_in_loop=device_in_loop)
-        fused = fusion_train(cfg, nets, ds)
         kernel, rmse_log = per_sample_fusion_train(cfg, nets, ds)
-        assert np.array_equal(fused.kernel, kernel)
-        assert fused.rmse_log == rmse_log
+        for _, fused in on_each_feed(
+                monkeypatch, lambda: fusion_train(cfg, nets, ds)):
+            assert np.array_equal(fused.kernel, kernel)
+            assert fused.rmse_log == rmse_log
 
     # 3 x 784 member outputs per sample: a block is 2**19 // 2352 = 222
     # samples' worth of whole minibatches (3 of 72, 27 of 8).
@@ -293,31 +331,35 @@ class TestTraining:
         (72, 300, False), (8, 17, False), (8, 40, True)],
         ids=["batch-72-two-blocks", "one-sample-tail", "device-in-loop"])
     def test_blocked_readouts_bits_equal_per_sample_at_28x28(
-            self, rng, batch, limit, device_in_loop):
+            self, rng, monkeypatch, batch, limit, device_in_loop):
         nets, ds = member_bank_28(rng, limit)
         cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.05,
                           epochs=2, batch=batch, seed=4, limit=limit,
                           device=DeviceModel(levels=16, variation_sigma=0.05),
                           device_in_loop=device_in_loop)
-        fused = fusion_train(cfg, nets, ds)
         kernel, rmse_log = per_sample_fusion_train(cfg, nets, ds)
-        assert np.array_equal(fused.kernel, kernel)
-        assert fused.rmse_log == rmse_log
+        for _, fused in on_each_feed(
+                monkeypatch, lambda: fusion_train(cfg, nets, ds)):
+            assert np.array_equal(fused.kernel, kernel)
+            assert fused.rmse_log == rmse_log
 
     def test_members_read_once_per_block(self, rng, monkeypatch):
         # 300 samples in 38 minibatches of 8 (the last 4) make 2 blocks of
         # at most 27 minibatches per epoch: each member reads twice an
-        # epoch, not 38 times.
+        # epoch, not 38 times. With more than one CPU, one child forked
+        # per epoch reads them all.
         nets, ds = member_bank_28(rng, 300)
-        reads = []
-        for net in nets:
-            read = net.forward_flat
-            monkeypatch.setattr(net, "forward_flat", lambda flat, read=read: (
-                reads.append(len(flat)), read(flat))[1])
+        reads = recorded_reads(monkeypatch, nets)
         cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.05,
                           epochs=2, batch=8, seed=4, limit=300)
-        fusion_train(cfg, nets, ds)
-        assert reads == 2 * (3 * [216] + 3 * [84])
+        for cpus, _ in on_each_feed(monkeypatch,
+                                    lambda: fusion_train(cfg, nets, ds)):
+            rows, pids = zip(*drained(reads))
+            assert list(rows) == 2 * (3 * [216] + 3 * [84])
+            epochs = [set(pids[:6]), set(pids[6:])]
+            assert all(len(readers) == 1 for readers in epochs)
+            assert (os.getpid() in pids) == (cpus == 1)
+        reads.close()
 
     @pytest.mark.parametrize("sizes,per_block,runs", [
         ([8, 8, 8, 8, 4], 2, [[8, 8], [8, 8], [4]]),
@@ -399,6 +441,61 @@ class TestTraining:
         b = fusion_train(cfg, nets, ds)
         np.testing.assert_array_equal(a.kernel, b.kernel)
         assert a.rmse_log == b.rmse_log
+
+
+def raises(error):
+    def fail(*args):
+        raise error
+    return fail
+
+
+def killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+# Every way out of fusion_train: (learning rate, fault in the read-ahead
+# child's readouts, fault in the steps, what fusion_train raises and its
+# message).
+WAYS_OUT = {
+    "success": (0.05, None, None, None, None),
+    "divergence": (1e300, None, None, TrainingDivergence, "^diverged"),
+    "step-error": (0.05, None, raises(OSError("disk gone")), OSError,
+                   "^disk gone$"),
+    "interrupt": (0.05, None, raises(KeyboardInterrupt()), KeyboardInterrupt,
+                  None),
+    "child-error": (0.05, raises(ValueError("boom")), None, WorkerError,
+                    "^the read-ahead process raised ValueError: boom$"),
+    "child-killed": (0.05, killed, None, WorkerError,
+                     "^a worker process died$"),
+}
+
+
+class TestReadAheadChild:
+    @pytest.mark.parametrize("way", sorted(WAYS_OUT))
+    def test_no_child_is_left_running(self, rng, monkeypatch, way):
+        # 2 blocks an epoch of 4 MB each, more than a pipe holds: a child
+        # the steps stop reading blocks writing its next block.
+        lr, child_fault, step_fault, error, match = WAYS_OUT[way]
+        monkeypatch.setattr(readahead, "cpus", lambda: 2)
+        nets, ds = member_bank_28(rng, 300)
+        reads = recorded_reads(monkeypatch, nets, child_fault)
+        if step_fault is not None:
+            monkeypatch.setattr(fusion_module, "unfold_stack", step_fault)
+        cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=lr,
+                          epochs=2, batch=8, seed=4, limit=300)
+        with np.errstate(over="ignore", invalid="ignore"), (
+                pytest.raises(error, match=match) if error
+                else contextlib.nullcontext()):
+            fusion_train(cfg, nets, ds)
+        children = {pid for _, pid in drained(reads)}
+        reads.close()
+        assert children and os.getpid() not in children
+        # Each child was waited for: it is neither running nor a zombie.
+        # (Checked first: active_children reaps the children that ended.)
+        for pid in children:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert multiprocessing.active_children() == []
 
 
 class TestSerialization:

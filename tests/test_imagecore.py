@@ -297,6 +297,44 @@ class TestLoadedSplitMemory:
         assert ds.images.dtype == np.uint8 and len(ds) == n
         assert peak <= 1.2 * n * 32 * 32 * 3
 
+    @pytest.mark.parametrize("names, gzipped", [
+        (["test_batch.bin"], True),
+        ([f"data_batch_{i}.bin" for i in range(1, 6)], False)],
+        ids=["gzipped-one-file", "raw-five-files"])
+    def test_cifar_batches_read_into_one_array(self, tmp_path, names,
+                                               gzipped):
+        # Each batch is read in slices into one array sized for the split
+        # up front. Reading a gzipped batch whole held it twice, and
+        # joining five batches held the split twice.
+        n = 2000
+        records = np.random.default_rng(9).integers(0, 256, (n, 3073),
+                                                    dtype=np.uint8)
+        records[:, 0] %= 10
+        for name, part in zip(names, np.array_split(records, len(names))):
+            blob = part.tobytes()
+            if gzipped:
+                (tmp_path / (name + ".gz")).write_bytes(gzip.compress(blob))
+            else:
+                (tmp_path / name).write_bytes(blob)
+        split = "test" if len(names) == 1 else "train"
+        ds, peak = traced_peak(lambda: load_cifar10(str(tmp_path), split))
+        np.testing.assert_array_equal(ds.images, records[:, 1:].reshape(
+            n, 3, 32, 32).transpose(0, 2, 3, 1))
+        np.testing.assert_array_equal(ds.labels, records[:, 0])
+        assert peak <= 1.2 * n * 32 * 32 * 3
+
+    def test_gzip_trailer_beyond_the_file_refused_before_allocating(
+            self, tmp_path):
+        blob = bytearray(gzip.compress(bytes(3073)))
+        blob[-4:] = struct.pack("<I", 3073 * 10 ** 6)
+        (tmp_path / "test_batch.bin.gz").write_bytes(bytes(blob))
+        result, peak = traced_peak(lambda: pytest.raises(
+            TruncatedFileError, load_cifar10, str(tmp_path), "test"))
+        assert str(result.value).endswith(
+            f"gzip trailer states 3073000000 bytes, the file holds at most "
+            f"{len(blob) * 1032}")
+        assert peak < 2 ** 20
+
 
 # Loader fuzz: each file is a well-formed one that may be damaged
 # (DAMAGE, or one header word replaced), gzipped, and damaged again as a
