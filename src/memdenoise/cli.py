@@ -34,7 +34,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from . import baselines, ckpt, hwcost, metrics
+from . import baselines, ckpt, hwcost, metrics, readahead
 from .classify import ACCURACY_CSV_HEADER, Classifier, evaluate, train_classifier
 from .device import DeviceModel
 from .imagecore import (DatasetError, ImageShapeError, check_count,
@@ -45,7 +45,7 @@ from .nets.common import TrainConfig, TrainingDivergence, build_readouts
 from .nets.dense import DenseDenoiser, dense_train
 from .nets.fusion import FusionDenoiser, fusion_train
 from .noise import STANDARD_NOISES, corrupt_dataset, parse_spec
-from .readahead import WorkerError, cpus as _cpus
+from .readahead import WorkerError
 
 
 class CliError(ValueError):
@@ -453,13 +453,13 @@ def _fork_map(fn, items, name):
     workers unpickled; callers start no threads first. fn may start and
     end child processes of its own (fusion training's read-ahead does),
     but a _fork_map called while a pool is open runs its items in the
-    calling process. With one CPU or one item everything runs here. The
-    first item to fail, in input order, raises its own error, and an
-    item lost with a dead worker a CliError naming name(item); items
-    nobody has started are then dropped.
+    calling process. With one CPU (readahead.cpus) or one item everything
+    runs here. The first item to fail, in input order, raises its own
+    error, and an item lost with a dead worker a CliError naming
+    name(item); items nobody has started are then dropped.
     """
     global _task
-    workers = min(len(items), _cpus()) - 1
+    workers = min(len(items), readahead.cpus()) - 1
     if workers < 1 or _task is not None:
         return [fn(item) for item in items]
     fork = mp.get_context("fork")

@@ -11,14 +11,19 @@ depend only on the shuffled sample order and the per-sample noise draws,
 never on the kernel.  fit hands over each epoch's minibatches first, and
 each member then reads a block of whole consecutive minibatches (about
 2**19 member outputs) in one readout.  A child process forked for the
-epoch (readahead.ReadAhead) makes the blocks while the steps run and
-pipes them over in order, at most about one block ahead; with one CPU
-they are made inline, each as its first step needs it.  Each step
-unfolds its own minibatch's rows of the block and adds the kernel
-update's per-sample terms in sample order.  A multi-row minibatch's
-rows of a block readout have the bits of its own readout, so blocking
-keeps the bits; a 1-row readout takes another BLAS path, so a 1-sample
-minibatch (batch 1, or a 1-sample tail) is still read on its own.
+epoch (readahead.ReadAhead) corrupts each block's samples and reads all
+members but the last while the steps run, and pipes the block over in
+order, at most about one block ahead; the steps read the last member
+from the corrupted inputs the block carries in its slot.  For the
+paper's bank of 8 that splits the work about evenly: the child's
+corruption and 7 readouts against the steps' unfolds, updates and 1
+readout.  With one CPU the blocks are made inline, each as its first
+step needs it.  Each step unfolds its own minibatch's rows of the block
+and adds the kernel update's per-sample terms in sample order.  A
+multi-row minibatch's rows of a block readout have the bits of its own
+readout, so blocking keeps the bits; a 1-row readout takes another BLAS
+path, so a 1-sample minibatch (batch 1, or a 1-sample tail) is still
+read on its own.
 """
 
 from __future__ import annotations
@@ -176,13 +181,15 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
     per_block = max(1, 2 ** 19 // (depth * p * cfg.batch))
 
     def member_blocks(epoch, runs):
-        # The (rows, members, P) member outputs of each run of minibatches.
-        # They do not depend on the kernel, so each run is corrupted and
-        # read ahead of its steps, one readout per member (the members
-        # clamp their inputs).
+        # The (rows, members, P) member outputs of each run of minibatches,
+        # but for the last member's slot, which holds the inputs. They do
+        # not depend on the kernel, so each run is corrupted and read
+        # ahead of its steps, one readout per member (the members clamp
+        # their inputs).
         for run in runs:
             rows = np.concatenate(run)
-            inputs = np.empty((len(rows), p))
+            planes = np.empty((len(rows), depth, p))
+            inputs = planes[:, -1]
             for row, i in enumerate(rows):
                 sample_rng = np.random.default_rng([cfg.seed, epoch, int(i)])
                 if sample_rng.random() < cfg.clean_fraction:
@@ -191,13 +198,13 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
                     spec = specs[sample_rng.integers(len(specs))]
                     inputs[row] = corrupt(clean[i].reshape(shape), spec,
                                           sample_rng).reshape(-1)
-            planes = np.empty((len(rows), depth, p))
-            for j, member in enumerate(members):
+            for j, member in enumerate(members[:-1]):
                 planes[:, j] = member.forward_flat(inputs)
             yield planes
 
     def minibatch_planes(blocks, runs):
         for planes, run in zip(blocks, runs):
+            planes[:, -1] = members[-1].forward_flat(planes[:, -1])
             lo = 0
             for idx in run:
                 yield planes[lo:lo + len(idx)]
@@ -207,7 +214,8 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
 
     def plan(epoch, batches):
         # Each epoch's member blocks are made by a child forked now (or
-        # inline, with one CPU) and taken by the steps in order.
+        # inline, with one CPU) and taken by the steps in order, which
+        # read the last member themselves.
         nonlocal feed
         runs = list(minibatch_runs(batches, per_block))
         blocks = reader.start(member_blocks(epoch, runs),

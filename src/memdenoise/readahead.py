@@ -34,11 +34,15 @@ class WorkerError(RuntimeError):
     """The child raised (the message names its exception) or died."""
 
 
-def _produce(blocks, fd):
-    # The child's loop. An interrupt goes to the reader, which ends it.
+def _produce(blocks, read_fd, write_fd):
+    # The child's loop. It first closes its copy of the read end: once
+    # the reader's is closed too (by close(), or by its process dying),
+    # the child's next write fails and it ends instead of waiting on a
+    # full pipe. An interrupt goes to the reader, which ends the child.
+    os.close(read_fd)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        with open(fd, "wb") as out:
+        with open(write_fd, "wb") as out:
             try:
                 for block in blocks:
                     block = np.ascontiguousarray(block, np.float64)
@@ -77,7 +81,8 @@ class ReadAhead:
         read_fd, write_fd = os.pipe()
         self._pipe = open(read_fd, "rb")
         self._child = mp.get_context("fork").Process(
-            target=_produce, args=(blocks, write_fd), daemon=True)
+            target=_produce, args=(blocks, read_fd, write_fd),
+            daemon=True)
         try:
             self._child.start()
         finally:

@@ -944,7 +944,7 @@ class TestBankTraining:
                                      tmp_path, net, cpus):
         argv = ["train", "--data", corpus, *BANKS[net]]
         want = serial_bank(argv, tmp_path / "serial")
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
         out = tmp_path / "bank"
         assert main(argv + ["--outdir", str(out)]) == 0
         got = [out / p.name for p in want]
@@ -957,7 +957,7 @@ class TestBankTraining:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_only_second_member_diverges(self, corpus, capsys, monkeypatch,
                                          tmp_path, cpus):
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
         argv = ["train", "--data", corpus, "--outdir", str(tmp_path),
                 "--seed", "5", "--net", "dense", "--lr", "0.17",
                 "--epochs", "3", "--batch", "8", "--limit", "32",
@@ -986,7 +986,7 @@ class TestBankTraining:
             assert started.wait(10)
             return dense_train(cfg, data)
 
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(readahead, "cpus", lambda: 2)
         monkeypatch.setitem(cli._TRAINERS, "dense", dies)
         argv = ["train", "--data", corpus, "--outdir", str(tmp_path),
                 "--seed", "5", "--net", "dense", "--noise", "gaussian:0.1",
@@ -998,7 +998,7 @@ class TestBankTraining:
 
     def test_bad_setting_exits_before_any_member_trains(
             self, corpus, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(readahead, "cpus", lambda: 2)
         argv = ["train", "--data", corpus, "--outdir", str(tmp_path / "out"),
                 "--seed", "5", "--net", "dense", "--noise", "gaussian:0.1",
                 "--noise", "sp:0.1", "--batch", "0"]
@@ -1100,7 +1100,7 @@ class TestEvalPool:
         slices_of(monkeypatch, 7)
         runs = []
         for cpus in (1, 2, 4):
-            monkeypatch.setattr(cli, "_cpus", lambda c=cpus: c)
+            monkeypatch.setattr(readahead, "cpus", lambda c=cpus: c)
             runs.append(eval_run(
                 ["eval", "--data", corpus, "--seed", "5",
                  "--checkpoint", fusion_ckpt, "--filter", "median:3",
@@ -1133,7 +1133,7 @@ class TestEvalPool:
                 {"dense": dense_ckpt, "cnn": cnn_ckpt}[net], "--filter",
                 "median:3", "--noise", "gaussian:0.1", "--noise", "sp:0.1",
                 "--noise", "none", "--json", *extra]
-        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        monkeypatch.setattr(readahead, "cpus", lambda: 1)
         n = ends[-1]
         assert [s.stop for s in cli.plane_chunks(
             n, cli._TASK_ARRAYS * 64)] == [n]
@@ -1142,7 +1142,7 @@ class TestEvalPool:
         assert [s.stop for s in cli.plane_chunks(
             n, cli._TASK_ARRAYS * 64)] == ends
         for cpus in (1, 2, 4):
-            monkeypatch.setattr(cli, "_cpus", lambda c=cpus: c)
+            monkeypatch.setattr(readahead, "cpus", lambda c=cpus: c)
             assert eval_run(argv, tmp_path / str(cpus), capsys) == want
 
     def test_dead_worker_exits_two_naming_the_slice(
@@ -1161,7 +1161,7 @@ class TestEvalPool:
             return corrupt(images, spec, seed, start)
 
         slices_of(monkeypatch, 8)
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(readahead, "cpus", lambda: 2)
         monkeypatch.setattr(cli, "corrupt_dataset", dies)
         out = tmp_path / "out"
         assert main(["eval", "--data", corpus, "--seed", "5", "--filter",
@@ -1270,7 +1270,7 @@ class TestParallelRuns:
                                       monkeypatch, tmp_path, cpus):
         argv = sweep_argv(corpus, dense_ckpt, *GRIDS, "--json")
         want = serial_sweep(argv, tmp_path / "serial")
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
         out = tmp_path / "sweep"
         assert main(argv + ["--outdir", str(out)]) == 0
         assert files_under(out) == ["sweep.csv", "sweep.json"]
@@ -1310,7 +1310,7 @@ class TestParallelRuns:
             assert started.wait(10)
             return build(net, param, value, seed)
 
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(readahead, "cpus", lambda: 2)
         monkeypatch.setattr(cli, "_sweep_variant", dies)
         argv = sweep_argv(corpus, dense_ckpt, "--levels-grid", "4",
                           "--outdir", str(tmp_path))
@@ -1330,7 +1330,7 @@ class TestParallelRuns:
                 raise CliError(f"cannot program {value} levels")
             return build(net, param, value, seed)
 
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(readahead, "cpus", lambda: 2)
         monkeypatch.setattr(cli, "_sweep_variant", fails_at_levels)
         argv = sweep_argv(corpus, dense_ckpt, "--levels-grid", "4,2",
                           "--prune-grid", "0.1", "--outdir", str(tmp_path))
@@ -1340,7 +1340,7 @@ class TestParallelRuns:
 class TestForkMap:
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_results_keep_input_order(self, monkeypatch, cpus):
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
         assert cli._fork_map(lambda i: i * i, list(range(9)), str) == [
             i * i for i in range(9)]
 
@@ -1359,7 +1359,7 @@ class TestForkMap:
                 back.set()
             return i, os.getpid()
 
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(readahead, "cpus", lambda: 2)
         got = cli._fork_map(fn, [0, 1, 2], str)
         assert [i for i, _ in got] == [0, 1, 2]
         assert got[0][1] == os.getpid() != got[2][1]
@@ -1381,7 +1381,7 @@ class TestForkMap:
                 raise CliError("item 2 failed")
             return i
 
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(readahead, "cpus", lambda: 2)
         with pytest.raises(ValueError) as info:
             cli._fork_map(fn, [0, 1, 2], str)
         assert type(info.value) is ValueError
@@ -1389,7 +1389,7 @@ class TestForkMap:
 
     @pytest.mark.parametrize("cpus, items", [(1, [1, 2, 3]), (4, [7])])
     def test_one_worker_runs_in_this_process(self, monkeypatch, cpus, items):
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
         assert cli._fork_map(lambda i: (i, os.getpid()), items, str) == [
             (i, os.getpid()) for i in items]
 
@@ -1403,7 +1403,7 @@ class TestForkMap:
                 raise CliError(f"item {i} failed")
             return i
 
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
         with pytest.raises(ValueError) as info:
             cli._fork_map(fn, [0, 1, 2, 3], str)
         assert type(info.value) is ValueError
@@ -1424,7 +1424,7 @@ class TestForkMap:
                 back.set()
             return cli._fork_map(lambda j: (j, os.getpid()), [0, 1, 2], str)
 
-        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        monkeypatch.setattr(readahead, "cpus", lambda: 3)
         got = cli._fork_map(fn, [0, 1, 2, 3], str)
         pids = [{pid for _, pid in per_item} for per_item in got]
         assert [[j for j, _ in per_item] for per_item in got] == [[0, 1, 2]] * 4

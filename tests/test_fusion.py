@@ -2,6 +2,9 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -35,13 +38,13 @@ def on_each_feed(monkeypatch, train):
 
 
 def recorded_reads(monkeypatch, nets, fault=None):
-    """A queue that each member readout puts (rows, pid) into, from
-    whichever process reads; in a forked child, fault(), if given, then
-    runs in place of the readout."""
+    """A queue that each member readout puts (member, rows, pid) into,
+    from whichever process reads; in a forked child, fault(), if given,
+    then runs in place of the readout."""
     parent, reads = os.getpid(), FORK.SimpleQueue()
-    for net in nets:
-        def forward_flat(flat, read=net.forward_flat):
-            reads.put((len(flat), os.getpid()))
+    for j, net in enumerate(nets):
+        def forward_flat(flat, read=net.forward_flat, j=j):
+            reads.put((j, len(flat), os.getpid()))
             if fault is not None and os.getpid() != parent:
                 fault()
             return read(flat)
@@ -347,18 +350,24 @@ class TestTraining:
         # 300 samples in 38 minibatches of 8 (the last 4) make 2 blocks of
         # at most 27 minibatches per epoch: each member reads twice an
         # epoch, not 38 times. With more than one CPU, one child forked
-        # per epoch reads them all.
+        # per epoch reads all members but the last, which this process
+        # reads; the two processes' reads may interleave.
         nets, ds = member_bank_28(rng, 300)
         reads = recorded_reads(monkeypatch, nets)
         cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.05,
                           epochs=2, batch=8, seed=4, limit=300)
         for cpus, _ in on_each_feed(monkeypatch,
                                     lambda: fusion_train(cfg, nets, ds)):
-            rows, pids = zip(*drained(reads))
-            assert list(rows) == 2 * (3 * [216] + 3 * [84])
-            epochs = [set(pids[:6]), set(pids[6:])]
-            assert all(len(readers) == 1 for readers in epochs)
-            assert (os.getpid() in pids) == (cpus == 1)
+            got = drained(reads)
+            assert sorted(rows for _, rows, _ in got) == sorted(
+                2 * (3 * [216] + 3 * [84]))
+            for j in range(3):
+                assert [rows for k, rows, _ in got if k == j] == 2 * [216, 84]
+            for epoch in (got[:6], got[6:]):
+                assert {pid for j, _, pid in epoch if j == 2} == {os.getpid()}
+                readers = {pid for j, _, pid in epoch if j < 2}
+                assert len(readers) == 1
+                assert (os.getpid() in readers) == (cpus == 1)
         reads.close()
 
     @pytest.mark.parametrize("sizes,per_block,runs", [
@@ -487,15 +496,79 @@ class TestReadAheadChild:
                 pytest.raises(error, match=match) if error
                 else contextlib.nullcontext()):
             fusion_train(cfg, nets, ds)
-        children = {pid for _, pid in drained(reads)}
+        children = {pid for _, _, pid in drained(reads)} - {os.getpid()}
         reads.close()
-        assert children and os.getpid() not in children
+        assert children
         # Each child was waited for: it is neither running nor a zombie.
         # (Checked first: active_children reaps the children that ended.)
         for pid in children:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
         assert multiprocessing.active_children() == []
+
+    def test_child_ends_when_the_trainer_is_killed(self):
+        # The trainer prints its read-ahead child's pid and then never
+        # reads a block, so the child waits writing its first 4 MB block.
+        # Killed with SIGKILL, the trainer runs no cleanup; the child must
+        # find the pipe without a reader and end by itself.
+        src = os.path.dirname(os.path.dirname(readahead.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        trainer = subprocess.Popen([sys.executable, "-c", STALLED_TRAINER],
+                                   env=env, stdout=subprocess.PIPE, text=True)
+        try:
+            child = int(trainer.stdout.readline())
+            assert running(child)
+        finally:
+            trainer.kill()
+            trainer.wait()
+            trainer.stdout.close()
+        deadline = time.monotonic() + 30
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = running(child)
+        if left:
+            os.kill(child, signal.SIGKILL)
+        assert not left
+
+
+# Trains fusion over 28x28 members with two CPUs, prints the read-ahead
+# child's pid once it is started, then sleeps instead of reading blocks.
+STALLED_TRAINER = """
+import time
+import numpy as np
+from memdenoise import readahead
+from memdenoise.imagecore import Dataset
+from memdenoise.nets.common import TrainConfig
+from memdenoise.nets.dense import DenseDenoiser
+from memdenoise.nets.fusion import fusion_train
+from memdenoise.noise import parse_spec
+
+start = readahead.ReadAhead.start
+
+def stalled(self, *args):
+    start(self, *args)
+    print(self._child.pid, flush=True)
+    time.sleep(600)
+
+readahead.cpus = lambda: 2
+readahead.ReadAhead.start = stalled
+p = 28 * 28
+nets = [DenseDenoiser(np.vstack([np.eye(p), np.zeros((1, p))]), (28, 28),
+                      train_noise=text) for text in ("gaussian:0.05", "sp:0.1")]
+images = np.random.default_rng(0).random((300, 28, 28))
+fusion_train(TrainConfig(parse_spec("gaussian:0.05"), batch=8, seed=4),
+             nets, Dataset(images, np.zeros(300, np.int64), "train"))
+"""
+
+
+def running(pid):
+    """Whether process pid exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestSerialization:
