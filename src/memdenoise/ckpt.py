@@ -43,8 +43,9 @@ def replacing(path, mode="wb"):
 
     It is a temporary file beside path, <path>.<pid>.tmp, so a write
     that fails part-way leaves any earlier file at path as it was and
-    removes the temporary file. (No fsync: this guards against the
-    process failing, not against the machine losing power.)
+    removes the temporary file. An operating-system error is raised
+    naming path. (No fsync: this guards against the process failing,
+    not against the machine losing power.)
     """
     # One writer per process, so the process id makes the name unique.
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -52,6 +53,10 @@ def replacing(path, mode="wb"):
         with open(tmp, mode) as f:
             yield f
         os.replace(tmp, path)
+    except OSError as e:
+        if e.errno is None:
+            raise
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from e
     finally:
         if os.path.exists(tmp):  # the write failed before the replace
             os.remove(tmp)

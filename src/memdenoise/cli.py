@@ -1,11 +1,11 @@
 """Experiment driver: configuration, subcommands, and report emission.
 
 _COMMANDS maps each subcommand (train, eval, sweep, cost, classify) to
-its function and help line.  Exit codes: 0 success, 2 validation error,
-3 training divergence.  train's nets, sweep's variants and eval's
-(noise, image slice) tasks run in one fork pool (_fork_map), in
-which this process works the front of the list and forked workers the
-back.
+its function and help line.  Exit codes: 0 success, 2 validation,
+write or worker-process error, 3 training divergence.  train's nets,
+sweep's variants and eval's (noise, image slice) tasks run in one fork
+pool (procs.fork_map), in which this process works the front of the
+list and forked workers the back.
 
 The configuration is DEFAULT_CONFIG, overlaid by a JSON document
 (--config), overlaid by command-line flags.  OPTIONS lists every key
@@ -25,16 +25,13 @@ import copy
 import functools
 import hashlib
 import json
-import multiprocessing as mp
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from . import baselines, ckpt, hwcost, metrics, readahead
+from . import baselines, ckpt, hwcost, metrics, procs
 from .classify import ACCURACY_CSV_HEADER, Classifier, evaluate, train_classifier
 from .device import DeviceModel
 from .imagecore import (DatasetError, ImageShapeError, check_count,
@@ -45,7 +42,6 @@ from .nets.common import TrainConfig, TrainingDivergence, build_readouts
 from .nets.dense import DenseDenoiser, dense_train
 from .nets.fusion import FusionDenoiser, fusion_train
 from .noise import STANDARD_NOISES, corrupt_dataset, parse_spec
-from .readahead import WorkerError
 
 
 class CliError(ValueError):
@@ -398,9 +394,6 @@ def _emit(config, name, header, lines, json_rows, written):
                _rows_json(config, json_rows), written)
 
 
-_TRAINERS = {"dense": dense_train, "cnn": cnn_train}
-
-
 def _net_path(config, noise_text):
     """Where train saves the net trained on noise_text ("" for fusion)."""
     name = f"{config['net']}_{_safe(noise_text)}" if noise_text else "fusion"
@@ -414,72 +407,15 @@ def _train_net(config, noise_text, cfg, data):
     name = f"{net} {noise_text}".rstrip()
     try:
         trained = (fusion_train(cfg, member_bank(config), data)
-                   if net == "fusion" else _TRAINERS[net](cfg, data))
+                   if net == "fusion" else dense_train(cfg, data)
+                   if net == "dense" else cnn_train(cfg, data))
     except TrainingDivergence as e:
         raise TrainingDivergence(e.epoch, e.rmse, e.initial_rmse, e.rmse_log,
                                  member=name) from None
-    except WorkerError as e:  # fusion's read-ahead child failed
+    except procs.WorkerError as e:  # fusion's read-ahead child failed
         raise CliError(f"training {name}: {e}") from None
     trained.save(_net_path(config, noise_text))
     return trained.rmse_log
-
-
-# The (fn, items, claimed) of the open _fork_map pool; its forked workers
-# inherit it, so none of them is ever pickled.
-_task = None
-
-
-def _claim(claimed, index):
-    """True for the one process that takes items[index]."""
-    with claimed.get_lock():
-        first = not claimed[index]
-        claimed[index] = 1
-    return first
-
-
-def _run_task(index):
-    fn, items, claimed = _task
-    return fn(items[index]) if _claim(claimed, index) else None
-
-
-def _fork_map(fn, items, name):
-    """[fn(item) for item in items], this process and up to one forked
-    worker per other CPU working through them.
-
-    The workers take the items from the back and this process from the
-    front, each item claimed by the first to reach it, so the front
-    items' work (and anything a profiler records of it) stays here. fn
-    and what it closes over (a 376 MB MNIST train split, say) reach the
-    workers unpickled; callers start no threads first. fn may start and
-    end child processes of its own (fusion training's read-ahead does),
-    but a _fork_map called while a pool is open runs its items in the
-    calling process. With one CPU (readahead.cpus) or one item everything
-    runs here. The first item to fail, in input order, raises its own
-    error, and an item lost with a dead worker a CliError naming
-    name(item); items nobody has started are then dropped.
-    """
-    global _task
-    workers = min(len(items), readahead.cpus()) - 1
-    if workers < 1 or _task is not None:
-        return [fn(item) for item in items]
-    fork = mp.get_context("fork")
-    claimed = fork.Array("b", len(items))
-    _task, results = (fn, items, claimed), []
-    pool = ProcessPoolExecutor(workers, mp_context=fork)
-    try:
-        futures = [pool.submit(_run_task, i)
-                   for i in reversed(range(len(items)))]
-        for i, future in enumerate(reversed(futures)):
-            results.append(fn(items[i]) if _claim(claimed, i)
-                           else future.result())
-        return results
-    except BrokenProcessPool:
-        raise CliError(f"{name(items[len(results)])}: a worker process "
-                       "died") from None
-    finally:
-        claimed[:] = [1] * len(items)  # workers skip what nobody started
-        pool.shutdown(cancel_futures=True)
-        _task = None
 
 
 def member_bank(config):
@@ -518,8 +454,9 @@ def cmd_train(config):
     items = [(text, resolved_train_config(config, text)) for text in texts]
     data = load_dataset(config, "train")
     os.makedirs(config["outdir"], exist_ok=True)
-    logs = _fork_map(lambda item: _train_net(config, *item, data), items,
-                     lambda item: f"training {net} {item[0]}".rstrip())
+    logs = procs.fork_map(
+        lambda item: _train_net(config, *item, data), items,
+        lambda item: f"training {net} {item[0]}".rstrip())
     written, log = [], []
     for text, rmse_log in zip(texts, logs):
         written.append(_net_path(config, text))
@@ -568,7 +505,7 @@ def cmd_eval(config):
         return results
 
     items = [(noise, part) for noise in noises for part in slices]
-    scored = _fork_map(score, items, lambda item: (
+    scored = procs.fork_map(score, items, lambda item: (
         f"eval {item[0][0]} images {item[1].start}-{item[1].stop - 1}"))
     written, rows = [], []
     dump_root = os.path.join(config["outdir"], "images")
@@ -629,8 +566,8 @@ def cmd_sweep(config):
         return [metrics.evaluate_pairs(clean, variant.forward_stack(stack),
                                        text, "dense") for text, stack in noisy]
 
-    reports = _fork_map(score, points,
-                        lambda point: f"sweep {point[0]} {point[1]}".rstrip())
+    reports = procs.fork_map(
+        score, points, lambda point: f"sweep {point[0]} {point[1]}".rstrip())
     lines, rows, written = [], [], []
     for per_noise in zip(*reports):  # rows are emitted noise-major
         for (param, value), report in zip(points, per_noise):
@@ -742,8 +679,8 @@ def main(argv=None):
     try:
         config = merge_config(args)
         written = _COMMANDS[args.command][0](config)
-    except (CliError, ImageShapeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (CliError, ImageShapeError, procs.WorkerError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)  # OSError: a failed write
         return 2
     except TrainingDivergence as e:
         print(f"diverged: {e}", file=sys.stderr)

@@ -11,7 +11,7 @@ depend only on the shuffled sample order and the per-sample noise draws,
 never on the kernel.  fit hands over each epoch's minibatches first, and
 each member then reads a block of whole consecutive minibatches (about
 2**19 member outputs) in one readout.  A child process forked for the
-epoch (readahead.ReadAhead) corrupts each block's samples and reads all
+epoch (procs.ReadAhead) corrupts each block's samples and reads all
 members but the last while the steps run, and pipes the block over in
 order, at most about one block ahead; the steps read the last member
 from the corrupted inputs the block carries in its slot.  For the
@@ -34,7 +34,7 @@ from .. import ckpt, crossbar
 from ..device import DeviceModel
 from ..imagecore import map_planes, plane_chunks
 from ..noise import corrupt, parse_spec
-from ..readahead import ReadAhead
+from ..procs import ReadAhead
 from .common import (Layer, TrainConfig, build_readouts, device_args,
                      device_meta, fit, training_planes)
 from .cnn import unfold_stack

@@ -60,6 +60,15 @@ def identity_dense(h, w):
     return DenseDenoiser(weights, (h, w))
 
 
+def running(pid):
+    """Whether process pid exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 # Damage a fuzz does to a file's bytes: cut it at a fraction of its
 # length, append bytes, or flip bits of the byte at a fraction of it.
 DAMAGE = st.one_of(

@@ -6,6 +6,7 @@ checked at the byte level on the emitted files.
 """
 
 import dataclasses
+import errno
 import io
 import json
 import multiprocessing
@@ -14,7 +15,6 @@ import shutil
 import signal
 import subprocess
 import sys
-import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -27,7 +27,7 @@ import gzip
 import hashlib
 
 from conftest import drop_arrays, write_idx_images, write_idx_labels
-from memdenoise import ckpt, cli, readahead
+from memdenoise import ckpt, cli, procs
 from memdenoise.cli import (
     DEFAULT_CONFIG,
     DENSE_RATE_OVERRIDES,
@@ -854,6 +854,69 @@ def test_failed_report_write_leaves_the_old_report(tmp_path, monkeypatch,
     assert written == [str(path)]
 
 
+class TestWriteFaults:
+    # A write that fails exits 2 with one line naming the path and the
+    # cause; older files stay as they were and no temporary file is left.
+    ARGV = {"cost": ["cost", "--seed", "1", "--json"],
+            "eval": ["eval", "--seed", "5", "--noise", "gaussian:0.1",
+                     "--json"],
+            "train": ["train", *TRAIN_ARGS]}
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_outdir_under_a_regular_file(self, corpus, capsys, tmp_path,
+                                         command):
+        blocker = tmp_path / "file"
+        blocker.write_text("old\n")
+        out = blocker / "sub"
+        data = [] if command == "cost" else ["--data", corpus]
+        assert main(self.ARGV[command] + data + ["--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOTDIR}] Not a directory: '{out}'\n")
+        assert os.listdir(tmp_path) == ["file"]
+        assert blocker.read_text() == "old\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_full_disk_at_a_checkpoint(self, corpus, capsys, monkeypatch,
+                                       tmp_path, cpus):
+        # The size reservation finds the disk full: for every net with
+        # one CPU, and with two only in the worker, which trains the
+        # second net while this process trains the first.
+        started, pid = FORK.Event(), os.getpid()
+        reserve = os.posix_fallocate
+
+        def full(fd, offset, size):
+            if cpus == 1 or os.getpid() != pid:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return reserve(fd, offset, size)
+
+        def trains(cfg, data):
+            if os.getpid() != pid:
+                started.set()
+            else:
+                assert started.wait(10)
+            return dense_train(cfg, data)
+
+        monkeypatch.setattr(procs, "cpus", lambda: cpus)
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        if cpus == 2:
+            monkeypatch.setattr(cli, "dense_train", trains)
+        names = ["dense_gaussian_0.1.bin", "dense_sp_0.1.bin"]
+        for name in names:
+            (tmp_path / name).write_bytes(b"old")
+        argv = ["train", "--data", corpus, "--outdir", str(tmp_path),
+                "--seed", "5", "--net", "dense", "--noise", "gaussian:0.1",
+                "--noise", "sp:0.1", "--epochs", "1", "--limit", "16"]
+        assert main(argv) == 2
+        failed = tmp_path / names[cpus - 1]
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+            f"'{failed}'\n")
+        assert sorted(os.listdir(tmp_path)) == names
+        assert failed.read_bytes() == b"old"
+        if cpus == 2:  # the first net saved
+            assert load_net(str(tmp_path / names[0]))[0] == "dense"
+
+
 class TestTrainCommand:
     def test_artifacts_and_log(self, corpus, capsys, tmp_path):
         out = str(tmp_path)
@@ -896,6 +959,22 @@ class TestTrainCommand:
         assert main(argv) == 0
         kind, _ = load_net(os.path.join(out, "cnn_gaussian_0.1.bin"))
         assert kind == "cnn"
+
+    def test_trainer_is_looked_up_when_it_trains(self, corpus, monkeypatch,
+                                                 tmp_path):
+        calls = []
+
+        def counted(cfg, data):
+            calls.append(cfg.train_noise.text())
+            return cnn_train(cfg, data)
+
+        monkeypatch.setattr(cli, "cnn_train", counted)
+        argv = ["train", "--data", corpus, "--outdir", str(tmp_path),
+                "--seed", "5", "--net", "cnn", "--noise", "gaussian:0.1",
+                "--lr", "0.05", "--epochs", "1", "--batch", "8",
+                "--limit", "8"]
+        assert main(argv) == 0
+        assert calls == ["gaussian:0.1"]
 
 
 def serial_bank(argv, outdir):
@@ -944,7 +1023,7 @@ class TestBankTraining:
                                      tmp_path, net, cpus):
         argv = ["train", "--data", corpus, *BANKS[net]]
         want = serial_bank(argv, tmp_path / "serial")
-        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
+        monkeypatch.setattr(procs, "cpus", lambda: cpus)
         out = tmp_path / "bank"
         assert main(argv + ["--outdir", str(out)]) == 0
         got = [out / p.name for p in want]
@@ -957,7 +1036,7 @@ class TestBankTraining:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_only_second_member_diverges(self, corpus, capsys, monkeypatch,
                                          tmp_path, cpus):
-        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
+        monkeypatch.setattr(procs, "cpus", lambda: cpus)
         argv = ["train", "--data", corpus, "--outdir", str(tmp_path),
                 "--seed", "5", "--net", "dense", "--lr", "0.17",
                 "--epochs", "3", "--batch", "8", "--limit", "32",
@@ -986,8 +1065,8 @@ class TestBankTraining:
             assert started.wait(10)
             return dense_train(cfg, data)
 
-        monkeypatch.setattr(readahead, "cpus", lambda: 2)
-        monkeypatch.setitem(cli._TRAINERS, "dense", dies)
+        monkeypatch.setattr(procs, "cpus", lambda: 2)
+        monkeypatch.setattr(cli, "dense_train", dies)
         argv = ["train", "--data", corpus, "--outdir", str(tmp_path),
                 "--seed", "5", "--net", "dense", "--noise", "gaussian:0.1",
                 "--noise", "sp:0.1"]
@@ -998,7 +1077,7 @@ class TestBankTraining:
 
     def test_bad_setting_exits_before_any_member_trains(
             self, corpus, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(readahead, "cpus", lambda: 2)
+        monkeypatch.setattr(procs, "cpus", lambda: 2)
         argv = ["train", "--data", corpus, "--outdir", str(tmp_path / "out"),
                 "--seed", "5", "--net", "dense", "--noise", "gaussian:0.1",
                 "--noise", "sp:0.1", "--batch", "0"]
@@ -1100,7 +1179,7 @@ class TestEvalPool:
         slices_of(monkeypatch, 7)
         runs = []
         for cpus in (1, 2, 4):
-            monkeypatch.setattr(readahead, "cpus", lambda c=cpus: c)
+            monkeypatch.setattr(procs, "cpus", lambda c=cpus: c)
             runs.append(eval_run(
                 ["eval", "--data", corpus, "--seed", "5",
                  "--checkpoint", fusion_ckpt, "--filter", "median:3",
@@ -1133,7 +1212,7 @@ class TestEvalPool:
                 {"dense": dense_ckpt, "cnn": cnn_ckpt}[net], "--filter",
                 "median:3", "--noise", "gaussian:0.1", "--noise", "sp:0.1",
                 "--noise", "none", "--json", *extra]
-        monkeypatch.setattr(readahead, "cpus", lambda: 1)
+        monkeypatch.setattr(procs, "cpus", lambda: 1)
         n = ends[-1]
         assert [s.stop for s in cli.plane_chunks(
             n, cli._TASK_ARRAYS * 64)] == [n]
@@ -1142,7 +1221,7 @@ class TestEvalPool:
         assert [s.stop for s in cli.plane_chunks(
             n, cli._TASK_ARRAYS * 64)] == ends
         for cpus in (1, 2, 4):
-            monkeypatch.setattr(readahead, "cpus", lambda c=cpus: c)
+            monkeypatch.setattr(procs, "cpus", lambda c=cpus: c)
             assert eval_run(argv, tmp_path / str(cpus), capsys) == want
 
     def test_dead_worker_exits_two_naming_the_slice(
@@ -1161,7 +1240,7 @@ class TestEvalPool:
             return corrupt(images, spec, seed, start)
 
         slices_of(monkeypatch, 8)
-        monkeypatch.setattr(readahead, "cpus", lambda: 2)
+        monkeypatch.setattr(procs, "cpus", lambda: 2)
         monkeypatch.setattr(cli, "corrupt_dataset", dies)
         out = tmp_path / "out"
         assert main(["eval", "--data", corpus, "--seed", "5", "--filter",
@@ -1270,7 +1349,7 @@ class TestParallelRuns:
                                       monkeypatch, tmp_path, cpus):
         argv = sweep_argv(corpus, dense_ckpt, *GRIDS, "--json")
         want = serial_sweep(argv, tmp_path / "serial")
-        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
+        monkeypatch.setattr(procs, "cpus", lambda: cpus)
         out = tmp_path / "sweep"
         assert main(argv + ["--outdir", str(out)]) == 0
         assert files_under(out) == ["sweep.csv", "sweep.json"]
@@ -1310,7 +1389,7 @@ class TestParallelRuns:
             assert started.wait(10)
             return build(net, param, value, seed)
 
-        monkeypatch.setattr(readahead, "cpus", lambda: 2)
+        monkeypatch.setattr(procs, "cpus", lambda: 2)
         monkeypatch.setattr(cli, "_sweep_variant", dies)
         argv = sweep_argv(corpus, dense_ckpt, "--levels-grid", "4",
                           "--outdir", str(tmp_path))
@@ -1330,108 +1409,12 @@ class TestParallelRuns:
                 raise CliError(f"cannot program {value} levels")
             return build(net, param, value, seed)
 
-        monkeypatch.setattr(readahead, "cpus", lambda: 2)
+        monkeypatch.setattr(procs, "cpus", lambda: 2)
         monkeypatch.setattr(cli, "_sweep_variant", fails_at_levels)
         argv = sweep_argv(corpus, dense_ckpt, "--levels-grid", "4,2",
                           "--prune-grid", "0.1", "--outdir", str(tmp_path))
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: cannot program 4 levels\n"
-
-class TestForkMap:
-    @pytest.mark.parametrize("cpus", [2, 4])
-    def test_results_keep_input_order(self, monkeypatch, cpus):
-        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
-        assert cli._fork_map(lambda i: i * i, list(range(9)), str) == [
-            i * i for i in range(9)]
-
-    def test_first_item_runs_here_and_last_in_a_worker(self, monkeypatch):
-        # Item 0 cannot end before item 2 has started and item 2 cannot
-        # end before item 0 has started, so with one worker (which takes
-        # item 2 first) each must run where the pool's rule puts it.
-        front, back = FORK.Event(), FORK.Event()
-
-        def fn(i):
-            if i == 0:
-                front.set()
-                assert back.wait(10)
-            if i == 2:
-                assert front.wait(10)
-                back.set()
-            return i, os.getpid()
-
-        monkeypatch.setattr(readahead, "cpus", lambda: 2)
-        got = cli._fork_map(fn, [0, 1, 2], str)
-        assert [i for i, _ in got] == [0, 1, 2]
-        assert got[0][1] == os.getpid() != got[2][1]
-
-    def test_failure_here_wins_over_a_later_one_in_a_worker(self,
-                                                            monkeypatch):
-        # Item 2 fails in the worker before item 0 fails here.
-        front, back = FORK.Event(), FORK.Event()
-
-        def fn(i):
-            if i == 0:
-                front.set()
-                assert back.wait(10)
-                time.sleep(0.1)
-                raise ValueError("item 0 failed")
-            if i == 2:
-                assert front.wait(10)
-                back.set()
-                raise CliError("item 2 failed")
-            return i
-
-        monkeypatch.setattr(readahead, "cpus", lambda: 2)
-        with pytest.raises(ValueError) as info:
-            cli._fork_map(fn, [0, 1, 2], str)
-        assert type(info.value) is ValueError
-        assert str(info.value) == "item 0 failed"
-
-    @pytest.mark.parametrize("cpus, items", [(1, [1, 2, 3]), (4, [7])])
-    def test_one_worker_runs_in_this_process(self, monkeypatch, cpus, items):
-        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
-        assert cli._fork_map(lambda i: (i, os.getpid()), items, str) == [
-            (i, os.getpid()) for i in items]
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_first_failure_in_input_order_raises(self, monkeypatch, cpus):
-        def fn(i):
-            if i == 1:
-                time.sleep(0.2)  # later items fail first
-                raise ValueError("item 1 failed")
-            if i > 1:
-                raise CliError(f"item {i} failed")
-            return i
-
-        monkeypatch.setattr(readahead, "cpus", lambda: cpus)
-        with pytest.raises(ValueError) as info:
-            cli._fork_map(fn, [0, 1, 2, 3], str)
-        assert type(info.value) is ValueError
-        assert str(info.value) == "item 1 failed"
-
-    def test_a_map_inside_an_open_pool_runs_serially(self, monkeypatch):
-        # Forking while the pool's manager thread runs is unsafe, so a
-        # task's own _fork_map, here (item 0) or in a worker (item 3, the
-        # first a worker takes), forks nothing.
-        front, back = FORK.Event(), FORK.Event()
-
-        def fn(i):
-            if i == 0:
-                front.set()
-                assert back.wait(10)
-            if i == 3:
-                assert front.wait(10)
-                back.set()
-            return cli._fork_map(lambda j: (j, os.getpid()), [0, 1, 2], str)
-
-        monkeypatch.setattr(readahead, "cpus", lambda: 3)
-        got = cli._fork_map(fn, [0, 1, 2, 3], str)
-        pids = [{pid for _, pid in per_item} for per_item in got]
-        assert [[j for j, _ in per_item] for per_item in got] == [[0, 1, 2]] * 4
-        assert all(len(p) == 1 for p in pids)
-        assert pids[0] == {os.getpid()} != pids[3]
-        assert cli._task is None
-
 
 class TestClassifyCommand:
     @pytest.fixture(scope="class")
@@ -1566,7 +1549,7 @@ class TestFuseCommand:
             return read(net, flat)
 
         monkeypatch.setattr(DenseDenoiser, "forward_flat", forward_flat)
-        monkeypatch.setattr(readahead, "cpus", lambda: 2)
+        monkeypatch.setattr(procs, "cpus", lambda: 2)
         out = tmp_path / "out"
         assert main(FUSE + ["--data", corpus, "--seed", "5", "--members",
                             member_dir, "--epochs", "1", "--limit", "16",

@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import identity_dense
-from memdenoise import ckpt, crossbar, readahead
+from conftest import identity_dense, running
+from memdenoise import ckpt, crossbar, procs
 from memdenoise.device import DeviceModel
 from memdenoise.imagecore import Dataset, plane_chunks, plane_samples
 from memdenoise.nets.cnn import conv_same, unfold_stack
@@ -22,7 +22,7 @@ from memdenoise.nets import fusion as fusion_module
 from memdenoise.nets.fusion import (FusionDenoiser, fusion_init,
                                     fusion_train, minibatch_runs)
 from memdenoise.noise import corrupt, parse_spec
-from memdenoise.readahead import WorkerError
+from memdenoise.procs import WorkerError
 
 # Checkpoint kinds ckpt.load accepts here
 FUSION = {"fusion": FusionDenoiser.from_state}
@@ -33,7 +33,7 @@ def on_each_feed(monkeypatch, train):
     """(cpus, train()) for each CPU count the read-ahead may see: 1 makes
     the member blocks inline, 2 and 4 in a forked child."""
     for cpus in (1, 2, 4):
-        monkeypatch.setattr(readahead, "cpus", lambda c=cpus: c)
+        monkeypatch.setattr(procs, "cpus", lambda c=cpus: c)
         yield cpus, train()
 
 
@@ -485,7 +485,7 @@ class TestReadAheadChild:
         # 2 blocks an epoch of 4 MB each, more than a pipe holds: a child
         # the steps stop reading blocks writing its next block.
         lr, child_fault, step_fault, error, match = WAYS_OUT[way]
-        monkeypatch.setattr(readahead, "cpus", lambda: 2)
+        monkeypatch.setattr(procs, "cpus", lambda: 2)
         nets, ds = member_bank_28(rng, 300)
         reads = recorded_reads(monkeypatch, nets, child_fault)
         if step_fault is not None:
@@ -511,7 +511,7 @@ class TestReadAheadChild:
         # reads a block, so the child waits writing its first 4 MB block.
         # Killed with SIGKILL, the trainer runs no cleanup; the child must
         # find the pipe without a reader and end by itself.
-        src = os.path.dirname(os.path.dirname(readahead.__file__))
+        src = os.path.dirname(os.path.dirname(procs.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         trainer = subprocess.Popen([sys.executable, "-c", STALLED_TRAINER],
@@ -537,22 +537,22 @@ class TestReadAheadChild:
 STALLED_TRAINER = """
 import time
 import numpy as np
-from memdenoise import readahead
+from memdenoise import procs
 from memdenoise.imagecore import Dataset
 from memdenoise.nets.common import TrainConfig
 from memdenoise.nets.dense import DenseDenoiser
 from memdenoise.nets.fusion import fusion_train
 from memdenoise.noise import parse_spec
 
-start = readahead.ReadAhead.start
+start = procs.ReadAhead.start
 
 def stalled(self, *args):
     start(self, *args)
     print(self._child.pid, flush=True)
     time.sleep(600)
 
-readahead.cpus = lambda: 2
-readahead.ReadAhead.start = stalled
+procs.cpus = lambda: 2
+procs.ReadAhead.start = stalled
 p = 28 * 28
 nets = [DenseDenoiser(np.vstack([np.eye(p), np.zeros((1, p))]), (28, 28),
                       train_noise=text) for text in ("gaussian:0.05", "sp:0.1")]
@@ -560,15 +560,6 @@ images = np.random.default_rng(0).random((300, 28, 28))
 fusion_train(TrainConfig(parse_spec("gaussian:0.05"), batch=8, seed=4),
              nets, Dataset(images, np.zeros(300, np.int64), "train"))
 """
-
-
-def running(pid):
-    """Whether process pid exists and has not exited (a zombie has)."""
-    try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
 
 
 class TestSerialization:
