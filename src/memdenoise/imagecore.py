@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ckpt import replacing
+
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 
@@ -361,7 +363,7 @@ def image_suffix(img):
 
 def write_image(img, path):
     """Dump an (h, w) or (h, w, 1) image as binary PGM, an (h, w, 3) one
-    as PPM, maxval 255.
+    as PPM, maxval 255, whole or not at all (ckpt.replacing).
 
     Intensities quantize to bytes by round-half-up, so 0.5 maps to 128.
     """
@@ -370,7 +372,7 @@ def write_image(img, path):
         raise ValueError("bad image shape %r" % (arr.shape,))
     raw = np.floor(np.clip(arr, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     magic = b"P6" if image_suffix(arr) == ".ppm" else b"P5"
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(b"%s\n%d %d\n255\n" % (magic, arr.shape[1], arr.shape[0])
                 + raw.tobytes())
 

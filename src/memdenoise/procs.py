@@ -101,7 +101,9 @@ def fork_map(fn, items, name):
     workers = min(len(items), cpus()) - 1
     if workers < 1 or _held:
         return [fn(item) for item in items]
-    claimed = mp.get_context("fork").Array("b", len(items))
+    # Item 0 is claimed here before any worker exists, so it runs here
+    # however the workers are scheduled.
+    claimed = mp.get_context("fork").Array("b", [1] + [0] * (len(items) - 1))
     parent, children, results, sent = os.getpid(), [], [], {}
 
     def work(out):
@@ -122,6 +124,7 @@ def fork_map(fn, items, name):
     try:
         for _ in range(workers):
             children.append(_Child(work))
+        results.append(fn(items[0]))
         while len(results) < len(items) and _claim(claimed, len(results)):
             results.append(fn(items[len(results)]))
         for child in children:

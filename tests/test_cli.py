@@ -916,6 +916,25 @@ class TestWriteFaults:
         if cpus == 2:  # the first net saved
             assert load_net(str(tmp_path / names[0]))[0] == "dense"
 
+    def test_failed_image_dump(self, corpus, capsys, monkeypatch, tmp_path):
+        # Image dumps are written whole too: the first one's replace fails.
+        dump = tmp_path / "images" / "gaussian_0.1" / "clean_0.pgm"
+        dump.parent.mkdir(parents=True)
+        dump.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["eval", "--data", corpus, "--seed", "5", "--noise",
+                     "gaussian:0.1", "--dump", "1",
+                     "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+            f"'{dump}'\n")
+        assert dump.read_bytes() == b"old"
+        assert os.listdir(dump.parent) == ["clean_0.pgm"]
+
 
 class TestTrainCommand:
     def test_artifacts_and_log(self, corpus, capsys, tmp_path):
