@@ -560,6 +560,9 @@ def cmd_sweep(config):
     grids = config["sweep"]  # levels, sigma, dropout, prune: OPTIONS order
     points = [("ideal", "")] + [(p, v) for p in grids for v in grids[p]]
 
+    def label(value):  # levels None is 'ideal', as its flag spells it
+        return "ideal" if value is None else value
+
     def score(point):
         # Each task programs its own variant and scores it on every noise.
         variant = _sweep_variant(net, *point, config["seed"])
@@ -567,13 +570,13 @@ def cmd_sweep(config):
                                        text, "dense") for text, stack in noisy]
 
     reports = procs.fork_map(
-        score, points, lambda point: f"sweep {point[0]} {point[1]}".rstrip())
+        score, points, lambda p: f"sweep {p[0]} {label(p[1])}".rstrip())
     lines, rows, written = [], [], []
     for per_noise in zip(*reports):  # rows are emitted noise-major
         for (param, value), report in zip(points, per_noise):
             rows.append({"param": param, "value": value,
                          "row": report.to_json()})
-            lines.append(f"{param},{value},{report.csv_row()}")
+            lines.append(f"{param},{label(value)},{report.csv_row()}")
     _emit(config, "sweep", "param,value," + metrics.CSV_HEADER, lines, rows,
           written)
     return written

@@ -12,10 +12,10 @@ never on the kernel.  fit hands over each epoch's minibatches first, and
 each member then reads a block of whole consecutive minibatches (about
 2**19 member outputs) in one readout.  A child process forked for the
 epoch (procs.ReadAhead) corrupts each block's samples and reads all
-members but the last while the steps run, and pipes the block over in
-order, at most about one block ahead; the steps read the last member
-from the corrupted inputs the block carries in its slot.  For the
-paper's bank of 8 that splits the work about evenly: the child's
+members but the last while the steps run, and pipes the blocks over,
+pickled, in order and at most about one block ahead; the steps read the
+last member from the noisy inputs each block carries in its slot.  For
+the paper's bank of 8 that splits the work about evenly: the child's
 corruption and 7 readouts against the steps' unfolds, updates and 1
 readout.  With one CPU the blocks are made inline, each as its first
 step needs it.  Each step unfolds its own minibatch's rows of the block
@@ -218,9 +218,7 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
         # read the last member themselves.
         nonlocal feed
         runs = list(minibatch_runs(batches, per_block))
-        blocks = reader.start(member_blocks(epoch, runs),
-                              [(sum(map(len, run)), depth, p) for run in runs])
-        feed = minibatch_planes(blocks, runs)
+        feed = minibatch_planes(reader.start(member_blocks(epoch, runs)), runs)
 
     def step(epoch, eta, idx):
         # One unfold per minibatch; the update stays per sample.

@@ -5,24 +5,17 @@ fork_map is a list map worked by this process from the front and by
 forked workers from the back. ReadAhead.start forks a child that pipes
 the arrays of a generator to its reader, at most about one array ahead.
 With one CPU (see cpus) both run inline, on the same code and so with
-the same bits. A child ignores SIGINT (an interrupt goes to its parent,
-which ends it) and holds no pipe but the write end of its own, so once
-its parent is gone, even by SIGKILL, its next write fails and it ends.
+the same bits. A child pickles what it sends with protocol 5: an array
+is written from its own memory and read into a fresh one. It ignores
+SIGINT (an interrupt goes to its parent, which ends it) and holds no
+pipe but the write end of its own, so once its parent is gone, even by
+SIGKILL, its next write fails and it ends.
 """
 
-import contextlib
-import math
 import multiprocessing as mp
 import os
 import pickle
 import signal
-import struct
-
-import numpy as np
-
-# Ahead of each array the read-ahead child writes 0; on an exception,
-# the length of its message and then the message.
-_HEAD = struct.Struct("<Q")
 
 # The pipe ends this process holds: its children's read ends and, in a
 # child, the write end of its own pipe. A new child closes them all.
@@ -42,8 +35,8 @@ class WorkerError(RuntimeError):
 
 
 class _Child:
-    """A forked child running work(out), out a binary file on the write
-    end of a pipe; pipe is the read end."""
+    """A forked child piping each object of work() here; iterating over
+    it yields them until the pipe (or a pickle cut off by death) ends."""
 
     def __init__(self, work):
         read_fd, write_fd = os.pipe()
@@ -56,7 +49,9 @@ class _Child:
                 _held.add(write_fd)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 with open(write_fd, "wb") as out:
-                    work(out)
+                    for sent in work():
+                        pickle.dump(sent, out, protocol=5)
+                        out.flush()
             except BrokenPipeError:
                 pass  # the reader is gone
             finally:
@@ -64,6 +59,13 @@ class _Child:
         os.close(write_fd)
         _held.add(read_fd)
         self.pipe = open(read_fd, "rb")
+
+    def __iter__(self):
+        try:
+            while True:
+                yield pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            return
 
     def close(self):
         """Close the pipe and wait for the child, which ends at its next
@@ -104,9 +106,9 @@ def fork_map(fn, items, name):
     # Item 0 is claimed here before any worker exists, so it runs here
     # however the workers are scheduled.
     claimed = mp.get_context("fork").Array("b", [1] + [0] * (len(items) - 1))
-    parent, children, results, sent = os.getpid(), [], [], {}
+    parent, children, results = os.getpid(), [], []
 
-    def work(out):
+    def work():
         # A worker takes items while its parent lives, and sends their
         # results (1-tuples) and exceptions, which the parent raises, once
         # none is left: it never waits on its parent while it has items.
@@ -119,7 +121,7 @@ def fork_map(fn, items, name):
                     done[i] = (fn(items[i]),)
                 except BaseException as e:
                     done[i] = e
-        pickle.dump(done, out)
+        yield done
 
     try:
         for _ in range(workers):
@@ -127,9 +129,8 @@ def fork_map(fn, items, name):
         results.append(fn(items[0]))
         while len(results) < len(items) and _claim(claimed, len(results)):
             results.append(fn(items[len(results)]))
-        for child in children:
-            with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                sent.update(pickle.load(child.pipe))
+        sent = {i: got for child in children for done in child
+                for i, got in done.items()}
         for i in range(len(results), len(items)):
             got = sent.get(i) or WorkerError(
                 f"{name(items[i])}: a worker process died")
@@ -143,33 +144,14 @@ def fork_map(fn, items, name):
             child.close()
 
 
-def _produce(blocks, out):
-    # The read-ahead child's loop: each array of blocks, then the
-    # message of an exception, if one ends it.
-    try:
-        for block in blocks:
-            block = np.ascontiguousarray(block, np.float64)
-            out.write(_HEAD.pack(0))
-            out.write(block)
-            out.flush()
-    except Exception as e:
-        message = f"{type(e).__name__}: {e}".encode()
-        out.write(_HEAD.pack(len(message)) + message)
-
-
-def _received(pipe, shapes):
-    buffer = np.empty(max(map(math.prod, shapes), default=0))
-    for shape in shapes:
-        head = pipe.read(_HEAD.size)
-        failed = len(head) == _HEAD.size and _HEAD.unpack(head)[0]
-        if failed:
-            message = pipe.read(failed).decode(errors="replace")
-            raise WorkerError(f"the read-ahead process raised {message}")
-        block = buffer[:math.prod(shape)].reshape(shape)
-        if (len(head) < _HEAD.size or pipe.readinto(
-                block.reshape(-1).view(np.uint8)) < block.nbytes):
-            raise WorkerError("a worker process died")
-        yield block
+def _received(child):
+    for sent in child:
+        if sent is None:
+            return
+        if isinstance(sent, str):
+            raise WorkerError(f"the read-ahead process raised {sent}")
+        yield sent
+    raise WorkerError("a worker process died")
 
 
 class ReadAhead:
@@ -180,22 +162,30 @@ class ReadAhead:
     on the pipe.
     """
 
-    def __init__(self):
-        self._child = None
+    _child = None
 
-    def start(self, blocks, shapes):
-        """An iterator over the arrays of the generator blocks, of the
-        given shapes in turn; closes the child of an earlier start.
+    def start(self, blocks):
+        """An iterator over the arrays of the generator blocks; closes
+        the child of an earlier start.
 
-        The forked path reuses one buffer, so each array is valid until
-        the next is taken. An exception in the child is raised here as a
-        WorkerError with its message, and so is the child's death.
+        An exception in the child is raised here as a WorkerError with
+        its message, and so is the child's death.
         """
         self.close()
         if cpus() < 2:
             return blocks
-        self._child = _Child(lambda out: _produce(blocks, out))
-        return _received(self._child.pipe, shapes)
+
+        def produce():
+            # The child's work: the arrays of blocks and then None, or
+            # the "Type: message" text of the exception that ends them.
+            try:
+                yield from blocks
+                yield None
+            except Exception as e:
+                yield f"{type(e).__name__}: {e}"
+
+        self._child = _Child(produce)
+        return _received(self._child)
 
     def close(self):
         """End the child, if any, and wait for it."""

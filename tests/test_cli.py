@@ -1277,14 +1277,14 @@ class TestSweepCommand:
         out = str(tmp_path)
         assert main(["sweep", "--data", corpus, "--seed", "5",
                      "--checkpoint", dense_ckpt, "--noise", "gaussian:0.1",
-                     "--levels-grid", "16,2", "--dropout-grid", "0.2",
+                     "--levels-grid", "16,2,ideal", "--dropout-grid", "0.2",
                      "--outdir", out]) == 0
         lines = Path(out, "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("param,value,noise,method")
         params = [(line.split(",")[0], line.split(",")[1])
                   for line in lines[1:]]
         assert params == [("ideal", ""), ("levels", "16"), ("levels", "2"),
-                          ("dropout", "0.2")]
+                          ("levels", "ideal"), ("dropout", "0.2")]
 
     def test_requires_checkpoint(self, corpus, capsys, tmp_path):
         assert main(["sweep", "--data", corpus, "--seed", "5",

@@ -1,6 +1,8 @@
-"""The fork module: the pool (procs.fork_map) and its children's ways out.
+"""The fork module: the pool (procs.fork_map), the read-ahead
+(procs.ReadAhead) and their children's ways out.
 
-The read-ahead child's are in tests/test_fusion.py (TestReadAheadChild).
+The read-ahead child's ways out of fusion training are in
+tests/test_fusion.py (TestReadAheadChild).
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from conftest import running
@@ -221,6 +224,81 @@ class TestWorkers:
         monkeypatch.setattr(procs, "cpus", lambda: 2)
         assert procs.fork_map(fn, [0, 1, 2, 3], str) == [
             bytes([i]) * 2**20 for i in range(4)]
+
+
+def arrays(count, fault=None, at=0):
+    """count 1 MB arrays, each filled with its index: more than a pipe
+    holds, so a child writes each while its reader holds the one before.
+    fault(at), if given, is called once array at is taken."""
+    for i in range(count):
+        yield np.full(2**17, float(i))
+        if fault is not None and i == at:
+            fault(i)
+
+
+class TestReadAhead:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_blocks_arrive_in_order_and_stay_intact(self, monkeypatch, cpus):
+        monkeypatch.setattr(procs, "cpus", lambda: cpus)
+        reader = procs.ReadAhead()
+        try:
+            got = list(reader.start(arrays(4)))
+        finally:
+            reader.close()
+        assert len(got) == 4
+        for i, block in enumerate(got):
+            np.testing.assert_array_equal(block, np.full(2**17, float(i)))
+            assert block.flags.writeable
+
+    # A generator that raises after two blocks: inline its own exception
+    # comes out, forked a WorkerError with its text.
+    @pytest.mark.parametrize("cpus, error, match", [
+        (1, ValueError, "^boom$"),
+        (2, WorkerError, "^the read-ahead process raised ValueError: boom$")])
+    def test_an_exception_follows_the_blocks_before_it(self, monkeypatch,
+                                                       cpus, error, match):
+        monkeypatch.setattr(procs, "cpus", lambda: cpus)
+        reader, got = procs.ReadAhead(), []
+        try:
+            with pytest.raises(error, match=match):
+                for block in reader.start(arrays(4, raises(ValueError("boom")), 1)):
+                    got.append(block[0])
+        finally:
+            reader.close()
+        assert got == [0.0, 1.0]
+        assert not procs._held
+
+    def test_a_dead_child_follows_the_blocks_before_it(self, monkeypatch):
+        # Forked only: inline the exit would end this process.
+        monkeypatch.setattr(procs, "cpus", lambda: 2)
+        reader, got = procs.ReadAhead(), []
+        try:
+            with pytest.raises(WorkerError, match="^a worker process died$"):
+                for block in reader.start(arrays(4, lambda i: os._exit(3))):
+                    got.append(block[0])
+        finally:
+            reader.close()
+        assert got == [0.0]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_second_start_reaps_the_first_child(self, monkeypatch, cpus):
+        # The first child waits writing its second block, never read.
+        monkeypatch.setattr(procs, "cpus", lambda: cpus)
+        reader = procs.ReadAhead()
+        try:
+            assert next(reader.start(arrays(4)))[0] == 0.0
+            first = reader._child
+            assert [block[0] for block in reader.start(arrays(2))] == [
+                0.0, 1.0]
+            assert (first is None) == (cpus == 1)
+            if first is not None:
+                assert reader._child.pid != first.pid
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(first.pid, os.WNOHANG)
+        finally:
+            reader.close()
+        assert multiprocessing.active_children() == []
+        assert not procs._held
 
 
 # Maps 100 items over two processes. This process sleeps in item 0; the
