@@ -6,9 +6,14 @@ dtype ``<f8`` or ``|b1`` and shape), then each array's raw C-order
 little-endian bytes in header order. Arrays are written straight from
 memory, and a load maps the file read-only and views each array in it:
 no copy of the file, or of any array, is ever held. Loaded arrays are
-read-only. A save writes a new file that replaces the old one, so a file
-a loaded network still maps is never changed under it; a checkpoint must
-not be truncated or rewritten in place while a run reads it.
+read-only. The mapped pages are dropped from memory (release) once they
+are no longer needed: by a network once its load checks have read its
+arrays and again once its readout matrices are built from them, and by a
+save once it has written each array. A later read of a view faults its
+pages back in from the page cache. A save writes a new file that
+replaces the old one, so a file a loaded network still maps is never
+changed under it; a checkpoint must not be truncated or rewritten in
+place while a run reads it.
 """
 
 import json
@@ -86,6 +91,22 @@ def save(path, kind, meta, arrays):
         f.write(header)
         for a in arrays.values():
             f.write(_raw(a))
+            release(a)
+
+
+def release(*arrays):
+    """Drop the resident pages of the loaded checkpoint mappings the
+    arrays view (madvise MADV_DONTNEED, where the platform has it); other
+    arrays are left alone. The views stay valid: a later read faults the
+    read-only pages back in from the page cache."""
+    advice = getattr(mmap, "MADV_DONTNEED", None)
+    for a in arrays:
+        while isinstance(a, np.ndarray):
+            a = a.base
+        if isinstance(a, memoryview):  # np.frombuffer may hold its buffer so
+            a = a.obj
+        if isinstance(a, mmap.mmap) and advice is not None:
+            a.madvise(advice)
 
 
 def _parse_header(blob, path):

@@ -150,19 +150,22 @@ def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
 
 
 def evaluate(clf: Classifier, data, denoiser=None, noise: NoiseSpec | None = None,
-             seed: int = 0) -> AccuracyReport:
+             seed: int = 0, *, _noisy=None) -> AccuracyReport:
     """Accuracy after corrupt -> (optionally denoise) -> classify.
 
     Every consumer downstream of the sensor is an analog stage that
     clamps its own input to the [0, 1] window: the denoiser and the
     classifier (Classifier.predict).  The report row names the denoiser
-    by its class name.
+    by its class name. _noisy, when given, is data's images already
+    corrupted by noise (corrupt_dataset), so a caller scoring the noisy
+    and the denoised row of one noise corrupts the split once.
     """
-    images = data.floats()
-    noise_text = ""
-    if noise is not None:
-        images = corrupt_dataset(images, noise, seed)
-        noise_text = noise.text()
+    images = _noisy
+    if images is None:
+        images = data.floats()
+        if noise is not None:
+            images = corrupt_dataset(images, noise, seed)
+    noise_text = "" if noise is None else noise.text()
     if denoiser is not None:
         images = denoiser.forward_stack(images)
         label = type(denoiser).__name__.replace("Denoiser", "").lower()

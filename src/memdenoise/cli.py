@@ -631,10 +631,12 @@ def cmd_classify(config):
     for spec in parse_noises(config):
         if spec is None:
             continue
-        rows.append(evaluate(clf, data, noise=spec, seed=config["seed"]))
+        # One corruption of the split scores both rows of this noise.
+        noisy = corrupt_dataset(data.floats(), spec, config["seed"])
+        rows.append(evaluate(clf, data, noise=spec, _noisy=noisy))
         if denoiser is not None:
             rows.append(evaluate(clf, data, denoiser=denoiser, noise=spec,
-                                 seed=config["seed"]))
+                                 _noisy=noisy))
     written = []
     if config["classifier"] is None:
         path = os.path.join(config["outdir"], "classifier.bin")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import crossbar
+from .. import ckpt, crossbar
 from ..device import DeviceModel
 from ..imagecore import plane_samples
 from ..noise import NoiseSpec, corrupt
@@ -131,9 +131,11 @@ def build_readouts(net):
     """net, each of its layers' readout matrices built now rather than at
     its first readout, so that processes forked afterwards share them
     instead of each building its own from the conductances (which, mapped
-    from a checkpoint, it would first have to page in)."""
+    from a checkpoint, it would first have to page in). Each layer's
+    mapped pages are dropped once its matrix is built (ckpt.release)."""
     for layer in net.layers:
         layer.tiled.effective_weights()
+        ckpt.release(layer.weights, *layer.tiled.state().values())
     return net
 
 

@@ -93,13 +93,16 @@ class DenseDenoiser:
 
     @classmethod
     def from_state(cls, meta, arrays):
-        """Inverse of state()."""
+        """Inverse of state(). Once every check has read the arrays, their
+        mapped pages are dropped (ckpt.release), so a fusion checkpoint's
+        members are held one at a time."""
         net = cls(arrays["weights"], meta["shape"],
                   tiled=crossbar.restore(arrays),
                   train_noise=meta["train_noise"], **device_args(meta))
         if meta["scale"] != net.layer.gain:
             raise ValueError("stored readout gain %r, weights give %g"
                              % (meta["scale"], net.layer.gain))
+        ckpt.release(*arrays.values())
         return net
 
     def save(self, path):

@@ -34,6 +34,26 @@ class WorkerError(RuntimeError):
     """A child raised (the message names its exception) or died."""
 
 
+class _Nowhere:
+    """A file that keeps nothing written to it."""
+
+    def write(self, data):
+        pass
+
+
+def _unpicklable(obj):
+    """The "Type: message" text of the error pickling obj raises, or None.
+
+    A child tries each object here first: a pickle that fails part-way
+    through its write would cut the pipe's stream of pickles.
+    """
+    try:
+        pickle.dump(obj, _Nowhere(), protocol=5)
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+    return None
+
+
 class _Child:
     """A forked child piping each object of work() here; iterating over
     it yields them until the pipe (or a pickle cut off by death) ends."""
@@ -96,9 +116,10 @@ def fork_map(fn, items, name):
     a fork_map in a worker, or in a process whose map or read-ahead is
     open, runs its items in that process. With one CPU or one item all
     run here. The first item to fail, in input order, raises its own
-    exception, and an item lost with a dead worker a WorkerError naming
-    name(item); items nobody has started are then dropped, and items
-    already running finish.
+    exception, and an item lost with a dead worker, or whose result or
+    exception a worker cannot pickle, a WorkerError naming name(item);
+    items nobody has started are then dropped, and items already running
+    finish.
     """
     workers = min(len(items), cpus()) - 1
     if workers < 1 or _held:
@@ -121,6 +142,10 @@ def fork_map(fn, items, name):
                     done[i] = (fn(items[i]),)
                 except BaseException as e:
                     done[i] = e
+                why = _unpicklable(done[i])
+                if why is not None:
+                    done[i] = WorkerError(f"{name(items[i])}: a worker process "
+                                          f"cannot pickle its outcome: {why}")
         yield done
 
     try:
@@ -148,8 +173,8 @@ def _received(child):
     for sent in child:
         if sent is None:
             return
-        if isinstance(sent, str):
-            raise WorkerError(f"the read-ahead process raised {sent}")
+        if isinstance(sent, WorkerError):
+            raise sent
         yield sent
     raise WorkerError("a worker process died")
 
@@ -169,20 +194,29 @@ class ReadAhead:
         the child of an earlier start.
 
         An exception in the child is raised here as a WorkerError with
-        its message, and so is the child's death.
+        its message, and so are a block the child cannot pickle (named
+        by its index) and the child's death.
         """
         self.close()
         if cpus() < 2:
             return blocks
 
         def produce():
-            # The child's work: the arrays of blocks and then None, or
-            # the "Type: message" text of the exception that ends them.
+            # The child's work: the arrays of blocks and then None, or a
+            # WorkerError for the exception that ends them or the first
+            # block that cannot be pickled.
             try:
-                yield from blocks
+                for k, block in enumerate(blocks):
+                    why = _unpicklable(block)
+                    if why is not None:
+                        yield WorkerError("the read-ahead process cannot "
+                                          f"pickle block {k}: {why}")
+                        return
+                    yield block
                 yield None
             except Exception as e:
-                yield f"{type(e).__name__}: {e}"
+                yield WorkerError("the read-ahead process raised "
+                                  f"{type(e).__name__}: {e}")
 
         self._child = _Child(produce)
         return _received(self._child)

@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -349,6 +351,83 @@ def test_saving_over_a_loaded_net_leaves_it_as_loaded(blobs, tmp_path):
     assert path.read_bytes() != saved["fusion"]
     want = load("fusion", root / "fusion").forward_stack(PROBE)
     assert np.array_equal(net.forward_stack(PROBE), want)
+
+
+# Loads a fusion checkpoint and builds its readout matrices, printing the
+# RssFile growth (bytes) of those two steps.
+MAPPED_GROWTH = """
+import sys
+from memdenoise.cli import load_net
+from memdenoise.nets.common import build_readouts
+
+def rss_file():
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("RssFile:"):
+                return int(line.split()[1]) * 1024
+
+before = rss_file()
+kind, net = load_net(sys.argv[1])
+build_readouts(net)
+print(rss_file() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RssFile is read from /proc/self/status")
+def test_a_fusion_load_holds_its_members_one_at_a_time(tmp_path):
+    # A 28x28 fusion checkpoint over 8 programmed members (about 15 MB
+    # each). The load checks read every member's pages and each readout
+    # matrix reads its layer's again; once read, they are dropped, so the
+    # mapped pages resident at the end are fewer than two members' bytes.
+    rng = np.random.default_rng(11)
+    dev = DeviceModel(levels=64, variation_sigma=0.02)
+    members = [DenseDenoiser(rng.normal(0, 0.05, (785, 784)), (28, 28),
+                             train_noise=f"gaussian:{i / 10 + 0.1:g}",
+                             device=dev, program_seed=i) for i in range(8)]
+    path = tmp_path / "fusion.bin"
+    FusionDenoiser(members, fusion_init(8, kind="identity"),
+                   device=dev).save(path)
+    del members
+    member_bytes = path.stat().st_size / 8
+    src = os.path.dirname(os.path.dirname(ckpt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        growth = int(subprocess.run(
+            [sys.executable, "-c", MAPPED_GROWTH, str(path)], env=env,
+            check=True, capture_output=True, text=True).stdout)
+    finally:
+        path.unlink()
+    assert 0 <= growth < 2 * member_bytes
+
+
+def test_released_arrays_read_back_the_files_bytes(blobs):
+    root, saved = blobs
+    _, (_, arrays) = ckpt.load(root / "fusion",
+                               {"fusion": lambda m, a: (m, a)})
+    ckpt.release(*arrays.values())
+    tail = b"".join(a.tobytes() for a in arrays.values())
+    assert saved["fusion"].endswith(tail)
+    # Arrays that view no checkpoint are left as they are.
+    own = np.arange(6.0)
+    ckpt.release(own, own[1:].reshape(1, 5), np.zeros((0, 2)))
+    assert own.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("kind", ["dense", "cnn", "fusion"])
+def test_a_released_net_denoises_and_saves_as_one_never_released(
+        blobs, tmp_path, monkeypatch, kind):
+    # The load and build_readouts release the net's mapped pages; the
+    # control net is loaded with release switched off.
+    root, saved = blobs
+    net = build_readouts(load(kind, root / kind))
+    with monkeypatch.context() as patched:
+        patched.setattr(ckpt, "release", lambda *arrays: None)
+        kept = build_readouts(load(kind, root / kind))
+    assert np.array_equal(net.forward_stack(PROBE), kept.forward_stack(PROBE))
+    net.save(tmp_path / "again")
+    assert (tmp_path / "again").read_bytes() == saved[kind]
 
 
 def ramp(shape, top):

@@ -27,7 +27,7 @@ import gzip
 import hashlib
 
 from conftest import drop_arrays, write_idx_images, write_idx_labels
-from memdenoise import ckpt, cli, procs
+from memdenoise import ckpt, classify, cli, procs
 from memdenoise.cli import (
     DEFAULT_CONFIG,
     DENSE_RATE_OVERRIDES,
@@ -1480,6 +1480,29 @@ class TestClassifyCommand:
         assert conditions == ["clean", "noisy", "denoised(dense)"]
         for line in lines[1:]:
             assert 0.0 <= float(line.split(",")[2]) <= 1.0
+
+    def test_each_noise_corrupts_the_split_once(self, corpus, dense_ckpt,
+                                                classifier_ckpt, tmp_path,
+                                                monkeypatch):
+        # The noisy and the denoised row of a noise score one corruption.
+        calls = []
+
+        def counted(images, spec, *args):
+            calls.append(spec.text())
+            return corrupt_dataset(images, spec, *args)
+
+        monkeypatch.setattr(cli, "corrupt_dataset", counted)
+        monkeypatch.setattr(classify, "corrupt_dataset", counted)
+        assert main(["classify", "--data", corpus, "--seed", "5",
+                     "--noise", "gaussian:0.5", "--noise", "sp:0.1",
+                     "--checkpoint", dense_ckpt, "--classifier",
+                     classifier_ckpt, "--outdir", str(tmp_path)]) == 0
+        assert calls == ["gaussian:0.5", "sp:0.1"]
+        lines = Path(tmp_path, "classify.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["", "clean"], ["gaussian:0.5", "noisy"],
+            ["gaussian:0.5", "denoised(dense)"], ["sp:0.1", "noisy"],
+            ["sp:0.1", "denoised(dense)"]]
 
     def test_reused_classifier_skips_retraining(self, corpus, dense_ckpt,
                                                 tmp_path):

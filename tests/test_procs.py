@@ -141,6 +141,9 @@ WAYS_OUT = {
                        None),
     "worker-exits": (None, lambda i: os._exit(1), WorkerError,
                      "^item 3: a worker process died$"),
+    "unpicklable-error-in-worker": (
+        None, raises(ValueError(lambda: 0)), WorkerError,
+        "^item 3: a worker process cannot pickle its outcome: "),
 }
 
 
@@ -206,6 +209,33 @@ class TestWorkers:
         if left:
             os.kill(worker, signal.SIGKILL)
         assert not left
+
+    def test_a_result_a_worker_cannot_pickle_names_its_item(self,
+                                                            monkeypatch):
+        # Every result is a lambda, which the worker cannot send; the first
+        # item the worker took is named, with the pickling error.
+        pids, parent = FORK.SimpleQueue(), os.getpid()
+
+        def fn(i):
+            pids.put(os.getpid())
+            time.sleep(0.05)
+            return lambda: i
+
+        monkeypatch.setattr(procs, "cpus", lambda: 2)
+        with pytest.raises(WorkerError, match=(
+                r"^item \d: a worker process cannot pickle its outcome: "
+                r".*lambda")):
+            procs.fork_map(fn, list(range(6)), lambda i: f"item {i}")
+        workers = set()
+        while not pids.empty():
+            workers.add(pids.get())
+        pids.close()
+        workers.discard(parent)
+        assert workers
+        for pid in workers:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert not procs._held
 
     def test_a_worker_never_waits_on_this_process(self, monkeypatch):
         # Item 0 ends here only once the worker has reached its last item
@@ -279,6 +309,29 @@ class TestReadAhead:
         finally:
             reader.close()
         assert got == [0.0]
+
+    def test_a_block_the_child_cannot_pickle_is_named(self, monkeypatch):
+        # Forked only: inline nothing is pickled.
+        monkeypatch.setattr(procs, "cpus", lambda: 2)
+
+        def blocks():
+            yield from arrays(2)
+            yield lambda: 0
+            yield np.zeros(1)
+
+        reader, got = procs.ReadAhead(), []
+        try:
+            with pytest.raises(WorkerError, match=(
+                    "^the read-ahead process cannot pickle block 2: .*lambda")):
+                for block in reader.start(blocks()):
+                    got.append(block[0])
+            child = reader._child
+        finally:
+            reader.close()
+        assert got == [0.0, 1.0]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(child.pid, os.WNOHANG)
+        assert not procs._held
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_second_start_reaps_the_first_child(self, monkeypatch, cpus):
