@@ -11,7 +11,7 @@ from .crossbar import (TILE_COLS, TILE_ROWS, TiledMatrix, apply_sparsity,
 from .imagecore import (Dataset, DatasetError, load_cifar10, load_mnist,
                         write_image)
 from .noise import NoiseSpec, STANDARD_NOISES, corrupt, corrupt_dataset, parse_spec
-from .metrics import QualityReport, evaluate_pairs, mse, ssim
+from .metrics import QualityReport, mse, ssim
 from .baselines import FilterSpec, filter_stack, parse_filter
 from .hwcost import (ComponentBudget, DesignPoint, FabricExceededError,
                      HardwareCostReport, estimate, format_report_table)
@@ -28,7 +28,7 @@ __all__ = [
     "Dataset", "DatasetError", "load_mnist", "load_cifar10",
     "write_image",
     "NoiseSpec", "STANDARD_NOISES", "parse_spec", "corrupt", "corrupt_dataset",
-    "QualityReport", "evaluate_pairs", "ssim", "mse",
+    "QualityReport", "ssim", "mse",
     "FilterSpec", "parse_filter", "filter_stack",
     "ComponentBudget", "DesignPoint", "HardwareCostReport",
     "FabricExceededError", "estimate", "format_report_table",

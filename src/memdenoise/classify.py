@@ -19,6 +19,7 @@ from .nets.common import MAX_GAIN, TrainConfig, fit, max_abs
 from .noise import NoiseSpec, corrupt_dataset
 
 ACCURACY_CSV_HEADER = "noise,condition,accuracy,n"
+HIDDEN = 100  # hidden units of the classifier train_classifier trains
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
+def train_classifier(data, cfg: TrainConfig):
     """SGD with cross-entropy on the clean training split, under fit.
 
     The CLI's recipe is cli.CLASSIFIER_RECIPE. The epoch loss is the
@@ -124,7 +125,7 @@ def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
     shape = data.images.shape[1:]
     labels = np.asarray(data.labels)[:cfg.limit]
     n = len(labels)
-    clf = Classifier.initial(hidden, shape, seed=cfg.seed)
+    clf = Classifier.initial(HIDDEN, shape, seed=cfg.seed)
     layers = [a.copy() for a in (clf.w1, clf.b1, clf.w2, clf.b2)]
     w1, b1, w2, b2 = layers
     onehot = np.eye(10)[labels]
@@ -149,29 +150,23 @@ def train_classifier(data, cfg: TrainConfig, hidden: int = 100):
     return Classifier(*layers, shape, loss_log=loss_log)
 
 
-def evaluate(clf: Classifier, data, denoiser=None, noise: NoiseSpec | None = None,
-             seed: int = 0, *, _noisy=None) -> AccuracyReport:
-    """Accuracy after corrupt -> (optionally denoise) -> classify.
+def evaluate(clf: Classifier, data, noise: NoiseSpec | None = None,
+             seed: int = 0, denoiser=None) -> list[AccuracyReport]:
+    """The accuracy rows of one noise: clean (noise None) or noisy, and,
+    with a denoiser, denoised, both read from one corruption of data.
 
     Every consumer downstream of the sensor is an analog stage that
     clamps its own input to the [0, 1] window: the denoiser and the
-    classifier (Classifier.predict).  The report row names the denoiser
-    by its class name. _noisy, when given, is data's images already
-    corrupted by noise (corrupt_dataset), so a caller scoring the noisy
-    and the denoised row of one noise corrupts the split once.
+    classifier (Classifier.predict).  The denoised row names the
+    denoiser by its class name.
     """
-    images = _noisy
-    if images is None:
-        images = data.floats()
-        if noise is not None:
-            images = corrupt_dataset(images, noise, seed)
-    noise_text = "" if noise is None else noise.text()
+    images = data.floats()
+    if noise is not None:
+        images = corrupt_dataset(images, noise, seed)
+    rows = [("clean" if noise is None else "noisy", images)]
     if denoiser is not None:
-        images = denoiser.forward_stack(images)
         label = type(denoiser).__name__.replace("Denoiser", "").lower()
-        condition = f"denoised({label})"
-    else:
-        condition = "noisy" if noise is not None else "clean"
-    accuracy = clf.accuracy(images, data.labels)
-    return AccuracyReport(noise=noise_text, condition=condition,
-                          accuracy=accuracy, n=len(data.labels))
+        rows.append((f"denoised({label})", denoiser.forward_stack(images)))
+    text = "" if noise is None else noise.text()
+    return [AccuracyReport(text, condition, clf.accuracy(stack, data.labels),
+                           len(data.labels)) for condition, stack in rows]

@@ -237,8 +237,9 @@ def _get(config, path):
 def _check_types(config):
     """Reject a value its OPTIONS row's flag could not give: a choice not
     listed, a non-boolean switch, a boolean for a number flag or in a
-    number grid, or a non-string for a string flag (null is allowed
-    where the default is null)."""
+    number grid, a non-list or non-string item for a repeatable flag, or
+    a non-string for a string flag (null is allowed where the default is
+    null)."""
     for path, default, flag, kwargs, _ in OPTIONS:
         value, choices = _get(config, path), kwargs.get("choices")
         if choices:
@@ -249,6 +250,9 @@ def _check_types(config):
             items = value if isinstance(value, list) else [value]
             ok = not any(isinstance(item, bool) for item in items)
             rule = _NUMBERS[kwargs["type"]]
+        elif kwargs.get("action") == "append":
+            ok = isinstance(value, list) and all(type(v) is str for v in value)
+            rule = "a list of strings"
         elif flag and not {"type", "action"} & set(kwargs):
             ok = isinstance(value, str) or (value is None and default is None)
             rule = "a string" + " or null" * (default is None)
@@ -566,8 +570,9 @@ def cmd_sweep(config):
     def score(point):
         # Each task programs its own variant and scores it on every noise.
         variant = _sweep_variant(net, *point, config["seed"])
-        return [metrics.evaluate_pairs(clean, variant.forward_stack(stack),
-                                       text, "dense") for text, stack in noisy]
+        return [metrics.QualityReport.from_scores(
+            text, "dense", *metrics.image_scores(
+                clean, variant.forward_stack(stack))) for text, stack in noisy]
 
     reports = procs.fork_map(
         score, points, lambda p: f"sweep {p[0]} {label(p[1])}".rstrip())
@@ -627,16 +632,10 @@ def cmd_classify(config):
     denoiser = None
     if config["checkpoint"] is not None:
         _, denoiser = load_net(config["checkpoint"])
-    rows = [evaluate(clf, data)]
+    rows = evaluate(clf, data)
     for spec in parse_noises(config):
-        if spec is None:
-            continue
-        # One corruption of the split scores both rows of this noise.
-        noisy = corrupt_dataset(data.floats(), spec, config["seed"])
-        rows.append(evaluate(clf, data, noise=spec, _noisy=noisy))
-        if denoiser is not None:
-            rows.append(evaluate(clf, data, denoiser=denoiser, noise=spec,
-                                 _noisy=noisy))
+        if spec is not None:
+            rows += evaluate(clf, data, spec, config["seed"], denoiser)
     written = []
     if config["classifier"] is None:
         path = os.path.join(config["outdir"], "classifier.bin")

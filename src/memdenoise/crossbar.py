@@ -100,7 +100,7 @@ def restore(state):
     return TiledMatrix(*(state[name] for name in STATE))
 
 
-def program(weights, dev, rng=None):
+def program(weights, dev, rng):
     """Program a weight matrix onto differential pairs through a device model.
 
     Each weight maps one-sidedly: |w| is programmed as
@@ -118,8 +118,6 @@ def program(weights, dev, rng=None):
     if not amax <= 1.0:  # NaN propagates into amax and fails too
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(w)), w.shape))
         raise ValueError("|w|=%g at index %r, must be <= 1" % (amax, idx))
-    if dev.variation_sigma > 0.0 and rng is None:
-        raise ValueError("variation_sigma > 0 requires an rng")
     pos = w >= 0
     g = apply_variation(quantize(np.where(pos, w, -w), dev), dev, rng)
     return TiledMatrix(np.where(pos, g, 0.0), np.where(pos, 0.0, g))

@@ -326,7 +326,7 @@ _SI_STEPS = (
 )
 
 
-def format_si(value: float, unit: str, digits: int = 3) -> str:
+def format_si(value: float, unit: str) -> str:
     """Engineering-prefixed rendering, e.g. ``format_si(0.577e-9, "J")``."""
     if value == 0:
         return f"0{unit}"
@@ -335,7 +335,7 @@ def format_si(value: float, unit: str, digits: int = 3) -> str:
     for step_scale, step_prefix in _SI_STEPS:
         if magnitude >= step_scale:
             scale, prefix = step_scale, step_prefix
-    return f"{value / scale:.{digits}g}{prefix}{unit}"
+    return f"{value / scale:.3g}{prefix}{unit}"
 
 
 def _mm2(area: float) -> str:

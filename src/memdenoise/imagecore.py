@@ -319,11 +319,10 @@ def _planes(images, shape, owner):
     return images[:, None] if images.ndim == 3 else images.transpose(0, 3, 1, 2)
 
 
-def plane_samples(images, shape=None, owner=""):
+def plane_samples(images):
     """An (n, h, w) or (n, h, w, c) stack as (n*c, h*w) flattened planes,
-    each image's channels in channel order, and the plane shape (h, w);
-    see _planes for shape and owner."""
-    planes = _planes(float_stack(images), shape, owner)
+    each image's channels in channel order, and the plane shape (h, w)."""
+    planes = _planes(float_stack(images), None, "")
     h, w = planes.shape[2:]
     return planes.reshape(-1, h * w), (h, w)
 

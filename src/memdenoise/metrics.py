@@ -14,8 +14,7 @@ averages the c scores.
 image_scores gives a stack's per-image SSIM and MSE, and
 QualityReport.from_scores reduces them: it averages SSIM and MSE over
 images and derives PSNR from the mean MSE, so the psnr = 10 log10(1/mse)
-identity holds for every emitted report. evaluate_pairs is the two in
-one call.
+identity holds for every emitted report.
 """
 
 from dataclasses import dataclass
@@ -152,10 +151,3 @@ def image_scores(reference, test):
         ssims[chunk] = _ssim_images(a, b)
         mses[chunk] = _mse_images(a, b)
     return ssims, mses
-
-
-def evaluate_pairs(reference, test, noise="", method=""):
-    """The QualityReport of a stack of test images against their
-    references: image_scores reduced by QualityReport.from_scores."""
-    return QualityReport.from_scores(noise, method,
-                                     *image_scores(reference, test))

@@ -1,7 +1,7 @@
 """Convolutional denoiser: conv, pool, 3D conv, conv, upsample.
 
-The layer chain is conv1 (K kernels, k x k, zero-pad same) -> ReLU ->
-2x2 max pool -> one 3D kernel collapsing the K feature maps into a
+The layer chain is conv1 (KERNELS = 8 kernels, 3 x 3, zero-pad same) ->
+ReLU -> 2x2 max pool -> one 3D kernel collapsing the 8 feature maps into a
 single plane -> ReLU -> conv2 -> 2x nearest upsample -> clamp. All
 layers are bias free. Inference executes every convolution as a crossbar
 readout on unfolded (im2col) patch matrices; kernels are rescaled by a
@@ -95,7 +95,7 @@ def _upsample_back(g):
     return g.reshape(*lead, h // 2, 2, w // 2, 2).sum(axis=(-3, -1))
 
 
-KERNELS, KSIZE = 8, 3  # conv1's kernels and side: cnn_train's and cost's
+KERNELS, KSIZE = 8, 3  # conv1's kernels and side, the only ones a CNN loads
 
 
 class CnnDenoiser:
@@ -118,19 +118,17 @@ class CnnDenoiser:
         self.k1 = np.asarray(k1, dtype=np.float64)  # (K, k, k)
         self.k3 = np.asarray(k3, dtype=np.float64)  # (K, k, k)
         self.k2 = np.asarray(k2, dtype=np.float64)  # (k, k)
-        if (self.k1.ndim != 3 or self.k3.shape != self.k1.shape
-                or self.k2.shape != self.k1.shape[1:]):
+        if not (self.k1.shape[1:] == self.k2.shape == (KSIZE, KSIZE)
+                and self.k3.shape == self.k1.shape):
             raise ValueError("kernels %r, %r, %r do not fit together"
                              % (self.k1.shape, self.k3.shape, self.k2.shape))
-        self.kernels = self.k1.shape[0]
-        self.ksize = self.k1.shape[1]
         self.train_noise = train_noise
         self.rmse_log = list(rmse_log)
         self.device = device if device is not None else DeviceModel()
         self.program_seed = int(program_seed)
-        kk = self.ksize * self.ksize
+        kk = KSIZE * KSIZE
         rng = np.random.default_rng([self.program_seed, 0x70])
-        self.m1 = Layer(self.k1.reshape(self.kernels, kk).T, self.device, rng)
+        self.m1 = Layer(self.k1.reshape(-1, kk).T, self.device, rng)
         self.m3 = Layer(self.k3.reshape(-1, 1), self.device, rng)
         self.m2 = Layer(self.k2.reshape(kk, 1), self.device, rng)
 
@@ -146,14 +144,13 @@ class CnnDenoiser:
         # concatenated, BLAS kernels group rows across plane boundaries
         # whenever a plane's row count is not a multiple of their unroll.
         b, h, w = x.shape
-        k = self.ksize
         x = np.clip(x, 0.0, 1.0)
-        a1 = self.m1.read(unfold(x, k))
-        a1 = np.maximum(a1, 0.0).reshape(b, h, w, self.kernels)
+        a1 = self.m1.read(unfold(x, KSIZE))
+        a1 = np.maximum(a1, 0.0).reshape(b, h, w, -1)
         p, _ = _maxpool(a1.transpose(0, 3, 1, 2))
-        y3 = self.m3.read(unfold_stack(p, k))
+        y3 = self.m3.read(unfold_stack(p, KSIZE))
         a3 = np.maximum(y3, 0.0).reshape(b, h // 2, w // 2)
-        y2 = self.m2.read(unfold(a3, k))
+        y2 = self.m2.read(unfold(a3, KSIZE))
         return _upsample(y2.reshape(b, h // 2, w // 2))
 
     def forward_stack(self, images):
@@ -171,9 +168,8 @@ class CnnDenoiser:
                 x = np.pad(x, ((0, 0), (0, h % 2), (0, w % 2)), mode="reflect")
             return np.clip(self._forward_linear(x)[:, :h, :w], 0.0, 1.0)
 
-        # widest patches: conv1's h*w x k*k or the 3D stage's h*w/4 x K*k*k
-        return map_planes(forward, images,
-                          h * w // 4 * max(4, self.kernels) * self.ksize ** 2)
+        # widest patches: the 3D stage's h*w/4 x KERNELS*k*k
+        return map_planes(forward, images, h * w // 4 * KERNELS * KSIZE ** 2)
 
     def save(self, path):
         meta = {"train_noise": self.train_noise, **device_meta(self)}
@@ -182,6 +178,9 @@ class CnnDenoiser:
     @classmethod
     def from_state(cls, meta, arrays):
         """A CNN from its checkpoint metadata and kernels, programmed anew."""
+        if np.shape(arrays["k1"]) != (KERNELS, KSIZE, KSIZE):
+            raise ValueError(f"k1 is {np.shape(arrays['k1'])}, not the "
+                             f"{KERNELS} {KSIZE}x{KSIZE} kernels of a cnn")
         return cls(arrays["k1"], arrays["k3"], arrays["k2"],
                    train_noise=meta["train_noise"], **device_args(meta))
 
@@ -236,29 +235,20 @@ def _float_backward(g_out, cache, k1, k3, k2):
 
 
 def cnn_loss_and_grads(x, target, k1, k3, k2):
-    """Mean squared pre-clamp error and its kernel gradients.
-
-    x and target are one (h, w) plane, giving a float loss and gradients
-    shaped like the kernels, or a (B, h, w) stack, giving B losses and
-    gradients with a leading sample axis. Each sample's numbers are the
-    bits it would get alone.
+    """Mean squared pre-clamp errors of a (B, h, w) stack against its
+    targets, and their kernel gradients with a leading sample axis. Each
+    sample's numbers are the bits it would get alone.
     """
     x = np.asarray(x, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x, target = x[None], target[None]
     out, cache = _float_forward(x, k1, k3, k2)
     err = out - target
     loss = np.mean(err * err, axis=(1, 2))
     g_out = 2.0 * err / (err.shape[1] * err.shape[2])
-    grads = _float_backward(g_out, cache, k1, k3, k2)
-    if single:
-        return float(loss[0]), tuple(g[0] for g in grads)
-    return loss, grads
+    return loss, _float_backward(g_out, cache, k1, k3, k2)
 
 
-def cnn_train(cfg: TrainConfig, data, kernels=KERNELS, ksize=KSIZE):
+def cnn_train(cfg: TrainConfig, data):
     """SGD training of the convolutional denoiser under fit, from a
     seeded Gaussian kernel init; each update averages the batch's
     gradients, added per sample in sample order (that order fixes the
@@ -268,11 +258,11 @@ def cnn_train(cfg: TrainConfig, data, kernels=KERNELS, ksize=KSIZE):
     # The 3D stage squeezes through one ReLU plane; a zero-mean start
     # leaves it dead, so k3 opens as a positive averaging kernel and k2
     # as a noisy center tap while k1 stays free to specialize.
-    k1 = rng.normal(0.0, 0.3, size=(kernels, ksize, ksize))
-    k3 = (1.0 / (kernels * ksize * ksize)
-          + rng.normal(0.0, 0.02, size=(kernels, ksize, ksize)))
-    k2 = rng.normal(0.0, 0.02, size=(ksize, ksize))
-    k2[ksize // 2, ksize // 2] += 1.0
+    k1 = rng.normal(0.0, 0.3, size=(KERNELS, KSIZE, KSIZE))
+    k3 = (1.0 / (KERNELS * KSIZE * KSIZE)
+          + rng.normal(0.0, 0.02, size=(KERNELS, KSIZE, KSIZE)))
+    k2 = rng.normal(0.0, 0.02, size=(KSIZE, KSIZE))
+    k2[KSIZE // 2, KSIZE // 2] += 1.0
 
     def step(epoch, eta, idx):
         noisy = np.stack([

@@ -45,10 +45,13 @@ def _unpicklable(obj):
     """The "Type: message" text of the error pickling obj raises, or None.
 
     A child tries each object here first: a pickle that fails part-way
-    through its write would cut the pipe's stream of pickles.
+    through its write would cut the pipe's stream of pickles. An
+    exception, pickled as its class and args alone, is read back too.
     """
     try:
         pickle.dump(obj, _Nowhere(), protocol=5)
+        if isinstance(obj, BaseException):
+            pickle.loads(pickle.dumps(obj, protocol=5))
     except Exception as e:
         return f"{type(e).__name__}: {e}"
     return None

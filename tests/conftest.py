@@ -20,6 +20,7 @@ from memdenoise.classify import train_classifier
 from memdenoise.cli import (CLASSIFIER_RECIPE, DENSE_RATE_OVERRIDES,
                             TRAIN_RECIPES)
 from memdenoise.imagecore import load_mnist
+from memdenoise.metrics import QualityReport, image_scores
 from memdenoise.nets.common import TrainConfig
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import fusion_train
@@ -49,6 +50,13 @@ def write_idx_labels(path, labels):
     with open(path, "wb") as f:
         f.write(struct.pack(">II", 0x00000801, len(labels)))
         f.write(labels.tobytes())
+
+
+def quality_report(reference, test, noise="", method=""):
+    """The QualityReport eval and sweep emit for a test stack against its
+    references: image_scores reduced by QualityReport.from_scores."""
+    return QualityReport.from_scores(noise, method,
+                                     *image_scores(reference, test))
 
 
 def identity_dense(h, w):

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import EVAL_SEED, write_idx_images, write_idx_labels
+from conftest import (EVAL_SEED, quality_report, write_idx_images,
+                      write_idx_labels)
 from memdenoise import hwcost, metrics
 from memdenoise.cli import cost_point, main
 from memdenoise.crossbar import TILE_COLS, TILE_ROWS, matmul, program, tile_grid
@@ -48,7 +49,7 @@ def ideal_reports(member_bank, eval_images, noisy_stacks):
     reports = {}
     for text, noisy in noisy_stacks.items():
         denoised = member_bank[text].forward_stack(noisy)
-        reports[text] = metrics.evaluate_pairs(eval_images, denoised,
+        reports[text] = quality_report(eval_images, denoised,
                                                noise=text, method="dense")
     return reports
 
@@ -111,7 +112,7 @@ def test_criterion_2_dense_denoiser_quality(ideal_reports):
 def test_criterion_3_noisy_baseline_statistics(eval_images):
     start = time.monotonic()
     noisy = corrupt_dataset(eval_images, parse_spec("gaussian:0.1"), EVAL_SEED)
-    report = metrics.evaluate_pairs(eval_images, noisy,
+    report = quality_report(eval_images, noisy,
                                     noise="gaussian:0.1", method="noisy")
     elapsed = time.monotonic() - start
     print(f"criterion 3: gaussian:0.1 corruption mean MSE {report.mse:.4f}, "
@@ -133,7 +134,7 @@ def test_criterion_4_non_ideality_trends(member_bank, eval_images,
     sweep = {}
     for L in levels:
         variant = net.reprogram(DeviceModel(levels=L), seed=EVAL_SEED)
-        sweep[L] = metrics.evaluate_pairs(
+        sweep[L] = quality_report(
             eval_images, variant.forward_stack(noisy),
             noise="gaussian:0.01", method="dense").ssim
     print("criterion 4: SSIM ideal %.4f, levels %s" %
@@ -160,7 +161,7 @@ def test_criterion_4_non_ideality_trends(member_bank, eval_images,
             f"pull in opposite directions")
 
     varied = net.reprogram(DeviceModel(variation_sigma=0.025), seed=0)
-    varied_ssim = metrics.evaluate_pairs(
+    varied_ssim = quality_report(
         eval_images, varied.forward_stack(noisy),
         noise="gaussian:0.01", method="dense").ssim
     cut = (ideal_ssim - varied_ssim) / ideal_ssim
@@ -176,7 +177,7 @@ def test_criterion_4_non_ideality_trends(member_bank, eval_images,
     for label, (dropout, prune) in {"dropout": (0.2, 0.0),
                                     "prune": (0.0, 0.2)}.items():
         sparse = sp_net.with_sparsity(dropout, prune, seed=EVAL_SEED)
-        psnr = metrics.evaluate_pairs(
+        psnr = quality_report(
             eval_images, sparse.forward_stack(sp_noisy),
             noise="sp:0.1", method="dense").psnr
         drops[label] = sp_ideal - psnr
@@ -215,7 +216,7 @@ def tune_filter(clean, noisy, kind, grid=None):
         raise ValueError("empty tuning grid")
     best_spec, best_score = None, -np.inf
     for spec in candidates:
-        score = metrics.evaluate_pairs(clean, filter_stack(noisy, spec)).ssim
+        score = quality_report(clean, filter_stack(noisy, spec)).ssim
         if score > best_score:
             best_spec, best_score = spec, score
     return best_spec, best_score
@@ -276,17 +277,15 @@ def test_criterion_6_hardware_cost_model():
 @pytest.mark.slow
 def test_criterion_7_classification_gain(classifier, member_bank, fusion_net,
                                          mnist_test):
-    clean = evaluate(classifier, mnist_test)
+    (clean,) = evaluate(classifier, mnist_test)
     print(f"criterion 7: clean accuracy {clean.accuracy:.4f} "
           f"on {clean.n} images")
 
     gains, noisy_acc, member_acc = {}, {}, {}
     for spec in STANDARD_NOISES:
         text = spec.text()
-        noisy = evaluate(classifier, mnist_test, noise=spec, seed=EVAL_SEED)
-        member = evaluate(classifier, mnist_test,
-                          denoiser=member_bank[text], noise=spec,
-                          seed=EVAL_SEED)
+        noisy, member = evaluate(classifier, mnist_test, spec, EVAL_SEED,
+                                 member_bank[text])
         noisy_acc[text] = noisy.accuracy
         member_acc[text] = member.accuracy
         gains[text] = 100.0 * (member.accuracy - noisy.accuracy)
@@ -295,8 +294,8 @@ def test_criterion_7_classification_gain(classifier, member_bank, fusion_net,
 
     fused_gap = {}
     for text in ("gaussian:0.5", "sp:0.5", "speckle:1"):
-        fused = evaluate(classifier, mnist_test, denoiser=fusion_net,
-                         noise=parse_spec(text), seed=EVAL_SEED)
+        _, fused = evaluate(classifier, mnist_test, parse_spec(text),
+                            EVAL_SEED, fusion_net)
         fused_gap[text] = 100.0 * (fused.accuracy - member_acc[text])
         print(f"criterion 7: {text:<13} fused {fused.accuracy:.4f} "
               f"vs matched member {fused_gap[text]:+.1f} pts")
@@ -331,26 +330,26 @@ def test_criterion_8_property_suites(tmp_path):
     rng = np.random.default_rng(0x8A)
 
     # Analytic gradients against central differences, fp64.
-    clean = rng.uniform(0.0, 1.0, (8, 8))
-    noisy = np.clip(clean + rng.normal(0.0, 0.2, (8, 8)), 0.0, 1.0)
+    clean = rng.uniform(0.0, 1.0, (1, 8, 8))
+    noisy = np.clip(clean + rng.normal(0.0, 0.2, (1, 8, 8)), 0.0, 1.0)
     k1 = rng.normal(0.0, 0.3, (2, 3, 3))
     k3 = rng.normal(0.1, 0.05, (2, 3, 3))
     k2 = rng.normal(0.1, 0.05, (3, 3))
     _, grads = cnn_loss_and_grads(noisy, clean, k1, k3, k2)
     eps = 1e-6
     worst = 0.0
-    for name, kernel, grad in (("k1", k1, grads[0]), ("k3", k3, grads[1]),
-                               ("k2", k2, grads[2])):
+    for name, kernel, (grad,) in (("k1", k1, grads[0]), ("k3", k3, grads[1]),
+                                  ("k2", k2, grads[2])):
         it = np.nditer(kernel, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             bumped = {"k1": k1.copy(), "k3": k3.copy(), "k2": k2.copy()}
             bumped[name][idx] += eps
-            hi, _ = cnn_loss_and_grads(noisy, clean, bumped["k1"],
-                                       bumped["k3"], bumped["k2"])
+            (hi,), _ = cnn_loss_and_grads(noisy, clean, bumped["k1"],
+                                          bumped["k3"], bumped["k2"])
             bumped[name][idx] -= 2 * eps
-            lo, _ = cnn_loss_and_grads(noisy, clean, bumped["k1"],
-                                       bumped["k3"], bumped["k2"])
+            (lo,), _ = cnn_loss_and_grads(noisy, clean, bumped["k1"],
+                                          bumped["k3"], bumped["k2"])
             numeric = (hi - lo) / (2 * eps)
             denom = max(abs(numeric), abs(grad[idx]), 1e-8)
             worst = max(worst, abs(numeric - grad[idx]) / denom)
@@ -359,13 +358,13 @@ def test_criterion_8_property_suites(tmp_path):
 
     # Crossbar readout against plain linear algebra, ideal device.
     weights = rng.normal(0.0, 0.2, (300, 100))
-    tiled = program(weights / np.abs(weights).max(), DeviceModel())
+    tiled = program(weights / np.abs(weights).max(), DeviceModel(), rng)
     x = rng.uniform(-1.0, 1.0, (1, 300))  # signed: a two-phase read
     direct = x @ (weights / np.abs(weights).max())
     readout_err = np.abs(matmul(tiled, x) - direct).max()
     cnn = CnnDenoiser(k1, k3, k2)
-    route, _ = _float_forward(np.clip(noisy, 0.0, 1.0)[None], k1, k3, k2)
-    conv_err = np.abs(cnn.forward_stack(noisy[None])[0]
+    route, _ = _float_forward(np.clip(noisy, 0.0, 1.0), k1, k3, k2)
+    conv_err = np.abs(cnn.forward_stack(noisy)[0]
                       - np.clip(route[0], 0.0, 1.0)).max()
     print(f"criterion 8: readout error {readout_err:.3e}, "
           f"conv route error {conv_err:.3e}")
@@ -383,9 +382,9 @@ def test_criterion_8_property_suites(tmp_path):
     a = rng.uniform(0.0, 1.0, (28, 28))
     b = np.clip(a + rng.normal(0.0, 0.1, (28, 28)), 0.0, 1.0)
     assert metrics.ssim(a, a) == pytest.approx(1.0, abs=1e-12)
-    assert metrics.evaluate_pairs(a[None], b[None]).psnr == pytest.approx(
+    assert quality_report(a[None], b[None]).psnr == pytest.approx(
         10.0 * math.log10(1.0 / metrics.mse(a, b)), rel=1e-12)
-    assert metrics.evaluate_pairs(a[None], a[None]).psnr is None
+    assert quality_report(a[None], a[None]).psnr is None
     assert metrics.mse(a, b) == metrics.mse(b, a)
 
     # Byte-identical artifacts for a fixed seed across re-runs, on an IDX

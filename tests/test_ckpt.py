@@ -36,8 +36,8 @@ def small_nets():
                identity_dense(4, 4)]
     return {
         "dense": dense,
-        "cnn": CnnDenoiser(rng.normal(0, 0.3, (2, 3, 3)),
-                           np.full((2, 3, 3), 1.0 / 18), np.eye(3) / 3,
+        "cnn": CnnDenoiser(rng.normal(0, 0.3, (8, 3, 3)),
+                           np.full((8, 3, 3), 1.0 / 72), np.eye(3) / 3,
                            train_noise="sp:0.1", device=dev),
         "fusion": FusionDenoiser(members, rng.normal(0, 0.2, (2, 3, 3)),
                                  device=dev, program_seed=2),

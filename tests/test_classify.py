@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import identity_dense
-from memdenoise import ckpt, crossbar
+from memdenoise import ckpt, classify, crossbar
 from memdenoise.classify import (
     ACCURACY_CSV_HEADER,
+    HIDDEN,
     AccuracyReport,
     Classifier,
     _softmax,
@@ -37,7 +38,7 @@ def toy_config(**overrides):
     return TrainConfig(**base)
 
 
-def allocating_classifier_train(data, cfg, hidden):
+def allocating_classifier_train(data, cfg):
     """(w1, b1, w2, b2, loss_log) of the classifier's minibatch SGD loop,
     written out in full: the reference train_classifier must equal."""
     images = np.asarray(data.images, dtype=np.float64)
@@ -45,7 +46,7 @@ def allocating_classifier_train(data, cfg, hidden):
     if cfg.limit is not None:
         flat, labels = flat[:cfg.limit], labels[:cfg.limit]
     n = len(flat)
-    clf = Classifier.initial(hidden, images.shape[1:], seed=cfg.seed)
+    clf = Classifier.initial(HIDDEN, images.shape[1:], seed=cfg.seed)
     w1, b1, w2, b2 = (a.copy() for a in (clf.w1, clf.b1, clf.w2, clf.b2))
     onehot = np.eye(10)[labels]
     rng = np.random.default_rng([cfg.seed, 0x5F])
@@ -157,7 +158,7 @@ class TestSoftmax:
 
 class TestTraining:
     def test_separable_task_learned(self):
-        clf = train_classifier(toy_data(), toy_config(), hidden=32)
+        clf = train_classifier(toy_data(), toy_config())
         held_out = toy_data(n=200, seed=11)
         assert clf.accuracy(held_out.images, held_out.labels) >= 0.95
         assert clf.loss_log[-1] < clf.loss_log[0]
@@ -169,8 +170,8 @@ class TestTraining:
     def test_bits_equal_reference_loop(self, n, batch, limit):
         data = toy_data(n=n)
         cfg = toy_config(epochs=3, batch=batch, limit=limit)
-        clf = train_classifier(data, cfg, hidden=16)
-        *layers, loss_log = allocating_classifier_train(data, cfg, 16)
+        clf = train_classifier(data, cfg)
+        *layers, loss_log = allocating_classifier_train(data, cfg)
         for got, want in zip((clf.w1, clf.b1, clf.w2, clf.b2), layers):
             assert got.tobytes() == want.tobytes()
         assert clf.loss_log == loss_log
@@ -180,13 +181,13 @@ class TestTraining:
         rng = np.random.default_rng(9)
         shuffled = Dataset(images=data.images,
                            labels=rng.permutation(data.labels), split="train")
-        clf = train_classifier(shuffled, toy_config(epochs=3), hidden=32)
+        clf = train_classifier(shuffled, toy_config(epochs=3))
         probe = toy_data(n=200, seed=5)
         assert clf.accuracy(probe.images, probe.labels) < 0.3
 
     def test_training_is_deterministic(self):
-        a = train_classifier(toy_data(), toy_config(), hidden=16)
-        b = train_classifier(toy_data(), toy_config(), hidden=16)
+        a = train_classifier(toy_data(), toy_config())
+        b = train_classifier(toy_data(), toy_config())
         np.testing.assert_array_equal(a.w1, b.w1)
         np.testing.assert_array_equal(a.w2, b.w2)
         np.testing.assert_array_equal(a.b1, b.b1)
@@ -194,22 +195,22 @@ class TestTraining:
         assert a.loss_log == b.loss_log
 
     def test_seed_changes_weights(self):
-        a = train_classifier(toy_data(), toy_config(seed=3), hidden=16)
-        b = train_classifier(toy_data(), toy_config(seed=4), hidden=16)
+        a = train_classifier(toy_data(), toy_config(seed=3))
+        b = train_classifier(toy_data(), toy_config(seed=4))
         assert not np.array_equal(a.w1, b.w1)
 
     def test_zero_epochs_returns_initial_weights(self):
-        clf = train_classifier(toy_data(), toy_config(epochs=0), hidden=16)
-        init = Classifier.initial(16, (4, 4), seed=3)
+        clf = train_classifier(toy_data(), toy_config(epochs=0))
+        init = Classifier.initial(HIDDEN, (4, 4), seed=3)
         np.testing.assert_array_equal(clf.w1, init.w1)
-        np.testing.assert_array_equal(clf.w2, np.zeros((16, 10)))
+        np.testing.assert_array_equal(clf.w2, np.zeros((HIDDEN, 10)))
         assert clf.loss_log == []
 
     def test_limit_truncates_training_set(self):
-        limited = train_classifier(toy_data(), toy_config(limit=50), hidden=16)
+        limited = train_classifier(toy_data(), toy_config(limit=50))
         subset = Dataset(images=toy_data().images[:50],
                          labels=toy_data().labels[:50], split="train")
-        full_on_subset = train_classifier(subset, toy_config(), hidden=16)
+        full_on_subset = train_classifier(subset, toy_config())
         np.testing.assert_array_equal(limited.w1, full_on_subset.w1)
 
     def test_rgb_images_are_read_whole(self):
@@ -219,11 +220,12 @@ class TestTraining:
         images = rng.uniform(0.0, 1.0, (20, 4, 4, 3))
         labels = (np.arange(20) % 10).astype(np.int64)
         data = Dataset(images=images, labels=labels, split="train")
-        clf = train_classifier(data, toy_config(epochs=1), hidden=8)
-        assert clf.shape == (4, 4, 3) and clf.w1.shape == (48, 8)
+        clf = train_classifier(data, toy_config(epochs=1))
+        assert clf.shape == (4, 4, 3) and clf.w1.shape == (48, HIDDEN)
         assert np.isfinite(clf.loss_log[0])
         assert clf.predict(images).shape == (20,)
-        assert evaluate(clf, data, noise=NoiseSpec("gaussian", 0.1)).n == 20
+        (noisy,) = evaluate(clf, data, noise=NoiseSpec("gaussian", 0.1))
+        assert noisy.n == 20
         with pytest.raises(ImageShapeError, match=r"\(4, 4, 3\)"):
             clf.predict(images[..., 0])
         # Raw pixels would be classified as intensities 0..255.
@@ -239,9 +241,8 @@ class TestTraining:
         pixels = rng.integers(0, 256, shape, dtype=np.uint8)
         labels = (np.arange(shape[0]) % 10).astype(np.int64)
         cfg = toy_config(epochs=2, limit=150)
-        got = train_classifier(Dataset(pixels, labels, "train"), cfg, hidden=8)
-        want = train_classifier(Dataset(pixels / 255.0, labels, "train"), cfg,
-                                hidden=8)
+        got = train_classifier(Dataset(pixels, labels, "train"), cfg)
+        want = train_classifier(Dataset(pixels / 255.0, labels, "train"), cfg)
         for a, b in zip((got.w1, got.b1, got.w2, got.b2),
                         (want.w1, want.b1, want.w2, want.b2)):
             assert np.array_equal(a, b)
@@ -253,7 +254,7 @@ class TestTraining:
         # the run stops at epoch one instead of logging the blow-up.
         with pytest.raises(TrainingDivergence) as info:
             train_classifier(toy_data(), toy_config(learning_rate=1e4,
-                                                    epochs=3), hidden=16)
+                                                    epochs=3))
         assert info.value.epoch == 1 and info.value.rmse > 100.0
         assert info.value.initial_rmse == pytest.approx(np.log(10), rel=0.01)
 
@@ -280,7 +281,7 @@ def load_classifier(path):
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        clf = train_classifier(toy_data(), toy_config(epochs=2), hidden=16)
+        clf = train_classifier(toy_data(), toy_config(epochs=2))
         path = tmp_path / "clf.bin"
         clf.save(path)
         loaded = load_classifier(path)
@@ -292,7 +293,7 @@ class TestSerialization:
         assert loaded.loss_log == clf.loss_log
 
     def test_loaded_model_predicts_identically(self, tmp_path):
-        clf = train_classifier(toy_data(), toy_config(epochs=2), hidden=16)
+        clf = train_classifier(toy_data(), toy_config(epochs=2))
         path = tmp_path / "clf.bin"
         clf.save(path)
         probe = toy_data(n=50, seed=7)
@@ -308,13 +309,13 @@ class TestSerialization:
 
 @pytest.fixture(scope="module")
 def trained():
-    return train_classifier(toy_data(), toy_config(), hidden=32)
+    return train_classifier(toy_data(), toy_config())
 
 
 class TestEvaluate:
     def test_clean_condition(self, trained):
         data = toy_data(n=100, seed=11, split="test")
-        report = evaluate(trained, data)
+        (report,) = evaluate(trained, data)
         assert report.condition == "clean"
         assert report.noise == ""
         assert report.n == 100
@@ -322,7 +323,7 @@ class TestEvaluate:
 
     def test_noisy_condition_labels_the_spec(self, trained):
         data = toy_data(n=100, seed=11, split="test")
-        report = evaluate(trained, data, noise=NoiseSpec("gaussian", 0.5), seed=4)
+        (report,) = evaluate(trained, data, NoiseSpec("gaussian", 0.5), 4)
         assert report.condition == "noisy"
         assert report.noise == "gaussian:0.5"
 
@@ -333,7 +334,7 @@ class TestEvaluate:
         data = toy_data(n=50, seed=11, split="test")
         noise = NoiseSpec("gaussian", 0.5)
         recorder = RecordingDenoiser()
-        evaluate(trained, data, denoiser=recorder, noise=noise, seed=4)
+        evaluate(trained, data, noise, 4, recorder)
         assert recorder.seen.min() < 0.0 and recorder.seen.max() > 1.0
         seen = []
         read, logits = crossbar.matmul, trained.logits
@@ -341,35 +342,44 @@ class TestEvaluate:
                             lambda m, xs: seen.append(xs) or read(m, xs))
         monkeypatch.setattr(trained, "logits",
                             lambda flat: seen.append(flat) or logits(flat))
-        evaluate(trained, data, noise=noise, seed=4)
-        evaluate(trained, data, denoiser=identity_dense(4, 4),
-                 noise=noise, seed=4)
-        assert len(seen) == 3
+        evaluate(trained, data, noise, 4, identity_dense(4, 4))
+        assert len(seen) == 3  # the readout and both rows' logits
         assert all(x.min() >= 0.0 and x.max() <= 1.0 for x in seen)
 
     def test_denoised_condition_named_after_class(self, trained):
         data = toy_data(n=50, seed=11, split="test")
-        report = evaluate(trained, data, denoiser=IdentityDenoiser(),
-                          noise=NoiseSpec("gaussian", 0.01), seed=4)
-        assert report.condition == "denoised(identity)"
+        noisy, denoised = evaluate(trained, data, NoiseSpec("gaussian", 0.01),
+                                   4, IdentityDenoiser())
+        assert noisy.condition == "noisy"
+        assert denoised.condition == "denoised(identity)"
+        assert denoised.noise == "gaussian:0.01"
 
     def test_identity_denoiser_matches_noisy_accuracy(self, trained):
         data = toy_data(n=100, seed=11, split="test")
-        noise = NoiseSpec("sp", 0.1)
-        noisy = evaluate(trained, data, noise=noise, seed=4)
-        passthrough = evaluate(trained, data, denoiser=IdentityDenoiser(),
-                               noise=noise, seed=4)
+        noisy, passthrough = evaluate(trained, data, NoiseSpec("sp", 0.1), 4,
+                                      IdentityDenoiser())
         assert passthrough.accuracy == noisy.accuracy
+
+    def test_one_corruption_feeds_both_rows(self, trained, monkeypatch):
+        # The denoised row reads the very images the noisy row scored.
+        data = toy_data(n=50, seed=11, split="test")
+        calls, corrupt = [], classify.corrupt_dataset
+        monkeypatch.setattr(classify, "corrupt_dataset",
+                            lambda *a: calls.append(a) or corrupt(*a))
+        recorder = RecordingDenoiser()
+        noisy, _ = evaluate(trained, data, NoiseSpec("gaussian", 0.5), 4,
+                            recorder)
+        assert len(calls) == 1
+        assert noisy.accuracy == trained.accuracy(recorder.seen, data.labels)
 
     def test_same_seed_reproduces_report(self, trained):
         data = toy_data(n=100, seed=11, split="test")
         noise = NoiseSpec("gaussian", 0.5)
-        first = evaluate(trained, data, noise=noise, seed=4)
-        second = evaluate(trained, data, noise=noise, seed=4)
-        assert first == second
+        assert evaluate(trained, data, noise, 4) == evaluate(trained, data,
+                                                             noise, 4)
 
     def test_heavy_noise_hurts_accuracy(self, trained):
         data = toy_data(n=200, seed=11, split="test")
-        clean = evaluate(trained, data)
-        noisy = evaluate(trained, data, noise=NoiseSpec("gaussian", 0.5), seed=4)
+        (clean,) = evaluate(trained, data)
+        (noisy,) = evaluate(trained, data, NoiseSpec("gaussian", 0.5), 4)
         assert noisy.accuracy < clean.accuracy

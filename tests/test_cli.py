@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 import gzip
 import hashlib
 
-from conftest import drop_arrays, write_idx_images, write_idx_labels
+from conftest import (drop_arrays, quality_report, write_idx_images,
+                      write_idx_labels)
 from memdenoise import ckpt, classify, cli, procs
 from memdenoise.cli import (
     DEFAULT_CONFIG,
@@ -45,8 +46,8 @@ from memdenoise import hwcost
 from memdenoise.baselines import FilterSpec
 from memdenoise.classify import Classifier
 from memdenoise.device import DeviceModel
-from memdenoise.metrics import CSV_HEADER, evaluate_pairs
-from memdenoise.nets.cnn import cnn_train
+from memdenoise.metrics import CSV_HEADER
+from memdenoise.nets.cnn import CnnDenoiser, cnn_train
 from memdenoise.nets.common import TrainingDivergence
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init
@@ -287,6 +288,31 @@ class TestExitCodes:
         assert main(["eval", "--data", corpus, "--seed", "1",
                      "--checkpoint", str(junk), "--outdir", str(tmp_path)]) == 2
         assert "not a recognized checkpoint" in capsys.readouterr().err
+
+    def test_directory_checkpoint_returns_two(self, corpus, capsys,
+                                              tmp_path):
+        folder = tmp_path / "nets"
+        folder.mkdir()
+        assert main(["eval", "--data", corpus, "--seed", "1", "--checkpoint",
+                     str(folder), "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read checkpoint: ")
+        assert err.count(str(folder)) == 1 and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_cnn_of_another_geometry_returns_two(self, corpus, capsys,
+                                                 tmp_path):
+        # A 2-kernel CNN can be built and saved, but only the 8 kernels
+        # that cost and training use load.
+        path = tmp_path / "cnn.bin"
+        CnnDenoiser(np.full((2, 3, 3), 0.1), np.full((2, 3, 3), 0.1),
+                    np.eye(3)).save(path)
+        assert main(["eval", "--data", corpus, "--seed", "1", "--checkpoint",
+                     str(path), "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(path)) == 1 and err.count("\n") == 1
+        assert "not the 8 3x3 kernels of a cnn" in err
+        assert not (tmp_path / "out").exists()
 
     def test_train_requires_real_noise(self, corpus, capsys, tmp_path):
         assert main(["train", "--data", corpus, "--seed", "1", "--net", "dense",
@@ -724,6 +750,13 @@ class TestCostCommand:
         assert out.splitlines()[2] == row
         assert digest(out) == stdout
         assert digest((tmp_path / "cost.json").read_text()) == report
+
+    def test_fusion_has_no_design_point(self, capsys, tmp_path):
+        assert main(["cost", "--seed", "0", "--net", "fusion", "--json",
+                     "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cost covers dense and cnn design points\n")
+        assert os.listdir(tmp_path) == []
 
     def test_cnn_design_point(self, capsys):
         assert main(["cost", "--seed", "0", "--net", "cnn"]) == 0
@@ -1332,7 +1365,7 @@ def serial_sweep(argv, outdir):
         spec = parse_spec(text)
         noisy = np.clip(corrupt_dataset(clean, spec, seed), 0.0, 1.0)
         for param, value, variant in variants:
-            report = evaluate_pairs(clean, variant.forward_stack(noisy),
+            report = quality_report(clean, variant.forward_stack(noisy),
                                     spec.text(), "dense")
             rows.append({"param": param, "value": value,
                          "row": report.to_json()})
@@ -1504,6 +1537,15 @@ class TestClassifyCommand:
             ["gaussian:0.5", "denoised(dense)"], ["sp:0.1", "noisy"],
             ["sp:0.1", "denoised(dense)"]]
 
+    def test_none_noise_writes_no_row(self, corpus, classifier_ckpt,
+                                      tmp_path):
+        assert main(["classify", "--data", corpus, "--seed", "5",
+                     "--noise", "none", "--noise", "sp:0.1", "--classifier",
+                     classifier_ckpt, "--outdir", str(tmp_path)]) == 0
+        lines = Path(tmp_path, "classify.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["", "clean"], ["sp:0.1", "noisy"]]
+
     def test_reused_classifier_skips_retraining(self, corpus, dense_ckpt,
                                                 tmp_path):
         first = str(tmp_path / "a")
@@ -1559,6 +1601,19 @@ class TestFuseCommand:
                     bank / "dense_speckle_1.bin")
         assert main(FUSE + ["--data", corpus, "--seed", "5",
                             "--members", str(bank), "--outdir", out]) == 2
+
+    def test_rejects_a_member_of_another_noise(self, corpus, member_dir,
+                                               capsys, tmp_path):
+        bank = tmp_path / "bank"
+        shutil.copytree(member_dir, bank)
+        shutil.copy(bank / "dense_gaussian_0.1.bin",
+                    bank / "dense_speckle_1.bin")
+        assert main(FUSE + ["--data", corpus, "--seed", "5", "--members",
+                            str(bank), "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bank / 'dense_speckle_1.bin'}: member trained on "
+            "'gaussian:0.1', not speckle:1\n")
+        assert not (tmp_path / "fusion.bin").exists()
 
     def test_trains_and_saves_fusion_net(self, corpus, member_dir, tmp_path):
         out = str(tmp_path)
@@ -1696,7 +1751,7 @@ def test_cnn_checkpoint_scores_odd_sized_images(corpus, tmp_path):
     noisy = corrupt_dataset(clean, parse_spec("gaussian:0.1"), 2)
     denoised = load_net(ckpt)[1].forward_stack(noisy)
     assert denoised.shape == (12, 9, 9)
-    assert rows[1] == evaluate_pairs(clean, denoised, "gaussian:0.1",
+    assert rows[1] == quality_report(clean, denoised, "gaussian:0.1",
                                      "cnn").to_json()
 
 

@@ -364,6 +364,10 @@ MISTYPED = [
     ("train", {"train": {"device_in_loop": "no"}}, "train.device_in_loop"),
     ("cost", {"net": None}, "net"),
     ("eval", {"outdir": None}, "outdir"),
+    ("eval", {"noises": "gaussian:0.1"}, "noises"),
+    ("classify", {"noises": [0.1]}, "noises"),
+    ("eval", {"filters": "median:3"}, "filters"),
+    ("eval", {"filters": None}, "filters"),
 ]
 
 

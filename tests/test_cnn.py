@@ -4,7 +4,8 @@ import pytest
 from memdenoise import ckpt
 from memdenoise.device import DeviceModel
 from memdenoise.imagecore import plane_chunks, plane_samples
-from memdenoise.nets.cnn import (CnnDenoiser, _float_forward,
+from memdenoise.nets import cnn
+from memdenoise.nets.cnn import (KERNELS, KSIZE, CnnDenoiser, _float_forward,
                                  cnn_loss_and_grads, cnn_train, conv_same,
                                  unfold, unfold_stack)
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
@@ -34,28 +35,28 @@ def direct_route(net, img):
     return np.clip(out[0], 0.0, 1.0)
 
 
-def make_cnn(rng, kernels=3, ksize=3):
-    k1 = rng.normal(0, 0.3, (kernels, ksize, ksize))
-    k3 = 1.0 / (kernels * ksize * ksize) + rng.normal(0, 0.02,
-                                                      (kernels, ksize, ksize))
-    k2 = rng.normal(0, 0.02, (ksize, ksize))
-    k2[ksize // 2, ksize // 2] += 1.0
-    return CnnDenoiser(k1, k3, k2)
+def initial_kernels(rng):
+    """k1, k3 and k2 drawn as cnn_train draws them from rng."""
+    k1 = rng.normal(0.0, 0.3, size=(KERNELS, KSIZE, KSIZE))
+    k3 = (1.0 / (KERNELS * KSIZE * KSIZE)
+          + rng.normal(0.0, 0.02, size=(KERNELS, KSIZE, KSIZE)))
+    k2 = rng.normal(0.0, 0.02, size=(KSIZE, KSIZE))
+    k2[KSIZE // 2, KSIZE // 2] += 1.0
+    return k1, k3, k2
 
 
-def per_sample_cnn_train(cfg, data, kernels=8, ksize=3):
-    """Reference trainer: one single-plane cnn_loss_and_grads per sample,
+def make_cnn(rng):
+    return CnnDenoiser(*initial_kernels(rng))
+
+
+def per_sample_cnn_train(cfg, data):
+    """Reference trainer: one one-plane cnn_loss_and_grads per sample,
     sums in sample order; returns (k1, k3, k2, rmse_log)."""
     clean, shape = plane_samples(data.images)
     if cfg.limit is not None:
         clean = clean[:cfg.limit]
     n = clean.shape[0]
-    rng = np.random.default_rng([cfg.seed, 0x31])
-    k1 = rng.normal(0.0, 0.3, size=(kernels, ksize, ksize))
-    k3 = (1.0 / (kernels * ksize * ksize)
-          + rng.normal(0.0, 0.02, size=(kernels, ksize, ksize)))
-    k2 = rng.normal(0.0, 0.02, size=(ksize, ksize))
-    k2[ksize // 2, ksize // 2] += 1.0
+    k1, k3, k2 = initial_kernels(np.random.default_rng([cfg.seed, 0x31]))
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5F])
     rmse_log = []
     for epoch in range(1, cfg.epochs + 1):
@@ -67,13 +68,14 @@ def per_sample_cnn_train(cfg, data, kernels=8, ksize=3):
             g1, g3, g2 = np.zeros_like(k1), np.zeros_like(k3), np.zeros_like(k2)
             for i in idx:
                 noisy = corrupt_plane(clean[i], shape, cfg.train_noise,
-                                      [cfg.seed, epoch, int(i)]).reshape(shape)
+                                      [cfg.seed, epoch, int(i)])
                 loss, (d1, d3, d2) = cnn_loss_and_grads(
-                    noisy, clean[i].reshape(shape), k1, k3, k2)
-                sq_sum += loss
-                g1 += d1
-                g3 += d3
-                g2 += d2
+                    noisy.reshape(1, *shape), clean[i].reshape(1, *shape),
+                    k1, k3, k2)
+                sq_sum += loss[0]
+                g1 += d1[0]
+                g3 += d3[0]
+                g2 += d2[0]
             if eta != 0.0:
                 k1 -= (eta / len(idx)) * g1
                 k3 -= (eta / len(idx)) * g3
@@ -181,7 +183,7 @@ class TestForward:
                                                         device):
         # The first two stacks span several inference chunks, the RGB one
         # two; chunked readouts must give each image its lone bits.
-        net = make_cnn(rng, kernels=8)
+        net = make_cnn(rng)
         net = CnnDenoiser(net.k1, net.k3, net.k2, device=device,
                           program_seed=4)
         imgs = rng.random(shape)
@@ -193,7 +195,7 @@ class TestForward:
     def test_chunked_readout_equals_whole_stack_readout(self, rng):
         # Two chunks of 28x28 planes, the second with the folded 1-plane
         # tail, against one readout of the whole stack.
-        net = make_cnn(rng, kernels=8)
+        net = make_cnn(rng)
         widest = 14 * 14 * 8 * 9  # the 3D stage's patches
         step = plane_chunks(10 ** 6, widest)[0].stop
         imgs = rng.random((2 * step + 1, 28, 28))
@@ -208,9 +210,10 @@ class TestGradients:
         k3 = 1.0 / 18 + rng.normal(0, 0.05, (2, 3, 3))
         k2 = rng.normal(0, 0.1, (3, 3))
         k2[1, 1] += 1.0
-        x = rng.random((8, 8))
-        target = rng.random((8, 8))
-        _, (g1, g3, g2) = cnn_loss_and_grads(x, target, k1, k3, k2)
+        x = rng.random((1, 8, 8))
+        target = rng.random((1, 8, 8))
+        _, grads = cnn_loss_and_grads(x, target, k1, k3, k2)
+        g1, g3, g2 = (g[0] for g in grads)
         eps = 1e-6
 
         def num_grad(tensor, analytic):
@@ -220,9 +223,9 @@ class TestGradients:
                 ix = it.multi_index
                 orig = tensor[ix]
                 tensor[ix] = orig + eps
-                lp, _ = cnn_loss_and_grads(x, target, k1, k3, k2)
+                (lp,), _ = cnn_loss_and_grads(x, target, k1, k3, k2)
                 tensor[ix] = orig - eps
-                lm, _ = cnn_loss_and_grads(x, target, k1, k3, k2)
+                (lm,), _ = cnn_loss_and_grads(x, target, k1, k3, k2)
                 tensor[ix] = orig
                 num = (lp - lm) / (2 * eps)
                 denom = max(abs(num), abs(analytic[ix]), 1e-8)
@@ -237,11 +240,11 @@ class TestGradients:
         k1 = rng.normal(0, 0.3, (2, 3, 3))
         k3 = np.full((2, 3, 3), 1.0 / 18)
         k2 = np.zeros((3, 3))
-        x = rng.random((8, 8))
-        out_is_zero_target = np.zeros((8, 8))
+        x = rng.random((1, 8, 8))
+        out_is_zero_target = np.zeros((1, 8, 8))
         loss, (g1, g3, g2) = cnn_loss_and_grads(
             x, out_is_zero_target, k1, k3, np.zeros((3, 3)))
-        assert loss == 0.0
+        assert loss[0] == 0.0
         assert not g2.any()
 
 
@@ -257,8 +260,8 @@ class TestTraining:
         ds = self.make_dataset(rng, n=n, shape=(12, 10))
         cfg = TrainConfig(parse_spec("gaussian:0.1"), learning_rate=0.1,
                           epochs=2, batch=batch, seed=3)
-        net = cnn_train(cfg, ds, kernels=3)
-        k1, k3, k2, rmse_log = per_sample_cnn_train(cfg, ds, kernels=3)
+        net = cnn_train(cfg, ds)
+        k1, k3, k2, rmse_log = per_sample_cnn_train(cfg, ds)
         assert np.array_equal(net.k1, k1)
         assert np.array_equal(net.k3, k3)
         assert np.array_equal(net.k2, k2)
@@ -272,17 +275,18 @@ class TestTraining:
         loss, grads = cnn_loss_and_grads(x, target, k1, k3, k2)
         assert loss.shape == (5,)
         for b in range(5):
-            one, one_grads = cnn_loss_and_grads(x[b], target[b], k1, k3, k2)
-            assert loss[b] == one
+            one, one_grads = cnn_loss_and_grads(x[b:b + 1], target[b:b + 1],
+                                                k1, k3, k2)
+            assert loss[b] == one[0]
             for g, g_one in zip(grads, one_grads):
-                assert np.array_equal(g[b], g_one)
+                assert np.array_equal(g[b], g_one[0])
 
     def test_loss_log_and_determinism(self, rng):
         ds = self.make_dataset(rng)
         cfg = TrainConfig(parse_spec("gaussian:0.1"), learning_rate=0.05,
                           epochs=2, batch=4, seed=3)
-        a = cnn_train(cfg, ds, kernels=2)
-        b = cnn_train(cfg, ds, kernels=2)
+        a = cnn_train(cfg, ds)
+        b = cnn_train(cfg, ds)
         assert len(a.rmse_log) == 2
         np.testing.assert_array_equal(a.k1, b.k1)
         np.testing.assert_array_equal(a.k3, b.k3)
@@ -292,7 +296,7 @@ class TestTraining:
         ds = self.make_dataset(rng, n=24)
         cfg = TrainConfig(parse_spec("gaussian:0.01"), learning_rate=0.1,
                           epochs=3, batch=4, seed=1)
-        net = cnn_train(cfg, ds, kernels=2)
+        net = cnn_train(cfg, ds)
         assert net.rmse_log[-1] < net.rmse_log[0]
 
     def test_first_epoch_blowup_diverges(self, rng):
@@ -303,7 +307,7 @@ class TestTraining:
         cfg = TrainConfig(parse_spec("gaussian:0.1"), learning_rate=100.0,
                           epochs=3, batch=4, seed=1)
         with pytest.raises(TrainingDivergence) as info:
-            cnn_train(cfg, ds, kernels=2)
+            cnn_train(cfg, ds)
         assert info.value.epoch == 1
         assert info.value.rmse > 2.0 * info.value.initial_rmse
         assert np.isfinite(info.value.rmse_log).all()
@@ -316,7 +320,7 @@ class TestTraining:
         ds = self.make_dataset(rng)
         cfg = TrainConfig(parse_spec("gaussian:0.1"), learning_rate=0.3,
                           epochs=2, batch=4, seed=1)
-        net = cnn_train(cfg, ds, kernels=2)
+        net = cnn_train(cfg, ds)
         assert net.rmse_log[1] <= 2.0 * net.rmse_log[0]
 
     @pytest.mark.parametrize("lr", [1e10, 1e300])
@@ -326,14 +330,14 @@ class TestTraining:
                           epochs=1, batch=4, seed=1)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingDivergence) as info:
-            cnn_train(cfg, ds, kernels=2)
+            cnn_train(cfg, ds)
         assert info.value.epoch == 1 and len(info.value.rmse_log) == 1
 
     def test_train_noise_recorded(self, rng):
         ds = self.make_dataset(rng)
         cfg = TrainConfig(parse_spec("sp:0.1"), learning_rate=0.0, epochs=1,
                           batch=4)
-        assert cnn_train(cfg, ds, kernels=2).train_noise == "sp:0.1"
+        assert cnn_train(cfg, ds).train_noise == "sp:0.1"
 
 
 class TestSerialization:
@@ -354,13 +358,26 @@ class TestSerialization:
                                       net.forward_stack(imgs))
 
     def test_device_settings_survive(self, rng, tmp_path):
-        k1 = rng.normal(0, 0.3, (2, 3, 3))
-        k3 = np.full((2, 3, 3), 1.0 / 18)
-        k2 = np.zeros((3, 3))
+        k1, k3, k2 = initial_kernels(rng)
         net = CnnDenoiser(k1, k3, k2, device=DeviceModel(levels=64))
         path = tmp_path / "cnn.bin"
         net.save(path)
         assert ckpt.load(path, CNN)[1].device.levels == 64
+
+    @pytest.mark.parametrize("kernels,ksize", [(2, 3), (8, 5)])
+    def test_another_geometry_fails_to_load(self, monkeypatch, tmp_path,
+                                            kernels, ksize):
+        # A net of another geometry can be built and saved with the module
+        # patched to it; its checkpoint does not load, by path.
+        with monkeypatch.context() as patched:
+            patched.setattr(cnn, "KSIZE", ksize)
+            CnnDenoiser(np.full((kernels, ksize, ksize), 0.1),
+                        np.full((kernels, ksize, ksize), 0.1),
+                        np.eye(ksize)).save(tmp_path / "cnn.bin")
+        with pytest.raises(ValueError, match=(
+                rf"cnn.bin: bad cnn checkpoint: k1 is \({kernels}, {ksize}, "
+                rf"{ksize}\), not the 8 3x3 kernels of a cnn")):
+            ckpt.load(tmp_path / "cnn.bin", CNN)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"

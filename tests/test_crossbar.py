@@ -31,6 +31,10 @@ def two_loop_readout(m, x):
     return two_loop_product(x, m.effective_weights())
 
 
+# The stream of every programming here whose device draws nothing.
+NO_DRAWS = np.random.default_rng(0)
+
+
 def reference_program(weights, dev, rng=None):
     """The two-sided programming rule this module used before: each side
     quantized on its own, the variation draw added to each side."""
@@ -87,17 +91,17 @@ class TestTileGrid:
 class TestProgram:
     def test_one_sided_pairs(self, rng):
         w = rng.uniform(-1.0, 1.0, size=(30, 20))
-        m = program(w, DeviceModel())
+        m = program(w, DeviceModel(), NO_DRAWS)
         assert np.all((m.g_pos == 0.0) | (m.g_neg == 0.0))
         assert np.allclose(m.g_pos - m.g_neg, w)
 
     def test_zero_weight_grounds_both_devices(self):
-        m = program(np.zeros((3, 3)), DeviceModel())
+        m = program(np.zeros((3, 3)), DeviceModel(), NO_DRAWS)
         assert not m.g_pos.any()
         assert not m.g_neg.any()
 
     def test_negative_weight_binary_device(self):
-        m = program(np.array([[-0.6]]), DeviceModel(levels=2))
+        m = program(np.array([[-0.6]]), DeviceModel(levels=2), NO_DRAWS)
         assert m.g_pos[0, 0] == 0.0
         assert m.g_neg[0, 0] == 1.0
 
@@ -105,22 +109,18 @@ class TestProgram:
         w = np.zeros((4, 4))
         w[2, 3] = 1.5
         with pytest.raises(ValueError, match=r"\(2, 3\)"):
-            program(w, DeviceModel())
+            program(w, DeviceModel(), NO_DRAWS)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_names_index(self, bad):
         w = np.zeros((4, 4))
         w[1, 2] = bad
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
-            program(w, DeviceModel())
+            program(w, DeviceModel(), NO_DRAWS)
 
     def test_requires_matrix(self):
         with pytest.raises(ValueError):
-            program(np.zeros(5), DeviceModel())
-
-    def test_variation_requires_stream(self):
-        with pytest.raises(ValueError):
-            program(np.zeros((2, 2)), DeviceModel(variation_sigma=0.01))
+            program(np.zeros(5), DeviceModel(), NO_DRAWS)
 
     def test_variation_draws_do_not_depend_on_signs(self, rng):
         w = rng.uniform(0.1, 0.9, size=(16, 16))
@@ -153,20 +153,20 @@ class TestProgram:
                               want.view(np.uint64))
 
     def test_counts(self):
-        m = program(np.zeros((784, 784)), DeviceModel())
+        m = program(np.zeros((784, 784)), DeviceModel(), NO_DRAWS)
         assert m.tiles_per_polarity == 52
         assert m.devices_per_polarity == 784 * 784
 
 
 class TestReadout:
     def test_identity_passthrough(self):
-        m = program(np.eye(4), DeviceModel())
+        m = program(np.eye(4), DeviceModel(), NO_DRAWS)
         x = np.array([[1.0, 0.0, 0.0, 0.0]])
         assert np.array_equal(matmul(m, x), x)
 
     def test_matches_dense_multiply(self, rng):
         w = rng.uniform(-1.0, 1.0, size=(300, 100))
-        m = program(w, DeviceModel())
+        m = program(w, DeviceModel(), NO_DRAWS)
         x = rng.uniform(0.0, 1.0, size=(1, 300))
         assert np.max(np.abs(matmul(m, x) - x @ w)) < 1e-12
 
@@ -177,7 +177,7 @@ class TestReadout:
         # per-tile product it replaced: every output still adds its
         # row-block partial sums in the same order.
         w = rng.uniform(-1.0, 1.0, size=(rows, cols))
-        plain = program(w, DeviceModel())
+        plain = program(w, DeviceModel(), NO_DRAWS)
         masked = apply_sparsity(plain, 0.1, 0.1, np.random.default_rng(rows))
         for m in (plain, masked):
             for n in (1, 2, 8, 300):
@@ -186,12 +186,12 @@ class TestReadout:
 
     def test_batched_matches_dense_multiply(self, rng):
         w = rng.uniform(-1.0, 1.0, size=(300, 100))
-        m = program(w, DeviceModel())
+        m = program(w, DeviceModel(), NO_DRAWS)
         xs = rng.uniform(0.0, 1.0, size=(7, 300))
         assert np.max(np.abs(matmul(m, xs) - xs @ w)) < 1e-12
 
     def test_dimension_mismatch(self):
-        m = program(np.zeros((4, 4)), DeviceModel())
+        m = program(np.zeros((4, 4)), DeviceModel(), NO_DRAWS)
         with pytest.raises(ValueError):
             matmul(m, np.zeros((1, 5)))
         with pytest.raises(ValueError):
@@ -204,7 +204,7 @@ class TestReadout:
     def test_linearity(self, a, b, seed):
         gen = np.random.default_rng(seed)
         w = gen.uniform(-1.0, 1.0, size=(20, 10))
-        m = program(w, DeviceModel())
+        m = program(w, DeviceModel(), NO_DRAWS)
         x1 = gen.uniform(0.0, 1.0, size=(1, 20))
         x2 = gen.uniform(0.0, 1.0, size=(1, 20))
         lhs = matmul(m, a * x1 + b * x2)
@@ -215,14 +215,15 @@ class TestReadout:
         # Shapes spanning several tiles in both directions agree with the
         # dense product, so partial sums are accumulated consistently.
         w = rng.uniform(-1.0, 1.0, size=(600, 150))
-        m = program(w, DeviceModel())
+        m = program(w, DeviceModel(), NO_DRAWS)
         x = rng.uniform(0.0, 1.0, size=(1, 600))
         assert np.max(np.abs(matmul(m, x) - x @ w)) < 1e-12
 
 
 class TestSparsity:
     def make(self, rng, rows=100, cols=40):
-        return program(rng.uniform(-1.0, 1.0, size=(rows, cols)), DeviceModel())
+        return program(rng.uniform(-1.0, 1.0, size=(rows, cols)), DeviceModel(),
+                       rng)
 
     def test_exact_counts_round_half_up(self, rng):
         m = self.make(rng, rows=784)
@@ -284,7 +285,7 @@ class TestSparsity:
 class TestContainer:
     def test_round_trip(self, rng, tmp_path):
         w = rng.uniform(-1.0, 1.0, size=(300, 100))
-        m = program(w, DeviceModel(levels=64))
+        m = program(w, DeviceModel(levels=64), NO_DRAWS)
         s = apply_sparsity(m, 0.1, 0.05, np.random.default_rng(4))
         save_tiled(s, tmp_path / "m.bin")
         back = load_tiled(tmp_path / "m.bin")
@@ -294,7 +295,7 @@ class TestContainer:
         assert np.array_equal(back.input_dropout_mask, s.input_dropout_mask)
 
     def test_reserialization_is_byte_identical(self, rng, tmp_path):
-        m = program(rng.uniform(-1.0, 1.0, size=(17, 9)), DeviceModel())
+        m = program(rng.uniform(-1.0, 1.0, size=(17, 9)), DeviceModel(), rng)
         save_tiled(m, tmp_path / "a.bin")
         save_tiled(load_tiled(tmp_path / "a.bin"), tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == \
@@ -303,7 +304,7 @@ class TestContainer:
     def test_file_round_trip(self, rng, tmp_path):
         # The size follows from the header: magic, version, header length,
         # JSON header, then each array's raw bytes and nothing else.
-        m = program(rng.uniform(-1.0, 1.0, size=(10, 10)), DeviceModel())
+        m = program(rng.uniform(-1.0, 1.0, size=(10, 10)), DeviceModel(), rng)
         path = tmp_path / "m.bin"
         save_tiled(m, path)
         blob = path.read_bytes()
@@ -320,7 +321,7 @@ class TestContainer:
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "m.bin"
-        save_tiled(program(np.zeros((1, 1)), DeviceModel()), path)
+        save_tiled(program(np.zeros((1, 1)), DeviceModel(), NO_DRAWS), path)
         blob = bytearray(path.read_bytes())
         blob[8] = 99
         path.write_bytes(bytes(blob))
@@ -359,13 +360,13 @@ class TestTiledMatrixValidation:
         assert TiledMatrix(np.zeros((0, 3)), np.zeros((0, 3))).rows == 0
 
     def test_arrays_frozen(self, rng):
-        m = program(rng.uniform(0.0, 1.0, size=(4, 4)), DeviceModel())
+        m = program(rng.uniform(0.0, 1.0, size=(4, 4)), DeviceModel(), rng)
         with pytest.raises(ValueError):
             m.g_pos[0, 0] = 0.5
 
     def test_effective_weights_apply_masks(self, rng):
         w = rng.uniform(-1.0, 1.0, size=(6, 5))
-        m = program(w, DeviceModel())
+        m = program(w, DeviceModel(), NO_DRAWS)
         s = apply_sparsity(m, 0.3, 0.2, np.random.default_rng(7))
         eff = s.effective_weights()
         assert not eff[s.input_dropout_mask].any()

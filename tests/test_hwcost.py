@@ -413,9 +413,6 @@ class TestFormatting:
     def test_si_prefixes(self, value, unit, text):
         assert format_si(value, unit) == text
 
-    def test_si_digits_parameter(self):
-        assert format_si(1.23456e-6, "s", digits=5) == "1.2346us"
-
     def test_table_reproduces_published_dense_row(self):
         table = format_report_table([estimate(dense_point())])
         row = table.splitlines()[-1]

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DAMAGE, damaged, identity_dense
+from conftest import DAMAGE, damaged, identity_dense, quality_report
 from memdenoise.baselines import filter_stack, parse_filter
 from memdenoise.imagecore import (BadMagicError, CountMismatchError, Dataset,
                                   DatasetError, ImageShapeError,
                                   TruncatedFileError, load_cifar10, load_mnist,
                                   map_planes, plane_chunks, plane_samples,
                                   write_image)
-from memdenoise.metrics import evaluate_pairs
 from memdenoise.nets.cnn import CnnDenoiser
 from memdenoise.nets.fusion import FusionDenoiser
 
@@ -181,6 +180,20 @@ class TestCifarLoading:
         assert ds.images.dtype == np.uint8
         np.testing.assert_array_equal(ds.images, pixels)
         np.testing.assert_array_equal(ds.labels, records[:, 0])
+
+    def test_batches_under_the_archive_directory(self, tmp_path):
+        # The archive unpacks its batches into cifar-10-batches-bin; its
+        # parent directory is a dataset root too.
+        records = np.random.default_rng(5).integers(0, 256, (3, 3073),
+                                                    dtype=np.uint8)
+        records[:, 0] %= 10
+        (tmp_path / "cifar-10-batches-bin").mkdir()
+        (tmp_path / "cifar-10-batches-bin" / "test_batch.bin").write_bytes(
+            records.tobytes())
+        ds = load_cifar10(str(tmp_path), "test")
+        np.testing.assert_array_equal(ds.labels, records[:, 0])
+        np.testing.assert_array_equal(
+            ds.images, records[:, 1:].reshape(3, 3, 32, 32).transpose(0, 2, 3, 1))
 
 
 class TestDataset:
@@ -528,7 +541,7 @@ class TestMapPlanes:
 # transposed into channel planes and back.
 def _rgb_passes():
     rng = np.random.default_rng(1)
-    k = rng.normal(0, 0.3, (3, 3, 3))
+    k = rng.normal(0, 0.3, (8, 3, 3))
     cnn = CnnDenoiser(k, k / 9.0, np.eye(3))
     fusion = FusionDenoiser([identity_dense(8, 8) for _ in range(8)],
                             rng.normal(0, 0.1, (8, 3, 3)))
@@ -538,7 +551,7 @@ def _rgb_passes():
         "fusion": fusion.forward_stack,
         "median": lambda s: filter_stack(s, parse_filter("median:3")),
         "gauss": lambda s: filter_stack(s, parse_filter("gauss:0.8")),
-        "score": lambda s: evaluate_pairs(s, s),
+        "score": lambda s: quality_report(s, s),
     }
 
 

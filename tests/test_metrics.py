@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import quality_report
 from memdenoise.metrics import (CSV_HEADER, SSIM_WINDOW, QualityReport,
-                                evaluate_pairs, image_scores, mse, ssim)
+                                image_scores, mse, ssim)
 
 
 def brute_force_ssim(a, b, k=SSIM_WINDOW):
@@ -86,18 +87,18 @@ class TestPsnr:
 
     def test_identity_with_mse(self, rng):
         a, b = rng.random((2, 1, 12, 12))
-        assert evaluate_pairs(a, b).psnr == pytest.approx(
+        assert quality_report(a, b).psnr == pytest.approx(
             10.0 * np.log10(1.0 / mse(a[0], b[0])))
 
     def test_infinite_for_identical(self, rng):
         # an infinite PSNR is reported as None, printed '-'
         a = rng.random((1, 8, 8))
-        assert evaluate_pairs(a, a).psnr is None
+        assert quality_report(a, a).psnr is None
 
     def test_uniform_error_level(self):
         # constant offset of 0.1 -> mse 0.01 -> exactly 20 dB
         a = np.full((1, 16, 16), 0.4)
-        assert evaluate_pairs(a, a + 0.1).psnr == pytest.approx(20.0)
+        assert quality_report(a, a + 0.1).psnr == pytest.approx(20.0)
 
 
 class TestSsim:
@@ -105,7 +106,7 @@ class TestSsim:
     def test_matches_brute_force_oracle(self, a, b):
         want = brute_force_ssim(a, b)
         assert ssim(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
-        rep = evaluate_pairs(np.stack([a, a]), np.stack([b, b]))
+        rep = quality_report(np.stack([a, a]), np.stack([b, b]))
         assert rep.ssim == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_matches_reference_implementation(self, rng):
@@ -146,6 +147,8 @@ class TestSsim:
 
 
 class TestEvaluatePairs:
+    """Stacks scored pairwise and reduced to one report (quality_report)."""
+
     @pytest.mark.parametrize("shape", [(5, 28, 28), (4, 12, 12, 3),
                                        (6, 9, 13), (3, 10, 8, 1),
                                        (1100, 8, 8), (330, 8, 9, 3)])
@@ -153,7 +156,7 @@ class TestEvaluatePairs:
         # The last two stacks span three scoring chunks each.
         ref = rng.random(shape)
         test = np.clip(ref + rng.normal(0, 0.2, shape), 0, 1)
-        rep = evaluate_pairs(ref, test)
+        rep = quality_report(ref, test)
         n = shape[0]
         assert rep.ssim == float(np.mean([ssim(ref[i], test[i])
                                           for i in range(n)]))
@@ -174,12 +177,12 @@ class TestEvaluatePairs:
         whole = image_scores(ref, test)
         assert (ssims == whole[0]).all() and (mses == whole[1]).all()
         assert QualityReport.from_scores("sp:0.1", "dense", ssims, mses) == \
-            evaluate_pairs(ref, test, "sp:0.1", "dense")
+            quality_report(ref, test, "sp:0.1", "dense")
 
     def test_aggregates_match_per_image_scores(self, rng):
         ref = rng.random((5, 28, 28))
         test = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0, 1)
-        rep = evaluate_pairs(ref, test, noise="gaussian:0.01", method="none")
+        rep = quality_report(ref, test, noise="gaussian:0.01", method="none")
         assert rep.ssim == pytest.approx(
             np.mean([ssim(ref[i], test[i]) for i in range(5)]))
         assert rep.mse == pytest.approx(
@@ -189,22 +192,22 @@ class TestEvaluatePairs:
     def test_psnr_derived_from_mean_mse(self, rng):
         ref = rng.random((4, 28, 28))
         test = rng.random((4, 28, 28))
-        rep = evaluate_pairs(ref, test)
+        rep = quality_report(ref, test)
         assert rep.psnr == pytest.approx(10.0 * np.log10(1.0 / rep.mse))
 
     def test_psnr_none_for_identical_stacks(self, rng):
         ref = rng.random((3, 28, 28))
-        rep = evaluate_pairs(ref, ref.copy())
+        rep = quality_report(ref, ref.copy())
         assert rep.psnr is None
         assert rep.csv_row().split(",")[4] == "-"
 
     def test_rejects_single_image(self, rng):
         with pytest.raises(ValueError):
-            evaluate_pairs(np.zeros((28, 28)), np.zeros((28, 28)))
+            quality_report(np.zeros((28, 28)), np.zeros((28, 28)))
 
     def test_rejects_empty_stack(self):
         with pytest.raises(ValueError):
-            evaluate_pairs(np.zeros((0, 28, 28)), np.zeros((0, 28, 28)))
+            quality_report(np.zeros((0, 28, 28)), np.zeros((0, 28, 28)))
 
     @pytest.mark.parametrize("which", ["reference", "test"])
     def test_integer_stack_is_refused(self, rng, which):

@@ -121,6 +121,13 @@ class TestForkMap:
         assert not procs._held
 
 
+class TwoArgs(Exception):
+    """Pickles as its class and args, but cannot be built from them."""
+
+    def __init__(self, a, b):
+        super().__init__(a + b)
+
+
 def raises(error):
     def fail(i):
         raise error
@@ -144,6 +151,10 @@ WAYS_OUT = {
     "unpicklable-error-in-worker": (
         None, raises(ValueError(lambda: 0)), WorkerError,
         "^item 3: a worker process cannot pickle its outcome: "),
+    "unreadable-error-in-worker": (
+        None, raises(TwoArgs(1, 2)), WorkerError,
+        "^item 3: a worker process cannot pickle its outcome: TypeError: "
+        ".*missing 1 required positional argument"),
 }
 
 
@@ -151,7 +162,10 @@ class TestWorkers:
     @pytest.mark.parametrize("way", sorted(WAYS_OUT))
     def test_no_worker_is_left_running(self, monkeypatch, way):
         # Item 0 waits here until the worker has started its first item
-        # (3), so every way out meets a worker that has worked.
+        # (3), so every way out meets a worker that has worked. A worker
+        # fault strikes item 3 alone: the worker may also take items 2
+        # and 1 before this process reaches them, and a fault there
+        # would be named first.
         here, there, error, match = WAYS_OUT[way]
         started, pids, parent = FORK.Event(), FORK.SimpleQueue(), os.getpid()
 
@@ -159,7 +173,7 @@ class TestWorkers:
             pids.put(os.getpid())
             if os.getpid() != parent:
                 started.set()
-                fault = there
+                fault = there if i == 3 else None
             else:
                 fault = here if i == 0 else None
                 assert started.wait(10)
