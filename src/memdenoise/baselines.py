@@ -132,24 +132,28 @@ def _median_planes(planes, spec):
 
 
 def _forward_gradient(u, gx, gy):
-    # One-sided forward differences over the last two axes, written into
+    # One-sided forward differences over the first two axes, written into
     # gx and gy; their trailing borders are left as they are (zero).
-    np.subtract(u[..., 1:, :], u[..., :-1, :], out=gx[..., :-1, :])
-    np.subtract(u[..., :, 1:], u[..., :, :-1], out=gy[..., :, :-1])
+    np.subtract(u[1:, :], u[:-1, :], out=gx[:-1, :])
+    np.subtract(u[:, 1:], u[:, :-1], out=gy[:, :-1])
 
 
 def _divergence(px, py):
     # Adjoint of the forward gradient: backward differences, truncated
     # so that <grad u, p> == -<u, div p> exactly on the grid.
     div = np.zeros_like(px)
-    div[..., :-1, :] += px[..., :-1, :]
-    div[..., 1:, :] -= px[..., :-1, :]
-    div[..., :, :-1] += py[..., :, :-1]
-    div[..., :, 1:] -= py[..., :, :-1]
+    div[:-1, :] += px[:-1, :]
+    div[1:, :] -= px[:-1, :]
+    div[:, :-1] += py[:, :-1]
+    div[:, 1:] -= py[:, :-1]
     return div
 
 
-def _tv_planes(f, spec):
+def _tv_planes(planes, spec):
+    # The dual iteration runs planes last, on an (h, w, m) copy of the
+    # (m, h, w) planes, so each shifted difference covers every plane at
+    # once; every op is elementwise, so the layout does not move a bit.
+    f = np.ascontiguousarray(planes.transpose(1, 2, 0))
     weight = spec.tv_weight
     step = 0.125 / weight
     px, py, gx, gy, norm = (np.zeros_like(f) for _ in range(5))
@@ -165,7 +169,7 @@ def _tv_planes(f, spec):
         np.maximum(1.0, norm, out=norm)
         px /= norm
         py /= norm
-    return f + weight * _divergence(px, py)
+    return (f + weight * _divergence(px, py)).transpose(2, 0, 1)
 
 
 _PLANE_KERNELS = {"gauss": _gauss_planes, "median": _median_planes,

@@ -19,7 +19,7 @@ from .nets.common import MAX_GAIN, TrainConfig, fit, max_abs
 from .noise import NoiseSpec, corrupt_dataset
 
 ACCURACY_CSV_HEADER = "noise,condition,accuracy,n"
-HIDDEN = 100  # hidden units of the classifier train_classifier trains
+HIDDEN = 100  # hidden units of every classifier Classifier.initial builds
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,11 @@ class Classifier:
             a.setflags(write=False)
 
     @classmethod
-    def initial(cls, hidden: int, shape, seed: int = 0):
+    def initial(cls, shape, seed: int = 0):
         size = int(np.prod(shape))
         rng = np.random.default_rng([seed, 0x43])
-        w1 = rng.normal(0.0, np.sqrt(2.0 / size), (size, hidden))
-        return cls(w1, np.zeros(hidden), np.zeros((hidden, 10)), np.zeros(10),
+        w1 = rng.normal(0.0, np.sqrt(2.0 / size), (size, HIDDEN))
+        return cls(w1, np.zeros(HIDDEN), np.zeros((HIDDEN, 10)), np.zeros(10),
                    shape)
 
     def logits(self, flat):
@@ -125,7 +125,7 @@ def train_classifier(data, cfg: TrainConfig):
     shape = data.images.shape[1:]
     labels = np.asarray(data.labels)[:cfg.limit]
     n = len(labels)
-    clf = Classifier.initial(HIDDEN, shape, seed=cfg.seed)
+    clf = Classifier.initial(shape, seed=cfg.seed)
     layers = [a.copy() for a in (clf.w1, clf.b1, clf.w2, clf.b2)]
     w1, b1, w2, b2 = layers
     onehot = np.eye(10)[labels]

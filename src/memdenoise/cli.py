@@ -470,8 +470,10 @@ def cmd_train(config):
     return written
 
 
-# Image-sized float64 arrays an eval task holds at once: its noisy
-# images, one pipeline's output and the SSIM working set (metrics).
+# Image-sized float64 arrays that size an eval slice: its noisy images,
+# one pipeline's output and the SSIM working set (metrics). A task
+# scores every pipeline's output of its slice in one call, so it holds
+# one more such array per further pipeline.
 _TASK_ARRAYS = 18
 
 
@@ -501,12 +503,9 @@ def cmd_eval(config):
         noisy = (clean[part].copy() if spec is None else
                  corrupt_dataset(clean[part], spec, config["seed"], part.start))
         kept = max(0, dumps - part.start)
-        results = []
-        for _, forward in pipelines:
-            out = forward(noisy)
-            results.append((*metrics.image_scores(clean[part], out),
-                            out[:kept].copy()))
-        return results
+        outs = [forward(noisy) for _, forward in pipelines]
+        return [(*scores, out[:kept].copy()) for scores, out in zip(
+            metrics.image_scores(clean[part], *outs), outs)]
 
     items = [(noise, part) for noise in noises for part in slices]
     scored = procs.fork_map(score, items, lambda item: (
@@ -570,9 +569,10 @@ def cmd_sweep(config):
     def score(point):
         # Each task programs its own variant and scores it on every noise.
         variant = _sweep_variant(net, *point, config["seed"])
-        return [metrics.QualityReport.from_scores(
-            text, "dense", *metrics.image_scores(
-                clean, variant.forward_stack(stack))) for text, stack in noisy]
+        outs = [variant.forward_stack(stack) for _, stack in noisy]
+        return [metrics.QualityReport.from_scores(text, "dense", *scores)
+                for (text, _), scores in zip(
+                    noisy, metrics.image_scores(clean, *outs))]
 
     reports = procs.fork_map(
         score, points, lambda p: f"sweep {p[0]} {label(p[1])}".rstrip())

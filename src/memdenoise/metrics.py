@@ -4,17 +4,18 @@ Intensities are assumed to live in [0, 1], so PSNR uses MAX = 1. SSIM
 follows the Wang et al. form with a 7x7 uniform window, C1 = 0.01^2,
 C2 = 0.03^2, unbiased (sample) variances, and valid-window-only
 averaging; the small uniform window suits 28x28 inputs. Window sums are
-taken from integral images over the last two axes, deliberately a
-different computation route than the usual uniform-filter
-implementations so the two can be checked against each other. One plane
-kernel serves both single images and whole stacks; an image of c
-channels scores each channel plane (imagecore.plane_samples) and
-averages the c scores.
+taken from integral images, deliberately a different computation route
+than the usual uniform-filter implementations so the two can be checked
+against each other. One plane kernel serves both single images and whole
+stacks: a chunk of images is scored planes last, as one (h, w, planes)
+array whose integral images run over its first two axes, so each
+shifted add covers every plane at once. An image of c channels scores
+each channel plane (imagecore.plane_samples) and averages the c scores.
 
-image_scores gives a stack's per-image SSIM and MSE, and
-QualityReport.from_scores reduces them: it averages SSIM and MSE over
-images and derives PSNR from the mean MSE, so the psnr = 10 log10(1/mse)
-identity holds for every emitted report.
+image_scores gives the per-image SSIM and MSE of test stacks against
+one reference stack, and QualityReport.from_scores reduces them: it
+averages SSIM and MSE over images and derives PSNR from the mean MSE,
+so the psnr = 10 log10(1/mse) identity holds for every emitted report.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,8 @@ from .imagecore import float_stack, plane_chunks, plane_samples
 SSIM_WINDOW = 7
 _C1 = 0.01 ** 2
 _C2 = 0.03 ** 2
+_N = float(SSIM_WINDOW * SSIM_WINDOW)  # pixels per window
+_NORM = _N / (_N - 1.0)
 
 CSV_HEADER = "noise,method,ssim,mse,psnr,n"
 
@@ -51,47 +54,73 @@ def mse(a, b):
 
 
 def _window_sums(x, k):
-    # Integral images over the last two axes with a zero border;
-    # S[..., i, j] sums the k x k window whose top-left corner is (i, j).
-    ii = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1] + 1))
-    np.cumsum(x, axis=-2, out=ii[..., 1:, 1:])
-    np.cumsum(ii[..., 1:, 1:], axis=-1, out=ii[..., 1:, 1:])
-    return (ii[..., k:, k:] - ii[..., :-k, k:] - ii[..., k:, :-k]
-            + ii[..., :-k, :-k])
+    # Window sums over the first two axes of an (h, w, m) array, for all m
+    # planes at once, from an integral image with a zero border. Its rows
+    # are summed one row at a time; then, transposed so that each column
+    # is contiguous, its columns one column at a time. Each element is
+    # summed in the order of np.cumsum over the rows, then the columns.
+    # The sums come out transposed too: S[j, i] sums the k x k window
+    # whose top-left corner is (i, j).
+    h, w = x.shape[:2]
+    rows = np.empty(x.shape)
+    rows[0] = x[0]
+    for i in range(1, h):
+        np.add(rows[i - 1], x[i], out=rows[i])
+    ii = np.zeros((w + 1, h + 1) + x.shape[2:])
+    ii[1:, 1:] = rows.transpose(1, 0, 2)
+    for j in range(1, w):
+        np.add(ii[j, 1:], ii[j + 1, 1:], out=ii[j + 1, 1:])
+    return ii[k:, k:] - ii[k:, :-k] - ii[:-k, k:] + ii[:-k, :-k]
 
 
-def _ssim_images(a, b):
-    # Per-image SSIM of two (m, h, w) or (m, h, w, c) stacks: the mean of
-    # each image's channel plane scores.
-    m = len(a)
-    (a, (h, w)), (b, _) = plane_samples(a), plane_samples(b)
-    a, b = a.reshape(-1, h, w), b.reshape(-1, h, w)
+def _planes_last(images):
+    # An (m, h, w) or (m, h, w, c) stack's channel planes as one
+    # C-contiguous (h, w, m*c) array, in plane_samples order.
+    planes, (h, w) = plane_samples(images)
+    return np.ascontiguousarray(planes.T).reshape(h, w, -1)
+
+
+def _reference(a):
+    # What every test stack scored against the (m, h, w) or (m, h, w, c)
+    # reference stack a shares: its planes last (x), their window means
+    # (ua), 2 * ua, ua * ua and their window variances (va).
+    x = _planes_last(a)
+    h, w = x.shape[:2]
     k = SSIM_WINDOW
     if h < k or w < k:
         raise ValueError("image %r smaller than %dx%d window" % ((h, w), k, k))
-    n = float(k * k)
-    sa = _window_sums(a, k)
-    sb = _window_sums(b, k)
-    saa = _window_sums(a * a, k)
-    sbb = _window_sums(b * b, k)
-    sab = _window_sums(a * b, k)
-    ua = sa / n
-    ub = sb / n
+    ua = _window_sums(x, k) / _N
+    uaa = ua * ua
     # unbiased variance/covariance, n/(n-1) on the centered second moments
-    norm = n / (n - 1.0)
-    va = (saa / n - ua * ua) * norm
-    vb = (sbb / n - ub * ub) * norm
-    cab = (sab / n - ua * ub) * norm
-    s = ((2.0 * ua * ub + _C1) * (2.0 * cab + _C2)) / (
-        (ua * ua + ub * ub + _C1) * (va + vb + _C2))
-    return np.mean(np.mean(s, axis=(-2, -1)).reshape(m, -1), axis=1)
+    va = (_window_sums(x * x, k) / _N - uaa) * _NORM
+    return x, ua, 2.0 * ua, uaa, va
+
+
+def _ssim_images(ref, b):
+    # Per-image SSIM of an (m, h, w) or (m, h, w, c) stack b against the
+    # reference whose _reference is ref: the mean of each image's channel
+    # plane scores.
+    x, ua, ua2, uaa, va = ref
+    y = _planes_last(b)
+    k = SSIM_WINDOW
+    ub = _window_sums(y, k) / _N
+    ubb = ub * ub
+    vb = (_window_sums(y * y, k) / _N - ubb) * _NORM
+    cab = (_window_sums(x * y, k) / _N - ua * ub) * _NORM
+    s = ((ua2 * ub + _C1) * (2.0 * cab + _C2)) / (
+        (uaa + ubb + _C1) * (va + vb + _C2))
+    # each plane's windows averaged row by row, as an (m*c, h, w) stack
+    # of planes would average them
+    per_plane = np.mean(np.ascontiguousarray(s.transpose(2, 1, 0)),
+                        axis=(1, 2))
+    return np.mean(per_plane.reshape(len(b), -1), axis=1)
 
 
 def ssim(a, b):
     """Mean structural similarity; a multi-channel image scores each
     channel plane, then averages."""
     a, b = _pair(a, b)
-    return float(_ssim_images(a[None], b[None])[0])
+    return float(_ssim_images(_reference(a[None]), b[None])[0])
 
 
 @dataclass(frozen=True)
@@ -127,27 +156,33 @@ class QualityReport:
             self.noise, self.method, self.ssim, self.mse, p, self.n_images)
 
 
-def image_scores(reference, test):
-    """Per-image SSIM and MSE arrays of a stack of test images against
-    their references.
+def image_scores(reference, *tests):
+    """Per-image SSIM and MSE arrays of stacks of test images against one
+    stack of their references: one (ssims, mses) pair per test stack.
 
-    Both stacks are (n, h, w) or (n, h, w, c), scored in plane_chunks of
-    images (SSIM holds about 16 arrays of an image's size). Each image's
-    scores equal :func:`ssim` and :func:`mse` on that image alone, bit for
-    bit, so the scores of consecutive slices of a stack, concatenated,
-    equal the scores of the whole stack. TypeError for an integer stack
+    Every stack is (n, h, w) or (n, h, w, c), the shape of the
+    reference, scored in plane_chunks of images sized for 16 arrays of
+    an image's size: the reference's window statistics are taken once
+    per chunk and shared by every test stack. At its peak SSIM holds
+    about 10 such arrays (tracemalloc, 28 x 28 images, gray or RGB),
+    however many test stacks share the reference. Each image's scores
+    equal :func:`ssim` and :func:`mse` on that image alone, bit for bit,
+    so the scores of consecutive slices of a stack, concatenated, equal
+    the scores of the whole stack. TypeError for an integer stack
     (imagecore.float_stack).
     """
-    reference, test = _pair(float_stack(reference), float_stack(test))
+    reference = float_stack(reference)
+    tests = [_pair(reference, float_stack(test))[1] for test in tests]
     if reference.ndim < 3:
         raise ValueError("expected an image stack")
     n = reference.shape[0]
     if n < 1:
         raise ValueError("empty stack")
-    ssims = np.empty(n)
-    mses = np.empty(n)
+    scores = [(np.empty(n), np.empty(n)) for _ in tests]
     for chunk in plane_chunks(n, 16 * reference[0].size):
-        a, b = reference[chunk], test[chunk]
-        ssims[chunk] = _ssim_images(a, b)
-        mses[chunk] = _mse_images(a, b)
-    return ssims, mses
+        a = reference[chunk]
+        ref = _reference(a)
+        for test, (ssims, mses) in zip(tests, scores):
+            ssims[chunk] = _ssim_images(ref, test[chunk])
+            mses[chunk] = _mse_images(a, test[chunk])
+    return scores

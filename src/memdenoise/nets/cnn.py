@@ -118,8 +118,10 @@ class CnnDenoiser:
         self.k1 = np.asarray(k1, dtype=np.float64)  # (K, k, k)
         self.k3 = np.asarray(k3, dtype=np.float64)  # (K, k, k)
         self.k2 = np.asarray(k2, dtype=np.float64)  # (k, k)
-        if not (self.k1.shape[1:] == self.k2.shape == (KSIZE, KSIZE)
-                and self.k3.shape == self.k1.shape):
+        if self.k1.shape != (KERNELS, KSIZE, KSIZE):
+            raise ValueError(f"k1 is {self.k1.shape}, not the {KERNELS} "
+                             f"{KSIZE}x{KSIZE} kernels of a cnn")
+        if self.k3.shape != self.k1.shape or self.k2.shape != (KSIZE, KSIZE):
             raise ValueError("kernels %r, %r, %r do not fit together"
                              % (self.k1.shape, self.k3.shape, self.k2.shape))
         self.train_noise = train_noise
@@ -128,8 +130,8 @@ class CnnDenoiser:
         self.program_seed = int(program_seed)
         kk = KSIZE * KSIZE
         rng = np.random.default_rng([self.program_seed, 0x70])
-        self.m1 = Layer(self.k1.reshape(-1, kk).T, self.device, rng)
-        self.m3 = Layer(self.k3.reshape(-1, 1), self.device, rng)
+        self.m1 = Layer(self.k1.reshape(KERNELS, kk).T, self.device, rng)
+        self.m3 = Layer(self.k3.reshape(KERNELS * kk, 1), self.device, rng)
         self.m2 = Layer(self.k2.reshape(kk, 1), self.device, rng)
 
     @property
@@ -146,7 +148,7 @@ class CnnDenoiser:
         b, h, w = x.shape
         x = np.clip(x, 0.0, 1.0)
         a1 = self.m1.read(unfold(x, KSIZE))
-        a1 = np.maximum(a1, 0.0).reshape(b, h, w, -1)
+        a1 = np.maximum(a1, 0.0).reshape(b, h, w, KERNELS)
         p, _ = _maxpool(a1.transpose(0, 3, 1, 2))
         y3 = self.m3.read(unfold_stack(p, KSIZE))
         a3 = np.maximum(y3, 0.0).reshape(b, h // 2, w // 2)
@@ -178,9 +180,6 @@ class CnnDenoiser:
     @classmethod
     def from_state(cls, meta, arrays):
         """A CNN from its checkpoint metadata and kernels, programmed anew."""
-        if np.shape(arrays["k1"]) != (KERNELS, KSIZE, KSIZE):
-            raise ValueError(f"k1 is {np.shape(arrays['k1'])}, not the "
-                             f"{KERNELS} {KSIZE}x{KSIZE} kernels of a cnn")
         return cls(arrays["k1"], arrays["k3"], arrays["k2"],
                    train_noise=meta["train_noise"], **device_args(meta))
 

@@ -56,7 +56,28 @@ def quality_report(reference, test, noise="", method=""):
     """The QualityReport eval and sweep emit for a test stack against its
     references: image_scores reduced by QualityReport.from_scores."""
     return QualityReport.from_scores(noise, method,
-                                     *image_scores(reference, test))
+                                     *image_scores(reference, test)[0])
+
+
+def same_bits(a, b):
+    """Whether two float64 arrays hold the same values bit for bit: == that
+    also tells -0.0 from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def planes_of_every_kind(rng, shape):
+    """A stack of random [0, 1] images with exact 0, 1 and -0.0 pixels
+    sprinkled in; its first three images (as many as it has) are all 0,
+    all 1 and all -0.0."""
+    imgs = rng.random(shape)
+    flat = imgs.reshape(-1)
+    for start, value in enumerate((0.0, 1.0, -0.0)):
+        flat[start::7] = value
+    for i, value in zip(range(len(imgs)), (0.0, 1.0, -0.0)):
+        imgs[i] = value
+    return imgs
 
 
 def identity_dense(h, w):

@@ -22,7 +22,7 @@ from memdenoise.crossbar import TILE_COLS, TILE_ROWS, matmul, program, tile_grid
 from memdenoise.device import DeviceModel, quantize
 from memdenoise.hwcost import ComponentBudget, count_tiles
 from memdenoise.classify import evaluate
-from memdenoise.nets.cnn import (CnnDenoiser, _float_forward,
+from memdenoise.nets.cnn import (KERNELS, CnnDenoiser, _float_forward,
                                  cnn_loss_and_grads)
 from memdenoise.baselines import FilterSpec, filter_stack
 from memdenoise.noise import STANDARD_NOISES, corrupt_dataset, parse_spec
@@ -362,6 +362,11 @@ def test_criterion_8_property_suites(tmp_path):
     x = rng.uniform(-1.0, 1.0, (1, 300))  # signed: a two-phase read
     direct = x @ (weights / np.abs(weights).max())
     readout_err = np.abs(matmul(tiled, x) - direct).max()
+    # A CnnDenoiser takes only KERNELS kernels; these come from their own
+    # stream, so the draws below stay as they were.
+    net_rng = np.random.default_rng(0x8B)
+    k1 = net_rng.normal(0.0, 0.3, (KERNELS, 3, 3))
+    k3 = net_rng.normal(0.1, 0.05, (KERNELS, 3, 3))
     cnn = CnnDenoiser(k1, k3, k2)
     route, _ = _float_forward(np.clip(noisy, 0.0, 1.0), k1, k3, k2)
     conv_err = np.abs(cnn.forward_stack(noisy)[0]

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import spec_texts
+from conftest import planes_of_every_kind, same_bits, spec_texts
 from memdenoise.baselines import (MAX_KERNEL_WIDTH, MIN_GAUSS_SIGMA,
                                   MIN_TV_WEIGHT, FilterSpec, filter_stack,
                                   gaussian_blur, median_filter, parse_filter,
                                   tv_denoise)
+from memdenoise.baselines import _tv_planes
+from memdenoise.imagecore import map_planes
 from test_acceptance import TUNE_GRIDS, tune_filter
 
 scipy_ndimage = pytest.importorskip("scipy.ndimage")
@@ -28,6 +30,45 @@ def tv_energy(u, f, tv_weight):
     """Oracle: the objective ||u - f||^2 + 2 * tv_weight * TV(u) that the
     TV filter's dual iteration keeps non-increasing."""
     return float(((u - f) ** 2).sum()) + 2.0 * tv_weight * total_variation(u)
+
+
+def planes_first_tv(f, spec):
+    """The TV dual iteration on an (m, h, w) stack of planes, differences
+    over its last two axes: the planes-first kernel whose bits the
+    planes-last one keeps, op for op."""
+    def gradient(u, gx, gy):
+        np.subtract(u[..., 1:, :], u[..., :-1, :], out=gx[..., :-1, :])
+        np.subtract(u[..., :, 1:], u[..., :, :-1], out=gy[..., :, :-1])
+
+    def divergence(px, py):
+        div = np.zeros_like(px)
+        div[..., :-1, :] += px[..., :-1, :]
+        div[..., 1:, :] -= px[..., :-1, :]
+        div[..., :, :-1] += py[..., :, :-1]
+        div[..., :, 1:] -= py[..., :, :-1]
+        return div
+
+    weight = spec.tv_weight
+    step = 0.125 / weight
+    px, py, gx, gy, norm = (np.zeros_like(f) for _ in range(5))
+    for _ in range(spec.tv_iters):
+        u = f + weight * divergence(px, py)
+        gradient(u, gx, gy)
+        gx *= step
+        gy *= step
+        px += gx
+        py += gy
+        np.sqrt(px**2 + py**2, out=norm)
+        np.maximum(1.0, norm, out=norm)
+        px /= norm
+        py /= norm
+    return f + weight * divergence(px, py)
+
+
+def planes_first_filter(imgs, spec):
+    """filter_stack's TV output from planes_first_tv."""
+    return map_planes(lambda planes: np.clip(planes_first_tv(planes, spec),
+                                             0.0, 1.0), imgs, 1)
 
 
 def one_image(img, spec):
@@ -181,6 +222,39 @@ class TestTotalVariation:
             tv_denoise(np.zeros((8, 8)), 0.0)
         with pytest.raises(ValueError):
             tv_denoise(np.zeros((8, 8)), 0.1, 0)
+
+
+# Stacks the planes-last TV kernel is pinned on: MNIST's side, small and
+# odd-sided planes, RGB and 1-image stacks.
+TV_SHAPES = [(37, 28, 28), (5, 7, 7), (6, 9, 13), (4, 12, 12, 3),
+             (1, 28, 28), (1, 12, 12, 3)]
+
+
+class TestPlanesLastTv:
+    """filter_stack's TV against planes_first_filter, ==, bit for bit."""
+
+    @pytest.mark.parametrize("text", ["tv:0.1:50", "tv:0.35:7"])
+    @pytest.mark.parametrize("shape", TV_SHAPES)
+    def test_equals_the_planes_first_kernel(self, rng, shape, text):
+        imgs = np.clip(rng.random(shape) + rng.normal(0, 0.2, shape), 0, 1)
+        spec = parse_filter(text)
+        assert same_bits(filter_stack(imgs, spec),
+                         planes_first_filter(imgs, spec))
+
+    @pytest.mark.parametrize("shape", [(37, 28, 28), (6, 9, 13), (1, 7, 7)])
+    def test_unclipped_planes_equal_the_planes_first_kernel(self, rng, shape):
+        # noisy planes far outside [0, 1], before filter_stack's clip
+        planes = rng.normal(0.5, 2.0, shape)
+        spec = parse_filter("tv:0.2:30")
+        assert same_bits(_tv_planes(planes, spec),
+                         planes_first_tv(planes, spec))
+
+    @pytest.mark.parametrize("shape", TV_SHAPES)
+    def test_exact_zeros_ones_and_negative_zeros(self, rng, shape):
+        imgs = planes_of_every_kind(rng, shape)
+        spec = parse_filter("tv:0.1:20")
+        assert same_bits(filter_stack(imgs, spec),
+                         planes_first_filter(imgs, spec))
 
 
 class TestDispatch:

@@ -41,7 +41,12 @@ def small_nets():
                            train_noise="sp:0.1", device=dev),
         "fusion": FusionDenoiser(members, rng.normal(0, 0.2, (2, 3, 3)),
                                  device=dev, program_seed=2),
-        "classifier": Classifier.initial(4, (4, 4), seed=1),
+        # 4 hidden units drawn as Classifier.initial((4, 4), seed=1)
+        # draws its HIDDEN: a small blob for the damage tests
+        "classifier": Classifier(
+            np.random.default_rng([1, 0x43]).normal(0.0, np.sqrt(2 / 16),
+                                                    (16, 4)),
+            np.zeros(4), np.zeros((4, 10)), np.zeros(10), (4, 4)),
     }
 
 
@@ -447,7 +452,7 @@ def pinned_checkpoints(dev):
 
     return {
         "dense": dense("gaussian:0.1", 0.5),
-        "cnn": CnnDenoiser(ramp((2, 3, 3), 2.0), ramp((2, 3, 3), 0.25),
+        "cnn": CnnDenoiser(ramp((8, 3, 3), 2.0), ramp((8, 3, 3), 0.25),
                            ramp((3, 3), 1.0), train_noise="gaussian:0.1",
                            **record),
         "fusion": FusionDenoiser(
@@ -457,18 +462,20 @@ def pinned_checkpoints(dev):
 
 
 # sha256 of each checkpoint, recorded before the networks shared one
-# crossbar layer; a change to any checkpoint byte fails here.
+# crossbar layer; a change to any checkpoint byte fails here. The two
+# cnn pins are of 8-kernel nets, recorded when a CnnDenoiser still
+# took any kernel count, and the same there.
 PINNED = {
     "dense-ideal":
         "41cfaf2dfe64d8b025134805fef63c1e8d0bbcffaaeec63a0dff7f3ee3bd3235",
     "cnn-ideal":
-        "ca37e2d500220282a559d5b8db429ffeb3c34ad8cbd145f3fb9d2d665f58ec72",
+        "cd8ea5ad8fa4ab4bb9fa1becef3bc0d9a0042427483be14f85ffaba8cf91d254",
     "fusion-ideal":
         "a9569666790fabe7a58a09515eb4525e28315cb17a1379a3c1dd68ac8b561839",
     "dense-levels4":
         "8d1cc1499d91f7d1948a0bc59e7aaa593674137075523a767381a95faa7b4406",
     "cnn-levels4":
-        "1eb52b678cc728a6bf355c4cce09d7b094c531be83095969cce3bf9d7b615baf",
+        "79fc4f366d791ab426d828d78fb37fdfe138ea58ca6453ff6d46500909596c11",
     "fusion-levels4":
         "7e3c4293779fbc878d63d006de4695dee655640013e49e3352025a526f776623",
     "classifier":

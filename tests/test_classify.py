@@ -46,7 +46,7 @@ def allocating_classifier_train(data, cfg):
     if cfg.limit is not None:
         flat, labels = flat[:cfg.limit], labels[:cfg.limit]
     n = len(flat)
-    clf = Classifier.initial(HIDDEN, images.shape[1:], seed=cfg.seed)
+    clf = Classifier.initial(images.shape[1:], seed=cfg.seed)
     w1, b1, w2, b2 = (a.copy() for a in (clf.w1, clf.b1, clf.w2, clf.b2))
     onehot = np.eye(10)[labels]
     rng = np.random.default_rng([cfg.seed, 0x5F])
@@ -115,28 +115,28 @@ class TestAccuracyReport:
 
 class TestUntrainedClassifier:
     def test_zero_output_layer_predicts_class_zero(self):
-        clf = Classifier.initial(32, (4, 4), seed=5)
+        clf = Classifier.initial((4, 4), seed=5)
         data = toy_data(n=60)
         assert np.all(clf.predict(data.images) == 0)
 
     def test_untrained_accuracy_is_class_zero_fraction(self):
-        clf = Classifier.initial(32, (4, 4), seed=5)
+        clf = Classifier.initial((4, 4), seed=5)
         data = toy_data(n=60)
         expected = float(np.mean(data.labels == 0))
         assert clf.accuracy(data.images, data.labels) == expected
 
     def test_hidden_width_respected(self):
-        clf = Classifier.initial(7, (4, 4))
-        assert clf.w1.shape == (16, 7)
-        assert clf.w2.shape == (7, 10)
+        clf = Classifier.initial((4, 4))
+        assert clf.w1.shape == (16, HIDDEN)
+        assert clf.w2.shape == (HIDDEN, 10)
 
     def test_image_shape_checked(self):
-        clf = Classifier.initial(8, (4, 4))
+        clf = Classifier.initial((4, 4))
         with pytest.raises(ImageShapeError, match=r"\(4, 4\)"):
             clf.predict(np.zeros((2, 5, 5)))
 
     def test_weights_are_read_only(self):
-        clf = Classifier.initial(8, (4, 4))
+        clf = Classifier.initial((4, 4))
         with pytest.raises(ValueError):
             clf.w1[0, 0] = 1.0
 
@@ -201,7 +201,7 @@ class TestTraining:
 
     def test_zero_epochs_returns_initial_weights(self):
         clf = train_classifier(toy_data(), toy_config(epochs=0))
-        init = Classifier.initial(HIDDEN, (4, 4), seed=3)
+        init = Classifier.initial((4, 4), seed=3)
         np.testing.assert_array_equal(clf.w1, init.w1)
         np.testing.assert_array_equal(clf.w2, np.zeros((HIDDEN, 10)))
         assert clf.loss_log == []

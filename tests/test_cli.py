@@ -47,6 +47,7 @@ from memdenoise.baselines import FilterSpec
 from memdenoise.classify import Classifier
 from memdenoise.device import DeviceModel
 from memdenoise.metrics import CSV_HEADER
+from memdenoise.nets import cnn
 from memdenoise.nets.cnn import CnnDenoiser, cnn_train
 from memdenoise.nets.common import TrainingDivergence
 from memdenoise.nets.dense import DenseDenoiser, dense_train
@@ -301,12 +302,14 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_cnn_of_another_geometry_returns_two(self, corpus, capsys,
-                                                 tmp_path):
-        # A 2-kernel CNN can be built and saved, but only the 8 kernels
-        # that cost and training use load.
+                                                 tmp_path, monkeypatch):
+        # A 2-kernel CNN can be built and saved only with the module
+        # patched to it; only the 8 kernels that cost and training use load.
         path = tmp_path / "cnn.bin"
-        CnnDenoiser(np.full((2, 3, 3), 0.1), np.full((2, 3, 3), 0.1),
-                    np.eye(3)).save(path)
+        with monkeypatch.context() as patched:
+            patched.setattr(cnn, "KERNELS", 2)
+            CnnDenoiser(np.full((2, 3, 3), 0.1), np.full((2, 3, 3), 0.1),
+                        np.eye(3)).save(path)
         assert main(["eval", "--data", corpus, "--seed", "1", "--checkpoint",
                      str(path), "--outdir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -367,7 +370,7 @@ class TestExitCodes:
             FusionDenoiser([load_net(dense_ckpt)[1]] * 8,
                            fusion_init(8, kind="identity")).save(path)
         else:
-            Classifier.initial(4, (8, 8)).save(path)
+            Classifier.initial((8, 8)).save(path)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
         flag = "--classifier" if kind == "classifier" else "--checkpoint"
@@ -522,7 +525,7 @@ class TestImageSizeMismatch:
                            fusion_init(8, kind="identity")).save(path)
         elif kind == "classifier":
             path, flag = str(tmp_path / "clf.bin"), "--classifier"
-            Classifier.initial(4, (8, 8)).save(path)
+            Classifier.initial((8, 8)).save(path)
         extra = ["--levels-grid", "4"] if command == "sweep" else []
         assert main([command, "--data", corpus_10x10, "--seed", "1", flag,
                      path, "--outdir", str(tmp_path / "out")] + extra) == 2

@@ -364,12 +364,23 @@ class TestSerialization:
         net.save(path)
         assert ckpt.load(path, CNN)[1].device.levels == 64
 
+    @pytest.mark.parametrize("shapes,cause", [
+        (((2, 3, 3), (2, 3, 3), (3, 3)), r"k1 is \(2, 3, 3\), not the 8 3x3"),
+        (((8, 5, 5), (8, 5, 5), (5, 5)), r"k1 is \(8, 5, 5\), not the 8 3x3"),
+        (((8, 3, 3), (2, 3, 3), (3, 3)), "do not fit together"),
+        (((8, 3, 3), (8, 3, 3), (5, 5)), "do not fit together")],
+        ids=["2-kernels", "5x5", "k3", "k2"])
+    def test_only_the_module_geometry_builds(self, shapes, cause):
+        with pytest.raises(ValueError, match=cause):
+            CnnDenoiser(*(np.full(shape, 0.1) for shape in shapes))
+
     @pytest.mark.parametrize("kernels,ksize", [(2, 3), (8, 5)])
     def test_another_geometry_fails_to_load(self, monkeypatch, tmp_path,
                                             kernels, ksize):
         # A net of another geometry can be built and saved with the module
         # patched to it; its checkpoint does not load, by path.
         with monkeypatch.context() as patched:
+            patched.setattr(cnn, "KERNELS", kernels)
             patched.setattr(cnn, "KSIZE", ksize)
             CnnDenoiser(np.full((kernels, ksize, ksize), 0.1),
                         np.full((kernels, ksize, ksize), 0.1),

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DAMAGE, damaged, identity_dense, quality_report
+from conftest import DAMAGE, damaged, identity_dense
 from memdenoise.baselines import filter_stack, parse_filter
 from memdenoise.imagecore import (BadMagicError, CountMismatchError, Dataset,
                                   DatasetError, ImageShapeError,
                                   TruncatedFileError, load_cifar10, load_mnist,
                                   map_planes, plane_chunks, plane_samples,
                                   write_image)
+from memdenoise.metrics import QualityReport, image_scores
 from memdenoise.nets.cnn import CnnDenoiser
 from memdenoise.nets.fusion import FusionDenoiser
 
@@ -551,7 +552,10 @@ def _rgb_passes():
         "fusion": fusion.forward_stack,
         "median": lambda s: filter_stack(s, parse_filter("median:3")),
         "gauss": lambda s: filter_stack(s, parse_filter("gauss:0.8")),
-        "score": lambda s: quality_report(s, s),
+        "tv": lambda s: filter_stack(s, parse_filter("tv:0.1:5")),
+        # two test stacks share each chunk's reference statistics
+        "score": lambda s: [QualityReport.from_scores("", "", *scores)
+                            for scores in image_scores(s, s, s[::-1])],
     }
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quality_report
+from conftest import planes_of_every_kind, quality_report, same_bits
+from memdenoise.imagecore import plane_samples
 from memdenoise.metrics import (CSV_HEADER, SSIM_WINDOW, QualityReport,
                                 image_scores, mse, ssim)
 
@@ -35,6 +36,37 @@ def brute_force_ssim(a, b, k=SSIM_WINDOW):
             scores.append((2 * mx * my + c1) * (2 * cxy + c2)
                           / ((mx * mx + my * my + c1) * (vx + vy + c2)))
     return float(np.mean(scores))
+
+
+def cumsum_window_sums(x, k):
+    """The k x k window sums of an (m, h, w) stack of planes, plane by
+    plane: np.cumsum down the rows, then along the columns, of an
+    integral image with a zero border."""
+    ii = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1] + 1))
+    np.cumsum(x, axis=-2, out=ii[..., 1:, 1:])
+    np.cumsum(ii[..., 1:, 1:], axis=-1, out=ii[..., 1:, 1:])
+    return (ii[..., k:, k:] - ii[..., :-k, k:] - ii[..., k:, :-k]
+            + ii[..., :-k, :-k])
+
+
+def planes_first_ssim(a, b):
+    """Per-image SSIM of two (m, h, w) or (m, h, w, c) stacks, scored as
+    (m*c, h, w) planes with cumsum_window_sums: the planes-first kernel
+    whose bits the planes-last one keeps."""
+    m = len(a)
+    (a, (h, w)), (b, _) = plane_samples(a), plane_samples(b)
+    a, b = a.reshape(-1, h, w), b.reshape(-1, h, w)
+    k = SSIM_WINDOW
+    n = float(k * k)
+    ua = cumsum_window_sums(a, k) / n
+    ub = cumsum_window_sums(b, k) / n
+    norm = n / (n - 1.0)
+    va = (cumsum_window_sums(a * a, k) / n - ua * ua) * norm
+    vb = (cumsum_window_sums(b * b, k) / n - ub * ub) * norm
+    cab = (cumsum_window_sums(a * b, k) / n - ua * ub) * norm
+    s = ((2.0 * ua * ub + 0.01 ** 2) * (2.0 * cab + 0.03 ** 2)) / (
+        (ua * ua + ub * ub + 0.01 ** 2) * (va + vb + 0.03 ** 2))
+    return np.mean(np.mean(s, axis=(-2, -1)).reshape(m, -1), axis=1)
 
 
 def oracle_pairs():
@@ -171,10 +203,10 @@ class TestEvaluatePairs:
         ref = rng.random(shape)
         test = np.clip(ref + rng.normal(0, 0.2, shape), 0, 1)
         edges = [0, 2, 5, 6, shape[0]]
-        parts = [image_scores(ref[lo:hi], test[lo:hi])
+        parts = [image_scores(ref[lo:hi], test[lo:hi])[0]
                  for lo, hi in zip(edges, edges[1:])]
         ssims, mses = (np.concatenate(scores) for scores in zip(*parts))
-        whole = image_scores(ref, test)
+        (whole,) = image_scores(ref, test)
         assert (ssims == whole[0]).all() and (mses == whole[1]).all()
         assert QualityReport.from_scores("sp:0.1", "dense", ssims, mses) == \
             quality_report(ref, test, "sp:0.1", "dense")
@@ -217,6 +249,53 @@ class TestEvaluatePairs:
         stacks[which] = np.zeros((3, 8, 8), np.uint8)
         with pytest.raises(TypeError, match="Dataset.floats"):
             image_scores(stacks["reference"], stacks["test"])
+
+
+# Stacks the planes-last kernel is pinned on: MNIST's side and the
+# smallest the window fits, an odd-sided one, RGB, 1-image stacks, and
+# two that span several scoring chunks.
+KERNEL_SHAPES = [(41, 28, 28), (5, 7, 7), (6, 9, 13), (4, 12, 12, 3),
+                 (1, 28, 28), (1, 12, 12, 3), (1100, 8, 8), (330, 8, 9, 3)]
+
+
+class TestPlanesLastKernel:
+    """image_scores against planes_first_ssim, ==, bit for bit."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_scores_equal_the_planes_first_kernel(self, rng, shape):
+        ref = rng.random(shape)
+        test = np.clip(ref + rng.normal(0, 0.2, shape), 0, 1)
+        (ssims, mses), = image_scores(ref, test)
+        assert same_bits(ssims, planes_first_ssim(ref, test))
+        axes = tuple(range(1, len(shape)))
+        assert same_bits(mses, np.mean((ref - test) ** 2, axis=axes))
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES[:6])
+    def test_exact_zeros_ones_and_negative_zeros(self, rng, shape):
+        ref = planes_of_every_kind(rng, shape)
+        test = planes_of_every_kind(rng, shape)[::-1].copy()
+        for a, b in ((ref, test), (test, ref), (ref, ref)):
+            (ssims, _), = image_scores(a, b)
+            assert same_bits(ssims, planes_first_ssim(a, b))
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_shared_reference_equals_one_call_per_test(self, rng, shape):
+        ref = rng.random(shape)
+        t1 = np.clip(ref + rng.normal(0, 0.2, shape), 0, 1)
+        t2 = rng.random(shape)
+        both = image_scores(ref, t1, t2)
+        alone = image_scores(ref, t1) + image_scores(ref, t2)
+        assert len(both) == 2
+        for (s, m), (want_s, want_m) in zip(both, alone):
+            assert same_bits(s, want_s) and same_bits(m, want_m)
+
+    def test_no_test_stack_gives_no_scores(self, rng):
+        assert image_scores(rng.random((3, 8, 8))) == []
+
+    def test_every_test_stack_is_checked_against_the_reference(self, rng):
+        ref = rng.random((3, 8, 8))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            image_scores(ref, ref, rng.random((3, 8, 9)))
 
 
 class TestQualityReport:
