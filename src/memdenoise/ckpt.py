@@ -7,13 +7,13 @@ little-endian bytes in header order. Arrays are written straight from
 memory, and a load maps the file read-only and views each array in it:
 no copy of the file, or of any array, is ever held. Loaded arrays are
 read-only. The mapped pages are dropped from memory (release) once they
-are no longer needed: by a network once its load checks have read its
-arrays and again once its readout matrices are built from them, and by a
-save once it has written each array. A later read of a view faults its
-pages back in from the page cache. A save writes a new file that
-replaces the old one, so a file a loaded network still maps is never
-changed under it; a checkpoint must not be truncated or rewritten in
-place while a run reads it.
+are no longer needed: by a dense network (each fusion member) once its
+readout matrix is built and again once its load checks have read its
+weights, and by a save once it has written each array. A later read of a
+view faults its pages back in from the page cache. A save writes a new
+file that replaces the old one, so a file a loaded network still maps is
+never changed under it; a checkpoint must not be truncated or rewritten
+in place while a run reads it.
 """
 
 import json

@@ -38,7 +38,7 @@ from .imagecore import (DatasetError, ImageShapeError, check_count,
                         image_suffix, load_cifar10, load_mnist, plane_chunks,
                         write_image)
 from .nets.cnn import CnnDenoiser, cnn_train
-from .nets.common import TrainConfig, TrainingDivergence, build_readouts
+from .nets.common import TrainConfig, TrainingDivergence
 from .nets.dense import DenseDenoiser, dense_train
 from .nets.fusion import FusionDenoiser, fusion_train
 from .noise import STANDARD_NOISES, corrupt_dataset, parse_spec
@@ -481,12 +481,12 @@ def cmd_eval(config):
     data = _test_split(config)
     # (method label, stack -> stack); noisy rows score the corruption
     # exactly as the noise operator emits it, and analog pipelines clamp
-    # at their own input stage. The net's readout matrices are built
-    # before the pool forks, so its workers share them.
+    # at their own input stage. A net's load builds its readout matrices,
+    # so the pool's workers, forked later, share them.
     pipelines = [("noisy", lambda stack: stack)]
     if config["checkpoint"] is not None:
         kind, net = load_net(config["checkpoint"])
-        pipelines.append((kind, build_readouts(net).forward_stack))
+        pipelines.append((kind, net.forward_stack))
     for spec in map(baselines.parse_filter, config["filters"]):
         pipelines.append((spec.text(),
                           lambda stack, s=spec: baselines.filter_stack(stack, s)))

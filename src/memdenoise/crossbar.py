@@ -36,7 +36,8 @@ def tile_grid(rows, cols):
 
 
 class TiledMatrix:
-    """An immutable programmed crossbar: conductance pair arrays plus masks.
+    """An immutable programmed crossbar: conductance pair arrays plus masks,
+    and the readout matrix built from them when it is made.
 
     prune_mask marks device pairs read as g = 0 in both polarities;
     input_dropout_mask marks rows whose input never reaches the array.
@@ -65,9 +66,11 @@ class TiledMatrix:
             raise ValueError("prune mask shape mismatch")
         if self.input_dropout_mask.shape != (self.rows,):
             raise ValueError("dropout mask shape mismatch")
-        for a in (self.g_pos, self.g_neg, self.prune_mask, self.input_dropout_mask):
+        self._readout = g_pos - g_neg
+        self._readout[self.prune_mask] = 0.0
+        self._readout[self.input_dropout_mask] = 0.0
+        for a in (*self.state().values(), self._readout):
             a.setflags(write=False)
-        self._eff = None
 
     def state(self):
         """Conductances and masks by name, as restore() takes them back."""
@@ -84,15 +87,7 @@ class TiledMatrix:
 
     def effective_weights(self):
         """Readout-visible weight matrix: g_pos - g_neg with masks applied."""
-        if self._eff is None:
-            w = self.g_pos - self.g_neg
-            if self.prune_mask.any():
-                w = np.where(self.prune_mask, 0.0, w)
-            if self.input_dropout_mask.any():
-                w = np.where(self.input_dropout_mask[:, None], 0.0, w)
-            w.setflags(write=False)
-            self._eff = w
-        return self._eff
+        return self._readout
 
 
 def restore(state):

@@ -134,11 +134,6 @@ class CnnDenoiser:
         self.m3 = Layer(self.k3.reshape(KERNELS * kk, 1), self.device, rng)
         self.m2 = Layer(self.k2.reshape(kk, 1), self.device, rng)
 
-    @property
-    def layers(self):
-        """The programmed crossbar layers, in read order."""
-        return (self.m1, self.m3, self.m2)
-
     def _forward_linear(self, x):
         # crossbar route: every convolution is a patch-matrix readout. The
         # chunk's (b, h, w) planes are read as a stack of b patch matrices,

@@ -48,11 +48,6 @@ class DenseDenoiser:
         self.layer = Layer(weights, self.device, np.random.default_rng(
             [self.program_seed, 0x70]), tiled)
 
-    @property
-    def layers(self):
-        """The programmed crossbar layers, in read order."""
-        return (self.layer,)
-
     def reprogram(self, dev, seed=0):
         """Same float weights, freshly programmed through another device."""
         return DenseDenoiser(self.layer.weights, self.shape,
@@ -70,19 +65,18 @@ class DenseDenoiser:
                              rmse_log=self.rmse_log, device=self.device,
                              program_seed=self.program_seed)
 
-    def forward_flat(self, flat):
-        """Denoise a batch of flattened planes, (n, P) -> (n, P)."""
-        flat = np.clip(np.asarray(flat, dtype=np.float64), 0.0, 1.0)
-        x = np.hstack([flat, np.ones((flat.shape[0], 1))])
-        return np.clip(self.layer.read(x), 0.0, 1.0)
-
     def forward_stack(self, images):
         """Denoise a stack of images, one batched readout per map_planes
         chunk (the clamp, bias column and readout hold about 4 planes);
         readout rows are independent, so chunking changes only memory."""
-        return map_planes(
-            lambda planes: self.forward_flat(planes.reshape(len(planes), -1)),
-            images, 4 * self.shape[0] * self.shape[1], self.shape, "dense net")
+        def forward(planes):
+            x = np.ones((len(planes), planes[0].size + 1))  # bias column last
+            np.clip(planes.reshape(len(planes), -1), 0.0, 1.0, out=x[:, :-1])
+            y = self.layer.read(x)
+            return np.clip(y, 0.0, 1.0, out=y)
+
+        return map_planes(forward, images, 4 * self.shape[0] * self.shape[1],
+                          self.shape, "dense net")
 
     def state(self):
         """Checkpoint metadata and named arrays, programmed state included;
@@ -93,16 +87,18 @@ class DenseDenoiser:
 
     @classmethod
     def from_state(cls, meta, arrays):
-        """Inverse of state(). Once every check has read the arrays, their
-        mapped pages are dropped (ckpt.release), so a fusion checkpoint's
-        members are held one at a time."""
-        net = cls(arrays["weights"], meta["shape"],
-                  tiled=crossbar.restore(arrays),
+        """Inverse of state(). The mapped pages are dropped (ckpt.release)
+        once restore has built the readout matrix and again once the checks
+        have read the weights: a fusion checkpoint's members are held one
+        at a time, and no readout faults them back in."""
+        tiled = crossbar.restore(arrays)
+        ckpt.release(*tiled.state().values())
+        net = cls(arrays["weights"], meta["shape"], tiled=tiled,
                   train_noise=meta["train_noise"], **device_args(meta))
         if meta["scale"] != net.layer.gain:
             raise ValueError("stored readout gain %r, weights give %g"
                              % (meta["scale"], net.layer.gain))
-        ckpt.release(*arrays.values())
+        ckpt.release(arrays["weights"])
         return net
 
     def save(self, path):

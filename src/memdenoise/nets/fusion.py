@@ -9,17 +9,19 @@ kernel is trainable here; members stay frozen.
 Training reads the members ahead of the kernel steps: their outputs
 depend only on the shuffled sample order and the per-sample noise draws,
 never on the kernel.  fit hands over each epoch's minibatches first, and
-each member then reads a block of whole consecutive minibatches (about
-2**19 member outputs) in one readout.  A child process forked for the
-epoch (procs.ReadAhead) corrupts each block's samples and reads all
-members but the last while the steps run, and pipes the blocks over,
-pickled, in order and at most about one block ahead; the steps read the
-last member from the noisy inputs each block carries in its slot.  For
-the paper's bank of 8 that splits the work about evenly: the child's
-corruption and 7 readouts against the steps' unfolds, updates and 1
-readout.  With one CPU the blocks are made inline, each as its first
-step needs it.  Each step unfolds its own minibatch's rows of the block
-and adds the kernel update's per-sample terms in sample order.  A
+each member then denoises a block of whole consecutive minibatches
+(about 2**19 member outputs) with its forward_stack: one readout while
+the block is within a member's chunk (at most 83 rows for 8 members at
+28x28, against 167, unless one minibatch is larger).  A child process
+forked for the epoch (procs.ReadAhead) corrupts each block's samples and
+reads all members but the last while the steps run, and pipes the blocks
+over, pickled, in order and at most about one block ahead; the steps
+read the last member from the noisy inputs each block carries in its
+slot.  For the paper's bank of 8 that splits the work about evenly: the
+child's corruption and 7 readouts against the steps' unfolds, updates
+and 1 readout.  With one CPU the blocks are made inline, each as its
+first step needs it.  Each step unfolds its own minibatch's rows of the
+block and adds the kernel update's per-sample terms in sample order.  A
 multi-row minibatch's rows of a block readout have the bits of its own
 readout, so blocking keeps the bits; a 1-row readout takes another BLAS
 path, so a 1-sample minibatch (batch 1, or a 1-sample tail) is still
@@ -35,8 +37,8 @@ from ..device import DeviceModel
 from ..imagecore import map_planes, plane_chunks
 from ..noise import corrupt, parse_spec
 from ..procs import ReadAhead
-from .common import (Layer, TrainConfig, build_readouts, device_args,
-                     device_meta, fit, training_planes)
+from .common import (Layer, TrainConfig, device_args, device_meta, fit,
+                     training_planes)
 from .cnn import unfold_stack
 from .dense import DenseDenoiser
 
@@ -68,35 +70,27 @@ class FusionDenoiser:
                            np.random.default_rng([self.program_seed, 0x70]),
                            tiled)
 
-    @property
-    def layers(self):
-        """The programmed crossbar layers, in read order: the members',
-        then the kernel's."""
-        return (*(layer for m in self.members for layer in m.layers),
-                self.layer)
-
     def forward_stack(self, images):
         """Denoise an (n, h, w) or (n, h, w, c) stack; channels are planes.
 
-        Two levels of chunks: each member clamps and reads an outer
-        map_planes chunk, sized by the member outputs, in one batched
-        readout; the fusion readout then reads the outer chunk's planes
-        an inner plane_chunks chunk at a time, sized by its patch matrix.
-        Readout rows are independent, so chunking changes only the
-        memory held.
+        Two levels of chunks: each member denoises an outer map_planes
+        chunk, sized by the member outputs, with its forward_stack; the
+        fusion readout then reads the outer chunk's planes an inner
+        plane_chunks chunk at a time, sized by its patch matrix. Readout
+        rows are independent, so chunking changes only the memory held.
         """
         (h, w), depth, size = self.shape, len(self.members), self.kernel.size
 
         def forward(chunk):
-            flat = chunk.reshape(len(chunk), -1)
-            planes = np.stack([m.forward_flat(flat) for m in self.members],
-                              axis=1).reshape(-1, depth, h, w)
-            fused = np.empty(flat.shape)
+            planes = np.empty((len(chunk), depth, h, w))
+            for j, member in enumerate(self.members):
+                planes[:, j] = member.forward_stack(chunk)
+            fused = np.empty(chunk.shape)
             for inner in plane_chunks(len(planes), h * w * size):
                 patches = unfold_stack(planes[inner], self.kernel.shape[1])
                 y = self.layer.read(patches.reshape(-1, size))
                 del patches
-                fused[inner] = np.clip(y[:, 0], 0.0, 1.0).reshape(-1, h * w)
+                fused[inner] = np.clip(y[:, 0], 0.0, 1.0).reshape(-1, h, w)
             return fused
 
         return map_planes(forward, images, depth * h * w, self.shape,
@@ -169,7 +163,6 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
     pixel-mean of error times patch, which keeps the learning-rate scale
     of the single-layer rule.
     """
-    members = tuple(map(build_readouts, members))  # before any fork
     specs = ([parse_spec(m.train_noise) for m in members]
              if cfg.clean_fraction < 1.0 else [])
     clean, shape = training_planes(data, cfg)
@@ -181,30 +174,28 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
     per_block = max(1, 2 ** 19 // (depth * p * cfg.batch))
 
     def member_blocks(epoch, runs):
-        # The (rows, members, P) member outputs of each run of minibatches,
-        # but for the last member's slot, which holds the inputs. They do
-        # not depend on the kernel, so each run is corrupted and read
-        # ahead of its steps, one readout per member (the members clamp
-        # their inputs).
+        # The (rows, members, h, w) member outputs of each run of
+        # minibatches, but for the last member's slot, which holds the
+        # inputs. They do not depend on the kernel, so each run is
+        # corrupted and read ahead of its steps, one readout per member
+        # (the members clamp their inputs).
         for run in runs:
             rows = np.concatenate(run)
-            planes = np.empty((len(rows), depth, p))
+            planes = np.empty((len(rows), depth, *shape))
             inputs = planes[:, -1]
             for row, i in enumerate(rows):
                 sample_rng = np.random.default_rng([cfg.seed, epoch, int(i)])
-                if sample_rng.random() < cfg.clean_fraction:
-                    inputs[row] = clean[i]
-                else:
+                inputs[row] = clean[i].reshape(shape)
+                if sample_rng.random() >= cfg.clean_fraction:
                     spec = specs[sample_rng.integers(len(specs))]
-                    inputs[row] = corrupt(clean[i].reshape(shape), spec,
-                                          sample_rng).reshape(-1)
+                    inputs[row] = corrupt(inputs[row], spec, sample_rng)
             for j, member in enumerate(members[:-1]):
-                planes[:, j] = member.forward_flat(inputs)
+                planes[:, j] = member.forward_stack(inputs)
             yield planes
 
     def minibatch_planes(blocks, runs):
         for planes, run in zip(blocks, runs):
-            planes[:, -1] = members[-1].forward_flat(planes[:, -1])
+            planes[:, -1] = members[-1].forward_stack(planes[:, -1])
             lo = 0
             for idx in run:
                 yield planes[lo:lo + len(idx)]
@@ -222,8 +213,7 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
 
     def step(epoch, eta, idx):
         # One unfold per minibatch; the update stays per sample.
-        patches = unfold_stack(next(feed).reshape(len(idx), depth, *shape),
-                               size)
+        patches = unfold_stack(next(feed), size)
         grad = np.zeros_like(kflat)
         terms = []
         for row, i in enumerate(idx):

@@ -63,7 +63,12 @@ class _Child:
 
     def __init__(self, work):
         read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
         if self.pid == 0:
             try:
                 for fd in _held | {read_fd}:

@@ -18,7 +18,6 @@ from memdenoise.classify import Classifier
 from memdenoise.cli import CliError, load_net, main
 from memdenoise.device import DeviceModel
 from memdenoise.nets.cnn import CnnDenoiser
-from memdenoise.nets.common import build_readouts
 from memdenoise.nets.dense import DenseDenoiser
 from memdenoise.nets.fusion import FusionDenoiser, fusion_init
 
@@ -67,6 +66,14 @@ CLASSES = {"dense": DenseDenoiser, "cnn": CnnDenoiser,
 def load(kind, path):
     """The checkpoint at path, read as kind."""
     return ckpt.load(path, {kind: CLASSES[kind].from_state})[1]
+
+
+def crossbar_layers(kind, net):
+    """The programmed crossbar layers of a net of kind, in read order."""
+    if kind == "cnn":
+        return [net.m1, net.m3, net.m2]
+    members = net.members if kind == "fusion" else []
+    return [m.layer for m in members] + [net.layer]
 
 
 class TestLayout:
@@ -280,7 +287,8 @@ class TestNonFiniteValues:
 def test_fusion_checkpoint_streams(tmp_path):
     # A 28x28 fusion net over 8 members writes a 118 MB file. Neither save
     # nor load may hold a second copy of its bytes, and the load holds no
-    # first copy either: it maps the file.
+    # first copy either: it maps the file. What the load keeps is the
+    # readout matrices it builds, one per crossbar.
     member = identity_dense(28, 28)
     net = FusionDenoiser([member] * 8, fusion_init(8, kind="identity"))
     path = tmp_path / "fusion.bin"
@@ -297,9 +305,11 @@ def test_fusion_checkpoint_streams(tmp_path):
         tracemalloc.stop()
         size = path.stat().st_size if path.exists() else 0
         path.unlink(missing_ok=True)
+    readouts = sum(layer.tiled.effective_weights().nbytes
+                   for layer in crossbar_layers("fusion", back))
     assert size > 100 * MB
     assert save_peak - start < 2 * MB
-    assert retained - before < 2 * MB
+    assert retained - before - readouts < 2 * MB
     assert load_peak - retained <= 2 * MB
     assert len(back.members) == 8
 
@@ -331,60 +341,97 @@ def test_failed_save_leaves_the_old_file(blobs, tmp_path, monkeypatch, fault):
     assert [p.name for p in tmp_path.iterdir()] == ["net.bin"]
 
 
-def test_readout_matrices_are_built_when_asked(blobs):
-    # A load maps the file and builds no readout matrix; build_readouts
-    # builds every layer's, a fusion net's members' too, as a caller does
-    # before it forks.
+@pytest.mark.parametrize("kind", ["dense", "cnn", "fusion"])
+def test_a_load_builds_every_readout_matrix(blobs, kind):
+    # Every layer's readout matrix, a fusion net's members' too, is built
+    # by the load: reading them afterwards allocates none of them. Each
+    # is the conductance difference with the masks applied.
     root, _ = blobs
-    for kind, layers in [("dense", 1), ("cnn", 3), ("fusion", 2 + 1)]:
-        net = load(kind, root / kind)
-        tiles = [layer.tiled for layer in net.layers]
-        assert len(tiles) == layers and all(t._eff is None for t in tiles)
-        assert build_readouts(net) is net
-        assert all(t._eff is not None for t in tiles)
+    layers = crossbar_layers(kind, load(kind, root / kind))
+    tracemalloc.start()
+    try:
+        matrices = [layer.tiled.effective_weights() for layer in layers]
+        grown = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grown < sum(w.nbytes for w in matrices) / 2
+    for layer, w in zip(layers, matrices):
+        t = layer.tiled
+        masked = t.prune_mask | t.input_dropout_mask[:, None]
+        assert np.array_equal(w, np.where(masked, 0.0, t.g_pos - t.g_neg))
 
 
 def test_saving_over_a_loaded_net_leaves_it_as_loaded(blobs, tmp_path):
     # A save replaces the file a loaded net maps rather than writing into
-    # it, so the net reads what it loaded, whatever is saved over it.
+    # it, so the net reads what it loaded, whatever is saved over it: its
+    # readouts, and its arrays, which a save of it reads from the mapping.
     root, saved = blobs
     path = tmp_path / "net.bin"
     path.write_bytes(saved["fusion"])
-    net = load("fusion", path)  # its readout matrices are not built yet
+    net = load("fusion", path)
     other = small_nets()["fusion"]
     FusionDenoiser(other.members[::-1], -other.kernel).save(path)
     assert path.read_bytes() != saved["fusion"]
     want = load("fusion", root / "fusion").forward_stack(PROBE)
     assert np.array_equal(net.forward_stack(PROBE), want)
+    net.save(tmp_path / "again")
+    assert (tmp_path / "again").read_bytes() == saved["fusion"]
 
 
-# Loads a fusion checkpoint and builds its readout matrices, printing the
-# RssFile growth (bytes) of those two steps.
-MAPPED_GROWTH = """
-import sys
-from memdenoise.cli import load_net
-from memdenoise.nets.common import build_readouts
-
+RSS_FILE = """
 def rss_file():
     with open("/proc/self/status") as f:
         for line in f:
             if line.startswith("RssFile:"):
                 return int(line.split()[1]) * 1024
+"""
+
+# Loads a checkpoint, printing the RssFile growth (bytes) of the load.
+MAPPED_GROWTH = RSS_FILE + """
+import sys
+from memdenoise.cli import load_net
 
 before = rss_file()
 kind, net = load_net(sys.argv[1])
-build_readouts(net)
 print(rss_file() - before)
 """
+
+# Loads a checkpoint of 28x28 planes and denoises a stack with it,
+# printing the RssFile growth (bytes) of that first forward_stack. A
+# readout of the same shapes on arrays of its own runs first, so the
+# BLAS code it pages in is not counted.
+FIRST_READOUT_GROWTH = RSS_FILE + """
+import sys
+import numpy as np
+from memdenoise.cli import load_net
+
+kind, net = load_net(sys.argv[1])
+images = np.random.default_rng(0).random((8, 28, 28))
+np.clip(np.ones((8, 785)) @ np.ones((785, 784)), 0.0, 1.0)
+before = rss_file()
+net.forward_stack(images)
+print(rss_file() - before)
+"""
+
+
+def mapped_growth(script, path):
+    """The number a script run on the checkpoint at path prints."""
+    src = os.path.dirname(os.path.dirname(ckpt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return int(subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env,
+        check=True, capture_output=True, text=True).stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="RssFile is read from /proc/self/status")
 def test_a_fusion_load_holds_its_members_one_at_a_time(tmp_path):
     # A 28x28 fusion checkpoint over 8 programmed members (about 15 MB
-    # each). The load checks read every member's pages and each readout
-    # matrix reads its layer's again; once read, they are dropped, so the
-    # mapped pages resident at the end are fewer than two members' bytes.
+    # each). Each member's load builds its readout matrix from its
+    # conductances and checks its weights, dropping the pages each step
+    # read, so the mapped pages resident at the end are fewer than two
+    # members' bytes.
     rng = np.random.default_rng(11)
     dev = DeviceModel(levels=64, variation_sigma=0.02)
     members = [DenseDenoiser(rng.normal(0, 0.05, (785, 784)), (28, 28),
@@ -395,16 +442,31 @@ def test_a_fusion_load_holds_its_members_one_at_a_time(tmp_path):
                    device=dev).save(path)
     del members
     member_bytes = path.stat().st_size / 8
-    src = os.path.dirname(os.path.dirname(ckpt.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     try:
-        growth = int(subprocess.run(
-            [sys.executable, "-c", MAPPED_GROWTH, str(path)], env=env,
-            check=True, capture_output=True, text=True).stdout)
+        growth = mapped_growth(MAPPED_GROWTH, path)
     finally:
         path.unlink()
     assert 0 <= growth < 2 * member_bytes
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RssFile is read from /proc/self/status")
+def test_a_loaded_dense_net_reads_no_checkpoint_page(tmp_path):
+    # A programmed, masked 28x28 dense checkpoint (about 15 MB). Its load
+    # built the readout matrix and dropped the mapped pages, so its first
+    # forward_stack faults none of the conductances back in.
+    rng = np.random.default_rng(12)
+    net = DenseDenoiser(rng.normal(0, 0.05, (785, 784)), (28, 28),
+                        device=DeviceModel(levels=64, variation_sigma=0.02))
+    path = tmp_path / "dense.bin"
+    net.with_sparsity(0.1, 0.1).save(path)
+    del net
+    size = path.stat().st_size
+    try:
+        growth = mapped_growth(FIRST_READOUT_GROWTH, path)
+    finally:
+        path.unlink()
+    assert 0 <= growth < size / 16
 
 
 def test_released_arrays_read_back_the_files_bytes(blobs):
@@ -423,13 +485,14 @@ def test_released_arrays_read_back_the_files_bytes(blobs):
 @pytest.mark.parametrize("kind", ["dense", "cnn", "fusion"])
 def test_a_released_net_denoises_and_saves_as_one_never_released(
         blobs, tmp_path, monkeypatch, kind):
-    # The load and build_readouts release the net's mapped pages; the
+    # A dense load, each fusion member's too, releases its mapped pages (a
+    # CNN, programmed anew from its few kernel bytes, releases none); the
     # control net is loaded with release switched off.
     root, saved = blobs
-    net = build_readouts(load(kind, root / kind))
+    net = load(kind, root / kind)
     with monkeypatch.context() as patched:
         patched.setattr(ckpt, "release", lambda *arrays: None)
-        kept = build_readouts(load(kind, root / kind))
+        kept = load(kind, root / kind)
     assert np.array_equal(net.forward_stack(PROBE), kept.forward_stack(PROBE))
     net.save(tmp_path / "again")
     assert (tmp_path / "again").read_bytes() == saved[kind]

@@ -1639,16 +1639,16 @@ class TestFuseCommand:
         # The member readouts run in a child forked for the epoch: an
         # exception there, or its death, exits 2 naming the cause, and the
         # child is waited for.
-        parent, read = os.getpid(), DenseDenoiser.forward_flat
+        parent, read = os.getpid(), DenseDenoiser.forward_stack
 
-        def forward_flat(net, flat):
+        def forward_stack(net, images):
             if os.getpid() != parent:
                 if fault == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise ValueError("boom")
-            return read(net, flat)
+            return read(net, images)
 
-        monkeypatch.setattr(DenseDenoiser, "forward_flat", forward_flat)
+        monkeypatch.setattr(DenseDenoiser, "forward_stack", forward_stack)
         monkeypatch.setattr(procs, "cpus", lambda: 2)
         out = tmp_path / "out"
         assert main(FUSE + ["--data", corpus, "--seed", "5", "--members",

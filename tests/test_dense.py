@@ -228,7 +228,8 @@ class TestDenseDenoiser:
         x = rng.random((5, p))
         ones = np.hstack([x, np.ones((5, 1))])
         want = np.clip(ones @ weights, 0.0, 1.0)
-        np.testing.assert_array_equal(net.forward_flat(x), want)
+        np.testing.assert_array_equal(
+            net.forward_stack(x.reshape(5, 6, 6)).reshape(5, p), want)
 
     def test_forward_clips_input_and_output(self):
         p = 4
@@ -261,7 +262,8 @@ class TestDenseDenoiser:
         imgs = rng.random((2 * step + 1, 28, 28))
         assert len(plane_chunks(len(imgs), 4 * p)) == 2
         flat, _ = plane_samples(imgs)
-        want = net.forward_flat(flat).reshape(imgs.shape)
+        x = np.hstack([np.clip(flat, 0.0, 1.0), np.ones((len(flat), 1))])
+        want = np.clip(net.layer.read(x), 0.0, 1.0).reshape(imgs.shape)
         assert np.array_equal(net.forward_stack(imgs), want)
 
     def test_rgb_planes_share_weights(self, rng):

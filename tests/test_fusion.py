@@ -43,12 +43,12 @@ def recorded_reads(monkeypatch, nets, fault=None):
     then runs in place of the readout."""
     parent, reads = os.getpid(), FORK.SimpleQueue()
     for j, net in enumerate(nets):
-        def forward_flat(flat, read=net.forward_flat, j=j):
-            reads.put((j, len(flat), os.getpid()))
+        def forward_stack(images, read=net.forward_stack, j=j):
+            reads.put((j, len(images), os.getpid()))
             if fault is not None and os.getpid() != parent:
                 fault()
-            return read(flat)
-        monkeypatch.setattr(net, "forward_flat", forward_flat)
+            return read(images)
+        monkeypatch.setattr(net, "forward_stack", forward_stack)
     return reads
 
 
@@ -125,12 +125,12 @@ def per_sample_fusion_train(cfg, members, data, size=3):
                     inputs[row] = np.clip(
                         corrupt(clean[i].reshape(shape), spec, sample_rng),
                         0.0, 1.0).reshape(-1)
-            planes_all = np.stack([m.forward_flat(inputs) for m in members],
-                                  axis=1)
+            planes_all = np.stack(
+                [m.forward_stack(inputs.reshape(-1, *shape)) for m in members],
+                axis=1)
             grad = np.zeros_like(kflat)
             for row, i in enumerate(idx):
-                patches = unfold_stack(
-                    planes_all[row].reshape(len(members), *shape), size)
+                patches = unfold_stack(planes_all[row], size)
                 err = clean[i] - patches @ kflat
                 sq_sum += float(err @ err)
                 grad += patches.T @ err / p
@@ -241,8 +241,9 @@ class TestForward:
         flat, _ = plane_samples(imgs)
         want = []
         for outer in plane_chunks(len(flat), 3 * 64):
-            member_out = np.stack([m.forward_flat(flat[outer]) for m in nets],
-                                  axis=1)
+            member_out = np.stack(
+                [m.forward_stack(flat[outer].reshape(-1, 8, 8)) for m in nets],
+                axis=1)
             for inner in plane_chunks(len(member_out), 64 * 27):
                 patches = np.concatenate(
                     [unfold_stack(planes.reshape(3, 8, 8), 3)
@@ -267,7 +268,9 @@ class TestForward:
         imgs = rng.random((2 * step + 1, 28, 28))
         assert len(plane_chunks(len(imgs), 3 * p)) == 2
         flat, _ = plane_samples(imgs)
-        planes = np.stack([m.forward_flat(flat) for m in members], axis=1)
+        x = np.hstack([np.clip(flat, 0.0, 1.0), np.ones((len(flat), 1))])
+        planes = np.stack([np.clip(m.layer.read(x), 0.0, 1.0)
+                           for m in members], axis=1)
         patches = unfold_stack(planes.reshape(-1, 3, 28, 28), 3)
         want = fused.layer.read(patches.reshape(-1, 27))[:, 0]
         want = np.clip(want, 0.0, 1.0).reshape(imgs.shape)
@@ -405,7 +408,8 @@ class TestTraining:
                     spec = parse_spec(spec_texts[srng.integers(len(spec_texts))])
                     x = np.clip(corrupt(clean[i].reshape(8, 8), spec, srng),
                                 0, 1).reshape(-1)
-                planes = np.stack([m.forward_flat(x[None])[0] for m in nets])
+                planes = np.stack([m.forward_stack(x.reshape(1, 8, 8))[0]
+                                   for m in nets])
                 rows_x.append(planes.reshape(3, -1).T)
                 rows_y.append(clean[i])
         X = np.concatenate(rows_x)

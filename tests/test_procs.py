@@ -6,6 +6,7 @@ tests/test_fusion.py (TestReadAheadChild).
 """
 
 import contextlib
+import errno
 import multiprocessing
 import os
 import signal
@@ -366,6 +367,39 @@ class TestReadAhead:
             reader.close()
         assert multiprocessing.active_children() == []
         assert not procs._held
+
+
+def pipe_fds():
+    """The number of pipes among this process's open file descriptors."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("pipe:")
+        except FileNotFoundError:  # the descriptor listdir read through
+            pass
+    return count
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="open descriptors are read from /proc/self/fd")
+@pytest.mark.parametrize("start", [
+    lambda: procs.fork_map(abs, [1, 2], str),
+    lambda: procs.ReadAhead().start(arrays(2))], ids=["fork_map", "read-ahead"])
+def test_a_failed_fork_leaves_no_pipe_open(monkeypatch, start):
+    # Each failed fork raises its OSError, and neither pipe end made for
+    # the child stays open or held.
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(procs, "cpus", lambda: 2)
+    before, held = pipe_fds(), set(procs._held)
+    with monkeypatch.context() as patched:
+        patched.setattr(procs.os, "fork", fork)
+        for _ in range(3):
+            with pytest.raises(OSError) as info:
+                start()
+            assert info.value.errno == errno.EAGAIN
+    assert pipe_fds() == before and procs._held == held
 
 
 # Maps 100 items over two processes. This process sleeps in item 0; the
