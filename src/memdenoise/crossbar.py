@@ -5,9 +5,18 @@ g_pos carrying w >= 0 and g_neg carrying -w for w < 0 (the unused device
 of each pair stays at ground, so at most one side of a pair is nonzero).
 The array is partitioned into 256x64 tiles. A readout sums the partial
 products of the 256-row blocks in row-block order, so every output's sum
-has one fixed order and results are bit reproducible no matter how
-callers batch their rows. The 64-column tiles of a row block produce
+has one fixed order. The 64-column tiles of a row block produce
 independent outputs, so one product per row block reads them all.
+
+One row rule keeps a readout's bits independent of how callers batch
+its rows: OpenBLAS takes other kernels for a 1-row product (gemv) and,
+on AVX2, for an odd one, so an odd batch is read with one zero row
+appended and that output row dropped. This covers the 784-, 64- and
+8-column crossbars the nets build. A 1-column one (the CNN's m3 and m2,
+the fusion kernel) is a matrix-vector product whose row bits depend on
+the row count mod 4, so its callers read whole planes. On SkylakeX, a
+last column tile wider than 8 and 1-4 past a multiple of 8 (a
+100-column crossbar's 36) is not covered either.
 
 Inputs are non-negative voltages, so a readout is one read phase: every
 caller clamps its input to the [0, 1] window (the dense net, the CNN's
@@ -123,7 +132,11 @@ def _blocked_product(x, w, rows, cols):
     # sums in that order. Column tiles only split outputs, which are
     # independent, so one product per row block reads all the tiles. A
     # partial last tile is read again on its own: BLAS takes other
-    # kernels for narrow products, so its bits come from that read.
+    # kernels for narrow products, so its bits come from that read. An
+    # odd batch gains a zero row, dropped from the result (the row rule).
+    n = x.shape[-2]
+    if n % 2:
+        x = np.concatenate([x, np.zeros(x.shape[:-2] + (1, rows))], axis=-2)
     y = np.zeros(x.shape[:-1] + (cols,), dtype=np.float64)
     last = cols - cols % TILE_COLS
     for r0 in range(0, rows, TILE_ROWS):
@@ -132,7 +145,7 @@ def _blocked_product(x, w, rows, cols):
         if 0 < last < cols:
             part[..., last:] = xb @ wb[:, last:]
         y += part
-    return y
+    return y[..., :n, :]
 
 
 def matmul(m, xs):

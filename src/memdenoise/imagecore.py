@@ -328,13 +328,11 @@ def plane_samples(images):
 
 
 def plane_chunks(n, plane_elements):
-    """Ordered slices covering range(n), each about 2**19 float64s of a
-    stack pass holding plane_elements per plane, so its memory does not
-    grow with n. No chunk is 1 plane unless n == 1 (the tail joins the
-    chunk before it): a 1-row crossbar readout takes another BLAS path."""
-    step = max(2, 2 ** 19 // max(1, plane_elements))
-    edges = [0, *range(step, n - 1, step), n]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    """Consecutive slices of range(n), each of about 2**19 float64s of a
+    stack pass holding plane_elements per plane (at least 1 plane; the
+    last may be short), so its memory does not grow with n."""
+    step = max(1, 2 ** 19 // max(1, plane_elements))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def map_planes(fn, images, plane_elements, shape=None, owner=""):

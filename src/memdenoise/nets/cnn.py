@@ -137,9 +137,8 @@ class CnnDenoiser:
     def _forward_linear(self, x):
         # crossbar route: every convolution is a patch-matrix readout. The
         # chunk's (b, h, w) planes are read as a stack of b patch matrices,
-        # so each plane gets the bits it would get alone: with rows
-        # concatenated, BLAS kernels group rows across plane boundaries
-        # whenever a plane's row count is not a multiple of their unroll.
+        # so each plane gets the bits it would get alone: the 1-column m3
+        # and m2 readouts' row bits depend on a product's row count.
         b, h, w = x.shape
         x = np.clip(x, 0.0, 1.0)
         a1 = self.m1.read(unfold(x, KSIZE))

@@ -22,10 +22,8 @@ child's corruption and 7 readouts against the steps' unfolds, updates
 and 1 readout.  With one CPU the blocks are made inline, each as its
 first step needs it.  Each step unfolds its own minibatch's rows of the
 block and adds the kernel update's per-sample terms in sample order.  A
-multi-row minibatch's rows of a block readout have the bits of its own
-readout, so blocking keeps the bits; a 1-row readout takes another BLAS
-path, so a 1-sample minibatch (batch 1, or a 1-sample tail) is still
-read on its own.
+minibatch's rows of a block readout have the bits of its own readout
+(crossbar's row rule), so blocking keeps the bits.
 """
 
 from __future__ import annotations
@@ -76,8 +74,10 @@ class FusionDenoiser:
         Two levels of chunks: each member denoises an outer map_planes
         chunk, sized by the member outputs, with its forward_stack; the
         fusion readout then reads the outer chunk's planes an inner
-        plane_chunks chunk at a time, sized by its patch matrix. Readout
-        rows are independent, so chunking changes only the memory held.
+        plane_chunks chunk at a time, sized by its patch matrix. A member's
+        rows have the same bits in any chunk (crossbar's row rule), and the
+        1-column fusion readout reads whole planes, whose pixel count is a
+        multiple of 4 at 28x28 and 8x8, so chunking changes only memory.
         """
         (h, w), depth, size = self.shape, len(self.members), self.kernel.size
 
@@ -133,23 +133,6 @@ def fusion_init(member_count: int, size: int = 3, kind: str = "zero"):
     if kind == "identity":
         kernel[:, size // 2, size // 2] = 1.0 / member_count
     return kernel
-
-
-def minibatch_runs(batches, per_block):
-    """The minibatches in order, grouped into runs of at most per_block.
-
-    A 1-sample minibatch (batch 1, or a 1-sample tail) is a run of its
-    own: a 1-row readout takes another BLAS path than a multi-row one,
-    so reading it inside a larger block would change its bits.
-    """
-    run = []
-    for idx in batches:
-        if run and (len(run) == per_block or len(idx) == 1):
-            yield run
-            run = []
-        run.append(idx)
-    if run:
-        yield run
 
 
 def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
@@ -208,7 +191,8 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
         # inline, with one CPU) and taken by the steps in order, which
         # read the last member themselves.
         nonlocal feed
-        runs = list(minibatch_runs(batches, per_block))
+        runs = [batches[lo:lo + per_block]
+                for lo in range(0, len(batches), per_block)]
         feed = minibatch_planes(reader.start(member_blocks(epoch, runs)), runs)
 
     def step(epoch, eta, idx):

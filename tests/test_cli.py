@@ -1212,8 +1212,8 @@ def cnn_ckpt(corpus, tmp_path_factory):
 
 
 def slices_of(monkeypatch, k):
-    """Make eval's tasks take k of the 8x8 test images each (a 1-image
-    tail joins the slice before it)."""
+    """Make eval's tasks take k of the 8x8 test images each (the last
+    slice takes the rest)."""
     monkeypatch.setattr(cli, "_TASK_ARRAYS", 2 ** 19 // (64 * k))
 
 
@@ -1255,7 +1255,7 @@ class TestEvalPool:
     SPLITS = {"dumps-cross-slices": (["--dump", "7"], [5, 10, 15, 20, 24]),
               "limit-1": (["--eval-limit", "1", "--dump", "1"], [1]),
               "1-image-tail": (["--eval-limit", "11", "--dump", "6"],
-                               [5, 11])}
+                               [5, 10, 11])}
 
     @pytest.mark.parametrize("split", sorted(SPLITS))
     @pytest.mark.parametrize("net", ["dense", "cnn"])

@@ -193,13 +193,14 @@ class TestForward:
             assert np.array_equal(out[i], net.forward_stack(imgs[i:i + 1])[0])
 
     def test_chunked_readout_equals_whole_stack_readout(self, rng):
-        # Two chunks of 28x28 planes, the second with the folded 1-plane
-        # tail, against one readout of the whole stack.
+        # Chunks of 37, 37 and 1 28x28 planes against one readout of the
+        # whole stack.
         net = make_cnn(rng)
         widest = 14 * 14 * 8 * 9  # the 3D stage's patches
         step = plane_chunks(10 ** 6, widest)[0].stop
         imgs = rng.random((2 * step + 1, 28, 28))
-        assert len(plane_chunks(len(imgs), widest)) == 2
+        assert [c.stop - c.start for c in plane_chunks(
+            len(imgs), widest)] == [step, step, 1]
         want = np.clip(net._forward_linear(imgs), 0.0, 1.0)
         assert np.array_equal(net.forward_stack(imgs), want)
 

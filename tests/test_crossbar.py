@@ -27,8 +27,12 @@ def two_loop_product(x, w):
 
 
 def two_loop_readout(m, x):
-    """Readout oracle: the per-tile product of the effective weights."""
-    return two_loop_product(x, m.effective_weights())
+    """Readout oracle: the per-tile product of the effective weights, an
+    odd batch read with one zero row appended (the row rule)."""
+    n = len(x)
+    if n % 2:
+        x = np.vstack([x, np.zeros((1, m.rows))])
+    return two_loop_product(x, m.effective_weights())[:n]
 
 
 # The stream of every programming here whose device draws nothing.
@@ -183,6 +187,19 @@ class TestReadout:
             for n in (1, 2, 8, 300):
                 xs = rng.uniform(0.0, 1.0, size=(n, rows))
                 assert np.array_equal(matmul(m, xs), two_loop_readout(m, xs))
+
+    @pytest.mark.parametrize("rows,cols", [(785, 784), (9, 8)])
+    def test_a_slice_reads_the_rows_of_the_whole_batch(self, rng, rows, cols):
+        # The row rule: a multi-column readout's rows do not depend on how
+        # the batch is cut, whatever the slice's length (1 and odd ones
+        # included) or offset.
+        m = program(rng.uniform(-1.0, 1.0, size=(rows, cols)), DeviceModel(),
+                    NO_DRAWS)
+        xs = rng.uniform(0.0, 1.0, size=(300, rows))
+        whole = matmul(m, xs)
+        for a in (7, 30):
+            for n in range(1, 71):
+                assert np.array_equal(matmul(m, xs[a:a + n]), whole[a:a + n])
 
     def test_batched_matches_dense_multiply(self, rng):
         w = rng.uniform(-1.0, 1.0, size=(300, 100))

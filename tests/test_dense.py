@@ -221,13 +221,14 @@ class TestDenseDenoiser:
 
     def test_crossbar_route_equals_float_route(self, rng):
         # ideal device + power-of-two gain: programmed readout must equal
-        # the float matrix product bit for bit
+        # the float matrix product bit for bit, of the 5-row batch with
+        # the zero row the crossbar appends to an odd batch
         p = 36
         weights = rng.uniform(-1.2, 1.2, size=(p + 1, p))
         net = DenseDenoiser(weights, (6, 6))
         x = rng.random((5, p))
-        ones = np.hstack([x, np.ones((5, 1))])
-        want = np.clip(ones @ weights, 0.0, 1.0)
+        ones = np.vstack([np.hstack([x, np.ones((5, 1))]), np.zeros(p + 1)])
+        want = np.clip(ones @ weights, 0.0, 1.0)[:5]
         np.testing.assert_array_equal(
             net.forward_stack(x.reshape(5, 6, 6)).reshape(5, p), want)
 
@@ -252,15 +253,17 @@ class TestDenseDenoiser:
                                                     variation_sigma=0.05)],
                              ids=["ideal", "16-levels"])
     def test_chunked_readout_equals_whole_stack_readout(self, rng, device):
-        # Two chunks, the second with the folded 1-plane tail: at 28x28 a
-        # 1-row readout takes another BLAS path and changes bits.
+        # Chunks of 167, 167 and 1 planes: at 28x28 BLAS takes other
+        # kernels for an odd or a 1-row product, which the readout's row
+        # rule must hide.
         p = 28 * 28
         weights = np.vstack([np.eye(p), np.zeros((1, p))])
         net = DenseDenoiser(weights + rng.normal(0, 0.01, weights.shape),
                             (28, 28), device=device, program_seed=2)
         step = plane_chunks(10 ** 6, 4 * p)[0].stop
         imgs = rng.random((2 * step + 1, 28, 28))
-        assert len(plane_chunks(len(imgs), 4 * p)) == 2
+        assert [c.stop - c.start for c in plane_chunks(
+            len(imgs), 4 * p)] == [step, step, 1]
         flat, _ = plane_samples(imgs)
         x = np.hstack([np.clip(flat, 0.0, 1.0), np.ones((len(flat), 1))])
         want = np.clip(net.layer.read(x), 0.0, 1.0).reshape(imgs.shape)

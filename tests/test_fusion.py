@@ -19,8 +19,7 @@ from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
                                     pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets import fusion as fusion_module
-from memdenoise.nets.fusion import (FusionDenoiser, fusion_init,
-                                    fusion_train, minibatch_runs)
+from memdenoise.nets.fusion import FusionDenoiser, fusion_init, fusion_train
 from memdenoise.noise import corrupt, parse_spec
 from memdenoise.procs import WorkerError
 
@@ -81,8 +80,8 @@ def member_bank(rng, h=8, w=8, count=3):
 
 def member_bank_28(rng, n):
     """Three untrained near-identity 28x28 members and n random images.
-    At 28x28 a 1-row member readout has other bits than the same row of
-    a taller readout, which 8x8 members do not show."""
+    At 28x28 BLAS reads a 1-row or an odd member product with other
+    kernels than an even one, which 8x8 members do not show."""
     p = 28 * 28
     nets = [DenseDenoiser(np.vstack([np.eye(p), np.zeros((1, p))])
                           + rng.normal(0, 0.01, (p + 1, p)), (28, 28),
@@ -98,8 +97,7 @@ def per_sample_fusion_train(cfg, members, data, size=3):
     Each minibatch is corrupted and read by the members on its own, inside
     the SGD loop, where the trainer reads blocks of minibatches ahead of
     the steps. The == cases thus pin that a minibatch's rows of a block
-    readout have the bits of its own readout, and that a 1-row minibatch
-    is still read alone (a 1-row readout takes another BLAS path).
+    readout have the bits of its own readout, a 1-sample minibatch's too.
     """
     specs = [parse_spec(m.train_noise) for m in members]
     clean, shape = plane_samples(data.images)
@@ -211,25 +209,23 @@ class TestForward:
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_forward_stack_matches_per_image(self, rng):
-        # row-independent readout; the members' 1-row readouts take
-        # another BLAS path, so a lone image may differ in the last ulp
-        nets, _ = member_bank(rng)
+        # At 28x28 a lone image's 1-row member readouts take other BLAS
+        # kernels than the 5-row ones but for the row rule
+        nets, ds = member_bank_28(rng, 5)
         kernel = rng.normal(0, 0.1, (3, 3, 3))
         fused = FusionDenoiser(nets, kernel)
-        imgs = rng.random((5, 8, 8))
+        imgs = ds.floats()
         out = fused.forward_stack(imgs)
         for i in range(5):
-            np.testing.assert_allclose(
-                out[i], fused.forward_stack(imgs[i:i + 1])[0], atol=1e-12)
+            assert np.array_equal(out[i], fused.forward_stack(imgs[i:i + 1])[0])
 
     def test_forward_stack_rgb(self, rng):
-        nets, _ = member_bank(rng)
+        nets, _ = member_bank_28(rng, 1)
         fused = FusionDenoiser(nets, fusion_init(3, kind="identity"))
-        imgs = rng.random((2, 8, 8, 3))
+        imgs = rng.random((2, 28, 28, 3))
         out = fused.forward_stack(imgs)
-        assert out.shape == (2, 8, 8, 3)
-        np.testing.assert_allclose(out[0], fused.forward_stack(imgs[:1])[0],
-                                   atol=1e-12)
+        assert out.shape == (2, 28, 28, 3)
+        assert np.array_equal(out[0], fused.forward_stack(imgs[:1])[0])
 
     def test_forward_stack_bits_equal_per_plane_unfold(self, rng):
         # 4500 planes of 8x8 span two outer chunks of member outputs and
@@ -255,10 +251,10 @@ class TestForward:
         assert np.array_equal(fused.forward_stack(imgs), want)
 
     def test_chunked_readouts_equal_whole_stack_readouts(self, rng):
-        # Two outer chunks of 28x28 planes, the second with the folded
-        # 1-plane tail (a 1-row member readout changes bits at 28x28),
-        # against one readout of the whole stack per member and one
-        # fusion readout of its whole patch matrix.
+        # Outer chunks of 222, 222 and 1 28x28 planes (an odd or a 1-row
+        # member product takes other BLAS kernels at 28x28), against one
+        # readout of the whole stack per member and one fusion readout of
+        # its whole patch matrix.
         p = 28 * 28
         members = [DenseDenoiser(np.vstack([np.eye(p), np.zeros((1, p))])
                                  + rng.normal(0, 0.01, (p + 1, p)), (28, 28))
@@ -266,7 +262,8 @@ class TestForward:
         fused = FusionDenoiser(members, rng.normal(0, 0.2, (3, 3, 3)))
         step = plane_chunks(10 ** 6, 3 * p)[0].stop
         imgs = rng.random((2 * step + 1, 28, 28))
-        assert len(plane_chunks(len(imgs), 3 * p)) == 2
+        assert [c.stop - c.start for c in plane_chunks(
+            len(imgs), 3 * p)] == [step, step, 1]
         flat, _ = plane_samples(imgs)
         x = np.hstack([np.clip(flat, 0.0, 1.0), np.ones((len(flat), 1))])
         planes = np.stack([np.clip(m.layer.read(x), 0.0, 1.0)
@@ -373,17 +370,18 @@ class TestTraining:
                 assert (os.getpid() in readers) == (cpus == 1)
         reads.close()
 
-    @pytest.mark.parametrize("sizes,per_block,runs", [
-        ([8, 8, 8, 8, 4], 2, [[8, 8], [8, 8], [4]]),
-        ([8, 8, 1], 27, [[8, 8], [1]]),
-        ([1, 1, 1], 27, [[1], [1], [1]]),
-        ([72, 72], 1, [[72], [72]])])
-    def test_minibatch_runs(self, sizes, per_block, runs):
-        batches = [np.arange(k) for k in sizes]
-        got = list(minibatch_runs(batches, per_block))
-        assert [[len(idx) for idx in run] for run in got] == runs
-        order = [idx for run in got for idx in run]
-        assert all(a is b for a, b in zip(order, batches))
+    def test_a_one_sample_tail_joins_its_block(self, rng, monkeypatch):
+        # 17 samples in minibatches of 8, 8 and 1: each member reads one
+        # 17-row block an epoch, the tail's row inside it.
+        nets, ds = member_bank_28(rng, 17)
+        reads = recorded_reads(monkeypatch, nets)
+        cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.05,
+                          epochs=2, batch=8, seed=4, limit=17)
+        for _ in on_each_feed(monkeypatch, lambda: fusion_train(cfg, nets, ds)):
+            got = drained(reads)
+            for j in range(3):
+                assert [rows for k, rows, _ in got if k == j] == [17, 17]
+        reads.close()
 
     def test_least_squares_oracle_on_synthetic_mix(self, rng):
         # With k=1 kernels the fusion layer is plain linear regression on

@@ -482,14 +482,13 @@ class TestPlaneChunks:
     @pytest.mark.parametrize("plane_elements", [1, 3136, 6272, 2 ** 19,
                                                 2 ** 30])
     def test_slices_cover_the_range_in_order(self, n, plane_elements):
+        # Every chunk but the last holds one step of planes; a short last
+        # chunk, 1 plane included, stays a chunk of its own.
         chunks = plane_chunks(n, plane_elements)
         assert [i for c in chunks for i in range(n)[c]] == list(range(n))
-
-    @pytest.mark.parametrize("n", [2, 3, 167, 168, 335, 336, 1000])
-    @pytest.mark.parametrize("plane_elements", [3136, 2 ** 19, 2 ** 30])
-    def test_no_one_plane_chunk(self, n, plane_elements):
-        sizes = [c.stop - c.start for c in plane_chunks(n, plane_elements)]
-        assert min(sizes) >= 2
+        step = max(1, 2 ** 19 // plane_elements)
+        sizes = [c.stop - c.start for c in chunks]
+        assert sizes == [step] * (n // step) + [n % step] * (n % step > 0)
 
     @pytest.mark.parametrize("plane_elements", [1, 3136, 2 ** 30])
     def test_one_plane_is_one_chunk(self, plane_elements):
@@ -499,11 +498,13 @@ class TestPlaneChunks:
         assert plane_chunks(0, 3136) == []
 
     def test_chunks_hold_about_two_to_the_nineteen_elements(self):
-        # 2**19 // 3136 = 167 planes; the 1-plane tail joins the last chunk
-        assert plane_chunks(335, 3136) == [slice(0, 167), slice(167, 335)]
+        # 2**19 // 3136 = 167 planes; a wider plane is a chunk on its own
+        assert plane_chunks(335, 3136) == [slice(0, 167), slice(167, 334),
+                                           slice(334, 335)]
         assert plane_chunks(336, 3136) == [slice(0, 167), slice(167, 334),
                                            slice(334, 336)]
-        assert plane_chunks(5, 2 ** 30) == [slice(0, 2), slice(2, 5)]
+        assert plane_chunks(3, 2 ** 30) == [slice(0, 1), slice(1, 2),
+                                            slice(2, 3)]
 
 
 class TestMapPlanes:
@@ -516,8 +517,8 @@ class TestMapPlanes:
         assert np.array_equal(out, imgs * 2.0 + 1.0)
         seen, c = [], len(flat) // 5
         map_planes(lambda planes: seen.append(planes.copy()) or planes, imgs,
-                   2 ** 18)  # 2 images per chunk, the tail folded in
-        assert [len(planes) for planes in seen] == [2 * c, 3 * c]
+                   2 ** 18 // c)  # 2 images per chunk, the last 1
+        assert [len(planes) for planes in seen] == [2 * c, 2 * c, c]
         assert np.array_equal(np.concatenate(seen).reshape(flat.shape), flat)
 
     def test_shape_is_checked_by_owner(self):
