@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import DAMAGE, damaged, identity_dense
 from memdenoise.baselines import filter_stack, parse_filter
+from memdenoise.crossbar import matmul, program
+from memdenoise.device import DeviceModel
 from memdenoise.imagecore import (BadMagicError, CountMismatchError, Dataset,
                                   DatasetError, ImageShapeError,
                                   TruncatedFileError, load_cifar10, load_mnist,
@@ -489,6 +491,23 @@ class TestPlaneChunks:
         step = max(1, 2 ** 19 // plane_elements)
         sizes = [c.stop - c.start for c in chunks]
         assert sizes == [step] * (n // step) + [n % step] * (n % step > 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 167, 168, 335, 336, 1000])
+    @pytest.mark.parametrize("plane_elements", [3136, 2 ** 19, 2 ** 30])
+    def test_no_one_plane_chunk(self, n, plane_elements):
+        # No chunk reads as a 1-plane chunk apart: read through a
+        # multi-column crossbar, every chunk, a 1-plane one included, gives
+        # the rows of one whole readout, since the crossbar reads an odd
+        # batch on an even row count.
+        m = program(np.random.default_rng(n).uniform(-1.0, 1.0, size=(9, 8)),
+                    DeviceModel(), np.random.default_rng(0))
+        xs = np.random.default_rng(plane_elements).uniform(size=(n, 9))
+        whole = matmul(m, xs)
+        chunks = plane_chunks(n, plane_elements)
+        assert any(c.stop - c.start == 1 for c in chunks) == (
+            plane_elements > 2 ** 18 or n % 167 == 1)
+        for c in chunks:
+            assert np.array_equal(matmul(m, xs[c]), whole[c])
 
     @pytest.mark.parametrize("plane_elements", [1, 3136, 2 ** 30])
     def test_one_plane_is_one_chunk(self, plane_elements):
