@@ -54,8 +54,6 @@ def _naming(key):
     a CliError naming key."""
     try:
         yield
-    except CliError:
-        raise
     except (TypeError, ValueError) as e:
         raise CliError(f"{key}: {e}") from None
 

@@ -291,17 +291,14 @@ def estimate(point: DesignPoint, budget: ComponentBudget | None = None) -> Hardw
     else:
         sram_adc_power = sram_adc_active = sram_adc_area = 0.0
 
-    return _finite(HardwareCostReport(
-        network=point.network, mode=point.mode, phase=point.phase,
-        devices=forward.devices, tiles=forward.tiles,
+    return _finite(dataclasses.replace(
+        forward,
         # Only the programmed polarity draws power, for a read slot of
         # each write pulse.
         crossbar_power=forward.tiles * budget.tile_power,
         crossbar_active_time=update_active,
-        crossbar_area=forward.crossbar_area,
         cmos_power=budget.cmos_chain_power,
         cmos_active_time=forward.time_per_image + error_latency,
-        cmos_area=forward.cmos_area,
         sram_adc_power=sram_adc_power,
         sram_adc_active_time=sram_adc_active,
         sram_adc_area=sram_adc_area,

@@ -108,35 +108,22 @@ class DenseDenoiser:
 def dense_train(cfg: TrainConfig, data):
     """Train a dense denoiser on clean planes corrupted afresh each epoch,
     sample i in epoch e from substream [seed, e, i], by the delta rule
-    (mean update over the batch) under fit.
-
-    The input, error and update buffers are allocated once per run; each
-    in-place step is the same IEEE operation as its allocating form, so
-    the trained bits do not depend on the buffering.
-    """
+    (mean update over the batch) under fit."""
     clean, shape = training_planes(data, cfg)
     n, p = clean.shape
     weights = np.zeros((p + 1, p))
     if cfg.init == "identity":
         weights[:p] = np.eye(p)
-    rows = min(cfg.batch, n)
-    x_buf = np.ones((rows, p + 1))  # column p is the bias input, set once
-    err_buf = np.empty((rows, p))
-    g = np.empty((p + 1, p))
 
     def step(epoch, eta, idx):
-        x, err = x_buf[:len(idx)], err_buf[:len(idx)]
+        x = np.ones((len(idx), p + 1))  # bias column last
         for row, i in zip(x, idx):
             row[:p] = corrupt_plane(clean[i], shape, cfg.train_noise,
                                     [cfg.seed, epoch, int(i)])
-        np.matmul(x, weights, out=err)
-        np.subtract(clean[idx], err, out=err)
+        err = clean[idx] - x @ weights
         if eta != 0.0:
-            np.matmul(x.T, err, out=g)
-            np.multiply(g, eta / len(idx), out=g)
-            np.add(weights, g, out=weights)
-        np.multiply(err, err, out=err)  # err is spent: square in place
-        return [float(np.sum(err))]
+            weights[...] += (eta / len(idx)) * (x.T @ err)
+        return [float(np.sum(err * err))]
 
     rmse_log = fit(cfg, n, step, [weights],
                    lambda s: float(np.sqrt(s / (n * p))), in_loop=[weights])

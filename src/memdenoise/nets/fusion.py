@@ -152,9 +152,6 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
     n, p = clean.shape
     depth = len(members)
     kflat = fusion_init(depth, size, cfg.init).reshape(-1)
-    # Minibatches per block: about 2**19 member outputs, the plane_chunks
-    # budget, so the block held does not grow with n.
-    per_block = max(1, 2 ** 19 // (depth * p * cfg.batch))
 
     def member_blocks(epoch, runs):
         # The (rows, members, h, w) member outputs of each run of
@@ -191,8 +188,8 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
         # inline, with one CPU) and taken by the steps in order, which
         # read the last member themselves.
         nonlocal feed
-        runs = [batches[lo:lo + per_block]
-                for lo in range(0, len(batches), per_block)]
+        runs = [batches[chunk] for chunk
+                in plane_chunks(len(batches), depth * p * cfg.batch)]
         feed = minibatch_planes(reader.start(member_blocks(epoch, runs)), runs)
 
     def step(epoch, eta, idx):

@@ -102,6 +102,10 @@ class TestSpec:
             with pytest.raises(ValueError):
                 parse_filter(bad)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            FilterSpec("box")
+
     def test_smallest_sigma_and_weight_are_the_identity(self, rng):
         # At the floors the Gaussian kernel is exactly [0, 1, 0] and the
         # TV step 0.125 / weight stays finite, squares included, even on

@@ -1,7 +1,9 @@
 """The checkpoint container: layout, hostile bytes, and streamed memory."""
 
 import hashlib
+import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -168,6 +170,46 @@ class TestHostileBytes:
         size = len(saved[kind])
         assert str(info.value) == (f"{path}: holds {size - 1} bytes, "
                                    f"expected {size}")
+
+
+def with_header(path, header):
+    """Write a checkpoint of the given JSON header and no array bytes: the
+    magic, version 1 and the header length, then the header."""
+    blob = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<8sII", ckpt.MAGIC, 1, len(blob)) + blob)
+
+
+class TestMalformedHeader:
+    HEADERS = [
+        ({"kind": "dense", "meta": {}, "arrays": [["w", "<i4", [2]]]},
+         "bad array entry 'w'"),
+        ({"kind": 3, "meta": {}, "arrays": []}, "bad kind 3"),
+    ]
+
+    @pytest.mark.parametrize("header, cause", HEADERS,
+                             ids=["int32-array", "int-kind"])
+    def test_named_with_the_path(self, tmp_path, header, cause):
+        path = tmp_path / "bad.bin"
+        with_header(path, header)
+        message = f"{path}: malformed checkpoint header: {cause}"
+        with pytest.raises(ValueError) as info:
+            load("dense", path)
+        assert str(info.value) == message
+        with pytest.raises(CliError) as info:
+            load_net(str(path))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("header, cause", HEADERS,
+                             ids=["int32-array", "int-kind"])
+    def test_eval_exits_two(self, tmp_path, capsys, header, cause):
+        path = tmp_path / "bad.bin"
+        with_header(path, header)
+        assert main(["eval", "--data", str(tiny_test_split(tmp_path)),
+                     "--seed", "1", "--checkpoint", str(path),
+                     "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed checkpoint header: {cause}\n")
+        assert not (tmp_path / "out").exists()
 
 
 def rewritten(path, kind, edit):

@@ -300,6 +300,13 @@ class TestSerialization:
         np.testing.assert_array_equal(load_classifier(path).predict(probe.images),
                                       clf.predict(probe.images))
 
+    def test_layers_that_do_not_fit_name_the_four_shapes(self):
+        with pytest.raises(ValueError) as info:
+            Classifier(np.zeros((16, 5)), np.zeros(5), np.zeros((5, 9)),
+                       np.zeros(10), (4, 4))
+        assert str(info.value) == ("layers (16, 5), (5,), (5, 9), (10,) "
+                                   "do not fit (4, 4) images")
+
     def test_bad_magic_names_the_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

@@ -149,6 +149,13 @@ class TestConfigMerging:
         err = capsys.readouterr().err
         assert err == f"error: seed must be an integer, got {seed!r}\n"
 
+    def test_missing_config_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["cost", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: ")
+        assert str(path) in err
+
     def test_nested_key_must_be_object(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": 1, "train": 3}))

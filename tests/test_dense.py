@@ -458,10 +458,11 @@ class TestTraining:
 
 
 def allocating_dense_train(cfg, data):
-    """(weights, rmse_log) of the delta-rule loop with fresh temporaries.
+    """(weights, rmse_log) of the delta rule as a plain loop of its own.
 
-    The oracle for dense_train's in-place buffers: every step allocates
-    its result, as the loop did before it was buffered.
+    The oracle for dense_train: it draws its own shuffle, steps its own
+    epochs and learning-rate decay, and builds each step's input with
+    np.hstack, without fit or training_planes.
     """
     clean, shape = plane_samples(data.images)
     if cfg.limit is not None:
@@ -491,6 +492,8 @@ def allocating_dense_train(cfg, data):
 
 
 class TestBufferedDeltaRule:
+    """dense_train's trained bits equal allocating_dense_train's."""
+
     @pytest.mark.parametrize("n, batch, lr, init", [
         (37, 8, 0.02, "zero"),       # tail batch of 5
         (37, 64, 0.02, "zero"),      # batch > n: one short batch per epoch

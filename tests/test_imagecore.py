@@ -170,6 +170,21 @@ class TestCifarLoading:
         with pytest.raises(BadMagicError):
             load_cifar10(str(tmp_path), "test")
 
+    def test_concatenated_gzip_members_rejected(self, tmp_path):
+        # The trailer states the last member's 3073 bytes; the stream
+        # holds both members' 6146.
+        record = bytes(3073)
+        (tmp_path / "test_batch.bin.gz").write_bytes(
+            gzip.compress(record, mtime=0) * 2)
+        with pytest.raises(BadMagicError, match="holds more than the 3073 "
+                           "bytes its gzip trailer states"):
+            load_cifar10(str(tmp_path), "test")
+
+    def test_unknown_split_rejected(self, tmp_path):
+        (tmp_path / "test_batch.bin").write_bytes(bytes(3073))
+        with pytest.raises(ValueError, match="unknown split 'val'"):
+            load_cifar10(str(tmp_path), "val")
+
     def test_batches_join_in_file_order(self, tmp_path):
         # The train split is five batch files, copied into one array.
         gen = np.random.default_rng(4)
@@ -477,6 +492,14 @@ class TestPortableImages:
     def test_bad_image_shape(self, tmp_path):
         with pytest.raises(ValueError):
             write_image(np.zeros((2, 2, 4)), tmp_path / "b.pgm")
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (2, 3, 4, 3, 1)])
+def test_plane_samples_refuses_other_ranks(shape):
+    with pytest.raises(ValueError) as info:
+        plane_samples(np.zeros(shape))
+    assert str(info.value) == ("expected an (n, h, w) or (n, h, w, c) "
+                               f"stack, got shape {shape}")
 
 
 class TestPlaneChunks:
