@@ -137,13 +137,12 @@ def train_classifier(data, cfg: TrainConfig):
         hid = np.maximum(0.0, pre)
         prob = _softmax(hid @ w2 + b2)
         picked = prob[np.arange(len(idx)), labels[idx]]
-        if eta != 0.0:
-            g_logit = (prob - y) / len(idx)
-            g_hid = (g_logit @ w2.T) * (pre > 0)
-            grads = (x.T @ g_hid, g_hid.sum(axis=0), hid.T @ g_logit,
-                     g_logit.sum(axis=0))
-            for a, g in zip(layers, grads):
-                a -= eta * g
+        g_logit = (prob - y) / len(idx)
+        g_hid = (g_logit @ w2.T) * (pre > 0)
+        grads = (x.T @ g_hid, g_hid.sum(axis=0), hid.T @ g_logit,
+                 g_logit.sum(axis=0))
+        for a, g in zip(layers, grads):
+            a -= eta * g
         return [float(-np.sum(np.log(np.maximum(picked, 1e-300))))]
 
     loss_log = fit(cfg, n, step, layers, lambda s: s / n)

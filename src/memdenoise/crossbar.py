@@ -14,9 +14,10 @@ on AVX2, for an odd one, so an odd batch is read with one zero row
 appended and that output row dropped. This covers the 784-, 64- and
 8-column crossbars the nets build. A 1-column one (the CNN's m3 and m2,
 the fusion kernel) is a matrix-vector product whose row bits depend on
-the row count mod 4, so its callers read whole planes. On SkylakeX, a
-last column tile wider than 8 and 1-4 past a multiple of 8 (a
-100-column crossbar's 36) is not covered either.
+the row count mod 4, so both nets read it as a stack of per-plane
+patch matrices, and each plane gets the bits it gets alone. On
+SkylakeX, a last column tile wider than 8 and 1-4 past a multiple of 8
+(a 100-column crossbar's 36) is not covered either.
 
 Inputs are non-negative voltages, so a readout is one read phase: every
 caller clamps its input to the [0, 1] window (the dense net, the CNN's
@@ -89,10 +90,6 @@ class TiledMatrix:
     def tiles_per_polarity(self):
         gr, gc = tile_grid(self.rows, self.cols)
         return gr * gc
-
-    @property
-    def devices_per_polarity(self):
-        return self.rows * self.cols
 
     def effective_weights(self):
         """Readout-visible weight matrix: g_pos - g_neg with masks applied."""
@@ -172,13 +169,13 @@ def apply_sparsity(m, dropout_frac, prune_frac, rng):
     if not (0.0 <= dropout_frac < 1.0 and 0.0 <= prune_frac < 1.0):
         raise ValueError("fractions must lie in [0, 1)")
     n_drop = int(np.floor(dropout_frac * m.rows + 0.5))
-    n_prune = int(np.floor(prune_frac * m.devices_per_polarity + 0.5))
+    n_prune = int(np.floor(prune_frac * m.g_pos.size + 0.5))
     drop = np.zeros(m.rows, dtype=bool)
     if n_drop:
         drop[rng.choice(m.rows, size=n_drop, replace=False)] = True
     prune = np.zeros((m.rows, m.cols), dtype=bool)
     if n_prune:
-        flat = rng.choice(m.devices_per_polarity, size=n_prune, replace=False)
+        flat = rng.choice(m.g_pos.size, size=n_prune, replace=False)
         prune[np.unravel_index(flat, prune.shape)] = True
     return TiledMatrix(m.g_pos, m.g_neg, prune_mask=prune,
                        input_dropout_mask=drop)

@@ -45,16 +45,6 @@ def _patches(x, k):
     return _windows(x, k).reshape(x.shape + (k * k,))
 
 
-def conv_same(x, kern):
-    """2-D correlation with zero padding keeping the spatial shape.
-
-    x: (..., h, w) batch of planes; kern: (k, k). Vectorized over leading
-    axes via an unfolded patch matrix.
-    """
-    k = kern.shape[0]
-    return _patches(x, k) @ kern.reshape(k * k)
-
-
 def unfold(x, k=3):
     """im2col: (..., h, w) -> (..., h*w, k*k) zero-padded same-size patches."""
     *lead, h, w = x.shape
@@ -138,7 +128,8 @@ class CnnDenoiser:
         # crossbar route: every convolution is a patch-matrix readout. The
         # chunk's (b, h, w) planes are read as a stack of b patch matrices,
         # so each plane gets the bits it would get alone: the 1-column m3
-        # and m2 readouts' row bits depend on a product's row count.
+        # and m2 readouts' row bits depend on a product's row count
+        # (crossbar's 1-column rule, which fusion's kernel follows too).
         b, h, w = x.shape
         x = np.clip(x, 0.0, 1.0)
         a1 = self.m1.read(unfold(x, KSIZE))
@@ -216,7 +207,7 @@ def _float_backward(g_out, cache, k1, k3, k2):
     kn, ks = k1.shape[0], k1.shape[1]
     g_y2 = _upsample_back(g_out)
     g_k2 = _kernel_grads(pa3, g_y2)
-    g_y3 = conv_same(g_y2, k2[::-1, ::-1]) * (y3 > 0)
+    g_y3 = (_patches(g_y2, ks) @ k2[::-1, ::-1].reshape(-1)) * (y3 > 0)
     g_k3 = np.stack([_kernel_grads(pp[:, k], g_y3) for k in range(kn)], axis=1)
     pg = _patches(g_y3, ks)
     g_p = np.stack([pg @ k3[k][::-1, ::-1].reshape(-1) for k in range(kn)],
@@ -268,8 +259,7 @@ def cnn_train(cfg: TrainConfig, data):
             g = np.zeros_like(k)
             for b in range(len(idx)):
                 g += d[b]
-            if eta != 0.0:
-                k -= (eta / len(idx)) * g
+            k -= (eta / len(idx)) * g
         return loss
 
     n = len(clean)

@@ -121,8 +121,7 @@ def dense_train(cfg: TrainConfig, data):
             row[:p] = corrupt_plane(clean[i], shape, cfg.train_noise,
                                     [cfg.seed, epoch, int(i)])
         err = clean[idx] - x @ weights
-        if eta != 0.0:
-            weights[...] += (eta / len(idx)) * (x.T @ err)
+        weights[...] += (eta / len(idx)) * (x.T @ err)
         return [float(np.sum(err * err))]
 
     rmse_log = fit(cfg, n, step, [weights],

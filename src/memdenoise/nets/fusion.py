@@ -76,8 +76,9 @@ class FusionDenoiser:
         fusion readout then reads the outer chunk's planes an inner
         plane_chunks chunk at a time, sized by its patch matrix. A member's
         rows have the same bits in any chunk (crossbar's row rule), and the
-        1-column fusion readout reads whole planes, whose pixel count is a
-        multiple of 4 at 28x28 and 8x8, so chunking changes only memory.
+        1-column fusion readout reads the chunk as a stack of per-plane
+        patch matrices, as the CNN does, so each plane gets the bits it
+        gets alone and chunking changes only memory.
         """
         (h, w), depth, size = self.shape, len(self.members), self.kernel.size
 
@@ -88,9 +89,9 @@ class FusionDenoiser:
             fused = np.empty(chunk.shape)
             for inner in plane_chunks(len(planes), h * w * size):
                 patches = unfold_stack(planes[inner], self.kernel.shape[1])
-                y = self.layer.read(patches.reshape(-1, size))
+                y = self.layer.read(patches)
                 del patches
-                fused[inner] = np.clip(y[:, 0], 0.0, 1.0).reshape(-1, h, w)
+                fused[inner] = np.clip(y[..., 0], 0.0, 1.0).reshape(-1, h, w)
             return fused
 
         return map_planes(forward, images, depth * h * w, self.shape,
@@ -201,8 +202,7 @@ def fusion_train(cfg: TrainConfig, members, data, size: int = 3):
             err = clean[i] - patches[row] @ kflat
             terms.append(float(err @ err))
             grad += patches[row].T @ err / p
-        if eta != 0.0:
-            kflat[...] += (eta / len(idx)) * grad
+        kflat[...] += (eta / len(idx)) * grad
         return terms
 
     try:

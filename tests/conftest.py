@@ -21,6 +21,7 @@ from memdenoise.cli import (CLASSIFIER_RECIPE, DENSE_RATE_OVERRIDES,
                             TRAIN_RECIPES)
 from memdenoise.imagecore import load_mnist
 from memdenoise.metrics import QualityReport, image_scores
+from memdenoise.nets.cnn import _patches
 from memdenoise.nets.common import TrainConfig
 from memdenoise.nets.dense import DenseDenoiser, dense_train
 from memdenoise.nets.fusion import fusion_train
@@ -78,6 +79,13 @@ def planes_of_every_kind(rng, shape):
     for i, value in zip(range(len(imgs)), (0.0, 1.0, -0.0)):
         imgs[i] = value
     return imgs
+
+
+def conv_same(x, kern):
+    """2-D correlation of (..., h, w) planes with a (k, k) kernel, zero
+    padded to keep the spatial shape: one product over the patches."""
+    k = kern.shape[0]
+    return _patches(x, k) @ kern.reshape(k * k)
 
 
 def identity_dense(h, w):

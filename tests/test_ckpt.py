@@ -386,19 +386,14 @@ def test_failed_save_leaves_the_old_file(blobs, tmp_path, monkeypatch, fault):
 @pytest.mark.parametrize("kind", ["dense", "cnn", "fusion"])
 def test_a_load_builds_every_readout_matrix(blobs, kind):
     # Every layer's readout matrix, a fusion net's members' too, is built
-    # by the load: reading them afterwards allocates none of them. Each
-    # is the conductance difference with the masks applied.
+    # by the load: each read returns that one read-only array, never a
+    # new one. Each is the conductance difference with the masks applied.
     root, _ = blobs
     layers = crossbar_layers(kind, load(kind, root / kind))
-    tracemalloc.start()
-    try:
-        matrices = [layer.tiled.effective_weights() for layer in layers]
-        grown = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert grown < sum(w.nbytes for w in matrices) / 2
-    for layer, w in zip(layers, matrices):
+    for layer in layers:
         t = layer.tiled
+        w = t.effective_weights()
+        assert t.effective_weights() is w and not w.flags.writeable
         masked = t.prune_mask | t.input_dropout_mask[:, None]
         assert np.array_equal(w, np.where(masked, 0.0, t.g_pos - t.g_neg))
 

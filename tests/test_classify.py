@@ -8,7 +8,7 @@ can be checked in milliseconds without the real dataset.
 import numpy as np
 import pytest
 
-from conftest import identity_dense
+from conftest import identity_dense, same_bits
 from memdenoise import ckpt, classify, crossbar
 from memdenoise.classify import (
     ACCURACY_CSV_HEADER,
@@ -205,6 +205,13 @@ class TestTraining:
         np.testing.assert_array_equal(clf.w1, init.w1)
         np.testing.assert_array_equal(clf.w2, np.zeros((HIDDEN, 10)))
         assert clf.loss_log == []
+
+    def test_zero_learning_rate_keeps_initial_weights(self):
+        clf = train_classifier(toy_data(), toy_config(learning_rate=0.0,
+                                                      epochs=2))
+        init = Classifier.initial((4, 4), seed=3)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert same_bits(getattr(clf, name), getattr(init, name))
 
     def test_limit_truncates_training_set(self):
         limited = train_classifier(toy_data(), toy_config(limit=50))

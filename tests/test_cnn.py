@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import conv_same, same_bits
 from memdenoise import ckpt
 from memdenoise.device import DeviceModel
 from memdenoise.imagecore import plane_chunks, plane_samples
 from memdenoise.nets import cnn
 from memdenoise.nets.cnn import (KERNELS, KSIZE, CnnDenoiser, _float_forward,
-                                 cnn_loss_and_grads, cnn_train, conv_same,
-                                 unfold, unfold_stack)
+                                 cnn_loss_and_grads, cnn_train, unfold,
+                                 unfold_stack)
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
                                     corrupt_plane)
 from memdenoise.noise import parse_spec
@@ -267,6 +268,14 @@ class TestTraining:
         assert np.array_equal(net.k3, k3)
         assert np.array_equal(net.k2, k2)
         assert net.rmse_log == rmse_log
+
+    def test_zero_learning_rate_keeps_init_kernels(self, rng):
+        cfg = TrainConfig(parse_spec("gaussian:0.1"), learning_rate=0.0,
+                          epochs=2, batch=4, seed=3)
+        net = cnn_train(cfg, self.make_dataset(rng))
+        want = initial_kernels(np.random.default_rng([3, 0x31]))
+        for got, k in zip((net.k1, net.k3, net.k2), want):
+            assert same_bits(got, k)
 
     def test_stacked_loss_and_grads_equal_single_samples(self, rng):
         k1 = rng.normal(0, 0.3, (2, 3, 3))

@@ -159,7 +159,6 @@ class TestProgram:
     def test_counts(self):
         m = program(np.zeros((784, 784)), DeviceModel(), NO_DRAWS)
         assert m.tiles_per_polarity == 52
-        assert m.devices_per_polarity == 784 * 784
 
 
 class TestReadout:
@@ -247,7 +246,7 @@ class TestSparsity:
         s = apply_sparsity(m, 0.2, 0.0, np.random.default_rng(0))
         assert s.input_dropout_mask.sum() == 157
         s = apply_sparsity(m, 0.0, 0.1, np.random.default_rng(0))
-        assert s.prune_mask.sum() == round(0.1 * m.devices_per_polarity)
+        assert s.prune_mask.sum() == round(0.1 * m.g_pos.size)
 
     def test_half_row_rounds_up(self, rng):
         m = self.make(rng, rows=3, cols=2)

@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import identity_dense
+from conftest import identity_dense, same_bits
 from memdenoise import ckpt
 from memdenoise.device import DeviceModel
 from memdenoise.crossbar import TiledMatrix
@@ -384,6 +384,24 @@ class TestTraining:
                           epochs=1, batch=4, init="identity")
         net = dense_train(cfg, ds)
         np.testing.assert_array_equal(net.layer.weights[:64], np.eye(64))
+
+    @pytest.mark.parametrize("device_in_loop", [False, True])
+    @pytest.mark.parametrize("init", ["zero", "identity"])
+    def test_zero_learning_rate_keeps_init_weights(self, rng, init,
+                                                   device_in_loop):
+        # 16 levels hold 0 and 1, so reprogramming each epoch keeps either
+        # init too, up to the sign of a zero: the grid reads 0 back as -0.0.
+        ds = tiny_dataset(rng)
+        cfg = TrainConfig(parse_spec("gaussian:0.1"), learning_rate=0.0,
+                          epochs=2, batch=4, seed=1, init=init,
+                          device=DeviceModel(levels=16),
+                          device_in_loop=device_in_loop)
+        want = np.zeros((65, 64))
+        if init == "identity":
+            want[:64] = np.eye(64)
+        got = dense_train(cfg, ds).layer.weights
+        assert np.array_equal(got, want)
+        assert device_in_loop or same_bits(got, want)
 
     def test_rmse_log_one_entry_per_epoch(self, rng):
         ds = tiny_dataset(rng)

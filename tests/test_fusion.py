@@ -10,11 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import identity_dense, running
+from conftest import conv_same, identity_dense, running, same_bits
 from memdenoise import ckpt, crossbar, procs
 from memdenoise.device import DeviceModel
 from memdenoise.imagecore import Dataset, plane_chunks, plane_samples
-from memdenoise.nets.cnn import conv_same, unfold_stack
+from memdenoise.nets.cnn import unfold_stack
 from memdenoise.nets.common import (TrainConfig, TrainingDivergence,
                                     pow2_scale)
 from memdenoise.nets.dense import DenseDenoiser, dense_train
@@ -218,6 +218,21 @@ class TestForward:
         out = fused.forward_stack(imgs)
         for i in range(5):
             assert np.array_equal(out[i], fused.forward_stack(imgs[i:i + 1])[0])
+
+    def test_forward_stack_matches_per_image_at_an_odd_plane_size(self, rng):
+        # A 5x6 plane has 30 pixels, not a multiple of 4, so one flat
+        # product's 1-column rows would not have the bits of a lone
+        # plane's: the fusion kernel reads a stack of per-plane matrices.
+        p = 5 * 6
+        nets = [DenseDenoiser(np.vstack([np.eye(p), np.zeros((1, p))])
+                              + rng.normal(0, 0.01, (p + 1, p)), (5, 6))
+                for _ in range(3)]
+        fused = FusionDenoiser(nets, rng.normal(0, 0.1, (3, 3, 3)))
+        imgs = rng.random((12, 5, 6))
+        out = fused.forward_stack(imgs)
+        for i in range(12):
+            assert same_bits(fused.forward_stack(imgs[i:i + 1])[0], out[i])
+        assert same_bits(fused.forward_stack(imgs[3:8]), out[3:8])
 
     def test_forward_stack_rgb(self, rng):
         nets, _ = member_bank_28(rng, 1)
@@ -443,6 +458,14 @@ class TestTraining:
         np.testing.assert_array_equal(fused.kernel,
                                       fusion_init(3, 3, "identity"))
         assert fused.rmse_log == []
+
+    @pytest.mark.parametrize("init", ["zero", "identity"])
+    def test_zero_learning_rate_keeps_init_kernel(self, rng, init):
+        nets, ds = member_bank(rng)
+        cfg = TrainConfig(parse_spec("gaussian:0.05"), learning_rate=0.0,
+                          epochs=2, batch=4, seed=1, init=init)
+        fused = fusion_train(cfg, nets, ds)
+        assert same_bits(fused.kernel, fusion_init(3, 3, init))
 
     def test_same_seed_reproduces(self, rng):
         nets, ds = member_bank(rng)
