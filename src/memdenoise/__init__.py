@@ -13,8 +13,8 @@ from .imagecore import (Dataset, DatasetError, load_cifar10, load_mnist,
 from .noise import NoiseSpec, STANDARD_NOISES, corrupt, corrupt_dataset, parse_spec
 from .metrics import QualityReport, mse, ssim
 from .baselines import FilterSpec, filter_stack, parse_filter
-from .hwcost import (ComponentBudget, DesignPoint, FabricExceededError,
-                     HardwareCostReport, estimate, format_report_table)
+from .hwcost import (ComponentBudget, DesignPoint, HardwareCostReport,
+                     estimate, format_report_table)
 from .classify import AccuracyReport, Classifier, evaluate, train_classifier
 from .nets import (CnnDenoiser, DenseDenoiser, FusionDenoiser, TrainConfig,
                    TrainingDivergence, cnn_train, dense_train, fusion_train)
@@ -30,8 +30,8 @@ __all__ = [
     "NoiseSpec", "STANDARD_NOISES", "parse_spec", "corrupt", "corrupt_dataset",
     "QualityReport", "ssim", "mse",
     "FilterSpec", "parse_filter", "filter_stack",
-    "ComponentBudget", "DesignPoint", "HardwareCostReport",
-    "FabricExceededError", "estimate", "format_report_table",
+    "ComponentBudget", "DesignPoint", "HardwareCostReport", "estimate",
+    "format_report_table",
     "AccuracyReport", "Classifier", "train_classifier", "evaluate",
     "CnnDenoiser", "DenseDenoiser", "FusionDenoiser", "TrainConfig",
     "TrainingDivergence", "cnn_train", "dense_train", "fusion_train",

@@ -609,7 +609,7 @@ def cmd_cost(config):
     point = cost_point(config["net"], config["mode"], config["phase"])
     try:
         report = hwcost.estimate(point, budget)
-    except ValueError as e:  # FabricExceededError too
+    except ValueError as e:
         raise CliError(str(e))
     print(hwcost.format_report_table([report]))
     written = []

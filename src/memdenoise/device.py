@@ -37,7 +37,9 @@ class DeviceModel:
                 isinstance(self.levels, numbers.Integral)
                 and 2 <= self.levels <= sys.float_info.max):
             raise ValueError("levels must be an integer >= 2 (or None for ideal)")
-        if not 0 <= self.variation_sigma <= sys.float_info.max:
+        # A boolean is a number to the comparison, not a sigma.
+        if isinstance(self.variation_sigma, bool) or not (
+                0 <= self.variation_sigma <= sys.float_info.max):
             raise ValueError("variation_sigma must be finite and >= 0")
 
     @property

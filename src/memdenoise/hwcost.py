@@ -43,24 +43,12 @@ from .crossbar import TILE_COLS, TILE_ROWS, tile_grid
 __all__ = [
     "ComponentBudget",
     "DesignPoint",
-    "FabricExceededError",
     "HardwareCostReport",
     "count_tiles",
     "estimate",
     "format_report_table",
     "format_si",
 ]
-
-
-class FabricExceededError(ValueError):
-    """A design needs more tiles than the configured fabric provides."""
-
-    def __init__(self, needed: int, available: int):
-        super().__init__(
-            f"design needs {needed} tiles per polarity, fabric provides {available}"
-        )
-        self.needed = needed
-        self.available = available
 
 
 @dataclass(frozen=True)
@@ -70,7 +58,9 @@ class ComponentBudget:
     ``cmos_chain_power`` and ``cmos_chain_area`` are calibration lumps
     for the whole per-output readout chain; the ADC and SRAM entries
     cost the hidden outputs a training design stores.  ``max_tiles``
-    optionally caps the fabric; ``None`` means unbounded.
+    optionally caps the fabric; ``None`` means unbounded.  A design that
+    needs more tiles per polarity than ``max_tiles`` raises a
+    ``ValueError`` naming both counts.
     """
 
     tile_power: float = 111e-6          # W, one 256x64 tile active
@@ -211,11 +201,6 @@ def count_tiles(rows: int, cols: int) -> int:
     return grid[0] * grid[1]
 
 
-def _check_fabric(tiles: int, budget: ComponentBudget) -> None:
-    if budget.max_tiles is not None and tiles > budget.max_tiles:
-        raise FabricExceededError(tiles, budget.max_tiles)
-
-
 def _forward_report(point: DesignPoint, budget: ComponentBudget) -> HardwareCostReport:
     layers = point.layers
     parallel = point.mode == "parallel"
@@ -226,7 +211,9 @@ def _forward_report(point: DesignPoint, budget: ComponentBudget) -> HardwareCost
     devices = sum(c * rows * cols for c, (rows, cols, _) in zip(copies, layers))
     tiles = sum(c * count_tiles(rows, cols)
                 for c, (rows, cols, _) in zip(copies, layers))
-    _check_fabric(tiles, budget)
+    if budget.max_tiles is not None and tiles > budget.max_tiles:
+        raise ValueError(f"design needs {tiles} tiles per polarity, "
+                         f"fabric provides {budget.max_tiles}")
 
     crossbar_area = 2 * tiles * budget.tile_area
     total_reads = sum(reads for _, _, reads in layers)

@@ -46,19 +46,11 @@ _CIFAR_FILES = {
 
 
 class DatasetError(Exception):
-    """Base class for dataset ingestion failures."""
-
-
-class BadMagicError(DatasetError):
-    """File header does not identify the expected format."""
-
-
-class TruncatedFileError(DatasetError):
-    """File ends before the payload promised by its header."""
-
-
-class CountMismatchError(DatasetError):
-    """Image file and label file disagree on the record count."""
+    """A dataset that cannot be loaded, its message naming the file and
+    the cause: a bad magic number or record size, a file or gzip stream
+    that ends before its header's promise (or holds more), an image count
+    that disagrees with the label count, a label outside 0..9, a missing
+    file or an empty split."""
 
 
 def check_count(n):
@@ -77,16 +69,14 @@ class Dataset:
             (a loaded split, 1 byte per pixel) or float64 intensities in
             [0, 1]. Passes read them through floats, never directly.
     labels: int64 array of class indices 0..9, same length as images.
-    split:  'train' or 'test'.
     """
 
     images: np.ndarray
     labels: np.ndarray
-    split: str
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
-            raise CountMismatchError(
+            raise DatasetError(
                 "%d images vs %d labels" % (len(self.images), len(self.labels)))
         if self.images.dtype not in (np.uint8, np.float64):
             raise TypeError(f"images must be uint8 pixels or float64 "
@@ -101,7 +91,7 @@ class Dataset:
         """First n images as a new Dataset (n=None keeps everything)."""
         if check_count(n) is None or n >= len(self):
             return self
-        return Dataset(self.images[:n].copy(), self.labels[:n].copy(), self.split)
+        return Dataset(self.images[:n].copy(), self.labels[:n].copy())
 
     def floats(self, part=slice(None)):
         """images[part] (a slice or an index array) as a new C-contiguous
@@ -129,10 +119,10 @@ def _gzip_errors(path):
     try:
         yield
     except EOFError as e:
-        raise TruncatedFileError("%s: compressed stream ends early (%s)"
-                                 % (path, e)) from e
+        raise DatasetError("%s: compressed stream ends early (%s)"
+                           % (path, e)) from e
     except (gzip.BadGzipFile, zlib.error) as e:
-        raise BadMagicError("%s: corrupt gzip stream (%s)" % (path, e)) from e
+        raise DatasetError("%s: corrupt gzip stream (%s)" % (path, e)) from e
 
 
 # An IDX payload is read in 64 KiB slices: one read of a gzipped payload
@@ -153,22 +143,22 @@ def _read_idx(path, expected_magic):
     with _gzip_errors(path), _open_maybe_gzip(path) as f:
         head = f.read(4)
         if len(head) < 4:
-            raise TruncatedFileError("%s: header shorter than 4 bytes" % path)
+            raise DatasetError("%s: header shorter than 4 bytes" % path)
         (magic,) = struct.unpack(">I", head)
         if magic != expected_magic:
-            raise BadMagicError(
+            raise DatasetError(
                 "%s: magic 0x%08x, expected 0x%08x" % (path, magic, expected_magic))
         ndim = magic & 0xFF
         dim_bytes = f.read(4 * ndim)
         if len(dim_bytes) < 4 * ndim:
-            raise TruncatedFileError("%s: truncated dimension header" % path)
+            raise DatasetError("%s: truncated dimension header" % path)
         dims = struct.unpack(">" + "I" * ndim, dim_bytes)
         count, size = math.prod(dims), os.path.getsize(path)
         room = (size * _MAX_DEFLATE_RATIO if isinstance(f, gzip.GzipFile)
                 else size - 4 - 4 * ndim)
         if count > room:
-            raise TruncatedFileError("%s: header promises %d bytes, the file "
-                                     "holds at most %d" % (path, count, room))
+            raise DatasetError("%s: header promises %d bytes, the file "
+                               "holds at most %d" % (path, count, room))
         out = np.empty(count, np.uint8)
         _read_payload(f, out, path)
     return out.reshape(dims)
@@ -181,8 +171,8 @@ def _read_payload(f, out, path):
     while got < len(out):
         n = f.readinto(out[got:got + _READ_SLICE])
         if not n:
-            raise TruncatedFileError("%s: payload %d bytes, header promises "
-                                     "%d" % (path, got, len(out)))
+            raise DatasetError("%s: payload %d bytes, header promises "
+                               "%d" % (path, got, len(out)))
         got += n
     extra = 0
     while chunk := f.read(_READ_SLICE):
@@ -228,11 +218,11 @@ def load_mnist(path, split):
     raw = _read_idx(_resolve(path, img_name), IDX_MAGIC_IMAGES)
     labels = _read_idx(_resolve(path, lab_name), IDX_MAGIC_LABELS)
     if raw.shape[0] != labels.shape[0]:
-        raise CountMismatchError(
+        raise DatasetError(
             "%s: %d images vs %d labels" % (path, raw.shape[0], labels.shape[0]))
     if raw.shape[0] == 0:
         raise DatasetError("%s: the %s split holds no records" % (path, split))
-    return Dataset(raw, _class_indices(labels, path), split)
+    return Dataset(raw, _class_indices(labels, path))
 
 
 def _cifar_size(path):
@@ -245,13 +235,13 @@ def _cifar_size(path):
         if head != b"\x1f\x8b":
             return size
         if size < 18:  # a gzip header and trailer take 18 bytes
-            raise TruncatedFileError("%s: a %d-byte gzip stream" % (path, size))
+            raise DatasetError("%s: a %d-byte gzip stream" % (path, size))
         f.seek(-4, os.SEEK_END)
         (stated,) = struct.unpack("<I", f.read(4))
     if stated > size * _MAX_DEFLATE_RATIO:
-        raise TruncatedFileError("%s: gzip trailer states %d bytes, the file "
-                                 "holds at most %d"
-                                 % (path, stated, size * _MAX_DEFLATE_RATIO))
+        raise DatasetError("%s: gzip trailer states %d bytes, the file "
+                           "holds at most %d"
+                           % (path, stated, size * _MAX_DEFLATE_RATIO))
     return stated
 
 
@@ -275,17 +265,17 @@ def load_cifar10(path, split):
     sizes = [_cifar_size(fname) for fname in names]
     for fname, size in zip(names, sizes):
         if size == 0 or size % 3073 != 0:
-            raise BadMagicError(
+            raise DatasetError(
                 "%s: %d bytes is not a multiple of 3073" % (fname, size))
     records, lo = np.empty((sum(sizes) // 3073, 3073), np.uint8), 0
     for fname, size in zip(names, sizes):
         with _gzip_errors(fname), _open_maybe_gzip(fname) as f:
             if _read_payload(f, records.reshape(-1)[lo:lo + size], fname):
-                raise BadMagicError("%s: holds more than the %d bytes its "
-                                    "gzip trailer states" % (fname, size))
+                raise DatasetError("%s: holds more than the %d bytes its "
+                                   "gzip trailer states" % (fname, size))
         lo += size
     images = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-    return Dataset(images, _class_indices(records[:, 0], path), split)
+    return Dataset(images, _class_indices(records[:, 0], path))
 
 
 class ImageShapeError(ValueError):

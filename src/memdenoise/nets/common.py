@@ -135,8 +135,12 @@ def device_meta(net):
 
 
 def device_args(meta):
-    """Constructor keywords rebuilding the record device_meta stored."""
-    return {"rmse_log": meta["rmse_log"], "program_seed": meta["program_seed"],
+    """Constructor keywords rebuilding the record device_meta stored;
+    ValueError for a program_seed that is not a JSON integer."""
+    seed = meta["program_seed"]
+    if type(seed) is not int:
+        raise ValueError(f"program_seed must be an integer, got {seed!r}")
+    return {"rmse_log": meta["rmse_log"], "program_seed": seed,
             "device": DeviceModel(levels=meta["levels"],
                                   variation_sigma=meta["variation_sigma"])}
 

@@ -35,5 +35,5 @@ def test_every_attribute_the_tracer_counts_with_exists():
     m = crossbar.program(np.zeros((300, 200)), DeviceModel(),
                          np.random.default_rng(0))
     assert (m.rows, m.cols, m.tiles_per_polarity) == (300, 200, 8)
-    data = Dataset(np.zeros((2, 4, 4), np.uint8), np.arange(2), "test")
+    data = Dataset(np.zeros((2, 4, 4), np.uint8), np.arange(2))
     assert data.images.shape == (2, 4, 4) and data.labels.tolist() == [0, 1]

@@ -326,6 +326,34 @@ class TestNonFiniteValues:
         assert not (tmp_path / "out").exists()
 
 
+class TestDeviceRecord:
+    # A stored seed that is not a JSON integer would program the
+    # conductances with int() of it; a boolean sigma would read as 0 or 1.
+    BAD = [
+        ("program_seed", "7", "program_seed must be an integer, got '7'"),
+        ("program_seed", 1.5, "program_seed must be an integer, got 1.5"),
+        ("program_seed", True, "program_seed must be an integer, got True"),
+        ("variation_sigma", True, "variation_sigma must be finite and >= 0"),
+    ]
+
+    @pytest.mark.parametrize("field, value, cause", BAD,
+                             ids=["str-seed", "float-seed", "bool-seed",
+                                  "bool-sigma"])
+    @pytest.mark.parametrize("kind", ["dense", "cnn"])
+    def test_eval_exits_two(self, blobs, tmp_path, capsys, kind, field,
+                            value, cause):
+        _, saved = blobs
+        path = tmp_path / f"{kind}.bin"
+        path.write_bytes(saved[kind])
+        rewritten(path, kind, lambda meta, arrays: meta.update({field: value}))
+        assert main(["eval", "--data", str(tiny_test_split(tmp_path)),
+                     "--seed", "1", "--checkpoint", str(path),
+                     "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad {kind} checkpoint: {cause}\n")
+        assert not (tmp_path / "out").exists()
+
+
 def test_fusion_checkpoint_streams(tmp_path):
     # A 28x28 fusion net over 8 members writes a 118 MB file. Neither save
     # nor load may hold a second copy of its bytes, and the load holds no

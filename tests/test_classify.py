@@ -24,12 +24,12 @@ from memdenoise.nets.common import TrainConfig, TrainingDivergence
 from memdenoise.noise import NoiseSpec
 
 
-def toy_data(n=400, seed=0, split="train"):
+def toy_data(n=400, seed=0):
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) % 10).astype(np.int64)
     flat = rng.uniform(0.0, 0.08, (n, 16))
     flat[np.arange(n), labels] = 1.0
-    return Dataset(images=flat.reshape(n, 4, 4), labels=labels, split=split)
+    return Dataset(images=flat.reshape(n, 4, 4), labels=labels)
 
 
 def toy_config(**overrides):
@@ -180,7 +180,7 @@ class TestTraining:
         data = toy_data()
         rng = np.random.default_rng(9)
         shuffled = Dataset(images=data.images,
-                           labels=rng.permutation(data.labels), split="train")
+                           labels=rng.permutation(data.labels))
         clf = train_classifier(shuffled, toy_config(epochs=3))
         probe = toy_data(n=200, seed=5)
         assert clf.accuracy(probe.images, probe.labels) < 0.3
@@ -216,7 +216,7 @@ class TestTraining:
     def test_limit_truncates_training_set(self):
         limited = train_classifier(toy_data(), toy_config(limit=50))
         subset = Dataset(images=toy_data().images[:50],
-                         labels=toy_data().labels[:50], split="train")
+                         labels=toy_data().labels[:50])
         full_on_subset = train_classifier(subset, toy_config())
         np.testing.assert_array_equal(limited.w1, full_on_subset.w1)
 
@@ -226,7 +226,7 @@ class TestTraining:
         rng = np.random.default_rng(2)
         images = rng.uniform(0.0, 1.0, (20, 4, 4, 3))
         labels = (np.arange(20) % 10).astype(np.int64)
-        data = Dataset(images=images, labels=labels, split="train")
+        data = Dataset(images=images, labels=labels)
         clf = train_classifier(data, toy_config(epochs=1))
         assert clf.shape == (4, 4, 3) and clf.w1.shape == (48, HIDDEN)
         assert np.isfinite(clf.loss_log[0])
@@ -248,8 +248,8 @@ class TestTraining:
         pixels = rng.integers(0, 256, shape, dtype=np.uint8)
         labels = (np.arange(shape[0]) % 10).astype(np.int64)
         cfg = toy_config(epochs=2, limit=150)
-        got = train_classifier(Dataset(pixels, labels, "train"), cfg)
-        want = train_classifier(Dataset(pixels / 255.0, labels, "train"), cfg)
+        got = train_classifier(Dataset(pixels, labels), cfg)
+        want = train_classifier(Dataset(pixels / 255.0, labels), cfg)
         for a, b in zip((got.w1, got.b1, got.w2, got.b2),
                         (want.w1, want.b1, want.w2, want.b2)):
             assert np.array_equal(a, b)
@@ -273,7 +273,7 @@ class TestTraining:
         # largest gain.
         rng = np.random.default_rng(0)
         data = Dataset(images=rng.random((256, 8, 8)),
-                       labels=np.zeros(256, np.int64), split="train")
+                       labels=np.zeros(256, np.int64))
         cfg = TrainConfig(train_noise=None, learning_rate=lr, epochs=5,
                           batch=64, seed=0)
         with pytest.raises(TrainingDivergence) as info:
@@ -328,7 +328,7 @@ def trained():
 
 class TestEvaluate:
     def test_clean_condition(self, trained):
-        data = toy_data(n=100, seed=11, split="test")
+        data = toy_data(n=100, seed=11)
         (report,) = evaluate(trained, data)
         assert report.condition == "clean"
         assert report.noise == ""
@@ -336,7 +336,7 @@ class TestEvaluate:
         assert report.accuracy == trained.accuracy(data.images, data.labels)
 
     def test_noisy_condition_labels_the_spec(self, trained):
-        data = toy_data(n=100, seed=11, split="test")
+        data = toy_data(n=100, seed=11)
         (report,) = evaluate(trained, data, NoiseSpec("gaussian", 0.5), 4)
         assert report.condition == "noisy"
         assert report.noise == "gaussian:0.5"
@@ -345,7 +345,7 @@ class TestEvaluate:
         # evaluate hands the corruption on as the noise emits it, and each
         # analog stage clamps its own input to the [0, 1] window: neither
         # a denoiser's crossbar nor the classifier sees a value outside.
-        data = toy_data(n=50, seed=11, split="test")
+        data = toy_data(n=50, seed=11)
         noise = NoiseSpec("gaussian", 0.5)
         recorder = RecordingDenoiser()
         evaluate(trained, data, noise, 4, recorder)
@@ -361,7 +361,7 @@ class TestEvaluate:
         assert all(x.min() >= 0.0 and x.max() <= 1.0 for x in seen)
 
     def test_denoised_condition_named_after_class(self, trained):
-        data = toy_data(n=50, seed=11, split="test")
+        data = toy_data(n=50, seed=11)
         noisy, denoised = evaluate(trained, data, NoiseSpec("gaussian", 0.01),
                                    4, IdentityDenoiser())
         assert noisy.condition == "noisy"
@@ -369,14 +369,14 @@ class TestEvaluate:
         assert denoised.noise == "gaussian:0.01"
 
     def test_identity_denoiser_matches_noisy_accuracy(self, trained):
-        data = toy_data(n=100, seed=11, split="test")
+        data = toy_data(n=100, seed=11)
         noisy, passthrough = evaluate(trained, data, NoiseSpec("sp", 0.1), 4,
                                       IdentityDenoiser())
         assert passthrough.accuracy == noisy.accuracy
 
     def test_one_corruption_feeds_both_rows(self, trained, monkeypatch):
         # The denoised row reads the very images the noisy row scored.
-        data = toy_data(n=50, seed=11, split="test")
+        data = toy_data(n=50, seed=11)
         calls, corrupt = [], classify.corrupt_dataset
         monkeypatch.setattr(classify, "corrupt_dataset",
                             lambda *a: calls.append(a) or corrupt(*a))
@@ -387,13 +387,13 @@ class TestEvaluate:
         assert noisy.accuracy == trained.accuracy(recorder.seen, data.labels)
 
     def test_same_seed_reproduces_report(self, trained):
-        data = toy_data(n=100, seed=11, split="test")
+        data = toy_data(n=100, seed=11)
         noise = NoiseSpec("gaussian", 0.5)
         assert evaluate(trained, data, noise, 4) == evaluate(trained, data,
                                                              noise, 4)
 
     def test_heavy_noise_hurts_accuracy(self, trained):
-        data = toy_data(n=200, seed=11, split="test")
+        data = toy_data(n=200, seed=11)
         (clean,) = evaluate(trained, data)
         (noisy,) = evaluate(trained, data, NoiseSpec("gaussian", 0.5), 4)
         assert noisy.accuracy < clean.accuracy

@@ -253,8 +253,7 @@ class TestGradients:
 class TestTraining:
     def make_dataset(self, rng, n=12, shape=(8, 8)):
         from memdenoise.imagecore import Dataset
-        return Dataset(rng.random((n,) + shape), np.zeros(n, dtype=np.int64),
-                       "train")
+        return Dataset(rng.random((n,) + shape), np.zeros(n, dtype=np.int64))
 
     @pytest.mark.parametrize("batch,n", [(1, 6), (4, 8), (4, 10)],
                              ids=["batch-1", "batch-4", "ragged-tail"])

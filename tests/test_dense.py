@@ -23,7 +23,7 @@ DENSE = {"dense": DenseDenoiser.from_state}
 def tiny_dataset(rng, n=24, h=8, w=8):
     from memdenoise.imagecore import Dataset
     imgs = rng.random((n, h, w))
-    return Dataset(imgs, np.zeros(n, dtype=np.int64), "train")
+    return Dataset(imgs, np.zeros(n, dtype=np.int64))
 
 
 class TestHelpers:
@@ -76,7 +76,7 @@ class TestHelpers:
         # channels 0: a gray (n, h, w) stack
         from memdenoise.imagecore import Dataset
         imgs = rng.random((4, 3, 5) + ((channels,) if channels else ()))
-        data = Dataset(imgs, np.zeros(4, dtype=np.int64), "train")
+        data = Dataset(imgs, np.zeros(4, dtype=np.int64))
         cfg = TrainConfig(parse_spec("gaussian:0.1"), limit=limit)
         clean, shape = training_planes(data, cfg)
         assert shape == (3, 5)
@@ -92,9 +92,8 @@ class TestHelpers:
         pixels = rng.integers(0, 256, (4, 3, 5) + ((channels,) if channels
                                                    else ()), dtype=np.uint8)
         cfg = TrainConfig(parse_spec("gaussian:0.1"), limit=limit)
-        got = training_planes(Dataset(pixels, np.zeros(4, np.int64), "train"),
-                              cfg)[0]
-        floats = Dataset(pixels / 255.0, np.zeros(4, np.int64), "train")
+        got = training_planes(Dataset(pixels, np.zeros(4, np.int64)), cfg)[0]
+        floats = Dataset(pixels / 255.0, np.zeros(4, np.int64))
         assert np.array_equal(got, training_planes(floats, cfg)[0])
 
     def test_fit_judges_epoch_one_against_the_untrained_minibatch(self):
@@ -348,7 +347,7 @@ class TestTraining:
         # one sample, one epoch, batch 1: W <- W + eta * x (c - x W)^T
         from memdenoise.imagecore import Dataset
         imgs = rng.random((1, 8, 8))
-        ds = Dataset(imgs, np.zeros(1, dtype=np.int64), "train")
+        ds = Dataset(imgs, np.zeros(1, dtype=np.int64))
         spec = parse_spec("gaussian:0.1")
         cfg = TrainConfig(spec, learning_rate=0.05, epochs=1, batch=1, seed=9)
         net = dense_train(cfg, ds)
@@ -364,7 +363,7 @@ class TestTraining:
     def test_batch_update_is_mean_over_batch(self, rng):
         from memdenoise.imagecore import Dataset
         imgs = rng.random((4, 8, 8))
-        ds = Dataset(imgs, np.zeros(4, dtype=np.int64), "train")
+        ds = Dataset(imgs, np.zeros(4, dtype=np.int64))
         spec = parse_spec("gaussian:0.05")
         cfg = TrainConfig(spec, learning_rate=0.04, epochs=1, batch=4, seed=2)
         net = dense_train(cfg, ds)

@@ -68,7 +68,7 @@ def direct_route(fused, img):
 def member_bank(rng, h=8, w=8, count=3):
     """Small trained members over distinct corruptions."""
     imgs = rng.random((16, h, w))
-    ds = Dataset(imgs, np.zeros(16, dtype=np.int64), "train")
+    ds = Dataset(imgs, np.zeros(16, dtype=np.int64))
     texts = ("gaussian:0.05", "sp:0.1", "speckle:1")[:count]
     nets = []
     for text in texts:
@@ -87,8 +87,7 @@ def member_bank_28(rng, n):
                           + rng.normal(0, 0.01, (p + 1, p)), (28, 28),
                           train_noise=text)
             for text in ("gaussian:0.05", "sp:0.1", "speckle:1")]
-    return nets, Dataset(rng.random((n, 28, 28)), np.zeros(n, np.int64),
-                         "train")
+    return nets, Dataset(rng.random((n, 28, 28)), np.zeros(n, np.int64))
 
 
 def per_sample_fusion_train(cfg, members, data, size=3):
@@ -583,7 +582,7 @@ nets = [DenseDenoiser(np.vstack([np.eye(p), np.zeros((1, p))]), (28, 28),
                       train_noise=text) for text in ("gaussian:0.05", "sp:0.1")]
 images = np.random.default_rng(0).random((300, 28, 28))
 fusion_train(TrainConfig(parse_spec("gaussian:0.05"), batch=8, seed=4),
-             nets, Dataset(images, np.zeros(300, np.int64), "train"))
+             nets, Dataset(images, np.zeros(300, np.int64)))
 """
 
 
